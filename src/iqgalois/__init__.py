@@ -55,7 +55,7 @@ from .quadform import (
     principal_form,
     reduce_form,
 )
-from .survey import SurveyConfig, SurveyRow, persist, scan, table1, table2, table3
+from .survey import SurveyConfig, SurveyRow, persist, scan, table1, table3
 
 __version__ = "0.1.0"
 
@@ -102,7 +102,6 @@ __all__ = [
     "reduce_form",
     "scan",
     "table1",
-    "table2",
     "table3",
     "torsion_descriptor",
     "two_classification",

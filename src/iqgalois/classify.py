@@ -24,13 +24,7 @@ from .discriminant import (
     validate,
 )
 from .idealgen import QuadraticInteger, form_to_ideal, ideal_power, principal_generator
-from .localtest import (
-    LocalContext,
-    build_context,
-    generic_membership,
-    injectivity_test,
-    local_unit_image,
-)
+from .localtest import build_context, injectivity_test, local_unit_image, two_classification
 from .quadform import (
     ClassGroupStructure,
     QuadForm,
@@ -84,6 +78,25 @@ class ClassificationRecord:
             },
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "ClassificationRecord":
+        """Inverse of to_dict."""
+        torsion = data["torsion"]
+        return cls(
+            discriminant=data["discriminant"],
+            h=data["h"],
+            class_group=tuple(data["class_group"]),
+            two_rank=data["two_rank"],
+            per_prime=tuple((p, s) for p, s in data["per_prime"]),
+            verdict=data["verdict"],
+            assumes_converse=data["assumes_converse"],
+            torsion=TorsionDescriptor(
+                w=torsion["w"],
+                excluded_summands=frozenset(torsion["excluded_summands"]),
+                shape=torsion["shape"],
+            ),
+        )
+
 
 def torsion_power_generator(form: QuadForm, p: int) -> QuadraticInteger:
     """Generator of a^p for the ideal a of a p-torsion class, a coprime to p."""
@@ -91,23 +104,14 @@ def torsion_power_generator(form: QuadForm, p: int) -> QuadraticInteger:
     return principal_generator(ideal_power(form_to_ideal(g), p))
 
 
-def status_at_odd_prime(
-    d: FundamentalDiscriminant, cg: ClassGroupStructure, p: int, ctx: LocalContext | None = None
-) -> str:
+def status_at_odd_prime(d: FundamentalDiscriminant, cg: ClassGroupStructure, p: int) -> str:
     """Injectivity status of the splitting test at one odd prime p | h."""
     try:
         basis = p_torsion_basis(cg, p)
     except RankOverflow:
         return RANK_OVERFLOW
-    if ctx is None:
-        ctx = build_context(d, p)
-    images = []
-    for form in basis:
-        alpha = torsion_power_generator(form, p)
-        if ctx.local_zeta is not None:
-            images.append(generic_membership(ctx, alpha))
-        else:
-            images.append(local_unit_image(ctx, alpha))
+    ctx = build_context(d, p)
+    images = [local_unit_image(ctx, torsion_power_generator(form, p)) for form in basis]
     return INJECTIVE if injectivity_test(ctx, images) else NONINJECTIVE
 
 
@@ -121,17 +125,39 @@ def classify(D: int, short_circuit: bool = True) -> ClassificationRecord:
     return classify_validated(d, short_circuit=short_circuit)
 
 
+def status_at_prime(
+    d: FundamentalDiscriminant,
+    p: int,
+    cg: ClassGroupStructure | None = None,
+    known_h: int | None = None,
+) -> str:
+    """Injectivity status at one prime p | h.
+
+    p = 2 follows the discriminant families and needs no class group; at odd
+    p the local test runs on cg, built from known_h when not given.
+    """
+    if p == 2:
+        two_rank = genus_two_rank(d)
+        if two_rank >= 3:
+            return RANK_OVERFLOW
+        status = two_classification(d, two_rank)
+        assert status != SKIPPED, "2 divides h exactly when the 2-rank is positive"
+        return status
+    if cg is None:
+        cg = class_group(d, known_h=known_h)
+    return status_at_odd_prime(d, cg, p)
+
+
 def classify_validated(
     d: FundamentalDiscriminant,
     known_h: int | None = None,
-    backend: str = "auto",
     short_circuit: bool = True,
 ) -> ClassificationRecord:
     D = d.value
     torsion = torsion_descriptor(d)
     if D in (-4, -8):
         return ClassificationRecord(D, 1, (), 0, (), EXCEPTIONAL, False, torsion)
-    cg = class_group(d, backend=backend, known_h=known_h)
+    cg = class_group(d, known_h=known_h)
     two_rank = genus_two_rank(d)
     assert two_rank == cg.p_rank(2), f"genus 2-rank mismatch at D={D}"
     per_prime: list[tuple[int, str]] = []
@@ -139,12 +165,7 @@ def classify_validated(
     for p in _prime_divisors(cg.h):
         if failed and short_circuit:
             break
-        if p == 2:
-            status = _status_at_two(d, two_rank)
-        elif cg.p_rank(p) >= 3:
-            status = RANK_OVERFLOW
-        else:
-            status = status_at_odd_prime(d, cg, p)
+        status = status_at_prime(d, p, cg)
         per_prime.append((p, status))
         failed = failed or status != INJECTIVE
     verdict = NOT_MINIMAL if failed else MINIMAL
@@ -158,16 +179,6 @@ def classify_validated(
         verdict == NOT_MINIMAL,
         torsion,
     )
-
-
-def _status_at_two(d: FundamentalDiscriminant, two_rank: int) -> str:
-    from .localtest import two_classification
-
-    if two_rank >= 3:
-        return RANK_OVERFLOW
-    status = two_classification(d, two_rank)
-    assert status != SKIPPED, "2 divides h exactly when the 2-rank is positive"
-    return status
 
 
 def _prime_divisors(h: int) -> list[int]:

@@ -7,23 +7,12 @@ Discriminants are accepted negative (-d -20) or as |D| with --abs.
 import argparse
 import json
 import os
-import random
 import sys
 
+from . import verify
 from .classify import classify, verdict_description
-from .discriminant import NotFundamental, NotImaginary, validate
-from .idealgen import QuadraticInteger
-from .localtest import (
-    build_context,
-    generic_membership,
-    local_unit_image,
-    subgroup_index,
-    two_classification,
-    two_direct_check,
-)
-from .quadform import class_group, compose, enumerate_reduced_forms, inverse
-from .quadform import principal_form, reduce_form
-from .survey import SurveyConfig, persist, scan, table1, table2, table3
+from .discriminant import NotFundamental, NotImaginary
+from .survey import SurveyConfig, persist, scan, table1, table3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sur.add_argument("--min", type=int, default=3)
     p_sur.add_argument("--max", type=int, required=True)
     p_sur.add_argument("--primes", type=str, default="2,3,5,7")
-    p_sur.add_argument("--mode", choices=("TABLE1", "TABLE2", "TABLE3", "RAW"), default="RAW")
     p_sur.add_argument("--out", type=str, required=True)
     p_sur.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sur.add_argument("--workers", type=int, default=_default_workers())
@@ -119,7 +107,6 @@ def _cmd_survey(args) -> int:
         d_min=args.min,
         d_max=args.max,
         primes=primes,
-        mode=args.mode,
         workers=args.workers,
         checkpoint_path=args.checkpoint,
     )
@@ -143,11 +130,11 @@ def _cmd_tables(args) -> int:
                 r = rows[p]
                 span = ", ".join(map(str, r.split_discriminants)) or "-"
                 print(f"{p:>3} {r.count:>8} {r.nonsplit:>10}  {span}")
-    elif args.table == 2:
-        r = table2(args.p, args.N, args.B)
-        print(f"p={r.p} N={r.n_fields} B={r.lower_bound} p*f_p={r.normalized:.3f}")
+        return 0
+    r = table3(args.p, args.N, args.B)
+    if args.table == 2:
+        print(f"p={r.p} N={r.n_fields} B={r.lower_bound} p*f_p={r.overall:.3f}")
     else:
-        r = table3(args.p, args.N, args.B)
         parts = []
         for tag in ("split", "inert", "ramified"):
             v = r.by_behavior[tag]
@@ -169,82 +156,11 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _verify_forms(args) -> list[str]:
-    """Group laws and dual-backend agreement on sampled discriminants."""
-    rng = random.Random(20240)
-    failures = []
-    for D in (-23, -47, -84, -479, -1051, -3299):
-        forms = enumerate_reduced_forms(D)
-        one = principal_form(D)
-        for _ in range(50):
-            f, g, k = (rng.choice(forms) for _ in range(3))
-            if compose(compose(f, g), k) != compose(f, compose(g, k)):
-                failures.append(f"associativity broke at D={D}: {f} {g} {k}")
-            if compose(f, g) != compose(g, f):
-                failures.append(f"commutativity broke at D={D}: {f} {g}")
-            if compose(f, one) != reduce_form(f) or compose(f, inverse(f)) != one:
-                failures.append(f"identity/inverse law broke at D={D}: {f}")
-        d = validate(D)
-        if class_group(d, "enumerate").h != class_group(d, "bsgs").h:
-            failures.append(f"backends disagree at D={D}")
-    return failures
-
-
-def _verify_local(args) -> list[str]:
-    """Closed forms against the enumerative engine, plus quotient sizes."""
-    rng = random.Random(757)
-    failures = []
-    cases = {
-        (3, -23), (3, -7), (3, -15), (3, -39), (5, -19), (5, -23), (5, -20),
-        (7, -47), (7, -4), (7, -7), (11, -7), (11, -15), (11, -11),
-        (13, -4), (13, -8), (13, -39),
-    }
-    for p, D in sorted(cases):
-        d = validate(D)
-        ctx = build_context(d, p)
-        if p <= 7 and subgroup_index(ctx) != p * p:
-            failures.append(f"quotient index at (p={p}, D={D}) is not p^2")
-        done = 0
-        while done < 100:
-            u = rng.randrange(-6 * p * p, 6 * p * p)
-            v = rng.randrange(-6 * p * p, 6 * p * p)
-            if (u - v * D) % 2:
-                u += 1
-            try:
-                alpha = QuadraticInteger(u, v, D)
-            except ValueError:
-                continue
-            if alpha.norm == 0 or alpha.norm % p == 0:
-                continue
-            done += 1
-            if local_unit_image(ctx, alpha).trivial != generic_membership(ctx, alpha).trivial:
-                failures.append(f"engines disagree at (p={p}, D={D}) on {alpha}")
-                break
-    return failures
-
-
-def _verify_two(args) -> list[str]:
-    """Family classification against the direct mod-8 computation."""
-    from .discriminant import genus_two_rank
-    from .survey import fundamental_mask
-
-    failures = []
-    bound = args.bound
-    mask = fundamental_mask(3, bound + 1)
-    import numpy as np
-
-    for m in (np.nonzero(mask)[0] + 3).tolist():
-        d = validate(-int(m))
-        if d.num_prime_divisors != 2:
-            continue
-        a = two_classification(d, genus_two_rank(d))
-        b = two_direct_check(d)
-        if a != b:
-            failures.append(f"D={-m}: families say {a}, direct check says {b}")
-    return failures
-
-
-_VERIFIERS = {"forms": _verify_forms, "local": _verify_local, "two": _verify_two}
+_VERIFIERS = {
+    "forms": lambda args: verify.forms(),
+    "local": lambda args: verify.quotient_index() + verify.local_engines(),
+    "two": lambda args: verify.two_families(verify.two_family_fields(args.bound)),
+}
 
 
 if __name__ == "__main__":

@@ -35,19 +35,16 @@ class FundamentalDiscriminant:
     prime_factors: tuple[tuple[int, int], ...]
     num_prime_divisors: int
 
-    @property
-    def has_extra_units(self) -> bool:
-        # Q(sqrt(-3)) and Q(i) have 6 and 4 roots of unity; generator
-        # recovery is never run on them (both have class number 1).
-        return self.value in (-3, -4)
-
 
 @dataclass(frozen=True)
 class TorsionDescriptor:
     w: int
-    special_case: bool = False
     excluded_summands: frozenset[int] = field(default_factory=frozenset)
     shape: str = GENERIC
+
+    @property
+    def special_case(self) -> bool:
+        return self.shape == SPECIAL2
 
     def describe(self) -> str:
         if self.shape == SPECIAL2:
@@ -96,9 +93,7 @@ def torsion_descriptor(d: FundamentalDiscriminant) -> TorsionDescriptor:
         return TorsionDescriptor(w=4, excluded_summands=frozenset({2}))
     if d.value == -8:
         # order-2 summands survive as explicit Z/2 factors; order 4 disappears
-        return TorsionDescriptor(
-            w=8, special_case=True, excluded_summands=frozenset({4}), shape=SPECIAL2
-        )
+        return TorsionDescriptor(w=8, excluded_summands=frozenset({4}), shape=SPECIAL2)
     return TorsionDescriptor(w=1)
 
 

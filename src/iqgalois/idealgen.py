@@ -11,6 +11,7 @@ exactly +-alpha.
 import math
 from dataclasses import dataclass
 
+from .arith import xgcd
 from .quadform import QuadForm, reduce_form
 
 
@@ -117,7 +118,7 @@ def _hnf_from_vectors(vectors: list[tuple[int, int]], D: int) -> QuadIdeal:
     for u2, v2 in vecs[1:]:
         if wv == g:
             break
-        gg, x, y = _xgcd(wv, v2)
+        gg, x, y = xgcd(wv, v2)
         wu, wv = x * wu + y * u2, gg
     assert wv == g
     e = 0
@@ -128,17 +129,6 @@ def _hnf_from_vectors(vectors: list[tuple[int, int]], D: int) -> QuadIdeal:
     a = e // (2 * g)
     b = _normalize_b(wu // g, a)
     return QuadIdeal(a, b, g, D)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 def ideal_multiply(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:

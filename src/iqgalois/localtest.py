@@ -109,7 +109,6 @@ class LocalRing:
 class LocalContext:
     p: int
     splitting: str
-    precision_exponent: int
     disc: int
     ring: LocalRing
     root: int | None = None
@@ -155,7 +154,7 @@ def build_context(d: FundamentalDiscriminant, p: int) -> LocalContext:
             zeta = (-inv2 % 9, pow(s, -1, 9) * inv2 % 9)
             assert ring.pow(zeta, 3) == ring.one and zeta != ring.one
             torsion = (zeta,)
-    return LocalContext(p, splitting, 2, D, ring, root, zeta, torsion)
+    return LocalContext(p, splitting, D, ring, root, zeta, torsion)
 
 
 def _build_context_two(d: FundamentalDiscriminant) -> LocalContext:
@@ -183,7 +182,7 @@ def _build_context_two(d: FundamentalDiscriminant) -> LocalContext:
         quartic = (0, pow(r, -1, 8))
         assert ring.mul(quartic, quartic) == ring.minus_one
         torsion.append(quartic)
-    return LocalContext(2, splitting, 3, D, ring, root, None, tuple(torsion))
+    return LocalContext(2, splitting, D, ring, root, None, tuple(torsion))
 
 
 def _fermat_quotient(c: int, p: int) -> int:

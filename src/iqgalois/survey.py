@@ -19,51 +19,42 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .classify import ClassificationRecord, classify_validated, status_at_odd_prime
-from .discriminant import (
-    FundamentalDiscriminant,
-    TorsionDescriptor,
-    genus_two_rank,
-    kronecker_at,
-    validate,
-)
-from .localtest import two_classification
-from .quadform import class_group
+from .arith import is_prime
+from .classify import ClassificationRecord, classify_validated, status_at_prime
+from .discriminant import FundamentalDiscriminant, kronecker_at, validate
 
 BLOCK_SIZE = 10_000
 CSV_HEADER = "D,h,class_group,two_rank,p,local_behavior,status,verdict,assumes_converse"
-
-MODES = ("TABLE1", "TABLE2", "TABLE3", "RAW")
 
 
 class InvalidConfig(ValueError):
     """Raised for inconsistent survey parameters."""
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise InvalidConfig(f"{p} is not a prime")
+
+
 @dataclass(frozen=True)
 class SurveyConfig:
     d_min: int = 3
     d_max: int = 10_000
-    primes: tuple[int, ...] = (2, 3, 5, 7)
-    mode: str = "RAW"
-    n_per_prime: int | None = None
-    lower_bound: int | None = None
-    single_factor: bool = False
+    primes: tuple[int, ...] = (2, 3, 5, 7)  # stored sorted and deduplicated
     workers: int = 1
     checkpoint_path: str | None = None
 
     def __post_init__(self):
         if self.d_min >= self.d_max:
             raise InvalidConfig(f"empty |D| range [{self.d_min}, {self.d_max}]")
-        if self.mode not in MODES:
-            raise InvalidConfig(f"unknown mode {self.mode!r}")
-        if self.n_per_prime is not None and self.n_per_prime < 1:
-            raise InvalidConfig("sample size per prime must be at least 1")
+        for p in self.primes:
+            _require_prime(p)
+        object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
         if self.workers < 1:
             raise InvalidConfig("workers must be at least 1")
 
     def identity(self) -> str:
-        return f"{self.d_min}:{self.d_max}:{','.join(map(str, self.primes))}:{self.mode}"
+        return f"{self.d_min}:{self.d_max}:{','.join(map(str, self.primes))}"
 
 
 @dataclass(frozen=True)
@@ -81,6 +72,12 @@ class SurveyRow:
         out = self.record.to_dict()
         out["local_behavior"] = {str(p): tag for p, tag in self.local_behavior}
         return out
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SurveyRow":
+        """Inverse of to_dict."""
+        behavior = tuple(sorted((int(p), tag) for p, tag in data["local_behavior"].items()))
+        return cls(ClassificationRecord.from_dict(data), behavior)
 
 
 def _squarefree_mask(lo: int, hi: int) -> np.ndarray:
@@ -153,90 +150,81 @@ def _classify_row(m: int, h: int, primes: tuple[int, ...]) -> SurveyRow:
     return SurveyRow(record, tags)
 
 
-def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[str]:
+def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
     lo, hi, primes = args
-    return [
-        _serialize_row(_classify_row(m, h, primes)) for m, h in class_numbers_range(lo, hi)
-    ]
-
-
-def _serialize_row(row: SurveyRow) -> str:
-    return json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def _deserialize_row(line: str) -> SurveyRow:
-    data = json.loads(line)
-    torsion = TorsionDescriptor(
-        w=data["torsion"]["w"],
-        special_case=data["torsion"]["special_case"],
-        excluded_summands=frozenset(data["torsion"]["excluded_summands"]),
-        shape=data["torsion"]["shape"],
-    )
-    record = ClassificationRecord(
-        discriminant=data["discriminant"],
-        h=data["h"],
-        class_group=tuple(data["class_group"]),
-        two_rank=data["two_rank"],
-        per_prime=tuple((p, s) for p, s in data["per_prime"]),
-        verdict=data["verdict"],
-        assumes_converse=data["assumes_converse"],
-        torsion=torsion,
-    )
-    behavior = tuple(sorted((int(p), tag) for p, tag in data["local_behavior"].items()))
-    return SurveyRow(record, behavior)
+    return [_classify_row(m, h, primes) for m, h in class_numbers_range(lo, hi)]
 
 
 class _Checkpoint:
-    """Block-granular resume state: serialized rows plus a running digest."""
+    """Block-granular resume state: serialized rows plus their length and digest.
+
+    The rows file is appended before the state file is replaced, so a crash
+    in between leaves extra bytes past rows_bytes; load() cuts them off and
+    keeps every block the state file vouches for.
+    """
+
+    VERSION = "2"
 
     def __init__(self, path: str, config: SurveyConfig):
         self.path = path
         self.rows_path = path + ".rows"
         self.identity = config.identity()
         self.blocks_done = 0
+        self.rows_bytes = 0
         self.digest = hashlib.sha256()
 
-    def load(self) -> list[str]:
+    def load(self) -> list[SurveyRow] | None:
+        """Rows of the finished blocks, or None when there is nothing to resume."""
         if not (os.path.exists(self.path) and os.path.exists(self.rows_path)):
-            return []
+            return None
         state = {}
         with open(self.path, encoding="utf-8") as fh:
             for line in fh:
                 key, _, value = line.strip().partition("=")
                 state[key] = value
-        if state.get("config") != self.identity:
-            return []
-        with open(self.rows_path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        digest = hashlib.sha256()
-        for line in lines:
-            digest.update(line.encode() + b"\n")
+        if state.get("version") != self.VERSION or state.get("config") != self.identity:
+            return None
+        try:
+            rows_bytes = int(state["rows_bytes"])
+            blocks_done = int(state["blocks_done"])
+        except (KeyError, ValueError):
+            return None
+        with open(self.rows_path, "r+b") as fh:
+            data = fh.read()
+            if len(data) < rows_bytes:
+                return None
+            if len(data) > rows_bytes:
+                fh.truncate(rows_bytes)
+                data = data[:rows_bytes]
+        digest = hashlib.sha256(data)
         if digest.hexdigest() != state.get("rows_digest"):
-            return []
-        self.blocks_done = int(state.get("blocks_done", 0))
-        self.digest = digest
-        return lines
+            return None
+        self.blocks_done, self.rows_bytes, self.digest = blocks_done, rows_bytes, digest
+        return [SurveyRow.from_dict(json.loads(line)) for line in data.decode().splitlines()]
 
-    def append_block(self, lines: list[str]) -> None:
-        with open(self.rows_path, "a", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-                self.digest.update(line.encode() + b"\n")
+    def append_block(self, rows: list[SurveyRow]) -> None:
+        data = "".join(
+            json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":")) + "\n" for row in rows
+        ).encode()
+        with open(self.rows_path, "ab") as fh:
+            fh.write(data)
+        self.digest.update(data)
+        self.rows_bytes += len(data)
         self.blocks_done += 1
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("version=1\n")
+            fh.write(f"version={self.VERSION}\n")
             fh.write(f"config={self.identity}\n")
             fh.write(f"blocks_done={self.blocks_done}\n")
+            fh.write(f"rows_bytes={self.rows_bytes}\n")
             fh.write(f"rows_digest={self.digest.hexdigest()}\n")
         os.replace(tmp, self.path)
 
     def reset(self) -> None:
+        """Delete the files of a checkpoint that load() refused."""
         for p in (self.path, self.rows_path):
             if os.path.exists(p):
                 os.remove(p)
-        self.blocks_done = 0
-        self.digest = hashlib.sha256()
 
 
 def scan(config: SurveyConfig, _max_blocks: int | None = None) -> Iterator[SurveyRow]:
@@ -254,32 +242,29 @@ def scan(config: SurveyConfig, _max_blocks: int | None = None) -> Iterator[Surve
         lo = hi
 
     ckpt = _Checkpoint(config.checkpoint_path, config) if config.checkpoint_path else None
-    done_lines: list[str] = []
     if ckpt is not None:
-        done_lines = ckpt.load()
-        if not done_lines:
+        done = ckpt.load()
+        if done is None:
             ckpt.reset()
-    for line in done_lines:
-        yield _deserialize_row(line)
+        else:
+            yield from done
     start = ckpt.blocks_done if ckpt else 0
     pending = blocks[start:]
     if _max_blocks is not None:
         pending = pending[: max(0, _max_blocks - start)]
 
+    def finish(rows: list[SurveyRow]) -> list[SurveyRow]:
+        if ckpt is not None:
+            ckpt.append_block(rows)
+        return rows
+
     if config.workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for lines in pool.map(_scan_block, pending):
-                if ckpt is not None:
-                    ckpt.append_block(lines)
-                for line in lines:
-                    yield _deserialize_row(line)
+            for rows in pool.map(_scan_block, pending):
+                yield from finish(rows)
     else:
         for block in pending:
-            lines = _scan_block(block)
-            if ckpt is not None:
-                ckpt.append_block(lines)
-            for line in lines:
-                yield _deserialize_row(line)
+            yield from finish(_scan_block(block))
 
 
 def rows_to_csv(rows: Iterable[SurveyRow]) -> list[str]:
@@ -315,10 +300,7 @@ def read_rows(path: str, fmt: str = "json") -> list[SurveyRow]:
     if fmt != "json":
         raise InvalidConfig("round-trip reading is supported for JSON")
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [
-        _deserialize_row(json.dumps(obj, sort_keys=True, separators=(",", ":"))) for obj in data
-    ]
+        return [SurveyRow.from_dict(obj) for obj in json.load(fh)]
 
 
 @dataclass(frozen=True)
@@ -337,7 +319,7 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
     """
     per_p: dict[int, list[tuple[int, str]]] = {}
     for m, h in class_numbers_range(3, bound + 1):
-        if h <= max_p and (h == 2 or _is_odd_prime(h)):
+        if h <= max_p and is_prime(h):
             d = validate(-m)
             record = classify_validated(d, known_h=h)
             per_p.setdefault(h, []).append((m, record.verdict))
@@ -347,12 +329,6 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
         split = tuple(m for m, v in entries if v == "NOT_MINIMAL")
         out[p] = Table1Row(p, len(entries), len(entries) - len(split), split)
     return out
-
-
-def _is_odd_prime(n: int) -> bool:
-    from .arith import is_prime
-
-    return n % 2 == 1 and is_prime(n)
 
 
 def single_factor_fields(p: int, lower_bound: int, n_fields: int) -> list[tuple[int, int]]:
@@ -377,34 +353,7 @@ def single_factor_fields(p: int, lower_bound: int, n_fields: int) -> list[tuple[
 
 def splitting_status(d: FundamentalDiscriminant, h: int, p: int) -> str:
     """Injectivity status at one prime p | h, independent of other primes."""
-    if p == 2:
-        return two_classification(d, genus_two_rank(d))
-    cg = class_group(d, known_h=h)
-    return status_at_odd_prime(d, cg, p)
-
-
-@dataclass(frozen=True)
-class Table2Result:
-    p: int
-    n_fields: int
-    lower_bound: int
-    split_fraction: float
-
-    @property
-    def normalized(self) -> float:
-        # p * f_p, the quantity tabulated
-        return self.p * self.split_fraction
-
-
-def table2(p: int, n_fields: int, lower_bound: int) -> Table2Result:
-    """Fraction of splitting at p among fields with a single factor p in h."""
-    fields = single_factor_fields(p, lower_bound, n_fields)
-    split = 0
-    for m, h in fields:
-        d = validate(-m)
-        if splitting_status(d, h, p) == "noninjective":
-            split += 1
-    return Table2Result(p, n_fields, lower_bound, split / n_fields)
+    return status_at_prime(d, p, known_h=h)
 
 
 @dataclass(frozen=True)
@@ -418,10 +367,14 @@ class Table3Result:
 
 
 def table3(p: int, n_fields: int, lower_bound: int) -> Table3Result:
-    """Like table2, stratified by the local behavior of p in the field.
+    """Splitting at p among fields with a single factor p in h.
 
-    Strata with no members report None rather than a zero fraction.
+    overall is p * f_p, the normalized split fraction over all fields (the
+    census of `tables --table 2`); by_behavior gives the same quantity per
+    local behavior of p.  Strata with no members report None rather than a
+    zero fraction.
     """
+    _require_prime(p)
     fields = single_factor_fields(p, lower_bound, n_fields)
     totals: dict[str, int] = {"split": 0, "inert": 0, "ramified": 0}
     splits: dict[str, int] = {"split": 0, "inert": 0, "ramified": 0}

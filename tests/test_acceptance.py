@@ -9,26 +9,13 @@ arithmetic.
 
 import random
 
-from iqgalois.classify import classify_validated, torsion_power_generator
+from iqgalois import verify
+from iqgalois.classify import torsion_power_generator
 from iqgalois.discriminant import genus_two_rank, validate
 from iqgalois.idealgen import form_to_ideal, ideal_power, principal_ideal
-from iqgalois.localtest import (
-    build_context,
-    generic_membership,
-    local_unit_image,
-    subgroup_index,
-    two_classification,
-    two_direct_check,
-)
+from iqgalois.localtest import build_context, local_unit_image
 from iqgalois.quadform import class_group, coprime_representative, p_torsion_basis
-from iqgalois.survey import (
-    SurveyConfig,
-    class_numbers_range,
-    rows_to_csv,
-    scan,
-    table1,
-    table2,
-)
+from iqgalois.survey import SurveyConfig, class_numbers_range, rows_to_csv, scan, table1, table3
 
 from _oracles import is_perfect_power, random_local_unit
 
@@ -70,18 +57,10 @@ def test_criterion_2_table1_spot_rows():
 
 
 def test_criterion_3_two_family_oracle_equivalence():
-    disagreements = []
-    checked = 0
-    for m, _h in class_numbers_range(3, 100_001):
-        d = validate(-m)
-        if d.num_prime_divisors != 2:
-            continue  # 2-class group trivial or noncyclic
-        checked += 1
-        if two_classification(d, genus_two_rank(d)) != two_direct_check(d):
-            disagreements.append(m)
-    assert checked > 10_000
-    assert disagreements == []
-    _report(3, f"family test equals direct mod-8 check on {checked} fields to 1e5")
+    fields = verify.two_family_fields(100_000)
+    assert len(fields) > 10_000
+    assert verify.two_families(fields) == []
+    _report(3, f"family test equals direct mod-8 check on {len(fields)} fields to 1e5")
 
 
 GRID = {
@@ -104,17 +83,14 @@ GRID = {
 
 
 def test_criterion_4_closed_form_vs_generic_engine():
+    # the shared suite runs verify.UNITS_PER_CASE random units on every case
+    assert verify.UNITS_PER_CASE == 100
+    assert {(p, D) for (p, _), D in GRID.items()} <= set(verify.LOCAL_CASES)
+    assert verify.local_engines() == []
     rng = random.Random(404)
     for (p, typ), D in GRID.items():
-        d = validate(D)
-        ctx = build_context(d, p)
+        ctx = build_context(validate(D), p)
         assert ctx.splitting == typ
-        for _ in range(100):
-            alpha = random_local_unit(rng, D, p)
-            assert (
-                local_unit_image(ctx, alpha).trivial
-                == generic_membership(ctx, alpha).trivial
-            ), (p, typ, alpha)
         if ctx.local_zeta is not None:
             continue  # delegated case has no closed coordinates
         for _ in range(100):
@@ -129,14 +105,11 @@ def test_criterion_4_closed_form_vs_generic_engine():
 
 
 def test_criterion_5_quotient_size():
-    cases = [
-        (3, -23), (3, -7), (3, -15),
-        (5, -19), (5, -23), (5, -20),
-        (7, -47), (7, -4), (7, -7),
-        (3, -39),  # ramified with local cube root of unity: D/(-3) = 13 = 1 mod 3
-    ]
-    for p, D in cases:
-        assert subgroup_index(build_context(validate(D), p)) == p * p, (p, D)
+    # 10 cases: every splitting type at p <= 7, plus p = 3 ramified with a
+    # local cube root of unity (D = -39: D/(-3) = 13 = 1 mod 3)
+    cases = [(p, D) for p, D in verify.LOCAL_CASES if p <= verify.INDEX_MAX_P]
+    assert len(cases) == 10 and (3, -39) in cases
+    assert verify.quotient_index() == []
     _report(5, "torsion-times-p-th-powers has index p^2 in every quotient ring")
 
 
@@ -175,14 +148,14 @@ def test_criterion_7_genus_two_rank():
 
 
 def test_criterion_8_table2_desk_scale():
-    r3 = table2(3, 300, 100_000)
-    assert 0.70 <= r3.normalized <= 1.25, r3
-    r5 = table2(5, 200, 100_000)
-    assert 0.6 <= r5.normalized <= 1.4, r5
+    r3 = table3(3, 300, 100_000)
+    assert 0.70 <= r3.overall <= 1.25, r3
+    r5 = table3(5, 200, 100_000)
+    assert 0.6 <= r5.overall <= 1.4, r5
     _report(
         8,
-        f"desk-scale splitting fractions 3*f_3={r3.normalized:.3f}, "
-        f"5*f_5={r5.normalized:.3f} inside the configured windows",
+        f"desk-scale splitting fractions 3*f_3={r3.overall:.3f}, "
+        f"5*f_5={r5.overall:.3f} inside the configured windows",
     )
 
 

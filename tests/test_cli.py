@@ -54,6 +54,18 @@ def test_tables_2_and_3(capsys):
     assert "split=" in out and "inert=" in out and "ramified=" in out
 
 
+def test_tables_composite_p_exits_1(capsys):
+    assert main(["tables", "--table", "3", "--p", "4", "--N", "10", "--B", "5000"]) == 1
+    assert main(["tables", "--table", "2", "--p", "4", "--N", "10", "--B", "5000"]) == 1
+    assert "not a prime" in capsys.readouterr().err
+
+
+def test_survey_composite_prime_exits_1(tmp_path, capsys):
+    out = str(tmp_path / "rows.csv")
+    assert main(["survey", "--max", "300", "--primes", "2,4", "--out", out]) == 1
+    assert "not a prime" in capsys.readouterr().err
+
+
 def test_survey_writes_csv(tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
     rc = main(["survey", "--max", "300", "--primes", "2,3", "--out", out])

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from iqgalois import survey
 from iqgalois.discriminant import NotFundamental, NotImaginary, validate
 from iqgalois.quadform import enumerate_reduced_forms
 from iqgalois.survey import (
@@ -18,7 +19,6 @@ from iqgalois.survey import (
     scan,
     single_factor_fields,
     table1,
-    table2,
     table3,
 )
 
@@ -64,8 +64,20 @@ def test_scan_example_ranges():
 def test_scan_rejects_empty_range():
     with pytest.raises(InvalidConfig):
         SurveyConfig(d_min=10, d_max=10)
+
+
+def test_config_rejects_composite_primes_and_sorts():
     with pytest.raises(InvalidConfig):
-        SurveyConfig(d_min=3, d_max=100, mode="TABLE9")
+        SurveyConfig(primes=(2, 4))
+    with pytest.raises(InvalidConfig):
+        SurveyConfig(primes=(1,))
+    assert SurveyConfig(primes=(7, 2, 2)).primes == (2, 7)
+
+
+def test_table3_rejects_composite_p():
+    # a composite p used to hang in Tonelli-Shanks instead of failing
+    with pytest.raises(InvalidConfig):
+        table3(4, 10, 5000)
 
 
 def test_scan_range_without_fields_is_empty():
@@ -74,8 +86,9 @@ def test_scan_range_without_fields_is_empty():
 
 
 def test_table2_rejects_zero_sample():
+    # the Table 2 census is table3(...).overall
     with pytest.raises(InvalidConfig):
-        table2(3, 0, 1000)
+        table3(3, 0, 1000)
 
 
 def test_csv_format():
@@ -110,6 +123,40 @@ def test_checkpoint_resume_byte_identical(tmp_path):
     resumed = rows_to_csv(scan(SurveyConfig(**cfg, checkpoint_path=ck)))
     clean = rows_to_csv(scan(SurveyConfig(**cfg)))
     assert resumed == clean
+
+
+def test_checkpoint_torn_write_keeps_finished_blocks(tmp_path, monkeypatch):
+    # a crash after the rows append but before the state file is replaced
+    # leaves bytes past rows_bytes; the finished blocks must survive
+    ck = str(tmp_path / "ckpt")
+    config = SurveyConfig(d_min=3, d_max=25000, primes=(2,), checkpoint_path=ck)
+    list(scan(config, _max_blocks=2))
+    with open(ck + ".rows", "a", encoding="utf-8") as fh:
+        fh.write('{"discriminant":-20003,"h":1}\n{"torn')
+    computed = []
+    scan_block = survey._scan_block
+    monkeypatch.setattr(survey, "_scan_block", lambda b: computed.append(b) or scan_block(b))
+    resumed = rows_to_csv(scan(config))
+    assert [lo for lo, _, _ in computed] == [20003]  # blocks 1 and 2 were kept
+    clean = rows_to_csv(scan(SurveyConfig(d_min=3, d_max=25000, primes=(2,))))
+    assert resumed == clean
+
+
+def test_checkpoint_rejects_short_rows_and_old_version(tmp_path):
+    ck = str(tmp_path / "ckpt")
+    config = SurveyConfig(d_min=3, d_max=2000, primes=(2,), checkpoint_path=ck)
+    list(scan(config))
+    with open(ck, encoding="utf-8") as fh:
+        state = fh.read()
+    assert state.startswith("version=2\n")
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.write(state.replace("version=2", "version=1"))
+    assert survey._Checkpoint(ck, config).load() is None
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.write(state)
+    size = os.path.getsize(ck + ".rows")
+    os.truncate(ck + ".rows", size - 1)
+    assert survey._Checkpoint(ck, config).load() is None
 
 
 def test_checkpoint_config_mismatch_restarts(tmp_path):
@@ -157,9 +204,8 @@ def test_single_factor_selection():
 
 
 def test_table2_smoke():
-    r = table2(3, 40, 20000)
-    assert r.n_fields == 40 and 0.0 <= r.split_fraction <= 1.0
-    assert r.normalized == 3 * r.split_fraction
+    r = table3(3, 40, 20000)
+    assert r.n_fields == 40 and 0.0 <= r.overall <= 3.0
 
 
 def test_table3_smoke_and_absent_stratum():
