@@ -1,0 +1,72 @@
+"""Time the class-number sieve on one 1e4-block at several |D| and record it.
+
+Times survey.reduced_form_counts on the block [start, start + 1e4) for each
+start in STARTS, using whichever iqgalois is first on the import path, and
+writes the result under --label in BENCH_3.json at the repository root.
+Entries with other labels are kept, so one file holds a before and an after
+measured on the same machine:
+
+    PYTHONPATH=<parent checkout>/src python3 bench/sieve.py --label parent
+    PYTHONPATH=src python3 bench/sieve.py --label change
+
+Each start records the median and minimum wall time of REPEATS calls and
+the sha256 of the counts, which must agree between entries.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import time
+from pathlib import Path
+
+import numpy as np
+
+from iqgalois.survey import BLOCK_SIZE, reduced_form_counts
+
+STARTS = (3, 10**5, 10**6, 10**7)
+REPEATS = 5
+OUT = Path(__file__).resolve().parent.parent / "BENCH_3.json"
+
+
+def measure(start: int) -> dict:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        counts = reduced_form_counts(start, start + BLOCK_SIZE)
+        times.append(time.perf_counter() - t0)
+    return {
+        "start": start,
+        "width": BLOCK_SIZE,
+        "median_s": round(statistics.median(times), 4),
+        "min_s": round(min(times), 4),
+        "repeats": REPEATS,
+        "counts_sha256": hashlib.sha256(counts.tobytes()).hexdigest(),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
+    args = parser.parse_args()
+
+    blocks = [measure(start) for start in STARTS]
+    for b in blocks:
+        print(f"{args.label}: |D| from {b['start']}: median {b['median_s']} s, min {b['min_s']} s")
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    data.setdefault("layer", "survey.reduced_form_counts, one block of 1e4 |D|")
+    data.setdefault("entries", {})[args.label] = {
+        "host": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "blocks": blocks,
+    }
+    OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -141,32 +141,41 @@ def kronecker(a: int, n: int) -> int:
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a modulo the odd prime p, or None."""
+    """A square root of a modulo the odd prime p, or None.
+
+    Raises ValueError when a step that cannot fail for an odd prime fails,
+    which is how a composite p shows; p is not tested for primality.
+    """
     a %= p
     if a == 0:
         return 0
     if kronecker(a, p) != 1:
         return None
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        # Tonelli-Shanks
+        q = p - 1
+        s = 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = next((z for z in range(2, p) if kronecker(z, p) == -1), None)
+        if z is None:
+            raise ValueError(f"{p} is not an odd prime: no quadratic non-residue")
+        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            t2, i = t, 0
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+                if i == m:
+                    raise ValueError(f"{p} is not an odd prime: Tonelli-Shanks diverged")
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+    if r * r % p != a:
+        raise ValueError(f"{p} is not an odd prime: {r}^2 != {a}")
     return r
 
 

@@ -1,8 +1,9 @@
 """Range scans over fundamental discriminants with persistence and tables.
 
 Class numbers for a whole block of discriminants come from one bulk count
-of reduced forms (a triple loop vectorized over the inner variable), which
-doubles as an independent oracle for the per-discriminant backends.  Scans
+of reduced forms (a loop over the first coefficient a, each step one numpy
+scatter of all (b, c) pairs that land in the block), which doubles as an
+independent oracle for the per-discriminant backends.  Scans
 proceed in contiguous blocks of 10^4 |D|-values; each block is classified
 independently (pure functions), so worker count cannot change the output,
 and a checkpoint after every block makes interrupted scans resumable
@@ -107,7 +108,15 @@ def fundamental_mask(lo: int, hi: int) -> np.ndarray:
 
 
 def reduced_form_counts(lo: int, hi: int) -> np.ndarray:
-    """Count reduced forms per |D| in [lo, hi) in one sweep.
+    """Count reduced forms per |D| in [lo, hi), with one numpy scatter per a.
+
+    A reduced form (a, b, c) has |b| <= a <= c, with b >= 0 when |b| = a or
+    a = c, and |D| = 4ac - b^2.  For each a, the c-range landing in the block
+    is computed for every b in 0..a at once; the nonempty ranges are expanded
+    into their (b, c) pairs and added with one bincount.  A pair stands for
+    (a, +-b, c), weight 2, when 0 < b < a, except the self-mirrored (a, b, a),
+    which counts once.  Scratch arrays hold the pairs of one a only (at most
+    about width / 2 + a of them), never the whole block's.
 
     At fundamental discriminants every form is automatically primitive, so
     the count is exactly the class number there; other entries are not
@@ -115,22 +124,26 @@ def reduced_form_counts(lo: int, hi: int) -> np.ndarray:
     """
     if lo < 3:
         raise ValueError("counting starts at |D| = 3")
-    counts = np.zeros(hi - lo, dtype=np.int64)
+    width = hi - lo
+    counts = np.zeros(width)  # float64 like bincount's weighted sums; exact integers
     amax = math.isqrt((hi - 1) // 3)
     for a in range(1, amax + 1):
         fa = 4 * a
-        for b in range(0, a + 1):
-            cmin = max(a, -(-(lo + b * b) // fa))
-            cmax = (hi - 1 + b * b) // fa
-            if cmax < cmin:
-                continue
-            ms = np.arange(cmin, cmax + 1, dtype=np.int64) * fa - b * b
-            w = 2 if 0 < b < a else 1
-            counts[ms - lo] += w
-            if w == 2 and cmin == a:
-                # (a, b, a) is its own mirror: counted once, not twice
-                counts[a * fa - b * b - lo] -= 1
-    return counts
+        bsq = np.arange(a + 1, dtype=np.int64) ** 2
+        cmin = np.maximum(a, -(-(lo + bsq) // fa))
+        n = (hi - 1 + bsq) // fa - cmin + 1
+        (b,) = np.nonzero(n > 0)
+        if b.size == 0:
+            continue
+        n, cmin = n[b], cmin[b]
+        starts = np.cumsum(n) - n
+        step = np.arange(starts[-1] + n[-1]) - np.repeat(starts, n)
+        idx = np.repeat(cmin * fa - bsq[b] - lo, n) + fa * step
+        paired = (b > 0) & (b < a)
+        weights = np.repeat(np.where(paired, 2.0, 1.0), n)
+        weights[starts[paired & (cmin == a)]] = 1.0
+        counts += np.bincount(idx, weights=weights, minlength=width)
+    return counts.astype(np.int64)
 
 
 def class_numbers_range(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -318,11 +331,15 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
     subgroup, i.e. the NOT_MINIMAL verdicts; the table lists their -D.
     """
     per_p: dict[int, list[tuple[int, str]]] = {}
-    for m, h in class_numbers_range(3, bound + 1):
-        if h <= max_p and is_prime(h):
-            d = validate(-m)
-            record = classify_validated(d, known_h=h)
-            per_p.setdefault(h, []).append((m, record.verdict))
+    # Blocks bound the memory of the sieve and of the (|D|, h) lists; they are
+    # wider than a scan block because each block repeats the sieve's loop over a.
+    step = 10 * BLOCK_SIZE
+    for lo in range(3, bound + 1, step):
+        for m, h in class_numbers_range(lo, min(lo + step, bound + 1)):
+            if h <= max_p and is_prime(h):
+                d = validate(-m)
+                record = classify_validated(d, known_h=h)
+                per_p.setdefault(h, []).append((m, record.verdict))
     out = {}
     for p in sorted(per_p):
         entries = per_p[p]

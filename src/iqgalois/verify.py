@@ -95,6 +95,8 @@ def local_engines() -> list[str]:
 
 def two_family_fields(bound: int) -> list[FundamentalDiscriminant]:
     """Fields with |D| <= bound and cyclic nontrivial 2-class group."""
+    if bound < 3:
+        raise ValueError("bound must be at least 3")
     out = []
     for m in (np.nonzero(fundamental_mask(3, bound + 1))[0] + 3).tolist():
         d = validate(-m)

@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's own algorithms: equivalence of forms
 is decided by searching words in the modular group generators, norm
-equations are solved by exhaustive search, and quadratic residues by
-squaring every residue.
+equations are solved by exhaustive search, quadratic residues by squaring
+every residue, and reduced forms per |D| by a plain loop over (a, b).
 """
 
 import math
 from collections import deque
+
+import numpy as np
 
 from iqgalois.idealgen import QuadraticInteger
 
@@ -91,3 +93,27 @@ def random_local_unit(rng, D: int, p: int, span: int | None = None) -> Quadratic
             continue
         if alpha.norm != 0 and alpha.norm % p != 0:
             return alpha
+
+
+def reduced_form_counts_loop(lo: int, hi: int) -> np.ndarray:
+    """Reduced forms per |D| in [lo, hi), one (a, b) pair at a time.
+
+    The reference for survey.reduced_form_counts: for each a and each
+    0 <= b <= a, the c-range landing in the block is added as one slice.
+    """
+    counts = np.zeros(hi - lo, dtype=np.int64)
+    amax = math.isqrt((hi - 1) // 3)
+    for a in range(1, amax + 1):
+        fa = 4 * a
+        for b in range(0, a + 1):
+            cmin = max(a, -(-(lo + b * b) // fa))
+            cmax = (hi - 1 + b * b) // fa
+            if cmax < cmin:
+                continue
+            ms = np.arange(cmin, cmax + 1, dtype=np.int64) * fa - b * b
+            w = 2 if 0 < b < a else 1
+            counts[ms - lo] += w
+            if w == 2 and cmin == a:
+                # (a, b, a) is its own mirror: counted once, not twice
+                counts[a * fa - b * b - lo] -= 1
+    return counts

@@ -15,7 +15,15 @@ from iqgalois.discriminant import genus_two_rank, validate
 from iqgalois.idealgen import form_to_ideal, ideal_power, principal_ideal
 from iqgalois.localtest import build_context, local_unit_image
 from iqgalois.quadform import class_group, coprime_representative, p_torsion_basis
-from iqgalois.survey import SurveyConfig, class_numbers_range, rows_to_csv, scan, table1, table3
+from iqgalois.survey import (
+    BLOCK_SIZE,
+    SurveyConfig,
+    class_numbers_range,
+    rows_to_csv,
+    scan,
+    table1,
+    table3,
+)
 
 from _oracles import is_perfect_power, random_local_unit
 
@@ -160,9 +168,13 @@ def test_criterion_8_table2_desk_scale():
 
 
 def test_criterion_9_worker_determinism():
-    cfg1 = SurveyConfig(d_min=3, d_max=10_000, primes=(2, 3, 5, 7), workers=1)
-    cfg8 = SurveyConfig(d_min=3, d_max=10_000, primes=(2, 3, 5, 7), workers=8)
+    # more |D| than one block holds, so the band is scanned as two or more
+    # blocks and the 8-worker scan goes through the process pool
+    d_min, d_max = 3, 10_500
+    assert d_max - d_min + 1 > BLOCK_SIZE
+    cfg1 = SurveyConfig(d_min=d_min, d_max=d_max, primes=(2, 3, 5, 7), workers=1)
+    cfg8 = SurveyConfig(d_min=d_min, d_max=d_max, primes=(2, 3, 5, 7), workers=8)
     out1 = "\n".join(rows_to_csv(scan(cfg1)))
     out8 = "\n".join(rows_to_csv(scan(cfg8)))
     assert out1.encode() == out8.encode()
-    _report(9, "scan output byte-identical for 1 and 8 workers on |D| <= 1e4")
+    _report(9, f"scan output byte-identical for 1 and 8 workers on |D| <= {d_max}")

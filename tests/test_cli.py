@@ -92,3 +92,8 @@ def test_verify_forms(capsys):
 def test_verify_two_small(capsys):
     assert main(["verify", "--suite", "two", "--bound", "2000"]) == 0
     assert "suite two: ok" in capsys.readouterr().out
+
+
+def test_verify_two_bound_below_3_exits_1(capsys):
+    assert main(["verify", "--suite", "two", "--bound", "0"]) == 1
+    assert "bound must be at least 3" in capsys.readouterr().err
