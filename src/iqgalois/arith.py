@@ -13,6 +13,14 @@ _sieve_primes: list[int] | None = None
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed, so no result can be trusted.
+
+    Raised explicitly rather than by assert, so the check also runs under
+    python -O.
+    """
+
+
 def small_primes() -> list[int]:
     """Cached ascending primes below 2**16."""
     global _sieve_primes

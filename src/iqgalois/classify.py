@@ -16,6 +16,7 @@ verdict is conditional in a way the positive one is not.
 
 from dataclasses import dataclass
 
+from .arith import InvariantViolation, factorize
 from .discriminant import (
     FundamentalDiscriminant,
     TorsionDescriptor,
@@ -141,7 +142,8 @@ def status_at_prime(
         if two_rank >= 3:
             return RANK_OVERFLOW
         status = two_classification(d, two_rank)
-        assert status != SKIPPED, "2 divides h exactly when the 2-rank is positive"
+        if status == SKIPPED:
+            raise InvariantViolation(f"2 divides h but the 2-rank of D={d.value} is 0")
         return status
     if cg is None:
         cg = class_group(d, known_h=known_h)
@@ -159,7 +161,8 @@ def classify_validated(
         return ClassificationRecord(D, 1, (), 0, (), EXCEPTIONAL, False, torsion)
     cg = class_group(d, known_h=known_h)
     two_rank = genus_two_rank(d)
-    assert two_rank == cg.p_rank(2), f"genus 2-rank mismatch at D={D}"
+    if two_rank != cg.p_rank(2):
+        raise InvariantViolation(f"genus 2-rank {two_rank} differs from the class group's at D={D}")
     per_prime: list[tuple[int, str]] = []
     failed = False
     for p in _prime_divisors(cg.h):
@@ -182,8 +185,6 @@ def classify_validated(
 
 
 def _prime_divisors(h: int) -> list[int]:
-    from .arith import factorize
-
     return [p for p, _ in factorize(h)] if h > 1 else []
 
 

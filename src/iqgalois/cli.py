@@ -1,6 +1,8 @@
 """Command-line front end: classify, survey, tables, verify.
 
-Exit codes: 0 success, 1 usage or internal error, 2 invalid discriminant.
+Exit codes: 0 success, 1 usage or configuration error, 2 invalid
+discriminant, 3 internal error: a failed consistency check or a class
+number that could not be pinned.
 Discriminants are accepted negative (-d -20) or as |D| with --abs.
 """
 
@@ -10,8 +12,10 @@ import os
 import sys
 
 from . import verify
+from .arith import InvariantViolation
 from .classify import classify, verdict_description
 from .discriminant import NotFundamental, NotImaginary
+from .quadform import ClassNumberAmbiguous
 from .survey import SurveyConfig, persist, scan, table1, table3
 
 
@@ -33,6 +37,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (InvariantViolation, ClassNumberAmbiguous) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,16 +2,22 @@
 
 Forms (a, b, c) are positive definite and primitive with b^2 - 4ac = D < 0;
 the reduced representative (|b| <= a <= c, b >= 0 on the boundary) is the
-canonical identifier of an ideal class.  Two independent backends compute
-the class group: exhaustive reduced-form enumeration (the oracle, for small
-|D|) and Shanks baby-step giant-step order finding with subgroup assembly
-(for large |D|).  Both feed the same invariant-factor machinery.
+canonical identifier of an ideal class.  The class number comes from
+exhaustive reduced-form enumeration (the oracle, for small |D|), from a
+caller that already knows it, or from growing the subgroup generated by
+prime forms until its order is pinned by the analytic estimate (for large
+|D|).  Each q-Sylow subgroup is then grown as an explicit table of classes
+with the same walk, and its Smith normal form gives the invariant factors
+and the p-torsion bases.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from .arith import InvariantViolation
 from .arith import factorize, kronecker, small_primes, smith_normal_form, sqrt_mod_prime, xgcd
 from .discriminant import FundamentalDiscriminant
 
@@ -25,7 +31,7 @@ class RankOverflow(ValueError):
 
 
 class ClassNumberAmbiguous(RuntimeError):
-    """BSGS backend could not pin the class number against its estimate."""
+    """Prime forms did not fill a group of the estimated or the given class number."""
 
 
 @dataclass(frozen=True)
@@ -118,20 +124,6 @@ def power(f: QuadForm, n: int) -> QuadForm:
     return result
 
 
-def form_order(f: QuadForm, group_order: int) -> int:
-    """Exact order of the class of f given a multiple of it."""
-    one = principal_form(f.disc)
-    n = group_order
-    for p, e in factorize(group_order) if group_order > 1 else []:
-        for _ in range(e):
-            m = n // p
-            if power(f, m) == one:
-                n = m
-            else:
-                break
-    return n
-
-
 def enumerate_reduced_forms(D: int) -> list[QuadForm]:
     """All primitive reduced forms of discriminant D < 0, sorted."""
     if D >= 0 or D % 4 not in (0, 1):
@@ -185,39 +177,51 @@ def _prime_form_pool(D: int) -> Iterator[QuadForm]:
             yield reduce_form(f)
 
 
-class _CachedPool:
-    """Replayable view of a one-shot candidate iterator."""
-
-    def __init__(self, source):
-        self._source = iter(source)
-        self._cache: list[QuadForm] = []
-
-    def __iter__(self):
-        i = 0
-        while True:
-            if i < len(self._cache):
-                yield self._cache[i]
-                i += 1
-                continue
-            nxt = next(self._source, None)
-            if nxt is None:
-                return
-            self._cache.append(nxt)
+_Table = dict[QuadForm, tuple[int, ...]]
+_Sylow = tuple[tuple[int, ...], tuple[QuadForm, ...]]
 
 
 @dataclass(frozen=True)
 class ClassGroupStructure:
+    """Invariant factors and, for each prime q | h, the q-Sylow subgroup.
+
+    sylow[q] = (orders, basis): the ascending orders of its Smith normal form
+    and forms of exactly those orders that generate it.
+    """
+
     h: int
     invariant_factors: tuple[int, ...]
-    generators: tuple[QuadForm, ...]
+    sylow: dict[int, _Sylow]
     discriminant: int
 
     def p_rank(self, p: int) -> int:
-        return sum(1 for d in self.invariant_factors if d % p == 0)
+        return len(self.sylow[p][0]) if p in self.sylow else 0
 
 
-def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> tuple[list[int], list[QuadForm]]:
-    """Generators and orders of the q-Sylow subgroup, q^e || h.
+def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...], _Table]:
+    """Grow the explicit subgroup table sub by the class of x.
+
+    sub maps every class of a subgroup H to its exponent vector over the
+    generators adjoined so far.  Walks x, x^2, ... up to the first power
+    x^k in H, so k is the order of x modulo H.  Returns k, the vector of
+    x^k and the table of <H, x>, whose vectors end in the exponent of x.
+    Raises ClassNumberAmbiguous once k would exceed limit.
+    """
+    powers = [x]
+    while powers[-1] not in sub:
+        if len(powers) >= limit:
+            raise ClassNumberAmbiguous(f"relative order of {x} exceeds {limit}")
+        powers.append(compose(powers[-1], x))
+    one = principal_form(x.disc)
+    grown = {elt: vec + (0,) for elt, vec in sub.items()}
+    for i, xi in enumerate(powers[:-1], 1):
+        for elt, vec in sub.items():
+            grown[xi if elt == one else compose(elt, xi)] = vec + (i,)
+    return len(powers), sub[powers[-1]], grown
+
+
+def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
+    """Orders and basis of the q-Sylow subgroup, q^e || h.
 
     Walks the candidate pool, projecting each class into the Sylow subgroup
     and growing an explicit element table with one relation per generator;
@@ -226,93 +230,65 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> tuple[list[int], l
     one = principal_form(D)
     target = q**e
     cofactor = h // target
-    sub: dict[QuadForm, tuple[int, ...]] = {one: ()}
+    sub: _Table = {one: ()}
     gens: list[QuadForm] = []
     relations: list[list[int]] = []
     for cand in pool:
-        if len(sub) == target:
+        if len(sub) >= target:
             break
         x = power(cand, cofactor)
         if x in sub:
             continue
-        # relative order of x over the current subgroup is a power of q
-        k = 1
-        y = x
-        while y not in sub:
-            y = power(y, q)
-            k *= q
+        k, vec, sub = _adjoin(sub, x, target)
         # x^k = prod g_i^{v_i} becomes the relation row (-v_1, ..., -v_m, k)
-        rel = [-v for v in sub[y]]
         relations = [row + [0] for row in relations]
-        relations.append(rel + [0] * (len(gens) - len(rel)) + [k])
+        relations.append([-v for v in vec] + [k])
         gens.append(x)
-        new_sub: dict[QuadForm, tuple[int, ...]] = {}
-        xi = one
-        for i in range(k):
-            for elt, vec in sub.items():
-                new_sub[compose(elt, xi)] = vec + (i,)
-            xi = compose(xi, x)
-        sub = new_sub
     if len(sub) != target:
         raise ClassNumberAmbiguous(
             f"prime-form pool exhausted before generating the {q}-part of Cl({D})"
         )
     # relations are lower triangular with the relative orders on the diagonal
-    rows = [row + [0] * (len(gens) - len(row)) for row in relations]
-    diag, w = smith_normal_form(rows)
+    diag, w = smith_normal_form(relations)
     orders, basis = [], []
     for j, dj in enumerate(diag):
-        if dj == 1:
-            continue
-        hj = one
-        for i, gi in enumerate(gens):
-            if w[i][j]:
-                hj = compose(hj, power(gi, w[i][j]))
-        orders.append(dj)
-        basis.append(hj)
-    return orders, basis
+        if dj > 1:
+            orders.append(dj)
+            terms = [power(gi, w[i][j]) for i, gi in enumerate(gens) if w[i][j]]
+            basis.append(functools.reduce(compose, terms))
+    return tuple(orders), tuple(basis)
 
 
 def _assemble_structure(D: int, h: int, pool) -> ClassGroupStructure:
     if h == 1:
-        return ClassGroupStructure(1, (), (), D)
-    per_prime: list[tuple[list[int], list[QuadForm]]] = []
-    pool_view = _CachedPool(pool)
-    for q, e in factorize(h):
-        per_prime.append(_sylow_structure(D, h, q, e, pool_view))
-    rank = max(len(orders) for orders, _ in per_prime)
-    one = principal_form(D)
-    factors, gens = [], []
-    for slot in range(rank):
-        d, g = 1, one
-        for orders, basis in per_prime:
-            # align largest q-power factors with the largest invariant factor
-            i = slot - (rank - len(orders))
-            if i >= 0:
-                d *= orders[i]
-                g = compose(g, basis[i])
-        factors.append(d)
-        gens.append(g)
-    cg = ClassGroupStructure(h, tuple(factors), tuple(gens), D)
+        return ClassGroupStructure(1, (), {}, D)
+    primes = factorize(h)
+    sylow = {
+        q: _sylow_structure(D, h, q, e, view)
+        for (q, e), view in zip(primes, itertools.tee(pool, len(primes)))
+    }
+    rank = max(len(orders) for orders, _ in sylow.values())
+    # align largest q-power factors with the largest invariant factor
+    padded = [(1,) * (rank - len(orders)) + orders for orders, _ in sylow.values()]
+    cg = ClassGroupStructure(h, tuple(map(math.prod, zip(*padded))), sylow, D)
     _check_structure(cg)
     return cg
 
 
 def _check_structure(cg: ClassGroupStructure) -> None:
-    prod = 1
+    """Exact order of every Sylow basis form, and the shape of the group."""
     one = principal_form(cg.discriminant)
-    for d, g in zip(cg.invariant_factors, cg.generators):
-        prod *= d
-        if power(g, d) != one:
-            raise AssertionError(f"generator {g} does not have order dividing {d}")
-        for q, _ in factorize(d):
-            if power(g, d // q) == one:
-                raise AssertionError(f"generator {g} has order below {d}")
+    prod = 1
+    for q, (orders, basis) in cg.sylow.items():
+        for o, b in zip(orders, basis):
+            prod *= o
+            if power(b, o) != one or power(b, o // q) == one:
+                raise InvariantViolation(f"{b} does not have exact order {o}")
     if prod != cg.h:
-        raise AssertionError(f"invariant factors {cg.invariant_factors} do not multiply to {cg.h}")
-    for i in range(len(cg.invariant_factors) - 1):
-        if cg.invariant_factors[i + 1] % cg.invariant_factors[i]:
-            raise AssertionError("invariant factors are not a divisibility chain")
+        raise InvariantViolation(f"Sylow orders do not multiply to h = {cg.h}")
+    factors = cg.invariant_factors
+    if any(factors[i + 1] % factors[i] for i in range(len(factors) - 1)):
+        raise InvariantViolation(f"invariant factors {factors} are not a divisibility chain")
 
 
 def _analytic_class_number(D: int, terms: int) -> float:
@@ -325,39 +301,12 @@ def _analytic_class_number(D: int, terms: int) -> float:
     return math.sqrt(-D) / math.pi * math.exp(log_l)
 
 
-def _bsgs_order(g: QuadForm, bound: int) -> int:
-    """Order of the class of g, assuming it does not exceed bound."""
-    D = g.disc
-    one = principal_form(D)
-    if g == one:
-        return 1
-    m = math.isqrt(bound) + 1
-    baby: dict[QuadForm, int] = {one: 0}
-    x = one
-    for j in range(1, m + 1):
-        x = compose(x, g)
-        if x == one:
-            return j
-        if x not in baby:
-            baby[x] = j
-    y = x  # g^m; giant steps multiply by g^m again
-    n = None
-    for i in range(2, m + 3):
-        y = compose(y, x)
-        if y in baby:
-            n = i * m - baby[y]
-            break
-    if n is None:
-        raise ClassNumberAmbiguous(f"no order below {bound} for {g}")
-    return form_order(g, n)
-
-
 def class_number_bsgs(D: int) -> int:
-    """Class number by BSGS order finding, pinned by the analytic estimate.
+    """Class number as the order of the subgroup that prime forms generate.
 
-    The truncated Euler product is heuristic; the subgroup order is accepted
-    only when it is the unique plausible multiple inside the window, and the
-    enumeration backend stays available as the unconditional oracle.
+    Prime forms are adjoined until the order lies in the window of the
+    truncated Euler product, which is heuristic, and a dozen more fall inside
+    the subgroup.  The enumeration backend stays the unconditional oracle.
     """
     if D >= -64:
         return len(enumerate_reduced_forms(D))
@@ -373,54 +322,36 @@ def class_number_bsgs(D: int) -> int:
 
 
 def _bsgs_pin(D: int, hstar: float) -> int | None:
-    one = principal_form(D)
-    sub: set[QuadForm] = {one}
-    order = 1
+    sub: _Table = {principal_form(D): ()}
     bound = int(1.6 * hstar) + 16
     confirmations = 0
     for cand in _prime_form_pool(D):
         if cand in sub:
             # inside the window every further prime form must already lie in
             # the subgroup; a dozen confirmations guard the heuristic pin
-            if 0.8 * hstar < order < 1.25 * hstar:
+            if 0.8 * hstar < len(sub) < 1.25 * hstar:
                 confirmations += 1
                 if confirmations >= 12:
-                    return order
+                    return len(sub)
             continue
         confirmations = 0
-        if order == 1:
-            k = _bsgs_order(cand, bound)
-        else:
-            k, y = 1, cand
-            while y not in sub:
-                y = compose(y, cand)
-                k += 1
-                if k > bound:
-                    raise ClassNumberAmbiguous("relative order exceeded the bound")
-        if k > 1:
-            frontier = list(sub)
-            xi = cand
-            for _ in range(k - 1):
-                for elt in frontier:
-                    sub.add(compose(elt, xi))
-                xi = compose(xi, cand)
-            order *= k
-        if order >= 1.25 * hstar:
+        _, _, sub = _adjoin(sub, cand, bound)
+        if len(sub) >= 1.25 * hstar:
             raise ClassNumberAmbiguous("subgroup outgrew the analytic window")
-    if 0.8 * hstar < order < 1.25 * hstar:
-        return order
+    if 0.8 * hstar < len(sub) < 1.25 * hstar:
+        return len(sub)
     return None
 
 
 def class_group(
     d: FundamentalDiscriminant, backend: str = "auto", known_h: int | None = None
 ) -> ClassGroupStructure:
-    """Invariant factors and generator forms of the class group.
+    """Invariant factors and Sylow bases of the class group.
 
     backend 'enumerate' counts reduced forms (exact, quadratic in sqrt|D|),
-    'bsgs' uses order finding against the analytic estimate, 'auto' picks by
-    size.  A caller who already knows h (e.g. from a bulk survey sieve) can
-    pass it to skip recomputation.
+    'bsgs' grows the subgroup of prime forms against the analytic estimate,
+    'auto' picks by size.  A caller who already knows h (e.g. from a bulk
+    survey sieve) can pass it to skip recomputation.
     """
     D = d.value
     if backend == "auto":
@@ -438,7 +369,7 @@ def class_group(
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if d.num_prime_divisors == 1 and h % 2 == 0:
-        raise AssertionError(f"genus parity violated: prime discriminant {D} with even h={h}")
+        raise InvariantViolation(f"genus parity violated: prime discriminant {D} with even h={h}")
     return _assemble_structure(D, h, pool)
 
 
@@ -446,10 +377,10 @@ def p_torsion_basis(cg: ClassGroupStructure, p: int) -> list[QuadForm]:
     """Forms of exact order p spanning the p-torsion of the class group."""
     if cg.h % p != 0:
         raise ValueError(f"{p} does not divide h = {cg.h}")
-    basis = [power(g, d // p) for g, d in zip(cg.generators, cg.invariant_factors) if d % p == 0]
+    orders, basis = cg.sylow[p]
     if len(basis) >= 3:
         raise RankOverflow(f"p-rank {len(basis)} at p={p} for D={cg.discriminant}")
-    return basis
+    return [power(b, o // p) for o, b in zip(orders, basis)]
 
 
 def coprime_representative(f: QuadForm, p: int) -> QuadForm:
@@ -465,7 +396,7 @@ def coprime_representative(f: QuadForm, p: int) -> QuadForm:
         if math.gcd(f.value(x, y), p) == 1:
             break
     else:
-        raise AssertionError(f"no coprime value found for {f} at {p}")
+        raise InvariantViolation(f"no coprime value found for {f} at {p}")
     if (x, y) == (1, 0):
         return f
     # complete (x, y) to a determinant-one matrix [[x, u], [y, w]]
@@ -475,5 +406,6 @@ def coprime_representative(f: QuadForm, p: int) -> QuadForm:
     b2 = 2 * (f.a * x * u + f.c * y * w) + f.b * (x * w + y * u)
     c2 = f.value(u, w)
     out = QuadForm(a2, b2, c2)
-    assert out.disc == f.disc
+    if out.disc != f.disc:
+        raise InvariantViolation(f"{out} is not equivalent to {f}")
     return out

@@ -272,7 +272,7 @@ def scan(config: SurveyConfig, _max_blocks: int | None = None) -> Iterator[Surve
         return rows
 
     if config.workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(pending))) as pool:
             for rows in pool.map(_scan_block, pending):
                 yield from finish(rows)
     else:

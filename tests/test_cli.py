@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
+from iqgalois import cli
 from iqgalois.cli import main
+from iqgalois.quadform import ClassNumberAmbiguous
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_classify_minimal(capsys):
@@ -97,3 +104,29 @@ def test_verify_two_small(capsys):
 def test_verify_two_bound_below_3_exits_1(capsys):
     assert main(["verify", "--suite", "two", "--bound", "0"]) == 1
     assert "bound must be at least 3" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_3_under_optimize():
+    # a genus 2-rank that disagrees with the class group must stop the run
+    # with its own exit code, also when python -O strips asserts
+    script = (
+        "import sys\n"
+        "from iqgalois.cli import main\n"
+        "sys.modules['iqgalois.classify'].genus_two_rank = lambda d: 7\n"
+        "sys.exit(main(['classify', '-d', '-20']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal error: ") and "Traceback" not in proc.stderr
+
+
+def test_unpinned_class_number_exits_3(monkeypatch, capsys):
+    def unpinned(value):
+        raise ClassNumberAmbiguous(f"cannot pin the class number of {value}")
+
+    monkeypatch.setattr(cli, "classify", unpinned)
+    assert main(["classify", "-d", "-20"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: cannot pin")

@@ -1,10 +1,12 @@
 import random
+import signal
 
 import pytest
 
 from iqgalois.discriminant import NotFundamental, NotImaginary, validate
 from iqgalois.idealgen import form_to_ideal, ideal_multiply, ideal_to_form
 from iqgalois.quadform import (
+    ClassNumberAmbiguous,
     DiscriminantMismatch,
     QuadForm,
     RankOverflow,
@@ -114,21 +116,22 @@ def test_class_group_generator_orders_exact():
         d = validate(-m)
         cg = class_group(d)
         one = principal_form(-m)
-        for g, order in zip(cg.generators, cg.invariant_factors):
-            assert power(g, order) == one
-            for q in (2, 3, 5, 7):
-                if order % q == 0:
-                    assert power(g, order // q) != one
+        for q, (orders, basis) in cg.sylow.items():
+            for b, order in zip(basis, orders):
+                assert power(b, order) == one
+                assert power(b, order // q) != one
 
 
 def test_class_group_generators_span_everything():
-    # exhaustive coverage for small discriminants
+    # exhaustive coverage for small discriminants: the Sylow bases of all
+    # primes together generate the whole group
     for m in (23, 47, 84, 120, 231, 479, 660):
         d = validate(-m)
         cg = class_group(d)
         span = {principal_form(-m)}
-        for g, order in zip(cg.generators, cg.invariant_factors):
-            span = {compose(s, power(g, i)) for s in span for i in range(order)}
+        for orders, basis in cg.sylow.values():
+            for b, order in zip(basis, orders):
+                span = {compose(s, power(b, i)) for s in span for i in range(order)}
         assert span == set(enumerate_reduced_forms(-m))
 
 
@@ -161,6 +164,22 @@ def test_bsgs_full_structure_agreement_sample():
         a = class_group(d, backend="enumerate")
         b = class_group(d, backend="bsgs")
         assert a.h == b.h and a.invariant_factors == b.invariant_factors
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("class_group did not return within 2 s")
+
+
+def test_class_group_wrong_known_h_raises_quickly():
+    # Cl(-23) has order 3; a claimed h = 5 leaves a 5-Sylow the forms cannot fill
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(ClassNumberAmbiguous):
+            class_group(validate(-23), known_h=5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_parity_guard_prime_discriminants():

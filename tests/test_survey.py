@@ -114,6 +114,31 @@ def test_worker_invariance_small():
     assert base == multi
 
 
+def test_pool_never_exceeds_pending_blocks(monkeypatch):
+    # workers=8 on a two-block band must not start six idle processes
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
+    config = SurveyConfig(d_min=3, d_max=150, primes=(2, 3), workers=8)
+    rows = rows_to_csv(scan(config))
+    assert seen == [2]
+    assert rows == rows_to_csv(scan(SurveyConfig(d_min=3, d_max=150, primes=(2, 3))))
+
+
 def test_checkpoint_resume_byte_identical(tmp_path):
     ck = str(tmp_path / "ckpt")
     cfg = dict(d_min=3, d_max=25000, primes=(2, 3))
