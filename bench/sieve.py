@@ -13,17 +13,12 @@ Each start records the median and minimum wall time of REPEATS calls and
 the sha256 of the counts, which must agree between entries.
 """
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import statistics
 import time
 from pathlib import Path
 
-import numpy as np
-
+from _entry import label_from_argv, write_entry
 from iqgalois.survey import BLOCK_SIZE, reduced_form_counts
 
 STARTS = (3, 10**5, 10**6, 10**7)
@@ -48,24 +43,11 @@ def measure(start: int) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
-    args = parser.parse_args()
-
+    label = label_from_argv(__doc__.splitlines()[0])
     blocks = [measure(start) for start in STARTS]
     for b in blocks:
-        print(f"{args.label}: |D| from {b['start']}: median {b['median_s']} s, min {b['min_s']} s")
-    data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    data.setdefault("layer", "survey.reduced_form_counts, one block of 1e4 |D|")
-    data.setdefault("entries", {})[args.label] = {
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "blocks": blocks,
-    }
-    OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        print(f"{label}: |D| from {b['start']}: median {b['median_s']} s, min {b['min_s']} s")
+    write_entry(OUT, "survey.reduced_form_counts, one block of 1e4 |D|", label, blocks)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Command-line front end: classify, survey, tables, verify.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 invalid
-discriminant, 3 internal error: a failed consistency check or a class
-number that could not be pinned.
+discriminant, 3 internal error: a failed consistency check, a class
+number that could not be pinned, or a number Pollard rho did not split.
 Discriminants are accepted negative (-d -20) or as |D| with --abs.
 """
 
@@ -37,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvariantViolation, ClassNumberAmbiguous) as exc:
+    except (InvariantViolation, ClassNumberAmbiguous, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

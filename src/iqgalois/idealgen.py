@@ -11,7 +11,7 @@ exactly +-alpha.
 import math
 from dataclasses import dataclass
 
-from .arith import xgcd
+from .arith import InvariantViolation, xgcd
 from .quadform import QuadForm, reduce_form
 
 
@@ -34,7 +34,8 @@ class QuadraticInteger:
     @property
     def norm(self) -> int:
         n = self.u * self.u - self.disc * self.v * self.v
-        assert n % 4 == 0
+        if n % 4:
+            raise InvariantViolation(f"{self} has norm {n}/4, not an integer")
         return n // 4
 
     def conjugate(self) -> "QuadraticInteger":
@@ -120,12 +121,14 @@ def _hnf_from_vectors(vectors: list[tuple[int, int]], D: int) -> QuadIdeal:
             break
         gg, x, y = xgcd(wv, v2)
         wu, wv = x * wu + y * u2, gg
-    assert wv == g
+    if wv != g:
+        raise InvariantViolation(f"vectors {vecs} did not combine to v-content {g}")
     e = 0
     for u2, v2 in vecs:
         e = math.gcd(e, u2 - (v2 // g) * wu)
     e = abs(e)
-    assert e and e % (2 * g) == 0 and wu % g == 0, "lattice is not an ideal of the order"
+    if not e or e % (2 * g) or wu % g:
+        raise InvariantViolation(f"lattice of {vecs} is not an ideal of the order")
     a = e // (2 * g)
     b = _normalize_b(wu // g, a)
     return QuadIdeal(a, b, g, D)
@@ -152,16 +155,21 @@ def ideal_multiply(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_power(ideal: QuadIdeal, n: int) -> QuadIdeal:
-    """n-th power by repeated multiplication, n >= 0."""
+    """n-th power, n >= 0, by square-and-multiply from the top set bit of n.
+
+    No step multiplies by the unit ideal, and none squares past the last
+    bit, the largest product of the loop; every product by the base is one
+    by `ideal` itself.
+    """
     if n < 0:
         raise ValueError("negative ideal powers are not needed here")
-    result = unit_ideal(ideal.disc)
-    base = ideal
-    while n:
-        if n & 1:
-            result = ideal_multiply(result, base)
-        base = ideal_multiply(base, base)
-        n >>= 1
+    if n == 0:
+        return unit_ideal(ideal.disc)
+    result = ideal
+    for bit in bin(n)[3:]:
+        result = ideal_multiply(result, result)
+        if bit == "1":
+            result = ideal_multiply(result, ideal)
     return result
 
 

@@ -16,7 +16,7 @@ genuinely exotic case, p = 3 ramified with a local cube root of unity.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import sqrt_mod_2k, sqrt_mod_prime_power
+from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
 from .idealgen import QuadraticInteger, form_to_ideal, ideal_power, principal_generator
 from .quadform import compose, coprime_representative, prime_form, principal_form, reduce_form
@@ -143,7 +143,8 @@ def build_context(d: FundamentalDiscriminant, p: int) -> LocalContext:
     torsion: tuple[Elt, ...] = ()
     if splitting == SPLIT:
         root = sqrt_mod_prime_power(D % m, p, 2)
-        assert root is not None and (root * root - D) % m == 0
+        if root is None or (root * root - D) % m:
+            raise InvariantViolation(f"no Hensel square root of {D} mod {m}")
     elif splitting == RAMIFIED and p == 3 and D != -3:
         quo = D // -3
         if quo % 3 == 1:
@@ -152,7 +153,8 @@ def build_context(d: FundamentalDiscriminant, p: int) -> LocalContext:
             s = sqrt_mod_prime_power(quo % 9, 3, 2)
             inv2 = pow(2, -1, 9)
             zeta = (-inv2 % 9, pow(s, -1, 9) * inv2 % 9)
-            assert ring.pow(zeta, 3) == ring.one and zeta != ring.one
+            if ring.pow(zeta, 3) != ring.one or zeta == ring.one:
+                raise InvariantViolation(f"{zeta} is not a primitive cube root of 1 mod 9")
             torsion = (zeta,)
     return LocalContext(p, splitting, D, ring, root, zeta, torsion)
 
@@ -170,7 +172,8 @@ def _build_context_two(d: FundamentalDiscriminant) -> LocalContext:
     if splitting == SPLIT:
         # component-wise (1, -1) torsion: sqrt(D) divided by its 2-adic root
         root = sqrt_mod_2k(D, 5)
-        assert root is not None
+        if root is None:
+            raise InvariantViolation(f"no 2-adic square root of {D} mod 32")
         sqrt_d = (-1 % 8, 2)  # 2*omega - 1
         torsion.append(ring.mul(sqrt_d, (pow(root, -1, 8), 0)))
     elif splitting == RAMIFIED and (-D // 4) % 8 == 1:
@@ -178,9 +181,11 @@ def _build_context_two(d: FundamentalDiscriminant) -> LocalContext:
         # 2-adic root of -D/4 must be pinned mod 32 to land on the genuine
         # torsion image (the quotient ring has spurious roots of -1)
         r = sqrt_mod_2k(-D // 4, 5)
-        assert r is not None
+        if r is None:
+            raise InvariantViolation(f"no 2-adic square root of {-D // 4} mod 32")
         quartic = (0, pow(r, -1, 8))
-        assert ring.mul(quartic, quartic) == ring.minus_one
+        if ring.mul(quartic, quartic) != ring.minus_one:
+            raise InvariantViolation(f"{quartic} is not a square root of -1 mod 8")
         torsion.append(quartic)
     return LocalContext(2, splitting, D, ring, root, None, tuple(torsion))
 
@@ -220,13 +225,15 @@ def local_unit_image(ctx: LocalContext, alpha: QuadraticInteger) -> PhiImage:
     elif ctx.splitting == INERT:
         beta = ring.pow(ring.embed(alpha), p * p - 1)
         x, y = beta
-        assert (x - 1) % p == 0 and y % p == 0
+        if (x - 1) % p or y % p:
+            raise InvariantViolation(f"{alpha}^(p^2-1) = {beta} is not 1 mod {p}")
         coords = ((x - 1) // p % p, y // p % p)
     else:
         if ctx.local_zeta is not None:
             return generic_membership(ctx, alpha)
         x, y = ring.pow(ring.embed(alpha), p - 1)
-        assert (x - 1) % p == 0
+        if (x - 1) % p:
+            raise InvariantViolation(f"{alpha}^(p-1) = {(x, y)} is not 1 mod pi")
         delta = (ctx.disc % m) // p
         c1 = y % p
         c2 = (x - 1) // p * pow(delta, -1, p) % p
@@ -331,7 +338,8 @@ def order_two_form(d: FundamentalDiscriminant):
             continue
         f = reduce_form(f)
         if f != one:
-            assert compose(f, f) == one
+            if compose(f, f) != one:
+                raise InvariantViolation(f"ramified prime form {f} does not have order 2")
             return f
     raise ValueError(f"no ambiguous class at D={D}; is the 2-class group trivial?")
 

@@ -1,21 +1,22 @@
 """Binary quadratic form arithmetic and class group structure.
 
-Forms (a, b, c) are positive definite and primitive with b^2 - 4ac = D < 0;
-the reduced representative (|b| <= a <= c, b >= 0 on the boundary) is the
-canonical identifier of an ideal class.  The class number comes from
-exhaustive reduced-form enumeration (the oracle, for small |D|), from a
-caller that already knows it, or from growing the subgroup generated by
-prime forms until its order is pinned by the analytic estimate (for large
-|D|).  Each q-Sylow subgroup is then grown as an explicit table of classes
-with the same walk, and its Smith normal form gives the invariant factors
-and the p-torsion bases.
+Forms (a, b, c) are positive definite and primitive with b^2 - 4ac = D < 0,
+stored as named int tuples; the reduced representative (|b| <= a <= c,
+b >= 0 on the boundary) is the canonical identifier of an ideal class.  The
+class number comes from exhaustive reduced-form enumeration (the oracle,
+for small |D|), from a caller that already knows it, or from growing the
+subgroup generated by prime forms until its order is pinned by the analytic
+estimate (for large |D|).  A q-Sylow subgroup whose first projected prime
+form has exact order q^e is cyclic with that form as its basis; any other
+is grown as an explicit table of classes with the same walk, and its Smith
+normal form gives the invariant factors and the p-torsion bases.
 """
 
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import InvariantViolation
 from .arith import factorize, kronecker, small_primes, smith_normal_form, sqrt_mod_prime, xgcd
@@ -34,8 +35,7 @@ class ClassNumberAmbiguous(RuntimeError):
     """Prime forms did not fill a group of the estimated or the given class number."""
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(NamedTuple):
     a: int
     b: int
     c: int
@@ -51,7 +51,7 @@ class QuadForm:
         return math.gcd(math.gcd(self.a, self.b), self.c) == 1
 
     def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
+        a, b, c = self
         if not (abs(b) <= a <= c):
             return False
         if (abs(b) == a or a == c) and b < 0:
@@ -68,36 +68,34 @@ def principal_form(D: int) -> QuadForm:
     return QuadForm(1, 1, (1 - D) // 4)
 
 
-def _normalized(a: int, b: int, c: int) -> tuple[int, int, int]:
+def reduce_form(f: QuadForm) -> QuadForm:
+    """The unique reduced form properly equivalent to f, any (a, b, c) triple."""
+    a, b, c = f
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise ValueError(f"({a},{b},{c}) is not positive definite")
     # shift b into (-a, a]
     r = (a - b) // (2 * a)
-    return a, b + 2 * r * a, a * r * r + b * r + c
-
-
-def reduce_form(f: QuadForm) -> QuadForm:
-    """The unique reduced form properly equivalent to f."""
-    if f.a <= 0 or f.disc >= 0:
-        raise ValueError(f"{f} is not positive definite")
-    a, b, c = _normalized(f.a, f.b, f.c)
+    b, c = b + 2 * r * a, a * r * r + b * r + c
     while a > c:
-        # (a, b, c) -> (c, -b, a), then renormalize
-        a, b, c = _normalized(c, -b, a)
+        # (a, b, c) -> (c, -b, a), then shift b again
+        r = (c + b) // (2 * c)
+        a, b, c = c, 2 * r * c - b, c * r * r - b * r + a
     if a == c and b < 0:
         b = -b
     return QuadForm(a, b, c)
 
 
 def inverse(f: QuadForm) -> QuadForm:
-    return reduce_form(QuadForm(f.a, -f.b, f.c))
+    return reduce_form((f.a, -f.b, f.c))
 
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     """Dirichlet composition, returned reduced."""
-    D = f.disc
-    if D != g.disc:
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    D = b1 * b1 - 4 * a1 * c1
+    if D != b2 * b2 - 4 * a2 * c2:
         raise DiscriminantMismatch(f"{f} and {g} have different discriminants")
-    a1, b1, c1 = f.a, f.b, f.c
-    a2, b2, c2 = g.a, g.b, g.c
     s = (b1 + b2) // 2
     g0, u, v = xgcd(a1, a2)
     d1, w0, t = xgcd(g0, s)
@@ -106,21 +104,27 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     # congruence solution for the middle coefficient
     b3 = (b2 + 2 * (a2 // d1) * ((w0 * v) * ((b1 - b2) // 2) - t * c2)) % (2 * a3)
     c3 = (b3 * b3 - D) // (4 * a3)
-    return reduce_form(QuadForm(a3, b3, c3))
+    return reduce_form((a3, b3, c3))
 
 
 def power(f: QuadForm, n: int) -> QuadForm:
-    """n-th composition power of the class of f (n may be negative)."""
-    D = f.disc
+    """n-th composition power of the class of f (n may be negative).
+
+    Square-and-multiply from the top set bit of |n| down: no step composes
+    with the identity and none squares past the last bit, so n > 0 costs
+    bit_length(n) - 1 squarings and popcount(n) - 1 products.  f is reduced
+    first, so an invalid f raises ValueError also for n = 0.
+    """
     if n < 0:
         f, n = inverse(f), -n
-    result = principal_form(D)
     base = reduce_form(f)
-    while n:
-        if n & 1:
+    if n == 0:
+        return principal_form(base.disc)
+    result = base
+    for bit in bin(n)[3:]:
+        result = compose(result, result)
+        if bit == "1":
             result = compose(result, base)
-        base = compose(base, base)
-        n >>= 1
     return result
 
 
@@ -223,9 +227,16 @@ def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...],
 def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     """Orders and basis of the q-Sylow subgroup, q^e || h.
 
-    Walks the candidate pool, projecting each class into the Sylow subgroup
-    and growing an explicit element table with one relation per generator;
-    the relation matrix is then diagonalized.
+    Walks the candidate pool, projecting each class into the Sylow subgroup.
+    When the first projection x that is not the identity has exact order
+    q^e (x^(q^(e-1)) is not the identity but its q-th power is), the
+    subgroup is cyclic and generated by x: that is the walk's own result
+    for x, returned without listing its q^e elements.  Otherwise an explicit
+    element table is grown with one relation per generator, and the
+    relation matrix is then diagonalized.  The shortcut needs both halves
+    of the exact-order test: with x^(q^(e-1)) != 1 alone, a wrong h would
+    pass here and fail later as InvariantViolation, where the walk raises
+    ClassNumberAmbiguous.
     """
     one = principal_form(D)
     target = q**e
@@ -239,6 +250,10 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
         x = power(cand, cofactor)
         if x in sub:
             continue
+        if not gens:
+            y = power(x, target // q)
+            if y != one and power(y, q) == one:
+                return (target,), (x,)
         k, vec, sub = _adjoin(sub, x, target)
         # x^k = prod g_i^{v_i} becomes the relation row (-v_1, ..., -v_m, k)
         relations = [row + [0] for row in relations]

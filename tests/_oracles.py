@@ -4,14 +4,19 @@ These deliberately avoid the library's own algorithms: equivalence of forms
 is decided by searching words in the modular group generators, norm
 equations are solved by exhaustive search, quadratic residues by squaring
 every residue, and reduced forms per |D| by a plain loop over (a, b).
+The Sylow walk is the class-group code as it stood before its cyclic
+shortcut, kept as the reference for it.
 """
 
+import functools
 import math
 from collections import deque
 
 import numpy as np
 
+from iqgalois.arith import smith_normal_form
 from iqgalois.idealgen import QuadraticInteger
+from iqgalois.quadform import ClassNumberAmbiguous, _adjoin, compose, power, principal_form
 
 
 def sl2_orbit(form: tuple[int, int, int], max_size: int = 20000) -> set:
@@ -117,3 +122,42 @@ def reduced_form_counts_loop(lo: int, hi: int) -> np.ndarray:
                 # (a, b, a) is its own mirror: counted once, not twice
                 counts[a * fa - b * b - lo] -= 1
     return counts
+
+
+def sylow_structure_walk(D: int, h: int, q: int, e: int, pool):
+    """Orders and basis of the q-Sylow subgroup, q^e || h, always by the walk.
+
+    The reference for quadform._sylow_structure: every subgroup, cyclic or
+    not, is grown as an explicit element table with one relation per
+    generator, and the relation matrix is then diagonalized.
+    """
+    one = principal_form(D)
+    target = q**e
+    cofactor = h // target
+    sub = {one: ()}
+    gens = []
+    relations: list[list[int]] = []
+    for cand in pool:
+        if len(sub) >= target:
+            break
+        x = power(cand, cofactor)
+        if x in sub:
+            continue
+        k, vec, sub = _adjoin(sub, x, target)
+        # x^k = prod g_i^{v_i} becomes the relation row (-v_1, ..., -v_m, k)
+        relations = [row + [0] for row in relations]
+        relations.append([-v for v in vec] + [k])
+        gens.append(x)
+    if len(sub) != target:
+        raise ClassNumberAmbiguous(
+            f"prime-form pool exhausted before generating the {q}-part of Cl({D})"
+        )
+    # relations are lower triangular with the relative orders on the diagonal
+    diag, w = smith_normal_form(relations)
+    orders, basis = [], []
+    for j, dj in enumerate(diag):
+        if dj > 1:
+            orders.append(dj)
+            terms = [power(gi, w[i][j]) for i, gi in enumerate(gens) if w[i][j]]
+            basis.append(functools.reduce(compose, terms))
+    return tuple(orders), tuple(basis)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from iqgalois import cli
 from iqgalois.cli import main
 from iqgalois.quadform import ClassNumberAmbiguous
@@ -121,6 +123,41 @@ def test_broken_invariant_exits_3_under_optimize():
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("internal error: ") and "Traceback" not in proc.stderr
+
+
+# One broken dependency per module, each caught by a check of that module
+# on classify -23 (h = 3, and 3 splits in Q(sqrt(-23))).
+BROKEN = {
+    # idealgen: Bezout coefficients that combine no lattice vectors
+    "idealgen": (
+        "sys.modules['iqgalois.idealgen'].xgcd = lambda a, b: (math.gcd(a, b), 0, 0)",
+        "is not an ideal of the order",
+    ),
+    # localtest: no square root of D mod p^2 where p splits
+    "localtest": (
+        "sys.modules['iqgalois.localtest'].sqrt_mod_prime_power = lambda a, p, k: None",
+        "no Hensel square root of -23 mod 9",
+    ),
+    # arith: a prime cofactor that Pollard rho is asked to split
+    "arith": ("sys.modules['iqgalois.arith'].is_prime = lambda n: False", "rho failed on "),
+}
+
+
+@pytest.mark.parametrize("module", sorted(BROKEN))
+def test_broken_module_check_exits_3_under_optimize(module):
+    patch, message = BROKEN[module]
+    script = (
+        "import math, sys\n"
+        "from iqgalois.cli import main\n"
+        f"{patch}\n"
+        "sys.exit(main(['classify', '-d', '-23']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal error: ") and message in proc.stderr, proc.stderr
 
 
 def test_unpinned_class_number_exits_3(monkeypatch, capsys):
