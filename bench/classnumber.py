@@ -1,0 +1,55 @@
+"""Time the class number of five single fields, |D| from 1e8 to 1e12, and record it.
+
+Times quadform.class_number_bsgs(D) for each D in FIELDS, using whichever
+iqgalois is first on the import path.  Before the exact count that name was
+the prime-form subgroup (BSGS) count; now it is an alias of
+quadform.class_number, so the same call times either side.  The result goes
+under --label in BENCH_6.json at the repository root.  Entries with other
+labels are kept, so one file holds a before and an after measured on the
+same machine:
+
+    PYTHONPATH=<parent checkout>/src python3 bench/classnumber.py --label parent
+    PYTHONPATH=src python3 bench/classnumber.py --label change
+
+Each block is one field: D, the h it returned (which must agree between
+entries), and the median and minimum wall time of REPEATS calls.
+"""
+
+import statistics
+import time
+from pathlib import Path
+
+from _entry import label_from_argv, write_entry
+from iqgalois import quadform
+
+FIELDS = (-100000007, -1000000007, -10000000019, -100000000003, -1000000000039)
+REPEATS = 3
+OUT = Path(__file__).resolve().parent.parent / "BENCH_6.json"
+
+
+def measure(D: int) -> dict:
+    times, values = [], set()
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        values.add(quadform.class_number_bsgs(D))
+        times.append(time.perf_counter() - t0)
+    (h,) = values
+    return {
+        "D": D,
+        "h": h,
+        "median_s": round(statistics.median(times), 4),
+        "min_s": round(min(times), 4),
+        "repeats": REPEATS,
+    }
+
+
+def main() -> None:
+    label = label_from_argv(__doc__.splitlines()[0])
+    blocks = [measure(D) for D in FIELDS]
+    for b in blocks:
+        print(f"{label}: D = {b['D']}: h = {b['h']}, median {b['median_s']} s, min {b['min_s']} s")
+    write_entry(OUT, "quadform class number h of one field, no known_h", label, blocks)
+
+
+if __name__ == "__main__":
+    main()

@@ -195,24 +195,19 @@ def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
     if D >= -4:
         raise ValueError("generator recovery requires D < -4 (extra units otherwise)")
     w = -D
-    v1, v2 = ideal.basis_vectors()
-
-    def q(t):
-        return t[0] * t[0] + w * t[1] * t[1]
-
-    def dot(s, t):
-        return s[0] * t[0] + w * s[1] * t[1]
-
-    if q(v1) > q(v2):
-        v1, v2 = v2, v1
+    (u, v), (x, y) = ideal.basis_vectors()
+    # 4 * norm of the current shortest vector (u, v)
+    q1 = u * u + w * v * v
+    if q1 > x * x + w * y * y:
+        u, v, x, y, q1 = x, y, u, v, x * x + w * y * y
     while True:
-        # nearest-integer reduction of v2 against v1
-        t = (2 * dot(v1, v2) + q(v1)) // (2 * q(v1))
-        v2 = (v2[0] - t * v1[0], v2[1] - t * v1[1])
-        if q(v2) >= q(v1):
+        # nearest-integer reduction of (x, y) against (u, v)
+        t = (2 * (u * x + w * v * y) + q1) // (2 * q1)
+        x, y = x - t * u, y - t * v
+        q2 = x * x + w * y * y
+        if q2 >= q1:
             break
-        v1, v2 = v2, v1
-    u, v = v1
+        u, v, x, y, q1 = x, y, u, v, q2
     if u < 0 or (u == 0 and v < 0):
         u, v = -u, -v
     alpha = QuadraticInteger(u, v, D)

@@ -3,10 +3,9 @@
 Forms (a, b, c) are positive definite and primitive with b^2 - 4ac = D < 0,
 stored as named int tuples; the reduced representative (|b| <= a <= c,
 b >= 0 on the boundary) is the canonical identifier of an ideal class.  The
-class number comes from exhaustive reduced-form enumeration (the oracle,
-for small |D|), from a caller that already knows it, or from growing the
-subgroup generated by prime forms until its order is pinned by the analytic
-estimate (for large |D|).  A q-Sylow subgroup whose first projected prime
+class number is exact: a count of the roots of b^2 = D (mod 4a), checked by
+the enumeration oracle, or the value a caller already knows.  Prime forms
+generate each Sylow subgroup.  A q-Sylow subgroup whose first projected prime
 form has exact order q^e is cyclic with that form as its basis; any other
 is grown as an explicit table of classes with the same walk, and its Smith
 normal form gives the invariant factors and the p-torsion bases.
@@ -18,9 +17,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .arith import InvariantViolation
-from .arith import factorize, kronecker, small_primes, smith_normal_form, sqrt_mod_prime, xgcd
-from .discriminant import FundamentalDiscriminant
+import numpy as np
+
+from .arith import InvariantViolation, factorize, kronecker, small_primes, smith_normal_form
+from .arith import sqrt_mod_prime, sqrt_mod_prime_power, xgcd
+from .discriminant import FundamentalDiscriminant, validate
+
+# largest |D| for class_number, whose tables grow like sqrt|D| (70 MB at 10^13)
+CLASS_NUMBER_LIMIT = 10**13
 
 
 class DiscriminantMismatch(ValueError):
@@ -32,7 +36,11 @@ class RankOverflow(ValueError):
 
 
 class ClassNumberAmbiguous(RuntimeError):
-    """Prime forms did not fill a group of the estimated or the given class number."""
+    """Prime forms did not fill a group of the given class number.
+
+    Raised for a wrong known_h, or when the prime-form pool is exhausted
+    before it generates a Sylow subgroup.
+    """
 
 
 class QuadForm(NamedTuple):
@@ -274,22 +282,6 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     return tuple(orders), tuple(basis)
 
 
-def _assemble_structure(D: int, h: int, pool) -> ClassGroupStructure:
-    if h == 1:
-        return ClassGroupStructure(1, (), {}, D)
-    primes = factorize(h)
-    sylow = {
-        q: _sylow_structure(D, h, q, e, view)
-        for (q, e), view in zip(primes, itertools.tee(pool, len(primes)))
-    }
-    rank = max(len(orders) for orders, _ in sylow.values())
-    # align largest q-power factors with the largest invariant factor
-    padded = [(1,) * (rank - len(orders)) + orders for orders, _ in sylow.values()]
-    cg = ClassGroupStructure(h, tuple(map(math.prod, zip(*padded))), sylow, D)
-    _check_structure(cg)
-    return cg
-
-
 def _check_structure(cg: ClassGroupStructure) -> None:
     """Exact order of every Sylow basis form, and the shape of the group."""
     one = principal_form(cg.discriminant)
@@ -306,86 +298,91 @@ def _check_structure(cg: ClassGroupStructure) -> None:
         raise InvariantViolation(f"invariant factors {factors} are not a divisibility chain")
 
 
-def _analytic_class_number(D: int, terms: int) -> float:
-    # truncated Euler product for sqrt(|D|)/pi * L(1, chi_D)
-    log_l = 0.0
-    for q in small_primes()[:terms]:
-        chi = kronecker(D, q)
-        if chi:
-            log_l -= math.log1p(-chi / q)
-    return math.sqrt(-D) / math.pi * math.exp(log_l)
+def class_number(D: int) -> int:
+    """Class number of the fundamental discriminant D < 0, by counting reduced forms.
 
-
-def class_number_bsgs(D: int) -> int:
-    """Class number as the order of the subgroup that prime forms generate.
-
-    Prime forms are adjoined until the order lies in the window of the
-    truncated Euler product, which is heuristic, and a dozen more fall inside
-    the subgroup.  The enumeration backend stays the unconditional oracle.
+    Those with first coefficient a are the roots b in (-a, a] of b^2 = D (mod
+    4a) with c = (b^2 - D)/4a >= a, and b >= 0 if c = a.  While 4a^2 < |D|
+    every root counts, and the root count N(a) is multiplicative: N(q^k) =
+    1 + chi_D(q) for q not dividing D, else N(q) = 1 and N(q^k) = 0 (k >= 2).
+    The tail builds its roots by CRT.  |D| > CLASS_NUMBER_LIMIT is refused.
     """
-    if D >= -64:
-        return len(enumerate_reduced_forms(D))
-    for terms in (1800, 6000, len(small_primes())):
-        hstar = _analytic_class_number(D, terms)
-        try:
-            h = _bsgs_pin(D, hstar)
-        except ClassNumberAmbiguous:
-            continue
-        if h is not None:
-            return h
-    raise ClassNumberAmbiguous(f"cannot pin the class number of {D}")
+    if D < -CLASS_NUMBER_LIMIT:
+        raise ValueError(f"|D| = {-D} exceeds the class-number limit {CLASS_NUMBER_LIMIT}")
+    validate(D)
+    n, amax = -D, math.isqrt(-D // 3)
+    spf = np.zeros(amax + 1, dtype=np.int64)  # smallest prime factor
+    for q in range(2, math.isqrt(amax) + 1):
+        if spf[q] == 0:
+            multiples = spf[q * q :: q]
+            multiples[multiples == 0] = q
+    primes = np.nonzero(spf == 0)[0][2:]
+    spf[primes] = primes
+    roots = np.ones(amax + 1, dtype=np.int32)  # N(a)
+    for q in primes.tolist():
+        # chi_D(q) by Euler's criterion: 1 split, 0 ramified, else inert
+        chi = pow(D, (q - 1) // 2, q) if q > 2 else kronecker(D, 2)
+        if chi == 1:
+            roots[q::q] *= 2
+        elif chi == 0:
+            roots[q * q :: q * q] = 0
+        else:
+            roots[q::q] = 0
+    head = math.isqrt((n - 1) // 4)  # the largest a with 4a^2 < |D|
+    h = int(roots[1 : head + 1].sum(dtype=np.int64))
+    tail = (np.nonzero(roots[head + 1 :])[0] + head + 1).tolist()
+    spf = spf.tolist()
+    odd_roots: dict[int, list[int]] = {}
+    for a in tail:
+        # roots b mod 2^(e+1) of b^2 = D (mod 2^(e+2)) for 2^e || a by a scan,
+        # 2^e steps but about 10 per a over the whole tail; then CRT
+        e = (a & -a).bit_length() - 1
+        mod = 2 << e
+        res = [b for b in range(D % 2, mod, 2) if (b * b - D) % (2 * mod) == 0]
+        m = a >> e
+        while m > 1:
+            q, qk, k = spf[m], 1, 0
+            while m % q == 0:
+                m, qk, k = m // q, qk * q, k + 1
+            if qk not in odd_roots:
+                s = 0 if D % q == 0 else sqrt_mod_prime_power(D % qk, q, k)
+                odd_roots[qk] = [s, qk - s] if s else [0]
+            inv = pow(mod, -1, qk)
+            res = [x + mod * ((y - x) * inv % qk) for x in res for y in odd_roots[qk]]
+            mod *= qk
+        floor = 4 * a * a - n  # c >= a means b^2 >= floor
+        for b in res:
+            b = b - 2 * a if b > a else b
+            h += b * b > floor or (b * b == floor and b >= 0)
+    return h
 
 
-def _bsgs_pin(D: int, hstar: float) -> int | None:
-    sub: _Table = {principal_form(D): ()}
-    bound = int(1.6 * hstar) + 16
-    confirmations = 0
-    for cand in _prime_form_pool(D):
-        if cand in sub:
-            # inside the window every further prime form must already lie in
-            # the subgroup; a dozen confirmations guard the heuristic pin
-            if 0.8 * hstar < len(sub) < 1.25 * hstar:
-                confirmations += 1
-                if confirmations >= 12:
-                    return len(sub)
-            continue
-        confirmations = 0
-        _, _, sub = _adjoin(sub, cand, bound)
-        if len(sub) >= 1.25 * hstar:
-            raise ClassNumberAmbiguous("subgroup outgrew the analytic window")
-    if 0.8 * hstar < len(sub) < 1.25 * hstar:
-        return len(sub)
-    return None
+# perfbench/tracer.py counts the route to h under this name
+class_number_bsgs = class_number
 
 
-def class_group(
-    d: FundamentalDiscriminant, backend: str = "auto", known_h: int | None = None
-) -> ClassGroupStructure:
+def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> ClassGroupStructure:
     """Invariant factors and Sylow bases of the class group.
 
-    backend 'enumerate' counts reduced forms (exact, quadratic in sqrt|D|),
-    'bsgs' grows the subgroup of prime forms against the analytic estimate,
-    'auto' picks by size.  A caller who already knows h (e.g. from a bulk
-    survey sieve) can pass it to skip recomputation.
+    h is the exact count of class_number, or known_h from a caller that
+    already has it (e.g. the survey sieve).  Prime forms generate each Sylow
+    subgroup; a known_h they cannot fill raises ClassNumberAmbiguous.
     """
     D = d.value
-    if backend == "auto":
-        backend = "enumerate" if -D <= 200_000 else "bsgs"
-    if known_h is not None:
-        h = known_h
-        pool = _prime_form_pool(D)
-    elif backend == "enumerate":
-        forms = enumerate_reduced_forms(D)
-        h = len(forms)
-        pool = iter(forms)
-    elif backend == "bsgs":
-        h = class_number_bsgs(D)
-        pool = _prime_form_pool(D)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    h = class_number(D) if known_h is None else known_h
     if d.num_prime_divisors == 1 and h % 2 == 0:
         raise InvariantViolation(f"genus parity violated: prime discriminant {D} with even h={h}")
-    return _assemble_structure(D, h, pool)
+    if h == 1:
+        return ClassGroupStructure(1, (), {}, D)
+    primes = factorize(h)
+    pools = itertools.tee(_prime_form_pool(D), len(primes))
+    sylow = {q: _sylow_structure(D, h, q, e, pool) for (q, e), pool in zip(primes, pools)}
+    rank = max(len(orders) for orders, _ in sylow.values())
+    # align largest q-power factors with the largest invariant factor
+    padded = [(1,) * (rank - len(orders)) + orders for orders, _ in sylow.values()]
+    cg = ClassGroupStructure(h, tuple(map(math.prod, zip(*padded))), sylow, D)
+    _check_structure(cg)
+    return cg
 
 
 def p_torsion_basis(cg: ClassGroupStructure, p: int) -> list[QuadForm]:

@@ -3,7 +3,7 @@
 Class numbers for a whole block of discriminants come from one bulk count
 of reduced forms (a loop over the first coefficient a, each step one numpy
 scatter of all (b, c) pairs that land in the block), which doubles as an
-independent oracle for the per-discriminant backends.  Scans
+independent oracle for the per-discriminant quadform.class_number.  Scans
 proceed in contiguous blocks of 10^4 |D|-values; each block is classified
 independently (pure functions), so worker count cannot change the output,
 and a checkpoint after every block makes interrupted scans resumable

@@ -5,7 +5,8 @@ is decided by searching words in the modular group generators, norm
 equations are solved by exhaustive search, quadratic residues by squaring
 every residue, and reduced forms per |D| by a plain loop over (a, b).
 The Sylow walk is the class-group code as it stood before its cyclic
-shortcut, kept as the reference for it.
+shortcut, kept as the reference for it.  Invariant factors of a whole
+class group are read off how many of its classes each q^j kills.
 """
 
 import functools
@@ -14,7 +15,8 @@ from collections import deque
 
 import numpy as np
 
-from iqgalois.arith import smith_normal_form
+from iqgalois.arith import factorize, smith_normal_form
+from iqgalois.discriminant import NotFundamental, validate
 from iqgalois.idealgen import QuadraticInteger
 from iqgalois.quadform import ClassNumberAmbiguous, _adjoin, compose, power, principal_form
 
@@ -40,6 +42,15 @@ def sl2_orbit(form: tuple[int, int, int], max_size: int = 20000) -> set:
                 seen.add(nb)
                 queue.append(nb)
     return seen
+
+
+def is_fundamental(m: int) -> bool:
+    """Is -m a fundamental discriminant?  A filter for drawn test inputs."""
+    try:
+        validate(-m)
+    except NotFundamental:
+        return False
+    return True
 
 
 def quadratic_residues(p: int) -> set[int]:
@@ -122,6 +133,31 @@ def reduced_form_counts_loop(lo: int, hi: int) -> np.ndarray:
                 # (a, b, a) is its own mirror: counted once, not twice
                 counts[a * fa - b * b - lo] -= 1
     return counts
+
+
+def invariant_factors_by_counting(forms: list) -> tuple[int, ...]:
+    """Invariant factors of the group whose classes are exactly `forms`.
+
+    For each prime q | h, q^j kills q^(sum_i min(j, e_i)) classes when the
+    q-Sylow subgroup is the product of the Z/q^(e_i); so the growth of that
+    count with j says how many e_i reach j, which fixes the e_i.
+    """
+    one = principal_form(forms[0].disc)
+    columns = []
+    for q, e in factorize(len(forms)):
+        reaching = []  # reaching[j - 1] = #{i : e_i >= j}
+        killed = 0
+        while killed < e:
+            count = sum(power(f, q ** (len(reaching) + 1)) == one for f in forms)
+            k = round(math.log(count, q))
+            assert k > killed, f"{forms} is not a group"
+            reaching.append(k - killed)
+            killed = k
+        exps = sorted(sum(r > i for r in reaching) for i in range(reaching[0]))
+        columns.append([q**x for x in exps])
+    rank = max((len(c) for c in columns), default=0)
+    padded = [[1] * (rank - len(c)) + c for c in columns]
+    return tuple(math.prod(row) for row in zip(*padded))
 
 
 def sylow_structure_walk(D: int, h: int, q: int, e: int, pool):

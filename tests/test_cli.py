@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -26,6 +27,22 @@ def test_classify_not_minimal(capsys):
 def test_classify_invalid_discriminant_exits_2(capsys):
     assert main(["classify", "-d", "-12"]) == 2
     assert "invalid discriminant" in capsys.readouterr().err
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("classify did not return within 2 s")
+
+
+def test_classify_huge_discriminant_exits_1_quickly(capsys):
+    # beyond quadform.CLASS_NUMBER_LIMIT the count is refused before it allocates
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        assert main(["classify", "-d", "-100000000000000003"]) == 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "exceeds the class-number limit" in capsys.readouterr().err
 
 
 def test_classify_abs_flag(capsys):

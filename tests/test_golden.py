@@ -17,7 +17,8 @@ CLASSIFY_DIGESTS = {
     -107: "9218083612d7b4c3a3dced9350127c9038022bb61458d6956d07413eaabb08b1",
     -420: "8dd046669a3cd750a3e4dceea3b54b1aeb39f0b0b7ebd5fbd74203c28f90bb12",
     -455: "5dba5d5f9d89c0b68307e949768a6fe9f4bbb7d939f634c3dc8e98239c23d764",
-    # |D| > 200,000: h comes from the prime-form subgroup ("bsgs" backend)
+    # |D| > 200,000: pinned when h came from the heuristic prime-form subgroup
+    # count; class_number's exact count must leave them unchanged
     -200003: "5a47a24ff8496e86b6175afceb0b11a299edd1dbabe95043a4d1692fdfea3085",
     -200063: "b12b10d01b55f0a0f406eb7f988587dbb1aca5923820c692e09b778a450c0e7e",
     -202243: "ae591414babc6682bc5348127c83b73c22efc23fbadd94bfb60036a9e40ac1fe",

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iqgalois.discriminant import NotFundamental, NotImaginary, genus_two_rank, validate
 from iqgalois.idealgen import QuadraticInteger
@@ -21,7 +23,7 @@ from iqgalois.localtest import (
 )
 from iqgalois.quadform import QuadForm
 
-from _oracles import random_local_unit
+from _oracles import is_fundamental, random_local_unit
 
 # one discriminant per (prime, splitting type); all verified fundamental
 GRID = {
@@ -135,6 +137,28 @@ def test_engines_agree_on_random_units():
             closed = local_unit_image(ctx, alpha)
             brute = generic_membership(ctx, alpha)
             assert closed.trivial == brute.trivial, (p, typ, D, alpha)
+
+
+# The engine enumerates (O/p^2)^*, about p^4 units, once per (p, D mod p^2):
+# about a second at p = 23, so the examples are few and test several units.
+# D < -4 is where principal generators, and so the classifier's images, exist.
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(5, 10**6).filter(is_fundamental),
+    p=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=23, p=23, seed=0)
+@example(m=39, p=3, seed=0)
+def test_closed_form_matches_engine_random(m, p, seed):
+    # mirrors verify.local_engines on random fields instead of LOCAL_CASES
+    D = -m
+    ctx = build_context(validate(D), p)
+    rng = random.Random(seed)
+    for _ in range(10):
+        alpha = random_local_unit(rng, D, p)
+        closed = local_unit_image(ctx, alpha)
+        assert closed.trivial == generic_membership(ctx, alpha).trivial, (p, D, alpha)
 
 
 def test_coordinates_are_additive():

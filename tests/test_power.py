@@ -5,17 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqgalois.arith import small_primes
-from iqgalois.discriminant import NotFundamental, validate
 from iqgalois.idealgen import QuadIdeal, form_to_ideal, ideal_multiply, ideal_power, unit_ideal
 from iqgalois.quadform import QuadForm, compose, inverse, power, prime_form, principal_form
 
-
-def _is_fundamental(m: int) -> bool:
-    try:
-        validate(-m)
-    except NotFundamental:
-        return False
-    return True
+from _oracles import is_fundamental
 
 
 @st.composite
@@ -25,7 +18,7 @@ def forms(draw):
     The shift (a, b, c) -> (a, b + 2ka, ak^2 + bk + c) keeps the class, so
     the power has to reduce its argument.
     """
-    D = -draw(st.integers(3, 10**6).filter(_is_fundamental))
+    D = -draw(st.integers(3, 10**6).filter(is_fundamental))
     start = draw(st.integers(0, 30))
     a, b, c = next(f for q in small_primes()[start:] if (f := prime_form(D, q)) is not None)
     k = draw(st.integers(-3, 3))

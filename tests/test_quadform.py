@@ -1,17 +1,21 @@
 import random
 import signal
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqgalois.discriminant import NotFundamental, NotImaginary, validate
 from iqgalois.idealgen import form_to_ideal, ideal_multiply, ideal_to_form
 from iqgalois.quadform import (
+    CLASS_NUMBER_LIMIT,
     ClassNumberAmbiguous,
     DiscriminantMismatch,
     QuadForm,
     RankOverflow,
     class_group,
-    class_number_bsgs,
+    class_number,
     compose,
     coprime_representative,
     enumerate_reduced_forms,
@@ -22,8 +26,9 @@ from iqgalois.quadform import (
     principal_form,
     reduce_form,
 )
+from iqgalois.survey import fundamental_mask, reduced_form_counts
 
-from _oracles import sl2_orbit
+from _oracles import invariant_factors_by_counting, is_fundamental, sl2_orbit
 
 
 def test_reduce_fixed_point():
@@ -103,6 +108,16 @@ def test_compose_agrees_with_ideal_multiplication(D):
         assert via_forms == via_ideals
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(3, 30_000).filter(is_fundamental), data=st.data())
+def test_compose_matches_ideal_multiplication_random(m, data):
+    forms = enumerate_reduced_forms(-m)
+    f = data.draw(st.sampled_from(forms))
+    g = data.draw(st.sampled_from(forms))
+    via_ideals = ideal_to_form(ideal_multiply(form_to_ideal(f), form_to_ideal(g)))
+    assert compose(f, g) == via_ideals
+
+
 def test_class_group_examples():
     assert class_group(validate(-23)).h == 3
     assert class_group(validate(-23)).invariant_factors == (3,)
@@ -147,6 +162,7 @@ def test_invariant_factor_chain():
 
 
 def test_bsgs_matches_enumeration_below_ten_thousand():
+    # class_number replaced the BSGS count; the name is kept with the fields
     count = 0
     for m in range(3, 10001):
         try:
@@ -154,16 +170,61 @@ def test_bsgs_matches_enumeration_below_ten_thousand():
         except (NotFundamental, NotImaginary):
             continue
         count += 1
-        assert class_number_bsgs(-m) == len(enumerate_reduced_forms(-m)), f"D=-{m}"
+        assert class_number(-m) == len(enumerate_reduced_forms(-m)), f"D=-{m}"
     assert count > 3000
 
 
 def test_bsgs_full_structure_agreement_sample():
+    # the group of the enumerated forms against class_group(d) from class_number
     for m in (3299, 4027, 9748, 10004, 100003):
         d = validate(-m)
-        a = class_group(d, backend="enumerate")
-        b = class_group(d, backend="bsgs")
-        assert a.h == b.h and a.invariant_factors == b.invariant_factors
+        forms = enumerate_reduced_forms(-m)
+        b = class_group(d)
+        assert len(forms) == b.h and invariant_factors_by_counting(forms) == b.invariant_factors
+
+
+@pytest.mark.parametrize("lo,hi", [(3, 20_000), (10**6, 10**6 + 10**4), (10**7, 10**7 + 10**4)])
+def test_class_number_matches_survey_sieve(lo, hi):
+    counts = reduced_form_counts(lo, hi)
+    fields = (np.nonzero(fundamental_mask(lo, hi))[0] + lo).tolist()
+    assert len(fields) > 3000
+    for m in fields:
+        assert class_number(-m) == counts[m - lo], f"D=-{m}"
+
+
+def _within_two_seconds(fn, *args):
+    def timeout(signum, frame):
+        raise TimeoutError(f"{fn.__name__} did not return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "D,h",
+    [
+        (-100000007, 7253),
+        (-1000000007, 26629),
+        (-10000000019, 39809),
+        (-100000000003, 31057),
+        (-1000000000039, 1113261),
+    ],
+)
+def test_class_number_large_fields(D, h):
+    # values agree with the prime-form subgroup count that class_number replaced
+    assert _within_two_seconds(class_number, D) == h
+
+
+def test_class_number_refuses_huge_discriminants_quickly():
+    with pytest.raises(ValueError, match="class-number limit"):
+        _within_two_seconds(class_number, -(CLASS_NUMBER_LIMIT + 3))
+    with pytest.raises(NotFundamental):
+        class_number(-12)
 
 
 def _timeout(signum, frame):
@@ -207,9 +268,10 @@ def test_p_torsion_basis_examples():
 
 
 def test_p_torsion_basis_rank_overflow():
-    # smallest convenient discriminant of 3-rank three (verified by the
-    # enumeration backend: invariant factors (3, 3, 63))
+    # smallest convenient discriminant of 3-rank three (h = 567 by
+    # class_number; invariant factors (3, 3, 63))
     d = validate(-3321607)
+    assert class_number(-3321607) == 567
     cg = class_group(d, known_h=567)
     assert cg.invariant_factors == (3, 3, 63)
     with pytest.raises(RankOverflow):
