@@ -1,9 +1,9 @@
 """Time the class number of five single fields, |D| from 1e8 to 1e12, and record it.
 
-Times quadform.class_number_bsgs(D) for each D in FIELDS, using whichever
-iqgalois is first on the import path.  Before the exact count that name was
-the prime-form subgroup (BSGS) count; now it is an alias of
-quadform.class_number, so the same call times either side.  The result goes
+Times quadform.class_number(D), the exact reduced-form count, for each D in
+FIELDS, using whichever iqgalois is first on the import path.  The "parent"
+entry of BENCH_6.json was timed before the exact count existed, through the
+prime-form subgroup (BSGS) count then named class_number_bsgs.  The result goes
 under --label in BENCH_6.json at the repository root.  Entries with other
 labels are kept, so one file holds a before and an after measured on the
 same machine:
@@ -31,7 +31,7 @@ def measure(D: int) -> dict:
     times, values = [], set()
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        values.add(quadform.class_number_bsgs(D))
+        values.add(quadform.class_number(D))
         times.append(time.perf_counter() - t0)
     (h,) = values
     return {

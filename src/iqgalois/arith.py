@@ -102,10 +102,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
-def is_squarefree_factored(factors: list[tuple[int, int]]) -> bool:
-    return all(e == 1 for _, e in factors)
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1

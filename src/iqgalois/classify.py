@@ -16,7 +16,7 @@ verdict is conditional in a way the positive one is not.
 
 from dataclasses import dataclass
 
-from .arith import InvariantViolation, factorize
+from .arith import InvariantViolation
 from .discriminant import (
     FundamentalDiscriminant,
     TorsionDescriptor,
@@ -24,16 +24,9 @@ from .discriminant import (
     torsion_descriptor,
     validate,
 )
-from .idealgen import QuadraticInteger, form_to_ideal, ideal_power, principal_generator
+from .idealgen import torsion_power_generator
 from .localtest import build_context, injectivity_test, local_unit_image, two_classification
-from .quadform import (
-    ClassGroupStructure,
-    QuadForm,
-    RankOverflow,
-    class_group,
-    coprime_representative,
-    p_torsion_basis,
-)
+from .quadform import ClassGroupStructure, RankOverflow, class_group, p_torsion_basis
 
 MINIMAL = "MINIMAL"
 NOT_MINIMAL = "NOT_MINIMAL"
@@ -99,12 +92,6 @@ class ClassificationRecord:
         )
 
 
-def torsion_power_generator(form: QuadForm, p: int) -> QuadraticInteger:
-    """Generator of a^p for the ideal a of a p-torsion class, a coprime to p."""
-    g = coprime_representative(form, p)
-    return principal_generator(ideal_power(form_to_ideal(g), p))
-
-
 def status_at_odd_prime(d: FundamentalDiscriminant, cg: ClassGroupStructure, p: int) -> str:
     """Injectivity status of the splitting test at one odd prime p | h."""
     try:
@@ -165,7 +152,7 @@ def classify_validated(
         raise InvariantViolation(f"genus 2-rank {two_rank} differs from the class group's at D={D}")
     per_prime: list[tuple[int, str]] = []
     failed = False
-    for p in _prime_divisors(cg.h):
+    for p in cg.sylow:
         if failed and short_circuit:
             break
         status = status_at_prime(d, p, cg)
@@ -182,10 +169,6 @@ def classify_validated(
         verdict == NOT_MINIMAL,
         torsion,
     )
-
-
-def _prime_divisors(h: int) -> list[int]:
-    return [p for p, _ in factorize(h)] if h > 1 else []
 
 
 def verdict_description(record: ClassificationRecord) -> str:

@@ -10,7 +10,7 @@ happens only for D = -4 and D = -8.
 
 from dataclasses import dataclass, field
 
-from .arith import factorize, is_squarefree_factored, kronecker
+from .arith import factorize, kronecker
 
 
 class NotImaginary(ValueError):
@@ -62,17 +62,14 @@ def validate(D: int) -> FundamentalDiscriminant:
         raise NotImaginary(f"D = {D} is not negative")
     if D % 4 not in (0, 1):
         raise NotFundamental(f"D = {D} is 2 or 3 mod 4")
-    if D % 4 == 1:
-        factors = factorize(-D)
-        if not is_squarefree_factored(factors):
+    if D % 4 == 0 and (D // 4) % 4 not in (2, 3):
+        raise NotFundamental(f"D/4 = {D // 4} is 0 or 1 mod 4")
+    factors = factorize(-D)
+    # with D/4 = 2, 3 mod 4 the power of 2 is fixed; only odd squares remain
+    if any(e > 1 for q, e in factors if q != 2):
+        if D % 2:
             raise NotFundamental(f"D = {D} is not squarefree")
-    else:
-        m = D // 4
-        if m % 4 not in (2, 3):
-            raise NotFundamental(f"D/4 = {m} is 0 or 1 mod 4")
-        if not is_squarefree_factored(factorize(-m)):
-            raise NotFundamental(f"D/4 = {m} is not squarefree")
-        factors = factorize(-D)
+        raise NotFundamental(f"D/4 = {D // 4} is not squarefree")
     return FundamentalDiscriminant(D, tuple(factors), len(factors))
 
 

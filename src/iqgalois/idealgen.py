@@ -5,14 +5,15 @@ integer content m split off, so non-primitive products such as the square
 of a ramified prime stay representable.  A principal ideal's generator is
 recovered as a shortest lattice vector by two-dimensional Lagrange-Gauss
 reduction, which is exact: for D < -4 the shortest vectors of (alpha) are
-exactly +-alpha.
+exactly +-alpha.  torsion_power_generator chains these steps into the
+generator of a^p for a p-torsion class, the input of the local test.
 """
 
 import math
 from dataclasses import dataclass
 
 from .arith import InvariantViolation, xgcd
-from .quadform import QuadForm, reduce_form
+from .quadform import QuadForm, coprime_representative, reduce_form
 
 
 class NotPrincipal(ValueError):
@@ -63,11 +64,13 @@ class QuadIdeal:
     def __post_init__(self):
         if self.a <= 0 or self.m <= 0:
             raise ValueError("ideal needs positive norm components")
-        if (self.b * self.b - self.disc) % (4 * self.a) != 0:
+        b = self.b % (2 * self.a)
+        if b > self.a:
+            b -= 2 * self.a
+        if (b * b - self.disc) % (4 * self.a) != 0:
             raise ValueError(f"(a={self.a}, b={self.b}) is not closed under the order action")
-        nb = _normalize_b(self.b, self.a)
-        if nb != self.b:
-            object.__setattr__(self, "b", nb)
+        if b != self.b:
+            object.__setattr__(self, "b", b)
 
     @property
     def norm(self) -> int:
@@ -82,13 +85,6 @@ class QuadIdeal:
         return inner if self.m == 1 else f"{self.m}*{inner}"
 
 
-def _normalize_b(b: int, a: int) -> int:
-    b %= 2 * a
-    if b > a:
-        b -= 2 * a
-    return b
-
-
 def unit_ideal(D: int) -> QuadIdeal:
     return QuadIdeal(1, D % 2, 1, D)
 
@@ -97,7 +93,7 @@ def form_to_ideal(f: QuadForm) -> QuadIdeal:
     """The norm-a ideal [a, (b + sqrt(D))/2] whose norm form is f."""
     if not f.is_primitive() or f.a <= 0:
         raise ValueError(f"{f} must be primitive and positive definite")
-    return QuadIdeal(f.a, _normalize_b(f.b, f.a), 1, f.disc)
+    return QuadIdeal(f.a, f.b, 1, f.disc)
 
 
 def ideal_to_form(ideal: QuadIdeal) -> QuadForm:
@@ -106,8 +102,11 @@ def ideal_to_form(ideal: QuadIdeal) -> QuadForm:
     return reduce_form(QuadForm(a, b, (b * b - D) // (4 * a)))
 
 
-def _hnf_from_vectors(vectors: list[tuple[int, int]], D: int) -> QuadIdeal:
-    """Two-generator normal form of the lattice spanned by (u, v) pairs."""
+def _hnf_from_vectors(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """(a, b, m) with the lattice spanned by (u, v) pairs = m * [a, (b + sqrt D)/2].
+
+    b is not normalized; QuadIdeal does that once when the caller builds it.
+    """
     vecs = [v for v in vectors if v != (0, 0)]
     g = 0
     for _, v in vecs:
@@ -129,9 +128,7 @@ def _hnf_from_vectors(vectors: list[tuple[int, int]], D: int) -> QuadIdeal:
     e = abs(e)
     if not e or e % (2 * g) or wu % g:
         raise InvariantViolation(f"lattice of {vecs} is not an ideal of the order")
-    a = e // (2 * g)
-    b = _normalize_b(wu // g, a)
-    return QuadIdeal(a, b, g, D)
+    return e // (2 * g), wu // g, g
 
 
 def ideal_multiply(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
@@ -150,8 +147,8 @@ def ideal_multiply(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
         (a2 * b1, a2),
         ((b1 * b2 + D) // 2, (b1 + b2) // 2),
     ]
-    out = _hnf_from_vectors(vectors, D)
-    return QuadIdeal(out.a, out.b, out.m * i1.m * i2.m, D)
+    a, b, m = _hnf_from_vectors(vectors)
+    return QuadIdeal(a, b, m * i1.m * i2.m, D)
 
 
 def ideal_power(ideal: QuadIdeal, n: int) -> QuadIdeal:
@@ -180,7 +177,7 @@ def principal_ideal(alpha: QuadraticInteger) -> QuadIdeal:
     # omega = (D + sqrt(D))/2 generates the maximal order over Z
     omega_u = (u * D + v * D) // 2
     omega_v = (u + v * D) // 2
-    return _hnf_from_vectors([(u, v), (omega_u, omega_v)], D)
+    return QuadIdeal(*_hnf_from_vectors([(u, v), (omega_u, omega_v)]), D)
 
 
 def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
@@ -216,3 +213,9 @@ def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
     if principal_ideal(alpha) != ideal:
         raise NotPrincipal(f"generator {alpha} does not regenerate {ideal}")
     return alpha
+
+
+def torsion_power_generator(form: QuadForm, p: int) -> QuadraticInteger:
+    """Generator of a^p for the ideal a of a p-torsion class, a coprime to p."""
+    g = coprime_representative(form, p)
+    return principal_generator(ideal_power(form_to_ideal(g), p))

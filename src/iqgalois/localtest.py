@@ -7,10 +7,11 @@ for p = 2) loses nothing: one-units at depth beyond the stored precision
 are already p-th powers, so membership in the finite quotient ring decides
 membership in the full local group.
 
-Closed coordinate forms cover the three splitting types at odd p; a
-brute-force subgroup engine over the finite quotient ring provides an
-independent oracle for p <= 23 and is the production path for the one
-genuinely exotic case, p = 3 ramified with a local cube root of unity.
+Closed coordinate forms cover the three splitting types at odd p when the
+local torsion T_p is trivial.  A brute-force subgroup engine over the
+finite quotient ring is an independent oracle for p <= 23, and the
+production path for every context with local p-power torsion: p = 2, and
+p = 3 ramified with a local cube root of unity.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from functools import lru_cache
 
 from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
-from .idealgen import QuadraticInteger, form_to_ideal, ideal_power, principal_generator
-from .quadform import compose, coprime_representative, prime_form, principal_form, reduce_form
+from .idealgen import QuadraticInteger, torsion_power_generator
+from .quadform import compose, prime_form, principal_form, reduce_form
 
 
 class NotLocalUnit(ValueError):
@@ -107,12 +108,19 @@ class LocalRing:
 
 @dataclass(frozen=True)
 class LocalContext:
+    """The quotient ring at p and what the local test needs of the completion.
+
+    root is a square root of D in the ring when p splits.  torsion holds
+    generators of the local p-power torsion T_p: -1, and i or the split
+    (1, -1) where present, at p = 2; a cube root of unity at p = 3 ramified
+    when the completion has one; nothing otherwise.
+    """
+
     p: int
     splitting: str
     disc: int
     ring: LocalRing
     root: int | None = None
-    local_zeta: Elt | None = None
     torsion: tuple[Elt, ...] = ()
 
 
@@ -131,7 +139,10 @@ class PhiImage:
 
 
 def build_context(d: FundamentalDiscriminant, p: int) -> LocalContext:
-    """Precompute Hensel data for the quotient ring at an odd prime."""
+    """Quotient ring, Hensel root and local p-power torsion at any prime p.
+
+    The ring is O/p^2 at odd p and O/8 at p = 2.
+    """
     if p == 2:
         return _build_context_two(d)
     D = d.value
@@ -139,13 +150,12 @@ def build_context(d: FundamentalDiscriminant, p: int) -> LocalContext:
     splitting = kronecker_at(d, p)
     ring = LocalRing("sqrt", m, D % m, p)
     root = None
-    zeta = None
     torsion: tuple[Elt, ...] = ()
     if splitting == SPLIT:
         root = sqrt_mod_prime_power(D % m, p, 2)
         if root is None or (root * root - D) % m:
             raise InvariantViolation(f"no Hensel square root of {D} mod {m}")
-    elif splitting == RAMIFIED and p == 3 and D != -3:
+    elif splitting == RAMIFIED and p == 3:
         quo = D // -3
         if quo % 3 == 1:
             # the completion contains a cube root of unity:
@@ -156,7 +166,7 @@ def build_context(d: FundamentalDiscriminant, p: int) -> LocalContext:
             if ring.pow(zeta, 3) != ring.one or zeta == ring.one:
                 raise InvariantViolation(f"{zeta} is not a primitive cube root of 1 mod 9")
             torsion = (zeta,)
-    return LocalContext(p, splitting, D, ring, root, zeta, torsion)
+    return LocalContext(p, splitting, D, ring, root, torsion)
 
 
 def _build_context_two(d: FundamentalDiscriminant) -> LocalContext:
@@ -187,7 +197,7 @@ def _build_context_two(d: FundamentalDiscriminant) -> LocalContext:
         if ring.mul(quartic, quartic) != ring.minus_one:
             raise InvariantViolation(f"{quartic} is not a square root of -1 mod 8")
         torsion.append(quartic)
-    return LocalContext(2, splitting, D, ring, root, None, tuple(torsion))
+    return LocalContext(2, splitting, D, ring, root, tuple(torsion))
 
 
 def _fermat_quotient(c: int, p: int) -> int:
@@ -204,34 +214,31 @@ def _check_local_unit(ctx: LocalContext, alpha: QuadraticInteger) -> None:
 
 
 def local_unit_image(ctx: LocalContext, alpha: QuadraticInteger) -> PhiImage:
-    """Coordinates of alpha in O_p^*/T_p (O_p^*)^p via the closed forms.
+    """Class of alpha in O_p^*/T_p (O_p^*)^p.
 
-    split: Fermat quotients of the two CRT components mod p^2.
+    A context with local p-power torsion goes to the enumerative engine.
+    Otherwise the closed forms give coordinates from (x, y) = embed(alpha):
+    split: Fermat quotients of the two CRT components x +- y*root mod p^2.
     inert: beta = alpha^(p^2-1) = 1 + p(x + y s); coordinates (x, y) mod p.
-    ramified: alpha^(p-1) expanded along 1+pi, 1+pi^2 with pi = sqrt(D);
-    the local-zeta case delegates to the enumerative engine.
+    ramified: alpha^(p-1) expanded along 1+pi, 1+pi^2 with pi = sqrt(D).
     """
-    _check_local_unit(ctx, alpha)
-    p = ctx.p
-    if p == 2:
+    if ctx.torsion:
         return generic_membership(ctx, alpha)
-    ring = ctx.ring
+    _check_local_unit(ctx, alpha)
+    p, ring = ctx.p, ctx.ring
     m = p * p
+    elt = x, y = ring.embed(alpha)
     if ctx.splitting == SPLIT:
-        inv2 = pow(2, -1, m)
-        c1 = (alpha.u + alpha.v * ctx.root) * inv2 % m
-        c2 = (alpha.u - alpha.v * ctx.root) * inv2 % m
+        c1, c2 = (x + y * ctx.root) % m, (x - y * ctx.root) % m
         coords = (_fermat_quotient(c1, p), _fermat_quotient(c2, p))
     elif ctx.splitting == INERT:
-        beta = ring.pow(ring.embed(alpha), p * p - 1)
+        beta = ring.pow(elt, p * p - 1)
         x, y = beta
         if (x - 1) % p or y % p:
             raise InvariantViolation(f"{alpha}^(p^2-1) = {beta} is not 1 mod {p}")
         coords = ((x - 1) // p % p, y // p % p)
     else:
-        if ctx.local_zeta is not None:
-            return generic_membership(ctx, alpha)
-        x, y = ring.pow(ring.embed(alpha), p - 1)
+        x, y = ring.pow(elt, p - 1)
         if (x - 1) % p:
             raise InvariantViolation(f"{alpha}^(p-1) = {(x, y)} is not 1 mod pi")
         delta = (ctx.disc % m) // p
@@ -239,7 +246,7 @@ def local_unit_image(ctx: LocalContext, alpha: QuadraticInteger) -> PhiImage:
         c2 = (x - 1) // p * pow(delta, -1, p) % p
         # discrete log against the basis {1 + pi, 1 + pi^2}
         coords = (c1, (c2 - c1 * (c1 - 1) // 2) % p)
-    return PhiImage(coords == (0, 0), coords, ring.embed(alpha))
+    return PhiImage(coords == (0, 0), coords, elt)
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +254,8 @@ def _engine_subgroup(ring: LocalRing, p: int, torsion: tuple[Elt, ...]) -> froze
     """The subgroup T_p * G^p of G = (O/p^k O)^*, fully enumerated.
 
     Prime-to-p torsion needs no generators: an element of order coprime to
-    p is the p-th power of one of its own powers.  Only p-power torsion is
-    passed in (the local zeta at p = 3 ramified; -1 and possibly i at p=2).
+    p is the p-th power of one of its own powers.  Only the context's p-power
+    torsion is passed in.
     """
     units = ring.units()
     powers = {ring.pow(u, p) for u in units}
@@ -353,9 +360,6 @@ def two_direct_check(d: FundamentalDiscriminant) -> str:
     """
     if d.num_prime_divisors != 2:
         raise ValueError("direct check needs an even class number with cyclic 2-part")
-    f = order_two_form(d)
-    g = coprime_representative(f, 2)
-    alpha = principal_generator(ideal_power(form_to_ideal(g), 2))
-    ctx = _build_context_two(d)
-    image = generic_membership(ctx, alpha)
+    alpha = torsion_power_generator(order_two_form(d), 2)
+    image = generic_membership(build_context(d, 2), alpha)
     return "noninjective" if image.trivial else "injective"

@@ -198,7 +198,8 @@ class ClassGroupStructure:
     """Invariant factors and, for each prime q | h, the q-Sylow subgroup.
 
     sylow[q] = (orders, basis): the ascending orders of its Smith normal form
-    and forms of exactly those orders that generate it.
+    and forms of exactly those orders that generate it.  Its keys are the
+    primes of h in ascending order, the order in which classify tests them.
     """
 
     h: int

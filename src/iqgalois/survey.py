@@ -63,12 +63,6 @@ class SurveyRow:
     record: ClassificationRecord
     local_behavior: tuple[tuple[int, str], ...]
 
-    def behavior_at(self, p: int) -> str:
-        for q, tag in self.local_behavior:
-            if q == p:
-                return tag
-        raise KeyError(p)
-
     def to_dict(self) -> dict:
         out = self.record.to_dict()
         out["local_behavior"] = {str(p): tag for p, tag in self.local_behavior}
@@ -240,12 +234,12 @@ class _Checkpoint:
                 os.remove(p)
 
 
-def scan(config: SurveyConfig, _max_blocks: int | None = None) -> Iterator[SurveyRow]:
+def scan(config: SurveyConfig) -> Iterator[SurveyRow]:
     """Classify every fundamental discriminant with d_min <= |D| <= d_max.
 
-    Rows stream in ascending |D|.  _max_blocks stops early after that many
-    blocks (a testing hook simulating an interrupted run); the checkpoint
-    then lets the next call resume where this one stopped.
+    Rows stream in ascending |D|.  Each block's checkpoint is written before
+    its rows are yielded, so a consumer that stops early can resume from the
+    checkpoint where it stopped.
     """
     blocks = []
     lo = config.d_min
@@ -263,8 +257,6 @@ def scan(config: SurveyConfig, _max_blocks: int | None = None) -> Iterator[Surve
             yield from done
     start = ckpt.blocks_done if ckpt else 0
     pending = blocks[start:]
-    if _max_blocks is not None:
-        pending = pending[: max(0, _max_blocks - start)]
 
     def finish(rows: list[SurveyRow]) -> list[SurveyRow]:
         if ckpt is not None:
@@ -308,10 +300,8 @@ def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> None:
         raise InvalidConfig(f"unknown format {fmt!r}")
 
 
-def read_rows(path: str, fmt: str = "json") -> list[SurveyRow]:
-    """Read back what persist wrote (JSON only; CSV flattens the record)."""
-    if fmt != "json":
-        raise InvalidConfig("round-trip reading is supported for JSON")
+def read_rows(path: str) -> list[SurveyRow]:
+    """Read back what persist wrote as JSON (CSV flattens the record)."""
     with open(path, encoding="utf-8") as fh:
         return [SurveyRow.from_dict(obj) for obj in json.load(fh)]
 

@@ -10,7 +10,6 @@ from iqgalois.localtest import (
     GroupTooLarge,
     NotLocalUnit,
     PhiImage,
-    _build_context_two,
     _engine_subgroup,
     build_context,
     generic_membership,
@@ -60,13 +59,13 @@ def test_build_context_inert_has_no_root():
 def test_build_context_ramified_zeta_flag():
     # D/(-3) = 5 = 2 mod 3: no local cube root of unity
     ctx = build_context(validate(-15), 3)
-    assert ctx.splitting == "ramified" and ctx.local_zeta is None
+    assert ctx.splitting == "ramified" and ctx.torsion == ()
     # D/(-3) = 13 = 1 mod 3: the cube root exists and cubes to one
     ctx39 = build_context(validate(-39), 3)
-    assert ctx39.local_zeta is not None
+    (zeta,) = ctx39.torsion
     ring = ctx39.ring
-    assert ring.pow(ctx39.local_zeta, 3) == ring.one
-    assert ctx39.local_zeta != ring.one
+    assert ring.pow(zeta, 3) == ring.one
+    assert zeta != ring.one
 
 
 def test_ramified_zeta_never_set_for_p_at_least_5():
@@ -77,7 +76,7 @@ def test_ramified_zeta_never_set_for_p_at_least_5():
             continue
         for p in (5, 7, 11, 13):
             if m % p == 0:
-                assert build_context(d, p).local_zeta is None
+                assert build_context(d, p).torsion == ()
 
 
 def test_image_of_one_is_trivial():
@@ -121,8 +120,8 @@ def test_generic_membership_constructed_members():
         for _ in range(10):
             beta = random_local_unit(rng, D, p)
             elt = ring.pow(ring.embed(beta), p)
-            if ctx.local_zeta is not None:
-                elt = ring.mul(elt, ctx.local_zeta)
+            for t in ctx.torsion:
+                elt = ring.mul(elt, t)
             h = _engine_subgroup(ring, p, ctx.torsion)
             assert elt in h
 
@@ -141,15 +140,16 @@ def test_engines_agree_on_random_units():
 
 # The engine enumerates (O/p^2)^*, about p^4 units, once per (p, D mod p^2):
 # about a second at p = 23, so the examples are few and test several units.
-# D < -4 is where principal generators, and so the classifier's images, exist.
+# m starts at 3: at D = -3 the local cube root of unity must be in T_p.
 @settings(max_examples=25, deadline=None)
 @given(
-    m=st.integers(5, 10**6).filter(is_fundamental),
+    m=st.integers(3, 10**6).filter(is_fundamental),
     p=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(m=23, p=23, seed=0)
 @example(m=39, p=3, seed=0)
+@example(m=3, p=3, seed=0)
 def test_closed_form_matches_engine_random(m, p, seed):
     # mirrors verify.local_engines on random fields instead of LOCAL_CASES
     D = -m
@@ -165,7 +165,7 @@ def test_coordinates_are_additive():
     rng = random.Random(42)
     for (p, typ), D in GRID.items():
         ctx = build_context(validate(D), p)
-        if ctx.local_zeta is not None:
+        if ctx.torsion:
             continue  # no closed coordinates in the delegated case
         for _ in range(25):
             a, b = random_local_unit(rng, D, p), random_local_unit(rng, D, p)
@@ -182,11 +182,11 @@ def test_group_too_large():
 
 
 def test_quotient_index_is_p_squared():
-    cases = [(3, -23), (3, -7), (3, -15), (3, -39), (5, -19), (5, -23), (5, -20)]
+    cases = [(3, -23), (3, -7), (3, -15), (3, -39), (3, -3), (5, -19), (5, -23), (5, -20)]
     for p, D in cases:
         assert subgroup_index(build_context(validate(D), p)) == p * p
     for D in (-15, -20, -24, -35, -68):
-        assert subgroup_index(_build_context_two(validate(D))) == 4
+        assert subgroup_index(build_context(validate(D), 2)) == 4
 
 
 def test_injectivity_rank_one_and_determinant():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -24,14 +25,20 @@ from iqgalois.survey import (
 
 
 def test_fundamental_mask_matches_validate():
-    mask = fundamental_mask(3, 2000)
-    for i, m in enumerate(range(3, 2000)):
-        try:
-            validate(-m)
-            ok = True
-        except (NotFundamental, NotImaginary):
-            ok = False
-        assert bool(mask[i]) == ok, m
+    for lo, hi in ((3, 2000), (10**6, 10**6 + 20_000)):
+        mask = fundamental_mask(lo, hi)
+        for i, m in enumerate(range(lo, hi)):
+            try:
+                validate(-m)
+                ok = True
+            except (NotFundamental, NotImaginary):
+                ok = False
+            assert bool(mask[i]) == ok, m
+    # both squarefree failures keep their own message
+    with pytest.raises(NotFundamental, match=r"^D = -75 is not squarefree"):
+        validate(-75)
+    with pytest.raises(NotFundamental, match=r"^D/4 = -18 is not squarefree"):
+        validate(-72)
 
 
 def test_bulk_class_numbers_match_enumeration():
@@ -142,8 +149,10 @@ def test_pool_never_exceeds_pending_blocks(monkeypatch):
 def test_checkpoint_resume_byte_identical(tmp_path):
     ck = str(tmp_path / "ckpt")
     cfg = dict(d_min=3, d_max=25000, primes=(2, 3))
-    partial = list(scan(SurveyConfig(**cfg, checkpoint_path=ck), _max_blocks=1))
-    assert partial  # one block processed before the simulated interruption
+    # stop after the rows of the first block: the simulated interruption
+    first_block = len(class_numbers_range(3, 10_003))
+    partial = list(itertools.islice(scan(SurveyConfig(**cfg, checkpoint_path=ck)), first_block))
+    assert len(partial) == first_block
     assert os.path.exists(ck) and os.path.exists(ck + ".rows")
     resumed = rows_to_csv(scan(SurveyConfig(**cfg, checkpoint_path=ck)))
     clean = rows_to_csv(scan(SurveyConfig(**cfg)))
@@ -155,7 +164,7 @@ def test_checkpoint_torn_write_keeps_finished_blocks(tmp_path, monkeypatch):
     # leaves bytes past rows_bytes; the finished blocks must survive
     ck = str(tmp_path / "ckpt")
     config = SurveyConfig(d_min=3, d_max=25000, primes=(2,), checkpoint_path=ck)
-    list(scan(config, _max_blocks=2))
+    list(itertools.islice(scan(config), len(class_numbers_range(3, 20_003))))
     with open(ck + ".rows", "a", encoding="utf-8") as fh:
         fh.write('{"discriminant":-20003,"h":1}\n{"torn')
     computed = []
@@ -196,7 +205,7 @@ def test_persist_round_trip(tmp_path):
     rows = list(scan(SurveyConfig(d_min=3, d_max=400, primes=(2, 3))))
     path = str(tmp_path / "rows.json")
     persist(rows, path, "json")
-    assert read_rows(path, "json") == rows
+    assert read_rows(path) == rows
     csv_path = str(tmp_path / "rows.csv")
     persist(rows, csv_path, "csv")
     with open(csv_path, encoding="utf-8") as fh:
