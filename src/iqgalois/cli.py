@@ -1,8 +1,10 @@
 """Command-line front end: classify, survey, tables, verify.
 
 Exit codes: 0 success, 1 usage or configuration error (or |D| too large),
-2 invalid discriminant, 3 internal error: a failed consistency check, prime
-forms short of the class group, or a number Pollard rho did not split.
+2 invalid discriminant, 3 internal error: a failed consistency check (a
+generator that does not generate its ideal or is not a unit above p among
+them), prime forms short of the class group, or a number Pollard rho did
+not split.
 Discriminants are accepted negative (-d -20) or as |D| with --abs.
 """
 

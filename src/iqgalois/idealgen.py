@@ -2,22 +2,24 @@
 
 Ideals are rank-2 lattices stored as m * (Z*a + Z*(b + sqrt(D))/2) with the
 integer content m split off, so non-primitive products such as the square
-of a ramified prime stay representable.  A principal ideal's generator is
-recovered as a shortest lattice vector by two-dimensional Lagrange-Gauss
-reduction, which is exact: for D < -4 the shortest vectors of (alpha) are
-exactly +-alpha.  torsion_power_generator chains these steps into the
-generator of a^p for a p-torsion class, the input of the local test.
+of a ramified prime stay representable.  Products and powers use the
+Dirichlet composition formula shared with quadform, keeping the content
+gcd(a1, a2, (b1 + b2)/2) that the form class drops.  A principal ideal's
+generator is recovered as a shortest lattice vector by two-dimensional
+Lagrange-Gauss reduction, which is exact: for D < -4 the shortest vectors
+of (alpha) are exactly +-alpha.  torsion_power_generator chains these steps
+into the generator of a^p for a p-torsion class, the input of the local
+test.
 """
 
-import math
 from dataclasses import dataclass
 
-from .arith import InvariantViolation, xgcd
-from .quadform import QuadForm, coprime_representative, reduce_form
+from .arith import InvariantViolation
+from .quadform import QuadForm, compose_unreduced, coprime_representative, reduce_form
 
 
-class NotPrincipal(ValueError):
-    """Shortest vector norm exceeds the ideal norm: the ideal is not principal."""
+class NotPrincipal(InvariantViolation):
+    """The shortest vector does not generate the ideal: an upstream order bug."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,10 @@ class QuadIdeal:
     def norm(self) -> int:
         return self.m * self.m * self.a
 
+    def norm_form(self) -> tuple[int, int, int]:
+        """(a, b, c) with b^2 - 4ac = D, the norm form of the primitive part."""
+        return self.a, self.b, (self.b * self.b - self.disc) // (4 * self.a)
+
     def basis_vectors(self) -> tuple[tuple[int, int], tuple[int, int]]:
         # coordinates (u, v) stand for (u + v*sqrt(D))/2
         return (2 * self.a * self.m, 0), (self.b * self.m, self.m)
@@ -98,57 +104,16 @@ def form_to_ideal(f: QuadForm) -> QuadIdeal:
 
 def ideal_to_form(ideal: QuadIdeal) -> QuadForm:
     """Reduced form of the ideal class (the content m does not move the class)."""
-    a, b, D = ideal.a, ideal.b, ideal.disc
-    return reduce_form(QuadForm(a, b, (b * b - D) // (4 * a)))
-
-
-def _hnf_from_vectors(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """(a, b, m) with the lattice spanned by (u, v) pairs = m * [a, (b + sqrt D)/2].
-
-    b is not normalized; QuadIdeal does that once when the caller builds it.
-    """
-    vecs = [v for v in vectors if v != (0, 0)]
-    g = 0
-    for _, v in vecs:
-        g = math.gcd(g, v)
-    if g == 0:
-        raise ValueError("degenerate lattice")
-    # combine vectors until one reaches v-component g
-    wu, wv = vecs[0]
-    for u2, v2 in vecs[1:]:
-        if wv == g:
-            break
-        gg, x, y = xgcd(wv, v2)
-        wu, wv = x * wu + y * u2, gg
-    if wv != g:
-        raise InvariantViolation(f"vectors {vecs} did not combine to v-content {g}")
-    e = 0
-    for u2, v2 in vecs:
-        e = math.gcd(e, u2 - (v2 // g) * wu)
-    e = abs(e)
-    if not e or e % (2 * g) or wu % g:
-        raise InvariantViolation(f"lattice of {vecs} is not an ideal of the order")
-    return e // (2 * g), wu // g, g
+    return reduce_form(ideal.norm_form())
 
 
 def ideal_multiply(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
-    """Product lattice, Hermite-reduced; norms multiply for invertible ideals."""
-    from .quadform import DiscriminantMismatch
+    """Product by the Dirichlet formula: d * [a3, (b3 + sqrt D)/2] times both contents.
 
-    D = i1.disc
-    if D != i2.disc:
-        raise DiscriminantMismatch(f"{i1} and {i2} have different discriminants")
-    a1, b1 = i1.a, i1.b
-    a2, b2 = i2.a, i2.b
-    # generators a1*a2, a1*beta2, a2*beta1, beta1*beta2 with beta = (b+sqrt D)/2
-    vectors = [
-        (2 * a1 * a2, 0),
-        (a1 * b2, a1),
-        (a2 * b1, a2),
-        ((b1 * b2 + D) // 2, (b1 + b2) // 2),
-    ]
-    a, b, m = _hnf_from_vectors(vectors)
-    return QuadIdeal(a, b, m * i1.m * i2.m, D)
+    At a fundamental D every norm form is primitive, as the formula needs.
+    """
+    d, (a, b, _) = compose_unreduced(i1.norm_form(), i2.norm_form())
+    return QuadIdeal(a, b, d * i1.m * i2.m, i1.disc)
 
 
 def ideal_power(ideal: QuadIdeal, n: int) -> QuadIdeal:
@@ -170,22 +135,13 @@ def ideal_power(ideal: QuadIdeal, n: int) -> QuadIdeal:
     return result
 
 
-def principal_ideal(alpha: QuadraticInteger) -> QuadIdeal:
-    """The ideal alpha * O, from the lattice spanned by alpha and alpha*omega."""
-    D = alpha.disc
-    u, v = alpha.u, alpha.v
-    # omega = (D + sqrt(D))/2 generates the maximal order over Z
-    omega_u = (u * D + v * D) // 2
-    omega_v = (u + v * D) // 2
-    return QuadIdeal(*_hnf_from_vectors([(u, v), (omega_u, omega_v)]), D)
-
-
 def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
     """Generator of a principal ideal as a shortest lattice vector.
 
     Requires D < -4: with unit group {+-1} the generator is unique up to
-    sign, normalized to u > 0 (or v > 0 when u = 0).  Raises NotPrincipal
-    when the shortest vector's norm exceeds the ideal norm, which signals
+    sign, normalized to u > 0 (or v > 0 when u = 0).  The vector lies in the
+    ideal and has its norm, and (alpha) inside I with N(alpha) = N(I) means
+    (alpha) = I.  Raises NotPrincipal when either check fails, which signals
     an upstream order computation bug rather than a recoverable state.
     """
     D = ideal.disc
@@ -210,8 +166,9 @@ def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
     alpha = QuadraticInteger(u, v, D)
     if alpha.norm != ideal.norm:
         raise NotPrincipal(f"{ideal} has shortest norm {alpha.norm} != {ideal.norm}")
-    if principal_ideal(alpha) != ideal:
-        raise NotPrincipal(f"generator {alpha} does not regenerate {ideal}")
+    a, b, m = ideal.a, ideal.b, ideal.m
+    if v % m or (u - b * v) % (2 * a * m):
+        raise NotPrincipal(f"generator {alpha} does not lie in {ideal}")
     return alpha
 
 

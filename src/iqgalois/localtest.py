@@ -23,7 +23,7 @@ from .idealgen import QuadraticInteger, torsion_power_generator
 from .quadform import compose, prime_form, principal_form, reduce_form
 
 
-class NotLocalUnit(ValueError):
+class NotLocalUnit(InvariantViolation):
     """The element is not a unit above p: an upstream coprimality bug."""
 
 

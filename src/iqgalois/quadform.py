@@ -2,13 +2,16 @@
 
 Forms (a, b, c) are positive definite and primitive with b^2 - 4ac = D < 0,
 stored as named int tuples; the reduced representative (|b| <= a <= c,
-b >= 0 on the boundary) is the canonical identifier of an ideal class.  The
-class number is exact: a count of the roots of b^2 = D (mod 4a), checked by
-the enumeration oracle, or the value a caller already knows.  Prime forms
-generate each Sylow subgroup.  A q-Sylow subgroup whose first projected prime
-form has exact order q^e is cyclic with that form as its basis; any other
-is grown as an explicit table of classes with the same walk, and its Smith
-normal form gives the invariant factors and the p-torsion bases.
+b >= 0 on the boundary) is the canonical identifier of an ideal class.
+compose_unreduced is the one Dirichlet composition formula: compose reduces
+its result, and idealgen multiplies ideals with it, keeping the content d
+that the class drops.  The class number is exact: a count of the roots of
+b^2 = D (mod 4a), checked by the enumeration oracle, or the value a caller
+already knows.  Prime forms generate each Sylow subgroup.  A q-Sylow
+subgroup whose first projected prime form has exact order q^e is cyclic
+with that form as its basis; any other is grown as an explicit table of
+classes with the same walk, and its Smith normal form gives the invariant
+factors and the p-torsion bases.
 """
 
 import functools
@@ -97,8 +100,14 @@ def inverse(f: QuadForm) -> QuadForm:
     return reduce_form((f.a, -f.b, f.c))
 
 
-def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Dirichlet composition, returned reduced."""
+def compose_unreduced(
+    f: tuple[int, int, int], g: tuple[int, int, int]
+) -> tuple[int, tuple[int, int, int]]:
+    """Dirichlet composition of two primitive forms, before reduction: (d, (a3, b3, c3)).
+
+    d = gcd(a1, a2, (b1 + b2)/2) is the content of the ideal product:
+    [a1, (b1 + sqrt D)/2] * [a2, (b2 + sqrt D)/2] = d * [a3, (b3 + sqrt D)/2].
+    """
     a1, b1, c1 = f
     a2, b2, c2 = g
     D = b1 * b1 - 4 * a1 * c1
@@ -111,8 +120,12 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     a3 = a1 * a2 // (d1 * d1)
     # congruence solution for the middle coefficient
     b3 = (b2 + 2 * (a2 // d1) * ((w0 * v) * ((b1 - b2) // 2) - t * c2)) % (2 * a3)
-    c3 = (b3 * b3 - D) // (4 * a3)
-    return reduce_form((a3, b3, c3))
+    return d1, (a3, b3, (b3 * b3 - D) // (4 * a3))
+
+
+def compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """Dirichlet composition, returned reduced."""
+    return reduce_form(compose_unreduced(f, g)[1])
 
 
 def power(f: QuadForm, n: int) -> QuadForm:

@@ -6,18 +6,23 @@ equations are solved by exhaustive search, quadratic residues by squaring
 every residue, and reduced forms per |D| by a plain loop over (a, b).
 The Sylow walk is the class-group code as it stood before its cyclic
 shortcut, kept as the reference for it.  Invariant factors of a whole
-class group are read off how many of its classes each q^j kills.
+class group are read off how many of its classes each q^j kills.  Ideal
+products and principal ideals are Hermite-reduced lattices spanned by
+their generators, the reference for the composition formula that idealgen
+shares with quadform.  Quotient membership at p is a search over units
+and torsion words, shared with nothing in localtest's engine.
 """
 
 import functools
+import itertools
 import math
 from collections import deque
 
 import numpy as np
 
-from iqgalois.arith import factorize, smith_normal_form
+from iqgalois.arith import InvariantViolation, factorize, smith_normal_form, xgcd
 from iqgalois.discriminant import NotFundamental, validate
-from iqgalois.idealgen import QuadraticInteger
+from iqgalois.idealgen import QuadIdeal, QuadraticInteger
 from iqgalois.quadform import ClassNumberAmbiguous, _adjoin, compose, power, principal_form
 
 
@@ -74,6 +79,62 @@ def norm_elements(D: int, n: int) -> list[QuadraticInteger]:
     return out
 
 
+def _hnf_from_vectors(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """(a, b, m) with the lattice spanned by (u, v) pairs = m * [a, (b + sqrt D)/2].
+
+    b is not normalized; QuadIdeal does that once when the caller builds it.
+    """
+    vecs = [v for v in vectors if v != (0, 0)]
+    g = 0
+    for _, v in vecs:
+        g = math.gcd(g, v)
+    if g == 0:
+        raise ValueError("degenerate lattice")
+    # combine vectors until one reaches v-component g
+    wu, wv = vecs[0]
+    for u2, v2 in vecs[1:]:
+        if wv == g:
+            break
+        gg, x, y = xgcd(wv, v2)
+        wu, wv = x * wu + y * u2, gg
+    if wv != g:
+        raise InvariantViolation(f"vectors {vecs} did not combine to v-content {g}")
+    e = 0
+    for u2, v2 in vecs:
+        e = math.gcd(e, u2 - (v2 // g) * wu)
+    e = abs(e)
+    if not e or e % (2 * g) or wu % g:
+        raise InvariantViolation(f"lattice of {vecs} is not an ideal of the order")
+    return e // (2 * g), wu // g, g
+
+
+def lattice_multiply(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
+    """Product ideal as the Hermite-reduced lattice of the four generator products."""
+    D = i1.disc
+    assert D == i2.disc, (i1, i2)
+    a1, b1 = i1.a, i1.b
+    a2, b2 = i2.a, i2.b
+    # generators a1*a2, a1*beta2, a2*beta1, beta1*beta2 with beta = (b+sqrt D)/2
+    vectors = [
+        (2 * a1 * a2, 0),
+        (a1 * b2, a1),
+        (a2 * b1, a2),
+        ((b1 * b2 + D) // 2, (b1 + b2) // 2),
+    ]
+    a, b, m = _hnf_from_vectors(vectors)
+    return QuadIdeal(a, b, m * i1.m * i2.m, D)
+
+
+def principal_ideal(alpha: QuadraticInteger) -> QuadIdeal:
+    """The ideal alpha * O, from the lattice spanned by alpha and alpha*omega."""
+    D = alpha.disc
+    u, v = alpha.u, alpha.v
+    # omega = (D + sqrt(D))/2 generates the maximal order over Z
+    omega_u = (u * D + v * D) // 2
+    omega_v = (u + v * D) // 2
+    return QuadIdeal(*_hnf_from_vectors([(u, v), (omega_u, omega_v)]), D)
+
+
 def power_in_order(beta: QuadraticInteger, e: int) -> QuadraticInteger:
     result = QuadraticInteger(2, 0, beta.disc)
     for _ in range(e):
@@ -109,6 +170,39 @@ def random_local_unit(rng, D: int, p: int, span: int | None = None) -> Quadratic
             continue
         if alpha.norm != 0 and alpha.norm % p != 0:
             return alpha
+
+
+def quotient_trivial_brute(ring, p: int, torsion, elt) -> bool:
+    """Is elt = u^p * t for some u of the quotient ring and some word t in torsion?
+
+    A plain search over every ring element u and every word in the torsion
+    generators, multiplying from the ring's defining relation (s^2 = par,
+    or s^2 = s - par for the 'omega' basis) rather than through LocalRing.
+    """
+    mod, par = ring.mod, ring.par
+
+    def mul(x, y):
+        cross = x[0] * y[1] + x[1] * y[0]
+        if ring.kind == "sqrt":
+            return ((x[0] * y[0] + par * x[1] * y[1]) % mod, cross % mod)
+        return ((x[0] * y[0] - par * x[1] * y[1]) % mod, (cross + x[1] * y[1]) % mod)
+
+    one = (1, 0)
+    words = {one}
+    for g in torsion:
+        step, x = set(words), g
+        while x != one:
+            step |= {mul(w, x) for w in words}
+            x = mul(x, g)
+        words = step
+    target = (elt[0] % mod, elt[1] % mod)
+    for u in itertools.product(range(mod), repeat=2):
+        up = one
+        for _ in range(p):
+            up = mul(up, u)
+        if any(mul(up, t) == target for t in words):
+            return True
+    return False
 
 
 def reduced_form_counts_loop(lo: int, hi: int) -> np.ndarray:

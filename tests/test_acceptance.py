@@ -12,7 +12,7 @@ import random
 from iqgalois import verify
 from iqgalois.classify import torsion_power_generator
 from iqgalois.discriminant import genus_two_rank, validate
-from iqgalois.idealgen import form_to_ideal, ideal_power, principal_ideal
+from iqgalois.idealgen import form_to_ideal, ideal_power
 from iqgalois.localtest import build_context, local_unit_image
 from iqgalois.quadform import class_group, coprime_representative, p_torsion_basis
 from iqgalois.survey import (
@@ -25,7 +25,7 @@ from iqgalois.survey import (
     table3,
 )
 
-from _oracles import is_perfect_power, random_local_unit
+from _oracles import is_perfect_power, principal_ideal, random_local_unit
 
 
 def _report(n: int, text: str) -> None:

@@ -142,13 +142,19 @@ def test_broken_invariant_exits_3_under_optimize():
     assert proc.stderr.startswith("internal error: ") and "Traceback" not in proc.stderr
 
 
-# One broken dependency per module, each caught by a check of that module
-# on classify -23 (h = 3, and 3 splits in Q(sqrt(-23))).
+# One broken dependency per module on classify -23 (h = 3, and 3 splits in
+# Q(sqrt(-23))), each caught by a check of that module or the next one down.
 BROKEN = {
-    # idealgen: Bezout coefficients that combine no lattice vectors
+    # idealgen: a p-th power that is the ideal itself, not principal
     "idealgen": (
-        "sys.modules['iqgalois.idealgen'].xgcd = lambda a, b: (math.gcd(a, b), 0, 0)",
-        "is not an ideal of the order",
+        "sys.modules['iqgalois.idealgen'].ideal_power = lambda ideal, n: ideal",
+        "has shortest norm 4 != 2",
+    ),
+    # classify: a generator that is not a unit above p, caught by localtest
+    "classify": (
+        "sys.modules['iqgalois.classify'].torsion_power_generator = "
+        "lambda form, p: sys.modules['iqgalois.idealgen'].QuadraticInteger(6, 0, -23)",
+        "has norm divisible by 3",
     ),
     # localtest: no square root of D mod p^2 where p splits
     "localtest": (
@@ -164,7 +170,7 @@ BROKEN = {
 def test_broken_module_check_exits_3_under_optimize(module):
     patch, message = BROKEN[module]
     script = (
-        "import math, sys\n"
+        "import sys\n"
         "from iqgalois.cli import main\n"
         f"{patch}\n"
         "sys.exit(main(['classify', '-d', '-23']))\n"

@@ -2,14 +2,21 @@
 
 Any change to `scan` CSV, survey JSON or `classify --json` output shows up
 here.  The primes list is deliberately unsorted: rows are keyed by sorted,
-deduplicated primes.
+deduplicated primes.  The generator digest pins the ring elements behind
+the verdicts, not only the verdicts: a change to the ideal products that
+kept every class but moved a generator would show up there.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from iqgalois.cli import main
+from iqgalois.discriminant import validate
+from iqgalois.idealgen import torsion_power_generator
+from iqgalois.quadform import RankOverflow, class_group, p_torsion_basis
+from iqgalois.survey import class_numbers_range
 
 CLASSIFY_DIGESTS = {
     -4: "540e809eb215af20431a411a2b86fc58fbaca9682a9bc86d78bd549d81c6122f",
@@ -47,3 +54,25 @@ def test_golden_classify_json(D, capsys):
     assert main(["classify", "-d", str(D), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_DIGESTS[D]
+
+
+def test_golden_torsion_power_generators():
+    # (D, p, u, v) of every generator at odd p over the fundamental |D| < 20,000
+    data = []
+    for m, h in class_numbers_range(3, 20_000):
+        cg = class_group(validate(-m), known_h=h)
+        for p in cg.sylow:
+            if p == 2:
+                continue
+            try:
+                basis = p_torsion_basis(cg, p)
+            except RankOverflow:
+                continue
+            for form in basis:
+                alpha = torsion_power_generator(form, p)
+                data.append([-m, p, alpha.u, alpha.v])
+    blob = json.dumps(data, separators=(",", ":")).encode()
+    assert len(data) == 6185
+    assert hashlib.sha256(blob).hexdigest() == (
+        "33198363c1f98f8a5b1d6b4bef6fe3f6aa04d09769174897d5c69ed1b066984c"
+    )

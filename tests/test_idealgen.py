@@ -11,10 +11,11 @@ from iqgalois.idealgen import (
     ideal_power,
     ideal_to_form,
     principal_generator,
-    principal_ideal,
     unit_ideal,
 )
 from iqgalois.quadform import DiscriminantMismatch, QuadForm, enumerate_reduced_forms
+
+from _oracles import principal_ideal
 
 
 def test_quadratic_integer_integrality():
@@ -97,6 +98,16 @@ def test_principal_generator_sign_normalization():
 def test_principal_generator_not_principal():
     with pytest.raises(NotPrincipal):
         principal_generator(QuadIdeal(3, 1, 1, -23))
+
+
+def test_principal_generator_rejects_vector_outside_ideal(monkeypatch):
+    # reduce the conjugate's lattice: its generator has the right norm, 27,
+    # but lies outside the cube, so only the membership check can object
+    cube = ideal_power(QuadIdeal(3, 1, 1, -23), 3)
+    conj_basis = ideal_power(QuadIdeal(3, -1, 1, -23), 3).basis_vectors()
+    monkeypatch.setattr(QuadIdeal, "basis_vectors", lambda self: conj_basis)
+    with pytest.raises(NotPrincipal, match="does not lie in"):
+        principal_generator(cube)
 
 
 def test_principal_generator_rejects_extra_units():

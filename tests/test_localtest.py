@@ -22,7 +22,7 @@ from iqgalois.localtest import (
 )
 from iqgalois.quadform import QuadForm
 
-from _oracles import is_fundamental, random_local_unit
+from _oracles import is_fundamental, quotient_trivial_brute, random_local_unit
 
 # one discriminant per (prime, splitting type); all verified fundamental
 GRID = {
@@ -159,6 +159,26 @@ def test_closed_form_matches_engine_random(m, p, seed):
         alpha = random_local_unit(rng, D, p)
         closed = local_unit_image(ctx, alpha)
         assert closed.trivial == generic_membership(ctx, alpha).trivial, (p, D, alpha)
+
+
+# Every context with local p-power torsion goes to the engine, so the closed
+# forms cannot check it: p = 3 ramified with a cube root of unity, and p = 2
+# at odd D split and inert, D = 4 mod 8 with and without i, and D = 0 mod 8.
+TORSION_CASES = [(3, -39), (3, -3), (2, -15), (2, -35), (2, -68), (2, -20), (2, -24)]
+
+
+@pytest.mark.parametrize("p, D", TORSION_CASES)
+def test_engine_matches_brute_search_with_torsion(p, D):
+    ctx = build_context(validate(D), p)
+    assert ctx.torsion
+    rng = random.Random(D * p)
+    seen = set()
+    for _ in range(60):
+        alpha = random_local_unit(rng, D, p)
+        trivial = generic_membership(ctx, alpha).trivial
+        assert trivial == quotient_trivial_brute(ctx.ring, p, ctx.torsion, ctx.ring.embed(alpha))
+        seen.add(trivial)
+    assert seen == {True, False}
 
 
 def test_coordinates_are_additive():

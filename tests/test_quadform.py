@@ -28,7 +28,7 @@ from iqgalois.quadform import (
 )
 from iqgalois.survey import fundamental_mask, reduced_form_counts
 
-from _oracles import invariant_factors_by_counting, is_fundamental, sl2_orbit
+from _oracles import invariant_factors_by_counting, is_fundamental, lattice_multiply, sl2_orbit
 
 
 def test_reduce_fixed_point():
@@ -98,14 +98,16 @@ def test_group_laws_random(D):
 
 @pytest.mark.parametrize("D", [-23, -84, -479])
 def test_compose_agrees_with_ideal_multiplication(D):
-    # dual route: composition of forms must track multiplication of lattices
+    # dual route: composition of forms must track multiplication of lattices,
+    # and the ideal product (content included) must be the lattice product
     rng = random.Random(D)
     forms = enumerate_reduced_forms(D)
     for _ in range(30):
         f, g = rng.choice(forms), rng.choice(forms)
-        via_forms = compose(f, g)
-        via_ideals = ideal_to_form(ideal_multiply(form_to_ideal(f), form_to_ideal(g)))
-        assert via_forms == via_ideals
+        i, j = form_to_ideal(f), form_to_ideal(g)
+        lattice = lattice_multiply(i, j)
+        assert compose(f, g) == ideal_to_form(lattice)
+        assert ideal_multiply(i, j) == lattice
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,8 +116,10 @@ def test_compose_matches_ideal_multiplication_random(m, data):
     forms = enumerate_reduced_forms(-m)
     f = data.draw(st.sampled_from(forms))
     g = data.draw(st.sampled_from(forms))
-    via_ideals = ideal_to_form(ideal_multiply(form_to_ideal(f), form_to_ideal(g)))
-    assert compose(f, g) == via_ideals
+    i, j = form_to_ideal(f), form_to_ideal(g)
+    lattice = lattice_multiply(i, j)
+    assert compose(f, g) == ideal_to_form(lattice)
+    assert ideal_multiply(i, j) == lattice
 
 
 def test_class_group_examples():
