@@ -1,4 +1,4 @@
-"""The BENCH_*.json format shared by the bench scripts.
+"""The BENCH_*.json format and the timing loop shared by the bench scripts.
 
 A file holds one layer name and, under "entries", one entry per --label:
 the host it ran on and the measured blocks.  Entries with other labels are
@@ -9,6 +9,8 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,21 @@ def label_from_argv(description: str) -> str:
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     return parser.parse_args().label
+
+
+def timed(fn, repeats: int) -> tuple[list, dict]:
+    """Call fn() repeats times: its results, and the median_s, min_s and repeats fields."""
+    results, times = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        results.append(fn())
+        times.append(time.perf_counter() - t0)
+    stats = {
+        "median_s": round(statistics.median(times), 4),
+        "min_s": round(min(times), 4),
+        "repeats": repeats,
+    }
+    return results, stats
 
 
 def write_entry(out: Path, layer: str, label: str, blocks: list[dict]) -> None:

@@ -18,11 +18,9 @@ between entries.
 
 import hashlib
 import json
-import statistics
-import time
 from pathlib import Path
 
-from _entry import label_from_argv, write_entry
+from _entry import label_from_argv, timed, write_entry
 from iqgalois import quadform
 from iqgalois.discriminant import validate
 from iqgalois.survey import BLOCK_SIZE, class_numbers_range
@@ -65,20 +63,16 @@ def count_compose(fields) -> int:
 
 def measure(start: int) -> dict:
     fields = [(validate(-m), h) for m, h in class_numbers_range(start, start + BLOCK_SIZE)]
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        groups = [quadform.class_group(d, known_h=h) for d, h in fields]
-        times.append(time.perf_counter() - t0)
+    results, timing = timed(
+        lambda: [quadform.class_group(d, known_h=h) for d, h in fields], REPEATS
+    )
     return {
         "start": start,
         "width": BLOCK_SIZE,
         "fields": len(fields),
-        "median_s": round(statistics.median(times), 4),
-        "min_s": round(min(times), 4),
-        "repeats": REPEATS,
+        **timing,
         "compose_calls": count_compose(fields),
-        "sylow_sha256": sylow_digest(groups),
+        "sylow_sha256": sylow_digest(results[-1]),
     }
 
 

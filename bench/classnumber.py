@@ -15,11 +15,9 @@ Each block is one field: D, the h it returned (which must agree between
 entries), and the median and minimum wall time of REPEATS calls.
 """
 
-import statistics
-import time
 from pathlib import Path
 
-from _entry import label_from_argv, write_entry
+from _entry import label_from_argv, timed, write_entry
 from iqgalois import quadform
 
 FIELDS = (-100000007, -1000000007, -10000000019, -100000000003, -1000000000039)
@@ -28,19 +26,9 @@ OUT = Path(__file__).resolve().parent.parent / "BENCH_6.json"
 
 
 def measure(D: int) -> dict:
-    times, values = [], set()
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        values.add(quadform.class_number(D))
-        times.append(time.perf_counter() - t0)
-    (h,) = values
-    return {
-        "D": D,
-        "h": h,
-        "median_s": round(statistics.median(times), 4),
-        "min_s": round(min(times), 4),
-        "repeats": REPEATS,
-    }
+    values, timing = timed(lambda: quadform.class_number(D), REPEATS)
+    (h,) = set(values)  # every repeat must return the same h
+    return {"D": D, "h": h, **timing}
 
 
 def main() -> None:

@@ -19,11 +19,9 @@ which must agree between entries.
 
 import hashlib
 import json
-import statistics
-import time
 from pathlib import Path
 
-from _entry import label_from_argv, write_entry
+from _entry import label_from_argv, timed, write_entry
 from iqgalois import idealgen
 from iqgalois.discriminant import validate
 from iqgalois.quadform import RankOverflow, class_group, p_torsion_basis
@@ -52,20 +50,16 @@ def generator_jobs(start: int) -> list[tuple[int, object, int]]:
 
 def measure(start: int) -> dict:
     jobs = generator_jobs(start)
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        alphas = [idealgen.torsion_power_generator(form, p) for _, form, p in jobs]
-        times.append(time.perf_counter() - t0)
-    data = [[D, p, a.u, a.v] for (D, _, p), a in zip(jobs, alphas)]
+    results, timing = timed(
+        lambda: [idealgen.torsion_power_generator(form, p) for _, form, p in jobs], REPEATS
+    )
+    data = [[D, p, a.u, a.v] for (D, _, p), a in zip(jobs, results[-1])]
     digest = hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
     return {
         "start": start,
         "width": BLOCK_SIZE,
         "generators": len(jobs),
-        "median_s": round(statistics.median(times), 4),
-        "min_s": round(min(times), 4),
-        "repeats": REPEATS,
+        **timing,
         "generator_sha256": digest,
     }
 

@@ -14,11 +14,9 @@ the sha256 of the counts, which must agree between entries.
 """
 
 import hashlib
-import statistics
-import time
 from pathlib import Path
 
-from _entry import label_from_argv, write_entry
+from _entry import label_from_argv, timed, write_entry
 from iqgalois.survey import BLOCK_SIZE, reduced_form_counts
 
 STARTS = (3, 10**5, 10**6, 10**7)
@@ -27,18 +25,12 @@ OUT = Path(__file__).resolve().parent.parent / "BENCH_3.json"
 
 
 def measure(start: int) -> dict:
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        counts = reduced_form_counts(start, start + BLOCK_SIZE)
-        times.append(time.perf_counter() - t0)
+    results, timing = timed(lambda: reduced_form_counts(start, start + BLOCK_SIZE), REPEATS)
     return {
         "start": start,
         "width": BLOCK_SIZE,
-        "median_s": round(statistics.median(times), 4),
-        "min_s": round(min(times), 4),
-        "repeats": REPEATS,
-        "counts_sha256": hashlib.sha256(counts.tobytes()).hexdigest(),
+        **timing,
+        "counts_sha256": hashlib.sha256(results[-1].tobytes()).hexdigest(),
     }
 
 

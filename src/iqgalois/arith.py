@@ -1,5 +1,5 @@
 """Integer arithmetic primitives: primes, factoring, Kronecker symbols,
-square roots in Z/p^k, and a small Smith normal form.
+square roots in Z/p^k, a small Smith normal form, and square-and-multiply.
 
 Everything here is exact integer arithmetic; no external math libraries.
 """
@@ -19,6 +19,23 @@ class InvariantViolation(RuntimeError):
     Raised explicitly rather than by assert, so the check also runs under
     python -O.
     """
+
+
+def square_and_multiply(x, n: int, mul):
+    """x^n for n >= 1 under the associative product mul, left to right.
+
+    From the top set bit of n down: bit_length(n) - 1 squarings and
+    popcount(n) - 1 products by x, none by an identity and none past the
+    last bit (Cohen, GTM 138, section 1.2).
+    """
+    if n < 1:
+        raise ValueError(f"exponent {n} is not positive")
+    result = x
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def small_primes() -> list[int]:

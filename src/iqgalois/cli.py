@@ -10,7 +10,6 @@ Discriminants are accepted negative (-d -20) or as |D| with --abs.
 
 import argparse
 import json
-import os
 import sys
 
 from . import verify
@@ -64,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sur.add_argument("--primes", type=str, default="2,3,5,7")
     p_sur.add_argument("--out", type=str, required=True)
     p_sur.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sur.add_argument("--workers", type=int, default=_default_workers())
+    p_sur.add_argument("--workers", type=int, default=1)
     p_sur.add_argument("--checkpoint", type=str, default=None)
     p_sur.set_defaults(func=_cmd_survey)
 
@@ -83,13 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--bound", type=int, default=100_000, help="|D| sweep bound for 'two'")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("IQGALOIS_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_classify(args) -> int:
@@ -119,9 +111,8 @@ def _cmd_survey(args) -> int:
         workers=args.workers,
         checkpoint_path=args.checkpoint,
     )
-    rows = list(scan(config))
-    persist(rows, args.out, args.format)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    n = persist(scan(config), args.out, args.format)
+    print(f"wrote {n} rows to {args.out}")
     return 0
 
 

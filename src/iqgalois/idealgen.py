@@ -2,19 +2,20 @@
 
 Ideals are rank-2 lattices stored as m * (Z*a + Z*(b + sqrt(D))/2) with the
 integer content m split off, so non-primitive products such as the square
-of a ramified prime stay representable.  Products and powers use the
-Dirichlet composition formula shared with quadform, keeping the content
-gcd(a1, a2, (b1 + b2)/2) that the form class drops.  A principal ideal's
-generator is recovered as a shortest lattice vector by two-dimensional
-Lagrange-Gauss reduction, which is exact: for D < -4 the shortest vectors
-of (alpha) are exactly +-alpha.  torsion_power_generator chains these steps
-into the generator of a^p for a p-torsion class, the input of the local
-test.
+of a ramified prime stay representable.  Products use the Dirichlet
+composition formula shared with quadform, keeping the content
+gcd(a1, a2, (b1 + b2)/2) that the form class drops; powers use the
+square-and-multiply loop of arith, as quadform.power does.  A principal
+ideal's generator is recovered as a shortest lattice vector by
+two-dimensional Lagrange-Gauss reduction, which is exact: for D < -4 the
+shortest vectors of (alpha) are exactly +-alpha.  torsion_power_generator
+chains these steps into the generator of a^p for a p-torsion class, the
+input of the local test.
 """
 
 from dataclasses import dataclass
 
-from .arith import InvariantViolation
+from .arith import InvariantViolation, square_and_multiply
 from .quadform import QuadForm, compose_unreduced, coprime_representative, reduce_form
 
 
@@ -117,22 +118,12 @@ def ideal_multiply(i1: QuadIdeal, i2: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_power(ideal: QuadIdeal, n: int) -> QuadIdeal:
-    """n-th power, n >= 0, by square-and-multiply from the top set bit of n.
-
-    No step multiplies by the unit ideal, and none squares past the last
-    bit, the largest product of the loop; every product by the base is one
-    by `ideal` itself.
-    """
+    """n-th power, n >= 0, by arith.square_and_multiply with ideal_multiply."""
     if n < 0:
         raise ValueError("negative ideal powers are not needed here")
     if n == 0:
         return unit_ideal(ideal.disc)
-    result = ideal
-    for bit in bin(n)[3:]:
-        result = ideal_multiply(result, result)
-        if bit == "1":
-            result = ideal_multiply(result, ideal)
-    return result
+    return square_and_multiply(ideal, n, ideal_multiply)
 
 
 def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:

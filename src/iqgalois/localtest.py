@@ -17,7 +17,7 @@ p = 3 ramified with a local cube root of unity.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power
+from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power, square_and_multiply
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
 from .idealgen import QuadraticInteger, torsion_power_generator
 from .quadform import compose, prime_form, principal_form, reduce_form
@@ -67,13 +67,8 @@ class LocalRing:
         return ((x[0] * y[0] - self.par * x[1] * y[1]) % m, cross % m)
 
     def pow(self, x: Elt, e: int) -> Elt:
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return result
+        """x^e for e >= 0, by arith.square_and_multiply with mul."""
+        return square_and_multiply(x, e, self.mul) if e else self.one
 
     def norm(self, x: Elt) -> int:
         if self.kind == "sqrt":

@@ -5,13 +5,14 @@ stored as named int tuples; the reduced representative (|b| <= a <= c,
 b >= 0 on the boundary) is the canonical identifier of an ideal class.
 compose_unreduced is the one Dirichlet composition formula: compose reduces
 its result, and idealgen multiplies ideals with it, keeping the content d
-that the class drops.  The class number is exact: a count of the roots of
-b^2 = D (mod 4a), checked by the enumeration oracle, or the value a caller
-already knows.  Prime forms generate each Sylow subgroup.  A q-Sylow
-subgroup whose first projected prime form has exact order q^e is cyclic
-with that form as its basis; any other is grown as an explicit table of
-classes with the same walk, and its Smith normal form gives the invariant
-factors and the p-torsion bases.
+that the class drops; power raises a class by arith.square_and_multiply.
+The class number is exact: a count of the roots of b^2 = D (mod 4a),
+checked by the enumeration oracle, or the value a caller already knows.
+Prime forms generate each Sylow subgroup.  A q-Sylow subgroup whose first
+projected prime form has exact order q^e is cyclic with that form as its
+basis; any other is grown as an explicit table of classes with the same
+walk, and its Smith normal form gives the invariant factors and the
+p-torsion bases.
 """
 
 import functools
@@ -23,7 +24,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .arith import InvariantViolation, factorize, kronecker, small_primes, smith_normal_form
-from .arith import sqrt_mod_prime, sqrt_mod_prime_power, xgcd
+from .arith import sqrt_mod_prime, sqrt_mod_prime_power, square_and_multiply, xgcd
 from .discriminant import FundamentalDiscriminant, validate
 
 # largest |D| for class_number, whose tables grow like sqrt|D| (70 MB at 10^13)
@@ -131,22 +132,16 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
 def power(f: QuadForm, n: int) -> QuadForm:
     """n-th composition power of the class of f (n may be negative).
 
-    Square-and-multiply from the top set bit of |n| down: no step composes
-    with the identity and none squares past the last bit, so n > 0 costs
-    bit_length(n) - 1 squarings and popcount(n) - 1 products.  f is reduced
-    first, so an invalid f raises ValueError also for n = 0.
+    arith.square_and_multiply on |n| with compose, looked up when power is
+    called: bit_length(n) - 1 squarings and popcount(n) - 1 products.  f is
+    reduced first, so an invalid f raises ValueError also for n = 0.
     """
     if n < 0:
         f, n = inverse(f), -n
     base = reduce_form(f)
     if n == 0:
         return principal_form(base.disc)
-    result = base
-    for bit in bin(n)[3:]:
-        result = compose(result, result)
-        if bit == "1":
-            result = compose(result, base)
-    return result
+    return square_and_multiply(base, n, compose)
 
 
 def enumerate_reduced_forms(D: int) -> list[QuadForm]:
@@ -413,12 +408,13 @@ def coprime_representative(f: QuadForm, p: int) -> QuadForm:
     """An equivalent form whose leading coefficient is coprime to p.
 
     One of (1,0), (0,1), (1,1) always evaluates coprime to p for a
-    primitive form; the unimodular change of variables sending (1,0) there
-    preserves the class.
+    primitive form: if p divides a = f(1,0) and c = f(0,1), then f(1,1) = b
+    mod p, and p does not divide b.  The unimodular change of variables
+    sending (1,0) there preserves the class.
     """
     if not f.is_primitive():
         raise ValueError(f"{f} is not primitive")
-    for x, y in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)):
+    for x, y in ((1, 0), (0, 1), (1, 1)):
         if math.gcd(f.value(x, y), p) == 1:
             break
     else:

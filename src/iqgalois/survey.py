@@ -10,6 +10,7 @@ and a checkpoint after every block makes interrupted scans resumable
 without recomputation.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -150,6 +151,12 @@ def class_numbers_range(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(int(m + lo), int(counts[m])) for m in np.nonzero(mask)[0]]
 
 
+def _blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
+    """The consecutive [start, end) blocks of at most width |D| that cover [lo, hi)."""
+    for start in range(lo, hi, width):
+        yield start, min(start + width, hi)
+
+
 def _classify_row(m: int, h: int, primes: tuple[int, ...]) -> SurveyRow:
     d = validate(-m)
     record = classify_validated(d, known_h=h, short_circuit=False)
@@ -241,13 +248,6 @@ def scan(config: SurveyConfig) -> Iterator[SurveyRow]:
     its rows are yielded, so a consumer that stops early can resume from the
     checkpoint where it stopped.
     """
-    blocks = []
-    lo = config.d_min
-    while lo <= config.d_max:
-        hi = min(lo + BLOCK_SIZE, config.d_max + 1)
-        blocks.append((lo, hi, config.primes))
-        lo = hi
-
     ckpt = _Checkpoint(config.checkpoint_path, config) if config.checkpoint_path else None
     if ckpt is not None:
         done = ckpt.load()
@@ -255,49 +255,58 @@ def scan(config: SurveyConfig) -> Iterator[SurveyRow]:
             ckpt.reset()
         else:
             yield from done
-    start = ckpt.blocks_done if ckpt else 0
-    pending = blocks[start:]
+    start = config.d_min + (ckpt.blocks_done if ckpt else 0) * BLOCK_SIZE
+    pending = [(lo, hi, config.primes) for lo, hi in _blocks(start, config.d_max + 1, BLOCK_SIZE)]
+    workers = min(config.workers, len(pending))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool:
+        for rows in (pool.map if workers > 1 else map)(_scan_block, pending):
+            if ckpt is not None:
+                ckpt.append_block(rows)
+            yield from rows
 
-    def finish(rows: list[SurveyRow]) -> list[SurveyRow]:
-        if ckpt is not None:
-            ckpt.append_block(rows)
-        return rows
 
-    if config.workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(pending))) as pool:
-            for rows in pool.map(_scan_block, pending):
-                yield from finish(rows)
-    else:
-        for block in pending:
-            yield from finish(_scan_block(block))
+def _csv_lines(row: SurveyRow) -> list[str]:
+    """The CSV lines of one row: one per tracked prime, fixed column order."""
+    rec = row.record
+    cg = "x".join(str(d) for d in rec.class_group) if rec.class_group else "1"
+    return [
+        f"{rec.discriminant},{rec.h},{cg},{rec.two_rank},{p},{tag},"
+        f"{rec.status_at(p)},{rec.verdict},{str(rec.assumes_converse).lower()}"
+        for p, tag in row.local_behavior
+    ]
 
 
 def rows_to_csv(rows: Iterable[SurveyRow]) -> list[str]:
-    """One line per (field, tracked prime), fixed column order."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        rec = row.record
-        cg = "x".join(str(d) for d in rec.class_group) if rec.class_group else "1"
-        for p, tag in row.local_behavior:
-            lines.append(
-                f"{rec.discriminant},{rec.h},{cg},{rec.two_rank},{p},{tag},"
-                f"{rec.status_at(p)},{rec.verdict},{str(rec.assumes_converse).lower()}"
-            )
-    return lines
+    """The header, then one line per (field, tracked prime)."""
+    return [CSV_HEADER] + [line for row in rows for line in _csv_lines(row)]
 
 
-def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> None:
-    """Write rows to disk as CSV (one line per tracked prime) or JSON."""
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in rows_to_csv(rows):
-                fh.write(line + "\n")
-    elif fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([row.to_dict() for row in rows], fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    else:
+def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> int:
+    """Write rows as CSV lines as they arrive, or as one JSON list; return their number.
+
+    The file is path + ".tmp" until complete, so a failed scan leaves no file at path.
+    """
+    if fmt not in ("csv", "json"):
         raise InvalidConfig(f"unknown format {fmt!r}")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if fmt == "csv":
+                fh.write(CSV_HEADER + "\n")
+                n = 0
+                for n, row in enumerate(rows, 1):
+                    fh.writelines(line + "\n" for line in _csv_lines(row))
+            else:
+                data = [row.to_dict() for row in rows]
+                fh.write(json.dumps(data, indent=1, sort_keys=True) + "\n")
+                n = len(data)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+    return n
 
 
 def read_rows(path: str) -> list[SurveyRow]:
@@ -323,9 +332,8 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
     per_p: dict[int, list[tuple[int, str]]] = {}
     # Blocks bound the memory of the sieve and of the (|D|, h) lists; they are
     # wider than a scan block because each block repeats the sieve's loop over a.
-    step = 10 * BLOCK_SIZE
-    for lo in range(3, bound + 1, step):
-        for m, h in class_numbers_range(lo, min(lo + step, bound + 1)):
+    for lo, hi in _blocks(3, bound + 1, 10 * BLOCK_SIZE):
+        for m, h in class_numbers_range(lo, hi):
             if h <= max_p and is_prime(h):
                 d = validate(-m)
                 record = classify_validated(d, known_h=h)
@@ -339,23 +347,20 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
 
 
 def single_factor_fields(p: int, lower_bound: int, n_fields: int) -> list[tuple[int, int]]:
-    """First n fields with |D| > lower_bound whose h is divisible by p once."""
+    """First n fields with |D| > lower_bound whose h is divisible by p once, within 200 blocks."""
     if n_fields < 1:
         raise InvalidConfig("sample size must be at least 1")
+    if lower_bound < 0:
+        raise InvalidConfig(f"lower bound {lower_bound} is negative")
     out: list[tuple[int, int]] = []
-    lo = lower_bound + 1
-    hard_cap = lower_bound + 200 * BLOCK_SIZE
-    while len(out) < n_fields and lo < hard_cap:
-        hi = lo + BLOCK_SIZE
+    start = lower_bound + 1
+    for lo, hi in _blocks(start, start + 200 * BLOCK_SIZE, BLOCK_SIZE):
         for m, h in class_numbers_range(lo, hi):
             if h % p == 0 and (h // p) % p != 0:
                 out.append((m, h))
                 if len(out) == n_fields:
-                    break
-        lo = hi
-    if len(out) < n_fields:
-        raise InvalidConfig(f"only {len(out)} qualifying fields below the scan cap")
-    return out
+                    return out
+    raise InvalidConfig(f"only {len(out)} qualifying fields below the scan cap")
 
 
 def splitting_status(d: FundamentalDiscriminant, h: int, p: int) -> str:

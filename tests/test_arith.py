@@ -2,7 +2,7 @@ import signal
 
 import pytest
 
-from iqgalois.arith import is_prime, sqrt_mod_prime
+from iqgalois.arith import is_prime, sqrt_mod_prime, square_and_multiply
 
 
 def _timeout(signum, frame):
@@ -28,3 +28,19 @@ def test_sqrt_mod_prime_roots_at_odd_primes():
             r = sqrt_mod_prime(a, p)
             assert (r is not None) == (a in residues), (a, p)
             assert r is None or r * r % p == a, (a, p)
+
+
+def test_square_and_multiply_counts_and_values():
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x * y % 1000003
+
+    for n in range(1, 200):
+        calls.clear()
+        assert square_and_multiply(3, n, mul) == pow(3, n, 1000003)
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            square_and_multiply(3, n, mul)

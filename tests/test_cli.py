@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from iqgalois import cli
+from iqgalois import cli, survey
 from iqgalois.cli import main
 from iqgalois.quadform import ClassNumberAmbiguous
 
@@ -86,6 +86,12 @@ def test_tables_composite_p_exits_1(capsys):
     assert "not a prime" in capsys.readouterr().err
 
 
+def test_tables_negative_lower_bound_exits_1(capsys):
+    assert main(["tables", "--table", "3", "--p", "3", "--N", "5", "--B", "-100"]) == 1
+    assert main(["tables", "--table", "2", "--p", "3", "--N", "5", "--B", "-1"]) == 1
+    assert "lower bound" in capsys.readouterr().err
+
+
 def test_survey_composite_prime_exits_1(tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
     assert main(["survey", "--max", "300", "--primes", "2,4", "--out", out]) == 1
@@ -108,6 +114,28 @@ def test_survey_json_output(tmp_path):
     with open(out, encoding="utf-8") as fh:
         data = json.load(fh)
     assert data and all("verdict" in obj for obj in data)
+
+
+def test_survey_failed_scan_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # the scan raises after its first block: nothing may appear at --out
+    blocks = []
+    scan_block = survey._scan_block
+
+    def failing(block):
+        blocks.append(block)
+        if len(blocks) > 1:
+            raise ValueError("simulated failure in the second block")
+        return scan_block(block)
+
+    monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
+    monkeypatch.setattr(survey, "_scan_block", failing)
+    for fmt in ("csv", "json"):
+        blocks.clear()
+        out = str(tmp_path / f"rows.{fmt}")
+        assert main(["survey", "--max", "300", "--out", out, "--format", fmt]) == 1
+        assert len(blocks) == 2
+    assert "simulated failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_forms(capsys):

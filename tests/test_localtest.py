@@ -68,6 +68,37 @@ def test_build_context_ramified_zeta_flag():
     assert zeta != ring.one
 
 
+@pytest.mark.parametrize(
+    "p, D, kind",
+    [
+        (3, -23, "sqrt"),  # split
+        (5, -23, "sqrt"),  # inert
+        (3, -15, "sqrt"),  # ramified
+        (2, -15, "omega"),
+        (2, -20, "sqrt"),
+    ],
+)
+def test_ring_pow_is_repeated_multiplication(p, D, kind):
+    ring = build_context(validate(D), p).ring
+    assert ring.kind == kind
+    rng = random.Random(p * 1000 - D)
+    elts = [ring.one, ring.minus_one, (0, 1)] + [
+        (rng.randrange(ring.mod), rng.randrange(ring.mod)) for _ in range(5)
+    ]
+    for x in elts:
+        want = ring.one
+        for e in range(41):
+            assert ring.pow(x, e) == want, (x, e)
+            want = ring.mul(want, x)
+
+
+def test_ring_pow_rejects_negative_exponent():
+    # a negative exponent used to loop forever (-1 >> 1 == -1)
+    ring = build_context(validate(-23), 3).ring
+    with pytest.raises(ValueError):
+        ring.pow((1, 1), -1)
+
+
 def test_ramified_zeta_never_set_for_p_at_least_5():
     for m in range(3, 2000):
         try:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iqgalois import quadform
 from iqgalois.arith import small_primes
 from iqgalois.idealgen import QuadIdeal, form_to_ideal, ideal_power, unit_ideal
 from iqgalois.quadform import QuadForm, compose, inverse, power, prime_form, principal_form
@@ -55,3 +56,16 @@ def test_power_zero_still_validates():
     # the principal form is returned only after f itself passed reduction
     with pytest.raises(ValueError):
         power(QuadForm(-1, 1, 1), 0)
+
+
+def test_power_compose_count(monkeypatch):
+    # bit_length(n) - 1 squarings and popcount(n) - 1 products, none by the
+    # identity; counted through the module global that power looks up
+    calls = []
+    real = quadform.compose
+    monkeypatch.setattr(quadform, "compose", lambda f, g: calls.append(1) or real(f, g))
+    f = prime_form(-1000003, 13)
+    for n in range(1, 300):
+        calls.clear()
+        power(f, n)
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n

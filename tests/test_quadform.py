@@ -290,6 +290,22 @@ def test_coprime_representative_examples():
         coprime_representative(QuadForm(5, 5, 15), 5)
 
 
+@pytest.mark.parametrize(
+    "f, p",
+    [
+        (QuadForm(3, 1, 6), 3),
+        (QuadForm(5, 3, 10), 5),
+        (QuadForm(2, 1, 2), 2),
+        (QuadForm(9, 7, 3), 3),  # not reduced
+    ],
+)
+def test_coprime_representative_when_p_divides_a_and_c(f, p):
+    # f(1, 0) = a and f(0, 1) = c vanish mod p, but f(1, 1) = b mod p does not
+    out = coprime_representative(f, p)
+    assert out.a == f.a + f.b + f.c
+    assert out.disc == f.disc and reduce_form(out) == reduce_form(f)
+
+
 def test_coprime_representative_properties():
     rng = random.Random(99)
     for D in (-23, -84, -479, -1051):

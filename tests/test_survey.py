@@ -204,10 +204,10 @@ def test_checkpoint_config_mismatch_restarts(tmp_path):
 def test_persist_round_trip(tmp_path):
     rows = list(scan(SurveyConfig(d_min=3, d_max=400, primes=(2, 3))))
     path = str(tmp_path / "rows.json")
-    persist(rows, path, "json")
+    assert persist(rows, path, "json") == len(rows)
     assert read_rows(path) == rows
     csv_path = str(tmp_path / "rows.csv")
-    persist(rows, csv_path, "csv")
+    assert persist(iter(rows), csv_path, "csv") == len(rows)
     with open(csv_path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines == rows_to_csv(rows)
@@ -219,6 +219,20 @@ def test_persist_bad_path_and_format(tmp_path):
         persist(rows, str(tmp_path / "missing" / "x.csv"), "csv")
     with pytest.raises(InvalidConfig):
         persist(rows, str(tmp_path / "x.bin"), "parquet")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_persist_failed_stream_leaves_no_file(tmp_path):
+    rows = list(scan(SurveyConfig(d_min=3, d_max=200, primes=(2,))))
+
+    def failing():
+        yield from rows
+        raise ValueError("scan failed")
+
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match="scan failed"):
+            persist(failing(), str(tmp_path / f"rows.{fmt}"), fmt)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_table1_rows():
@@ -235,6 +249,25 @@ def test_single_factor_selection():
         assert m > 2000 and h % 3 == 0 and h % 9 != 0
     with pytest.raises(InvalidConfig):
         single_factor_fields(3, 1000, 0)
+    with pytest.raises(InvalidConfig):
+        single_factor_fields(3, -1, 5)
+
+
+def test_single_factor_fields_block_cap_and_early_stop(monkeypatch):
+    calls = []
+    real = survey.class_numbers_range
+    monkeypatch.setattr(
+        survey, "class_numbers_range", lambda lo, hi: calls.append((lo, hi)) or real(lo, hi)
+    )
+    monkeypatch.setattr(survey, "BLOCK_SIZE", 50)
+    # 200 blocks, then the cap: far too few fields for the request
+    with pytest.raises(InvalidConfig):
+        single_factor_fields(3, 0, 10**6)
+    assert len(calls) == 200 and calls[-1] == (9951, 10001)
+    # enough fields in the first two blocks: no third sieve
+    calls.clear()
+    assert len(single_factor_fields(3, 1000, 7)) == 7
+    assert len(calls) == 2
 
 
 def test_table2_smoke():
