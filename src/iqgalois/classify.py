@@ -2,11 +2,11 @@
 
 The pipeline per odd prime p dividing h: pick a torsion basis of the class
 group, move each basis form to a representative coprime to p, pass to the
-ideal side, take the p-th ideal power, recover its generator by lattice
-reduction, and test the generator's image in the local unit quotient.  The
-prime 2 is decided by the discriminant-family classification.  A p-rank of
-3 or more at any prime forces a noninjective map immediately, since the
-target has rank 2.
+ideal side, compute the image in O/p^2 of a generator of the ideal's p-th
+power from compact (small ideal, unit mod p^2) states, and test that image
+in the local unit quotient.  The prime 2 is decided by the
+discriminant-family classification.  A p-rank of 3 or more at any prime
+forces a noninjective map immediately, since the target has rank 2.
 
 A NOT_MINIMAL verdict carries assumes_converse = True: nonsplitting of the
 class-group extension provably forces the minimal Galois group, while the
@@ -99,7 +99,7 @@ def status_at_odd_prime(d: FundamentalDiscriminant, cg: ClassGroupStructure, p: 
     except RankOverflow:
         return RANK_OVERFLOW
     ctx = build_context(d, p)
-    images = [local_unit_image(ctx, torsion_power_generator(form, p)) for form in basis]
+    images = [local_unit_image(ctx, torsion_power_generator(form, p, ctx.ring)) for form in basis]
     return INJECTIVE if injectivity_test(ctx, images) else NONINJECTIVE
 
 

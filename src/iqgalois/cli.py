@@ -78,8 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=_cmd_tables)
 
     p_ver = sub.add_parser("verify", help="run oracle cross-check suites")
-    p_ver.add_argument("--suite", choices=("forms", "local", "two", "all"), default="all")
-    p_ver.add_argument("--bound", type=int, default=100_000, help="|D| sweep bound for 'two'")
+    p_ver.add_argument(
+        "--suite", choices=("forms", "local", "two", "generators", "all"), default="all"
+    )
+    p_ver.add_argument(
+        "--bound", type=int, default=100_000, help="|D| sweep bound for 'two' and 'generators'"
+    )
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 
@@ -144,7 +148,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = ("forms", "local", "two") if args.suite == "all" else (args.suite,)
+    suites = tuple(_VERIFIERS) if args.suite == "all" else (args.suite,)
     ok = True
     for suite in suites:
         failures = _VERIFIERS[suite](args)
@@ -160,6 +164,7 @@ _VERIFIERS = {
     "forms": lambda args: verify.forms(),
     "local": lambda args: verify.quotient_index() + verify.local_engines(),
     "two": lambda args: verify.two_families(verify.two_family_fields(args.bound)),
+    "generators": lambda args: verify.generators(3, args.bound + 1),
 }
 
 

@@ -14,6 +14,7 @@ input of the local test.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .arith import InvariantViolation, square_and_multiply
 from .quadform import QuadForm, compose_unreduced, coprime_representative, reduce_form
@@ -126,6 +127,26 @@ def ideal_power(ideal: QuadIdeal, n: int) -> QuadIdeal:
     return square_and_multiply(ideal, n, ideal_multiply)
 
 
+def reduced_basis(ideal: QuadIdeal) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Lagrange-Gauss reduced basis of the ideal's lattice, shortest vector first.
+
+    Lengths are u^2 + |D| v^2, four times the norm of (u + v*sqrt(D))/2.
+    """
+    w = -ideal.disc
+    (u, v), (x, y) = ideal.basis_vectors()
+    q1 = u * u + w * v * v
+    if q1 > x * x + w * y * y:
+        u, v, x, y, q1 = x, y, u, v, x * x + w * y * y
+    while True:
+        # nearest-integer reduction of (x, y) against (u, v)
+        t = (2 * (u * x + w * v * y) + q1) // (2 * q1)
+        x, y = x - t * u, y - t * v
+        q2 = x * x + w * y * y
+        if q2 >= q1:
+            return (u, v), (x, y)
+        u, v, x, y, q1 = x, y, u, v, q2
+
+
 def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
     """Generator of a principal ideal as a shortest lattice vector.
 
@@ -138,20 +159,7 @@ def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
     D = ideal.disc
     if D >= -4:
         raise ValueError("generator recovery requires D < -4 (extra units otherwise)")
-    w = -D
-    (u, v), (x, y) = ideal.basis_vectors()
-    # 4 * norm of the current shortest vector (u, v)
-    q1 = u * u + w * v * v
-    if q1 > x * x + w * y * y:
-        u, v, x, y, q1 = x, y, u, v, x * x + w * y * y
-    while True:
-        # nearest-integer reduction of (x, y) against (u, v)
-        t = (2 * (u * x + w * v * y) + q1) // (2 * q1)
-        x, y = x - t * u, y - t * v
-        q2 = x * x + w * y * y
-        if q2 >= q1:
-            break
-        u, v, x, y, q1 = x, y, u, v, q2
+    (u, v), _ = reduced_basis(ideal)
     if u < 0 or (u == 0 and v < 0):
         u, v = -u, -v
     alpha = QuadraticInteger(u, v, D)
@@ -163,7 +171,53 @@ def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
     return alpha
 
 
-def torsion_power_generator(form: QuadForm, p: int) -> QuadraticInteger:
-    """Generator of a^p for the ideal a of a p-torsion class, a coprime to p."""
+def explicit_power_generator(form: QuadForm, p: int) -> QuadraticInteger:
+    """Generator of a^p for the ideal a of a p-torsion class, a coprime to p, in full.
+
+    alpha has about p * log2 N(a) / 2 bits.  The oracle for
+    torsion_power_generator, and the p = 2 direct check's generator.
+    """
     g = coprime_representative(form, p)
     return principal_generator(ideal_power(form_to_ideal(g), p))
+
+
+def torsion_power_generator(form: QuadForm, p: int, ring):
+    """Image in ring (the quotient O/p^2 of localtest) of +-alpha, (alpha) = a^p.
+
+    a is the ideal of a coprime representative of the p-torsion class of
+    form.  alpha itself is never built: the running power a^n is kept as a
+    state (I, g), a^n = gamma * I with I integral, small and of norm coprime
+    to p, and g the image of gamma.  The last product I * a is principal, and
+    its shortest vector nu gives alpha = +-gamma * nu.
+    """
+    a = form_to_ideal(coprime_representative(form, p))
+    ideal, g = square_and_multiply((a, ring.one), p - 1, partial(_state_product, ring=ring))
+    nu = principal_generator(ideal_multiply(ideal, a))
+    return ring.mul(g, ring.embed(nu))
+
+
+def _state_product(s1, s2, ring):
+    """(I1, g1) * (I2, g2) with the product ideal J = I1 * I2 made small again.
+
+    For mu in J with A = N(mu)/N(J) prime to p, J = (mu/A) * I' where
+    I' = conj(mu) * J / N(J) is integral of norm A.  One of v1, v2, v1 + v2
+    of J's reduced basis has such an A, by the argument of
+    quadform.coprime_representative on the primitive form N(x*v1 + y*v2)/N(J).
+    """
+    (i1, g1), (i2, g2) = s1, s2
+    j = ideal_multiply(i1, i2)
+    D, n, p = j.disc, j.norm, ring.p
+    v1, v2 = reduced_basis(j)
+    for mu, w in ((v1, v2), (v2, v1), ((v1[0] + v2[0], v1[1] + v2[1]), v1)):
+        a = (mu[0] * mu[0] - D * mu[1] * mu[1]) // (4 * n)
+        if a % p:
+            break
+    else:
+        raise InvariantViolation(f"no basis vector of {j} has norm prime to {p}")
+    # conj(mu) * w = (U + V*sqrt(D))/2 with V = +-N(J), since {mu, w} is a basis of J
+    U = (mu[0] * w[0] - D * mu[1] * w[1]) // 2
+    V = (mu[0] * w[1] - mu[1] * w[0]) // 2
+    if abs(V) != n or U % V:
+        raise InvariantViolation(f"{mu} and {w} do not span {j}")
+    g = ring.mul(ring.mul(g1, g2), ring.embed(QuadraticInteger(mu[0], mu[1], D)))
+    return QuadIdeal(a, U // V, 1, D), ring.mul(g, (pow(a, -1, ring.mod), 0))

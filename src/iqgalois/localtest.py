@@ -5,7 +5,9 @@ the class of a generator of its p-th power inside O_p^* / T_p (O_p^*)^p, a
 two-dimensional F_p-vector space.  Working modulo p^2 for odd p (modulo 8
 for p = 2) loses nothing: one-units at depth beyond the stored precision
 are already p-th powers, so membership in the finite quotient ring decides
-membership in the full local group.
+membership in the full local group.  The entry points take that image, a
+ring element, as idealgen.torsion_power_generator returns it for +-alpha:
+at odd p, -1 = (-1)^p is a p-th power, so the sign moves no class.
 
 Closed coordinate forms cover the three splitting types at odd p when the
 local torsion T_p is trivial.  A brute-force subgroup engine over the
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power, square_and_multiply
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
-from .idealgen import QuadraticInteger, torsion_power_generator
+from .idealgen import QuadraticInteger, explicit_power_generator
 from .quadform import compose, prime_form, principal_form, reduce_form
 
 
@@ -201,28 +203,26 @@ def _fermat_quotient(c: int, p: int) -> int:
     return ((t - 1) // p) % p
 
 
-def _check_local_unit(ctx: LocalContext, alpha: QuadraticInteger) -> None:
-    if alpha.disc != ctx.disc:
-        raise ValueError(f"{alpha} does not live at discriminant {ctx.disc}")
-    if alpha.norm % ctx.p == 0:
-        raise NotLocalUnit(f"{alpha} has norm divisible by {ctx.p}")
+def _check_local_unit(ctx: LocalContext, elt: Elt) -> None:
+    if not ctx.ring.is_unit(elt):
+        raise NotLocalUnit(f"{elt} has norm divisible by {ctx.p}")
 
 
-def local_unit_image(ctx: LocalContext, alpha: QuadraticInteger) -> PhiImage:
-    """Class of alpha in O_p^*/T_p (O_p^*)^p.
+def local_unit_image(ctx: LocalContext, elt: Elt) -> PhiImage:
+    """Class of alpha in O_p^*/T_p (O_p^*)^p, from elt = (x, y), its image in ctx.ring.
 
     A context with local p-power torsion goes to the enumerative engine.
-    Otherwise the closed forms give coordinates from (x, y) = embed(alpha):
+    Otherwise the closed forms give coordinates from (x, y):
     split: Fermat quotients of the two CRT components x +- y*root mod p^2.
     inert: beta = alpha^(p^2-1) = 1 + p(x + y s); coordinates (x, y) mod p.
     ramified: alpha^(p-1) expanded along 1+pi, 1+pi^2 with pi = sqrt(D).
     """
     if ctx.torsion:
-        return generic_membership(ctx, alpha)
-    _check_local_unit(ctx, alpha)
+        return generic_membership(ctx, elt)
+    _check_local_unit(ctx, elt)
     p, ring = ctx.p, ctx.ring
     m = p * p
-    elt = x, y = ring.embed(alpha)
+    x, y = elt
     if ctx.splitting == SPLIT:
         c1, c2 = (x + y * ctx.root) % m, (x - y * ctx.root) % m
         coords = (_fermat_quotient(c1, p), _fermat_quotient(c2, p))
@@ -230,12 +230,12 @@ def local_unit_image(ctx: LocalContext, alpha: QuadraticInteger) -> PhiImage:
         beta = ring.pow(elt, p * p - 1)
         x, y = beta
         if (x - 1) % p or y % p:
-            raise InvariantViolation(f"{alpha}^(p^2-1) = {beta} is not 1 mod {p}")
+            raise InvariantViolation(f"{elt}^(p^2-1) = {beta} is not 1 mod {p}")
         coords = ((x - 1) // p % p, y // p % p)
     else:
         x, y = ring.pow(elt, p - 1)
         if (x - 1) % p:
-            raise InvariantViolation(f"{alpha}^(p-1) = {(x, y)} is not 1 mod pi")
+            raise InvariantViolation(f"{elt}^(p-1) = {(x, y)} is not 1 mod pi")
         delta = (ctx.disc % m) // p
         c1 = y % p
         c2 = (x - 1) // p * pow(delta, -1, p) % p
@@ -271,12 +271,11 @@ def subgroup_index(ctx: LocalContext) -> int:
     return len(ctx.ring.units()) // len(h)
 
 
-def generic_membership(ctx: LocalContext, alpha: QuadraticInteger) -> PhiImage:
-    """Authoritative triviality verdict by exhaustive subgroup membership."""
+def generic_membership(ctx: LocalContext, elt: Elt) -> PhiImage:
+    """Authoritative triviality verdict for elt, in ctx.ring, by exhaustive subgroup membership."""
     if ctx.p > 23:
         raise GroupTooLarge(f"unit group at p={ctx.p} is too large to enumerate")
-    _check_local_unit(ctx, alpha)
-    elt = ctx.ring.embed(alpha)
+    _check_local_unit(ctx, elt)
     h = _engine_subgroup(ctx.ring, ctx.p, ctx.torsion)
     return PhiImage(elt in h, None, elt)
 
@@ -349,12 +348,13 @@ def order_two_form(d: FundamentalDiscriminant):
 def two_direct_check(d: FundamentalDiscriminant) -> str:
     """Run the p = 2 test directly in (O/8O)^*: the oracle for the families.
 
-    Takes the order-2 class on a representative coprime to 2, recovers a
-    generator of its square, and tests membership against the squares times
-    {-1, i where present}.
+    Takes the order-2 class on a representative coprime to 2, builds the
+    generator of its square in full, and tests membership against the
+    squares times {-1, i where present}.
     """
     if d.num_prime_divisors != 2:
         raise ValueError("direct check needs an even class number with cyclic 2-part")
-    alpha = torsion_power_generator(order_two_form(d), 2)
-    image = generic_membership(build_context(d, 2), alpha)
+    alpha = explicit_power_generator(order_two_form(d), 2)
+    ctx = build_context(d, 2)
+    image = generic_membership(ctx, ctx.ring.embed(alpha))
     return "noninjective" if image.trivial else "injective"

@@ -178,6 +178,7 @@ class _Checkpoint:
     """
 
     VERSION = "2"
+    _CHUNK = 1 << 20
 
     def __init__(self, path: str, config: SurveyConfig):
         self.path = path
@@ -187,8 +188,12 @@ class _Checkpoint:
         self.rows_bytes = 0
         self.digest = hashlib.sha256()
 
-    def load(self) -> list[SurveyRow] | None:
-        """Rows of the finished blocks, or None when there is nothing to resume."""
+    def load(self) -> Iterator[SurveyRow] | None:
+        """Rows of the finished blocks, or None when there is nothing to resume.
+
+        The rows file is hashed in chunks and checked against the state file
+        before this returns; the rows are then read back one line at a time.
+        """
         if not (os.path.exists(self.path) and os.path.exists(self.rows_path)):
             return None
         state = {}
@@ -203,18 +208,25 @@ class _Checkpoint:
             blocks_done = int(state["blocks_done"])
         except (KeyError, ValueError):
             return None
+        digest = hashlib.sha256()
         with open(self.rows_path, "r+b") as fh:
-            data = fh.read()
-            if len(data) < rows_bytes:
+            size = fh.seek(0, os.SEEK_END)
+            if size < rows_bytes:
                 return None
-            if len(data) > rows_bytes:
+            if size > rows_bytes:
                 fh.truncate(rows_bytes)
-                data = data[:rows_bytes]
-        digest = hashlib.sha256(data)
+            fh.seek(0)
+            while chunk := fh.read(self._CHUNK):
+                digest.update(chunk)
         if digest.hexdigest() != state.get("rows_digest"):
             return None
         self.blocks_done, self.rows_bytes, self.digest = blocks_done, rows_bytes, digest
-        return [SurveyRow.from_dict(json.loads(line)) for line in data.decode().splitlines()]
+        return self._stored_rows(rows_bytes)
+
+    def _stored_rows(self, size: int) -> Iterator[SurveyRow]:
+        with open(self.rows_path, "rb") as fh:
+            while fh.tell() < size:
+                yield SurveyRow.from_dict(json.loads(fh.readline()))
 
     def append_block(self, rows: list[SurveyRow]) -> None:
         data = "".join(

@@ -3,8 +3,9 @@
 Each suite returns a list of failure descriptions; an empty list means it
 passed.  The oracles are independent of the production paths they check:
 group laws and reduced-form enumeration against the class-number count,
-exhaustive subgroup enumeration against the closed coordinate forms, and
-the direct mod-8 computation against the p = 2 discriminant families.
+exhaustive subgroup enumeration against the closed coordinate forms, the
+explicit generator of a^p against its compact image, and the direct mod-8
+computation against the p = 2 discriminant families.
 """
 
 import random
@@ -12,7 +13,7 @@ import random
 import numpy as np
 
 from .discriminant import FundamentalDiscriminant, genus_two_rank, validate
-from .idealgen import QuadraticInteger
+from .idealgen import QuadraticInteger, explicit_power_generator, torsion_power_generator
 from .localtest import (
     build_context,
     generic_membership,
@@ -21,9 +22,19 @@ from .localtest import (
     two_classification,
     two_direct_check,
 )
-from .quadform import class_number, compose, enumerate_reduced_forms, inverse
-from .quadform import principal_form, reduce_form
-from .survey import fundamental_mask
+from .quadform import (
+    QuadForm,
+    RankOverflow,
+    class_group,
+    class_number,
+    compose,
+    enumerate_reduced_forms,
+    inverse,
+    p_torsion_basis,
+    principal_form,
+    reduce_form,
+)
+from .survey import class_numbers_range, fundamental_mask
 
 FORM_DISCRIMINANTS = (-23, -47, -84, -479, -1051, -3299)
 
@@ -86,9 +97,43 @@ def local_engines() -> list[str]:
             if alpha.norm == 0 or alpha.norm % p == 0:
                 continue
             done += 1
-            if local_unit_image(ctx, alpha).trivial != generic_membership(ctx, alpha).trivial:
+            elt = ctx.ring.embed(alpha)
+            if local_unit_image(ctx, elt).trivial != generic_membership(ctx, elt).trivial:
                 failures.append(f"engines disagree at (p={p}, D={D}) on {alpha}")
                 break
+    return failures
+
+
+def generator_jobs(lo: int, hi: int) -> list[tuple[FundamentalDiscriminant, QuadForm, int]]:
+    """(d, form, p) for every odd-p torsion basis form at fundamental |D| in [lo, hi).
+
+    Primes where the p-rank overflows are skipped.
+    """
+    jobs = []
+    for m, h in class_numbers_range(lo, hi):
+        d = validate(-m)
+        cg = class_group(d, known_h=h)
+        for p in cg.sylow:
+            if p == 2:
+                continue
+            try:
+                basis = p_torsion_basis(cg, p)
+            except RankOverflow:
+                continue
+            jobs.extend((d, form, p) for form in basis)
+    return jobs
+
+
+def generators(lo: int, hi: int) -> list[str]:
+    """The compact generator image is +-embed(explicit generator) for every job in [lo, hi)."""
+    if hi <= max(lo, 3):
+        raise ValueError(f"|D| range [{lo}, {hi}) holds no discriminant")
+    failures = []
+    for d, form, p in generator_jobs(lo, hi):
+        ring = build_context(d, p).ring
+        e = ring.embed(explicit_power_generator(form, p))
+        if torsion_power_generator(form, p, ring) not in (e, ring.mul(e, ring.minus_one)):
+            failures.append(f"D={d.value}, p={p}: compact image of {form} is not +-{e}")
     return failures
 
 

@@ -9,10 +9,11 @@ arithmetic.
 
 import random
 
+import pytest
+
 from iqgalois import verify
-from iqgalois.classify import torsion_power_generator
 from iqgalois.discriminant import genus_two_rank, validate
-from iqgalois.idealgen import form_to_ideal, ideal_power
+from iqgalois.idealgen import explicit_power_generator, form_to_ideal, ideal_power
 from iqgalois.localtest import build_context, local_unit_image
 from iqgalois.quadform import class_group, coprime_representative, p_torsion_basis
 from iqgalois.survey import (
@@ -103,8 +104,9 @@ def test_criterion_4_closed_form_vs_generic_engine():
             continue  # delegated case has no closed coordinates
         for _ in range(100):
             a, b = random_local_unit(rng, D, p), random_local_unit(rng, D, p)
-            ia, ib = local_unit_image(ctx, a), local_unit_image(ctx, b)
-            iab = local_unit_image(ctx, a.mul(b))
+            embed = ctx.ring.embed
+            ia, ib = local_unit_image(ctx, embed(a)), local_unit_image(ctx, embed(b))
+            iab = local_unit_image(ctx, embed(a.mul(b)))
             assert iab.coords == (
                 (ia.coords[0] + ib.coords[0]) % p,
                 (ia.coords[1] + ib.coords[1]) % p,
@@ -137,7 +139,7 @@ def test_criterion_6_generator_recovery():
         for form in p_torsion_basis(cg, p):
             ideal = form_to_ideal(coprime_representative(form, p))
             target = ideal_power(ideal, p)
-            alpha = torsion_power_generator(form, p)
+            alpha = explicit_power_generator(form, p)
             assert alpha.norm == ideal.norm**p
             assert principal_ideal(alpha) == target
             assert not is_perfect_power(alpha, p), (m, p)
@@ -178,3 +180,10 @@ def test_criterion_9_worker_determinism():
     out8 = "\n".join(rows_to_csv(scan(cfg8)))
     assert out1.encode() == out8.encode()
     _report(9, f"scan output byte-identical for 1 and 8 workers on |D| <= {d_max}")
+
+
+# [3, 20000) holds 6,185 generators (pinned by test_golden), [1e7, 1e7 + 2000) 1,077
+@pytest.mark.parametrize("lo, hi", [(3, 20_000), (10**7, 10**7 + 2000)])
+def test_criterion_10_compact_generator_images(lo, hi):
+    assert verify.generators(lo, hi) == []
+    _report(10, f"compact generator images are +-the explicit ones on |D| in [{lo}, {hi})")

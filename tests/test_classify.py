@@ -2,13 +2,9 @@ import random
 
 import pytest
 
-from iqgalois.classify import (
-    classify,
-    classify_validated,
-    torsion_power_generator,
-    verdict_description,
-)
+from iqgalois.classify import classify, classify_validated, verdict_description
 from iqgalois.discriminant import NotFundamental, NotImaginary, validate
+from iqgalois.idealgen import explicit_power_generator
 from iqgalois.quadform import class_group, p_torsion_basis, power, principal_form
 from iqgalois.survey import class_numbers_range
 
@@ -100,7 +96,7 @@ def test_generator_never_perfect_power_for_nontrivial_class():
         for form in p_torsion_basis(cg, p):
             assert power(form, p) == principal_form(-m)
             assert form != principal_form(-m)
-            alpha = torsion_power_generator(form, p)
+            alpha = explicit_power_generator(form, p)
             assert not is_perfect_power(alpha, p), (m, p, alpha)
 
 
@@ -121,7 +117,7 @@ def test_odd_prime_status_agrees_with_generic_engine():
                 continue
             ctx = build_context(d, p)
             images = [
-                generic_membership(ctx, torsion_power_generator(f, p))
+                generic_membership(ctx, ctx.ring.embed(explicit_power_generator(f, p)))
                 for f in p_torsion_basis(cg, p)
             ]
             brute = "injective" if injectivity_test(ctx, images) else "noninjective"

@@ -148,6 +148,16 @@ def test_verify_two_small(capsys):
     assert "suite two: ok" in capsys.readouterr().out
 
 
+def test_verify_generators_small(capsys):
+    assert main(["verify", "--suite", "generators", "--bound", "2000"]) == 0
+    assert "suite generators: ok" in capsys.readouterr().out
+
+
+def test_verify_generators_bound_below_3_exits_1(capsys):
+    assert main(["verify", "--suite", "generators", "--bound", "2"]) == 1
+    assert "holds no discriminant" in capsys.readouterr().err
+
+
 def test_verify_two_bound_below_3_exits_1(capsys):
     assert main(["verify", "--suite", "two", "--bound", "0"]) == 1
     assert "bound must be at least 3" in capsys.readouterr().err
@@ -173,15 +183,15 @@ def test_broken_invariant_exits_3_under_optimize():
 # One broken dependency per module on classify -23 (h = 3, and 3 splits in
 # Q(sqrt(-23))), each caught by a check of that module or the next one down.
 BROKEN = {
-    # idealgen: a p-th power that is the ideal itself, not principal
+    # idealgen: ideal products that return the first factor, so the last
+    # product I * a is the ideal a itself, not principal
     "idealgen": (
-        "sys.modules['iqgalois.idealgen'].ideal_power = lambda ideal, n: ideal",
+        "sys.modules['iqgalois.idealgen'].ideal_multiply = lambda i1, i2: i1",
         "has shortest norm 4 != 2",
     ),
-    # classify: a generator that is not a unit above p, caught by localtest
+    # classify: a generator image that is not a unit above p, caught by localtest
     "classify": (
-        "sys.modules['iqgalois.classify'].torsion_power_generator = "
-        "lambda form, p: sys.modules['iqgalois.idealgen'].QuadraticInteger(6, 0, -23)",
+        "sys.modules['iqgalois.classify'].torsion_power_generator = lambda form, p, ring: (6, 0)",
         "has norm divisible by 3",
     ),
     # localtest: no square root of D mod p^2 where p splits

@@ -13,10 +13,8 @@ import json
 import pytest
 
 from iqgalois.cli import main
-from iqgalois.discriminant import validate
-from iqgalois.idealgen import torsion_power_generator
-from iqgalois.quadform import RankOverflow, class_group, p_torsion_basis
-from iqgalois.survey import class_numbers_range
+from iqgalois.idealgen import explicit_power_generator
+from iqgalois.verify import generator_jobs
 
 CLASSIFY_DIGESTS = {
     -4: "540e809eb215af20431a411a2b86fc58fbaca9682a9bc86d78bd549d81c6122f",
@@ -57,20 +55,12 @@ def test_golden_classify_json(D, capsys):
 
 
 def test_golden_torsion_power_generators():
-    # (D, p, u, v) of every generator at odd p over the fundamental |D| < 20,000
+    # (D, p, u, v) of every explicit generator at odd p over the fundamental
+    # |D| < 20,000; verify.generators checks the compact images against them
     data = []
-    for m, h in class_numbers_range(3, 20_000):
-        cg = class_group(validate(-m), known_h=h)
-        for p in cg.sylow:
-            if p == 2:
-                continue
-            try:
-                basis = p_torsion_basis(cg, p)
-            except RankOverflow:
-                continue
-            for form in basis:
-                alpha = torsion_power_generator(form, p)
-                data.append([-m, p, alpha.u, alpha.v])
+    for d, form, p in generator_jobs(3, 20_000):
+        alpha = explicit_power_generator(form, p)
+        data.append([d.value, p, alpha.u, alpha.v])
     blob = json.dumps(data, separators=(",", ":")).encode()
     assert len(data) == 6185
     assert hashlib.sha256(blob).hexdigest() == (

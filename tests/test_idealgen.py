@@ -2,18 +2,30 @@ import random
 
 import pytest
 
+from iqgalois import idealgen
+from iqgalois.arith import InvariantViolation, square_and_multiply
+from iqgalois.discriminant import validate
 from iqgalois.idealgen import (
     NotPrincipal,
     QuadIdeal,
     QuadraticInteger,
+    explicit_power_generator,
     form_to_ideal,
     ideal_multiply,
     ideal_power,
     ideal_to_form,
     principal_generator,
+    torsion_power_generator,
     unit_ideal,
 )
-from iqgalois.quadform import DiscriminantMismatch, QuadForm, enumerate_reduced_forms
+from iqgalois.localtest import build_context
+from iqgalois.quadform import (
+    DiscriminantMismatch,
+    QuadForm,
+    coprime_representative,
+    enumerate_reduced_forms,
+    power,
+)
 
 from _oracles import principal_ideal
 
@@ -129,3 +141,44 @@ def test_generator_pipeline_properties():
                 alpha = principal_generator(power_ideal)
                 assert alpha.norm == ideal.norm ** (h * p)
                 assert principal_ideal(alpha) == power_ideal
+
+
+def test_compact_generator_image_example():
+    # D = -23, p = 3: a^3 = ((3 - sqrt(-23))/2), of norm 8, for a = [2, (1 + sqrt(-23))/2]
+    ring = build_context(validate(-23), 3).ring
+    form = QuadForm(2, 1, 3)
+    assert explicit_power_generator(form, 3) == QuadraticInteger(3, -1, -23)
+    e = ring.embed(QuadraticInteger(3, -1, -23))
+    assert torsion_power_generator(form, 3, ring) in (e, ring.mul(e, ring.minus_one))
+
+
+def test_state_power_stands_for_the_ideal_power():
+    # the state (I, g) of a^n means a^n = gamma * I with g the image of gamma:
+    # I is primitive, of norm prime to p and in the class of a^n, and
+    # a^n * conj(I) = (gamma * N(I)) recovers g up to sign
+    rng = random.Random(34)
+    for D in (-23, -47, -479, -1051, -3299):
+        forms = enumerate_reduced_forms(D)
+        for p in (3, 5, 7):
+            ring = build_context(validate(D), p).ring
+            f = coprime_representative(rng.choice(forms), p)
+            a = form_to_ideal(f)
+            for n in range(1, 12):
+                ideal, g = square_and_multiply(
+                    (a, ring.one), n, lambda s, t: idealgen._state_product(s, t, ring)
+                )
+                assert ideal.m == 1 and ideal.norm % p
+                assert ideal_to_form(ideal) == power(f, n)
+                conj = QuadIdeal(ideal.a, -ideal.b, 1, D)
+                scaled = principal_generator(ideal_multiply(ideal_power(a, n), conj))
+                e = ring.mul(ring.embed(scaled), (pow(ideal.norm, -1, ring.mod), 0))
+                assert g in (e, ring.mul(e, ring.minus_one)), (D, p, f, n)
+
+
+def test_state_product_rejects_vectors_that_do_not_span(monkeypatch):
+    reduced = idealgen.reduced_basis
+    doubled = lambda j: tuple((2 * u, 2 * v) for u, v in reduced(j))  # noqa: E731
+    monkeypatch.setattr(idealgen, "reduced_basis", doubled)
+    ring = build_context(validate(-23), 3).ring
+    with pytest.raises(InvariantViolation, match="do not span"):
+        torsion_power_generator(QuadForm(2, 1, 3), 3, ring)

@@ -113,7 +113,7 @@ def test_ramified_zeta_never_set_for_p_at_least_5():
 def test_image_of_one_is_trivial():
     for (p, _), D in GRID.items():
         ctx = build_context(validate(D), p)
-        img = local_unit_image(ctx, QuadraticInteger(2, 0, D))
+        img = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(2, 0, D)))
         assert img.trivial
         if img.coords is not None:
             assert img.coords == (0, 0)
@@ -121,26 +121,29 @@ def test_image_of_one_is_trivial():
 
 def test_split_coordinates_frozen_values():
     ctx = build_context(validate(-23), 3)
-    img = local_unit_image(ctx, QuadraticInteger(3, 1, -23))
-    conj = local_unit_image(ctx, QuadraticInteger(3, -1, -23))
+    img = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(3, 1, -23)))
+    conj = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(3, -1, -23)))
     assert not img.trivial and not conj.trivial
     # the conjugate swaps the two completion coordinates
     assert {img.coords, conj.coords} == {(2, 1), (1, 2)}
 
 
 def test_inert_and_ramified_frozen_values():
-    inert = local_unit_image(build_context(validate(-47), 5), QuadraticInteger(9, 1, -47))
+    ctx = build_context(validate(-47), 5)
+    inert = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(9, 1, -47)))
     assert inert.coords == (0, 2) and not inert.trivial
-    ram = local_unit_image(build_context(validate(-15), 3), QuadraticInteger(1, 1, -15))
+    ctx = build_context(validate(-15), 3)
+    ram = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(1, 1, -15)))
     assert ram.coords == (2, 2) and not ram.trivial
 
 
 def test_not_local_unit_rejected():
     ctx = build_context(validate(-23), 3)
+    not_unit = ctx.ring.embed(QuadraticInteger(1, 1, -23))  # norm 6
     with pytest.raises(NotLocalUnit):
-        local_unit_image(ctx, QuadraticInteger(1, 1, -23))  # norm 6
+        local_unit_image(ctx, not_unit)
     with pytest.raises(NotLocalUnit):
-        generic_membership(ctx, QuadraticInteger(1, 1, -23))
+        generic_membership(ctx, not_unit)
 
 
 def test_generic_membership_constructed_members():
@@ -164,8 +167,8 @@ def test_engines_agree_on_random_units():
         assert ctx.splitting == typ
         for _ in range(30):
             alpha = random_local_unit(rng, D, p)
-            closed = local_unit_image(ctx, alpha)
-            brute = generic_membership(ctx, alpha)
+            closed = local_unit_image(ctx, ctx.ring.embed(alpha))
+            brute = generic_membership(ctx, ctx.ring.embed(alpha))
             assert closed.trivial == brute.trivial, (p, typ, D, alpha)
 
 
@@ -188,8 +191,9 @@ def test_closed_form_matches_engine_random(m, p, seed):
     rng = random.Random(seed)
     for _ in range(10):
         alpha = random_local_unit(rng, D, p)
-        closed = local_unit_image(ctx, alpha)
-        assert closed.trivial == generic_membership(ctx, alpha).trivial, (p, D, alpha)
+        elt = ctx.ring.embed(alpha)
+        closed = local_unit_image(ctx, elt)
+        assert closed.trivial == generic_membership(ctx, elt).trivial, (p, D, alpha)
 
 
 # Every context with local p-power torsion goes to the engine, so the closed
@@ -206,7 +210,7 @@ def test_engine_matches_brute_search_with_torsion(p, D):
     seen = set()
     for _ in range(60):
         alpha = random_local_unit(rng, D, p)
-        trivial = generic_membership(ctx, alpha).trivial
+        trivial = generic_membership(ctx, ctx.ring.embed(alpha)).trivial
         assert trivial == quotient_trivial_brute(ctx.ring, p, ctx.torsion, ctx.ring.embed(alpha))
         seen.add(trivial)
     assert seen == {True, False}
@@ -220,8 +224,9 @@ def test_coordinates_are_additive():
             continue  # no closed coordinates in the delegated case
         for _ in range(25):
             a, b = random_local_unit(rng, D, p), random_local_unit(rng, D, p)
-            ia, ib = local_unit_image(ctx, a), local_unit_image(ctx, b)
-            iab = local_unit_image(ctx, a.mul(b))
+            embed = ctx.ring.embed
+            ia, ib = local_unit_image(ctx, embed(a)), local_unit_image(ctx, embed(b))
+            iab = local_unit_image(ctx, embed(a.mul(b)))
             expected = ((ia.coords[0] + ib.coords[0]) % p, (ia.coords[1] + ib.coords[1]) % p)
             assert iab.coords == expected
 
@@ -229,7 +234,8 @@ def test_coordinates_are_additive():
 def test_group_too_large():
     d = validate(-23)
     with pytest.raises(GroupTooLarge):
-        generic_membership(build_context(d, 29), QuadraticInteger(2, 0, -23))
+        ctx = build_context(d, 29)
+        generic_membership(ctx, ctx.ring.embed(QuadraticInteger(2, 0, -23)))
 
 
 def test_quotient_index_is_p_squared():

@@ -176,6 +176,24 @@ def test_checkpoint_torn_write_keeps_finished_blocks(tmp_path, monkeypatch):
     assert resumed == clean
 
 
+def test_checkpoint_resume_streams_stored_rows(tmp_path, monkeypatch):
+    # a resume decodes the stored rows as it yields them, not all up front
+    monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
+    ck = str(tmp_path / "ckpt")
+    config = SurveyConfig(d_min=3, d_max=302, primes=(2, 3), checkpoint_path=ck)
+    clean = list(scan(config))
+    with open(ck, encoding="utf-8") as fh:
+        assert "blocks_done=3\n" in fh.read()
+    calls = []
+    from_dict = survey.SurveyRow.from_dict
+    counting = classmethod(lambda cls, data: calls.append(1) or from_dict(data))
+    monkeypatch.setattr(survey.SurveyRow, "from_dict", counting)
+    resumed = scan(config)
+    assert next(resumed) == clean[0]
+    assert len(calls) == 1
+    assert [clean[0], *resumed] == clean and len(calls) == len(clean)
+
+
 def test_checkpoint_rejects_short_rows_and_old_version(tmp_path):
     ck = str(tmp_path / "ckpt")
     config = SurveyConfig(d_min=3, d_max=2000, primes=(2,), checkpoint_path=ck)
