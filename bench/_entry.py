@@ -24,17 +24,29 @@ def label_from_argv(description: str) -> str:
 
 def timed(fn, repeats: int) -> tuple[list, dict]:
     """Call fn() repeats times: its results, and the median_s, min_s and repeats fields."""
-    results, times = [], []
+    return timed_alternating([fn], repeats)[0]
+
+
+def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
+    """timed() for each of fns, calling them in turn on every pass.
+
+    A drift in the host's pace during the passes then moves all of them alike.
+    """
+    results, times = [[] for _ in fns], [[] for _ in fns]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        results.append(fn())
-        times.append(time.perf_counter() - t0)
-    stats = {
-        "median_s": round(statistics.median(times), 4),
-        "min_s": round(min(times), 4),
-        "repeats": repeats,
-    }
-    return results, stats
+        for fn, out, spent in zip(fns, results, times):
+            t0 = time.perf_counter()
+            out.append(fn())
+            spent.append(time.perf_counter() - t0)
+    stats = [
+        {
+            "median_s": round(statistics.median(spent), 4),
+            "min_s": round(min(spent), 4),
+            "repeats": repeats,
+        }
+        for spent in times
+    ]
+    return list(zip(results, stats))
 
 
 def write_entry(out: Path, layer: str, label: str, blocks: list[dict]) -> None:

@@ -3,7 +3,7 @@
 The pipeline per odd prime p dividing h: pick a torsion basis of the class
 group, move each basis form to a representative coprime to p, pass to the
 ideal side, compute the image in O/p^2 of a generator of the ideal's p-th
-power from compact (small ideal, unit mod p^2) states, and test that image
+power from compact (primitive form, unit mod p^2) states, and test that image
 in the local unit quotient.  The prime 2 is decided by the
 discriminant-family classification.  A p-rank of 3 or more at any prime
 forces a noninjective map immediately, since the target has rank 2.

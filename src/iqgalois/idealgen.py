@@ -9,8 +9,8 @@ square-and-multiply loop of arith, as quadform.power does.  A principal
 ideal's generator is recovered as a shortest lattice vector by
 two-dimensional Lagrange-Gauss reduction, which is exact: for D < -4 the
 shortest vectors of (alpha) are exactly +-alpha.  torsion_power_generator
-chains these steps into the generator of a^p for a p-torsion class, the
-input of the local test.
+gives the local test's input, the image in O/p^2 of the generator of a^p,
+from states of a primitive form tuple and a ring element, all on ints.
 """
 
 from dataclasses import dataclass
@@ -68,13 +68,10 @@ class QuadIdeal:
     def __post_init__(self):
         if self.a <= 0 or self.m <= 0:
             raise ValueError("ideal needs positive norm components")
-        b = self.b % (2 * self.a)
-        if b > self.a:
-            b -= 2 * self.a
+        b = self.a - (self.a - self.b) % (2 * self.a)
         if (b * b - self.disc) % (4 * self.a) != 0:
             raise ValueError(f"(a={self.a}, b={self.b}) is not closed under the order action")
-        if b != self.b:
-            object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", b)
 
     @property
     def norm(self) -> int:
@@ -127,13 +124,13 @@ def ideal_power(ideal: QuadIdeal, n: int) -> QuadIdeal:
     return square_and_multiply(ideal, n, ideal_multiply)
 
 
-def reduced_basis(ideal: QuadIdeal) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Lagrange-Gauss reduced basis of the ideal's lattice, shortest vector first.
+def reduced_basis(first, second, D: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Lagrange-Gauss reduced basis of the lattice spanned by two vectors, shortest first.
 
-    Lengths are u^2 + |D| v^2, four times the norm of (u + v*sqrt(D))/2.
+    (u, v) has length u^2 + |D| v^2, four times the norm of (u + v*sqrt(D))/2.
     """
-    w = -ideal.disc
-    (u, v), (x, y) = ideal.basis_vectors()
+    w = -D
+    (u, v), (x, y) = first, second
     q1 = u * u + w * v * v
     if q1 > x * x + w * y * y:
         u, v, x, y, q1 = x, y, u, v, x * x + w * y * y
@@ -159,14 +156,13 @@ def principal_generator(ideal: QuadIdeal) -> QuadraticInteger:
     D = ideal.disc
     if D >= -4:
         raise ValueError("generator recovery requires D < -4 (extra units otherwise)")
-    (u, v), _ = reduced_basis(ideal)
+    (u, v), _ = reduced_basis(*ideal.basis_vectors(), D)
     if u < 0 or (u == 0 and v < 0):
         u, v = -u, -v
     alpha = QuadraticInteger(u, v, D)
     if alpha.norm != ideal.norm:
         raise NotPrincipal(f"{ideal} has shortest norm {alpha.norm} != {ideal.norm}")
-    a, b, m = ideal.a, ideal.b, ideal.m
-    if v % m or (u - b * v) % (2 * a * m):
+    if v % ideal.m or (u - ideal.b * v) % (2 * ideal.a * ideal.m):
         raise NotPrincipal(f"generator {alpha} does not lie in {ideal}")
     return alpha
 
@@ -184,40 +180,44 @@ def explicit_power_generator(form: QuadForm, p: int) -> QuadraticInteger:
 def torsion_power_generator(form: QuadForm, p: int, ring):
     """Image in ring (the quotient O/p^2 of localtest) of +-alpha, (alpha) = a^p.
 
-    a is the ideal of a coprime representative of the p-torsion class of
-    form.  alpha itself is never built: the running power a^n is kept as a
-    state (I, g), a^n = gamma * I with I integral, small and of norm coprime
-    to p, and g the image of gamma.  The last product I * a is principal, and
-    its shortest vector nu gives alpha = +-gamma * nu.
+    a is the ideal of f = coprime_representative(form, p).  a^n is kept as a
+    state (f', g), a^n = gamma * I with I the ideal of the primitive form
+    tuple f', of norm prime to p, and g the image of gamma; the principal
+    last product I * a has a shortest vector nu, and alpha = +-gamma * nu.
     """
-    a = form_to_ideal(coprime_representative(form, p))
-    ideal, g = square_and_multiply((a, ring.one), p - 1, partial(_state_product, ring=ring))
-    nu = principal_generator(ideal_multiply(ideal, a))
-    return ring.mul(g, ring.embed(nu))
+    f, D = coprime_representative(form, p), form.disc
+    (a, b, _), g = square_and_multiply((f, ring.one), p - 1, partial(_state_product, ring=ring))
+    nu = principal_generator(ideal_multiply(QuadIdeal(a, b, 1, D), QuadIdeal(f.a, f.b, 1, D)))
+    return ring.mul(g, ring.embed(nu.u, nu.v))
 
 
 def _state_product(s1, s2, ring):
-    """(I1, g1) * (I2, g2) with the product ideal J = I1 * I2 made small again.
+    """(f1, g1) * (f2, g2): J = I1 * I2 = d * [a3, (b3 + sqrt D)/2], made small again.
 
     For mu in J with A = N(mu)/N(J) prime to p, J = (mu/A) * I' where
     I' = conj(mu) * J / N(J) is integral of norm A.  One of v1, v2, v1 + v2
     of J's reduced basis has such an A, by the argument of
     quadform.coprime_representative on the primitive form N(x*v1 + y*v2)/N(J).
     """
-    (i1, g1), (i2, g2) = s1, s2
-    j = ideal_multiply(i1, i2)
-    D, n, p = j.disc, j.norm, ring.p
-    v1, v2 = reduced_basis(j)
+    (f1, g1), (f2, g2) = s1, s2
+    D, p = f1[1] * f1[1] - 4 * f1[0] * f1[2], ring.p
+    d, (a3, b3, _) = compose_unreduced(f1, f2)
+    b3, n = a3 - (a3 - b3) % (2 * a3), d * d * a3  # b3 into (-a3, a3], as in QuadIdeal
+    v1, v2 = reduced_basis((2 * a3 * d, 0), (b3 * d, d), D)
     for mu, w in ((v1, v2), (v2, v1), ((v1[0] + v2[0], v1[1] + v2[1]), v1)):
-        a = (mu[0] * mu[0] - D * mu[1] * mu[1]) // (4 * n)
+        a, r = divmod(mu[0] * mu[0] - D * mu[1] * mu[1], 4 * n)
         if a % p:
             break
     else:
-        raise InvariantViolation(f"no basis vector of {j} has norm prime to {p}")
+        raise InvariantViolation(f"no basis vector of {d}*[{a3}, {b3}] has norm prime to {p}")
     # conj(mu) * w = (U + V*sqrt(D))/2 with V = +-N(J), since {mu, w} is a basis of J
     U = (mu[0] * w[0] - D * mu[1] * w[1]) // 2
     V = (mu[0] * w[1] - mu[1] * w[0]) // 2
     if abs(V) != n or U % V:
-        raise InvariantViolation(f"{mu} and {w} do not span {j}")
-    g = ring.mul(ring.mul(g1, g2), ring.embed(QuadraticInteger(mu[0], mu[1], D)))
-    return QuadIdeal(a, U // V, 1, D), ring.mul(g, (pow(a, -1, ring.mod), 0))
+        raise InvariantViolation(f"{mu} and {w} do not span {d}*[{a3}, {b3}]")
+    b = U // V
+    c, s = divmod(b * b - D, 4 * a)
+    if r or s:  # N(J) divides N(mu), and I' = [a, (b + sqrt D)/2] is closed
+        raise InvariantViolation(f"{d}*[{a3}, {b3}] is not an ideal: it gives ({a}, {b})")
+    k = pow(a, -1, ring.mod)  # the image of mu / a
+    return (a, b, c), ring.mul(ring.mul(g1, g2), ring.embed(k * mu[0], k * mu[1]))

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power, square_and_multiply
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
-from .idealgen import QuadraticInteger, explicit_power_generator
+from .idealgen import explicit_power_generator
 from .quadform import compose, prime_form, principal_form, reduce_form
 
 
@@ -91,12 +91,12 @@ class LocalRing:
         m = self.mod
         return [(x, y) for x in range(m) for y in range(m) if self.is_unit((x, y))]
 
-    def embed(self, alpha: QuadraticInteger) -> Elt:
-        """Image of (u + v*sqrt(D))/2 in the quotient ring."""
-        u, v, m = alpha.u, alpha.v, self.mod
+    def embed(self, u: int, v: int) -> Elt:
+        """Image of the integer (u + v*sqrt(D))/2 in the quotient ring."""
+        m = self.mod
         if self.p != 2:
-            inv2 = pow(2, -1, m)
-            return (u * inv2 % m, v * inv2 % m)
+            half = (m + 1) // 2  # the inverse of 2 modulo the odd p^2
+            return (u * half % m, v * half % m)
         if self.kind == "omega":
             # sqrt(D) = 2*omega - 1, so alpha = (u - v)/2 + v*omega
             return (((u - v) // 2) % m, v % m)
@@ -356,5 +356,5 @@ def two_direct_check(d: FundamentalDiscriminant) -> str:
         raise ValueError("direct check needs an even class number with cyclic 2-part")
     alpha = explicit_power_generator(order_two_form(d), 2)
     ctx = build_context(d, 2)
-    image = generic_membership(ctx, ctx.ring.embed(alpha))
+    image = generic_membership(ctx, ctx.ring.embed(alpha.u, alpha.v))
     return "noninjective" if image.trivial else "injective"

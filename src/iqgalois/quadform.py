@@ -56,9 +56,6 @@ class QuadForm(NamedTuple):
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     def is_primitive(self) -> bool:
         return math.gcd(math.gcd(self.a, self.b), self.c) == 1
 
@@ -407,27 +404,20 @@ def p_torsion_basis(cg: ClassGroupStructure, p: int) -> list[QuadForm]:
 def coprime_representative(f: QuadForm, p: int) -> QuadForm:
     """An equivalent form whose leading coefficient is coprime to p.
 
-    One of (1,0), (0,1), (1,1) always evaluates coprime to p for a
-    primitive form: if p divides a = f(1,0) and c = f(0,1), then f(1,1) = b
-    mod p, and p does not divide b.  The unimodular change of variables
-    sending (1,0) there preserves the class.
+    One of a = f(1,0), c = f(0,1), a + b + c = f(1,1) is coprime to p for a
+    primitive form: if p divides a and c, then f(1,1) = b mod p, and p does
+    not divide b.  The determinant-one substitutions sending (1,0) to (0,1)
+    and to (1,1) give the forms (c, -b, a) and (a + b + c, -2a - b, a) of
+    the same class.
     """
     if not f.is_primitive():
         raise ValueError(f"{f} is not primitive")
-    for x, y in ((1, 0), (0, 1), (1, 1)):
-        if math.gcd(f.value(x, y), p) == 1:
+    a, b, c = f
+    for out in (f, QuadForm(c, -b, a), QuadForm(a + b + c, -2 * a - b, a)):
+        if math.gcd(out.a, p) == 1:
             break
     else:
         raise InvariantViolation(f"no coprime value found for {f} at {p}")
-    if (x, y) == (1, 0):
-        return f
-    # complete (x, y) to a determinant-one matrix [[x, u], [y, w]]
-    _, w, t = xgcd(x, y)
-    u = -t
-    a2 = f.value(x, y)
-    b2 = 2 * (f.a * x * u + f.c * y * w) + f.b * (x * w + y * u)
-    c2 = f.value(u, w)
-    out = QuadForm(a2, b2, c2)
     if out.disc != f.disc:
         raise InvariantViolation(f"{out} is not equivalent to {f}")
     return out

@@ -295,7 +295,7 @@ def rows_to_csv(rows: Iterable[SurveyRow]) -> list[str]:
 
 
 def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> int:
-    """Write rows as CSV lines as they arrive, or as one JSON list; return their number.
+    """Write rows as CSV lines or as one JSON list, as they arrive; return their number.
 
     The file is path + ".tmp" until complete, so a failed scan leaves no file at path.
     """
@@ -310,9 +310,13 @@ def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> int:
                 for n, row in enumerate(rows, 1):
                     fh.writelines(line + "\n" for line in _csv_lines(row))
             else:
-                data = [row.to_dict() for row in rows]
-                fh.write(json.dumps(data, indent=1, sort_keys=True) + "\n")
-                n = len(data)
+                # json.dumps(list, indent=1, sort_keys=True), one row at a time
+                fh.write("[")
+                n = 0
+                for n, row in enumerate(rows, 1):
+                    item = json.dumps(row.to_dict(), indent=1, sort_keys=True)
+                    fh.write(("\n " if n == 1 else ",\n ") + item.replace("\n", "\n "))
+                fh.write("\n]\n" if n else "]\n")
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -416,39 +420,3 @@ def table3(p: int, n_fields: int, lower_bound: int) -> Table3Result:
     return Table3Result(
         p, n_fields, lower_bound, p * split_total / n_fields, by_behavior, dict(totals)
     )
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    p: int
-    q: int
-    n_fields: int
-    joint: float | None
-    product: float | None
-    standard_error: float | None
-    consistent: bool | None
-
-
-def independence_probe(rows: Iterable[SurveyRow], p: int, q: int) -> IndependenceReport:
-    """Diagnostic: is splitting at p independent of splitting at q?
-
-    Among fields where both p and q divide h exactly once, compares the
-    joint split fraction with the product of the marginals; three standard
-    errors is the reporting threshold, not a hard test.
-    """
-    joint = mp = mq = n = 0
-    for row in rows:
-        h = row.record.h
-        if any(h % r or (h // r) % r == 0 for r in (p, q)):
-            continue
-        n += 1
-        sp = row.record.status_at(p) == "noninjective"
-        sq = row.record.status_at(q) == "noninjective"
-        mp += sp
-        mq += sq
-        joint += sp and sq
-    if n == 0:
-        return IndependenceReport(p, q, 0, None, None, None, None)
-    fj, prod = joint / n, (mp / n) * (mq / n)
-    se = math.sqrt(max(fj * (1 - fj), 1e-12) / n)
-    return IndependenceReport(p, q, n, fj, prod, se, abs(fj - prod) <= 3 * se)

@@ -97,7 +97,7 @@ def local_engines() -> list[str]:
             if alpha.norm == 0 or alpha.norm % p == 0:
                 continue
             done += 1
-            elt = ctx.ring.embed(alpha)
+            elt = ctx.ring.embed(u, v)
             if local_unit_image(ctx, elt).trivial != generic_membership(ctx, elt).trivial:
                 failures.append(f"engines disagree at (p={p}, D={D}) on {alpha}")
                 break
@@ -131,7 +131,8 @@ def generators(lo: int, hi: int) -> list[str]:
     failures = []
     for d, form, p in generator_jobs(lo, hi):
         ring = build_context(d, p).ring
-        e = ring.embed(explicit_power_generator(form, p))
+        alpha = explicit_power_generator(form, p)
+        e = ring.embed(alpha.u, alpha.v)
         if torsion_power_generator(form, p, ring) not in (e, ring.mul(e, ring.minus_one)):
             failures.append(f"D={d.value}, p={p}: compact image of {form} is not +-{e}")
     return failures

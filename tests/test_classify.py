@@ -116,10 +116,8 @@ def test_odd_prime_status_agrees_with_generic_engine():
             if cg.p_rank(p) >= 3:
                 continue
             ctx = build_context(d, p)
-            images = [
-                generic_membership(ctx, ctx.ring.embed(explicit_power_generator(f, p)))
-                for f in p_torsion_basis(cg, p)
-            ]
+            alphas = [explicit_power_generator(f, p) for f in p_torsion_basis(cg, p)]
+            images = [generic_membership(ctx, ctx.ring.embed(a.u, a.v)) for a in alphas]
             brute = "injective" if injectivity_test(ctx, images) else "noninjective"
             assert status_at_odd_prime(d, cg, p) == brute, (m, p)
 

@@ -163,18 +163,25 @@ def test_verify_two_bound_below_3_exits_1(capsys):
     assert "bound must be at least 3" in capsys.readouterr().err
 
 
-def test_broken_invariant_exits_3_under_optimize():
-    # a genus 2-rank that disagrees with the class group must stop the run
-    # with its own exit code, also when python -O strips asserts
+def _classify_under_optimize(patch: str, D: int) -> subprocess.CompletedProcess:
+    """Run classify -d D under python -O after the one-line patch."""
     script = (
         "import sys\n"
         "from iqgalois.cli import main\n"
-        "sys.modules['iqgalois.classify'].genus_two_rank = lambda d: 7\n"
-        "sys.exit(main(['classify', '-d', '-20']))\n"
+        f"{patch}\n"
+        f"sys.exit(main(['classify', '-d', '{D}']))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_broken_invariant_exits_3_under_optimize():
+    # a genus 2-rank that disagrees with the class group must stop the run
+    # with its own exit code, also when python -O strips asserts
+    proc = _classify_under_optimize(
+        "sys.modules['iqgalois.classify'].genus_two_rank = lambda d: 7", -20
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("internal error: ") and "Traceback" not in proc.stderr
@@ -207,18 +214,22 @@ BROKEN = {
 @pytest.mark.parametrize("module", sorted(BROKEN))
 def test_broken_module_check_exits_3_under_optimize(module):
     patch, message = BROKEN[module]
-    script = (
-        "import sys\n"
-        "from iqgalois.cli import main\n"
-        f"{patch}\n"
-        "sys.exit(main(['classify', '-d', '-23']))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _classify_under_optimize(patch, -23)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("internal error: ") and message in proc.stderr, proc.stderr
+
+
+def test_unclosed_state_product_exits_3_under_optimize():
+    # a composition whose middle coefficient is off by one yields a lattice
+    # that is not an ideal: an internal fault, not a user error
+    patch = (
+        "idealgen = sys.modules['iqgalois.idealgen']; compose = idealgen.compose_unreduced; "
+        "idealgen.compose_unreduced = lambda f, g: (lambda d, t: (d, (t[0], t[1] + 1, t[2])))"
+        "(*compose(f, g))"
+    )
+    proc = _classify_under_optimize(patch, -23)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal error: ") and "Traceback" not in proc.stderr
 
 
 def test_unpinned_class_number_exits_3(monkeypatch, capsys):

@@ -148,14 +148,14 @@ def test_compact_generator_image_example():
     ring = build_context(validate(-23), 3).ring
     form = QuadForm(2, 1, 3)
     assert explicit_power_generator(form, 3) == QuadraticInteger(3, -1, -23)
-    e = ring.embed(QuadraticInteger(3, -1, -23))
+    e = ring.embed(3, -1)
     assert torsion_power_generator(form, 3, ring) in (e, ring.mul(e, ring.minus_one))
 
 
 def test_state_power_stands_for_the_ideal_power():
-    # the state (I, g) of a^n means a^n = gamma * I with g the image of gamma:
-    # I is primitive, of norm prime to p and in the class of a^n, and
-    # a^n * conj(I) = (gamma * N(I)) recovers g up to sign
+    # the state (f', g) of a^n means a^n = gamma * I with I the ideal of f' and
+    # g the image of gamma: I is primitive, of norm prime to p and in the
+    # class of a^n, and a^n * conj(I) = (gamma * N(I)) recovers g up to sign
     rng = random.Random(34)
     for D in (-23, -47, -479, -1051, -3299):
         forms = enumerate_reduced_forms(D)
@@ -164,21 +164,31 @@ def test_state_power_stands_for_the_ideal_power():
             f = coprime_representative(rng.choice(forms), p)
             a = form_to_ideal(f)
             for n in range(1, 12):
-                ideal, g = square_and_multiply(
-                    (a, ring.one), n, lambda s, t: idealgen._state_product(s, t, ring)
+                state, g = square_and_multiply(
+                    (f, ring.one), n, lambda s, t: idealgen._state_product(s, t, ring)
                 )
+                assert QuadForm(*state).disc == D
+                ideal = form_to_ideal(QuadForm(*state))
                 assert ideal.m == 1 and ideal.norm % p
                 assert ideal_to_form(ideal) == power(f, n)
                 conj = QuadIdeal(ideal.a, -ideal.b, 1, D)
                 scaled = principal_generator(ideal_multiply(ideal_power(a, n), conj))
-                e = ring.mul(ring.embed(scaled), (pow(ideal.norm, -1, ring.mod), 0))
+                e = ring.mul(ring.embed(scaled.u, scaled.v), (pow(ideal.norm, -1, ring.mod), 0))
                 assert g in (e, ring.mul(e, ring.minus_one)), (D, p, f, n)
 
 
 def test_state_product_rejects_vectors_that_do_not_span(monkeypatch):
     reduced = idealgen.reduced_basis
-    doubled = lambda j: tuple((2 * u, 2 * v) for u, v in reduced(j))  # noqa: E731
+    doubled = lambda *lattice: tuple((2 * u, 2 * v) for u, v in reduced(*lattice))  # noqa: E731
     monkeypatch.setattr(idealgen, "reduced_basis", doubled)
     ring = build_context(validate(-23), 3).ring
     with pytest.raises(InvariantViolation, match="do not span"):
+        torsion_power_generator(QuadForm(2, 1, 3), 3, ring)
+
+
+def test_state_product_rejects_a_product_that_is_not_an_ideal(monkeypatch):
+    # [4, (1 + sqrt(-23))/2] is a lattice but no ideal: 16 does not divide 1 + 23
+    monkeypatch.setattr(idealgen, "compose_unreduced", lambda f, g: (1, (4, 1, 6)))
+    ring = build_context(validate(-23), 3).ring
+    with pytest.raises(InvariantViolation, match="is not an ideal"):
         torsion_power_generator(QuadForm(2, 1, 3), 3, ring)

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqgalois.discriminant import NotFundamental, NotImaginary, genus_two_rank, validate
-from iqgalois.idealgen import QuadraticInteger
 from iqgalois.localtest import (
     GroupTooLarge,
     NotLocalUnit,
@@ -113,7 +112,7 @@ def test_ramified_zeta_never_set_for_p_at_least_5():
 def test_image_of_one_is_trivial():
     for (p, _), D in GRID.items():
         ctx = build_context(validate(D), p)
-        img = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(2, 0, D)))
+        img = local_unit_image(ctx, ctx.ring.embed(2, 0))
         assert img.trivial
         if img.coords is not None:
             assert img.coords == (0, 0)
@@ -121,8 +120,8 @@ def test_image_of_one_is_trivial():
 
 def test_split_coordinates_frozen_values():
     ctx = build_context(validate(-23), 3)
-    img = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(3, 1, -23)))
-    conj = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(3, -1, -23)))
+    img = local_unit_image(ctx, ctx.ring.embed(3, 1))
+    conj = local_unit_image(ctx, ctx.ring.embed(3, -1))
     assert not img.trivial and not conj.trivial
     # the conjugate swaps the two completion coordinates
     assert {img.coords, conj.coords} == {(2, 1), (1, 2)}
@@ -130,16 +129,16 @@ def test_split_coordinates_frozen_values():
 
 def test_inert_and_ramified_frozen_values():
     ctx = build_context(validate(-47), 5)
-    inert = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(9, 1, -47)))
+    inert = local_unit_image(ctx, ctx.ring.embed(9, 1))
     assert inert.coords == (0, 2) and not inert.trivial
     ctx = build_context(validate(-15), 3)
-    ram = local_unit_image(ctx, ctx.ring.embed(QuadraticInteger(1, 1, -15)))
+    ram = local_unit_image(ctx, ctx.ring.embed(1, 1))
     assert ram.coords == (2, 2) and not ram.trivial
 
 
 def test_not_local_unit_rejected():
     ctx = build_context(validate(-23), 3)
-    not_unit = ctx.ring.embed(QuadraticInteger(1, 1, -23))  # norm 6
+    not_unit = ctx.ring.embed(1, 1)  # norm 6
     with pytest.raises(NotLocalUnit):
         local_unit_image(ctx, not_unit)
     with pytest.raises(NotLocalUnit):
@@ -153,7 +152,7 @@ def test_generic_membership_constructed_members():
         ring = ctx.ring
         for _ in range(10):
             beta = random_local_unit(rng, D, p)
-            elt = ring.pow(ring.embed(beta), p)
+            elt = ring.pow(ring.embed(beta.u, beta.v), p)
             for t in ctx.torsion:
                 elt = ring.mul(elt, t)
             h = _engine_subgroup(ring, p, ctx.torsion)
@@ -167,8 +166,8 @@ def test_engines_agree_on_random_units():
         assert ctx.splitting == typ
         for _ in range(30):
             alpha = random_local_unit(rng, D, p)
-            closed = local_unit_image(ctx, ctx.ring.embed(alpha))
-            brute = generic_membership(ctx, ctx.ring.embed(alpha))
+            closed = local_unit_image(ctx, ctx.ring.embed(alpha.u, alpha.v))
+            brute = generic_membership(ctx, ctx.ring.embed(alpha.u, alpha.v))
             assert closed.trivial == brute.trivial, (p, typ, D, alpha)
 
 
@@ -191,7 +190,7 @@ def test_closed_form_matches_engine_random(m, p, seed):
     rng = random.Random(seed)
     for _ in range(10):
         alpha = random_local_unit(rng, D, p)
-        elt = ctx.ring.embed(alpha)
+        elt = ctx.ring.embed(alpha.u, alpha.v)
         closed = local_unit_image(ctx, elt)
         assert closed.trivial == generic_membership(ctx, elt).trivial, (p, D, alpha)
 
@@ -210,8 +209,9 @@ def test_engine_matches_brute_search_with_torsion(p, D):
     seen = set()
     for _ in range(60):
         alpha = random_local_unit(rng, D, p)
-        trivial = generic_membership(ctx, ctx.ring.embed(alpha)).trivial
-        assert trivial == quotient_trivial_brute(ctx.ring, p, ctx.torsion, ctx.ring.embed(alpha))
+        elt = ctx.ring.embed(alpha.u, alpha.v)
+        trivial = generic_membership(ctx, elt).trivial
+        assert trivial == quotient_trivial_brute(ctx.ring, p, ctx.torsion, elt)
         seen.add(trivial)
     assert seen == {True, False}
 
@@ -224,7 +224,7 @@ def test_coordinates_are_additive():
             continue  # no closed coordinates in the delegated case
         for _ in range(25):
             a, b = random_local_unit(rng, D, p), random_local_unit(rng, D, p)
-            embed = ctx.ring.embed
+            embed = lambda x: ctx.ring.embed(x.u, x.v)  # noqa: E731
             ia, ib = local_unit_image(ctx, embed(a)), local_unit_image(ctx, embed(b))
             iab = local_unit_image(ctx, embed(a.mul(b)))
             expected = ((ia.coords[0] + ib.coords[0]) % p, (ia.coords[1] + ib.coords[1]) % p)
@@ -235,7 +235,7 @@ def test_group_too_large():
     d = validate(-23)
     with pytest.raises(GroupTooLarge):
         ctx = build_context(d, 29)
-        generic_membership(ctx, ctx.ring.embed(QuadraticInteger(2, 0, -23)))
+        generic_membership(ctx, ctx.ring.embed(2, 0))
 
 
 def test_quotient_index_is_p_squared():

@@ -13,7 +13,6 @@ from iqgalois.survey import (
     SurveyConfig,
     class_numbers_range,
     fundamental_mask,
-    independence_probe,
     persist,
     read_rows,
     rows_to_csv,
@@ -304,11 +303,15 @@ def test_table3_smoke_and_absent_stratum():
             assert value is None
 
 
-def test_independence_probe_runs():
-    rows = list(scan(SurveyConfig(d_min=3, d_max=15000, primes=(2, 3))))
-    report = independence_probe(rows, 2, 3)
-    assert report.n_fields > 50
-    assert report.joint is not None and report.product is not None
+def test_json_stream_matches_one_dump(tmp_path):
+    # persist writes the JSON list row by row; the bytes are those of one dump
+    rows = list(scan(SurveyConfig(d_min=3, d_max=30, primes=(2, 3))))
+    for part in ([], rows[:1]):
+        path = str(tmp_path / "r.json")
+        assert persist(part, path, "json") == len(part)
+        expected = json.dumps([row.to_dict() for row in part], indent=1, sort_keys=True) + "\n"
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == expected
 
 
 def test_json_objects_mirror_record(tmp_path):
