@@ -1,50 +1,55 @@
-"""Time class-group assembly on the fundamental |D| of two 1e4-blocks and record it.
+"""Time class-group assembly and the whole scan of two 1e4-blocks and record it.
 
-Times quadform.class_group(validate(-m), known_h=h) over every fundamental
-|D| of the block [start, start + 1e4) for each start in STARTS, with h from
-the survey sieve, using whichever iqgalois is first on the import path.  The
-result goes under --label in BENCH_5.json at the repository root.  Entries
-with other labels are kept, so one file holds a before and an after measured
-on the same machine:
+For each start in STARTS, times quadform.class_group(validate(-m), known_h=h)
+over every fundamental |D| of the block [start, start + 1e4), with h from
+the survey sieve, and the whole survey._scan_block of the same block (sieve,
+class groups, generators, local images, rows) with the primes PRIMES, the
+two passes taken in turn.  It uses whichever iqgalois is first on the import
+path.  The result goes under --label in BENCH_12.json at the repository
+root.  Entries with other labels are kept, so one file holds a before and
+an after measured on the same machine:
 
     PYTHONPATH=<parent checkout>/src python3 bench/classgroup.py --label parent
     PYTHONPATH=src python3 bench/classgroup.py --label change
 
-Each block records the median and minimum wall time of REPEATS passes over
-its fields, the number of compose calls one pass makes, and the sha256 of
-the Sylow data (q, orders and basis forms per field), which must agree
-between entries.
+Each block records the median and minimum wall time of REPEATS passes of
+either kind, the number of compositions, and two sha256 digests that must
+agree between entries: of the Sylow data (q, orders and basis forms per
+field) and of the scan rows.  Compositions are counted as calls of
+compose_unreduced, the one composition formula, through wrappers on its
+module globals in quadform and idealgen: once over a class-group pass and
+once over a scan pass.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-from _entry import label_from_argv, timed, write_entry
-from iqgalois import quadform
+from _entry import label_from_argv, timed_alternating, write_entry
+from iqgalois import idealgen, quadform, survey
 from iqgalois.discriminant import validate
 from iqgalois.survey import BLOCK_SIZE, class_numbers_range
 
 STARTS = (10**6, 10**7)
+PRIMES = (2, 3, 5, 7)
 REPEATS = 5
-OUT = Path(__file__).resolve().parent.parent / "BENCH_5.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_12.json"
 
 
-def sylow_digest(groups) -> str:
-    data = [
-        [cg.discriminant]
-        + [
-            [q, list(orders), [[f.a, f.b, f.c] for f in basis]]
-            for q, (orders, basis) in sorted(cg.sylow.items())
-        ]
-        for cg in groups
-    ]
+def sha256(data) -> str:
     return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
 
 
-def count_compose(fields) -> int:
-    """compose calls of one pass, counted through a wrapper on the module global."""
-    orig = quadform.compose
+def sylow_data(cg) -> list:
+    return [cg.discriminant] + [
+        [q, list(orders), [[f.a, f.b, f.c] for f in basis]]
+        for q, (orders, basis) in sorted(cg.sylow.items())
+    ]
+
+
+def count_products(fn) -> int:
+    """compose_unreduced calls made by fn(), counted through wrappers on the module globals."""
+    orig = quadform.compose_unreduced
     calls = 0
 
     def counting(f, g):
@@ -52,27 +57,32 @@ def count_compose(fields) -> int:
         calls += 1
         return orig(f, g)
 
-    quadform.compose = counting
+    quadform.compose_unreduced = idealgen.compose_unreduced = counting
     try:
-        for d, h in fields:
-            quadform.class_group(d, known_h=h)
+        fn()
     finally:
-        quadform.compose = orig
+        quadform.compose_unreduced = idealgen.compose_unreduced = orig
     return calls
 
 
 def measure(start: int) -> dict:
     fields = [(validate(-m), h) for m, h in class_numbers_range(start, start + BLOCK_SIZE)]
-    results, timing = timed(
-        lambda: [quadform.class_group(d, known_h=h) for d, h in fields], REPEATS
-    )
+
+    def groups():
+        return [quadform.class_group(d, known_h=h) for d, h in fields]
+
+    def scan():
+        return survey._scan_block((start, start + BLOCK_SIZE, PRIMES))
+
+    (cgs, cg_timing), (rows, scan_timing) = timed_alternating([groups, scan], REPEATS)
     return {
         "start": start,
         "width": BLOCK_SIZE,
         "fields": len(fields),
-        **timing,
-        "compose_calls": count_compose(fields),
-        "sylow_sha256": sylow_digest(results[-1]),
+        "class_group": {**cg_timing, "compositions": count_products(groups)},
+        "scan_block": {**scan_timing, "compositions": count_products(scan)},
+        "sylow_sha256": sha256([sylow_data(cg) for cg in cgs[-1]]),
+        "rows_sha256": sha256([row.to_dict() for row in rows[-1]]),
     }
 
 
@@ -80,11 +90,17 @@ def main() -> None:
     label = label_from_argv(__doc__.splitlines()[0])
     blocks = [measure(start) for start in STARTS]
     for b in blocks:
+        cg, scan = b["class_group"], b["scan_block"]
         print(
-            f"{label}: |D| from {b['start']}: {b['fields']} fields, median {b['median_s']} s, "
-            f"min {b['min_s']} s, {b['compose_calls']} compose calls"
+            f"{label}: |D| from {b['start']}: {b['fields']} fields; class_group median "
+            f"{cg['median_s']} s, min {cg['min_s']} s, {cg['compositions']} compositions; "
+            f"_scan_block median {scan['median_s']} s, min {scan['min_s']} s, "
+            f"{scan['compositions']} compositions"
         )
-    layer = "quadform.class_group(known_h), every fundamental |D| of a 1e4-block"
+    layer = (
+        "quadform.class_group(known_h) and survey._scan_block, "
+        "every fundamental |D| of a 1e4-block"
+    )
     write_entry(OUT, layer, label, blocks)
 
 

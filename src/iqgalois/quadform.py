@@ -3,9 +3,13 @@
 Forms (a, b, c) are positive definite and primitive with b^2 - 4ac = D < 0,
 stored as named int tuples; the reduced representative (|b| <= a <= c,
 b >= 0 on the boundary) is the canonical identifier of an ideal class.
-compose_unreduced is the one Dirichlet composition formula: compose reduces
-its result, and idealgen multiplies ideals with it, keeping the content d
-that the class drops; power raises a class by arith.square_and_multiply.
+compose_unreduced is the one Dirichlet composition formula, with cheap
+branches for squares and for coprime leading coefficients (one modular
+inverse, no extended gcd) and an exact, checked division for c3.  compose
+reduces its result, and idealgen multiplies ideals with it, keeping the
+content d that the class drops; power raises a class by
+arith.square_and_multiply on plain int triples, reduced by the one loop
+that reduce_form also runs.
 The class number is exact: a count of the roots of b^2 = D (mod 4a),
 checked by the enumeration oracle, or the value a caller already knows.
 Prime forms generate each Sylow subgroup.  A q-Sylow subgroup whose first
@@ -77,8 +81,8 @@ def principal_form(D: int) -> QuadForm:
     return QuadForm(1, 1, (1 - D) // 4)
 
 
-def reduce_form(f: QuadForm) -> QuadForm:
-    """The unique reduced form properly equivalent to f, any (a, b, c) triple."""
+def _reduce(f: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The reduction loop on a plain int triple: reduce_form without the QuadForm."""
     a, b, c = f
     if a <= 0 or b * b - 4 * a * c >= 0:
         raise ValueError(f"({a},{b},{c}) is not positive definite")
@@ -91,7 +95,12 @@ def reduce_form(f: QuadForm) -> QuadForm:
         a, b, c = c, 2 * r * c - b, c * r * r - b * r + a
     if a == c and b < 0:
         b = -b
-    return QuadForm(a, b, c)
+    return a, b, c
+
+
+def reduce_form(f: tuple[int, int, int]) -> QuadForm:
+    """The unique reduced form properly equivalent to f, any (a, b, c) triple."""
+    return QuadForm._make(_reduce(f))
 
 
 def inverse(f: QuadForm) -> QuadForm:
@@ -104,41 +113,70 @@ def compose_unreduced(
     """Dirichlet composition of two primitive forms, before reduction: (d, (a3, b3, c3)).
 
     d = gcd(a1, a2, (b1 + b2)/2) is the content of the ideal product:
-    [a1, (b1 + sqrt D)/2] * [a2, (b2 + sqrt D)/2] = d * [a3, (b3 + sqrt D)/2].
+    [a1, (b1 + sqrt D)/2] * [a2, (b2 + sqrt D)/2] = d * [a3, (b3 + sqrt D)/2],
+    with a3 = a1*a2/d^2 and b3 the root of b3^2 = D (mod 4*a3) that is b1 mod
+    2*a1/d and b2 mod 2*a2/d, returned in [0, 2*a3).  Three branches find it:
+
+    - squares, f = g: d = gcd(a, b), b3 = b - 2*(a/d)*t*c with t the inverse
+      of b/d mod a/d;
+    - coprime a1, a2: d = 1, b3 = b2 + a2*v*(b1 - b2) with v the inverse of
+      a2 mod a1;
+    - any other pair: two extended gcds, of a1 and a2 and then of their gcd
+      and (b1 + b2)/2.
+
+    c3 = (b3^2 - D)/(4*a3) is an exact division; a remainder raises
+    InvariantViolation, so a broken product fails where it is made.
     """
     a1, b1, c1 = f
     a2, b2, c2 = g
     D = b1 * b1 - 4 * a1 * c1
     if D != b2 * b2 - 4 * a2 * c2:
         raise DiscriminantMismatch(f"{f} and {g} have different discriminants")
-    s = (b1 + b2) // 2
-    g0, u, v = xgcd(a1, a2)
-    d1, w0, t = xgcd(g0, s)
-    # d1 = w0*u*a1 + w0*v*a2 + t*s
-    a3 = a1 * a2 // (d1 * d1)
-    # congruence solution for the middle coefficient
-    b3 = (b2 + 2 * (a2 // d1) * ((w0 * v) * ((b1 - b2) // 2) - t * c2)) % (2 * a3)
-    return d1, (a3, b3, (b3 * b3 - D) // (4 * a3))
+    if a1 == a2 and b1 == b2:
+        d = math.gcd(a1, b1)
+        m = a1 // d
+        a3 = m * m
+        b3 = (b1 - 2 * m * pow(b1 // d, -1, m) * c1) % (2 * a3)
+    elif (d := math.gcd(a1, a2)) == 1:
+        a3 = a1 * a2
+        b3 = (b2 + a2 * pow(a2, -1, a1) * (b1 - b2)) % (2 * a3)
+    else:
+        _, u, v = xgcd(a1, a2)
+        d, w0, t = xgcd(d, (b1 + b2) // 2)
+        # d = w0*u*a1 + w0*v*a2 + t*(b1 + b2)/2
+        a3 = a1 * a2 // (d * d)
+        b3 = (b2 + 2 * (a2 // d) * ((w0 * v) * ((b1 - b2) // 2) - t * c2)) % (2 * a3)
+    c3, r = divmod(b3 * b3 - D, 4 * a3)
+    if r:
+        raise InvariantViolation(f"{f} * {g}: 4*{a3} does not divide {b3}^2 - ({D})")
+    return d, (a3, b3, c3)
+
+
+def _reduced_product(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
+    return _reduce(compose_unreduced(f, g)[1])
 
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     """Dirichlet composition, returned reduced."""
-    return reduce_form(compose_unreduced(f, g)[1])
+    return QuadForm._make(_reduced_product(f, g))
 
 
 def power(f: QuadForm, n: int) -> QuadForm:
     """n-th composition power of the class of f (n may be negative).
 
-    arith.square_and_multiply on |n| with compose, looked up when power is
-    called: bit_length(n) - 1 squarings and popcount(n) - 1 products.  f is
-    reduced first, so an invalid f raises ValueError also for n = 0.
+    arith.square_and_multiply on |n|: bit_length(n) - 1 squarings and
+    popcount(n) - 1 products, each one call of the module global
+    compose_unreduced and one pass of the reduction loop, on plain int
+    triples; only the result is a QuadForm.  f is reduced first, so an
+    invalid f raises ValueError also for n = 0.
     """
+    a, b, c = f
     if n < 0:
-        f, n = inverse(f), -n
-    base = reduce_form(f)
+        b, n = -b, -n
+    base = _reduce((a, b, c))
     if n == 0:
-        return principal_form(base.disc)
-    return square_and_multiply(base, n, compose)
+        return principal_form(b * b - 4 * a * c)
+    return QuadForm._make(square_and_multiply(base, n, _reduced_product))
 
 
 def enumerate_reduced_forms(D: int) -> list[QuadForm]:

@@ -232,6 +232,21 @@ def test_unclosed_state_product_exits_3_under_optimize():
     assert proc.stderr.startswith("internal error: ") and "Traceback" not in proc.stderr
 
 
+def test_broken_square_product_exits_3_under_optimize():
+    # a square whose middle coefficient is off by one has no c3: the exact
+    # division in compose_unreduced stops the product that made it; exit 9
+    # if the squaring branch's b3 line is not where the patch expects it
+    patch = (
+        "import inspect; quadform = sys.modules['iqgalois.quadform']; "
+        "src = inspect.getsource(quadform.compose_unreduced); old = '* c1) % (2 * a3)'; "
+        "exec(src.replace(old, '* c1 + 1) % (2 * a3)'), vars(quadform)) if old in src "
+        "else sys.exit(9)"
+    )
+    proc = _classify_under_optimize(patch, -23)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal error: ") and "does not divide" in proc.stderr
+
+
 def test_unpinned_class_number_exits_3(monkeypatch, capsys):
     def unpinned(value):
         raise ClassNumberAmbiguous(f"cannot pin the class number of {value}")

@@ -62,8 +62,8 @@ def test_power_compose_count(monkeypatch):
     # bit_length(n) - 1 squarings and popcount(n) - 1 products, none by the
     # identity; counted through the module global that power looks up
     calls = []
-    real = quadform.compose
-    monkeypatch.setattr(quadform, "compose", lambda f, g: calls.append(1) or real(f, g))
+    real = quadform.compose_unreduced
+    monkeypatch.setattr(quadform, "compose_unreduced", lambda f, g: calls.append(1) or real(f, g))
     f = prime_form(-1000003, 13)
     for n in range(1, 300):
         calls.clear()

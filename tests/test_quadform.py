@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqgalois.arith import small_primes
 from iqgalois.discriminant import NotFundamental, NotImaginary, validate
 from iqgalois.idealgen import form_to_ideal, ideal_multiply, ideal_to_form
 from iqgalois.quadform import (
@@ -17,6 +19,7 @@ from iqgalois.quadform import (
     class_group,
     class_number,
     compose,
+    compose_unreduced,
     coprime_representative,
     enumerate_reduced_forms,
     inverse,
@@ -120,6 +123,61 @@ def test_compose_matches_ideal_multiplication_random(m, data):
     lattice = lattice_multiply(i, j)
     assert compose(f, g) == ideal_to_form(lattice)
     assert ideal_multiply(i, j) == lattice
+
+
+# D = -3 and -4 have extra units, -20 and -84 ramified forms, -3299 and
+# -4*1009 class groups large enough for every kind of pair
+ORACLE_DISCRIMINANTS = (-3, -4, -20, -23, -84, -420, -3299, -4 * 1009)
+
+
+def _branch(f, g) -> str:
+    """Which branch of compose_unreduced the pair takes."""
+    if f == g:
+        return "square" if math.gcd(f.a, f.b) == 1 else "square, gcd(a, b) > 1"
+    return "coprime" if math.gcd(f.a, g.a) == 1 else "general"
+
+
+def _assert_product_is_lattice_product(f, g):
+    D = f.disc
+    d, (a3, b3, c3) = compose_unreduced(f, g)
+    want = lattice_multiply(form_to_ideal(f), form_to_ideal(g))
+    assert (d, a3, b3 % (2 * a3)) == (want.m, want.a, want.b % (2 * want.a)), (f, g)
+    assert b3 * b3 - 4 * a3 * c3 == D, (f, g)
+
+
+def _random_pair(rng, m):
+    """A random class f of discriminant -m and a partner: f, its inverse or another class."""
+    pool = [reduce_form(f) for q in small_primes()[:30] if (f := prime_form(-m, q))]
+    f, other = (power(rng.choice(pool), rng.randrange(1, 60)) for _ in range(2))
+    return f, rng.choice([f, inverse(f), other])
+
+
+def test_compose_unreduced_is_the_lattice_product_on_every_branch():
+    branches = set()
+    for D in ORACLE_DISCRIMINANTS:
+        forms = enumerate_reduced_forms(D)
+        for f in forms:
+            for g in forms:
+                _assert_product_is_lattice_product(f, g)
+                branches.add(_branch(f, g))
+    rng = random.Random(12)
+    fields = [m for m in range(10**7, 10**7 + 10**4) if is_fundamental(m)]
+    for _ in range(2000):
+        f, g = _random_pair(rng, rng.choice(fields))
+        _assert_product_is_lattice_product(f, g)
+        branches.add(_branch(f, g))
+    assert branches == {"square", "square, gcd(a, b) > 1", "coprime", "general"}
+
+
+@pytest.mark.parametrize("D", ORACLE_DISCRIMINANTS)
+def test_power_is_the_repeated_lattice_product(D):
+    for f in enumerate_reduced_forms(D):
+        for step, sign in ((form_to_ideal(f), 1), (form_to_ideal(QuadForm(f.a, -f.b, f.c)), -1)):
+            ideal = step
+            for k in range(1, 41 if sign > 0 else 13):
+                assert power(f, sign * k) == reduce_form(ideal.norm_form()), (f, sign * k)
+                ideal = lattice_multiply(ideal, step)
+        assert power(f, 0) == principal_form(D)
 
 
 def test_class_group_examples():
