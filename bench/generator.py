@@ -2,11 +2,11 @@
 
 Times the image of the generator of a^p in the quotient ring O/p^2 of
 localtest.build_context(d, p), idealgen.torsion_power_generator(form, p,
-ring), for every form of p_torsion_basis(cg, p) at every odd p | h
-(rank-overflow primes skipped) over the fundamental |D| of each band in
-BANDS.  Next to it, on the same forms, it times the explicit generator
-idealgen.explicit_power_generator(form, p), not embedded, the route the
-compact image replaces.  The class groups and the rings are built untimed,
+ring), for every job of verify.generator_jobs: every form of
+p_torsion_basis(cg, p) at every odd p | h (rank-overflow primes skipped)
+over the fundamental |D| of each band in BANDS.  Next to it, on the same
+forms, it times the explicit generator idealgen.explicit_power_generator(
+form, p), not embedded, the route the compact image replaces.  The class groups and the rings are built untimed,
 with h from the survey sieve.  It also times classify(D) for each D in
 CLASSIFY.
 
@@ -32,12 +32,9 @@ import json
 from pathlib import Path
 
 from _entry import label_from_argv, timed, timed_alternating, write_entry
-from iqgalois import idealgen
+from iqgalois import idealgen, verify
 from iqgalois.classify import classify
-from iqgalois.discriminant import validate
 from iqgalois.localtest import build_context
-from iqgalois.quadform import RankOverflow, class_group, p_torsion_basis
-from iqgalois.survey import class_numbers_range
 
 # [lo, hi) bands of |D|: all of |D| < 2e4, and one 1e4-block at 1e6 and at 1e7
 BANDS = ((3, 20_000), (10**6, 10**6 + 10**4), (10**7, 10**7 + 10**4))
@@ -47,26 +44,10 @@ CLASSIFY_REPEATS = 3
 OUT = Path(__file__).resolve().parent.parent / "BENCH_11.json"
 
 
-def generator_jobs(lo: int, hi: int) -> list[tuple[int, object, int, object]]:
-    """(D, form, p, ring) for every odd-p torsion basis form of the band."""
-    jobs = []
-    for m, h in class_numbers_range(lo, hi):
-        d = validate(-m)
-        cg = class_group(d, known_h=h)
-        for p in cg.sylow:
-            if p == 2:
-                continue
-            try:
-                basis = p_torsion_basis(cg, p)
-            except RankOverflow:
-                continue
-            ring = build_context(d, p).ring
-            jobs.extend((-m, form, p, ring) for form in basis)
-    return jobs
-
-
 def measure(lo: int, hi: int) -> dict:
-    jobs = generator_jobs(lo, hi)
+    jobs = [
+        (d.value, form, p, build_context(d, p).ring) for d, form, p in verify.generator_jobs(lo, hi)
+    ]
     image, explicit = idealgen.torsion_power_generator, idealgen.explicit_power_generator
     (results, timing), (_, explicit_timing) = timed_alternating(
         [

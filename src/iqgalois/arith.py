@@ -1,5 +1,6 @@
-"""Integer arithmetic primitives: primes, factoring, Kronecker symbols,
-square roots in Z/p^k, a small Smith normal form, and square-and-multiply.
+"""Integer arithmetic primitives: primes, factoring, the Kronecker symbol at
+a prime, square roots in Z/p^k, a small Smith normal form, and
+square-and-multiply.
 
 Everything here is exact integer arithmetic; no external math libraries.
 """
@@ -54,7 +55,7 @@ def small_primes() -> list[int]:
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -93,8 +94,9 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 into sorted (prime, exponent) pairs.
 
-    Trial division by the cached sieve covers cofactors met in surveys
-    (discriminants stay below 10**9); Pollard rho picks up the rest.
+    Trial division by the cached primes below 2**16 factors every n below
+    2**32 completely; Pollard rho splits the larger cofactors that
+    discriminants up to quadform.CLASS_NUMBER_LIMIT (10**13) can leave.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -119,46 +121,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
+def kronecker(a: int, p: int) -> int:
+    """Kronecker symbol (a|p) at a prime p: 1, -1, or 0 when p divides a.
 
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) for arbitrary integers."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    # peel factors of 2 from n: (a|2) depends on a mod 8
-    while n % 2 == 0:
-        n //= 2
-        if a % 8 in (3, 5):
-            result = -result
-    a %= n
-    # Jacobi loop with quadratic reciprocity
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    At p = 2 it follows a mod 8; at odd p it is Euler's criterion,
+    a^((p-1)/2) mod p.  p is not tested for primality, but p < 2, an even
+    p > 2, or a power that is not 0, 1 or -1 mod p raises ValueError.
+    """
+    if p == 2:
+        return 0 if a % 2 == 0 else -1 if a % 8 in (3, 5) else 1
+    if p < 2 or p % 2 == 0:
+        raise ValueError(f"{p} is not an odd prime or 2")
+    e = pow(a, (p - 1) // 2, p)
+    if e == p - 1:
+        return -1
+    if e > 1:
+        raise ValueError(f"{p} is not an odd prime: {a}^{(p - 1) // 2} = {e} (mod {p})")
+    return e
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:

@@ -95,7 +95,12 @@ def torsion_descriptor(d: FundamentalDiscriminant) -> TorsionDescriptor:
 
 
 def kronecker_at(d: FundamentalDiscriminant, p: int) -> str:
-    """Local behavior of the prime p: ramified wins over the symbol value."""
+    """Local behavior of the prime p: ramified wins over the symbol value.
+
+    p must be prime: arith.kronecker raises ValueError on many composite p.
+    survey checks its configured primes and table3's p for primality first,
+    and localtest passes primes that divide the class number.
+    """
     if d.value % p == 0:
         return RAMIFIED
     return SPLIT if kronecker(d.value, p) == 1 else INERT

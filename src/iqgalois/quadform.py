@@ -3,13 +3,13 @@
 Forms (a, b, c) are positive definite and primitive with b^2 - 4ac = D < 0,
 stored as named int tuples; the reduced representative (|b| <= a <= c,
 b >= 0 on the boundary) is the canonical identifier of an ideal class.
-compose_unreduced is the one Dirichlet composition formula, with cheap
-branches for squares and for coprime leading coefficients (one modular
-inverse, no extended gcd) and an exact, checked division for c3.  compose
-reduces its result, and idealgen multiplies ideals with it, keeping the
-content d that the class drops; power raises a class by
-arith.square_and_multiply on plain int triples, reduced by the one loop
-that reduce_form also runs.
+compose_unreduced is the one Dirichlet composition formula, its Bezout
+data taken from builtin gcds and modular inverses (one inverse for squares
+and for coprime leading coefficients, two for any other pair), with an
+exact, checked division for c3.  compose reduces its result, and idealgen
+multiplies ideals with it, keeping the content d that the class drops;
+power raises a class by arith.square_and_multiply on plain int triples,
+reduced by the one loop that reduce_form also runs.
 The class number is exact: a count of the roots of b^2 = D (mod 4a),
 checked by the enumeration oracle, or the value a caller already knows.
 Prime forms generate each Sylow subgroup.  A q-Sylow subgroup whose first
@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .arith import InvariantViolation, factorize, kronecker, small_primes, smith_normal_form
-from .arith import sqrt_mod_prime, sqrt_mod_prime_power, square_and_multiply, xgcd
+from .arith import sqrt_mod_prime, sqrt_mod_prime_power, square_and_multiply
 from .discriminant import FundamentalDiscriminant, validate
 
 # largest |D| for class_number, whose tables grow like sqrt|D| (70 MB at 10^13)
@@ -121,8 +121,10 @@ def compose_unreduced(
       of b/d mod a/d;
     - coprime a1, a2: d = 1, b3 = b2 + a2*v*(b1 - b2) with v the inverse of
       a2 mod a1;
-    - any other pair: two extended gcds, of a1 and a2 and then of their gcd
-      and (b1 + b2)/2.
+    - any other pair: with k = gcd(a1, a2) and s = (b1 + b2)/2, d = gcd(k, s),
+      v the inverse of a2/k mod a1/k, t the inverse of s/d mod k/d and
+      w0 = (d - t*s)/k, so that d = w0*u*a1 + w0*v*a2 + t*s for some u;
+      b3 = b2 + 2*(a2/d)*(w0*v*(b1 - b2)/2 - t*c2).
 
     c3 = (b3^2 - D)/(4*a3) is an exact division; a remainder raises
     InvariantViolation, so a broken product fails where it is made.
@@ -137,15 +139,17 @@ def compose_unreduced(
         m = a1 // d
         a3 = m * m
         b3 = (b1 - 2 * m * pow(b1 // d, -1, m) * c1) % (2 * a3)
-    elif (d := math.gcd(a1, a2)) == 1:
-        a3 = a1 * a2
+    elif (k := math.gcd(a1, a2)) == 1:
+        d, a3 = 1, a1 * a2
         b3 = (b2 + a2 * pow(a2, -1, a1) * (b1 - b2)) % (2 * a3)
     else:
-        _, u, v = xgcd(a1, a2)
-        d, w0, t = xgcd(d, (b1 + b2) // 2)
-        # d = w0*u*a1 + w0*v*a2 + t*(b1 + b2)/2
+        s = (b1 + b2) // 2
+        d = math.gcd(k, s)
+        v = pow(a2 // k, -1, a1 // k)
+        t = pow(s // d, -1, k // d)
+        w0 = (d - t * s) // k
         a3 = a1 * a2 // (d * d)
-        b3 = (b2 + 2 * (a2 // d) * ((w0 * v) * ((b1 - b2) // 2) - t * c2)) % (2 * a3)
+        b3 = (b2 + 2 * (a2 // d) * (w0 * v * ((b1 - b2) // 2) - t * c2)) % (2 * a3)
     c3, r = divmod(b3 * b3 - D, 4 * a3)
     if r:
         raise InvariantViolation(f"{f} * {g}: 4*{a3} does not divide {b3}^2 - ({D})")

@@ -325,12 +325,6 @@ def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> int:
     return n
 
 
-def read_rows(path: str) -> list[SurveyRow]:
-    """Read back what persist wrote as JSON (CSV flattens the record)."""
-    with open(path, encoding="utf-8") as fh:
-        return [SurveyRow.from_dict(obj) for obj in json.load(fh)]
-
-
 @dataclass(frozen=True)
 class Table1Row:
     p: int

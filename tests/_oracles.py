@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from iqgalois.arith import InvariantViolation, factorize, smith_normal_form, xgcd
+from iqgalois.arith import InvariantViolation, factorize, smith_normal_form
 from iqgalois.discriminant import NotFundamental, validate
 from iqgalois.idealgen import QuadIdeal, QuadraticInteger
 from iqgalois.quadform import ClassNumberAmbiguous, _adjoin, compose, power, principal_form
@@ -79,6 +79,18 @@ def norm_elements(D: int, n: int) -> list[QuadraticInteger]:
     return out
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, by the extended Euclidean algorithm."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
+
+
 def _hnf_from_vectors(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
     """(a, b, m) with the lattice spanned by (u, v) pairs = m * [a, (b + sqrt D)/2].
 
@@ -95,7 +107,7 @@ def _hnf_from_vectors(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
     for u2, v2 in vecs[1:]:
         if wv == g:
             break
-        gg, x, y = xgcd(wv, v2)
+        gg, x, y = _xgcd(wv, v2)
         wu, wv = x * wu + y * u2, gg
     if wv != g:
         raise InvariantViolation(f"vectors {vecs} did not combine to v-content {g}")

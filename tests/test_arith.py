@@ -2,7 +2,7 @@ import signal
 
 import pytest
 
-from iqgalois.arith import is_prime, sqrt_mod_prime, square_and_multiply
+from iqgalois.arith import is_prime, kronecker, sqrt_mod_prime, square_and_multiply
 
 
 def _timeout(signum, frame):
@@ -19,6 +19,27 @@ def test_sqrt_mod_prime_rejects_composite_modulus_quickly(a, p):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [4, 9, 15, 21, 6, 1, 0, -3])
+def test_kronecker_rejects_what_is_not_a_prime(p):
+    # Euler's power 2^((p-1)/2) is 7 (mod 9), 8 (mod 15) and 16 (mod 21),
+    # none of 0, 1, -1; 4 and 6 are even, and 1, 0, -3 lie below 2
+    with pytest.raises(ValueError, match="not an odd prime"):
+        kronecker(2, p)
+
+
+def test_kronecker_at_primes_matches_squares():
+    for p in filter(is_prime, range(2000)):
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(-2 * p - 3, 2 * p + 4):
+            if a % p == 0:
+                expected = 0
+            elif p == 2:
+                expected = -1 if a % 8 in (3, 5) else 1
+            else:
+                expected = 1 if a % p in squares else -1
+            assert kronecker(a, p) == expected, (a, p)
 
 
 def test_sqrt_mod_prime_roots_at_odd_primes():

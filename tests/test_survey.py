@@ -14,7 +14,6 @@ from iqgalois.survey import (
     class_numbers_range,
     fundamental_mask,
     persist,
-    read_rows,
     rows_to_csv,
     scan,
     single_factor_fields,
@@ -222,7 +221,8 @@ def test_persist_round_trip(tmp_path):
     rows = list(scan(SurveyConfig(d_min=3, d_max=400, primes=(2, 3))))
     path = str(tmp_path / "rows.json")
     assert persist(rows, path, "json") == len(rows)
-    assert read_rows(path) == rows
+    with open(path, encoding="utf-8") as fh:
+        assert [survey.SurveyRow.from_dict(obj) for obj in json.load(fh)] == rows
     csv_path = str(tmp_path / "rows.csv")
     assert persist(iter(rows), csv_path, "csv") == len(rows)
     with open(csv_path, encoding="utf-8") as fh:
