@@ -5,7 +5,7 @@ over every fundamental |D| of the block [start, start + 1e4), with h from
 the survey sieve, and the whole survey._scan_block of the same block (sieve,
 class groups, generators, local images, rows) with the primes PRIMES, the
 two passes taken in turn.  It uses whichever iqgalois is first on the import
-path.  The result goes under --label in BENCH_12.json at the repository
+path.  The result goes under --label in BENCH_14.json at the repository
 root.  Entries with other labels are kept, so one file holds a before and
 an after measured on the same machine:
 
@@ -13,9 +13,11 @@ an after measured on the same machine:
     PYTHONPATH=src python3 bench/classgroup.py --label change
 
 Each block records the median and minimum wall time of REPEATS passes of
-either kind, the number of compositions, and two sha256 digests that must
-agree between entries: of the Sylow data (q, orders and basis forms per
-field) and of the scan rows.  Compositions are counted as calls of
+either kind, the number of compositions, and three sha256 digests that
+must agree between entries: of the odd-q Sylow data (q, orders and basis
+forms per field), of the 2-Sylow orders, and of the scan rows.  The
+2-Sylow basis is left out: any basis of exact orders is correct, and the
+verdict at p = 2 does not read it.  Compositions are counted as calls of
 compose_unreduced, the one composition formula, through wrappers on its
 module globals in quadform and idealgen: once over a class-group pass and
 once over a scan pass.
@@ -33,18 +35,23 @@ from iqgalois.survey import BLOCK_SIZE, class_numbers_range
 STARTS = (10**6, 10**7)
 PRIMES = (2, 3, 5, 7)
 REPEATS = 5
-OUT = Path(__file__).resolve().parent.parent / "BENCH_12.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_14.json"
 
 
 def sha256(data) -> str:
     return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
 
 
-def sylow_data(cg) -> list:
+def odd_sylow_data(cg) -> list:
     return [cg.discriminant] + [
         [q, list(orders), [[f.a, f.b, f.c] for f in basis]]
         for q, (orders, basis) in sorted(cg.sylow.items())
+        if q != 2
     ]
+
+
+def two_sylow_orders(cg) -> list:
+    return [cg.discriminant, list(cg.sylow[2][0]) if 2 in cg.sylow else []]
 
 
 def count_products(fn) -> int:
@@ -81,7 +88,8 @@ def measure(start: int) -> dict:
         "fields": len(fields),
         "class_group": {**cg_timing, "compositions": count_products(groups)},
         "scan_block": {**scan_timing, "compositions": count_products(scan)},
-        "sylow_sha256": sha256([sylow_data(cg) for cg in cgs[-1]]),
+        "odd_sylow_sha256": sha256([odd_sylow_data(cg) for cg in cgs[-1]]),
+        "two_sylow_orders_sha256": sha256([two_sylow_orders(cg) for cg in cgs[-1]]),
         "rows_sha256": sha256([row.to_dict() for row in rows[-1]]),
     }
 

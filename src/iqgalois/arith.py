@@ -95,15 +95,19 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 into sorted (prime, exponent) pairs.
 
     Trial division by the cached primes below 2**16 factors every n below
-    2**32 completely; Pollard rho splits the larger cofactors that
-    discriminants up to quadform.CLASS_NUMBER_LIMIT (10**13) can leave.
+    2**32 completely: once p*p > n, what is left is 1 or a prime, recorded
+    with no primality test.  Past the last of those primes, Miller-Rabin
+    and Pollard rho split the larger cofactors that discriminants up to
+    quadform.CLASS_NUMBER_LIMIT (10**13) can leave.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
     for p in small_primes():
         if p * p > n:
-            break
+            if n > 1:
+                out[n] = 1
+            return sorted(out.items())
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

@@ -12,11 +12,14 @@ power raises a class by arith.square_and_multiply on plain int triples,
 reduced by the one loop that reduce_form also runs.
 The class number is exact: a count of the roots of b^2 = D (mod 4a),
 checked by the enumeration oracle, or the value a caller already knows.
-Prime forms generate each Sylow subgroup.  A q-Sylow subgroup whose first
-projected prime form has exact order q^e is cyclic with that form as its
-basis; any other is grown as an explicit table of classes with the same
-walk, and its Smith normal form gives the invariant factors and the
-p-torsion bases.
+Prime forms generate each Sylow subgroup.  The 2-Sylow subgroup is grown
+with no element table: each projected prime form x is squared to its chain
+x, x^2, x^4, ..., and the chains kept are those whose order-2 tops are
+independent, which makes their first elements a basis of a direct sum.  An
+odd q-Sylow subgroup whose first projected prime form has exact order q^e
+is cyclic with that form as its basis; any other is grown as an explicit
+table of classes with the same walk, and its Smith normal form gives the
+invariant factors and the p-torsion bases.
 """
 
 import functools
@@ -244,9 +247,12 @@ _Sylow = tuple[tuple[int, ...], tuple[QuadForm, ...]]
 class ClassGroupStructure:
     """Invariant factors and, for each prime q | h, the q-Sylow subgroup.
 
-    sylow[q] = (orders, basis): the ascending orders of its Smith normal form
-    and forms of exactly those orders that generate it.  Its keys are the
-    primes of h in ascending order, the order in which classify tests them.
+    sylow[q] = (orders, basis): the ascending orders of its cyclic factors
+    and forms of exactly those orders that generate it as their direct sum.
+    For odd q the basis comes from a Smith normal form; the 2-basis is any
+    basis of exact orders, since the verdict at p = 2 does not read it.
+    Its keys are the primes of h in ascending order, the order in which
+    classify tests them.
     """
 
     h: int
@@ -280,10 +286,113 @@ def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...],
     return len(powers), sub[powers[-1]], grown
 
 
+def _two_chain(x: tuple[int, int, int], one: QuadForm, e: int) -> list[tuple[int, int, int]]:
+    """x, x^2, x^4, ... up to the last power that is not the identity.
+
+    x has order 2^len(chain), and chain[-1] is its top, of order 2.
+    Raises ClassNumberAmbiguous when x^(2^e) is not the identity.
+    """
+    chain = []
+    y = x
+    while y != one:
+        if len(chain) == e:
+            raise ClassNumberAmbiguous(f"order of {x} does not divide 2^{e}")
+        chain.append(y)
+        y = _reduced_product(y, y)
+    return chain
+
+
+def _top_span(chains: list, one: QuadForm) -> dict:
+    """Every element of the group spanned by the chains' tops, with its 0/1 coefficients.
+
+    Raises InvariantViolation when the m tops span fewer than 2^m elements,
+    that is, when they are not independent.
+    """
+    span = {one: ()}
+    for chain in chains:
+        top = chain[-1]
+        grown = {s: v + (0,) for s, v in span.items()}
+        for s, v in span.items():
+            grown[top if s == one else _reduced_product(s, top)] = v + (1,)
+        span = grown
+    if len(span) != 1 << len(chains):
+        raise InvariantViolation(f"tops of {[c[0] for c in chains]} are not independent")
+    return span
+
+
+def _two_insert(chains: list, span: dict, chain: list, one: QuadForm) -> dict:
+    """Grow the direct sum of the chains' first elements by chain[0]; returns the new span.
+
+    If the top of x = chain[0] is outside span, x joins the chains.  If its
+    coefficients touch a chain of lower order, x takes that chain's place
+    (the tops stay independent and span the same group) and the displaced
+    element is inserted instead.  Otherwise, with x of order 2^n, x times
+    the inverse of g_i^(2^(n_i - n)) for every coefficient 1 has top 1, so
+    a lower order; the loop goes on with it until it is the identity.
+    """
+    while (coeffs := span.get(chain[-1])) is not None:
+        lower = [i for i, bit in enumerate(coeffs) if bit and len(chains[i]) < len(chain)]
+        if lower:
+            chains[lower[0]], chain = chain, chains[lower[0]]
+            span = _top_span(chains, one)
+            continue
+        x = chain[0]
+        for bit, g in zip(coeffs, chains):
+            if bit:
+                a, b, c = g[len(g) - len(chain)]
+                x = _reduced_product(x, (a, -b, c))
+        if x == one:
+            return span
+        chain = _two_chain(x, one, len(chain) - 1)
+    chains.append(chain)
+    return _top_span(chains, one)
+
+
+def _two_sylow_structure(D: int, h: int, e: int, pool) -> _Sylow:
+    """Orders and basis of the 2-Sylow subgroup, 2^e || h, with no element table.
+
+    In a finite abelian q-group, elements g_i of orders q^(n_i) generate
+    the direct sum of the cyclic groups <g_i> exactly when their tops
+    t_i = g_i^(q^(n_i - 1)) are linearly independent in G[q].  Proof: a
+    direct sum has its tops in distinct summands, so they are independent.
+    Conversely, take a relation sum a_i g_i = 0 whose terms are not all 0,
+    let v_i be the q-adic valuation of a_i and s the largest n_i - v_i over
+    the terms a_i g_i != 0.  Multiplied by q^(s-1), every term with
+    n_i - v_i < s vanishes and every term with n_i - v_i = s becomes u_i t_i
+    with u_i = a_i / q^(v_i) prime to q: a nontrivial relation among the tops.
+
+    Each candidate x, projected into the 2-Sylow subgroup, that is not the
+    identity is squared to its chain and inserted by _two_insert, which
+    keeps the tops independent; the sum of the chain lengths is the
+    logarithm of the order of the subgroup found, and the walk stops when
+    it reaches e.  When the first such x has order 2^e, it is the cyclic
+    basis at once.  The orders are returned ascending.
+    """
+    one = principal_form(D)
+    chains: list = []
+    span = {one: ()}
+    for cand in pool:
+        x = power(cand, h >> e)
+        if x == one:
+            continue
+        span = _two_insert(chains, span, _two_chain(x, one, e), one)
+        if (size := sum(map(len, chains))) >= e:
+            break
+    else:
+        raise ClassNumberAmbiguous(
+            f"prime-form pool exhausted before generating the 2-part of Cl({D})"
+        )
+    if size > e:
+        raise ClassNumberAmbiguous(f"2-Sylow subgroup of Cl({D}) exceeds order 2^{e}")
+    chains.sort(key=len)
+    return tuple(1 << len(c) for c in chains), tuple(QuadForm._make(c[0]) for c in chains)
+
+
 def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     """Orders and basis of the q-Sylow subgroup, q^e || h.
 
-    Walks the candidate pool, projecting each class into the Sylow subgroup.
+    q = 2 goes to _two_sylow_structure.  For odd q, walks the candidate
+    pool, projecting each class into the Sylow subgroup.
     When the first projection x that is not the identity has exact order
     q^e (x^(q^(e-1)) is not the identity but its q-th power is), the
     subgroup is cyclic and generated by x: that is the walk's own result
@@ -294,6 +403,8 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     pass here and fail later as InvariantViolation, where the walk raises
     ClassNumberAmbiguous.
     """
+    if q == 2:
+        return _two_sylow_structure(D, h, e, pool)
     one = principal_form(D)
     target = q**e
     cofactor = h // target

@@ -5,7 +5,8 @@ is decided by searching words in the modular group generators, norm
 equations are solved by exhaustive search, quadratic residues by squaring
 every residue, and reduced forms per |D| by a plain loop over (a, b).
 The Sylow walk is the class-group code as it stood before its cyclic
-shortcut, kept as the reference for it.  Invariant factors of a whole
+shortcut and its table-free 2-part, with its own copy of the table walk,
+kept as the reference for both.  Invariant factors of a whole
 class group are read off how many of its classes each q^j kills.  Ideal
 products and principal ideals are Hermite-reduced lattices spanned by
 their generators, the reference for the composition formula that idealgen
@@ -23,7 +24,7 @@ import numpy as np
 from iqgalois.arith import InvariantViolation, factorize, smith_normal_form
 from iqgalois.discriminant import NotFundamental, validate
 from iqgalois.idealgen import QuadIdeal, QuadraticInteger
-from iqgalois.quadform import ClassNumberAmbiguous, _adjoin, compose, power, principal_form
+from iqgalois.quadform import ClassNumberAmbiguous, compose, power, principal_form
 
 
 def sl2_orbit(form: tuple[int, int, int], max_size: int = 20000) -> set:
@@ -264,6 +265,25 @@ def invariant_factors_by_counting(forms: list) -> tuple[int, ...]:
     rank = max((len(c) for c in columns), default=0)
     padded = [[1] * (rank - len(c)) + c for c in columns]
     return tuple(math.prod(row) for row in zip(*padded))
+
+
+def _adjoin(sub: dict, x, limit: int) -> tuple[int, tuple[int, ...], dict]:
+    """Grow the explicit subgroup table sub (class -> exponent vector) by the class of x.
+
+    Walks x, x^2, ... up to the first power x^k in sub and returns k, the
+    vector of x^k and the table of <sub, x>, whose vectors end in the
+    exponent of x.  Raises ClassNumberAmbiguous once k would exceed limit.
+    """
+    powers = [x]
+    while powers[-1] not in sub:
+        if len(powers) >= limit:
+            raise ClassNumberAmbiguous(f"relative order of {x} exceeds {limit}")
+        powers.append(compose(powers[-1], x))
+    grown = {}
+    for i, xi in enumerate([principal_form(x.disc)] + powers[:-1]):
+        for elt, vec in sub.items():
+            grown[compose(elt, xi)] = vec + (i,)
+    return len(powers), sub[powers[-1]], grown
 
 
 def sylow_structure_walk(D: int, h: int, q: int, e: int, pool):

@@ -1,8 +1,10 @@
+import math
 import signal
 
 import pytest
 
-from iqgalois.arith import is_prime, kronecker, sqrt_mod_prime, square_and_multiply
+from iqgalois.arith import _pollard_rho, factorize, is_prime, kronecker, small_primes
+from iqgalois.arith import sqrt_mod_prime, square_and_multiply
 
 
 def _timeout(signum, frame):
@@ -65,3 +67,36 @@ def test_square_and_multiply_counts_and_values():
     for n in (0, -1):
         with pytest.raises(ValueError):
             square_and_multiply(3, n, mul)
+
+
+def _factorize_testing_every_cofactor(n: int) -> list[tuple[int, int]]:
+    """factorize as it was before it skipped the primality test of the last cofactor."""
+    out: dict[int, int] = {}
+    for p in small_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _pollard_rho(m)
+        stack.extend((d, m // d))
+    return sorted(out.items())
+
+
+def test_factorize_matches_primality_tested_cofactors():
+    # 2^32 + 15 is a prime above 65521^2, the last square that trial division
+    # by the primes below 2^16 reaches; 65537^2 and 65521*65537 need rho
+    specials = (1, 2, 65521 * 65537, 65537**2, 2**32 + 15, 10**12 + 39, 2**61 - 1)
+    for n in [*range(1, 200_000), *specials]:
+        assert factorize(n) == _factorize_testing_every_cofactor(n), n
+    for n in specials:
+        assert math.prod(p**k for p, k in factorize(n)) == n
+        assert all(is_prime(p) for p, _ in factorize(n)), n

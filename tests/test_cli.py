@@ -188,7 +188,8 @@ def test_broken_invariant_exits_3_under_optimize():
 
 
 # One broken dependency per module on classify -23 (h = 3, and 3 splits in
-# Q(sqrt(-23))), each caught by a check of that module or the next one down.
+# Q(sqrt(-23))) unless BROKEN_D names another discriminant, each caught by a
+# check of that module or the next one down.
 BROKEN = {
     # idealgen: ideal products that return the first factor, so the last
     # product I * a is the ideal a itself, not principal
@@ -206,15 +207,18 @@ BROKEN = {
         "sys.modules['iqgalois.localtest'].sqrt_mod_prime_power = lambda a, p, k: None",
         "no Hensel square root of -23 mod 9",
     ),
-    # arith: a prime cofactor that Pollard rho is asked to split
+    # arith: a prime cofactor that Pollard rho is asked to split; factorize
+    # tests primality only past trial division by the primes below 2^16, so
+    # this one classifies -65537 * 65539, whose validation gets there
     "arith": ("sys.modules['iqgalois.arith'].is_prime = lambda n: False", "rho failed on "),
 }
+BROKEN_D = {"arith": -65537 * 65539}
 
 
 @pytest.mark.parametrize("module", sorted(BROKEN))
 def test_broken_module_check_exits_3_under_optimize(module):
     patch, message = BROKEN[module]
-    proc = _classify_under_optimize(patch, -23)
+    proc = _classify_under_optimize(patch, BROKEN_D.get(module, -23))
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("internal error: ") and message in proc.stderr, proc.stderr
 

@@ -1,21 +1,31 @@
 """Class-group Sylow data against the plain subgroup walk.
 
-quadform._sylow_structure returns a cyclic Sylow subgroup at once when the
-first projected prime form has exact order q^e; every other subgroup is
-grown by the walk.  Both routes must give what the walk alone gives.
+quadform._sylow_structure returns an odd-q Sylow subgroup at once when the
+first projected prime form has exact order q^e, and grows every other odd-q
+subgroup by the walk: both must give exactly what the walk alone gives.
+The 2-Sylow subgroup is built from independent order-2 tops with no element
+table, so its basis may differ from the walk's; its orders may not, each
+basis form must have exactly its order, and the basis must span the
+subgroup.
 """
 
 import collections
+import itertools
 import random
+import signal
 
 import pytest
 
 from iqgalois import quadform
-from iqgalois.arith import factorize
+from iqgalois.arith import InvariantViolation, factorize
 from iqgalois.discriminant import validate
+from iqgalois.quadform import ClassNumberAmbiguous, compose, power, principal_form
 from iqgalois.survey import BLOCK_SIZE, class_numbers_range
 
-from _oracles import sylow_structure_walk
+from _oracles import invariant_factors_by_counting, sylow_structure_walk
+
+# below this |D| the span of every 2-basis is enumerated
+SPAN_LIMIT = 2_000
 
 
 def _fields():
@@ -25,37 +35,113 @@ def _fields():
 
 
 @pytest.fixture
-def routes(monkeypatch):
-    """Count the Sylow subgroups that reach _adjoin (walk) and those that do not."""
+def branches(monkeypatch):
+    """Count what each _two_insert call did to the chains it was given."""
     counts = collections.Counter()
-    walked = []
-    sylow, adjoin = quadform._sylow_structure, quadform._adjoin
+    insert = quadform._two_insert
 
-    def counting_adjoin(*args):
-        walked[-1] = True
-        return adjoin(*args)
-
-    def counting_sylow(*args):
-        walked.append(False)
-        out = sylow(*args)
-        cyclic = "cyclic" if len(out[0]) == 1 else "noncyclic"
-        counts["walk " + cyclic if walked.pop() else "shortcut"] += 1
+    def counting_insert(chains, span, chain, one):
+        before = list(chains)
+        out = insert(chains, span, chain, one)
+        counts["calls"] += 1
+        if len(chains) > len(before):
+            counts["append"] += 1
+        if any(c is chain for c in chains[: len(before)]):
+            counts["swap"] += 1
+        if len(chains) == len(before) and all(c is b for c, b in zip(chains, before)):
+            counts["identity"] += 1
         return out
 
-    monkeypatch.setattr(quadform, "_adjoin", counting_adjoin)
-    monkeypatch.setattr(quadform, "_sylow_structure", counting_sylow)
+    monkeypatch.setattr(quadform, "_two_insert", counting_insert)
     return counts
 
 
-def test_sylow_matches_walk(routes):
+def _span(basis, orders, one) -> set:
+    span = {one}
+    for b, order in zip(basis, orders):
+        span = {compose(s, power(b, i)) for s in span for i in range(order)}
+    return span
+
+
+def test_sylow_matches_walk(branches):
+    cyclic_at_once = 0
     for m, h in _fields():
         D = -m
+        calls = branches["calls"]
         got = quadform.class_group(validate(D), known_h=h).sylow
-        want = {
-            q: sylow_structure_walk(D, h, q, e, quadform._prime_form_pool(D))
-            for q, e in factorize(h)
-        }
+        calls = branches["calls"] - calls
+        one = principal_form(D)
+        for q, e in factorize(h):
+            want = sylow_structure_walk(D, h, q, e, quadform._prime_form_pool(D))
+            if q != 2:
+                assert got[q] == want, (D, h, q)
+                continue
+            orders, basis = got[2]
+            assert orders == want[0], (D, h)
+            for b, o in zip(basis, orders):
+                assert power(b, o) == one and power(b, o // 2) != one, (D, b, o)
+            cyclic_at_once += calls == 1 and orders == (2**e,)
+            if m < SPAN_LIMIT:
+                span = _span(basis, orders, one)
+                assert len(span) == 2**e and all(power(s, 2**e) == one for s in span), D
+                forms = quadform.enumerate_reduced_forms(D)
+                twos = tuple(f & -f for f in invariant_factors_by_counting(forms) if f % 2 == 0)
+                assert orders == twos, (D, orders, twos)
+    # the first projected form of exact order 2^e, an append, a swap with a
+    # chain of lower order, and a candidate reduced to the identity
+    assert cyclic_at_once and all(branches[k] for k in ("append", "swap", "identity")), branches
+
+
+def test_two_sylow_orders_match_walk_at_1e7():
+    for m, h in class_numbers_range(10**7, 10**7 + BLOCK_SIZE):
+        if h % 2:
+            continue
+        D = -m
+        e = dict(factorize(h))[2]
+        got = quadform.class_group(validate(D), known_h=h).sylow[2][0]
+        want = sylow_structure_walk(D, h, 2, e, quadform._prime_form_pool(D))[0]
         assert got == want, (D, h)
-    # the shortcut, the walk on a cyclic subgroup whose first projected prime
-    # form does not generate it, and the walk on non-cyclic subgroups
-    assert routes["shortcut"] and routes["walk cyclic"] and routes["walk noncyclic"], routes
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("class_group did not return within 2 s")
+
+
+# Cl(-84) = (2, 2) and Cl(-420) = (2, 2, 2): the pool cannot fill 2^3 or 2^4;
+# h(-4036) = 20 and h(-1000011) = 368, so a projection keeps an odd part;
+# Cl(-260) = (2, 4): an order-4 chain joins an order-2 one past 2^2
+@pytest.mark.parametrize(
+    "D, h, match",
+    [
+        (-84, 8, "pool exhausted"),
+        (-420, 16, "pool exhausted"),
+        (-4036, 12, "does not divide 2"),
+        (-1000011, 64, "does not divide 2"),
+        (-260, 4, "exceeds order 2"),
+    ],
+)
+def test_two_sylow_wrong_known_h_raises_quickly(D, h, match):
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(ClassNumberAmbiguous, match=match):
+            quadform.class_group(validate(D), known_h=h)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_two_chains_with_one_top_are_dependent():
+    # Cl(-4036) = Z/20: a form g of order 4 and g^2 share the top g^2
+    D = -4036
+    one = principal_form(D)
+    g = next(
+        x
+        for f in itertools.islice(quadform._prime_form_pool(D), 20)
+        if (x := power(f, 5)) != one and power(x, 2) != one
+    )
+    chain = quadform._two_chain(g, one, 2)
+    assert len(chain) == 2
+    assert len(quadform._top_span([chain], one)) == 2
+    with pytest.raises(InvariantViolation, match="not independent"):
+        quadform._top_span([chain, chain[1:]], one)
