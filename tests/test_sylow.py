@@ -2,7 +2,8 @@
 
 quadform._sylow_structure returns an odd-q Sylow subgroup at once when the
 first projected prime form has exact order q^e, and grows every other odd-q
-subgroup by the walk: both must give exactly what the walk alone gives.
+subgroup by the walk: both must give exactly what the walk alone gives,
+and the test data must reach both.
 The 2-Sylow subgroup is built from independent order-2 tops with no element
 table, so its basis may differ from the walk's; its orders may not, each
 basis form must have exactly its order, and the basis must span the
@@ -35,6 +36,31 @@ def _fields():
 
 
 @pytest.fixture
+def routes(monkeypatch):
+    """Count the odd-q Sylow subgroups that reach _adjoin (walk) and those that do not."""
+    counts = collections.Counter()
+    walked = []
+    sylow, adjoin = quadform._sylow_structure, quadform._adjoin
+
+    def counting_adjoin(*args):
+        walked[-1] = True
+        return adjoin(*args)
+
+    def counting_sylow(D, h, q, e, pool):
+        walked.append(False)
+        out = sylow(D, h, q, e, pool)
+        cyclic = "cyclic" if len(out[0]) == 1 else "noncyclic"
+        route = "walk " + cyclic if walked.pop() else "shortcut"
+        if q != 2:
+            counts[route] += 1
+        return out
+
+    monkeypatch.setattr(quadform, "_adjoin", counting_adjoin)
+    monkeypatch.setattr(quadform, "_sylow_structure", counting_sylow)
+    return counts
+
+
+@pytest.fixture
 def branches(monkeypatch):
     """Count what each _two_insert call did to the chains it was given."""
     counts = collections.Counter()
@@ -63,7 +89,7 @@ def _span(basis, orders, one) -> set:
     return span
 
 
-def test_sylow_matches_walk(branches):
+def test_sylow_matches_walk(routes, branches):
     cyclic_at_once = 0
     for m, h in _fields():
         D = -m
@@ -87,8 +113,11 @@ def test_sylow_matches_walk(branches):
                 forms = quadform.enumerate_reduced_forms(D)
                 twos = tuple(f & -f for f in invariant_factors_by_counting(forms) if f % 2 == 0)
                 assert orders == twos, (D, orders, twos)
-    # the first projected form of exact order 2^e, an append, a swap with a
-    # chain of lower order, and a candidate reduced to the identity
+    # odd q: the shortcut, the walk on a cyclic subgroup whose first projected
+    # prime form does not generate it, and the walk on non-cyclic subgroups
+    assert routes["shortcut"] and routes["walk cyclic"] and routes["walk noncyclic"], routes
+    # q = 2: the first projected form of exact order 2^e, an append, a swap
+    # with a chain of lower order, and a candidate reduced to the identity
     assert cyclic_at_once and all(branches[k] for k in ("append", "swap", "identity")), branches
 
 
