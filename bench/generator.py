@@ -6,11 +6,11 @@ ring), for every job of verify.generator_jobs: every form of
 p_torsion_basis(cg, p) at every odd p | h (rank-overflow primes skipped)
 over the fundamental |D| of each band in BANDS.  Next to it, on the same
 forms, it times the explicit generator idealgen.explicit_power_generator(
-form, p), not embedded, the route the compact image replaces.  The class groups and the rings are built untimed,
-with h from the survey sieve.  It also times classify(D) for each D in
-CLASSIFY.
+form, p), not embedded: the oracle route the compact image replaced.  The
+class groups and the rings are built untimed, with h from the survey
+sieve.  It also times classify(D) for each D in CLASSIFY.
 
-The result goes under --label in BENCH_11.json at the repository root,
+The result goes under --label in BENCH_15.json at the repository root,
 using whichever iqgalois is first on the import path.  Entries with other
 labels are kept, so one file holds a before and an after measured on the
 same machine:
@@ -41,7 +41,7 @@ BANDS = ((3, 20_000), (10**6, 10**6 + 10**4), (10**7, 10**7 + 10**4))
 REPEATS = 5
 CLASSIFY = (-100000007, -1000000007, -100000000003)
 CLASSIFY_REPEATS = 3
-OUT = Path(__file__).resolve().parent.parent / "BENCH_11.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_15.json"
 
 
 def measure(lo: int, hi: int) -> dict:

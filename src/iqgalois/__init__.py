@@ -18,16 +18,7 @@ from .discriminant import (
     torsion_descriptor,
     validate,
 )
-from .idealgen import (
-    NotPrincipal,
-    QuadIdeal,
-    QuadraticInteger,
-    form_to_ideal,
-    ideal_multiply,
-    ideal_power,
-    ideal_to_form,
-    principal_generator,
-)
+from .idealgen import NotPrincipal
 from .localtest import (
     GroupTooLarge,
     LocalContext,
@@ -38,7 +29,6 @@ from .localtest import (
     injectivity_test,
     local_unit_image,
     two_classification,
-    two_direct_check,
 )
 from .quadform import (
     ClassGroupStructure,
@@ -48,7 +38,6 @@ from .quadform import (
     class_group,
     compose,
     coprime_representative,
-    enumerate_reduced_forms,
     inverse,
     p_torsion_basis,
     power,
@@ -72,8 +61,6 @@ __all__ = [
     "NotPrincipal",
     "PhiImage",
     "QuadForm",
-    "QuadIdeal",
-    "QuadraticInteger",
     "RankOverflow",
     "SurveyConfig",
     "SurveyRow",
@@ -83,13 +70,8 @@ __all__ = [
     "classify",
     "compose",
     "coprime_representative",
-    "enumerate_reduced_forms",
-    "form_to_ideal",
     "generic_membership",
     "genus_two_rank",
-    "ideal_multiply",
-    "ideal_power",
-    "ideal_to_form",
     "injectivity_test",
     "inverse",
     "kronecker_at",
@@ -98,14 +80,12 @@ __all__ = [
     "persist",
     "power",
     "principal_form",
-    "principal_generator",
     "reduce_form",
     "scan",
     "table1",
     "table3",
     "torsion_descriptor",
     "two_classification",
-    "two_direct_check",
     "validate",
     "verdict_description",
 ]

@@ -1,16 +1,16 @@
 """Ideal arithmetic for the maximal order of an imaginary quadratic field.
 
-Ideals are rank-2 lattices stored as m * (Z*a + Z*(b + sqrt(D))/2) with the
-integer content m split off, so non-primitive products such as the square
-of a ramified prime stay representable.  Products use the Dirichlet
-composition formula shared with quadform, keeping the content
-gcd(a1, a2, (b1 + b2)/2) that the form class drops; powers use the
-square-and-multiply loop of arith, as quadform.power does.  A principal
-ideal's generator is recovered as a shortest lattice vector by
-two-dimensional Lagrange-Gauss reduction, which is exact: for D < -4 the
-shortest vectors of (alpha) are exactly +-alpha.  torsion_power_generator
-gives the local test's input, the image in O/p^2 of the generator of a^p,
-from states of a primitive form tuple and a ring element, all on ints.
+The per-field route is torsion_power_generator: the image in O/p^2 of the
+generator of a^p, from states of a primitive form tuple and a ring element,
+all on ints (_state_product, reduced_basis).  The rest is oracle code.
+Ideals are rank-2 lattices m * (Z*a + Z*(b + sqrt(D))/2) with the integer
+content m split off, so non-primitive products such as the square of a
+ramified prime stay representable; ideal_multiply keeps the content
+gcd(a1, a2, (b1 + b2)/2) that the form class drops.  principal_generator
+recovers a generator as a shortest lattice vector, exact since for D < -4
+the shortest vectors of (alpha) are exactly +-alpha, and
+explicit_power_generator builds alpha in full for verify.generators, the
+p = 2 direct check and the golden generator pin.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from .quadform import QuadForm, compose_unreduced, coprime_representative, reduc
 
 
 class NotPrincipal(InvariantViolation):
-    """The shortest vector does not generate the ideal: an upstream order bug."""
+    """An ideal that should be principal is not: an upstream order bug."""
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,17 @@ def torsion_power_generator(form: QuadForm, p: int, ring):
 
     a is the ideal of f = coprime_representative(form, p).  a^n is kept as a
     state (f', g), a^n = gamma * I with I the ideal of the primitive form
-    tuple f', of norm prime to p, and g the image of gamma; the principal
-    last product I * a has a shortest vector nu, and alpha = +-gamma * nu.
+    tuple f', of norm prime to p, and g the image of gamma.  The last of
+    the p products, J = I1 * I2, is principal, J = (nu), and for D < -4 its
+    reduced basis starts with +-nu: _state_product picks it with A = 1, so
+    the state is (1, b, c) and g is the image of +-alpha.  A state of norm
+    a != 1 means that J, hence a^p, is not principal: NotPrincipal.
     """
-    f, D = coprime_representative(form, p), form.disc
-    (a, b, _), g = square_and_multiply((f, ring.one), p - 1, partial(_state_product, ring=ring))
-    nu = principal_generator(ideal_multiply(QuadIdeal(a, b, 1, D), QuadIdeal(f.a, f.b, 1, D)))
-    return ring.mul(g, ring.embed(nu.u, nu.v))
+    f = coprime_representative(form, p)
+    (a, _, _), g = square_and_multiply((f, ring.one), p, partial(_state_product, ring=ring))
+    if a != 1:
+        raise NotPrincipal(f"{f} to the power {p} is not principal: its state has norm {a}")
+    return g
 
 
 def _state_product(s1, s2, ring):

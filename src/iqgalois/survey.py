@@ -24,6 +24,7 @@ import numpy as np
 from .arith import is_prime
 from .classify import ClassificationRecord, classify_validated, status_at_prime
 from .discriminant import FundamentalDiscriminant, kronecker_at, validate
+from .quadform import CLASS_NUMBER_LIMIT
 
 BLOCK_SIZE = 10_000
 CSV_HEADER = "D,h,class_group,two_rank,p,local_behavior,status,verdict,assumes_converse"
@@ -49,6 +50,8 @@ class SurveyConfig:
     def __post_init__(self):
         if self.d_min >= self.d_max:
             raise InvalidConfig(f"empty |D| range [{self.d_min}, {self.d_max}]")
+        if not self.primes:
+            raise InvalidConfig("no primes to track")
         for p in self.primes:
             _require_prime(p)
         object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
@@ -152,7 +155,12 @@ def class_numbers_range(lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def _blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
-    """The consecutive [start, end) blocks of at most width |D| that cover [lo, hi)."""
+    """The consecutive [start, end) blocks of at most width |D| that cover [lo, hi).
+
+    Refuses |D| past quadform.CLASS_NUMBER_LIMIT before the first block.
+    """
+    if hi - 1 > CLASS_NUMBER_LIMIT:
+        raise ValueError(f"|D| up to {hi - 1} exceeds the class-number limit {CLASS_NUMBER_LIMIT}")
     for start in range(lo, hi, width):
         yield start, min(start + width, hi)
 

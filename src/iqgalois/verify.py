@@ -34,7 +34,7 @@ from .quadform import (
     principal_form,
     reduce_form,
 )
-from .survey import class_numbers_range, fundamental_mask
+from .survey import BLOCK_SIZE, _blocks, class_numbers_range, fundamental_mask
 
 FORM_DISCRIMINANTS = (-23, -47, -84, -479, -1051, -3299)
 
@@ -110,17 +110,18 @@ def generator_jobs(lo: int, hi: int) -> list[tuple[FundamentalDiscriminant, Quad
     Primes where the p-rank overflows are skipped.
     """
     jobs = []
-    for m, h in class_numbers_range(lo, hi):
-        d = validate(-m)
-        cg = class_group(d, known_h=h)
-        for p in cg.sylow:
-            if p == 2:
-                continue
-            try:
-                basis = p_torsion_basis(cg, p)
-            except RankOverflow:
-                continue
-            jobs.extend((d, form, p) for form in basis)
+    for block in _blocks(lo, hi, BLOCK_SIZE):
+        for m, h in class_numbers_range(*block):
+            d = validate(-m)
+            cg = class_group(d, known_h=h)
+            for p in cg.sylow:
+                if p == 2:
+                    continue
+                try:
+                    basis = p_torsion_basis(cg, p)
+                except RankOverflow:
+                    continue
+                jobs.extend((d, form, p) for form in basis)
     return jobs
 
 
@@ -143,10 +144,11 @@ def two_family_fields(bound: int) -> list[FundamentalDiscriminant]:
     if bound < 3:
         raise ValueError("bound must be at least 3")
     out = []
-    for m in (np.nonzero(fundamental_mask(3, bound + 1))[0] + 3).tolist():
-        d = validate(-m)
-        if d.num_prime_divisors == 2:
-            out.append(d)
+    for lo, hi in _blocks(3, bound + 1, BLOCK_SIZE):
+        for m in (np.nonzero(fundamental_mask(lo, hi))[0] + lo).tolist():
+            d = validate(-m)
+            if d.num_prime_divisors == 2:
+                out.append(d)
     return out
 
 

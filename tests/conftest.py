@@ -1,0 +1,23 @@
+"""Fixtures shared by the test modules."""
+
+import signal
+
+import pytest
+
+
+@pytest.fixture
+def deadline(request):
+    """Fail the test with TimeoutError when its body runs for more than 2 s.
+
+    A SIGALRM timer, so it stops pure-Python loops that never return; it
+    needs the main thread, where pytest runs tests.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{request.node.name} did not return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)

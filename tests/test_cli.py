@@ -1,6 +1,5 @@
 import json
 import os
-import signal
 import subprocess
 import sys
 
@@ -29,19 +28,10 @@ def test_classify_invalid_discriminant_exits_2(capsys):
     assert "invalid discriminant" in capsys.readouterr().err
 
 
-def _timeout(signum, frame):
-    raise TimeoutError("classify did not return within 2 s")
-
-
+@pytest.mark.usefixtures("deadline")
 def test_classify_huge_discriminant_exits_1_quickly(capsys):
     # beyond quadform.CLASS_NUMBER_LIMIT the count is refused before it allocates
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
-        assert main(["classify", "-d", "-100000000000000003"]) == 1
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    assert main(["classify", "-d", "-100000000000000003"]) == 1
     assert "exceeds the class-number limit" in capsys.readouterr().err
 
 
@@ -163,6 +153,33 @@ def test_verify_two_bound_below_3_exits_1(capsys):
     assert "bound must be at least 3" in capsys.readouterr().err
 
 
+HUGE = "100000000000000"  # 1e14, past quadform.CLASS_NUMBER_LIMIT
+
+
+# past the limit a sieve block loops for hours and a whole-range sieve
+# exhausts memory; with no primes a survey has no rows to write
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["survey", "--min", HUGE, "--max", "100000000000010"], "class-number limit"),
+        (["tables", "--table", "2", "--p", "3", "--N", "5", "--B", HUGE], "class-number limit"),
+        (["tables", "--table", "1", "--bound", HUGE], "class-number limit"),
+        (["verify", "--suite", "two", "--bound", HUGE], "class-number limit"),
+        (["verify", "--suite", "generators", "--bound", HUGE], "class-number limit"),
+        (["survey", "--max", "100", "--primes", ""], "no primes"),
+        (["survey", "--max", "100", "--primes", ","], "no primes"),
+    ],
+)
+def test_out_of_range_input_exits_1_quickly(argv, message, tmp_path, capsys):
+    if argv[0] == "survey":
+        argv = argv + ["--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _classify_under_optimize(patch: str, D: int) -> subprocess.CompletedProcess:
     """Run classify -d D under python -O after the one-line patch."""
     script = (
@@ -191,11 +208,11 @@ def test_broken_invariant_exits_3_under_optimize():
 # Q(sqrt(-23))) unless BROKEN_D names another discriminant, each caught by a
 # check of that module or the next one down.
 BROKEN = {
-    # idealgen: ideal products that return the first factor, so the last
+    # idealgen: compositions that return the first factor, so the last state
     # product I * a is the ideal a itself, not principal
     "idealgen": (
-        "sys.modules['iqgalois.idealgen'].ideal_multiply = lambda i1, i2: i1",
-        "has shortest norm 4 != 2",
+        "sys.modules['iqgalois.idealgen'].compose_unreduced = lambda f, g: (1, tuple(f))",
+        "to the power 3 is not principal",
     ),
     # classify: a generator image that is not a unit above p, caught by localtest
     "classify": (

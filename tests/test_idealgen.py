@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from iqgalois import idealgen
+from iqgalois import idealgen, survey
 from iqgalois.arith import InvariantViolation, square_and_multiply
 from iqgalois.discriminant import validate
 from iqgalois.idealgen import (
@@ -175,6 +175,37 @@ def test_state_power_stands_for_the_ideal_power():
                 scaled = principal_generator(ideal_multiply(ideal_power(a, n), conj))
                 e = ring.mul(ring.embed(scaled.u, scaled.v), (pow(ideal.norm, -1, ring.mod), 0))
                 assert g in (e, ring.mul(e, ring.minus_one)), (D, p, f, n)
+
+
+@pytest.mark.parametrize(
+    "D, form, p",
+    [
+        (-23, (2, 1, 3), 5),
+        (-23, (2, 1, 3), 7),
+        (-47, (2, 1, 6), 3),
+        (-3299, (5, 1, 165), 7),
+    ],
+)
+def test_class_that_is_not_p_torsion_raises_not_principal(D, form, p):
+    # h(-23) = 3, h(-47) = 5, and (5, 1, 165) has order 9 in Cl(-3299) = Z/3 x Z/9:
+    # a^p is not principal, so the last state product keeps a norm above 1
+    ring = build_context(validate(D), p).ring
+    with pytest.raises(NotPrincipal, match="is not principal"):
+        torsion_power_generator(QuadForm(*form), p, ring)
+
+
+def test_scan_builds_no_ideal_lattice(monkeypatch):
+    # the per-field route closes on its state products: a scan never reaches
+    # the ideal lattices, which serve the oracles only
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the per-field route built an ideal lattice")
+
+    names = ("QuadIdeal", "QuadraticInteger", "ideal_multiply", "ideal_power", "principal_generator")
+    for name in names:
+        monkeypatch.setattr(idealgen, name, unreachable)
+    rows = survey._scan_block((3, 5000, (2, 3, 5, 7)))
+    assert len(rows) == 1524
+    assert any(p > 2 for row in rows for p, _ in row.record.per_prime)
 
 
 def test_state_product_rejects_vectors_that_do_not_span(monkeypatch):

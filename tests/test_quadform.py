@@ -1,6 +1,5 @@
 import math
 import random
-import signal
 
 import numpy as np
 import pytest
@@ -254,19 +253,7 @@ def test_class_number_matches_survey_sieve(lo, hi):
         assert class_number(-m) == counts[m - lo], f"D=-{m}"
 
 
-def _within_two_seconds(fn, *args):
-    def timeout(signum, frame):
-        raise TimeoutError(f"{fn.__name__} did not return within 2 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
+@pytest.mark.usefixtures("deadline")
 @pytest.mark.parametrize(
     "D,h",
     [
@@ -279,30 +266,22 @@ def _within_two_seconds(fn, *args):
 )
 def test_class_number_large_fields(D, h):
     # values agree with the prime-form subgroup count that class_number replaced
-    assert _within_two_seconds(class_number, D) == h
+    assert class_number(D) == h
 
 
+@pytest.mark.usefixtures("deadline")
 def test_class_number_refuses_huge_discriminants_quickly():
     with pytest.raises(ValueError, match="class-number limit"):
-        _within_two_seconds(class_number, -(CLASS_NUMBER_LIMIT + 3))
+        class_number(-(CLASS_NUMBER_LIMIT + 3))
     with pytest.raises(NotFundamental):
         class_number(-12)
 
 
-def _timeout(signum, frame):
-    raise TimeoutError("class_group did not return within 2 s")
-
-
+@pytest.mark.usefixtures("deadline")
 def test_class_group_wrong_known_h_raises_quickly():
     # Cl(-23) has order 3; a claimed h = 5 leaves a 5-Sylow the forms cannot fill
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
-        with pytest.raises(ClassNumberAmbiguous):
-            class_group(validate(-23), known_h=5)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ClassNumberAmbiguous):
+        class_group(validate(-23), known_h=5)
 
 
 def test_parity_guard_prime_discriminants():

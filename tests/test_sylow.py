@@ -13,7 +13,6 @@ subgroup.
 import collections
 import itertools
 import random
-import signal
 
 import pytest
 
@@ -132,10 +131,6 @@ def test_two_sylow_orders_match_walk_at_1e7():
         assert got == want, (D, h)
 
 
-def _timeout(signum, frame):
-    raise TimeoutError("class_group did not return within 2 s")
-
-
 # Cl(-84) = (2, 2) and Cl(-420) = (2, 2, 2): the pool cannot fill 2^3 or 2^4;
 # h(-4036) = 20 and h(-1000011) = 368, so a projection keeps an odd part;
 # Cl(-260) = (2, 4): an order-4 chain joins an order-2 one past 2^2
@@ -149,15 +144,10 @@ def _timeout(signum, frame):
         (-260, 4, "exceeds order 2"),
     ],
 )
+@pytest.mark.usefixtures("deadline")
 def test_two_sylow_wrong_known_h_raises_quickly(D, h, match):
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
-        with pytest.raises(ClassNumberAmbiguous, match=match):
-            quadform.class_group(validate(D), known_h=h)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ClassNumberAmbiguous, match=match):
+        quadform.class_group(validate(D), known_h=h)
 
 
 def test_two_chains_with_one_top_are_dependent():
