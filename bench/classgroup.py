@@ -5,7 +5,7 @@ over every fundamental |D| of the block [start, start + 1e4), with h from
 the survey sieve, and the whole survey._scan_block of the same block (sieve,
 class groups, generators, local images, rows) with the primes PRIMES, the
 two passes taken in turn.  It uses whichever iqgalois is first on the import
-path.  The result goes under --label in BENCH_14.json at the repository
+path.  The result goes under --label in BENCH_16.json at the repository
 root.  Entries with other labels are kept, so one file holds a before and
 an after measured on the same machine:
 
@@ -17,12 +17,17 @@ either kind, the number of compositions, and three sha256 digests that
 must agree between entries: of the odd-q Sylow data (q, orders and basis
 forms per field), of the 2-Sylow orders, and of the scan rows.  The
 2-Sylow basis is left out: any basis of exact orders is correct, and the
-verdict at p = 2 does not read it.  Compositions are counted as calls of
+verdict at p = 2 does not read it.  It also counts the even-h fields by
+the route their 2-orders took, read from the shape of sylow[2]: the walk
+(an entry with a basis), or the Redei matrix (no basis) with 4-rank 0, 1,
+or at least 2 and the closed form (2,)*(r - r4) + (4,)*r4.  A library
+without the Redei route puts every field on the walk.  Compositions are counted as calls of
 compose_unreduced, the one composition formula, through wrappers on its
 module globals in quadform and idealgen: once over a class-group pass and
 once over a scan pass.
 """
 
+import collections
 import hashlib
 import json
 from pathlib import Path
@@ -35,7 +40,7 @@ from iqgalois.survey import BLOCK_SIZE, class_numbers_range
 STARTS = (10**6, 10**7)
 PRIMES = (2, 3, 5, 7)
 REPEATS = 5
-OUT = Path(__file__).resolve().parent.parent / "BENCH_14.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_16.json"
 
 
 def sha256(data) -> str:
@@ -52,6 +57,14 @@ def odd_sylow_data(cg) -> list:
 
 def two_sylow_orders(cg) -> list:
     return [cg.discriminant, list(cg.sylow[2][0]) if 2 in cg.sylow else []]
+
+
+def two_part_route(cg) -> str:
+    orders, basis = cg.sylow[2]
+    if basis is not None:
+        return "walk"
+    r4 = sum(o >= 4 for o in orders)
+    return "r4>=2 closed" if r4 >= 2 else f"r4={r4}"
 
 
 def count_products(fn) -> int:
@@ -91,6 +104,9 @@ def measure(start: int) -> dict:
         "odd_sylow_sha256": sha256([odd_sylow_data(cg) for cg in cgs[-1]]),
         "two_sylow_orders_sha256": sha256([two_sylow_orders(cg) for cg in cgs[-1]]),
         "rows_sha256": sha256([row.to_dict() for row in rows[-1]]),
+        "two_part_routes": dict(
+            collections.Counter(two_part_route(cg) for cg in cgs[-1] if 2 in cg.sylow)
+        ),
     }
 
 
@@ -103,7 +119,7 @@ def main() -> None:
             f"{label}: |D| from {b['start']}: {b['fields']} fields; class_group median "
             f"{cg['median_s']} s, min {cg['min_s']} s, {cg['compositions']} compositions; "
             f"_scan_block median {scan['median_s']} s, min {scan['min_s']} s, "
-            f"{scan['compositions']} compositions"
+            f"{scan['compositions']} compositions; 2-part routes {b['two_part_routes']}"
         )
     layer = (
         "quadform.class_group(known_h) and survey._scan_block, "

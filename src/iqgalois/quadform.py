@@ -11,15 +11,20 @@ multiplies ideals with it, keeping the content d that the class drops;
 power raises a class by arith.square_and_multiply on plain int triples,
 reduced by the one loop that reduce_form also runs.
 The class number is exact: a count of the roots of b^2 = D (mod 4a),
-checked by the enumeration oracle, or the value a caller already knows.
-Prime forms generate each Sylow subgroup.  The 2-Sylow subgroup is grown
-with no element table: each projected prime form x is squared to its chain
-x, x^2, x^4, ..., and the chains kept are those whose order-2 tops are
-independent, which makes their first elements a basis of a direct sum.  An
-odd q-Sylow subgroup whose first projected prime form has exact order q^e
-is cyclic with that form as its basis; any other is grown as an explicit
-table of classes with the same walk, and its Smith normal form gives the
-invariant factors and the p-torsion bases.
+checked by the enumeration oracle, or the value a caller vouches for.
+The 2-orders come from genus theory: the 2-rank t - 1, the 4-rank from the
+Redei matrix of Kronecker symbols between the prime discriminants of D, and
+2^e || h fix them unless the 4-rank is at least 2 and e exceeds t - 1 plus
+the 4-rank.  Prime forms chosen by their genus characters must then have
+the largest 2-order exactly, which holds the 2-part of h to the group.
+The remaining fields grow the 2-Sylow subgroup with no element table: each
+projected prime form x is squared to its chain x, x^2, x^4, ..., and the
+chains kept are those whose order-2 tops are independent, which makes
+their first elements a basis of a direct sum; the same walk builds a
+2-basis on demand.  An odd q-Sylow subgroup whose first projected prime
+form has exact order q^e is cyclic with that form as its basis; any other
+is grown as an explicit table of classes with the same walk, and its Smith
+normal form gives the invariant factors and the p-torsion bases.
 """
 
 import functools
@@ -32,7 +37,7 @@ import numpy as np
 
 from .arith import InvariantViolation, factorize, kronecker, small_primes, smith_normal_form
 from .arith import sqrt_mod_prime, sqrt_mod_prime_power, square_and_multiply
-from .discriminant import FundamentalDiscriminant, validate
+from .discriminant import FundamentalDiscriminant, genus_two_rank, validate
 
 # largest |D| for class_number, whose tables grow like sqrt|D| (70 MB at 10^13)
 CLASS_NUMBER_LIMIT = 10**13
@@ -240,7 +245,7 @@ def _prime_form_pool(D: int) -> Iterator[QuadForm]:
 
 
 _Table = dict[QuadForm, tuple[int, ...]]
-_Sylow = tuple[tuple[int, ...], tuple[QuadForm, ...]]
+_Sylow = tuple[tuple[int, ...], tuple[QuadForm, ...] | None]
 
 
 @dataclass(frozen=True)
@@ -249,10 +254,12 @@ class ClassGroupStructure:
 
     sylow[q] = (orders, basis): the ascending orders of its cyclic factors
     and forms of exactly those orders that generate it as their direct sum.
-    For odd q the basis comes from a Smith normal form; the 2-basis is any
-    basis of exact orders, since the verdict at p = 2 does not read it.
-    Its keys are the primes of h in ascending order, the order in which
-    classify tests them.
+    For odd q the basis comes from a Smith normal form.  The 2-orders
+    mostly come from the Redei matrix, with basis None: the verdict at
+    p = 2 does not read a basis, and sylow_basis(2) builds one on demand;
+    where the walk ran, its basis is any basis of exact orders.  The keys
+    are the primes of h in ascending order, the order in which classify
+    tests them.
     """
 
     h: int
@@ -262,6 +269,20 @@ class ClassGroupStructure:
 
     def p_rank(self, p: int) -> int:
         return len(self.sylow[p][0]) if p in self.sylow else 0
+
+    def sylow_basis(self, q: int) -> tuple[QuadForm, ...]:
+        """Basis of the q-Sylow subgroup; a Redei entry's is grown by the 2-Sylow walk.
+
+        Raises InvariantViolation when the walk finds other orders than the
+        Redei matrix gave.
+        """
+        orders, basis = self.sylow[q]
+        if basis is None:
+            D, e = self.discriminant, math.prod(orders).bit_length() - 1
+            walked, basis = _two_sylow_structure(D, self.h, e, _prime_form_pool(D))
+            if walked != orders:
+                raise InvariantViolation(f"2-orders of Cl({D}): Redei {orders}, walk {walked}")
+        return basis
 
 
 def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...], _Table]:
@@ -388,11 +409,116 @@ def _two_sylow_structure(D: int, h: int, e: int, pool) -> _Sylow:
     return tuple(1 << len(c) for c in chains), tuple(QuadForm._make(c[0]) for c in chains)
 
 
+def _genus_vector(discs: list[int], q: int) -> int:
+    """Bit j set when the Kronecker symbol (d_j / q) is -1, for the prime discriminants d_j."""
+    v = 0
+    for j, dj in enumerate(discs):
+        if kronecker(dj, q) == -1:
+            v |= 1 << j
+    return v
+
+
+def _span_insert(basis: list[int], v: int) -> bool:
+    """Add the F_2 vector v to basis, kept descending with distinct leading bits.
+
+    Returns False, leaving basis as it was, when v is in its span.
+    """
+    for b in basis:
+        v = min(v, v ^ b)
+    if v:
+        basis.append(v)
+        basis.sort(reverse=True)
+    return v != 0
+
+
+def _redei(d: FundamentalDiscriminant) -> tuple[list[int], list[int], int]:
+    """Prime discriminants of D, a basis of the Redei matrix's row space, and the 4-rank.
+
+    D is the product of the prime discriminants d_j of its t primes p_j:
+    p* = (-1)^((p-1)/2) p at odd p, and D over their product at 2.  The
+    Redei matrix has the entry (i, j), i != j, equal to 1 when (d_j / p_i)
+    is -1, and the diagonal entry that makes each row sum 0.  Its rows are
+    the genus vectors of the ramified prime forms, which span the image of
+    Cl[2] in Cl/Cl^2, and the 4-rank is t - 1 minus its rank over F_2
+    (L. Redei and H. Reichardt, J. reine angew. Math. 170 (1934);
+    P. Stevenhagen, "Redei matrices and applications", LMS Lecture Notes
+    215 (1995)).
+    """
+    primes = [p for p, _ in d.prime_factors]
+    odd = math.prod(p if p % 4 == 1 else -p for p in primes if p != 2)
+    discs = [d.value // odd if p == 2 else p if p % 4 == 1 else -p for p in primes]
+    rows: list[int] = []
+    for i, p in enumerate(primes):
+        v = _genus_vector(discs, p)
+        _span_insert(rows, v | (v.bit_count() & 1) << i)
+    return discs, rows, len(primes) - 1 - len(rows)
+
+
+def _check_two_exponent(D: int, h: int, e: int, k: int, discs: list[int], rows: list[int]) -> None:
+    """Prime forms project to exact order 2^k, the largest 2-order that h and D give.
+
+    A class's genus vector, its characters at the d_j, is its image in
+    Cl/Cl^2, and the Redei rows span the image of Cl[2].  For k >= 2 the
+    first r4 prime forms whose vectors are independent modulo the rows map
+    onto Cl/(Cl[2] Cl^2) = (Z/2)^r4: each projection x = f^(h / 2^e) has
+    order at least 4, and one of them has the largest order of the 2-Sylow
+    subgroup, which the Redei route makes the order of each.  For k = 1
+    (r4 = 0) the 2-Sylow subgroup is elementary, and the first prime form
+    outside Cl^2, with a nonzero vector, projects to order 2.  So every x
+    has x^(2^(k-1)) != 1 and x^(2^k) = 1 when h is right; any other order,
+    or the primes below 2^16 running out first, raises ClassNumberAmbiguous.
+    For k >= 2 that checks the 2-part of h completely.
+    """
+    one = principal_form(D)
+    span, wanted = (list(rows), len(discs) - 1 - len(rows)) if k > 1 else ([], 1)
+    for q in small_primes():
+        if D % q == 0:
+            continue
+        v = _genus_vector(discs, q)
+        if v.bit_count() & 1 or not _span_insert(span, v):
+            continue  # q is inert, or the vector of its forms is in the span
+        y = power(prime_form(D, q), (h >> e) << (k - 1))
+        if y == one or power(y, 2) != one:
+            raise ClassNumberAmbiguous(f"the prime form at {q} has no 2-order 2^{k} in Cl({D})")
+        wanted -= 1
+        if not wanted:
+            return
+    raise ClassNumberAmbiguous(f"primes exhausted before the 2-order check of Cl({D})")
+
+
+def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylow:
+    """The 2-Sylow subgroup, 2^e || h, from genus theory and the Redei matrix.
+
+    With r = t - 1 and the 4-rank r4, the orders are (2,)*r when r4 = 0,
+    (2,)*(r - 1) + (2^(e - r + 1),) when r4 = 1, and (2,)*(r - r4) +
+    (4,)*r4 when e = r + r4; these entries carry no basis.  An e below
+    r + r4, or r4 = 0 with e != r, raises ClassNumberAmbiguous, and so does
+    a largest order 2^k that _check_two_exponent does not find.  Only
+    r4 >= 2 with e > r + r4 runs _two_sylow_structure on pool.
+    """
+    discs, rows, r4 = _redei(d)
+    r = genus_two_rank(d)
+    if e < r + r4 or (r4 == 0 and e != r):
+        raise ClassNumberAmbiguous(
+            f"2^{e} || h does not fit 2-rank {r} and 4-rank {r4} of Cl({d.value})"
+        )
+    if r4 == 0:
+        orders = (2,) * r
+    elif r4 == 1:
+        orders = (2,) * (r - 1) + (1 << (e - r + 1),)
+    elif e == r + r4:
+        orders = (2,) * (r - r4) + (4,) * r4
+    else:
+        return _two_sylow_structure(d.value, h, e, pool)
+    _check_two_exponent(d.value, h, e, orders[-1].bit_length() - 1, discs, rows)
+    return orders, None
+
+
 def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     """Orders and basis of the q-Sylow subgroup, q^e || h.
 
-    q = 2 goes to _two_sylow_structure.  For odd q, walks the candidate
-    pool, projecting each class into the Sylow subgroup.
+    q is odd; the 2-part is _two_sylow_orders.  Walks the candidate pool,
+    projecting each class into the Sylow subgroup.
     When the first projection x that is not the identity has exact order
     q^e (x^(q^(e-1)) is not the identity but its q-th power is), the
     subgroup is cyclic and generated by x: that is the walk's own result
@@ -403,8 +529,6 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     pass here and fail later as InvariantViolation, where the walk raises
     ClassNumberAmbiguous.
     """
-    if q == 2:
-        return _two_sylow_structure(D, h, e, pool)
     one = principal_form(D)
     target = q**e
     cofactor = h // target
@@ -442,13 +566,19 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
 
 
 def _check_structure(cg: ClassGroupStructure) -> None:
-    """Exact order of every Sylow basis form, and the shape of the group."""
+    """Exact order of every Sylow basis form, and the shape of the group.
+
+    A Redei entry has orders and no basis: its orders count towards h only.
+    """
     one = principal_form(cg.discriminant)
     prod = 1
     for q, (orders, basis) in cg.sylow.items():
+        prod *= math.prod(orders)
+        if basis is None:
+            continue
         for o, b in zip(orders, basis):
-            prod *= o
-            if power(b, o) != one or power(b, o // q) == one:
+            y = power(b, o // q)
+            if y == one or power(y, q) != one:
                 raise InvariantViolation(f"{b} does not have exact order {o}")
     if prod != cg.h:
         raise InvariantViolation(f"Sylow orders do not multiply to h = {cg.h}")
@@ -523,9 +653,16 @@ class_number_bsgs = class_number
 def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> ClassGroupStructure:
     """Invariant factors and Sylow bases of the class group.
 
-    h is the exact count of class_number, or known_h from a caller that
-    already has it (e.g. the survey sieve).  Prime forms generate each Sylow
-    subgroup; a known_h they cannot fill raises ClassNumberAmbiguous.
+    h is the exact count of class_number, or known_h.  known_h must be the
+    exact class number, which the caller vouches for (the survey passes its
+    sieve's count of reduced forms); it is not proven.  A wrong known_h
+    raises ClassNumberAmbiguous where it shows: an odd q-part the prime
+    forms cannot fill, a 2-part that contradicts the genus and Redei ranks,
+    or a projected prime form without the largest 2-order.  An even known_h
+    whose 2-part the Redei route decides always raises when that 2-part is
+    wrong; an odd q-part that is too small can pass unseen, and so can a
+    wrong 2-part on the walk route.  Odd Sylow subgroups come from prime
+    forms, the 2-orders from _two_sylow_orders.
     """
     D = d.value
     h = class_number(D) if known_h is None else known_h
@@ -535,7 +672,10 @@ def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> Cl
         return ClassGroupStructure(1, (), {}, D)
     primes = factorize(h)
     pools = itertools.tee(_prime_form_pool(D), len(primes))
-    sylow = {q: _sylow_structure(D, h, q, e, pool) for (q, e), pool in zip(primes, pools)}
+    sylow = {
+        q: _two_sylow_orders(d, h, e, pool) if q == 2 else _sylow_structure(D, h, q, e, pool)
+        for (q, e), pool in zip(primes, pools)
+    }
     rank = max(len(orders) for orders, _ in sylow.values())
     # align largest q-power factors with the largest invariant factor
     padded = [(1,) * (rank - len(orders)) + orders for orders, _ in sylow.values()]
@@ -548,10 +688,10 @@ def p_torsion_basis(cg: ClassGroupStructure, p: int) -> list[QuadForm]:
     """Forms of exact order p spanning the p-torsion of the class group."""
     if cg.h % p != 0:
         raise ValueError(f"{p} does not divide h = {cg.h}")
-    orders, basis = cg.sylow[p]
-    if len(basis) >= 3:
-        raise RankOverflow(f"p-rank {len(basis)} at p={p} for D={cg.discriminant}")
-    return [power(b, o // p) for o, b in zip(orders, basis)]
+    orders = cg.sylow[p][0]
+    if len(orders) >= 3:
+        raise RankOverflow(f"p-rank {len(orders)} at p={p} for D={cg.discriminant}")
+    return [power(b, o // p) for o, b in zip(orders, cg.sylow_basis(p))]
 
 
 def coprime_representative(f: QuadForm, p: int) -> QuadForm:

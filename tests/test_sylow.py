@@ -4,20 +4,23 @@ quadform._sylow_structure returns an odd-q Sylow subgroup at once when the
 first projected prime form has exact order q^e, and grows every other odd-q
 subgroup by the walk: both must give exactly what the walk alone gives,
 and the test data must reach both.
-The 2-Sylow subgroup is built from independent order-2 tops with no element
-table, so its basis may differ from the walk's; its orders may not, each
-basis form must have exactly its order, and the basis must span the
-subgroup.
+The 2-orders come from the Redei matrix, or from the chain walk
+(_two_sylow_structure) where that leaves a choice; they must equal the
+walk's.  The chain walk, which builds a 2-basis from independent order-2
+tops with no element table, is the oracle for the Redei route: its basis
+may differ from the subgroup walk's, its orders may not, each basis form
+must have exactly its order, and the basis must span the subgroup.
 """
 
 import collections
 import itertools
+import math
 import random
 
 import pytest
 
 from iqgalois import quadform
-from iqgalois.arith import InvariantViolation, factorize
+from iqgalois.arith import InvariantViolation, factorize, small_primes
 from iqgalois.discriminant import validate
 from iqgalois.quadform import ClassNumberAmbiguous, compose, power, principal_form
 from iqgalois.survey import BLOCK_SIZE, class_numbers_range
@@ -93,15 +96,18 @@ def test_sylow_matches_walk(routes, branches):
     for m, h in _fields():
         D = -m
         calls = branches["calls"]
-        got = quadform.class_group(validate(D), known_h=h).sylow
+        cg = quadform.class_group(validate(D), known_h=h)
+        # the chain walk runs once: in class_group, or in sylow_basis for a Redei entry
+        basis = cg.sylow_basis(2) if h % 2 == 0 else ()
         calls = branches["calls"] - calls
+        got = cg.sylow
         one = principal_form(D)
         for q, e in factorize(h):
             want = sylow_structure_walk(D, h, q, e, quadform._prime_form_pool(D))
             if q != 2:
                 assert got[q] == want, (D, h, q)
                 continue
-            orders, basis = got[2]
+            orders = got[2][0]
             assert orders == want[0], (D, h)
             for b, o in zip(basis, orders):
                 assert power(b, o) == one and power(b, o // 2) != one, (D, b, o)
@@ -133,7 +139,8 @@ def test_two_sylow_orders_match_walk_at_1e7():
 
 # Cl(-84) = (2, 2) and Cl(-420) = (2, 2, 2): the pool cannot fill 2^3 or 2^4;
 # h(-4036) = 20 and h(-1000011) = 368, so a projection keeps an odd part;
-# Cl(-260) = (2, 4): an order-4 chain joins an order-2 one past 2^2
+# Cl(-260) = (2, 4): an order-4 chain joins an order-2 one past 2^2.
+# The chain walk gives each its own message; class_group must raise as well.
 @pytest.mark.parametrize(
     "D, h, match",
     [
@@ -146,8 +153,65 @@ def test_two_sylow_orders_match_walk_at_1e7():
 )
 @pytest.mark.usefixtures("deadline")
 def test_two_sylow_wrong_known_h_raises_quickly(D, h, match):
+    e = (h & -h).bit_length() - 1
     with pytest.raises(ClassNumberAmbiguous, match=match):
+        quadform._two_sylow_structure(D, h, e, quadform._prime_form_pool(D))
+    with pytest.raises(ClassNumberAmbiguous):
         quadform.class_group(validate(D), known_h=h)
+
+
+def test_redei_four_rank_matches_walk():
+    seen = collections.Counter()
+    for m, h in class_numbers_range(3, 20_000):
+        if h % 2:
+            continue
+        e = (h & -h).bit_length() - 1
+        orders = quadform._two_sylow_structure(-m, h, e, quadform._prime_form_pool(-m))[0]
+        r4 = quadform._redei(validate(-m))[2]
+        assert r4 == sum(o >= 4 for o in orders), (-m, h, orders, r4)
+        seen[r4] += 1
+    assert len(seen) >= 3, seen
+
+
+def _generating_pool(D: int):
+    """The prime forms of norm up to sqrt(|D|/3).
+
+    They generate Cl(D): every class holds a reduced form (a, b, c) with
+    a <= sqrt(|D|/3), a product of prime forms of the primes dividing a.  A
+    walk over a generating pool ends as it would over the whole pool, since
+    later prime forms project into the subgroup it has already spanned.
+    """
+    bound = math.isqrt(-D // 3)
+    for q in itertools.takewhile(lambda q: q <= bound, small_primes()):
+        if (f := quadform.prime_form(D, q)) is not None:
+            yield quadform.reduce_form(f)
+
+
+def test_wrong_known_h_caught_by_the_walk_still_raises(monkeypatch):
+    # claims h/2 and 2h: those the chain walk catches, with every 2-part
+    # walked, must raise on the Redei route too
+    monkeypatch.setattr(quadform, "_prime_form_pool", _generating_pool)
+    fields = [(validate(-m), h) for m, h in class_numbers_range(3, 5_000) if h % 2 == 0]
+    claims = [(d, claim) for d, h in fields for claim in (h // 2, 2 * h)]
+
+    def raising() -> set:
+        out = set()
+        for d, claim in claims:
+            try:
+                quadform.class_group(d, known_h=claim)
+            except ClassNumberAmbiguous:
+                out.add((d.value, claim))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(
+            quadform,
+            "_two_sylow_orders",
+            lambda d, h, e, pool: quadform._two_sylow_structure(d.value, h, e, pool),
+        )
+        walked = raising()
+    assert len(fields) == 1183 and walked
+    assert walked <= raising()
 
 
 def test_two_chains_with_one_top_are_dependent():
