@@ -30,11 +30,14 @@ def timed(fn, repeats: int) -> tuple[list, dict]:
 def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
     """timed() for each of fns, calling them in turn on every pass.
 
-    A drift in the host's pace during the passes then moves all of them alike.
+    Every other pass runs them in reverse order, so a drift in the host's
+    pace during the passes moves all of them alike.  The stats also hold
+    each pass's time under passes_s, in the order of the passes.
     """
     results, times = [[] for _ in fns], [[] for _ in fns]
-    for _ in range(repeats):
-        for fn, out, spent in zip(fns, results, times):
+    order = list(zip(fns, results, times))
+    for i in range(repeats):
+        for fn, out, spent in order if i % 2 == 0 else order[::-1]:
             t0 = time.perf_counter()
             out.append(fn())
             spent.append(time.perf_counter() - t0)
@@ -42,6 +45,7 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
         {
             "median_s": round(statistics.median(spent), 4),
             "min_s": round(min(spent), 4),
+            "passes_s": [round(t, 4) for t in spent],
             "repeats": repeats,
         }
         for spent in times

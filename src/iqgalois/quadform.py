@@ -12,18 +12,18 @@ power raises a class by arith.square_and_multiply on plain int triples,
 reduced by the one loop that reduce_form also runs.
 The class number is exact: a count of the roots of b^2 = D (mod 4a),
 checked by the enumeration oracle, or the value a caller vouches for.
-The 2-orders come from genus theory: the 2-rank t - 1, the 4-rank from the
-Redei matrix of Kronecker symbols between the prime discriminants of D, and
-2^e || h fix them unless the 4-rank is at least 2 and e exceeds t - 1 plus
-the 4-rank.  Prime forms chosen by their genus characters must then have
-the largest 2-order exactly, which holds the 2-part of h to the group.
-The remaining fields grow the 2-Sylow subgroup with no element table: each
-projected prime form x is squared to its chain x, x^2, x^4, ..., and the
-chains kept are those whose order-2 tops are independent, which makes
-their first elements a basis of a direct sum; the same walk builds a
-2-basis on demand.  An odd q-Sylow subgroup whose first projected prime
-form has exact order q^e is cyclic with that form as its basis; any other
-is grown as an explicit table of classes with the same walk, and its Smith
+The 2-orders come from genus theory: the 2-rank t - 1, the 4-rank r4 from
+the Redei matrix of Kronecker symbols between the prime discriminants of D,
+and 2^e || h.  Prime forms chosen by their genus characters are projected
+into the 2-Sylow subgroup and squared to their chains x, x^2, x^4, ...; at
+r4 <= 1 one of them has the largest 2-order, and at r4 = 2 the larger of
+two and the order of the other modulo its cyclic group give the two orders
+of at least 4.  Their orders must multiply to 2^e, which holds the 2-part
+of h to the group wherever r4 <= 2.  Every other Sylow subgroup (odd q, and
+q = 2 at r4 >= 3 or for a 2-basis) takes one walk over the prime forms of
+norm up to sqrt(|D|/3), which generate the group: a subgroup whose first
+projected prime form has exact order q^e is cyclic with that form as its
+basis; any other is grown as an explicit table of classes, and its Smith
 normal form gives the invariant factors and the p-torsion bases.
 """
 
@@ -238,7 +238,16 @@ def prime_form(D: int, q: int) -> QuadForm | None:
 
 
 def _prime_form_pool(D: int) -> Iterator[QuadForm]:
+    """The reduced prime forms of norm up to sqrt(|D|/3), in ascending norm.
+
+    They generate Cl(D): every class holds a reduced form (a, b, c) with
+    a <= sqrt(|D|/3), a product of prime forms at the primes of a.  A walk
+    with a correct h stops on the same form as over all primes below 2^16.
+    """
+    bound = math.isqrt(-D // 3)
     for q in small_primes():
+        if q > bound:
+            return
         f = prime_form(D, q)
         if f is not None:
             yield reduce_form(f)
@@ -253,13 +262,12 @@ class ClassGroupStructure:
     """Invariant factors and, for each prime q | h, the q-Sylow subgroup.
 
     sylow[q] = (orders, basis): the ascending orders of its cyclic factors
-    and forms of exactly those orders that generate it as their direct sum.
-    For odd q the basis comes from a Smith normal form.  The 2-orders
-    mostly come from the Redei matrix, with basis None: the verdict at
-    p = 2 does not read a basis, and sylow_basis(2) builds one on demand;
-    where the walk ran, its basis is any basis of exact orders.  The keys
-    are the primes of h in ascending order, the order in which classify
-    tests them.
+    and forms of exactly those orders that generate it as their direct sum,
+    from _sylow_structure and its Smith normal form.  Where the 4-rank is
+    at most 2, the 2-orders come from genus theory with basis None: the
+    verdict at p = 2 does not read a basis, and sylow_basis(2) runs the
+    same walk on demand.  The keys are the primes of h in ascending order,
+    the order in which classify tests them.
     """
 
     h: int
@@ -271,15 +279,15 @@ class ClassGroupStructure:
         return len(self.sylow[p][0]) if p in self.sylow else 0
 
     def sylow_basis(self, q: int) -> tuple[QuadForm, ...]:
-        """Basis of the q-Sylow subgroup; a Redei entry's is grown by the 2-Sylow walk.
+        """Basis of the q-Sylow subgroup; a Redei entry's is grown by _sylow_structure.
 
-        Raises InvariantViolation when the walk finds other orders than the
-        Redei matrix gave.
+        Raises InvariantViolation when the walk finds other orders than
+        genus theory gave.
         """
         orders, basis = self.sylow[q]
         if basis is None:
             D, e = self.discriminant, math.prod(orders).bit_length() - 1
-            walked, basis = _two_sylow_structure(D, self.h, e, _prime_form_pool(D))
+            walked, basis = _sylow_structure(D, self.h, 2, e, _prime_form_pool(D))
             if walked != orders:
                 raise InvariantViolation(f"2-orders of Cl({D}): Redei {orders}, walk {walked}")
         return basis
@@ -321,92 +329,6 @@ def _two_chain(x: tuple[int, int, int], one: QuadForm, e: int) -> list[tuple[int
         chain.append(y)
         y = _reduced_product(y, y)
     return chain
-
-
-def _top_span(chains: list, one: QuadForm) -> dict:
-    """Every element of the group spanned by the chains' tops, with its 0/1 coefficients.
-
-    Raises InvariantViolation when the m tops span fewer than 2^m elements,
-    that is, when they are not independent.
-    """
-    span = {one: ()}
-    for chain in chains:
-        top = chain[-1]
-        grown = {s: v + (0,) for s, v in span.items()}
-        for s, v in span.items():
-            grown[top if s == one else _reduced_product(s, top)] = v + (1,)
-        span = grown
-    if len(span) != 1 << len(chains):
-        raise InvariantViolation(f"tops of {[c[0] for c in chains]} are not independent")
-    return span
-
-
-def _two_insert(chains: list, span: dict, chain: list, one: QuadForm) -> dict:
-    """Grow the direct sum of the chains' first elements by chain[0]; returns the new span.
-
-    If the top of x = chain[0] is outside span, x joins the chains.  If its
-    coefficients touch a chain of lower order, x takes that chain's place
-    (the tops stay independent and span the same group) and the displaced
-    element is inserted instead.  Otherwise, with x of order 2^n, x times
-    the inverse of g_i^(2^(n_i - n)) for every coefficient 1 has top 1, so
-    a lower order; the loop goes on with it until it is the identity.
-    """
-    while (coeffs := span.get(chain[-1])) is not None:
-        lower = [i for i, bit in enumerate(coeffs) if bit and len(chains[i]) < len(chain)]
-        if lower:
-            chains[lower[0]], chain = chain, chains[lower[0]]
-            span = _top_span(chains, one)
-            continue
-        x = chain[0]
-        for bit, g in zip(coeffs, chains):
-            if bit:
-                a, b, c = g[len(g) - len(chain)]
-                x = _reduced_product(x, (a, -b, c))
-        if x == one:
-            return span
-        chain = _two_chain(x, one, len(chain) - 1)
-    chains.append(chain)
-    return _top_span(chains, one)
-
-
-def _two_sylow_structure(D: int, h: int, e: int, pool) -> _Sylow:
-    """Orders and basis of the 2-Sylow subgroup, 2^e || h, with no element table.
-
-    In a finite abelian q-group, elements g_i of orders q^(n_i) generate
-    the direct sum of the cyclic groups <g_i> exactly when their tops
-    t_i = g_i^(q^(n_i - 1)) are linearly independent in G[q].  Proof: a
-    direct sum has its tops in distinct summands, so they are independent.
-    Conversely, take a relation sum a_i g_i = 0 whose terms are not all 0,
-    let v_i be the q-adic valuation of a_i and s the largest n_i - v_i over
-    the terms a_i g_i != 0.  Multiplied by q^(s-1), every term with
-    n_i - v_i < s vanishes and every term with n_i - v_i = s becomes u_i t_i
-    with u_i = a_i / q^(v_i) prime to q: a nontrivial relation among the tops.
-
-    Each candidate x, projected into the 2-Sylow subgroup, that is not the
-    identity is squared to its chain and inserted by _two_insert, which
-    keeps the tops independent; the sum of the chain lengths is the
-    logarithm of the order of the subgroup found, and the walk stops when
-    it reaches e.  When the first such x has order 2^e, it is the cyclic
-    basis at once.  The orders are returned ascending.
-    """
-    one = principal_form(D)
-    chains: list = []
-    span = {one: ()}
-    for cand in pool:
-        x = power(cand, h >> e)
-        if x == one:
-            continue
-        span = _two_insert(chains, span, _two_chain(x, one, e), one)
-        if (size := sum(map(len, chains))) >= e:
-            break
-    else:
-        raise ClassNumberAmbiguous(
-            f"prime-form pool exhausted before generating the 2-part of Cl({D})"
-        )
-    if size > e:
-        raise ClassNumberAmbiguous(f"2-Sylow subgroup of Cl({D}) exceeds order 2^{e}")
-    chains.sort(key=len)
-    return tuple(1 << len(c) for c in chains), tuple(QuadForm._make(c[0]) for c in chains)
 
 
 def _genus_vector(discs: list[int], q: int) -> int:
@@ -454,70 +376,74 @@ def _redei(d: FundamentalDiscriminant) -> tuple[list[int], list[int], int]:
     return discs, rows, len(primes) - 1 - len(rows)
 
 
-def _check_two_exponent(D: int, h: int, e: int, k: int, discs: list[int], rows: list[int]) -> None:
-    """Prime forms project to exact order 2^k, the largest 2-order that h and D give.
+def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylow:
+    """The 2-Sylow subgroup, 2^e || h, from genus theory and the Redei matrix.
 
+    With r = t - 1 and the 4-rank r4, an e below r + r4, or r4 = 0 with
+    e != r, raises ClassNumberAmbiguous.  r4 >= 3 (no field of |D| < 3e5)
+    takes _sylow_structure on pool.  Otherwise the orders carry no basis.
     A class's genus vector, its characters at the d_j, is its image in
-    Cl/Cl^2, and the Redei rows span the image of Cl[2].  For k >= 2 the
-    first r4 prime forms whose vectors are independent modulo the rows map
-    onto Cl/(Cl[2] Cl^2) = (Z/2)^r4: each projection x = f^(h / 2^e) has
-    order at least 4, and one of them has the largest order of the 2-Sylow
-    subgroup, which the Redei route makes the order of each.  For k = 1
-    (r4 = 0) the 2-Sylow subgroup is elementary, and the first prime form
-    outside Cl^2, with a nonzero vector, projects to order 2.  So every x
-    has x^(2^(k-1)) != 1 and x^(2^k) = 1 when h is right; any other order,
-    or the primes below 2^16 running out first, raises ClassNumberAmbiguous.
-    For k >= 2 that checks the 2-part of h completely.
+    Cl/Cl^2, and the Redei rows span the image of Cl[2].  The first r4
+    prime forms whose vectors are independent modulo the rows map onto
+    Cl/(Cl[2] Cl^2) = (Z/2)^r4; at r4 = 0 the first with a nonzero vector
+    is outside Cl^2.  Each is projected to x = f^(h / 2^e) and squared to
+    its chain (_two_chain), whose length n gives its order 2^n:
+    - r4 <= 1: the one x has an odd coordinate in the largest cyclic
+      factor, so the orders are (2,)*(r - 1) + (2^n,);
+    - r4 = 2: the larger x, of order 2^k, has an odd coordinate in a factor
+      of the largest order, so it spans a direct summand; modulo it the
+      other has an odd coordinate in the one remaining factor of order at
+      least 4, and its order 2^a modulo <x> is that factor's.  The orders
+      are (2,)*(r - 2) + (2^a, 2^k).
+    The orders must multiply to 2^e, and at r4 = 2 each x must have order
+    at least 4 and a >= 2; anything else, or the primes below 2^16 running
+    out first, raises ClassNumberAmbiguous.  So for r4 <= 2 this checks the
+    2-part of h completely; a projection that keeps an odd part raises too.
     """
-    one = principal_form(D)
-    span, wanted = (list(rows), len(discs) - 1 - len(rows)) if k > 1 else ([], 1)
+    D = d.value
+    discs, rows, r4 = _redei(d)
+    r = genus_two_rank(d)
+    if e < r + r4 or (r4 == 0 and e != r):
+        raise ClassNumberAmbiguous(
+            f"2^{e} || h does not fit 2-rank {r} and 4-rank {r4} of Cl({D})"
+        )
+    if r4 > 2:
+        return _sylow_structure(D, h, 2, e, pool)
+    one, span, chains = principal_form(D), list(rows) if r4 else [], []
     for q in small_primes():
         if D % q == 0:
             continue
         v = _genus_vector(discs, q)
         if v.bit_count() & 1 or not _span_insert(span, v):
             continue  # q is inert, or the vector of its forms is in the span
-        y = power(prime_form(D, q), (h >> e) << (k - 1))
-        if y == one or power(y, 2) != one:
-            raise ClassNumberAmbiguous(f"the prime form at {q} has no 2-order 2^{k} in Cl({D})")
-        wanted -= 1
-        if not wanted:
-            return
-    raise ClassNumberAmbiguous(f"primes exhausted before the 2-order check of Cl({D})")
-
-
-def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylow:
-    """The 2-Sylow subgroup, 2^e || h, from genus theory and the Redei matrix.
-
-    With r = t - 1 and the 4-rank r4, the orders are (2,)*r when r4 = 0,
-    (2,)*(r - 1) + (2^(e - r + 1),) when r4 = 1, and (2,)*(r - r4) +
-    (4,)*r4 when e = r + r4; these entries carry no basis.  An e below
-    r + r4, or r4 = 0 with e != r, raises ClassNumberAmbiguous, and so does
-    a largest order 2^k that _check_two_exponent does not find.  Only
-    r4 >= 2 with e > r + r4 runs _two_sylow_structure on pool.
-    """
-    discs, rows, r4 = _redei(d)
-    r = genus_two_rank(d)
-    if e < r + r4 or (r4 == 0 and e != r):
-        raise ClassNumberAmbiguous(
-            f"2^{e} || h does not fit 2-rank {r} and 4-rank {r4} of Cl({d.value})"
-        )
-    if r4 == 0:
-        orders = (2,) * r
-    elif r4 == 1:
-        orders = (2,) * (r - 1) + (1 << (e - r + 1),)
-    elif e == r + r4:
-        orders = (2,) * (r - r4) + (4,) * r4
+        chains.append(_two_chain(power(prime_form(D, q), h >> e), one, e))
+        if len(chains) == max(r4, 1):
+            break
     else:
-        return _two_sylow_structure(d.value, h, e, pool)
-    _check_two_exponent(d.value, h, e, orders[-1].bit_length() - 1, discs, rows)
-    return orders, None
+        raise ClassNumberAmbiguous(f"primes exhausted before the 2-orders of Cl({D})")
+    chains.sort(key=len)
+    if r4 == 2:
+        low, top = chains
+        if len(low) < 2:
+            raise ClassNumberAmbiguous(f"a projected prime form has order below 4 in Cl({D})")
+        # x / top^(2^(k - m)), with 2^m the order of x, shares its coset and its
+        # top; the product has a lower order, until the tops differ
+        while low and low[-1] == top[-1]:
+            a, b, c = top[len(top) - len(low)]
+            low = _two_chain(_reduced_product(low[0], (a, -b, c)), one, len(low) - 1)
+        if len(low) < 2:
+            raise ClassNumberAmbiguous(f"2-orders of Cl({D}) do not fit 4-rank 2")
+        chains[0] = low
+    if r - len(chains) + sum(map(len, chains)) != e:
+        raise ClassNumberAmbiguous(f"projected prime forms do not fill 2^{e} in Cl({D})")
+    return (2,) * (r - len(chains)) + tuple(1 << len(c) for c in chains), None
 
 
 def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
-    """Orders and basis of the q-Sylow subgroup, q^e || h.
+    """Orders and basis of the q-Sylow subgroup, q^e || h, for any prime q.
 
-    q is odd; the 2-part is _two_sylow_orders.  Walks the candidate pool,
+    The 2-part takes it at 4-rank 3 or more, and for sylow_basis(2); every
+    other 2-part is _two_sylow_orders.  Walks the candidate pool,
     projecting each class into the Sylow subgroup.
     When the first projection x that is not the identity has exact order
     q^e (x^(q^(e-1)) is not the identity but its q-th power is), the
@@ -656,13 +582,13 @@ def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> Cl
     h is the exact count of class_number, or known_h.  known_h must be the
     exact class number, which the caller vouches for (the survey passes its
     sieve's count of reduced forms); it is not proven.  A wrong known_h
-    raises ClassNumberAmbiguous where it shows: an odd q-part the prime
-    forms cannot fill, a 2-part that contradicts the genus and Redei ranks,
-    or a projected prime form without the largest 2-order.  An even known_h
-    whose 2-part the Redei route decides always raises when that 2-part is
-    wrong; an odd q-part that is too small can pass unseen, and so can a
-    wrong 2-part on the walk route.  Odd Sylow subgroups come from prime
-    forms, the 2-orders from _two_sylow_orders.
+    raises ClassNumberAmbiguous where it shows: a q-part the prime forms of
+    norm up to sqrt(|D|/3) cannot fill, a 2-part that contradicts the genus
+    and Redei ranks, or projected prime forms whose 2-orders do not
+    multiply to the 2-part of h.  Wherever the 4-rank is at most 2, a wrong
+    2-part always raises; an odd q-part that is too small can pass unseen,
+    and so can a 2-part that is too small at 4-rank 3 or more.  Odd Sylow
+    subgroups come from prime forms, the 2-orders from _two_sylow_orders.
     """
     D = d.value
     h = class_number(D) if known_h is None else known_h

@@ -1,26 +1,22 @@
 """Class-group Sylow data against the plain subgroup walk.
 
-quadform._sylow_structure returns an odd-q Sylow subgroup at once when the
-first projected prime form has exact order q^e, and grows every other odd-q
-subgroup by the walk: both must give exactly what the walk alone gives,
-and the test data must reach both.
-The 2-orders come from the Redei matrix, or from the chain walk
-(_two_sylow_structure) where that leaves a choice; they must equal the
-walk's.  The chain walk, which builds a 2-basis from independent order-2
-tops with no element table, is the oracle for the Redei route: its basis
-may differ from the subgroup walk's, its orders may not, each basis form
-must have exactly its order, and the basis must span the subgroup.
+quadform._sylow_structure returns a Sylow subgroup at once when the first
+projected prime form has exact order q^e, and grows every other subgroup by
+the walk: both must give exactly what the walk alone gives, and the test
+data must reach both.  The 2-orders come from genus theory and the Redei
+matrix wherever the 4-rank is at most 2, and from _sylow_structure at
+4-rank 3 or more; they must equal the walk's.  A 2-basis, built on demand
+by the same walk, must have forms of exactly its orders that span the
+subgroup.
 """
 
 import collections
-import itertools
-import math
 import random
 
 import pytest
 
 from iqgalois import quadform
-from iqgalois.arith import InvariantViolation, factorize, small_primes
+from iqgalois.arith import factorize
 from iqgalois.discriminant import validate
 from iqgalois.quadform import ClassNumberAmbiguous, compose, power, principal_form
 from iqgalois.survey import BLOCK_SIZE, class_numbers_range
@@ -62,28 +58,6 @@ def routes(monkeypatch):
     return counts
 
 
-@pytest.fixture
-def branches(monkeypatch):
-    """Count what each _two_insert call did to the chains it was given."""
-    counts = collections.Counter()
-    insert = quadform._two_insert
-
-    def counting_insert(chains, span, chain, one):
-        before = list(chains)
-        out = insert(chains, span, chain, one)
-        counts["calls"] += 1
-        if len(chains) > len(before):
-            counts["append"] += 1
-        if any(c is chain for c in chains[: len(before)]):
-            counts["swap"] += 1
-        if len(chains) == len(before) and all(c is b for c, b in zip(chains, before)):
-            counts["identity"] += 1
-        return out
-
-    monkeypatch.setattr(quadform, "_two_insert", counting_insert)
-    return counts
-
-
 def _span(basis, orders, one) -> set:
     span = {one}
     for b, order in zip(basis, orders):
@@ -91,15 +65,10 @@ def _span(basis, orders, one) -> set:
     return span
 
 
-def test_sylow_matches_walk(routes, branches):
-    cyclic_at_once = 0
+def test_sylow_matches_walk(routes):
     for m, h in _fields():
         D = -m
-        calls = branches["calls"]
         cg = quadform.class_group(validate(D), known_h=h)
-        # the chain walk runs once: in class_group, or in sylow_basis for a Redei entry
-        basis = cg.sylow_basis(2) if h % 2 == 0 else ()
-        calls = branches["calls"] - calls
         got = cg.sylow
         one = principal_form(D)
         for q, e in factorize(h):
@@ -107,11 +76,10 @@ def test_sylow_matches_walk(routes, branches):
             if q != 2:
                 assert got[q] == want, (D, h, q)
                 continue
-            orders = got[2][0]
+            orders, basis = got[2][0], cg.sylow_basis(2)
             assert orders == want[0], (D, h)
             for b, o in zip(basis, orders):
                 assert power(b, o) == one and power(b, o // 2) != one, (D, b, o)
-            cyclic_at_once += calls == 1 and orders == (2**e,)
             if m < SPAN_LIMIT:
                 span = _span(basis, orders, one)
                 assert len(span) == 2**e and all(power(s, 2**e) == one for s in span), D
@@ -121,9 +89,6 @@ def test_sylow_matches_walk(routes, branches):
     # odd q: the shortcut, the walk on a cyclic subgroup whose first projected
     # prime form does not generate it, and the walk on non-cyclic subgroups
     assert routes["shortcut"] and routes["walk cyclic"] and routes["walk noncyclic"], routes
-    # q = 2: the first projected form of exact order 2^e, an append, a swap
-    # with a chain of lower order, and a candidate reduced to the identity
-    assert cyclic_at_once and all(branches[k] for k in ("append", "swap", "identity")), branches
 
 
 def test_two_sylow_orders_match_walk_at_1e7():
@@ -139,10 +104,10 @@ def test_two_sylow_orders_match_walk_at_1e7():
 
 # Cl(-84) = (2, 2) and Cl(-420) = (2, 2, 2): the pool cannot fill 2^3 or 2^4;
 # h(-4036) = 20 and h(-1000011) = 368, so a projection keeps an odd part;
-# Cl(-260) = (2, 4): an order-4 chain joins an order-2 one past 2^2.
-# The chain walk gives each its own message; class_group must raise as well.
+# Cl(-260) = (2, 4): an order-4 form and an order-2 one pass 2^2.
+# The third value names the fault in each claim.
 @pytest.mark.parametrize(
-    "D, h, match",
+    "D, h, fault",
     [
         (-84, 8, "pool exhausted"),
         (-420, 16, "pool exhausted"),
@@ -152,10 +117,7 @@ def test_two_sylow_orders_match_walk_at_1e7():
     ],
 )
 @pytest.mark.usefixtures("deadline")
-def test_two_sylow_wrong_known_h_raises_quickly(D, h, match):
-    e = (h & -h).bit_length() - 1
-    with pytest.raises(ClassNumberAmbiguous, match=match):
-        quadform._two_sylow_structure(D, h, e, quadform._prime_form_pool(D))
+def test_two_sylow_wrong_known_h_raises_quickly(D, h, fault):
     with pytest.raises(ClassNumberAmbiguous):
         quadform.class_group(validate(D), known_h=h)
 
@@ -166,31 +128,70 @@ def test_redei_four_rank_matches_walk():
         if h % 2:
             continue
         e = (h & -h).bit_length() - 1
-        orders = quadform._two_sylow_structure(-m, h, e, quadform._prime_form_pool(-m))[0]
+        orders = sylow_structure_walk(-m, h, 2, e, quadform._prime_form_pool(-m))[0]
         r4 = quadform._redei(validate(-m))[2]
         assert r4 == sum(o >= 4 for o in orders), (-m, h, orders, r4)
         seen[r4] += 1
     assert len(seen) >= 3, seen
 
 
-def _generating_pool(D: int):
-    """The prime forms of norm up to sqrt(|D|/3).
+@pytest.fixture(scope="module")
+def four_rank_two():
+    """(d, h) of every field with 4-rank 2 in [3, 2e4) and the 1e4-blocks at 1e6 and 1e7."""
+    fields = []
+    for lo, hi in ((3, 20_000), (10**6, 10**6 + BLOCK_SIZE), (10**7, 10**7 + BLOCK_SIZE)):
+        for m, h in class_numbers_range(lo, hi):
+            if h % 2 == 0 and quadform._redei(d := validate(-m))[2] == 2:
+                fields.append((d, h))
+    assert len(fields) == 249
+    return fields
 
-    They generate Cl(D): every class holds a reduced form (a, b, c) with
-    a <= sqrt(|D|/3), a product of prime forms of the primes dividing a.  A
-    walk over a generating pool ends as it would over the whole pool, since
-    later prime forms project into the subgroup it has already spanned.
-    """
-    bound = math.isqrt(-D // 3)
-    for q in itertools.takewhile(lambda q: q <= bound, small_primes()):
-        if (f := quadform.prime_form(D, q)) is not None:
-            yield quadform.reduce_form(f)
+
+def test_four_rank_two_orders_match_walk(four_rank_two):
+    for d, h in four_rank_two:
+        e = (h & -h).bit_length() - 1
+        got = quadform.class_group(d, known_h=h).sylow[2]
+        want = sylow_structure_walk(d.value, h, 2, e, quadform._prime_form_pool(d.value))
+        assert got == (want[0], None), (d.value, h)
+
+
+@pytest.mark.parametrize(
+    "D, orders",
+    [(-503659, (4, 4, 8)), (-550712, (4, 4, 16)), (-568888, (4, 4, 8)), (-863455, (4, 4, 32))],
+)
+def test_four_rank_three_takes_the_table_walk(D, orders):
+    d = validate(D)
+    h = quadform.class_number(D)
+    e = (h & -h).bit_length() - 1
+    assert quadform._redei(d)[2] == 3
+    cg = quadform.class_group(d, known_h=h)
+    want = sylow_structure_walk(D, h, 2, e, quadform._prime_form_pool(D))
+    assert cg.sylow[2] == want and want[0] == orders, (D, cg.sylow[2])
+
+
+@pytest.mark.usefixtures("deadline")
+def test_wrong_two_part_raises_at_four_rank_two(four_rank_two):
+    # the claims h/2 and 2h: complete on the genus route, quick to refuse
+    for d, h in four_rank_two:
+        for claim in (h // 2, 2 * h):
+            with pytest.raises(ClassNumberAmbiguous):
+                quadform.class_group(d, known_h=claim)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_wrong_odd_part_raises_quickly():
+    # a claim 3h leaves a 3-part that the prime forms of norm up to
+    # sqrt(|D|/3), which generate the group, cannot fill
+    claims = [(validate(-m), 3 * h) for m, h in class_numbers_range(3, 5_000) if h % 3 == 0]
+    assert len(claims) == 499
+    for d, claim in claims:
+        with pytest.raises(ClassNumberAmbiguous):
+            quadform.class_group(d, known_h=claim)
 
 
 def test_wrong_known_h_caught_by_the_walk_still_raises(monkeypatch):
-    # claims h/2 and 2h: those the chain walk catches, with every 2-part
-    # walked, must raise on the Redei route too
-    monkeypatch.setattr(quadform, "_prime_form_pool", _generating_pool)
+    # claims h/2 and 2h: those the subgroup walk catches, with every 2-part
+    # walked, must raise on the genus route too
     fields = [(validate(-m), h) for m, h in class_numbers_range(3, 5_000) if h % 2 == 0]
     claims = [(d, claim) for d, h in fields for claim in (h // 2, 2 * h)]
 
@@ -207,24 +208,8 @@ def test_wrong_known_h_caught_by_the_walk_still_raises(monkeypatch):
         m.setattr(
             quadform,
             "_two_sylow_orders",
-            lambda d, h, e, pool: quadform._two_sylow_structure(d.value, h, e, pool),
+            lambda d, h, e, pool: sylow_structure_walk(d.value, h, 2, e, pool),
         )
         walked = raising()
     assert len(fields) == 1183 and walked
     assert walked <= raising()
-
-
-def test_two_chains_with_one_top_are_dependent():
-    # Cl(-4036) = Z/20: a form g of order 4 and g^2 share the top g^2
-    D = -4036
-    one = principal_form(D)
-    g = next(
-        x
-        for f in itertools.islice(quadform._prime_form_pool(D), 20)
-        if (x := power(f, 5)) != one and power(x, 2) != one
-    )
-    chain = quadform._two_chain(g, one, 2)
-    assert len(chain) == 2
-    assert len(quadform._top_span([chain], one)) == 2
-    with pytest.raises(InvariantViolation, match="not independent"):
-        quadform._top_span([chain, chain[1:]], one)
