@@ -1,38 +1,60 @@
-"""The BENCH_*.json format and the timing loop shared by the bench scripts.
+"""The one A/B harness of the bench scripts: parent and change timed in one process.
 
-A file holds one layer name and, under "entries", one entry per --label:
-the host it ran on and the measured blocks.  Entries with other labels are
-kept, so one file holds a before and an after measured on the same machine.
+    python3 bench/SCRIPT.py --parent DIR > BENCH_N.json
+
+run() loads DIR/src/iqgalois as iqgalois_parent and this checkout's
+src/iqgalois as iqgalois, side by side, so a drift in the host's pace lands
+on both alike.  It hands both to the script's measure(), which returns one
+list of blocks per library.  Every block field ending in _sha256 must be
+equal between the two; otherwise run() exits 1 and prints no JSON.  It
+reports on stderr how many passes of each timing the change won, and prints
+the BENCH document on stdout: the layer and, under "entries", the "parent"
+and the "change" entry, each with the host it ran on and its blocks.
+`--parent .` measures this checkout against itself.
 """
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import platform
 import statistics
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-
-def label_from_argv(description: str) -> str:
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
-    return parser.parse_args().label
+REPO = Path(__file__).resolve().parent.parent
 
 
-def timed(fn, repeats: int) -> tuple[list, dict]:
-    """Call fn() repeats times: its results, and the median_s, min_s and repeats fields."""
-    return timed_alternating([fn], repeats)[0]
+def load_parent(checkout: Path, name: str = "iqgalois_parent"):
+    """The iqgalois package of checkout/src, imported as the package called name."""
+    package = Path(checkout) / "src" / "iqgalois"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def sha256(data) -> str:
+    """Hex digest of bytes, or of the compact JSON of anything else."""
+    if not isinstance(data, bytes):
+        data = json.dumps(data, separators=(",", ":")).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
-    """timed() for each of fns, calling them in turn on every pass.
+    """Call each of fns repeats times, in turn on every pass: per fn, its results and stats.
 
     Every other pass runs them in reverse order, so a drift in the host's
-    pace during the passes moves all of them alike.  The stats also hold
-    each pass's time under passes_s, in the order of the passes.
+    pace during the passes moves all of them alike.  The stats are the
+    median_s, min_s, repeats and each pass's time under passes_s, in the
+    order of the passes.
     """
     results, times = [[] for _ in fns], [[] for _ in fns]
     order = list(zip(fns, results, times))
@@ -53,15 +75,45 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
     return list(zip(results, stats))
 
 
-def write_entry(out: Path, layer: str, label: str, blocks: list[dict]) -> None:
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data.setdefault("layer", layer)
-    data.setdefault("entries", {})[label] = {
-        "host": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "blocks": blocks,
+def _leaves(record: dict, path: tuple = ()):
+    """(path, value) for every non-dict value of a nested block."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def run(doc: str, layer: str, measure) -> None:
+    """Parse --parent, measure both libraries, gate their digests, print the BENCH document."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument(
+        "--parent", type=Path, required=True, help="checkout to compare with (. for this one)"
+    )
+    parent = load_parent(parser.parse_args().parent)
+    # a process that has imported iqgalois already (the tests) keeps its module objects
+    change = sys.modules.get("iqgalois") or load_parent(REPO, "iqgalois")
+    entries = measure({"parent": parent, "change": change})
+    report = []
+    for p_block, c_block in zip(entries["parent"], entries["change"], strict=True):
+        p_leaves, c_leaves = dict(_leaves(p_block)), dict(_leaves(c_block))
+        ident = "{}={}".format(*next(iter(c_block.items())))
+        for path in sorted(set(p_leaves) | set(c_leaves)):
+            *prefix, key = path
+            where = " ".join((ident, *prefix))
+            if key.endswith("_sha256") and p_leaves.get(path) != c_leaves.get(path):
+                sys.exit(f"{where}: {key} differs between parent and change")
+            if key == "passes_s":
+                median = (*prefix, "median_s")
+                wins = sum(c < p for p, c in zip(p_leaves[path], c_leaves[path]))
+                report.append(
+                    f"{where}: median {p_leaves[median]} -> {c_leaves[median]} s, "
+                    f"change faster in {wins}/{len(c_leaves[path])} passes"
+                )
+    print("\n".join(report), file=sys.stderr)
+    host = {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
+    document = {
+        "layer": layer,
+        "entries": {name: {"host": host, "blocks": blocks} for name, blocks in entries.items()},
     }
-    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(json.dumps(document, indent=1, sort_keys=True))

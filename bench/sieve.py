@@ -1,46 +1,38 @@
-"""Time the class-number sieve on one 1e4-block at several |D| and record it.
+"""Time the class-number sieve on one 1e4-block at several |D|, parent against change.
 
-Times survey.reduced_form_counts on the block [start, start + 1e4) for each
-start in STARTS, using whichever iqgalois is first on the import path, and
-writes the result under --label in BENCH_3.json at the repository root.
-Entries with other labels are kept, so one file holds a before and an after
-measured on the same machine:
+    python3 bench/sieve.py --parent DIR > BENCH_N.json
 
-    PYTHONPATH=<parent checkout>/src python3 bench/sieve.py --label parent
-    PYTHONPATH=src python3 bench/sieve.py --label change
-
-Each start records the median and minimum wall time of REPEATS calls and
-the sha256 of the counts, which must agree between entries.
+Times survey.reduced_form_counts on the block [start, start + WIDTH) for
+each start in STARTS, with the library of the checkout DIR and with this
+checkout's, their calls taken in turn (bench/_entry.py).  Each start records
+the median and minimum wall time of REPEATS calls and the sha256 of the
+counts, which must agree between the two libraries.
 """
 
-import hashlib
-from pathlib import Path
-
-from _entry import label_from_argv, timed, write_entry
-from iqgalois.survey import BLOCK_SIZE, reduced_form_counts
+from _entry import run, sha256, timed_alternating
 
 STARTS = (3, 10**5, 10**6, 10**7)
+WIDTH = 10**4
 REPEATS = 5
-OUT = Path(__file__).resolve().parent.parent / "BENCH_3.json"
 
 
-def measure(start: int) -> dict:
-    results, timing = timed(lambda: reduced_form_counts(start, start + BLOCK_SIZE), REPEATS)
-    return {
-        "start": start,
-        "width": BLOCK_SIZE,
-        **timing,
-        "counts_sha256": hashlib.sha256(results[-1].tobytes()).hexdigest(),
-    }
-
-
-def main() -> None:
-    label = label_from_argv(__doc__.splitlines()[0])
-    blocks = [measure(start) for start in STARTS]
-    for b in blocks:
-        print(f"{label}: |D| from {b['start']}: median {b['median_s']} s, min {b['min_s']} s")
-    write_entry(OUT, "survey.reduced_form_counts, one block of 1e4 |D|", label, blocks)
+def measure(libs: dict) -> dict:
+    entries = {name: [] for name in libs}
+    for start in STARTS:
+        timed = timed_alternating(
+            [
+                lambda survey=lib.survey: survey.reduced_form_counts(start, start + WIDTH)
+                for lib in libs.values()
+            ],
+            REPEATS,
+        )
+        for name, (results, timing) in zip(libs, timed):
+            digest = sha256(results[-1].tobytes())
+            entries[name].append(
+                {"start": start, "width": WIDTH, **timing, "counts_sha256": digest}
+            )
+    return entries
 
 
 if __name__ == "__main__":
-    main()
+    run(__doc__, "survey.reduced_form_counts, one block of 1e4 |D|", measure)
