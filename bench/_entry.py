@@ -7,9 +7,12 @@ src/iqgalois as iqgalois, side by side, so a drift in the host's pace lands
 on both alike.  It hands both to the script's measure(), which returns one
 list of blocks per library.  Every block field ending in _sha256 must be
 equal between the two; otherwise run() exits 1 and prints no JSON.  It
-reports on stderr how many passes of each timing the change won, and prints
-the BENCH document on stdout: the layer and, under "entries", the "parent"
-and the "change" entry, each with the host it ran on and its blocks.
+reports on stderr, for each timing, both medians, each side's interquartile
+range of its passes_s, how many passes the change won, and whether the
+medians differ by no more than the parent's interquartile range ("inside
+the parent's spread") or by more ("outside").  It prints the BENCH document
+on stdout: the layer and, under "entries", the "parent" and the "change"
+entry, each with the host it ran on and its blocks.
 `--parent .` measures this checkout against itself.
 """
 
@@ -75,6 +78,12 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
     return list(zip(results, stats))
 
 
+def _iqr(passes: list[float]) -> float:
+    """Interquartile range of pass times, by linear interpolation; 0 for one pass."""
+    q1, q3 = np.percentile(passes, [25, 75])
+    return round(float(q3 - q1), 4)
+
+
 def _leaves(record: dict, path: tuple = ()):
     """(path, value) for every non-dict value of a nested block."""
     for key, value in record.items():
@@ -105,10 +114,15 @@ def run(doc: str, layer: str, measure) -> None:
                 sys.exit(f"{where}: {key} differs between parent and change")
             if key == "passes_s":
                 median = (*prefix, "median_s")
+                p_median, c_median = p_leaves[median], c_leaves[median]
+                p_iqr, c_iqr = _iqr(p_leaves[path]), _iqr(c_leaves[path])
                 wins = sum(c < p for p, c in zip(p_leaves[path], c_leaves[path]))
+                side = "inside" if round(abs(c_median - p_median), 4) <= p_iqr else "outside"
                 report.append(
-                    f"{where}: median {p_leaves[median]} -> {c_leaves[median]} s, "
-                    f"change faster in {wins}/{len(c_leaves[path])} passes"
+                    f"{where}: median {p_median} -> {c_median} s, "
+                    f"IQR {p_iqr} -> {c_iqr} s, "
+                    f"change faster in {wins}/{len(c_leaves[path])} passes, "
+                    f"{side} the parent's spread"
                 )
     print("\n".join(report), file=sys.stderr)
     host = {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}

@@ -24,7 +24,8 @@ q = 2 at r4 >= 3 or for a 2-basis) takes one walk over the prime forms of
 norm up to sqrt(|D|/3), which generate the group: a subgroup whose first
 projected prime form has exact order q^e is cyclic with that form as its
 basis; any other is grown as an explicit table of classes, and its Smith
-normal form gives the invariant factors and the p-torsion bases.
+normal form gives the invariant factors and the p-torsion bases.  The walk
+tests each basis form it returns for its exact order, once (_has_exact_order).
 """
 
 import functools
@@ -263,11 +264,11 @@ class ClassGroupStructure:
 
     sylow[q] = (orders, basis): the ascending orders of its cyclic factors
     and forms of exactly those orders that generate it as their direct sum,
-    from _sylow_structure and its Smith normal form.  Where the 4-rank is
-    at most 2, the 2-orders come from genus theory with basis None: the
-    verdict at p = 2 does not read a basis, and sylow_basis(2) runs the
-    same walk on demand.  The keys are the primes of h in ascending order,
-    the order in which classify tests them.
+    from _sylow_structure, which tests each form's exact order.  Where the
+    4-rank is at most 2, the 2-orders come from genus theory with basis
+    None: the verdict at p = 2 does not read a basis, and sylow_basis(2)
+    runs the same walk on demand.  The keys are the primes of h in
+    ascending order, the order in which classify tests them.
     """
 
     h: int
@@ -282,7 +283,7 @@ class ClassGroupStructure:
         """Basis of the q-Sylow subgroup; a Redei entry's is grown by _sylow_structure.
 
         Raises InvariantViolation when the walk finds other orders than
-        genus theory gave.
+        genus theory gave, or a basis form of another order.
         """
         orders, basis = self.sylow[q]
         if basis is None:
@@ -439,6 +440,12 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylo
     return (2,) * (r - len(chains)) + tuple(1 << len(c) for c in chains), None
 
 
+def _has_exact_order(x: QuadForm, q: int, o: int, one: QuadForm) -> bool:
+    """Whether x has exact order o, a power of the prime q: x^(o/q) != 1 and x^o = 1."""
+    y = power(x, o // q)
+    return y != one and power(y, q) == one
+
+
 def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     """Orders and basis of the q-Sylow subgroup, q^e || h, for any prime q.
 
@@ -446,14 +453,14 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     other 2-part is _two_sylow_orders.  Walks the candidate pool,
     projecting each class into the Sylow subgroup.
     When the first projection x that is not the identity has exact order
-    q^e (x^(q^(e-1)) is not the identity but its q-th power is), the
-    subgroup is cyclic and generated by x: that is the walk's own result
-    for x, returned without listing its q^e elements.  Otherwise an explicit
-    element table is grown with one relation per generator, and the
-    relation matrix is then diagonalized.  The shortcut needs both halves
-    of the exact-order test: with x^(q^(e-1)) != 1 alone, a wrong h would
-    pass here and fail later as InvariantViolation, where the walk raises
-    ClassNumberAmbiguous.
+    q^e (_has_exact_order), the subgroup is cyclic and generated by x: that
+    is the walk's own result for x, returned without listing its q^e
+    elements.  Otherwise an explicit element table is grown with one
+    relation per generator, the relation matrix is diagonalized, and each
+    basis form of its Smith normal form that fails _has_exact_order raises
+    InvariantViolation.  The shortcut's test is x's only one, and needs
+    both halves: with x^(q^(e-1)) != 1 alone, a wrong h could pass unseen,
+    where the walk raises ClassNumberAmbiguous.
     """
     one = principal_form(D)
     target = q**e
@@ -467,10 +474,8 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
         x = power(cand, cofactor)
         if x in sub:
             continue
-        if not gens:
-            y = power(x, target // q)
-            if y != one and power(y, q) == one:
-                return (target,), (x,)
+        if not gens and _has_exact_order(x, q, target, one):
+            return (target,), (x,)
         k, vec, sub = _adjoin(sub, x, target)
         # x^k = prod g_i^{v_i} becomes the relation row (-v_1, ..., -v_m, k)
         relations = [row + [0] for row in relations]
@@ -487,26 +492,19 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
         if dj > 1:
             orders.append(dj)
             terms = [power(gi, w[i][j]) for i, gi in enumerate(gens) if w[i][j]]
-            basis.append(functools.reduce(compose, terms))
+            b = functools.reduce(compose, terms)
+            if not _has_exact_order(b, q, dj, one):
+                raise InvariantViolation(f"{b} does not have exact order {dj}")
+            basis.append(b)
     return tuple(orders), tuple(basis)
 
 
 def _check_structure(cg: ClassGroupStructure) -> None:
-    """Exact order of every Sylow basis form, and the shape of the group.
+    """The shape of the group: the Sylow orders multiply to h, the invariant factors divide.
 
-    A Redei entry has orders and no basis: its orders count towards h only.
+    Each basis form's exact order is tested once, by _sylow_structure, which builds it.
     """
-    one = principal_form(cg.discriminant)
-    prod = 1
-    for q, (orders, basis) in cg.sylow.items():
-        prod *= math.prod(orders)
-        if basis is None:
-            continue
-        for o, b in zip(orders, basis):
-            y = power(b, o // q)
-            if y == one or power(y, q) != one:
-                raise InvariantViolation(f"{b} does not have exact order {o}")
-    if prod != cg.h:
+    if math.prod(math.prod(orders) for orders, _ in cg.sylow.values()) != cg.h:
         raise InvariantViolation(f"Sylow orders do not multiply to h = {cg.h}")
     factors = cg.invariant_factors
     if any(factors[i + 1] % factors[i] for i in range(len(factors) - 1)):

@@ -297,11 +297,6 @@ def _csv_lines(row: SurveyRow) -> list[str]:
     ]
 
 
-def rows_to_csv(rows: Iterable[SurveyRow]) -> list[str]:
-    """The header, then one line per (field, tracked prime)."""
-    return [CSV_HEADER] + [line for row in rows for line in _csv_lines(row)]
-
-
 def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> int:
     """Write rows as CSV lines or as one JSON list, as they arrive; return their number.
 

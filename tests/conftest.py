@@ -4,6 +4,8 @@ import signal
 
 import pytest
 
+from iqgalois.survey import persist
+
 
 @pytest.fixture
 def deadline(request):
@@ -21,3 +23,15 @@ def deadline(request):
     yield
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def csv_bytes(tmp_path):
+    """The bytes that survey.persist, the one CSV writer, writes for rows."""
+    path = tmp_path / "csv_bytes.csv"
+
+    def write(rows) -> bytes:
+        persist(rows, str(path), "csv")
+        return path.read_bytes()
+
+    return write

@@ -20,7 +20,6 @@ from iqgalois.survey import (
     BLOCK_SIZE,
     SurveyConfig,
     class_numbers_range,
-    rows_to_csv,
     scan,
     table1,
     table3,
@@ -169,16 +168,14 @@ def test_criterion_8_table2_desk_scale():
     )
 
 
-def test_criterion_9_worker_determinism():
+def test_criterion_9_worker_determinism(csv_bytes):
     # more |D| than one block holds, so the band is scanned as two or more
     # blocks and the 8-worker scan goes through the process pool
     d_min, d_max = 3, 10_500
     assert d_max - d_min + 1 > BLOCK_SIZE
     cfg1 = SurveyConfig(d_min=d_min, d_max=d_max, primes=(2, 3, 5, 7), workers=1)
     cfg8 = SurveyConfig(d_min=d_min, d_max=d_max, primes=(2, 3, 5, 7), workers=8)
-    out1 = "\n".join(rows_to_csv(scan(cfg1)))
-    out8 = "\n".join(rows_to_csv(scan(cfg8)))
-    assert out1.encode() == out8.encode()
+    assert csv_bytes(scan(cfg1)) == csv_bytes(scan(cfg8))
     _report(9, f"scan output byte-identical for 1 and 8 workers on |D| <= {d_max}")
 
 

@@ -2,11 +2,14 @@
 
 Every bench script measures through bench/_entry.run, which is loaded by
 path like the scripts load it.  A measure whose libraries disagree on a
-*_sha256 field must end the run with no BENCH document on stdout.
+*_sha256 field must end the run with no BENCH document on stdout.  Each
+bench script, shrunk to a tiny band, must still run end to end against this
+checkout: they reach private library names that a rename could break.
 """
 
 import importlib.util
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -28,15 +31,16 @@ def entry(monkeypatch):
         del sys.modules[name]
 
 
-def fake_measure(parent_digest: str):
+def fake_measure(parent_digest: str, parent_passes=(0.1,), change_passes=(0.1,)):
     def measure(libs):
-        def block(lib, digest):
+        def block(lib, digest, passes):
             h = lib.quadform.class_number(-23)
-            return {"D": -23, "h": h, "x_sha256": digest, "median_s": 0.1, "passes_s": [0.1]}
+            median = statistics.median(passes)
+            return {"D": -23, "h": h, "x_sha256": digest, "median_s": median, "passes_s": passes}
 
         return {
-            "parent": [block(libs["parent"], parent_digest)],
-            "change": [block(libs["change"], "a")],
+            "parent": [block(libs["parent"], parent_digest, list(parent_passes))],
+            "change": [block(libs["change"], "a", list(change_passes))],
         }
 
     return measure
@@ -68,3 +72,52 @@ def test_equal_digests_print_both_entries(entry, capsys):
             {"D": -23, "h": 3, "x_sha256": "a", "median_s": 0.1, "passes_s": [0.1]}
         ]
     assert "change faster in 0/1 passes" in captured.err
+
+
+@pytest.mark.parametrize(
+    "change_passes, spread",
+    [
+        # medians 1.15 and 1.25 differ by 0.1, inside the parent's IQR 0.15
+        ((1.1, 1.2, 1.3, 1.4), "inside"),
+        # medians 1.15 and 0.65 differ by 0.5
+        ((0.5, 0.6, 0.7, 0.8), "outside"),
+    ],
+)
+def test_report_gives_each_spread_and_compares_with_the_parents(
+    entry, capsys, change_passes, spread
+):
+    entry.run("doc", "layer", fake_measure("a", (1.0, 1.1, 1.2, 1.3), change_passes))
+    err = capsys.readouterr().err
+    assert "IQR 0.15 -> 0.15 s" in err
+    assert f"{spread} the parent's spread" in err
+
+
+# the size constants of each bench script, shrunk so that all four run in seconds
+TINY = {
+    "sieve": {"STARTS": (10**6,), "WIDTH": 300, "REPEATS": 1},
+    "classgroup": {"STARTS": (10**6,), "WIDTH": 300, "REPEATS": 1},
+    "classnumber": {"FIELDS": (-100000007,), "REPEATS": 1},
+    "generator": {
+        "BANDS": ((10**6, 10**6 + 300),),
+        "REPEATS": 1,
+        "CLASSIFY": (-100000007,),
+        "CLASSIFY_REPEATS": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_bench_script_runs_on_a_tiny_band(entry, monkeypatch, capsys, name):
+    # the script imports _entry as it does when run from bench/: it gets the fixture's module
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    monkeypatch.setitem(sys.modules, "_entry", entry)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO / "bench" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for constant, value in TINY[name].items():
+        monkeypatch.setattr(script, constant, value)  # raises if the script lost the name
+    script.run(script.__doc__, name, script.measure)
+    document = json.loads(capsys.readouterr().out)
+    assert document["layer"] == name
+    blocks = [record["blocks"] for record in document["entries"].values()]
+    assert len(blocks) == 2 and blocks[0] and len(blocks[0]) == len(blocks[1])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqgalois.arith import small_primes
+from iqgalois import quadform
+from iqgalois.arith import InvariantViolation, small_primes
 from iqgalois.discriminant import NotFundamental, NotImaginary, validate
 from iqgalois.idealgen import form_to_ideal, ideal_multiply, ideal_to_form
 from iqgalois.quadform import (
@@ -282,6 +283,27 @@ def test_class_group_wrong_known_h_raises_quickly():
     # Cl(-23) has order 3; a claimed h = 5 leaves a 5-Sylow the forms cannot fill
     with pytest.raises(ClassNumberAmbiguous):
         class_group(validate(-23), known_h=5)
+
+
+def test_walk_basis_of_wrong_order_raises(monkeypatch):
+    # Cl(-3299) = (3, 9) takes the table walk; a Smith form that keeps the
+    # generators as the basis gives the order-3 factor a form of order 9
+    snf = quadform.smith_normal_form
+
+    def identity_transform(relations):
+        diag, _ = snf(relations)
+        return diag, [[int(i == j) for j in range(len(diag))] for i in range(len(diag))]
+
+    monkeypatch.setattr(quadform, "smith_normal_form", identity_transform)
+    with pytest.raises(InvariantViolation, match=r"^\(3,1,275\) does not have exact order 3$"):
+        class_group(validate(-3299))
+
+
+def test_sylow_orders_must_multiply_to_h(monkeypatch):
+    # Cl(-56) = Z/4; a 2-part of order 2 leaves h = 4 unfilled
+    monkeypatch.setattr(quadform, "_two_sylow_orders", lambda d, h, e, pool: ((2,), None))
+    with pytest.raises(InvariantViolation, match="^Sylow orders do not multiply to h = 4$"):
+        class_group(validate(-56))
 
 
 def test_parity_guard_prime_discriminants():

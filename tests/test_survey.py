@@ -14,7 +14,6 @@ from iqgalois.survey import (
     class_numbers_range,
     fundamental_mask,
     persist,
-    rows_to_csv,
     scan,
     single_factor_fields,
     table1,
@@ -96,9 +95,9 @@ def test_table2_rejects_zero_sample():
         table3(3, 0, 1000)
 
 
-def test_csv_format():
+def test_csv_format(csv_bytes):
     rows = list(scan(SurveyConfig(d_min=3, d_max=120, primes=(2, 3))))
-    lines = rows_to_csv(rows)
+    lines = csv_bytes(rows).decode().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[0] == "D,h,class_group,two_rank,p,local_behavior,status,verdict,assumes_converse"
     by_d = {}
@@ -113,13 +112,13 @@ def test_csv_format():
     assert all(len(v) == 2 for v in by_d.values())
 
 
-def test_worker_invariance_small():
-    base = rows_to_csv(scan(SurveyConfig(d_min=3, d_max=12000, primes=(2, 3))))
-    multi = rows_to_csv(scan(SurveyConfig(d_min=3, d_max=12000, primes=(2, 3), workers=3)))
+def test_worker_invariance_small(csv_bytes):
+    base = csv_bytes(scan(SurveyConfig(d_min=3, d_max=12000, primes=(2, 3))))
+    multi = csv_bytes(scan(SurveyConfig(d_min=3, d_max=12000, primes=(2, 3), workers=3)))
     assert base == multi
 
 
-def test_pool_never_exceeds_pending_blocks(monkeypatch):
+def test_pool_never_exceeds_pending_blocks(monkeypatch, csv_bytes):
     # workers=8 on a two-block band must not start six idle processes
     seen = []
 
@@ -139,12 +138,12 @@ def test_pool_never_exceeds_pending_blocks(monkeypatch):
     monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
     monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
     config = SurveyConfig(d_min=3, d_max=150, primes=(2, 3), workers=8)
-    rows = rows_to_csv(scan(config))
+    rows = csv_bytes(scan(config))
     assert seen == [2]
-    assert rows == rows_to_csv(scan(SurveyConfig(d_min=3, d_max=150, primes=(2, 3))))
+    assert rows == csv_bytes(scan(SurveyConfig(d_min=3, d_max=150, primes=(2, 3))))
 
 
-def test_checkpoint_resume_byte_identical(tmp_path):
+def test_checkpoint_resume_byte_identical(tmp_path, csv_bytes):
     ck = str(tmp_path / "ckpt")
     cfg = dict(d_min=3, d_max=25000, primes=(2, 3))
     # stop after the rows of the first block: the simulated interruption
@@ -152,12 +151,12 @@ def test_checkpoint_resume_byte_identical(tmp_path):
     partial = list(itertools.islice(scan(SurveyConfig(**cfg, checkpoint_path=ck)), first_block))
     assert len(partial) == first_block
     assert os.path.exists(ck) and os.path.exists(ck + ".rows")
-    resumed = rows_to_csv(scan(SurveyConfig(**cfg, checkpoint_path=ck)))
-    clean = rows_to_csv(scan(SurveyConfig(**cfg)))
+    resumed = csv_bytes(scan(SurveyConfig(**cfg, checkpoint_path=ck)))
+    clean = csv_bytes(scan(SurveyConfig(**cfg)))
     assert resumed == clean
 
 
-def test_checkpoint_torn_write_keeps_finished_blocks(tmp_path, monkeypatch):
+def test_checkpoint_torn_write_keeps_finished_blocks(tmp_path, monkeypatch, csv_bytes):
     # a crash after the rows append but before the state file is replaced
     # leaves bytes past rows_bytes; the finished blocks must survive
     ck = str(tmp_path / "ckpt")
@@ -168,9 +167,9 @@ def test_checkpoint_torn_write_keeps_finished_blocks(tmp_path, monkeypatch):
     computed = []
     scan_block = survey._scan_block
     monkeypatch.setattr(survey, "_scan_block", lambda b: computed.append(b) or scan_block(b))
-    resumed = rows_to_csv(scan(config))
+    resumed = csv_bytes(scan(config))
     assert [lo for lo, _, _ in computed] == [20003]  # blocks 1 and 2 were kept
-    clean = rows_to_csv(scan(SurveyConfig(d_min=3, d_max=25000, primes=(2,))))
+    clean = csv_bytes(scan(SurveyConfig(d_min=3, d_max=25000, primes=(2,))))
     assert resumed == clean
 
 
@@ -217,7 +216,7 @@ def test_checkpoint_config_mismatch_restarts(tmp_path):
     assert max(-r.record.discriminant for r in rows) <= 400
 
 
-def test_persist_round_trip(tmp_path):
+def test_persist_round_trip(tmp_path, csv_bytes):
     rows = list(scan(SurveyConfig(d_min=3, d_max=400, primes=(2, 3))))
     path = str(tmp_path / "rows.json")
     assert persist(rows, path, "json") == len(rows)
@@ -225,9 +224,8 @@ def test_persist_round_trip(tmp_path):
         assert [survey.SurveyRow.from_dict(obj) for obj in json.load(fh)] == rows
     csv_path = str(tmp_path / "rows.csv")
     assert persist(iter(rows), csv_path, "csv") == len(rows)
-    with open(csv_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert lines == rows_to_csv(rows)
+    with open(csv_path, "rb") as fh:
+        assert fh.read() == csv_bytes(rows)
 
 
 def test_persist_bad_path_and_format(tmp_path):
