@@ -12,16 +12,15 @@ four passes are taken in turn, REPEATS times (bench/_entry.py).
 Each block records the median and minimum wall time of either kind of pass,
 every pass's time, the number of compositions, and three sha256 digests,
 which must agree between the two libraries: of the odd-q Sylow data (q,
-orders and basis forms per field), of the 2-Sylow orders, and of the scan
-rows.  The 2-Sylow basis is left out: any basis of exact orders is correct,
-and the verdict at p = 2 does not read it.  It also counts the even-h
-fields by the route their 2-orders took, read from the shape of sylow[2]:
-genus theory (no basis) with 4-rank 0, 1 or 2, or a walk (an entry with a
-basis: the table walk at 4-rank 3 or more, or the 2-Sylow chain walk of
-older versions).  Compositions are counted as calls of compose_unreduced,
-the one composition formula, through wrappers on its module globals in
-quadform and idealgen: once over a class-group pass and once over a scan
-pass.
+the orders and the forms of p_torsion_basis(cg, q) per field, or the orders
+alone where the q-rank overflows), of the 2-Sylow orders, and of the scan
+rows.  The 2-torsion forms are left out: the verdict at p = 2 does not read
+them.  It also counts the even-h fields by the route their 2-orders took,
+read from the 4-rank r4, the number of 2-orders of at least 4: genus
+theory at r4 = 0, 1 or 2, the table walk at r4 >= 3.  Compositions are
+counted as calls of compose_unreduced, the one composition formula, through
+wrappers on its module globals in quadform and idealgen: once over a
+class-group pass and once over a scan pass.
 """
 
 import collections
@@ -34,12 +33,18 @@ PRIMES = (2, 3, 5, 7)
 REPEATS = 8
 
 
-def odd_sylow_data(cg) -> list:
-    return [cg.discriminant] + [
-        [q, list(orders), [[f.a, f.b, f.c] for f in basis]]
-        for q, (orders, basis) in sorted(cg.sylow.items())
-        if q != 2
-    ]
+def odd_sylow_data(lib, cg) -> list:
+    data = [cg.discriminant]
+    for q, (orders, _) in sorted(cg.sylow.items()):
+        if q == 2:
+            continue
+        entry = [q, list(orders)]
+        try:
+            entry.append([[f.a, f.b, f.c] for f in lib.quadform.p_torsion_basis(cg, q)])
+        except lib.quadform.RankOverflow:
+            pass  # the orders alone
+        data.append(entry)
+    return data
 
 
 def two_sylow_orders(cg) -> list:
@@ -47,10 +52,8 @@ def two_sylow_orders(cg) -> list:
 
 
 def two_part_route(cg) -> str:
-    orders, basis = cg.sylow[2]
-    if basis is not None:
-        return "walk"
-    return f"r4={sum(o >= 4 for o in orders)}"
+    r4 = sum(o >= 4 for o in cg.sylow[2][0])
+    return "walk" if r4 >= 3 else f"r4={r4}"
 
 
 def count_products(lib, fn) -> int:
@@ -103,7 +106,7 @@ def measure(libs: dict) -> dict:
                     "fields": fields,
                     "class_group": {**cg_timing, "compositions": count_products(lib, groups)},
                     "scan_block": {**scan_timing, "compositions": count_products(lib, scan)},
-                    "odd_sylow_sha256": sha256([odd_sylow_data(cg) for cg in cgs[-1]]),
+                    "odd_sylow_sha256": sha256([odd_sylow_data(lib, cg) for cg in cgs[-1]]),
                     "two_sylow_orders_sha256": sha256([two_sylow_orders(cg) for cg in cgs[-1]]),
                     "rows_sha256": sha256([row.to_dict() for row in rows[-1]]),
                     "two_part_routes": dict(

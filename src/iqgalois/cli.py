@@ -135,6 +135,8 @@ def _cmd_tables(args) -> int:
                 span = ", ".join(map(str, r.split_discriminants)) or "-"
                 print(f"{p:>3} {r.count:>8} {r.nonsplit:>10}  {span}")
         return 0
+    if args.csv:
+        raise ValueError(f"--csv applies to table 1 only, not table {args.table}")
     r = table3(args.p, args.N, args.B)
     if args.table == 2:
         print(f"p={r.p} N={r.n_fields} B={r.lower_bound} p*f_p={r.overall:.3f}")

@@ -33,7 +33,10 @@ SPECIAL2 = "SPECIAL2"
 class FundamentalDiscriminant:
     value: int
     prime_factors: tuple[tuple[int, int], ...]
-    num_prime_divisors: int
+
+    @property
+    def num_prime_divisors(self) -> int:
+        return len(self.prime_factors)
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ def validate(D: int) -> FundamentalDiscriminant:
         if D % 2:
             raise NotFundamental(f"D = {D} is not squarefree")
         raise NotFundamental(f"D/4 = {D // 4} is not squarefree")
-    return FundamentalDiscriminant(D, tuple(factors), len(factors))
+    return FundamentalDiscriminant(D, tuple(factors))
 
 
 def genus_two_rank(d: FundamentalDiscriminant) -> int:

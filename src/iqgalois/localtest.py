@@ -22,7 +22,7 @@ from functools import lru_cache
 from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power, square_and_multiply
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
 from .idealgen import explicit_power_generator
-from .quadform import compose, prime_form, principal_form, reduce_form
+from .quadform import two_torsion_basis
 
 
 class NotLocalUnit(InvariantViolation):
@@ -329,32 +329,17 @@ def two_classification(d: FundamentalDiscriminant, two_rank: int) -> str:
     return "injective" if (-D // 8) % 8 in (3, 5) else "noninjective"
 
 
-def order_two_form(d: FundamentalDiscriminant):
-    """A reduced form of order exactly 2, from the ramified prime forms."""
-    D = d.value
-    one = principal_form(D)
-    for q, _ in d.prime_factors:
-        f = prime_form(D, q)
-        if f is None:
-            continue
-        f = reduce_form(f)
-        if f != one:
-            if compose(f, f) != one:
-                raise InvariantViolation(f"ramified prime form {f} does not have order 2")
-            return f
-    raise ValueError(f"no ambiguous class at D={D}; is the 2-class group trivial?")
-
-
 def two_direct_check(d: FundamentalDiscriminant) -> str:
     """Run the p = 2 test directly in (O/8O)^*: the oracle for the families.
 
-    Takes the order-2 class on a representative coprime to 2, builds the
-    generator of its square in full, and tests membership against the
-    squares times {-1, i where present}.
+    Takes the order-2 class, a ramified prime form (quadform.two_torsion_basis),
+    builds the generator of its square in full, and tests membership
+    against the squares times {-1, i where present}.
     """
     if d.num_prime_divisors != 2:
         raise ValueError("direct check needs an even class number with cyclic 2-part")
-    alpha = explicit_power_generator(order_two_form(d), 2)
+    (form,) = two_torsion_basis(d.value, 1)
+    alpha = explicit_power_generator(form, 2)
     ctx = build_context(d, 2)
     image = generic_membership(ctx, ctx.ring.embed(alpha.u, alpha.v))
     return "noninjective" if image.trivial else "injective"

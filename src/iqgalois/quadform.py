@@ -20,12 +20,13 @@ r4 <= 1 one of them has the largest 2-order, and at r4 = 2 the larger of
 two and the order of the other modulo its cyclic group give the two orders
 of at least 4.  Their orders must multiply to 2^e, which holds the 2-part
 of h to the group wherever r4 <= 2.  Every other Sylow subgroup (odd q, and
-q = 2 at r4 >= 3 or for a 2-basis) takes one walk over the prime forms of
-norm up to sqrt(|D|/3), which generate the group: a subgroup whose first
-projected prime form has exact order q^e is cyclic with that form as its
-basis; any other is grown as an explicit table of classes, and its Smith
-normal form gives the invariant factors and the p-torsion bases.  The walk
-tests each basis form it returns for its exact order, once (_has_exact_order).
+q = 2 at r4 >= 3) takes one walk over the prime forms of norm up to
+sqrt(|D|/3), which generate the group: a subgroup whose first projected
+prime form has exact order q^e is cyclic with that form as its basis; any
+other is grown as an explicit table of classes, and its Smith normal form
+gives the invariant factors and a basis.  Of each basis form x of order o
+it keeps y = x^(o/q), which spans Cl[q] with the others and is x's one
+exact-order test (_q_torsion).  Cl[2] comes from the ramified prime forms.
 """
 
 import functools
@@ -262,13 +263,12 @@ _Sylow = tuple[tuple[int, ...], tuple[QuadForm, ...] | None]
 class ClassGroupStructure:
     """Invariant factors and, for each prime q | h, the q-Sylow subgroup.
 
-    sylow[q] = (orders, basis): the ascending orders of its cyclic factors
-    and forms of exactly those orders that generate it as their direct sum,
-    from _sylow_structure, which tests each form's exact order.  Where the
-    4-rank is at most 2, the 2-orders come from genus theory with basis
-    None: the verdict at p = 2 does not read a basis, and sylow_basis(2)
-    runs the same walk on demand.  The keys are the primes of h in
-    ascending order, the order in which classify tests them.
+    sylow[q] = (orders, torsion): the ascending orders of its cyclic factors
+    and, at odd q, one form of order q per factor (_sylow_structure), which
+    together span Cl[q].  At q = 2 torsion is None: the verdict at p = 2
+    reads no form, and p_torsion_basis(cg, 2) takes the ramified prime
+    forms.  The keys are the primes of h in ascending order, the order in
+    which classify tests them.
     """
 
     h: int
@@ -278,20 +278,6 @@ class ClassGroupStructure:
 
     def p_rank(self, p: int) -> int:
         return len(self.sylow[p][0]) if p in self.sylow else 0
-
-    def sylow_basis(self, q: int) -> tuple[QuadForm, ...]:
-        """Basis of the q-Sylow subgroup; a Redei entry's is grown by _sylow_structure.
-
-        Raises InvariantViolation when the walk finds other orders than
-        genus theory gave, or a basis form of another order.
-        """
-        orders, basis = self.sylow[q]
-        if basis is None:
-            D, e = self.discriminant, math.prod(orders).bit_length() - 1
-            walked, basis = _sylow_structure(D, self.h, 2, e, _prime_form_pool(D))
-            if walked != orders:
-                raise InvariantViolation(f"2-orders of Cl({D}): Redei {orders}, walk {walked}")
-        return basis
 
 
 def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...], _Table]:
@@ -382,7 +368,8 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylo
 
     With r = t - 1 and the 4-rank r4, an e below r + r4, or r4 = 0 with
     e != r, raises ClassNumberAmbiguous.  r4 >= 3 (no field of |D| < 3e5)
-    takes _sylow_structure on pool.  Otherwise the orders carry no basis.
+    takes the orders of _sylow_structure on pool.  The entry carries no
+    forms: p_torsion_basis reads Cl[2] from the ramified prime forms.
     A class's genus vector, its characters at the d_j, is its image in
     Cl/Cl^2, and the Redei rows span the image of Cl[2].  The first r4
     prime forms whose vectors are independent modulo the rows map onto
@@ -409,7 +396,7 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylo
             f"2^{e} || h does not fit 2-rank {r} and 4-rank {r4} of Cl({D})"
         )
     if r4 > 2:
-        return _sylow_structure(D, h, 2, e, pool)
+        return _sylow_structure(D, h, 2, e, pool)[0], None
     one, span, chains = principal_form(D), list(rows) if r4 else [], []
     for q in small_primes():
         if D % q == 0:
@@ -440,24 +427,23 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylo
     return (2,) * (r - len(chains)) + tuple(1 << len(c) for c in chains), None
 
 
-def _has_exact_order(x: QuadForm, q: int, o: int, one: QuadForm) -> bool:
-    """Whether x has exact order o, a power of the prime q: x^(o/q) != 1 and x^o = 1."""
+def _q_torsion(x: QuadForm, q: int, o: int, one: QuadForm) -> QuadForm | None:
+    """y = x^(o/q) if y != 1 and y^q = 1, so x has exact order o (a power of q); else None."""
     y = power(x, o // q)
-    return y != one and power(y, q) == one
+    return y if y != one and power(y, q) == one else None
 
 
 def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
-    """Orders and basis of the q-Sylow subgroup, q^e || h, for any prime q.
+    """Orders and q-torsion forms of the q-Sylow subgroup, q^e || h, for any prime q.
 
-    The 2-part takes it at 4-rank 3 or more, and for sylow_basis(2); every
-    other 2-part is _two_sylow_orders.  Walks the candidate pool,
-    projecting each class into the Sylow subgroup.
-    When the first projection x that is not the identity has exact order
-    q^e (_has_exact_order), the subgroup is cyclic and generated by x: that
-    is the walk's own result for x, returned without listing its q^e
+    The 2-part takes it at 4-rank 3 or more; every other 2-part is
+    _two_sylow_orders.  Walks the candidate pool, projecting each class into
+    the Sylow subgroup.  When the first projection x that is not the
+    identity has exact order q^e (_q_torsion), the subgroup is cyclic and
+    generated by x, returned as x^(q^(e-1)) without listing its q^e
     elements.  Otherwise an explicit element table is grown with one
     relation per generator, the relation matrix is diagonalized, and each
-    basis form of its Smith normal form that fails _has_exact_order raises
+    basis form of its Smith normal form that fails _q_torsion raises
     InvariantViolation.  The shortcut's test is x's only one, and needs
     both halves: with x^(q^(e-1)) != 1 alone, a wrong h could pass unseen,
     where the walk raises ClassNumberAmbiguous.
@@ -474,8 +460,8 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
         x = power(cand, cofactor)
         if x in sub:
             continue
-        if not gens and _has_exact_order(x, q, target, one):
-            return (target,), (x,)
+        if not gens and (y := _q_torsion(x, q, target, one)) is not None:
+            return (target,), (y,)
         k, vec, sub = _adjoin(sub, x, target)
         # x^k = prod g_i^{v_i} becomes the relation row (-v_1, ..., -v_m, k)
         relations = [row + [0] for row in relations]
@@ -487,16 +473,16 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
         )
     # relations are lower triangular with the relative orders on the diagonal
     diag, w = smith_normal_form(relations)
-    orders, basis = [], []
+    orders, torsion = [], []
     for j, dj in enumerate(diag):
         if dj > 1:
             orders.append(dj)
             terms = [power(gi, w[i][j]) for i, gi in enumerate(gens) if w[i][j]]
             b = functools.reduce(compose, terms)
-            if not _has_exact_order(b, q, dj, one):
+            if (y := _q_torsion(b, q, dj, one)) is None:
                 raise InvariantViolation(f"{b} does not have exact order {dj}")
-            basis.append(b)
-    return tuple(orders), tuple(basis)
+            torsion.append(y)
+    return tuple(orders), tuple(torsion)
 
 
 def _check_structure(cg: ClassGroupStructure) -> None:
@@ -575,7 +561,7 @@ class_number_bsgs = class_number
 
 
 def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> ClassGroupStructure:
-    """Invariant factors and Sylow bases of the class group.
+    """Invariant factors, Sylow orders and odd q-torsion forms of the class group.
 
     h is the exact count of class_number, or known_h.  known_h must be the
     exact class number, which the caller vouches for (the survey passes its
@@ -608,14 +594,37 @@ def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> Cl
     return cg
 
 
+def two_torsion_basis(D: int, rank: int) -> list[QuadForm]:
+    """Forms of order 2 spanning Cl(D)[2], of 2-rank rank: ramified prime forms.
+
+    They generate Cl[2] for D < 0 (genus theory; H. Cohen, GTM 138, 5.6).
+    Each reduced one outside the span of those kept, in ascending prime
+    order, is kept.  A kept form whose square is not 1, or a count other
+    than rank, raises InvariantViolation.
+    """
+    one = principal_form(D)
+    basis, span = [], {one}
+    for q, _ in factorize(-D):
+        f = reduce_form(prime_form(D, q))
+        if f in span:
+            continue
+        if compose(f, f) != one:
+            raise InvariantViolation(f"ramified prime form {f} does not have order 2")
+        basis.append(f)
+        span |= {compose(f, g) for g in span}
+    if len(basis) != rank:
+        raise InvariantViolation(f"ramified prime forms span 2-rank {len(basis)}, not {rank}")
+    return basis
+
+
 def p_torsion_basis(cg: ClassGroupStructure, p: int) -> list[QuadForm]:
-    """Forms of exact order p spanning the p-torsion of the class group."""
+    """Forms of order p spanning Cl[p]: class_group's at odd p, two_torsion_basis at 2."""
     if cg.h % p != 0:
         raise ValueError(f"{p} does not divide h = {cg.h}")
-    orders = cg.sylow[p][0]
+    orders, torsion = cg.sylow[p]
     if len(orders) >= 3:
         raise RankOverflow(f"p-rank {len(orders)} at p={p} for D={cg.discriminant}")
-    return [power(b, o // p) for o, b in zip(orders, cg.sylow_basis(p))]
+    return two_torsion_basis(cg.discriminant, len(orders)) if p == 2 else list(torsion)
 
 
 def coprime_representative(f: QuadForm, p: int) -> QuadForm:

@@ -70,6 +70,15 @@ def test_tables_2_and_3(capsys):
     assert "split=" in out and "inert=" in out and "ramified=" in out
 
 
+def test_tables_2_and_3_refuse_csv(capsys):
+    # only table 1 has a CSV form; tables 2 and 3 must not print text for --csv
+    for table in ("2", "3"):
+        args = ["tables", "--table", table, "--p", "3", "--N", "5", "--B", "1000", "--csv"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--csv applies to table 1 only" in captured.err
+
+
 def test_tables_composite_p_exits_1(capsys):
     assert main(["tables", "--table", "3", "--p", "4", "--N", "10", "--B", "5000"]) == 1
     assert main(["tables", "--table", "2", "--p", "4", "--N", "10", "--B", "5000"]) == 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iqgalois.arith import InvariantViolation
 from iqgalois.discriminant import NotFundamental, NotImaginary, genus_two_rank, validate
 from iqgalois.localtest import (
     GroupTooLarge,
@@ -14,12 +15,11 @@ from iqgalois.localtest import (
     generic_membership,
     injectivity_test,
     local_unit_image,
-    order_two_form,
     subgroup_index,
     two_classification,
     two_direct_check,
 )
-from iqgalois.quadform import QuadForm
+from iqgalois.quadform import QuadForm, compose, principal_form, two_torsion_basis
 
 from _oracles import is_fundamental, quotient_trivial_brute, random_local_unit
 
@@ -295,10 +295,13 @@ def test_two_classification_examples():
 
 
 def test_order_two_form():
-    f = order_two_form(validate(-20))
-    assert f == QuadForm(2, 2, 3)
-    g = order_two_form(validate(-35))
-    assert g.disc == -35
+    assert two_torsion_basis(-20, 1) == [QuadForm(2, 2, 3)]
+    (g,) = two_torsion_basis(-35, 1)
+    assert g.disc == -35 and compose(g, g) == principal_form(-35) != g
+    # Cl(-84) = (2, 2): the forms at 2 and 3 are kept; the one at 7 reduces to the one at 3
+    assert two_torsion_basis(-84, 2) == [QuadForm(2, 2, 11), QuadForm(3, 0, 7)]
+    with pytest.raises(InvariantViolation, match="2-rank 2, not 1"):
+        two_torsion_basis(-84, 1)
 
 
 def test_two_direct_check_examples():

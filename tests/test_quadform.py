@@ -188,28 +188,39 @@ def test_class_group_examples():
     assert class_group(validate(-107)).h == 3
 
 
+def _torsion_or_overflow(cg, p):
+    """p_torsion_basis(cg, p), or None where the p-rank overflows (which must raise)."""
+    if cg.p_rank(p) >= 3:
+        with pytest.raises(RankOverflow):
+            p_torsion_basis(cg, p)
+        return None
+    return p_torsion_basis(cg, p)
+
+
 def test_class_group_generator_orders_exact():
     for m in (84, 195, 455, 1155, 3299):
-        d = validate(-m)
-        cg = class_group(d)
+        cg = class_group(validate(-m))
         one = principal_form(-m)
-        for q, (orders, _) in cg.sylow.items():
-            for b, order in zip(cg.sylow_basis(q), orders):
-                assert power(b, order) == one
-                assert power(b, order // q) != one
+        for p in cg.sylow:
+            for f in _torsion_or_overflow(cg, p) or ():
+                assert f != one and power(f, p) == one, (m, p, f)
 
 
 def test_class_group_generators_span_everything():
-    # exhaustive coverage for small discriminants: the Sylow bases of all
-    # primes together generate the whole group
+    # exhaustive coverage for small discriminants: at every p | h the torsion
+    # forms span exactly the classes that p kills
     for m in (23, 47, 84, 120, 231, 479, 660):
-        d = validate(-m)
-        cg = class_group(d)
-        span = {principal_form(-m)}
-        for q, (orders, _) in cg.sylow.items():
-            for b, order in zip(cg.sylow_basis(q), orders):
-                span = {compose(s, power(b, i)) for s in span for i in range(order)}
-        assert span == set(enumerate_reduced_forms(-m))
+        cg = class_group(validate(-m))
+        one = principal_form(-m)
+        forms = enumerate_reduced_forms(-m)
+        for p in cg.sylow:
+            basis = _torsion_or_overflow(cg, p)
+            if basis is None:
+                continue
+            span = {one}
+            for f in basis:
+                span = {compose(s, power(f, i)) for s in span for i in range(p)}
+            assert span == {f for f in forms if power(f, p) == one}, (m, p)
 
 
 def test_invariant_factor_chain():
