@@ -69,11 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("tables", help="reproduce the splitting tables")
     p_tab.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
-    p_tab.add_argument("--p", type=int, default=3)
-    p_tab.add_argument("--N", type=int, default=300)
-    p_tab.add_argument("--B", type=int, default=100_000)
-    p_tab.add_argument("--bound", type=int, default=6000, help="|D| bound for table 1")
-    p_tab.add_argument("--max-p", type=int, default=7, help="largest class number for table 1")
+    # numeric options default to None, so that one given to the wrong table is refused
+    p_tab.add_argument("--p", type=int)
+    p_tab.add_argument("--N", type=int)
+    p_tab.add_argument("--B", type=int)
+    p_tab.add_argument("--bound", type=int, help="|D| bound for table 1")
+    p_tab.add_argument("--max-p", type=int, help="largest class number for table 1")
     p_tab.add_argument("--csv", action="store_true", help="emit CSV instead of aligned text")
     p_tab.set_defaults(func=_cmd_tables)
 
@@ -81,9 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--suite", choices=("forms", "local", "two", "generators", "all"), default="all"
     )
-    p_ver.add_argument(
-        "--bound", type=int, default=100_000, help="|D| sweep bound for 'two' and 'generators'"
-    )
+    p_ver.add_argument("--bound", type=int, help="|D| sweep bound for 'two' and 'generators'")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 
@@ -120,7 +119,24 @@ def _cmd_survey(args) -> int:
     return 0
 
 
+def _apply_defaults(args, defaults: dict[str, int], options: tuple[str, ...], target: str) -> None:
+    """Fill in the defaults of the options that apply; refuse a given one that does not."""
+    for name in options:
+        if name in defaults:
+            if getattr(args, name) is None:
+                setattr(args, name, defaults[name])
+        elif getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {target}")
+
+
+_TABLE_OPTIONS = ("p", "N", "B", "bound", "max_p")
+_TABLE1_DEFAULTS = {"bound": 6000, "max_p": 7}
+_CENSUS_DEFAULTS = {"p": 3, "N": 300, "B": 100_000}  # tables 2 and 3
+
+
 def _cmd_tables(args) -> int:
+    defaults = _TABLE1_DEFAULTS if args.table == 1 else _CENSUS_DEFAULTS
+    _apply_defaults(args, defaults, _TABLE_OPTIONS, f"table {args.table}")
     if args.table == 1:
         rows = table1(args.max_p, args.bound)
         if args.csv:
@@ -150,6 +166,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    sweeps = args.suite in ("two", "generators", "all")
+    _apply_defaults(args, {"bound": 100_000} if sweeps else {}, ("bound",), f"suite {args.suite}")
     suites = tuple(_VERIFIERS) if args.suite == "all" else (args.suite,)
     ok = True
     for suite in suites:

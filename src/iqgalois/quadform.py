@@ -21,12 +21,14 @@ two and the order of the other modulo its cyclic group give the two orders
 of at least 4.  Their orders must multiply to 2^e, which holds the 2-part
 of h to the group wherever r4 <= 2.  Every other Sylow subgroup (odd q, and
 q = 2 at r4 >= 3) takes one walk over the prime forms of norm up to
-sqrt(|D|/3), which generate the group: a subgroup whose first projected
-prime form has exact order q^e is cyclic with that form as its basis; any
-other is grown as an explicit table of classes, and its Smith normal form
-gives the invariant factors and a basis.  Of each basis form x of order o
-it keeps y = x^(o/q), which spans Cl[q] with the others and is x's one
-exact-order test (_q_torsion).  Cl[2] comes from the ramified prime forms.
+sqrt(|D|/3) and below 2^16, which generate the group (past |D| = 3 * 65521^2
+a pool that falls short makes the walk raise; _prime_form_pool): a
+subgroup whose first projected prime form has exact order q^e is cyclic
+with that form as its basis; any other is grown as an explicit table of
+classes, and its Smith normal form gives the invariant factors and a
+basis.  Of each basis form x of order o it keeps y = x^(o/q), which spans
+Cl[q] with the others and is x's one exact-order test (_q_torsion).
+Cl[2] comes from the ramified prime forms.
 """
 
 import functools
@@ -240,11 +242,17 @@ def prime_form(D: int, q: int) -> QuadForm | None:
 
 
 def _prime_form_pool(D: int) -> Iterator[QuadForm]:
-    """The reduced prime forms of norm up to sqrt(|D|/3), in ascending norm.
+    """The reduced prime forms of norm up to sqrt(|D|/3) and below 2^16, in ascending norm.
 
-    They generate Cl(D): every class holds a reduced form (a, b, c) with
-    a <= sqrt(|D|/3), a product of prime forms at the primes of a.  A walk
-    with a correct h stops on the same form as over all primes below 2^16.
+    Up to sqrt(|D|/3) they generate Cl(D): every class holds a reduced form
+    (a, b, c) with a <= sqrt(|D|/3), a product of prime forms at the primes
+    of a.  The pool ends at 65521, the last prime of small_primes, which is
+    short of sqrt(|D|/3) for |D| > 3 * 65521^2 (about 1.29e10).  No verdict
+    can be wrong there: with the exact h, a walk whose forms fall short of a
+    part of h raises ClassNumberAmbiguous (exit 3), never a smaller group.
+    Under GRH the primes up to 6 ln^2 |D| already generate the group, about
+    5,400 at |D| = 1e13 (E. Bach, Math. Comp. 55 (1990)).  A walk with a
+    correct h stops on the same form as over all primes below 2^16.
     """
     bound = math.isqrt(-D // 3)
     for q in small_primes():
@@ -567,12 +575,14 @@ def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> Cl
     exact class number, which the caller vouches for (the survey passes its
     sieve's count of reduced forms); it is not proven.  A wrong known_h
     raises ClassNumberAmbiguous where it shows: a q-part the prime forms of
-    norm up to sqrt(|D|/3) cannot fill, a 2-part that contradicts the genus
+    _prime_form_pool cannot fill, a 2-part that contradicts the genus
     and Redei ranks, or projected prime forms whose 2-orders do not
     multiply to the 2-part of h.  Wherever the 4-rank is at most 2, a wrong
     2-part always raises; an odd q-part that is too small can pass unseen,
     and so can a 2-part that is too small at 4-rank 3 or more.  Odd Sylow
     subgroups come from prime forms, the 2-orders from _two_sylow_orders.
+    With the exact h the same raise marks a pool that falls short, which can
+    happen only past |D| = 3 * 65521^2 (_prime_form_pool), never a wrong group.
     """
     D = d.value
     h = class_number(D) if known_h is None else known_h

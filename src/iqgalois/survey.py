@@ -79,30 +79,16 @@ class SurveyRow:
         return cls(ClassificationRecord.from_dict(data), behavior)
 
 
-def _squarefree_mask(lo: int, hi: int) -> np.ndarray:
-    mask = np.ones(hi - lo, dtype=bool)
-    d = 2
-    while d * d < hi:
-        step = d * d
-        start = -(-lo // step) * step
-        mask[start - lo :: step] = False
-        d += 1
-    return mask
-
-
 def fundamental_mask(lo: int, hi: int) -> np.ndarray:
-    """Which |D| in [lo, hi) are fundamental imaginary quadratic discriminants."""
+    """Which |D| in [lo, hi) are fundamental imaginary quadratic discriminants.
+
+    Exactly those with |D| = 3 (mod 4) or |D| = 4, 8 (mod 16) that no odd square divides.
+    """
     ms = np.arange(lo, hi, dtype=np.int64)
-    sq = _squarefree_mask(lo, hi)
-    out = (ms % 4 == 3) & sq
-    qlo, qhi = -(-lo // 4), (hi - 1) // 4 + 1
-    if qhi > qlo:
-        sq4 = _squarefree_mask(qlo, qhi)
-        idx = np.nonzero(ms % 4 == 0)[0]
-        q = ms[idx] // 4
-        ok = ((q % 4 == 1) | (q % 4 == 2)) & sq4[q - qlo]
-        out[idx] = ok
-    return out
+    mask = (ms % 4 == 3) | (ms % 16 == 4) | (ms % 16 == 8)
+    for d in range(3, math.isqrt(hi - 1) + 1, 2):
+        mask[-lo % (d * d) :: d * d] = False
+    return mask
 
 
 def reduced_form_counts(lo: int, hi: int) -> np.ndarray:
@@ -277,7 +263,8 @@ def scan(config: SurveyConfig) -> Iterator[SurveyRow]:
             yield from done
     start = config.d_min + (ckpt.blocks_done if ckpt else 0) * BLOCK_SIZE
     pending = [(lo, hi, config.primes) for lo, hi in _blocks(start, config.d_max + 1, BLOCK_SIZE)]
-    workers = min(config.workers, len(pending))
+    # Executor.map submits every block at once, and the pool then starts all its processes
+    workers = min(config.workers, len(pending), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     with pool:
         for rows in (pool.map if workers > 1 else map)(_scan_block, pending):

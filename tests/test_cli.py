@@ -79,6 +79,27 @@ def test_tables_2_and_3_refuse_csv(capsys):
         assert captured.out == "" and "--csv applies to table 1 only" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, option, target",
+    [
+        (["tables", "--table", "1", "--bound", "1000", "--max-p", "3", "--p", "5", "--N", "7",
+          "--B", "99"], "--p", "table 1"),
+        (["tables", "--table", "1", "--B", "99"], "--B", "table 1"),
+        (["tables", "--table", "2", "--p", "3", "--N", "5", "--B", "1000", "--bound", "7",
+          "--max-p", "99"], "--bound", "table 2"),
+        (["tables", "--table", "3", "--max-p", "3"], "--max-p", "table 3"),
+        (["verify", "--suite", "forms", "--bound", "5"], "--bound", "suite forms"),
+        (["verify", "--suite", "local", "--bound", "5"], "--bound", "suite local"),
+    ],
+)
+def test_options_that_do_not_apply_exit_1(argv, option, target, capsys):
+    # an option the chosen table or suite does not read is refused before any computation
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} does not apply to {target}\n"
+
+
 def test_tables_composite_p_exits_1(capsys):
     assert main(["tables", "--table", "3", "--p", "4", "--N", "10", "--B", "5000"]) == 1
     assert main(["tables", "--table", "2", "--p", "4", "--N", "10", "--B", "5000"]) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -118,8 +119,11 @@ def test_worker_invariance_small(csv_bytes):
     assert base == multi
 
 
-def test_pool_never_exceeds_pending_blocks(monkeypatch, csv_bytes):
-    # workers=8 on a two-block band must not start six idle processes
+def _record_pool_sizes(monkeypatch, cpus: int) -> list[int]:
+    """Replace the process pool by an in-process fake that records max_workers.
+
+    The host reports `cpus` CPUs; no process is started.
+    """
     seen = []
 
     class RecordingPool:
@@ -137,10 +141,43 @@ def test_pool_never_exceeds_pending_blocks(monkeypatch, csv_bytes):
 
     monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
     monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
+    return seen
+
+
+def test_pool_never_exceeds_pending_blocks(monkeypatch, csv_bytes):
+    # workers=8 on a two-block band must not start six idle processes
+    seen = _record_pool_sizes(monkeypatch, cpus=8)
     config = SurveyConfig(d_min=3, d_max=150, primes=(2, 3), workers=8)
     rows = csv_bytes(scan(config))
     assert seen == [2]
     assert rows == csv_bytes(scan(SurveyConfig(d_min=3, d_max=150, primes=(2, 3))))
+
+
+def test_pool_never_exceeds_cpu_count(monkeypatch, csv_bytes):
+    # Executor.map submits every block at once, so the pool would start
+    # min(workers, blocks) processes; a huge --workers must stop at the CPUs
+    seen = _record_pool_sizes(monkeypatch, cpus=2)
+    config = SurveyConfig(d_min=3, d_max=250, primes=(2, 3), workers=10**6)
+    rows = csv_bytes(scan(config))
+    assert seen == [2]
+    assert rows == csv_bytes(scan(SurveyConfig(d_min=3, d_max=250, primes=(2, 3))))
+
+
+# The first, middle and last blocks of `survey --min 3 --max 10000000`, with
+# the sha256 of the CSV that persist writes for each block's rows (primes
+# 2, 3, 5, 7); the digests were computed before the sieve's mask was rewritten.
+CENSUS_BLOCKS = [
+    (3, 10_003, "c30cb33f41c09ff9865cf5b4d1a483711f68494b3ab3dc20a4e62224f7ce87f1"),
+    (5_000_003, 5_010_003, "90fe396dff7f222664969d897146535d8e6109e7261efe5813237e7b5f1dd094"),
+    (9_990_003, 10_000_001, "cd5745b034c4317e9d6f0780f0334511f9cf57a3cdd8eab6062e5be4662bbe1c"),
+]
+
+
+@pytest.mark.parametrize("lo, hi, digest", CENSUS_BLOCKS)
+def test_census_block_matches_pinned_digest(lo, hi, digest, csv_bytes):
+    rows = csv_bytes(survey._scan_block((lo, hi, (2, 3, 5, 7))))
+    assert hashlib.sha256(rows).hexdigest() == digest
 
 
 def test_checkpoint_resume_byte_identical(tmp_path, csv_bytes):
