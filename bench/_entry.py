@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
+DECIMALS = 6  # times are kept to 1 us, so sub-millisecond timings keep their spread
 
 
 def load_parent(checkout: Path, name: str = "iqgalois_parent"):
@@ -68,9 +69,9 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
             spent.append(time.perf_counter() - t0)
     stats = [
         {
-            "median_s": round(statistics.median(spent), 4),
-            "min_s": round(min(spent), 4),
-            "passes_s": [round(t, 4) for t in spent],
+            "median_s": round(statistics.median(spent), DECIMALS),
+            "min_s": round(min(spent), DECIMALS),
+            "passes_s": [round(t, DECIMALS) for t in spent],
             "repeats": repeats,
         }
         for spent in times
@@ -81,7 +82,7 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
 def _iqr(passes: list[float]) -> float:
     """Interquartile range of pass times, by linear interpolation; 0 for one pass."""
     q1, q3 = np.percentile(passes, [25, 75])
-    return round(float(q3 - q1), 4)
+    return round(float(q3 - q1), DECIMALS)
 
 
 def _leaves(record: dict, path: tuple = ()):
@@ -117,7 +118,7 @@ def run(doc: str, layer: str, measure) -> None:
                 p_median, c_median = p_leaves[median], c_leaves[median]
                 p_iqr, c_iqr = _iqr(p_leaves[path]), _iqr(c_leaves[path])
                 wins = sum(c < p for p, c in zip(p_leaves[path], c_leaves[path]))
-                side = "inside" if round(abs(c_median - p_median), 4) <= p_iqr else "outside"
+                side = "inside" if round(abs(c_median - p_median), DECIMALS) <= p_iqr else "outside"
                 report.append(
                     f"{where}: median {p_median} -> {c_median} s, "
                     f"IQR {p_iqr} -> {c_iqr} s, "

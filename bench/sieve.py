@@ -1,30 +1,39 @@
-"""Time the class-number sieve and the fundamental mask on one 1e4-block at several |D|.
+"""Time the class-number sieve and the fundamental mask on blocks of several widths and |D|.
 
     python3 bench/sieve.py --parent DIR > BENCH_N.json
 
 Times survey.reduced_form_counts and survey.fundamental_mask on the block
-[start, start + WIDTH) for each start in STARTS, with the library of the
-checkout DIR and with this checkout's, their calls taken in turn
-(bench/_entry.py).  Each start records, under "counts" and "mask", the
-median and minimum wall time of REPEATS calls, and the sha256 of the counts
-and of the mask bytes, which must agree between the two libraries.
+[start, start + width) for each (start, width) in BLOCKS, with the library
+of the checkout DIR and with this checkout's, their calls taken in turn
+(bench/_entry.py).  BLOCKS holds four scan blocks of 1e4 |D|, the window of
+1,600 |D| that the census sieves first at the published bound 1e7, and a
+block of 10 |D| at 1e8, where the sieve's loop over a outweighs its width.
+Each block records, under "counts" and "mask", the median and minimum wall
+time of REPEATS calls, and the sha256 of the counts and of the mask bytes,
+which must agree between the two libraries.
 """
 
 from _entry import run, sha256, timed_alternating
 
-STARTS = (3, 10**5, 10**6, 10**7)
-WIDTH = 10**4
+BLOCKS = (
+    (3, 10**4),
+    (10**5, 10**4),
+    (10**6, 10**4),
+    (10**7, 10**4),
+    (10**7 + 1, 1600),
+    (10**8, 10),
+)
 REPEATS = 5
 
 
 def measure(libs: dict) -> dict:
     entries = {name: [] for name in libs}
-    for start in STARTS:
-        blocks = [{"start": start, "width": WIDTH} for _ in libs]
+    for start, width in BLOCKS:
+        blocks = [{"start": start, "width": width} for _ in libs]
         for key, fn in (("counts", "reduced_form_counts"), ("mask", "fundamental_mask")):
             timed = timed_alternating(
                 [
-                    lambda f=getattr(lib.survey, fn): f(start, start + WIDTH)
+                    lambda f=getattr(lib.survey, fn): f(start, start + width)
                     for lib in libs.values()
                 ],
                 REPEATS,
@@ -40,6 +49,6 @@ def measure(libs: dict) -> dict:
 if __name__ == "__main__":
     run(
         __doc__,
-        "survey.reduced_form_counts and survey.fundamental_mask, one block of 1e4 |D|",
+        "survey.reduced_form_counts and survey.fundamental_mask, blocks of 10 to 1e4 |D|",
         measure,
     )

@@ -1,13 +1,15 @@
 """Range scans over fundamental discriminants with persistence and tables.
 
 Class numbers for a whole block of discriminants come from one bulk count
-of reduced forms (a loop over the first coefficient a, each step one numpy
-scatter of all (b, c) pairs that land in the block), which doubles as an
-independent oracle for the per-discriminant quadform.class_number.  Scans
-proceed in contiguous blocks of 10^4 |D|-values; each block is classified
-independently (pure functions), so worker count cannot change the output,
-and a checkpoint after every block makes interrupted scans resumable
-without recomputation.
+of reduced forms (a loop over runs of consecutive first coefficients a,
+each step one numpy scatter of all the run's (b, c) pairs that land in the
+block), which doubles as an independent oracle for the per-discriminant
+quadform.class_number.  The census of tables 2 and 3 sieves in windows
+that grow from its sample size, so it counts little past its last field.
+Scans proceed in contiguous blocks of 10^4 |D|-values; each block is
+classified independently (pure functions), so worker count cannot change
+the output, and a checkpoint after every block makes interrupted scans
+resumable without recomputation.
 """
 
 import contextlib
@@ -27,6 +29,8 @@ from .discriminant import FundamentalDiscriminant, kronecker_at, validate
 from .quadform import CLASS_NUMBER_LIMIT
 
 BLOCK_SIZE = 10_000
+# Scratch elements of one run of a in reduced_form_counts: its (a, b) grid plus its expected pairs
+_RUN_ELEMENTS = 1 << 14
 CSV_HEADER = "D,h,class_group,two_rank,p,local_behavior,status,verdict,assumes_converse"
 
 
@@ -91,16 +95,39 @@ def fundamental_mask(lo: int, hi: int) -> np.ndarray:
     return mask
 
 
+def _a_runs(amax: int, width: int) -> Iterator[tuple[int, int]]:
+    """The runs [first, end) of a that cover 1..amax in reduced_form_counts.
+
+    Each run holds the most a, and at least one, such that its grid (a row
+    of b = 0..end - 1 per a) plus its expected pairs (width / 4 per a) fit
+    in _RUN_ELEMENTS.
+    """
+    first = 1
+    while first <= amax:
+        s = first + width // 4
+        rows = max(1, (math.isqrt(s * s + 4 * _RUN_ELEMENTS) - s) // 2)
+        end = min(first + rows, amax + 1)
+        yield first, end
+        first = end
+
+
 def reduced_form_counts(lo: int, hi: int) -> np.ndarray:
-    """Count reduced forms per |D| in [lo, hi), with one numpy scatter per a.
+    """Count reduced forms per |D| in [lo, hi), with one numpy scatter per run of a.
 
     A reduced form (a, b, c) has |b| <= a <= c, with b >= 0 when |b| = a or
-    a = c, and |D| = 4ac - b^2.  For each a, the c-range landing in the block
-    is computed for every b in 0..a at once; the nonempty ranges are expanded
-    into their (b, c) pairs and added with one bincount.  A pair stands for
+    a = c, and |D| = 4ac - b^2.  The loop over a takes consecutive a in runs.
+    For a run, the c-range landing in the block is computed on its whole
+    (a, b) grid, 0 <= b <= a, at once; the nonempty ranges are expanded into
+    their (b, c) pairs and added with one bincount.  A pair stands for
     (a, +-b, c), weight 2, when 0 < b < a, except the self-mirrored (a, b, a),
-    which counts once.  Scratch arrays hold the pairs of one a only (at most
-    about width / 2 + a of them), never the whole block's.
+    which counts once.  Runs are cut by _a_runs, so scratch arrays stay near
+    _RUN_ELEMENTS whatever the block, never the size of the whole block's
+    pairs.
+
+    The floors are float64 quotients of integers below 2^53, which are exact:
+    a quotient x / y short of an integer k is at least 1 / y short of it, and
+    rounding moves it by at most k * 2^-53 < 1 / y.  |D| is refused past
+    quadform.CLASS_NUMBER_LIMIT, far below that.
 
     At fundamental discriminants every form is automatically primitive, so
     the count is exactly the class number there; other entries are not
@@ -108,21 +135,31 @@ def reduced_form_counts(lo: int, hi: int) -> np.ndarray:
     """
     if lo < 3:
         raise ValueError("counting starts at |D| = 3")
+    if hi - 1 > CLASS_NUMBER_LIMIT:
+        raise ValueError(f"|D| up to {hi - 1} exceeds the class-number limit {CLASS_NUMBER_LIMIT}")
     width = hi - lo
     counts = np.zeros(width)  # float64 like bincount's weighted sums; exact integers
     amax = math.isqrt((hi - 1) // 3)
-    for a in range(1, amax + 1):
-        fa = 4 * a
-        bsq = np.arange(a + 1, dtype=np.int64) ** 2
-        cmin = np.maximum(a, -(-(lo + bsq) // fa))
-        n = (hi - 1 + bsq) // fa - cmin + 1
-        (b,) = np.nonzero(n > 0)
-        if b.size == 0:
+    squares = np.arange(amax + 1, dtype=np.float64) ** 2
+    for first, a_end in _a_runs(amax, width):
+        grid_a = np.arange(first, a_end, dtype=np.float64)[:, None]
+        bsq = squares[:a_end]
+        below = np.maximum(grid_a - 1, np.floor((lo - 1 + bsq) / (4 * grid_a)))  # c > below
+        top = np.floor((hi - 1 + bsq) / (4 * grid_a))  # c <= top
+        k = np.flatnonzero((top > below) & (bsq <= grid_a * grid_a))
+        if k.size == 0:
             continue
-        n, cmin = n[b], cmin[b]
+        row = k // a_end  # np.divmod is about twice as slow
+        b = k - row * a_end
+        a = row + first
+        cmin = below.ravel()[k]
+        n = (top.ravel()[k] - cmin).astype(np.int64)
+        cmin = cmin.astype(np.int64) + 1
+        fa = 4 * a
         starts = np.cumsum(n) - n
-        step = np.arange(starts[-1] + n[-1]) - np.repeat(starts, n)
-        idx = np.repeat(cmin * fa - bsq[b] - lo, n) + fa * step
+        idx = np.arange(starts[-1] + n[-1])  # pair j, in range i, has c = cmin[i] + j - starts[i]
+        idx *= np.repeat(fa, n)
+        idx += np.repeat(fa * (cmin - starts) - b * b - lo, n)
         paired = (b > 0) & (b < a)
         weights = np.repeat(np.where(paired, 2.0, 1.0), n)
         weights[starts[paired & (cmin == a)]] = 1.0
@@ -140,15 +177,20 @@ def class_numbers_range(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(int(m + lo), int(counts[m])) for m in np.nonzero(mask)[0]]
 
 
-def _blocks(lo: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
+def _blocks(lo: int, hi: int, width: int, first: int | None = None) -> Iterator[tuple[int, int]]:
     """The consecutive [start, end) blocks of at most width |D| that cover [lo, hi).
 
-    Refuses |D| past quadform.CLASS_NUMBER_LIMIT before the first block.
+    The first block holds `first` |D| (default width), each later one twice
+    as many as the one before, up to width.  Refuses |D| past
+    quadform.CLASS_NUMBER_LIMIT before the first block.
     """
     if hi - 1 > CLASS_NUMBER_LIMIT:
         raise ValueError(f"|D| up to {hi - 1} exceeds the class-number limit {CLASS_NUMBER_LIMIT}")
-    for start in range(lo, hi, width):
-        yield start, min(start + width, hi)
+    step = width if first is None else first
+    while lo < hi:
+        yield lo, min(lo + step, hi)
+        lo += step
+        step = min(2 * step, width)
 
 
 def _classify_row(m: int, h: int, primes: tuple[int, ...]) -> SurveyRow:
@@ -347,14 +389,22 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
 
 
 def single_factor_fields(p: int, lower_bound: int, n_fields: int) -> list[tuple[int, int]]:
-    """First n fields with |D| > lower_bound whose h is divisible by p once, within 200 blocks."""
+    """First n fields with |D| > lower_bound whose h is divisible by p once, within 200 blocks.
+
+    The search sieves in windows: the first holds min(BLOCK_SIZE, 16 n) |D|,
+    each later one twice as many, up to BLOCK_SIZE, and it stops at the n-th
+    field.  It still ends at lower_bound + 200 BLOCK_SIZE.  Every h is the
+    exact count of reduced forms whatever window holds |D|, so the fields
+    are those a walk over whole blocks finds.
+    """
     if n_fields < 1:
         raise InvalidConfig("sample size must be at least 1")
     if lower_bound < 0:
         raise InvalidConfig(f"lower bound {lower_bound} is negative")
     out: list[tuple[int, int]] = []
     start = lower_bound + 1
-    for lo, hi in _blocks(start, start + 200 * BLOCK_SIZE, BLOCK_SIZE):
+    windows = _blocks(start, start + 200 * BLOCK_SIZE, BLOCK_SIZE, min(BLOCK_SIZE, 16 * n_fields))
+    for lo, hi in windows:
         for m, h in class_numbers_range(lo, hi):
             if h % p == 0 and (h // p) % p != 0:
                 out.append((m, h))

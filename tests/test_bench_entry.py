@@ -92,11 +92,19 @@ def test_report_gives_each_spread_and_compares_with_the_parents(
     assert f"{spread} the parent's spread" in err
 
 
-# the size constants of each bench script, shrunk so that all four run in seconds
+def test_sub_millisecond_passes_keep_their_spread(entry, capsys):
+    # passes 100-130 us: the parent's interquartile range is 15 us, not 0
+    passes = (0.00010, 0.00011, 0.00012, 0.00013)
+    entry.run("doc", "layer", fake_measure("a", passes, passes))
+    assert "IQR 1.5e-05 -> 1.5e-05 s" in capsys.readouterr().err
+
+
+# the size constants of each bench script, shrunk so that all five run in seconds
 TINY = {
-    "sieve": {"STARTS": (10**6,), "WIDTH": 300, "REPEATS": 1},
+    "sieve": {"BLOCKS": ((10**6, 300), (10**7 + 1, 7)), "REPEATS": 1},
     "classgroup": {"STARTS": (10**6,), "WIDTH": 300, "REPEATS": 1},
     "classnumber": {"FIELDS": (-100000007,), "REPEATS": 1},
+    "tables": {"BOUNDS": (20000,), "REPEATS": 1},
     "generator": {
         "BANDS": ((10**6, 10**6 + 300),),
         "REPEATS": 1,

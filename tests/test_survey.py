@@ -322,6 +322,39 @@ def test_single_factor_fields_block_cap_and_early_stop(monkeypatch):
     assert len(calls) == 2
 
 
+def whole_block_walk(p, lower_bound, n_fields):
+    """single_factor_fields as a walk over whole BLOCK_SIZE blocks, the first n fields."""
+    out = []
+    start = lower_bound + 1
+    for lo in range(start, start + 200 * survey.BLOCK_SIZE, survey.BLOCK_SIZE):
+        for m, h in class_numbers_range(lo, lo + survey.BLOCK_SIZE):
+            if h % p == 0 and h // p % p != 0:
+                out.append((m, h))
+                if len(out) == n_fields:
+                    return out
+    raise AssertionError("too few fields")
+
+
+@pytest.mark.parametrize(
+    "p, lower_bound, n_fields", [(3, 10**7, 100), (5, 10**6, 100), (7, 2000, 30), (3, 0, 1)]
+)
+def test_single_factor_fields_windows_match_whole_blocks(p, lower_bound, n_fields):
+    expected = whole_block_walk(p, lower_bound, n_fields)
+    assert single_factor_fields(p, lower_bound, n_fields) == expected
+
+
+def test_table3_sieves_only_the_window_it_reads(monkeypatch):
+    calls = []
+    real = survey.class_numbers_range
+    monkeypatch.setattr(
+        survey, "class_numbers_range", lambda lo, hi: calls.append((lo, hi)) or real(lo, hi)
+    )
+    table3(3, 100, 10**7)
+    assert calls[0][0] == 10**7 + 1
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(calls, calls[1:]))
+    assert sum(hi - lo for lo, hi in calls) < survey.BLOCK_SIZE
+
+
 def test_table2_smoke():
     r = table3(3, 40, 20000)
     assert r.n_fields == 40 and 0.0 <= r.overall <= 3.0
