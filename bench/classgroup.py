@@ -18,9 +18,11 @@ rows.  The 2-torsion forms are left out: the verdict at p = 2 does not read
 them.  It also counts the even-h fields by the route their 2-orders took,
 read from the 4-rank r4, the number of 2-orders of at least 4: genus
 theory at r4 = 0, 1 or 2, the table walk at r4 >= 3.  Compositions are
-counted as calls of compose_unreduced, the one composition formula, through
-wrappers on its module globals in quadform and idealgen: once over a
-class-group pass and once over a scan pass.
+counted once over a class-group pass and once over a scan pass: the calls
+of compose_unreduced, the scalar composition formula, through wrappers on
+its module globals in quadform and idealgen, plus the lanes of every call
+of quadform._compose_lanes, the lock-step kernel that survey._scan_block
+reaches through quadform.class_groups, where the library has one.
 """
 
 import collections
@@ -57,9 +59,10 @@ def two_part_route(cg) -> str:
 
 
 def count_products(lib, fn) -> int:
-    """compose_unreduced calls made by fn(), counted through wrappers on lib's module globals."""
+    """compose_unreduced calls and _compose_lanes lanes made by fn(), via wrappers on lib's globals."""
     quadform, idealgen = lib.quadform, lib.idealgen
     orig = quadform.compose_unreduced
+    lanes = getattr(quadform, "_compose_lanes", None)
     calls = 0
 
     def counting(f, g):
@@ -67,11 +70,20 @@ def count_products(lib, fn) -> int:
         calls += 1
         return orig(f, g)
 
+    def counting_lanes(f, g):
+        nonlocal calls
+        calls += f[0].size
+        return lanes(f, g)
+
     quadform.compose_unreduced = idealgen.compose_unreduced = counting
+    if lanes is not None:
+        quadform._compose_lanes = counting_lanes
     try:
         fn()
     finally:
         quadform.compose_unreduced = idealgen.compose_unreduced = orig
+        if lanes is not None:
+            quadform._compose_lanes = lanes
     return calls
 
 

@@ -141,12 +141,19 @@ def classify_validated(
     d: FundamentalDiscriminant,
     known_h: int | None = None,
     short_circuit: bool = True,
+    cg: ClassGroupStructure | None = None,
 ) -> ClassificationRecord:
+    """The verdict for d, on its class group cg, built from known_h when not given.
+
+    The survey passes cg from quadform.class_groups, which builds a block's
+    class groups at once; the 2-rank check below holds either way.
+    """
     D = d.value
     torsion = torsion_descriptor(d)
     if D in (-4, -8):
         return ClassificationRecord(D, 1, (), 0, (), EXCEPTIONAL, False, torsion)
-    cg = class_group(d, known_h=known_h)
+    if cg is None:
+        cg = class_group(d, known_h=known_h)
     two_rank = genus_two_rank(d)
     if two_rank != cg.p_rank(2):
         raise InvariantViolation(f"genus 2-rank {two_rank} differs from the class group's at D={D}")

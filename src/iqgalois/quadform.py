@@ -29,13 +29,24 @@ classes, and its Smith normal form gives the invariant factors and a
 basis.  Of each basis form x of order o it keeps y = x^(o/q), which spans
 Cl[q] with the others and is x's one exact-order test (_q_torsion).
 Cl[2] comes from the ramified prime forms.
+The Sylow code is written once, as generators (_Steps) that yield each
+power they need as a request (form, n) and are sent its reduced result.
+class_group answers every request with the scalar power: the oracle, which
+classify, tables, verify and table3 take.  class_groups, the route of a
+survey block, runs the steps of many fields side by side, at most about
+LANES at a time, and answers each round of requests with one lock-step
+numpy kernel on int64 lanes (_power_lanes: Shanks composition from
+lock-step extended gcds, a masked reduction loop, right-to-left binary
+powering that drops finished lanes), which keeps both checks of
+compose_unreduced.  int64 is exact for |D| up to LANE_LIMIT = 4.5e9; a
+field past it takes the scalar power.
 """
 
+import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -195,6 +206,136 @@ def power(f: QuadForm, n: int) -> QuadForm:
     return QuadForm._make(square_and_multiply(base, n, _reduced_product))
 
 
+# Largest |D| whose forms the lane kernel takes.  Reduced inputs have a1, a2 <=
+# sqrt(|D|/3), so a3 <= |D|/3 and b3 < 2*a3; then b3^2 - D < 4|D|^2/9 + |D| < 2^63,
+# and every other product of the kernel is smaller.
+LANE_LIMIT = 4_500_000_000
+# Sylow steps in flight in class_groups, the lanes of one kernel call.  A
+# suspended step holds about 1.5 kB; at 2,048 a 1e4-block at |D| = 1e6 adds
+# 3.3 MB to the peak RSS (all of its 7,322 steps at once: 13 MB), and a lane
+# costs about 6 us against 15 us for the scalar power.
+LANES = 2048
+
+
+def _xgcd_lanes(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, s) with g = gcd(x, m) and s*x = g (mod m), lane by lane, for m >= 1.
+
+    Euclid's steps on all lanes at once, on the rows (r, s) of two
+    remainders r = s*x (mod m).  The two rows are reduced in turn, so no
+    lane swaps them, and a lane whose remainder reached 0 takes the
+    quotient 0 from then on.  The steps run in float64, which divides
+    faster than int64 and is exact here: every value is at most m, below
+    sqrt(LANE_LIMIT/3) < 2^16, and the floor of a float64 quotient of
+    integers below 2^53 is the integer quotient.
+    """
+    one, two = np.zeros((2, m.size)), np.zeros((2, m.size))
+    one[0], two[0], two[1] = m, x % m, 1
+    q = np.empty(m.size)
+    live = two[0] != 0
+    while live.any():
+        for this, other in ((one, two), (two, one)):
+            q.fill(0)
+            np.floor(np.divide(this[0], other[0], out=q, where=live), out=q)
+            this -= q * other
+            np.logical_and(live, this[0], out=live)
+            if not live.any():
+                break
+    last = one[0] == 0  # lanes whose last nonzero remainder is in two
+    return tuple(np.where(last, b, a).astype(np.int64) for a, b in zip(one, two))
+
+
+def _compose_lanes(f: tuple[np.ndarray, ...], g: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """compose_unreduced lane by lane on int64 arrays, with both of its checks.
+
+    Shanks's form of Dirichlet composition (H. Cohen, GTM 138, Algorithms
+    5.4.7 and, for g is f, 5.4.8): with s = (b1 + b2)/2 and n = (b2 - b1)/2,
+    d = gcd(a1, a2) = y1*a2 (mod a1) and d1 = gcd(s, d) = x2*s - y2*d;
+    r = (y1*y2*n - x2*c2) mod a1/d1, a3 = a1*a2/d1^2 and b3 = b2 + 2*(a2/d1)*r,
+    taken mod 2*a3.  A square has d = a1 and n = 0, so it skips the first gcd.
+    Lanes whose forms differ in discriminant, or whose c3 = (b3^2 - D)/(4*a3)
+    leaves a remainder, raise InvariantViolation.
+    """
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    D = b1 * b1 - 4 * a1 * c1
+    if g is not f and (bad := D != b2 * b2 - 4 * a2 * c2).any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvariantViolation(
+            f"lane {i}: ({a1[i]},{b1[i]},{c1[i]}) and ({a2[i]},{b2[i]},{c2[i]}) "
+            "have different discriminants"
+        )
+    s = (b1 + b2) // 2
+    if g is f:
+        d1, x2 = _xgcd_lanes(s, a1)
+        v1 = a1 // d1
+        r = -x2 * c2 % v1
+    else:
+        d, y1 = _xgcd_lanes(a2, a1)
+        d1, x2 = _xgcd_lanes(s, d)
+        y2 = (x2 * s - d1) // d
+        v1 = a1 // d1
+        r = (y1 * y2 % v1 * (b2 - s) - x2 * c2) % v1
+    v2 = a2 // d1
+    a3 = v1 * v2
+    b3 = (b2 + 2 * v2 * r) % (2 * a3)
+    c3, rem = np.divmod(b3 * b3 - D, 4 * a3)
+    if (bad := rem != 0).any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvariantViolation(f"lane {i}: 4*{a3[i]} does not divide {b3[i]}^2 - ({D[i]})")
+    return a3, b3, c3
+
+
+def _reduce_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_reduce lane by lane on positive definite int64 forms; a lane leaves the loop reduced."""
+    r = (a - b) // (2 * a)
+    b, c = b + 2 * r * a, (a * r + b) * r + c
+    a = a.copy()
+    live = np.flatnonzero(a > c)
+    while live.size:
+        x, y, z = a[live], b[live], c[live]
+        r = (z + y) // (2 * z)
+        a[live], b[live], c[live] = z, 2 * r * z - y, (z * r - y) * r + x
+        live = live[a[live] > c[live]]
+    b[(a == c) & (b < 0)] *= -1
+    return a, b, c
+
+
+def _power_lanes(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, n: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """power(f, n) lane by lane, for n >= 1 and |D| <= LANE_LIMIT: the lock-step kernel.
+
+    Right-to-left binary powering: bit_length(n) - 1 squarings and
+    popcount(n) - 1 products per lane, as power makes, each a _compose_lanes
+    and a _reduce_lanes.  A lane leaves at its top bit, with its result.
+    """
+    base = _reduce_lanes(a, b, c)
+    out = tuple(np.empty_like(n) for _ in range(3))
+    acc = tuple(x.copy() for x in base)
+    started = n & 1 == 1  # acc holds base^(the bits of n read so far) where set
+    live = np.arange(n.size)
+    while True:
+        n = n >> 1
+        if (done := n == 0).any():
+            for o, x in zip(out, acc):
+                o[live[done]] = x[done]
+            go = ~done
+            if not go.any():
+                return out
+            live, n, started = live[go], n[go], started[go]
+            base, acc = tuple(x[go] for x in base), tuple(x[go] for x in acc)
+        base = _reduce_lanes(*_compose_lanes(base, base))
+        bit = n & 1 == 1
+        if (mul := bit & started).any():
+            prod = _reduce_lanes(*_compose_lanes(*(tuple(x[mul] for x in f) for f in (acc, base))))
+            for x, y in zip(acc, prod):
+                x[mul] = y
+        if (first := bit & ~started).any():
+            for x, y in zip(acc, base):
+                x[first] = y[first]
+            started |= first
+
+
 def enumerate_reduced_forms(D: int) -> list[QuadForm]:
     """All primitive reduced forms of discriminant D < 0, sorted."""
     if D >= 0 or D % 4 not in (0, 1):
@@ -265,6 +406,9 @@ def _prime_form_pool(D: int) -> Iterator[QuadForm]:
 
 _Table = dict[QuadForm, tuple[int, ...]]
 _Sylow = tuple[tuple[int, ...], tuple[QuadForm, ...] | None]
+# The class-group steps are generators: each yields a request (form, n) for
+# power(form, n), is sent the reduced result, and returns its value.
+_Steps = Generator[tuple[tuple[int, int, int], int], QuadForm, object]
 
 
 @dataclass(frozen=True)
@@ -310,11 +454,12 @@ def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...],
     return len(powers), sub[powers[-1]], grown
 
 
-def _two_chain(x: tuple[int, int, int], one: QuadForm, e: int) -> list[tuple[int, int, int]]:
+def _two_chain(x: tuple[int, int, int], one: QuadForm, e: int) -> _Steps:
     """x, x^2, x^4, ... up to the last power that is not the identity.
 
-    x has order 2^len(chain), and chain[-1] is its top, of order 2.
-    Raises ClassNumberAmbiguous when x^(2^e) is not the identity.
+    x has order 2^len(chain), and chain[-1] is its top, of order 2.  Each
+    square is a request (y, 2).  Raises ClassNumberAmbiguous when x^(2^e) is
+    not the identity.
     """
     chain = []
     y = x
@@ -322,7 +467,7 @@ def _two_chain(x: tuple[int, int, int], one: QuadForm, e: int) -> list[tuple[int
         if len(chain) == e:
             raise ClassNumberAmbiguous(f"order of {x} does not divide 2^{e}")
         chain.append(y)
-        y = _reduced_product(y, y)
+        y = yield y, 2
     return chain
 
 
@@ -371,7 +516,7 @@ def _redei(d: FundamentalDiscriminant) -> tuple[list[int], list[int], int]:
     return discs, rows, len(primes) - 1 - len(rows)
 
 
-def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylow:
+def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Steps:
     """The 2-Sylow subgroup, 2^e || h, from genus theory and the Redei matrix.
 
     With r = t - 1 and the 4-rank r4, an e below r + r4, or r4 = 0 with
@@ -404,7 +549,7 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylo
             f"2^{e} || h does not fit 2-rank {r} and 4-rank {r4} of Cl({D})"
         )
     if r4 > 2:
-        return _sylow_structure(D, h, 2, e, pool)[0], None
+        return (yield from _sylow_structure(D, h, 2, e, pool))[0], None
     one, span, chains = principal_form(D), list(rows) if r4 else [], []
     for q in small_primes():
         if D % q == 0:
@@ -412,7 +557,8 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylo
         v = _genus_vector(discs, q)
         if v.bit_count() & 1 or not _span_insert(span, v):
             continue  # q is inert, or the vector of its forms is in the span
-        chains.append(_two_chain(power(prime_form(D, q), h >> e), one, e))
+        x = yield prime_form(D, q), h >> e
+        chains.append((yield from _two_chain(x, one, e)))
         if len(chains) == max(r4, 1):
             break
     else:
@@ -426,7 +572,7 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylo
         # top; the product has a lower order, until the tops differ
         while low and low[-1] == top[-1]:
             a, b, c = top[len(top) - len(low)]
-            low = _two_chain(_reduced_product(low[0], (a, -b, c)), one, len(low) - 1)
+            low = yield from _two_chain(_reduced_product(low[0], (a, -b, c)), one, len(low) - 1)
         if len(low) < 2:
             raise ClassNumberAmbiguous(f"2-orders of Cl({D}) do not fit 4-rank 2")
         chains[0] = low
@@ -435,13 +581,16 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylo
     return (2,) * (r - len(chains)) + tuple(1 << len(c) for c in chains), None
 
 
-def _q_torsion(x: QuadForm, q: int, o: int, one: QuadForm) -> QuadForm | None:
-    """y = x^(o/q) if y != 1 and y^q = 1, so x has exact order o (a power of q); else None."""
-    y = power(x, o // q)
-    return y if y != one and power(y, q) == one else None
+def _q_torsion(x: QuadForm, q: int, o: int, one: QuadForm) -> _Steps:
+    """y = x^(o/q) if y != 1 and y^q = 1, so x has exact order o (a power of q); else None.
+
+    x is reduced, so at o = q, y is x itself.
+    """
+    y = x if o == q else (yield x, o // q)
+    return y if y != one and (yield y, q) == one else None
 
 
-def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
+def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
     """Orders and q-torsion forms of the q-Sylow subgroup, q^e || h, for any prime q.
 
     The 2-part takes it at 4-rank 3 or more; every other 2-part is
@@ -465,10 +614,10 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     for cand in pool:
         if len(sub) >= target:
             break
-        x = power(cand, cofactor)
+        x = yield cand, cofactor
         if x in sub:
             continue
-        if not gens and (y := _q_torsion(x, q, target, one)) is not None:
+        if not gens and (y := (yield from _q_torsion(x, q, target, one))) is not None:
             return (target,), (y,)
         k, vec, sub = _adjoin(sub, x, target)
         # x^k = prod g_i^{v_i} becomes the relation row (-v_1, ..., -v_m, k)
@@ -487,7 +636,7 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
             orders.append(dj)
             terms = [power(gi, w[i][j]) for i, gi in enumerate(gens) if w[i][j]]
             b = functools.reduce(compose, terms)
-            if (y := _q_torsion(b, q, dj, one)) is None:
+            if (y := (yield from _q_torsion(b, q, dj, one))) is None:
                 raise InvariantViolation(f"{b} does not have exact order {dj}")
             torsion.append(y)
     return tuple(orders), tuple(torsion)
@@ -568,6 +717,34 @@ def class_number(D: int) -> int:
 class_number_bsgs = class_number
 
 
+def _sylow_steps(d: FundamentalDiscriminant, h: int) -> list[tuple[int, _Steps]]:
+    """(q, steps) for each prime q of h, ascending; the steps return the entry sylow[q].
+
+    Each walks its own _prime_form_pool, so the Sylow subgroups share no
+    state and their steps may run in any order.  Raises InvariantViolation
+    first when the genus parity fails.
+    """
+    D = d.value
+    if d.num_prime_divisors == 1 and h % 2 == 0:
+        raise InvariantViolation(f"genus parity violated: prime discriminant {D} with even h={h}")
+    out = []
+    for q, e in factorize(h):
+        pool = _prime_form_pool(D)
+        steps = _two_sylow_orders(d, h, e, pool) if q == 2 else _sylow_structure(D, h, q, e, pool)
+        out.append((q, steps))
+    return out
+
+
+def _assemble(D: int, h: int, sylow: dict[int, _Sylow]) -> ClassGroupStructure:
+    """The ClassGroupStructure of h and its Sylow entries, checked by _check_structure."""
+    rank = max((len(orders) for orders, _ in sylow.values()), default=0)
+    # align largest q-power factors with the largest invariant factor
+    padded = [(1,) * (rank - len(orders)) + orders for orders, _ in sylow.values()]
+    cg = ClassGroupStructure(h, tuple(map(math.prod, zip(*padded))), sylow, D)
+    _check_structure(cg)
+    return cg
+
+
 def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> ClassGroupStructure:
     """Invariant factors, Sylow orders and odd q-torsion forms of the class group.
 
@@ -583,25 +760,106 @@ def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> Cl
     subgroups come from prime forms, the 2-orders from _two_sylow_orders.
     With the exact h the same raise marks a pool that falls short, which can
     happen only past |D| = 3 * 65521^2 (_prime_form_pool), never a wrong group.
+    Every power it asks for is the scalar power: the oracle of class_groups.
     """
-    D = d.value
-    h = class_number(D) if known_h is None else known_h
-    if d.num_prime_divisors == 1 and h % 2 == 0:
-        raise InvariantViolation(f"genus parity violated: prime discriminant {D} with even h={h}")
-    if h == 1:
-        return ClassGroupStructure(1, (), {}, D)
-    primes = factorize(h)
-    pools = itertools.tee(_prime_form_pool(D), len(primes))
-    sylow = {
-        q: _two_sylow_orders(d, h, e, pool) if q == 2 else _sylow_structure(D, h, q, e, pool)
-        for (q, e), pool in zip(primes, pools)
-    }
-    rank = max(len(orders) for orders, _ in sylow.values())
-    # align largest q-power factors with the largest invariant factor
-    padded = [(1,) * (rank - len(orders)) + orders for orders, _ in sylow.values()]
-    cg = ClassGroupStructure(h, tuple(map(math.prod, zip(*padded))), sylow, D)
-    _check_structure(cg)
-    return cg
+    h = class_number(d.value) if known_h is None else known_h
+    return _assemble(d.value, h, {q: _run(steps) for q, steps in _sylow_steps(d, h)})
+
+
+def _run(steps: _Steps):
+    """The value of the steps, each request answered by the scalar power."""
+    result = None
+    try:
+        while True:
+            result = power(*steps.send(result))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lane_powers(forms: list[QuadForm], exponents: list[int]) -> list[QuadForm]:
+    """[power(f, n) for f, n in zip(forms, exponents)] in one call of _power_lanes.
+
+    Every n must be at least 1 and every |D| at most LANE_LIMIT.
+    """
+    a, b, c = (np.array(x, dtype=np.int64) for x in zip(*forms))
+    a, b, c = _power_lanes(a, b, c, np.array(exponents, dtype=np.int64))
+    return list(map(QuadForm._make, zip(a.tolist(), b.tolist(), c.tolist())))
+
+
+def _round(fields: Iterator, admitted: collections.deque, lanes: list, results: list) -> tuple:
+    """Admit fields while fewer than LANES steps are in flight, then take one round.
+
+    A field enters admitted as [d, h, its entries by q or one exception,
+    steps left], and each of its Sylow steps as a lane (field, q, steps,
+    past LANE_LIMIT), sent results[i] in the round.  Each lane runs until
+    it asks for a power with n >= 2 (a smaller n, and every n past
+    LANE_LIMIT, gets the scalar power at once) or ends, its value or
+    exception then set in the field.  Returns the lanes still in flight and
+    their powers, from one _power_lanes call.
+    """
+    while len(lanes) < LANES and (item := next(fields, None)) is not None:
+        d, h = item
+        field = [d, h, None, 0]
+        admitted.append(field)
+        try:
+            steps = _sylow_steps(d, h)
+        except Exception as exc:  # raised by class_groups, at this field
+            field[2] = exc
+            continue
+        field[2], field[3] = dict.fromkeys(q for q, _ in steps), len(steps)
+        lanes.extend((field, q, step, d.value < -LANE_LIMIT) for q, step in steps)
+        results.extend([None] * len(steps))
+    asked, forms, exponents = [], [], []
+    for lane, result in zip(lanes, results):
+        field, q, step, scalar = lane
+        try:
+            f, n = step.send(result)
+            while n < 2 or scalar:
+                f, n = step.send(power(f, n))
+        except StopIteration as stop:
+            field[2][q] = stop.value
+            field[3] -= 1
+        except Exception as exc:  # raised by class_groups, at this field
+            field[2][q] = exc
+            field[3] -= 1
+        else:
+            asked.append(lane)
+            forms.append(f)
+            exponents.append(n)
+    return asked, _lane_powers(forms, exponents) if asked else []
+
+
+def class_groups(
+    fields: Iterable[tuple[FundamentalDiscriminant, int]],
+) -> Iterator[ClassGroupStructure]:
+    """class_group(d, known_h=h) for each (d, h) in fields, in order, their powers in lock-step.
+
+    The Sylow steps of many fields run side by side in rounds (_round).
+    Fields are taken from fields, in order, while fewer than LANES steps
+    are in flight, which bounds the memory that suspended steps hold.  The
+    steps of one field share nothing, so each runs to its end.  A field is
+    yielded once it and all before it are done; an exception is kept with
+    its field and raised there, the one of its smallest q first: what a
+    loop over class_group, which walks q in ascending order, raises first.
+    An InvariantViolation of the kernel, a broken product, is raised at
+    once.  Sylow walks (_adjoin), Smith-form bases and the 4-rank-2
+    reduction's product stay scalar, inside the steps.
+    """
+    fields = iter(fields)
+    admitted: collections.deque = collections.deque()
+    lanes, results = [], []
+    while True:
+        lanes, results = _round(fields, admitted, lanes, results)
+        if not admitted:
+            return
+        while admitted and admitted[0][3] == 0:
+            d, h, sylow, _ = admitted.popleft()
+            if isinstance(sylow, Exception):
+                raise sylow
+            for entry in sylow.values():
+                if isinstance(entry, Exception):
+                    raise entry
+            yield _assemble(d.value, h, sylow)
 
 
 def two_torsion_basis(D: int, rank: int) -> list[QuadForm]:

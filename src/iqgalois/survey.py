@@ -9,11 +9,18 @@ that grow from its sample size, so it counts little past its last field.
 Scans proceed in contiguous blocks of 10^4 |D|-values; each block is
 classified independently (pure functions), so worker count cannot change
 the output, and a checkpoint after every block makes interrupted scans
-resumable without recomputation.
+resumable without recomputation.  A block builds the class groups of its
+fields side by side with quadform.class_groups, whose powers run in
+lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9) and
+through the scalar power past it; the rows are those of classifying each
+field alone, with quadform.class_group as the oracle.  Tables and the
+verify sweeps classify field by field on the scalar route.
 """
 
 import contextlib
+import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,7 +33,7 @@ import numpy as np
 from .arith import is_prime
 from .classify import ClassificationRecord, classify_validated, status_at_prime
 from .discriminant import FundamentalDiscriminant, kronecker_at, validate
-from .quadform import CLASS_NUMBER_LIMIT
+from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, class_groups
 
 BLOCK_SIZE = 10_000
 # Scratch elements of one run of a in reduced_form_counts: its (a, b) grid plus its expected pairs
@@ -83,15 +90,24 @@ class SurveyRow:
         return cls(ClassificationRecord.from_dict(data), behavior)
 
 
+# |D| = 0..15 mod 16: the classes of fundamental |D| before odd squares are struck out
+_RESIDUES_16 = np.array([m % 4 == 3 or m in (4, 8) for m in range(16)])
+
+
 def fundamental_mask(lo: int, hi: int) -> np.ndarray:
     """Which |D| in [lo, hi) are fundamental imaginary quadratic discriminants.
 
     Exactly those with |D| = 3 (mod 4) or |D| = 4, 8 (mod 16) that no odd square divides.
+    The offsets of the first multiples of the odd squares d^2 <= hi - 1 come
+    from one numpy remainder; only the d^2 with a multiple in the window
+    take a slice, so a narrow window costs no loop over all d.
     """
-    ms = np.arange(lo, hi, dtype=np.int64)
-    mask = (ms % 4 == 3) | (ms % 16 == 4) | (ms % 16 == 8)
-    for d in range(3, math.isqrt(hi - 1) + 1, 2):
-        mask[-lo % (d * d) :: d * d] = False
+    mask = np.resize(np.roll(_RESIDUES_16, -lo), hi - lo)  # mask[j] for |D| = lo + j
+    squares = np.arange(3, math.isqrt(hi - 1) + 1, 2, dtype=np.int64) ** 2
+    offsets = -lo % squares
+    hit = offsets < hi - lo
+    for start, step in zip(offsets[hit].tolist(), squares[hit].tolist()):
+        mask[start::step] = False
     return mask
 
 
@@ -193,16 +209,32 @@ def _blocks(lo: int, hi: int, width: int, first: int | None = None) -> Iterator[
         step = min(2 * step, width)
 
 
-def _classify_row(m: int, h: int, primes: tuple[int, ...]) -> SurveyRow:
-    d = validate(-m)
-    record = classify_validated(d, known_h=h, short_circuit=False)
+def _classify_row(
+    d: FundamentalDiscriminant, cg: ClassGroupStructure, primes: tuple[int, ...]
+) -> SurveyRow:
+    record = classify_validated(d, short_circuit=False, cg=cg)
     tags = tuple((p, kronecker_at(d, p)) for p in primes)
     return SurveyRow(record, tags)
 
 
 def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
+    """The rows of one block; its class groups are built together by quadform.class_groups.
+
+    A block makes no reference cycles, but it keeps thousands of objects
+    alive at once (the steps in flight in class_groups, the rows), which
+    the cyclic collector would walk again and again without freeing any:
+    it pauses for the block.
+    """
     lo, hi, primes = args
-    return [_classify_row(m, h, primes) for m, h in class_numbers_range(lo, hi)]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # class_groups runs ahead of the rows by its fields in flight
+        fields, ahead = itertools.tee((validate(-m), h) for m, h in class_numbers_range(lo, hi))
+        return [_classify_row(d, cg, primes) for (d, _), cg in zip(fields, class_groups(ahead))]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class _Checkpoint:

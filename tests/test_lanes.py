@@ -1,0 +1,212 @@
+"""The lock-step power kernel and class_groups against the scalar power and class_group.
+
+quadform.class_groups runs the Sylow steps of many fields side by side and
+answers their power requests with one numpy kernel per round; class_group
+answers the same requests one at a time with the scalar power, which is
+the oracle here.  Every request of two census windows must give the same
+form both ways, a scan block must give the same CSV bytes as classifying
+its fields one by one, a narrow window of steps in flight must give the
+same groups, the block must leave the garbage collector as it found it,
+the kernel's checks must raise also under python -O, errors must surface
+at the field that raised them, and a field past the kernel's int64 bound
+must take the scalar route.
+"""
+
+import gc
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from iqgalois import quadform, survey
+from iqgalois.classify import classify_validated
+from iqgalois.discriminant import kronecker_at, validate
+from iqgalois.quadform import LANE_LIMIT, ClassNumberAmbiguous, class_group, class_groups, power
+from iqgalois.survey import class_numbers_range
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _requests(lo: int, hi: int) -> list:
+    """Every (form, n) that class_group asks of power over the fundamental |D| in [lo, hi)."""
+    out = []
+    for m, h in class_numbers_range(lo, hi):
+        for _, steps in quadform._sylow_steps(validate(-m), h):
+            result = None
+            try:
+                while True:
+                    f, n = steps.send(result)
+                    out.append((f, n))
+                    result = power(f, n)
+            except StopIteration:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("lo", [10**6, 10**7])
+def test_kernel_replays_every_class_group_power(lo):
+    requests = _requests(lo, lo + 2000)
+    assert len(requests) > 4000 and max(n for _, n in requests) > 2**10
+    forms, exponents = zip(*requests)
+    got = quadform._lane_powers(list(forms), list(exponents))
+    assert got == [power(f, n) for f, n in requests]
+
+
+def test_scan_block_matches_fields_one_by_one(csv_bytes):
+    lo, hi, primes = 10**6, 10**6 + survey.BLOCK_SIZE, (2, 3, 5, 7)
+    rows = []
+    for m, h in class_numbers_range(lo, hi):
+        d = validate(-m)
+        record = classify_validated(d, known_h=h, short_circuit=False)
+        rows.append(survey.SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
+    assert csv_bytes(survey._scan_block((lo, hi, primes))) == csv_bytes(rows)
+
+
+def test_window_bounds_the_steps_in_flight(monkeypatch):
+    # a narrow window takes many rounds and admits fields behind unfinished
+    # ones; every group must still come out whole and in field order
+    monkeypatch.setattr(quadform, "LANES", 40)
+    widths = []
+    kernel = quadform._lane_powers
+
+    def recording(forms, exponents):
+        widths.append(len(forms))
+        return kernel(forms, exponents)
+
+    monkeypatch.setattr(quadform, "_lane_powers", recording)
+    fields = [(validate(-m), h) for m, h in class_numbers_range(10**6, 10**6 + 2000)]
+    assert list(class_groups(iter(fields))) == [class_group(d, known_h=h) for d, h in fields]
+    # a field enters while fewer than LANES steps are in flight, one step per prime of h
+    assert len(widths) > 20 and max(widths) < 40 + 5
+
+
+def test_scan_block_restores_the_collector(monkeypatch):
+    # the block pauses the cyclic collector and leaves it as it found it,
+    # also when the block raises
+    block = (3, 200, (2, 3))
+    survey._scan_block(block)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        survey._scan_block(block)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def failing(fields):
+        raise ClassNumberAmbiguous("injected")
+        yield
+
+    monkeypatch.setattr(survey, "class_groups", failing)
+    with pytest.raises(ClassNumberAmbiguous, match="injected"):
+        survey._scan_block(block)
+    assert gc.isenabled()
+
+
+def _run_under_optimize(script: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+# two lanes of forms from the prime-form pools of -1000003 and -1000011
+KERNEL_SETUP = """
+import numpy as np
+from iqgalois import quadform
+pool = list(quadform._prime_form_pool(-1000003))
+f, g, other = pool[1], pool[2], next(quadform._prime_form_pool(-1000011))
+from iqgalois.arith import InvariantViolation
+lanes = lambda *forms: tuple(np.array(x, dtype=np.int64) for x in zip(*forms))
+"""
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # lane 1 composes forms of discriminants -1000003 and -1000011
+        (
+            "quadform._compose_lanes(lanes(f, f), lanes(g, other))",
+            "lane 1: (19,9,13159) and (3,3,83335) have different discriminants",
+        ),
+        # a Bezout coefficient off by one gives a b3 whose c3 is not an integer
+        (
+            "xgcd = quadform._xgcd_lanes\n"
+            "quadform._xgcd_lanes = lambda x, m: (lambda g, s: (g, s + 1))(*xgcd(x, m))\n"
+            "quadform._power_lanes(*lanes(f, g), np.array([5, 6]))",
+            "lane 0: 4*361 does not divide 427^2 - (-1000003)",
+        ),
+    ],
+)
+def test_kernel_checks_raise_under_optimize(call, message):
+    body = "".join(f"    {line}\n" for line in call.splitlines())
+    script = KERNEL_SETUP + f"try:\n{body}except InvariantViolation as exc:\n    print(exc)\n"
+    proc = _run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message + "\n"
+
+
+def _outcome(fn):
+    """The type and text of what fn() raises."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no exception")
+
+
+def test_wrong_known_h_raises_at_its_field():
+    fields = [(validate(-m), h) for m, h in class_numbers_range(3, 3000)]
+    # at field 400 a 3-part that the prime forms cannot fill; at field 700,
+    # h(-1000011) = 368 claimed as 192, a 2-part whose chain does not close
+    # and a 3-part that cannot fill: class_group, walking q upwards, raises
+    # the 2-part's
+    d, h = fields[400]
+    fields[400] = (d, 3 * h)
+    d2 = validate(-1000011)
+    fields[700] = (d2, 192)
+    two_part = _outcome(lambda: class_group(d2, known_h=192))
+    assert "does not divide 2^6" in two_part[1]
+    assert "3-part" in _outcome(lambda: class_group(d2, known_h=3 * 368))[1]
+    got = []
+    groups = class_groups(fields)
+    kind, text = _outcome(lambda: got.extend(groups))
+    assert (kind, text) == _outcome(lambda: class_group(d, known_h=3 * h))
+    assert kind is ClassNumberAmbiguous
+    assert got == [class_group(d, known_h=h) for d, h in fields[:400]]
+    got = []
+    groups = class_groups(fields[401:])
+    assert _outcome(lambda: got.extend(groups)) == two_part
+    assert len(got) == 299
+
+
+def _first_fundamental(m: int, step: int):
+    """The first fundamental discriminant -m, -(m + step), ..."""
+    while True:
+        try:
+            return validate(-m)
+        except ValueError:
+            m += step
+
+
+def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
+    # b3 < 2*a3 <= 2|D|/3, so b3^2 - D stays below 2^63 up to the bound
+    assert 4 * LANE_LIMIT**2 // 9 + LANE_LIMIT < 2**63
+    lanes = []
+    kernel = quadform._power_lanes
+
+    def recording(a, b, c, n):
+        lanes.append(4 * a * c - b * b)
+        return kernel(a, b, c, n)
+
+    monkeypatch.setattr(quadform, "_power_lanes", recording)
+    past, within = _first_fundamental(LANE_LIMIT + 1, 1), _first_fundamental(LANE_LIMIT, -1)
+    assert -past.value == 4_500_000_003 and -within.value == 4_499_999_999
+    for d in (past, within):
+        h = quadform.class_number(d.value)
+        lanes.clear()
+        assert list(class_groups([(d, h)])) == [class_group(d, known_h=h)]
+        used = np.unique(np.concatenate(lanes)).tolist() if lanes else []
+        assert used == ([] if d is past else [-d.value]), (d.value, used)

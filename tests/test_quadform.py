@@ -312,7 +312,11 @@ def test_walk_basis_of_wrong_order_raises(monkeypatch):
 
 def test_sylow_orders_must_multiply_to_h(monkeypatch):
     # Cl(-56) = Z/4; a 2-part of order 2 leaves h = 4 unfilled
-    monkeypatch.setattr(quadform, "_two_sylow_orders", lambda d, h, e, pool: ((2,), None))
+    def two_part(d, h, e, pool):  # steps that ask for no power
+        yield from ()
+        return (2,), None
+
+    monkeypatch.setattr(quadform, "_two_sylow_orders", two_part)
     with pytest.raises(InvariantViolation, match="^Sylow orders do not multiply to h = 4$"):
         class_group(validate(-56))
 
