@@ -1,31 +1,35 @@
-"""Time class-group assembly and the whole scan of two 1e4-blocks, parent against change.
+"""Time class-group assembly, scalar and batched, and the scan of 1e4-blocks, parent against change.
 
     python3 bench/classgroup.py --parent DIR > BENCH_N.json
 
 For each start in STARTS it times, with the library of the checkout DIR and
 with this checkout's, quadform.class_group(validate(-m), known_h=h) over
 every fundamental |D| of the block [start, start + WIDTH), with h from the
-survey sieve, and the whole survey._scan_block of the same block (sieve,
-class groups, generators, local images, rows) with the primes PRIMES.  The
-four passes are taken in turn, REPEATS times (bench/_entry.py).
+survey sieve; list(quadform.class_groups(...)) over the same (d, h), the
+batch that survey._scan_block calls, with the cyclic collector paused as it
+is there; and the whole survey._scan_block of the same block (sieve, class
+groups, generators, local images, rows) with the primes PRIMES.  The six
+passes are taken in turn, REPEATS times (bench/_entry.py).
 
-Each block records the median and minimum wall time of either kind of pass,
+Each block records the median and minimum wall time of each kind of pass,
 every pass's time, the number of compositions, and three sha256 digests,
 which must agree between the two libraries: of the odd-q Sylow data (q,
 the orders and the forms of p_torsion_basis(cg, q) per field, or the orders
 alone where the q-rank overflows), of the 2-Sylow orders, and of the scan
-rows.  The 2-torsion forms are left out: the verdict at p = 2 does not read
-them.  It also counts the even-h fields by the route their 2-orders took,
-read from the 4-rank r4, the number of 2-orders of at least 4: genus
-theory at r4 = 0, 1 or 2, the table walk at r4 >= 3.  Compositions are
-counted once over a class-group pass and once over a scan pass: the calls
-of compose_unreduced, the scalar composition formula, through wrappers on
-its module globals in quadform and idealgen, plus the lanes of every call
-of quadform._compose_lanes, the lock-step kernel that survey._scan_block
-reaches through quadform.class_groups, where the library has one.
+rows.  The batch's two Sylow digests must equal the scalar pass's, or the
+script exits 1.  The 2-torsion forms are left out: the verdict at p = 2
+does not read them.  It also counts the even-h fields by the route their
+2-orders took, read from the 4-rank r4, the number of 2-orders of at
+least 4: genus theory at r4 = 0, 1 or 2, the table walk at r4 >= 3.
+Compositions are counted once over each kind of pass: the calls of
+compose_unreduced, the scalar composition formula, through wrappers on its
+module globals in quadform and idealgen, plus the lanes of every call of
+quadform._compose_lanes, the lock-step kernel of quadform.class_groups.
 """
 
 import collections
+import gc
+import sys
 
 from _entry import run, sha256, timed_alternating
 
@@ -51,6 +55,14 @@ def odd_sylow_data(lib, cg) -> list:
 
 def two_sylow_orders(cg) -> list:
     return [cg.discriminant, list(cg.sylow[2][0]) if 2 in cg.sylow else []]
+
+
+def sylow_digests(lib, cgs: list) -> dict:
+    """The odd-Sylow and 2-order digests of one pass's groups."""
+    return {
+        "odd_sylow_sha256": sha256([odd_sylow_data(lib, cg) for cg in cgs]),
+        "two_sylow_orders_sha256": sha256([two_sylow_orders(cg) for cg in cgs]),
+    }
 
 
 def two_part_route(cg) -> str:
@@ -88,7 +100,7 @@ def count_products(lib, fn) -> int:
 
 
 def passes(lib, start: int) -> tuple:
-    """The class-group pass and the scan pass of one block, with lib."""
+    """The class-group pass, the batch pass and the scan pass of one block, with lib."""
     survey = lib.survey
     sieved = survey.class_numbers_range(start, start + WIDTH)
     fields = [(lib.discriminant.validate(-m), h) for m, h in sieved]
@@ -96,10 +108,17 @@ def passes(lib, start: int) -> tuple:
     def groups():
         return [lib.quadform.class_group(d, known_h=h) for d, h in fields]
 
+    def batch():
+        gc.disable()  # as survey._scan_block pauses the collector for its block
+        try:
+            return list(lib.quadform.class_groups(fields))
+        finally:
+            gc.enable()
+
     def scan():
         return survey._scan_block((start, start + WIDTH, PRIMES))
 
-    return len(fields), groups, scan
+    return len(fields), groups, batch, scan
 
 
 def measure(libs: dict) -> dict:
@@ -107,19 +126,22 @@ def measure(libs: dict) -> dict:
     for start in STARTS:
         runs = {name: passes(lib, start) for name, lib in libs.items()}
         timed = timed_alternating([fn for _, *fns in runs.values() for fn in fns], REPEATS)
-        for (name, lib), (cgs, cg_timing), (rows, scan_timing) in zip(
-            libs.items(), timed[0::2], timed[1::2]
+        for (name, lib), (cgs, cg_timing), (batched, batch_timing), (rows, scan_timing) in zip(
+            libs.items(), timed[0::3], timed[1::3], timed[2::3]
         ):
-            fields, groups, scan = runs[name]
+            fields, groups, batch, scan = runs[name]
+            digests = sylow_digests(lib, cgs[-1])
+            if sylow_digests(lib, batched[-1]) != digests:
+                sys.exit(f"start={start} {name}: class_groups differs from class_group")
             entries[name].append(
                 {
                     "start": start,
                     "width": WIDTH,
                     "fields": fields,
                     "class_group": {**cg_timing, "compositions": count_products(lib, groups)},
+                    "class_groups": {**batch_timing, "compositions": count_products(lib, batch)},
                     "scan_block": {**scan_timing, "compositions": count_products(lib, scan)},
-                    "odd_sylow_sha256": sha256([odd_sylow_data(lib, cg) for cg in cgs[-1]]),
-                    "two_sylow_orders_sha256": sha256([two_sylow_orders(cg) for cg in cgs[-1]]),
+                    **digests,
                     "rows_sha256": sha256([row.to_dict() for row in rows[-1]]),
                     "two_part_routes": dict(
                         collections.Counter(two_part_route(cg) for cg in cgs[-1] if 2 in cg.sylow)
@@ -131,7 +153,7 @@ def measure(libs: dict) -> dict:
 
 if __name__ == "__main__":
     layer = (
-        "quadform.class_group(known_h) and survey._scan_block, "
+        "quadform.class_group(known_h), quadform.class_groups and survey._scan_block, "
         "every fundamental |D| of a 1e4-block"
     )
     run(__doc__, layer, measure)

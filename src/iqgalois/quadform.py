@@ -34,15 +34,14 @@ power they need as a request (form, n) and are sent its reduced result.
 class_group answers every request with the scalar power: the oracle, which
 classify, tables, verify and table3 take.  class_groups, the route of a
 survey block, runs the steps of many fields side by side, at most about
-LANES at a time, and answers each round of requests with one lock-step
-numpy kernel on int64 lanes (_power_lanes: Shanks composition from
-lock-step extended gcds, a masked reduction loop, right-to-left binary
-powering that drops finished lanes), which keeps both checks of
-compose_unreduced.  int64 is exact for |D| up to LANE_LIMIT = 4.5e9; a
-field past it takes the scalar power.
+LANES at a time, answers each round of requests with one lock-step numpy
+kernel on int64 lanes (_power_lanes: Shanks composition from lock-step
+extended gcds, a masked reduction loop, right-to-left binary powering that
+drops finished lanes), which keeps both checks of compose_unreduced, and
+yields the groups in field order once every round is done.  int64 is
+exact for |D| up to LANE_LIMIT = 4.5e9; a field past it is class_group.
 """
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -552,11 +551,9 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Step
         return (yield from _sylow_structure(D, h, 2, e, pool))[0], None
     one, span, chains = principal_form(D), list(rows) if r4 else [], []
     for q in small_primes():
-        if D % q == 0:
-            continue
-        v = _genus_vector(discs, q)
-        if v.bit_count() & 1 or not _span_insert(span, v):
-            continue  # q is inert, or the vector of its forms is in the span
+        # for q not dividing D, (D/q) is the product of the (d_j/q)
+        if kronecker(D, q) != 1 or not _span_insert(span, _genus_vector(discs, q)):
+            continue  # q is not split, or the vector of its forms is in the span
         x = yield prime_form(D, q), h >> e
         chains.append((yield from _two_chain(x, one, e)))
         if len(chains) == max(r4, 1):
@@ -786,80 +783,69 @@ def _lane_powers(forms: list[QuadForm], exponents: list[int]) -> list[QuadForm]:
     return list(map(QuadForm._make, zip(a.tolist(), b.tolist(), c.tolist())))
 
 
-def _round(fields: Iterator, admitted: collections.deque, lanes: list, results: list) -> tuple:
-    """Admit fields while fewer than LANES steps are in flight, then take one round.
-
-    A field enters admitted as [d, h, its entries by q or one exception,
-    steps left], and each of its Sylow steps as a lane (field, q, steps,
-    past LANE_LIMIT), sent results[i] in the round.  Each lane runs until
-    it asks for a power with n >= 2 (a smaller n, and every n past
-    LANE_LIMIT, gets the scalar power at once) or ends, its value or
-    exception then set in the field.  Returns the lanes still in flight and
-    their powers, from one _power_lanes call.
-    """
-    while len(lanes) < LANES and (item := next(fields, None)) is not None:
-        d, h = item
-        field = [d, h, None, 0]
-        admitted.append(field)
-        try:
-            steps = _sylow_steps(d, h)
-        except Exception as exc:  # raised by class_groups, at this field
-            field[2] = exc
-            continue
-        field[2], field[3] = dict.fromkeys(q for q, _ in steps), len(steps)
-        lanes.extend((field, q, step, d.value < -LANE_LIMIT) for q, step in steps)
-        results.extend([None] * len(steps))
-    asked, forms, exponents = [], [], []
-    for lane, result in zip(lanes, results):
-        field, q, step, scalar = lane
-        try:
-            f, n = step.send(result)
-            while n < 2 or scalar:
-                f, n = step.send(power(f, n))
-        except StopIteration as stop:
-            field[2][q] = stop.value
-            field[3] -= 1
-        except Exception as exc:  # raised by class_groups, at this field
-            field[2][q] = exc
-            field[3] -= 1
-        else:
-            asked.append(lane)
-            forms.append(f)
-            exponents.append(n)
-    return asked, _lane_powers(forms, exponents) if asked else []
-
-
 def class_groups(
     fields: Iterable[tuple[FundamentalDiscriminant, int]],
 ) -> Iterator[ClassGroupStructure]:
     """class_group(d, known_h=h) for each (d, h) in fields, in order, their powers in lock-step.
 
-    The Sylow steps of many fields run side by side in rounds (_round).
-    Fields are taken from fields, in order, while fewer than LANES steps
-    are in flight, which bounds the memory that suspended steps hold.  The
-    steps of one field share nothing, so each runs to its end.  A field is
-    yielded once it and all before it are done; an exception is kept with
-    its field and raised there, the one of its smallest q first: what a
-    loop over class_group, which walks q in ascending order, raises first.
-    An InvariantViolation of the kernel, a broken product, is raised at
-    once.  Sylow walks (_adjoin), Smith-form bases and the 4-rank-2
-    reduction's product stay scalar, inside the steps.
+    Every round first admits fields, in order, while fewer than LANES Sylow
+    steps are in flight, which bounds the memory that suspended steps hold;
+    a field past LANE_LIMIT is never admitted.  Each lane, a step of one
+    field, then runs until it asks for a power with n >= 2 (a smaller n gets
+    the scalar power at once) or ends, its value or exception kept with its
+    field by q; the round answers every request with one _power_lanes call.
+    When all rounds are done, the groups are yielded in field order, each
+    field's entries released as it goes.  A field past LANE_LIMIT is
+    class_group itself, the scalar route, at its turn.  An exception is
+    raised at its field, the one of its smallest q first: what a loop over
+    class_group, which walks q in ascending order, raises first.  An
+    InvariantViolation of the kernel, a broken product, is raised at once.
+    Sylow walks (_adjoin), Smith-form bases and the 4-rank-2 reduction's
+    product stay scalar, inside the steps.
     """
-    fields = iter(fields)
-    admitted: collections.deque = collections.deque()
-    lanes, results = [], []
+    fields = list(fields)
+    entries: list = [None] * len(fields)  # per field: its Sylow entries by q, or an exception
+    lanes, results, waiting = [], [], iter(range(len(fields)))
     while True:
-        lanes, results = _round(fields, admitted, lanes, results)
-        if not admitted:
-            return
-        while admitted and admitted[0][3] == 0:
-            d, h, sylow, _ = admitted.popleft()
-            if isinstance(sylow, Exception):
-                raise sylow
-            for entry in sylow.values():
-                if isinstance(entry, Exception):
-                    raise entry
-            yield _assemble(d.value, h, sylow)
+        while len(lanes) < LANES and (i := next(waiting, None)) is not None:
+            d, h = fields[i]
+            if d.value < -LANE_LIMIT:
+                continue
+            try:
+                steps = _sylow_steps(d, h)
+            except Exception as exc:  # raised by class_groups, at this field
+                entries[i] = exc
+                continue
+            entries[i] = dict.fromkeys(q for q, _ in steps)
+            lanes.extend((entries[i], q, step) for q, step in steps)
+            results.extend([None] * len(steps))
+        if not lanes:
+            break
+        asked, forms, exponents = [], [], []
+        for lane, result in zip(lanes, results):
+            sylow, q, step = lane
+            try:
+                f, n = step.send(result)
+                while n < 2:
+                    f, n = step.send(power(f, n))
+            except StopIteration as stop:
+                sylow[q] = stop.value
+            except Exception as exc:  # raised by class_groups, at this field
+                sylow[q] = exc
+            else:
+                asked.append(lane)
+                forms.append(f)
+                exponents.append(n)
+        lanes, results = asked, _lane_powers(forms, exponents) if asked else []
+    for i, (d, h) in enumerate(fields):
+        if d.value < -LANE_LIMIT:
+            yield class_group(d, known_h=h)
+            continue
+        sylow, entries[i] = entries[i], None
+        for failed in [sylow] if isinstance(sylow, Exception) else sylow.values():
+            if isinstance(failed, Exception):
+                raise failed
+        yield _assemble(d.value, h, sylow)
 
 
 def two_torsion_basis(D: int, rank: int) -> list[QuadForm]:

@@ -9,18 +9,17 @@ that grow from its sample size, so it counts little past its last field.
 Scans proceed in contiguous blocks of 10^4 |D|-values; each block is
 classified independently (pure functions), so worker count cannot change
 the output, and a checkpoint after every block makes interrupted scans
-resumable without recomputation.  A block builds the class groups of its
-fields side by side with quadform.class_groups, whose powers run in
-lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9) and
-through the scalar power past it; the rows are those of classifying each
-field alone, with quadform.class_group as the oracle.  Tables and the
+resumable without recomputation.  A block builds the class groups of all
+its fields with one call of quadform.class_groups, whose powers run in
+lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9), past
+which a field is quadform.class_group; the rows are those of classifying
+each field alone, with quadform.class_group as the oracle.  Tables and the
 verify sweeps classify field by field on the scalar route.
 """
 
 import contextlib
 import gc
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -221,17 +220,16 @@ def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
     """The rows of one block; its class groups are built together by quadform.class_groups.
 
     A block makes no reference cycles, but it keeps thousands of objects
-    alive at once (the steps in flight in class_groups, the rows), which
-    the cyclic collector would walk again and again without freeing any:
-    it pauses for the block.
+    alive at once (the fields, the steps in flight in class_groups, the
+    rows), which the cyclic collector would walk again and again without
+    freeing any: it pauses for the block.
     """
     lo, hi, primes = args
     collecting = gc.isenabled()
     gc.disable()
     try:
-        # class_groups runs ahead of the rows by its fields in flight
-        fields, ahead = itertools.tee((validate(-m), h) for m, h in class_numbers_range(lo, hi))
-        return [_classify_row(d, cg, primes) for (d, _), cg in zip(fields, class_groups(ahead))]
+        fields = [(validate(-m), h) for m, h in class_numbers_range(lo, hi)]
+        return [_classify_row(d, cg, primes) for (d, _), cg in zip(fields, class_groups(fields))]
     finally:
         if collecting:
             gc.enable()

@@ -204,9 +204,16 @@ def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
     monkeypatch.setattr(quadform, "_power_lanes", recording)
     past, within = _first_fundamental(LANE_LIMIT + 1, 1), _first_fundamental(LANE_LIMIT, -1)
     assert -past.value == 4_500_000_003 and -within.value == 4_499_999_999
-    for d in (past, within):
-        h = quadform.class_number(d.value)
-        lanes.clear()
-        assert list(class_groups([(d, h)])) == [class_group(d, known_h=h)]
-        used = np.unique(np.concatenate(lanes)).tolist() if lanes else []
-        assert used == ([] if d is past else [-d.value]), (d.value, used)
+    # one call, small fields around both sides of the bound, in field order
+    discs = (validate(-3299), past, within, validate(-23))
+    fields = [(d, quadform.class_number(d.value)) for d in discs]
+    assert list(class_groups(fields)) == [class_group(d, known_h=h) for d, h in fields]
+    assert np.unique(np.concatenate(lanes)).tolist() == [23, 3299, -within.value]
+    # h(-4500000003) = 9,772 claimed as 4,886: 2^1 does not fit its 4-rank 1;
+    # the scalar route raises it at that field, after the group before it
+    assert fields[1][1] == 9772
+    fields[1] = (past, 4886)
+    got = []
+    groups = class_groups(fields)
+    assert _outcome(lambda: got.extend(groups)) == _outcome(lambda: class_group(past, known_h=4886))
+    assert got == [class_group(discs[0], known_h=fields[0][1])]
