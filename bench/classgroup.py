@@ -74,7 +74,7 @@ def count_products(lib, fn) -> int:
     """compose_unreduced calls and _compose_lanes lanes made by fn(), via wrappers on lib's globals."""
     quadform, idealgen = lib.quadform, lib.idealgen
     orig = quadform.compose_unreduced
-    lanes = getattr(quadform, "_compose_lanes", None)
+    lanes = quadform._compose_lanes
     calls = 0
 
     def counting(f, g):
@@ -88,14 +88,12 @@ def count_products(lib, fn) -> int:
         return lanes(f, g)
 
     quadform.compose_unreduced = idealgen.compose_unreduced = counting
-    if lanes is not None:
-        quadform._compose_lanes = counting_lanes
+    quadform._compose_lanes = counting_lanes
     try:
         fn()
     finally:
         quadform.compose_unreduced = idealgen.compose_unreduced = orig
-        if lanes is not None:
-            quadform._compose_lanes = lanes
+        quadform._compose_lanes = lanes
     return calls
 
 

@@ -36,8 +36,8 @@ classify, tables, verify and table3 take.  class_groups, the route of a
 survey block, runs the steps of many fields side by side, at most about
 LANES at a time, answers each round of requests with one lock-step numpy
 kernel on int64 lanes (_power_lanes: Shanks composition from lock-step
-extended gcds, a masked reduction loop, right-to-left binary powering that
-drops finished lanes), which keeps both checks of compose_unreduced, and
+extended gcds, a masked reduction loop, square_and_multiply's order from
+each lane's top bit down), which keeps both checks of compose_unreduced, and
 yields the groups in field order once every round is done.  int64 is
 exact for |D| up to LANE_LIMIT = 4.5e9; a field past it is class_group.
 """
@@ -302,37 +302,34 @@ def _reduce_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarr
 def _power_lanes(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, n: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """power(f, n) lane by lane, for n >= 1 and |D| <= LANE_LIMIT: the lock-step kernel.
+    """power(f, n) lane by lane, for 1 <= n < 2^53 and |D| <= LANE_LIMIT: the lock-step kernel.
 
-    Right-to-left binary powering: bit_length(n) - 1 squarings and
-    popcount(n) - 1 products per lane, as power makes, each a _compose_lanes
-    and a _reduce_lanes.  A lane leaves at its top bit, with its result.
+    arith.square_and_multiply on all lanes at once, each from its top bit
+    (np.frexp, exact below 2^53) down: bit_length(n) - 1 squarings of acc
+    and popcount(n) - 1 products by the reduced f, as power makes, each a
+    _compose_lanes and a _reduce_lanes.  A lane leaves after its last bit,
+    with its result.  Any other n raises ValueError before any composition.
     """
-    base = _reduce_lanes(a, b, c)
-    out = tuple(np.empty_like(n) for _ in range(3))
-    acc = tuple(x.copy() for x in base)
-    started = n & 1 == 1  # acc holds base^(the bits of n read so far) where set
-    live = np.arange(n.size)
-    while True:
-        n = n >> 1
-        if (done := n == 0).any():
-            for o, x in zip(out, acc):
-                o[live[done]] = x[done]
+    if (bad := (n < 1) | (n >= 2**53)).any():
+        raise ValueError(f"exponent {n[bad][0]} is not in [1, 2^53)")
+    x = _reduce_lanes(a, b, c)
+    acc, out = x, tuple(np.empty_like(n) for _ in range(3))
+    live, left = np.arange(n.size), np.frexp(n)[1] - 1  # bits of n below those acc holds
+    while live.size:
+        if (done := left == 0).any():
+            for o, y in zip(out, acc):
+                o[live[done]] = y[done]
             go = ~done
-            if not go.any():
-                return out
-            live, n, started = live[go], n[go], started[go]
-            base, acc = tuple(x[go] for x in base), tuple(x[go] for x in acc)
-        base = _reduce_lanes(*_compose_lanes(base, base))
-        bit = n & 1 == 1
-        if (mul := bit & started).any():
-            prod = _reduce_lanes(*_compose_lanes(*(tuple(x[mul] for x in f) for f in (acc, base))))
-            for x, y in zip(acc, prod):
-                x[mul] = y
-        if (first := bit & ~started).any():
-            for x, y in zip(acc, base):
-                x[first] = y[first]
-            started |= first
+            live, n, left = live[go], n[go], left[go]
+            x, acc = tuple(y[go] for y in x), tuple(y[go] for y in acc)
+            continue
+        left -= 1
+        acc = _reduce_lanes(*_compose_lanes(acc, acc))
+        if (mul := n >> left & 1 == 1).any():
+            prod = _reduce_lanes(*_compose_lanes(*(tuple(y[mul] for y in f) for f in (acc, x))))
+            for y, z in zip(acc, prod):
+                y[mul] = z
+    return out
 
 
 def enumerate_reduced_forms(D: int) -> list[QuadForm]:
@@ -776,7 +773,8 @@ def _run(steps: _Steps):
 def _lane_powers(forms: list[QuadForm], exponents: list[int]) -> list[QuadForm]:
     """[power(f, n) for f, n in zip(forms, exponents)] in one call of _power_lanes.
 
-    Every n must be at least 1 and every |D| at most LANE_LIMIT.
+    Left to right from the top bit of each n, as power runs; every |D| must
+    be at most LANE_LIMIT, and an n below 1 raises ValueError.
     """
     a, b, c = (np.array(x, dtype=np.int64) for x in zip(*forms))
     a, b, c = _power_lanes(a, b, c, np.array(exponents, dtype=np.int64))
@@ -801,7 +799,8 @@ def class_groups(
     class_group, which walks q in ascending order, raises first.  An
     InvariantViolation of the kernel, a broken product, is raised at once.
     Sylow walks (_adjoin), Smith-form bases and the 4-rank-2 reduction's
-    product stay scalar, inside the steps.
+    product stay scalar, inside the steps.  A caller with thousands of
+    fields pauses the cyclic collector, as _scan_block does for its block.
     """
     fields = list(fields)
     entries: list = [None] * len(fields)  # per field: its Sylow entries by q, or an exception

@@ -4,12 +4,13 @@ quadform.class_groups runs the Sylow steps of many fields side by side and
 answers their power requests with one numpy kernel per round; class_group
 answers the same requests one at a time with the scalar power, which is
 the oracle here.  Every request of two census windows must give the same
-form both ways, a scan block must give the same CSV bytes as classifying
-its fields one by one, a narrow window of steps in flight must give the
-same groups, the block must leave the garbage collector as it found it,
-the kernel's checks must raise also under python -O, errors must surface
-at the field that raised them, and a field past the kernel's int64 bound
-must take the scalar route.
+form both ways, with power's count of products, a scan block must give the
+same CSV bytes as classifying its fields one by one, a narrow window of
+steps in flight must give the same groups, the block must leave the garbage
+collector as it found it, the kernel's checks must raise also under
+python -O, an exponent below 1 must be refused, errors must surface at the
+field that raised them, and a field past the kernel's int64 bound must take
+the scalar route.
 """
 
 import gc
@@ -46,12 +47,34 @@ def _requests(lo: int, hi: int) -> list:
 
 
 @pytest.mark.parametrize("lo", [10**6, 10**7])
-def test_kernel_replays_every_class_group_power(lo):
+def test_kernel_replays_every_class_group_power(lo, monkeypatch):
     requests = _requests(lo, lo + 2000)
     assert len(requests) > 4000 and max(n for _, n in requests) > 2**10
+    products = 0
+    compose = quadform._compose_lanes
+
+    def counting(f, g):
+        nonlocal products
+        products += f[0].size
+        return compose(f, g)
+
+    monkeypatch.setattr(quadform, "_compose_lanes", counting)
     forms, exponents = zip(*requests)
     got = quadform._lane_powers(list(forms), list(exponents))
     assert got == [power(f, n) for f, n in requests]
+    # square_and_multiply's count per lane: bit_length - 1 squarings, popcount - 1 products
+    assert products == sum(n.bit_length() - 1 + n.bit_count() - 1 for n in exponents)
+
+
+def test_kernel_refuses_exponents_below_one(deadline):
+    f, g = list(quadform._prime_form_pool(-1000003))[1:3]
+    with pytest.raises(ValueError, match="exponent 0 "):
+        quadform._lane_powers([f, g], [3, 0])
+    with pytest.raises(ValueError, match="exponent -1 "):
+        quadform._lane_powers([f], [-1])
+    # past 2^53 np.frexp may round n up to the next power of 2, a wrong top bit
+    with pytest.raises(ValueError, match="exponent 9007199254740992 "):
+        quadform._lane_powers([f], [2**53])
 
 
 def test_scan_block_matches_fields_one_by_one(csv_bytes):
