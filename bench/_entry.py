@@ -17,6 +17,7 @@ entry, each with the host it ran on and its blocks.
 """
 
 import argparse
+import gc
 import hashlib
 import importlib.util
 import json
@@ -56,7 +57,10 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
     """Call each of fns repeats times, in turn on every pass: per fn, its results and stats.
 
     Every other pass runs them in reverse order, so a drift in the host's
-    pace during the passes moves all of them alike.  The stats are the
+    pace during the passes moves all of them alike.  Each call runs with
+    the cyclic collector paused, and its state is restored after the call,
+    also when it raises: a collection that the garbage of earlier passes
+    triggers would land on whichever call is running.  The stats are the
     median_s, min_s, repeats and each pass's time under passes_s, in the
     order of the passes.
     """
@@ -64,9 +68,15 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
     order = list(zip(fns, results, times))
     for i in range(repeats):
         for fn, out, spent in order if i % 2 == 0 else order[::-1]:
-            t0 = time.perf_counter()
-            out.append(fn())
-            spent.append(time.perf_counter() - t0)
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                out.append(fn())
+                spent.append(time.perf_counter() - t0)
+            finally:
+                if collecting:
+                    gc.enable()
     stats = [
         {
             "median_s": round(statistics.median(spent), DECIMALS),

@@ -6,10 +6,10 @@ For each start in STARTS it times, with the library of the checkout DIR and
 with this checkout's, quadform.class_group(validate(-m), known_h=h) over
 every fundamental |D| of the block [start, start + WIDTH), with h from the
 survey sieve; list(quadform.class_groups(...)) over the same (d, h), the
-batch that survey._scan_block calls, with the cyclic collector paused as it
-is there; and the whole survey._scan_block of the same block (sieve, class
-groups, generators, local images, rows) with the primes PRIMES.  The six
-passes are taken in turn, REPEATS times (bench/_entry.py).
+batch that survey._scan_block calls; and the whole survey._scan_block of
+the same block (sieve, class groups, generator images, local images, rows)
+with the primes PRIMES.  The six passes are taken in turn, REPEATS times,
+each with the cyclic collector paused (bench/_entry.py).
 
 Each block records the median and minimum wall time of each kind of pass,
 every pass's time, the number of compositions, and three sha256 digests,
@@ -24,11 +24,13 @@ least 4: genus theory at r4 = 0, 1 or 2, the table walk at r4 >= 3.
 Compositions are counted once over each kind of pass: the calls of
 compose_unreduced, the scalar composition formula, through wrappers on its
 module globals in quadform and idealgen, plus the lanes of every call of
-quadform._compose_lanes, the lock-step kernel of quadform.class_groups.
+quadform._compose_lanes, through the same wrappers: the lock-step kernel
+of quadform.class_groups and of idealgen.lane_generators.  A job that
+leaves the generator lanes for the scalar route counts its products on
+both.
 """
 
 import collections
-import gc
 import sys
 
 from _entry import run, sha256, timed_alternating
@@ -88,12 +90,12 @@ def count_products(lib, fn) -> int:
         return lanes(f, g)
 
     quadform.compose_unreduced = idealgen.compose_unreduced = counting
-    quadform._compose_lanes = counting_lanes
+    quadform._compose_lanes = idealgen._compose_lanes = counting_lanes
     try:
         fn()
     finally:
         quadform.compose_unreduced = idealgen.compose_unreduced = orig
-        quadform._compose_lanes = lanes
+        quadform._compose_lanes = idealgen._compose_lanes = lanes
     return calls
 
 
@@ -107,11 +109,7 @@ def passes(lib, start: int) -> tuple:
         return [lib.quadform.class_group(d, known_h=h) for d, h in fields]
 
     def batch():
-        gc.disable()  # as survey._scan_block pauses the collector for its block
-        try:
-            return list(lib.quadform.class_groups(fields))
-        finally:
-            gc.enable()
+        return list(lib.quadform.class_groups(fields))
 
     def scan():
         return survey._scan_block((start, start + WIDTH, PRIMES))

@@ -10,20 +10,30 @@ over the fundamental |D| of each band in BANDS.  Next to it, on the same
 forms, it times the explicit generator idealgen.explicit_power_generator(
 form, p), not embedded: the oracle route the compact image replaced.  The
 class groups and the rings are built untimed, with h from the survey
-sieve.  It also times classify(D) for each D in CLASSIFY.  Either is timed
-with the library of the checkout DIR and with this checkout's, all passes
-taken in turn (bench/_entry.py).
+sieve.  Next to both it times the block route of survey._scan_block, one
+idealgen.lane_generators call over all the band's jobs and the image route
+for each job it leaves to the scalar route; a library without
+lane_generators takes the image loop there.  It also times classify(D)
+for each D in CLASSIFY.  Either is timed with the library of the checkout
+DIR and with this checkout's, all passes taken in turn (bench/_entry.py).
 
 Each band records the median and minimum wall time of REPEATS passes over
-its generators for either route (image, explicit), their number, and the
-sha256 of (D, p, x, y) per generator, where (x, y) is the smaller of the
-image e and -e: routes may differ by the sign of the generator, which moves
-no verdict at odd p.  The digests must agree between the two libraries.
-Each classify records the median and minimum of CLASSIFY_REPEATS calls and
-the per-prime statuses, whose sha256 must agree too.
+its generators for each route (image, explicit, block), their number, and
+the sha256 of (D, p, x, y) per generator, where (x, y) is the smaller of
+the image e and -e: routes may differ by the sign of the generator, which
+moves no verdict at odd p.  The block route's digest must equal the image
+route's, or the script exits 1, and both digests must agree between the
+two libraries.  The image and block routes count their products of states
+in one untimed pass: the calls of idealgen._state_product and the lanes of
+idealgen._state_lanes; the block route also counts its jobs that took the
+scalar route (torsion_power_generator calls), whose products on the lanes
+before they left count too.  Each classify records the
+median and minimum of CLASSIFY_REPEATS calls and the per-prime statuses,
+whose sha256 must agree too.
 """
 
 import importlib
+import sys
 
 from _entry import run, sha256, timed_alternating
 
@@ -35,18 +45,64 @@ CLASSIFY_REPEATS = 3
 
 
 def routes(lib, lo: int, hi: int) -> tuple:
-    """The jobs of [lo, hi) with lib, and its image and explicit passes over them."""
+    """The jobs of [lo, hi) with lib, and its image, explicit and block passes over them."""
     verify = importlib.import_module(f"{lib.__name__}.verify")  # the package does not import it
     jobs = [
         (d.value, form, p, lib.localtest.build_context(d, p).ring)
         for d, form, p in verify.generator_jobs(lo, hi)
     ]
-    image, explicit = lib.idealgen.torsion_power_generator, lib.idealgen.explicit_power_generator
+    idealgen = lib.idealgen
+    triples = [(form, p, ring) for _, form, p, ring in jobs]
+
+    def images():
+        return [idealgen.torsion_power_generator(*job) for job in triples]
+
+    def block():  # the kernel, and the scalar route for each job it leaves (None)
+        lanes = idealgen.lane_generators([(form, p) for form, p, _ in triples])
+        return [
+            idealgen.torsion_power_generator(*job) if g is None else g
+            for g, job in zip(lanes, triples)
+        ]
+
     return (
         jobs,
-        lambda: [image(form, p, ring) for _, form, p, ring in jobs],
-        lambda: [explicit(form, p) for _, form, p, _ in jobs],
+        images,
+        lambda: [idealgen.explicit_power_generator(form, p) for _, form, p, _ in jobs],
+        block if hasattr(idealgen, "lane_generators") else images,
     )
+
+
+def generator_digest(jobs: list, results: list) -> str:
+    """sha256 of (D, p, x, y) per generator, (x, y) the smaller of the image and its negative."""
+    return sha256(
+        [[D, p, *min(e, ring.mul(e, ring.minus_one))] for (D, _, p, ring), e in zip(jobs, results)]
+    )
+
+
+def count_states(lib, fn) -> dict:
+    """Products of states and scalar-route jobs of fn(), via wrappers on lib.idealgen's globals."""
+    idealgen = lib.idealgen
+    counts = dict.fromkeys(("_state_product", "_state_lanes", "torsion_power_generator"), 0)
+    saved = {name: getattr(idealgen, name) for name in counts if hasattr(idealgen, name)}
+
+    def wrap(name, orig):
+        def counting(*args, **kwargs):
+            counts[name] += args[0][0].size if name == "_state_lanes" else 1
+            return orig(*args, **kwargs)
+
+        return counting
+
+    for name, orig in saved.items():
+        setattr(idealgen, name, wrap(name, orig))
+    try:
+        fn()
+    finally:
+        for name, orig in saved.items():
+            setattr(idealgen, name, orig)
+    return {
+        "state_products": counts["_state_product"] + counts["_state_lanes"],
+        "scalar_jobs": counts["torsion_power_generator"],
+    }
 
 
 def measure(libs: dict) -> dict:
@@ -54,21 +110,23 @@ def measure(libs: dict) -> dict:
     for lo, hi in BANDS:
         runs = {name: routes(lib, lo, hi) for name, lib in libs.items()}
         timed = timed_alternating([fn for _, *fns in runs.values() for fn in fns], REPEATS)
-        for (name, (jobs, *_)), (results, image), (_, explicit) in zip(
-            runs.items(), timed[0::2], timed[1::2]
+        for (name, lib), (results, image), (_, explicit), (blocked, block) in zip(
+            libs.items(), timed[0::3], timed[1::3], timed[2::3]
         ):
-            data = [
-                [D, p, *min(e, ring.mul(e, ring.minus_one))]
-                for (D, _, p, ring), e in zip(jobs, results[-1])
-            ]
+            jobs, images, _, blocks = runs[name]
+            generator_sha256 = generator_digest(jobs, results[-1])
+            if generator_digest(jobs, blocked[-1]) != generator_sha256:
+                sys.exit(f"start={lo} {name}: the block route differs from the image route")
+            image_counts = count_states(lib, images)
             entries[name].append(
                 {
                     "start": lo,
                     "width": hi - lo,
                     "generators": len(jobs),
-                    "image": image,
+                    "image": {**image, "state_products": image_counts["state_products"]},
                     "explicit": explicit,
-                    "generator_sha256": sha256(data),
+                    "block": {**block, **count_states(lib, blocks)},
+                    "generator_sha256": generator_sha256,
                 }
             )
     for D in CLASSIFY:

@@ -4,8 +4,9 @@ The pipeline per odd prime p dividing h: pick a torsion basis of the class
 group, move each basis form to a representative coprime to p, pass to the
 ideal side, compute the image in O/p^2 of a generator of the ideal's p-th
 power from compact (primitive form, unit mod p^2) states, and test that image
-in the local unit quotient.  The prime 2 is decided by the
-discriminant-family classification.  A p-rank of 3 or more at any prime
+in the local unit quotient; a survey block passes in the images of all its
+fields, built at once by idealgen.lane_generators.  The prime 2 is decided
+by the discriminant-family classification.  A p-rank of 3 or more at any prime
 forces a noninjective map immediately, since the target has rank 2.
 
 A NOT_MINIMAL verdict carries assumes_converse = True: nonsplitting of the
@@ -92,14 +93,25 @@ class ClassificationRecord:
         )
 
 
-def status_at_odd_prime(d: FundamentalDiscriminant, cg: ClassGroupStructure, p: int) -> str:
-    """Injectivity status of the splitting test at one odd prime p | h."""
+def status_at_odd_prime(
+    d: FundamentalDiscriminant, cg: ClassGroupStructure, p: int, generators: list | None = None
+) -> str:
+    """Injectivity status of the splitting test at one odd prime p | h.
+
+    generators, when given, holds per form of p_torsion_basis(cg, p) the
+    image of its generator from idealgen.lane_generators, or None where
+    torsion_power_generator is to compute it here, as it does for every
+    form when generators is not given.
+    """
     try:
         basis = p_torsion_basis(cg, p)
     except RankOverflow:
         return RANK_OVERFLOW
     ctx = build_context(d, p)
-    images = [local_unit_image(ctx, torsion_power_generator(form, p, ctx.ring)) for form in basis]
+    images = [
+        local_unit_image(ctx, torsion_power_generator(form, p, ctx.ring) if g is None else g)
+        for form, g in zip(basis, generators or [None] * len(basis), strict=True)
+    ]
     return INJECTIVE if injectivity_test(ctx, images) else NONINJECTIVE
 
 
@@ -118,11 +130,13 @@ def status_at_prime(
     p: int,
     cg: ClassGroupStructure | None = None,
     known_h: int | None = None,
+    generators: list | None = None,
 ) -> str:
     """Injectivity status at one prime p | h.
 
     p = 2 follows the discriminant families and needs no class group; at odd
-    p the local test runs on cg, built from known_h when not given.
+    p the local test runs on cg, built from known_h when not given, and on
+    the generators of status_at_odd_prime when given.
     """
     if p == 2:
         two_rank = genus_two_rank(d)
@@ -134,7 +148,7 @@ def status_at_prime(
         return status
     if cg is None:
         cg = class_group(d, known_h=known_h)
-    return status_at_odd_prime(d, cg, p)
+    return status_at_odd_prime(d, cg, p, generators)
 
 
 def classify_validated(
@@ -142,11 +156,14 @@ def classify_validated(
     known_h: int | None = None,
     short_circuit: bool = True,
     cg: ClassGroupStructure | None = None,
+    generators: dict[int, list] | None = None,
 ) -> ClassificationRecord:
     """The verdict for d, on its class group cg, built from known_h when not given.
 
     The survey passes cg from quadform.class_groups, which builds a block's
-    class groups at once; the 2-rank check below holds either way.
+    class groups at once, and by odd p the generators of status_at_odd_prime
+    from idealgen.lane_generators, which builds a block's generator images
+    at once; the 2-rank check below holds either way.
     """
     D = d.value
     torsion = torsion_descriptor(d)
@@ -162,7 +179,7 @@ def classify_validated(
     for p in cg.sylow:
         if failed and short_circuit:
             break
-        status = status_at_prime(d, p, cg)
+        status = status_at_prime(d, p, cg, generators=(generators or {}).get(p))
         per_prime.append((p, status))
         failed = failed or status != INJECTIVE
     verdict = NOT_MINIMAL if failed else MINIMAL

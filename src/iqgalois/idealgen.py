@@ -2,7 +2,13 @@
 
 The per-field route is torsion_power_generator: the image in O/p^2 of the
 generator of a^p, from states of a primitive form tuple and a ring element,
-all on ints (_state_product, reduced_basis).  The rest is oracle code.
+all on ints (_state_product, reduced_basis).  lane_generators runs the
+same products for the jobs of a whole survey block side by side, one
+lock-step round per bit of p on int64 lanes (_power_states, _state_lanes,
+_basis_lanes, with quadform._compose_lanes), with every check of
+_state_product; the states are not reduced, so a product runs on a lane
+only while its norm a1*a2 keeps int64 exact (_fits), and a job past that
+is left to torsion_power_generator, the oracle.  The rest is oracle code.
 Ideals are rank-2 lattices m * (Z*a + Z*(b + sqrt(D))/2) with the integer
 content m split off, so non-primitive products such as the square of a
 ramified prime stay representable; ideal_multiply keeps the content
@@ -15,9 +21,20 @@ p = 2 direct check and the golden generator pin.
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterable
+
+import numpy as np
 
 from .arith import InvariantViolation, square_and_multiply
-from .quadform import QuadForm, compose_unreduced, coprime_representative, reduce_form
+from .quadform import QuadForm, _compose_lanes, _xgcd_lanes, compose_unreduced
+from .quadform import coprime_representative, reduce_form
+
+# A product of states on lanes runs only while N*(4N + |D|) <= _STATE_BOUND for
+# the norm N = a1*a2 of its J (_fits); a lane past it takes the scalar route.
+_STATE_BOUND = 2**60
+# The p^2 of a lane stays below this: the ring product adds two products of
+# residues mod p^2, each below 2^62.
+_RING_LIMIT = 2**31
 
 
 class NotPrincipal(InvariantViolation):
@@ -225,3 +242,177 @@ def _state_product(s1, s2, ring):
         raise InvariantViolation(f"{d}*[{a3}, {b3}] is not an ideal: it gives ({a}, {b})")
     k = pow(a, -1, ring.mod)  # the image of mu / a
     return (a, b, c), ring.mul(ring.mul(g1, g2), ring.embed(k * mu[0], k * mu[1]))
+
+
+def lane_generators(jobs: Iterable[tuple[QuadForm, int]]) -> list:
+    """torsion_power_generator(form, p, ring) for each (form, p) of jobs, on int64 lanes, or None.
+
+    ring is implied: O/p^2 at an odd p in the basis {1, sqrt D}, the ring of
+    localtest.build_context.  Each job is a lane whose state (f, g) starts
+    at f = coprime_representative(form, p) and g = 1; every lane runs
+    square_and_multiply from the top bit of its p at once, one round per
+    bit, each a lock-step product of states (_power_states) with every
+    check of _state_product, whose InvariantViolation is raised at once.
+    None marks a job left to the scalar route, to be run from its start:
+    coprime_representative raises, p^2 reaches _RING_LIMIT, a product would
+    fail _fits, or the final state has norm a != 1, for which
+    torsion_power_generator raises NotPrincipal.
+    """
+    out: list = []
+    columns: list[list[int]] = [[], [], [], [], []]  # of the lanes: the job, a, b, c and p
+    for i, (form, p) in enumerate(jobs):
+        out.append(None)
+        try:
+            f = coprime_representative(form, p)
+        except (ValueError, InvariantViolation):
+            continue
+        if p * p < _RING_LIMIT:
+            for column, x in zip(columns, (i, *f, p)):
+                column.append(x)
+    if columns[0]:
+        final = _power_states(*(np.array(x, dtype=np.int64) for x in columns[1:]))
+        for i, a, g0, g1, fits in zip(columns[0], *(row.tolist() for row in final)):
+            if fits and a == 1:
+                out[i] = (g0, g1)
+    return out
+
+
+def _fits(a1: np.ndarray, a2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The lanes whose product of states stays inside int64: N*(4N + w) <= _STATE_BOUND.
+
+    N = a1*a2 is the norm of J = d*[a3, (b3 + sqrt D)/2], w = |D|.  The
+    reduced basis starts from (2*a3*d, 0) and (b3*d, d), b3 in (-a3, a3], of
+    lengths u^2 + w*v^2 at most 4*a3*N <= 4N^2 and a3*N + d^2*w <= N^2 + N*w.
+    Each Lagrange-Gauss step shortens the vector it moves, and the
+    numerator 2*<u, x> + |u|^2 of its nearest-integer quotient is at most
+    three times the longer length (Cauchy-Schwarz).  The reduced v1, v2
+    have lengths at least 4N, every norm in J being a multiple of N, and
+    product at most (16/3)*w*N^2, so v1 + v2, the longest candidate, and U
+    of conj(mu)*w stay below 4*N*w.  All are at most 3 * 2^60 < 2^63, as
+    N*w <= _STATE_BOUND.  The states stay small whatever a alone reaches:
+    a and c are the norms of mu and w over N, so a*c <= |D| and
+    b^2 = 4ac - |D| <= 3|D|.  No limit on |D| alone does it: over
+    [9.99e6, 1e7) a3 reaches 2.2e10 and the first basis vector 1.9e21.
+    The test runs in float64, whose rounding is far inside the factor
+    between _STATE_BOUND and 2^63/3.
+    """
+    n = a1 * a2.astype(np.float64)
+    return n * (4 * n + w) <= _STATE_BOUND
+
+
+def _power_states(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """square_and_multiply((f, 1), p, _state_product) lane by lane: rows a, g0, g1, fits at the end.
+
+    f = (a, b, c) and p are the lanes' starts and exponents.  Each
+    round squares every state and multiplies those whose next bit of p is
+    set by the base (f, 1), bit_length(p) - 1 squarings and popcount(p) - 1
+    products per lane, as torsion_power_generator makes.  Before each
+    product the lanes that fail _fits leave, with fits 0 and their state
+    unfinished; a lane leaves after its last bit with its final state.
+    """
+    w, m = 4 * a * c - b * b, p * p
+    # rows: the state a, b, c, g0, g1; the base a, b, c; |D|, p, p^2, D mod p^2
+    s = np.stack([a, b, c, np.ones_like(a), np.zeros_like(a), a, b, c, w, p, m, -w % m])
+    out = np.zeros((4, a.size), np.int64)
+    live, left = np.arange(a.size), np.frexp(p)[1] - 1  # bits of p below those the state holds
+    fits = np.ones(a.size, bool)
+    while live.size:
+        if (leave := (left == 0) | ~fits).any():
+            out[:3, live[leave]] = s[[0, 3, 4]][:, leave]
+            out[3, live[leave]] = fits[leave]
+            stay = ~leave
+            s, live, left, fits = s[:, stay], live[stay], left[stay], fits[stay]
+            continue
+        left -= 1
+        fits = _fits(s[0], s[0], s[8])
+        _product_where(s, fits, square=True)
+        if (mul := fits & (s[9] >> left & 1 == 1)).any():
+            fits &= ~mul | _fits(s[0], s[5], s[8])
+            _product_where(s, mul & fits, square=False)
+    return out
+
+
+def _product_where(s: np.ndarray, sel: np.ndarray, square: bool) -> None:
+    """The state columns sel of s times themselves (square) or their base, in place."""
+    t = s if sel.all() else s[:, sel]
+    f1, g1 = tuple(t[:3]), tuple(t[3:5])
+    f2, g2 = (f1, g1) if square else (tuple(t[5:8]), (np.ones_like(t[0]), np.zeros_like(t[0])))
+    f, g = _state_lanes(f1, g1, f2, g2, *t[8:])
+    for row, y in zip(s, f + g):
+        row[sel] = y
+
+
+def _state_lanes(f1, g1, f2, g2, w, p, m, par) -> tuple[tuple, tuple]:
+    """_state_product lane by lane, with its three checks; f2 is f1 for a square.
+
+    w = |D|, and m = p^2 and par = D mod m describe each lane's ring.  The
+    ring product reduces mod m between factors: p^6 passes 2^63 from
+    p = 1,449 on, and p reaches 4,937 below |D| = 1e7.
+    """
+    d, (a3, b3, _) = _compose_lanes(f1, f2)
+    b3 = a3 - (a3 - b3) % (2 * a3)  # into (-a3, a3], as in QuadIdeal
+    n = d * d * a3
+    v1, v2 = _basis_lanes((2 * a3 * d, np.zeros_like(d)), (b3 * d, d), w)
+    v3 = (v1[0] + v2[0], v1[1] + v2[1])
+    norms = [np.divmod(u * u + w * v * v, 4 * n) for u, v in (v1, v2, v3)]
+    prime = [a % p != 0 for a, _ in norms]
+    if (bad := ~(prime[0] | prime[1] | prime[2])).any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvariantViolation(
+            f"lane {i}: no basis vector of {d[i]}*[{a3[i]}, {b3[i]}] has norm prime to {p[i]}"
+        )
+
+    def pick(*choices):  # of v1, v2, v1 + v2, the first whose norm is prime to p
+        return np.select(prime, choices)
+
+    a, r = (pick(*x) for x in zip(*norms))
+    mu0, mu1 = pick(v1[0], v2[0], v3[0]), pick(v1[1], v2[1], v3[1])
+    w0, w1 = pick(v2[0], v1[0], v1[0]), pick(v2[1], v1[1], v1[1])
+    del v1, v2, v3, norms  # a block's lanes hold thousands of these
+    # conj(mu) * w = (U + V*sqrt(D))/2 with V = +-N(J), since {mu, w} is a basis of J
+    U = (mu0 * w0 + w * mu1 * w1) // 2
+    V = (mu0 * w1 - mu1 * w0) // 2
+    if (bad := np.abs(V) != n).any() or (bad := U % V != 0).any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvariantViolation(
+            f"lane {i}: ({mu0[i]}, {mu1[i]}) and ({w0[i]}, {w1[i]}) "
+            f"do not span {d[i]}*[{a3[i]}, {b3[i]}]"
+        )
+    b = U // V
+    c, s = np.divmod(b * b + w, 4 * a)
+    if (bad := (r != 0) | (s != 0)).any():  # N(J) divides N(mu), and I' is closed
+        i = int(np.flatnonzero(bad)[0])
+        raise InvariantViolation(
+            f"lane {i}: {d[i]}*[{a3[i]}, {b3[i]}] is not an ideal: it gives ({a[i]}, {b[i]})"
+        )
+    k = _xgcd_lanes(a, m)[1] % m  # the image of mu / a
+    half = (m + 1) // 2
+    e = (k * (mu0 % m) % m * half % m, k * (mu1 % m) % m * half % m)
+    return (a, b, c), _ring_mul(_ring_mul(g1, g2, m, par), e, m, par)
+
+
+def _ring_mul(x, y, m, par) -> tuple:
+    """LocalRing.mul of the 'sqrt' kind lane by lane, reduced mod m between factors."""
+    return (x[0] * y[0] + x[1] * y[1] % m * par) % m, (x[0] * y[1] + x[1] * y[0]) % m
+
+
+def _basis_lanes(first, second, w) -> tuple[tuple, tuple]:
+    """reduced_basis lane by lane: its Lagrange-Gauss steps on the lanes not yet reduced."""
+    (u, v), (x, y) = first, second
+    q1, q2 = u * u + w * v * v, x * x + w * y * y
+    swap = q1 > q2
+    u, v, x, y = (np.where(swap, new, old) for new, old in ((x, u), (y, v), (u, x), (v, y)))
+    q1 = np.minimum(q1, q2)
+    live = np.arange(u.size)
+    while live.size:
+        cu, cv, cx, cy, cq, cw = u[live], v[live], x[live], y[live], q1[live], w[live]
+        # nearest-integer reduction of (x, y) against (u, v)
+        t = (2 * (cu * cx + cw * cv * cy) + cq) // (2 * cq)
+        cx, cy = cx - t * cu, cy - t * cv
+        q = cx * cx + cw * cy * cy
+        done = q >= cq
+        go = ~done
+        x[live], y[live] = np.where(done, cx, cu), np.where(done, cy, cv)
+        u[live[go]], v[live[go]], q1[live[go]] = cx[go], cy[go], q[go]
+        live = live[go]
+    return (u, v), (x, y)

@@ -217,15 +217,18 @@ LANES = 2048
 
 
 def _xgcd_lanes(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g, s) with g = gcd(x, m) and s*x = g (mod m), lane by lane, for m >= 1.
+    """(g, s) with g = gcd(x, m) and s*x = g (mod m), lane by lane, for 1 <= m < 2^53.
 
     Euclid's steps on all lanes at once, on the rows (r, s) of two
     remainders r = s*x (mod m).  The two rows are reduced in turn, so no
     lane swaps them, and a lane whose remainder reached 0 takes the
     quotient 0 from then on.  The steps run in float64, which divides
-    faster than int64 and is exact here: every value is at most m, below
-    sqrt(LANE_LIMIT/3) < 2^16, and the floor of a float64 quotient of
-    integers below 2^53 is the integer quotient.
+    faster than int64 and is exact here: every value is at most m, and the
+    floor of a float64 quotient of integers below 2^53 is the integer
+    quotient.  Its callers stay far below: m is a leading coefficient of
+    _compose_lanes, below sqrt(LANE_LIMIT/3) < 2^16 for reduced forms and
+    at most 2^29 for the states of idealgen.lane_generators, or a modulus
+    p^2 < 2^31 there.
     """
     one, two = np.zeros((2, m.size)), np.zeros((2, m.size))
     one[0], two[0], two[1] = m, x % m, 1
@@ -243,16 +246,23 @@ def _xgcd_lanes(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.where(last, b, a).astype(np.int64) for a, b in zip(one, two))
 
 
-def _compose_lanes(f: tuple[np.ndarray, ...], g: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """compose_unreduced lane by lane on int64 arrays, with both of its checks.
+def _compose_lanes(
+    f: tuple[np.ndarray, ...], g: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """compose_unreduced lane by lane on int64 arrays, with both of its checks: (d1, (a3, b3, c3)).
 
     Shanks's form of Dirichlet composition (H. Cohen, GTM 138, Algorithms
     5.4.7 and, for g is f, 5.4.8): with s = (b1 + b2)/2 and n = (b2 - b1)/2,
     d = gcd(a1, a2) = y1*a2 (mod a1) and d1 = gcd(s, d) = x2*s - y2*d;
     r = (y1*y2*n - x2*c2) mod a1/d1, a3 = a1*a2/d1^2 and b3 = b2 + 2*(a2/d1)*r,
-    taken mod 2*a3.  A square has d = a1 and n = 0, so it skips the first gcd.
-    Lanes whose forms differ in discriminant, or whose c3 = (b3^2 - D)/(4*a3)
-    leaves a remainder, raise InvariantViolation.
+    taken mod 2*a3.  d1 is the content d of compose_unreduced.  A square
+    has d = a1 and n = 0, so it skips the first gcd.  Lanes whose forms
+    differ in discriminant, or whose c3 = (b3^2 - D)/(4*a3) leaves a
+    remainder, raise InvariantViolation.
+    Every product stays in int64, and the gcds exact in float64, for the
+    reduced forms of _power_lanes (see LANE_LIMIT) and for the unreduced
+    states of idealgen.lane_generators: there a1*a2 <= 2^29, so b3^2 < 2^60,
+    and the states have b^2 <= 3|D| and a*c <= |D| (idealgen._fits).
     """
     a1, b1, c1 = f
     a2, b2, c2 = g
@@ -281,7 +291,7 @@ def _compose_lanes(f: tuple[np.ndarray, ...], g: tuple[np.ndarray, ...]) -> tupl
     if (bad := rem != 0).any():
         i = int(np.flatnonzero(bad)[0])
         raise InvariantViolation(f"lane {i}: 4*{a3[i]} does not divide {b3[i]}^2 - ({D[i]})")
-    return a3, b3, c3
+    return d1, (a3, b3, c3)
 
 
 def _reduce_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -324,9 +334,9 @@ def _power_lanes(
             x, acc = tuple(y[go] for y in x), tuple(y[go] for y in acc)
             continue
         left -= 1
-        acc = _reduce_lanes(*_compose_lanes(acc, acc))
+        acc = _reduce_lanes(*_compose_lanes(acc, acc)[1])
         if (mul := n >> left & 1 == 1).any():
-            prod = _reduce_lanes(*_compose_lanes(*(tuple(y[mul] for y in f) for f in (acc, x))))
+            prod = _reduce_lanes(*_compose_lanes(*(tuple(y[mul] for y in f) for f in (acc, x)))[1])
             for y, z in zip(acc, prod):
                 y[mul] = z
     return out

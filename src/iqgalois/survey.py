@@ -12,9 +12,13 @@ the output, and a checkpoint after every block makes interrupted scans
 resumable without recomputation.  A block builds the class groups of all
 its fields with one call of quadform.class_groups, whose powers run in
 lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9), past
-which a field is quadform.class_group; the rows are those of classifying
-each field alone, with quadform.class_group as the oracle.  Tables and the
-verify sweeps classify field by field on the scalar route.
+which a field is quadform.class_group.  It then builds the images in O/p^2
+of the generators of every odd-p torsion basis form with one call of
+idealgen.lane_generators, whose products of states run in lock-step while
+they fit int64, past which a job is idealgen.torsion_power_generator.  The
+rows are those of classifying each field alone, with class_group and
+torsion_power_generator as the oracles.  Tables and the verify sweeps
+classify field by field on the scalar route.
 """
 
 import contextlib
@@ -32,7 +36,9 @@ import numpy as np
 from .arith import is_prime
 from .classify import ClassificationRecord, classify_validated, status_at_prime
 from .discriminant import FundamentalDiscriminant, kronecker_at, validate
-from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, class_groups
+from .idealgen import lane_generators
+from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_groups
+from .quadform import p_torsion_basis
 
 BLOCK_SIZE = 10_000
 # Scratch elements of one run of a in reduced_form_counts: its (a, b) grid plus its expected pairs
@@ -209,16 +215,57 @@ def _blocks(lo: int, hi: int, width: int, first: int | None = None) -> Iterator[
 
 
 def _classify_row(
-    d: FundamentalDiscriminant, cg: ClassGroupStructure, primes: tuple[int, ...]
+    d: FundamentalDiscriminant,
+    cg: ClassGroupStructure,
+    generators: dict[int, list],
+    primes: tuple[int, ...],
 ) -> SurveyRow:
-    record = classify_validated(d, short_circuit=False, cg=cg)
+    record = classify_validated(d, short_circuit=False, cg=cg, generators=generators)
     tags = tuple((p, kronecker_at(d, p)) for p in primes)
     return SurveyRow(record, tags)
 
 
-def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
-    """The rows of one block; its class groups are built together by quadform.class_groups.
+def _odd_bases(cg: ClassGroupStructure) -> Iterator[tuple[int, list]]:
+    """(p, p_torsion_basis(cg, p)) at each odd p | h whose basis does not overflow its rank."""
+    for p in cg.sylow:
+        if p != 2:
+            try:
+                yield p, p_torsion_basis(cg, p)
+            except RankOverflow:
+                pass
 
+
+def _block_rows(
+    fields: list[tuple[FundamentalDiscriminant, int]],
+    groups: list[ClassGroupStructure | None],
+    primes: tuple[int, ...],
+) -> list[SurveyRow]:
+    """The rows of fields on their class groups, in field order, each group released as used.
+
+    The generator images of every odd-p torsion basis form of the block come
+    from one call of idealgen.lane_generators; classify_validated takes them
+    by p.  A p whose basis overflows its rank has none and returns
+    RANK_OVERFLOW there.  groups[k] is set to None once row k is made, so
+    the rows take the groups' place in memory.
+    """
+    images = iter(
+        lane_generators((form, p) for cg in groups for p, basis in _odd_bases(cg) for form in basis)
+    )
+    rows = []
+    for k, ((d, _), cg) in enumerate(zip(fields, groups)):
+        generators = {p: [next(images) for _ in basis] for p, basis in _odd_bases(cg)}
+        rows.append(_classify_row(d, cg, generators, primes))
+        groups[k] = None
+    return rows
+
+
+def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
+    """The rows of one block: its class groups built at once, then its rows by _block_rows.
+
+    quadform.class_groups builds the class groups, and _block_rows the
+    generator images and the rows, in field order.  So the first exception
+    raised is the one a loop over the fields raises first: one of
+    class_groups at a field comes after the rows of the fields before it.
     A block makes no reference cycles, but it keeps thousands of objects
     alive at once (the fields, the steps in flight in class_groups, the
     rows), which the cyclic collector would walk again and again without
@@ -229,7 +276,15 @@ def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
     gc.disable()
     try:
         fields = [(validate(-m), h) for m, h in class_numbers_range(lo, hi)]
-        return [_classify_row(d, cg, primes) for (d, _), cg in zip(fields, class_groups(fields))]
+        groups, failed = [], None
+        try:
+            groups.extend(class_groups(fields))
+        except Exception as exc:  # raised below, after the rows of the fields before its own
+            failed = exc
+        rows = _block_rows(fields, groups, primes)
+        if failed is not None:
+            raise failed
+        return rows
     finally:
         if collecting:
             gc.enable()

@@ -24,17 +24,15 @@ from .localtest import (
 )
 from .quadform import (
     QuadForm,
-    RankOverflow,
     class_group,
     class_number,
     compose,
     enumerate_reduced_forms,
     inverse,
-    p_torsion_basis,
     principal_form,
     reduce_form,
 )
-from .survey import BLOCK_SIZE, _blocks, class_numbers_range, fundamental_mask
+from .survey import BLOCK_SIZE, _blocks, _odd_bases, class_numbers_range, fundamental_mask
 
 FORM_DISCRIMINANTS = (-23, -47, -84, -479, -1051, -3299)
 
@@ -113,14 +111,7 @@ def generator_jobs(lo: int, hi: int) -> list[tuple[FundamentalDiscriminant, Quad
     for block in _blocks(lo, hi, BLOCK_SIZE):
         for m, h in class_numbers_range(*block):
             d = validate(-m)
-            cg = class_group(d, known_h=h)
-            for p in cg.sylow:
-                if p == 2:
-                    continue
-                try:
-                    basis = p_torsion_basis(cg, p)
-                except RankOverflow:
-                    continue
+            for p, basis in _odd_bases(class_group(d, known_h=h)):
                 jobs.extend((d, form, p) for form in basis)
     return jobs
 

@@ -1,10 +1,15 @@
 """Fixtures shared by the test modules."""
 
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
 from iqgalois.survey import persist
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -35,3 +40,15 @@ def csv_bytes(tmp_path):
         return path.read_bytes()
 
     return write
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a Python script under python -O with this checkout's src on the path."""
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=SRC)
+        command = [sys.executable, "-O", "-c", script]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    return run

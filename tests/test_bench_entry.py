@@ -2,11 +2,13 @@
 
 Every bench script measures through bench/_entry.run, which is loaded by
 path like the scripts load it.  A measure whose libraries disagree on a
-*_sha256 field must end the run with no BENCH document on stdout.  Each
+*_sha256 field must end the run with no BENCH document on stdout.  Every
+timed call runs with the cyclic collector paused, restored after it.  Each
 bench script, shrunk to a tiny band, must still run end to end against this
 checkout: they reach private library names that a rename could break.
 """
 
+import gc
 import importlib.util
 import json
 import statistics
@@ -90,6 +92,30 @@ def test_report_gives_each_spread_and_compares_with_the_parents(
     err = capsys.readouterr().err
     assert "IQR 0.15 -> 0.15 s" in err
     assert f"{spread} the parent's spread" in err
+
+
+def test_timed_calls_pause_the_collector_and_restore_it(entry):
+    seen = []
+
+    def probe():
+        seen.append(gc.isenabled())
+
+    assert gc.isenabled()
+    entry.timed_alternating([probe, probe], 2)
+    assert seen == [False] * 4 and gc.isenabled()
+    gc.disable()
+    try:
+        entry.timed_alternating([probe], 1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def failing():
+        raise RuntimeError("injected")
+
+    with pytest.raises(RuntimeError, match="injected"):
+        entry.timed_alternating([probe, failing], 1)
+    assert gc.isenabled()
 
 
 def test_sub_millisecond_passes_keep_their_spread(entry, capsys):

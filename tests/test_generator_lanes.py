@@ -1,0 +1,199 @@
+"""The lock-step generator kernel against the scalar torsion_power_generator.
+
+idealgen.lane_generators runs the products of states of many (form, p)
+jobs side by side, one numpy round per bit of p; torsion_power_generator
+runs them one job at a time and is the oracle here.  Every job of two
+census windows that the kernel answers must give the same ring element
+both ways, with the same count of state products; a job past a lane bound
+must be left to the scalar route, and a scan block must still give the
+rows of classifying its fields one by one; the kernel's checks must raise
+also under python -O; a class that is not p-torsion must be left to the
+scalar route, whose NotPrincipal a scan block must raise at its field.
+"""
+
+import dataclasses
+
+import pytest
+
+from iqgalois import idealgen, survey
+from iqgalois.classify import classify_validated
+from iqgalois.discriminant import kronecker_at, validate
+from iqgalois.idealgen import NotPrincipal, lane_generators, torsion_power_generator
+from iqgalois.localtest import build_context
+from iqgalois.quadform import ClassNumberAmbiguous, _prime_form_pool, class_group, power
+from iqgalois.survey import class_numbers_range
+from iqgalois.verify import generator_jobs
+
+
+def _jobs(lo: int, hi: int) -> list:
+    """(form, p, ring) for every odd-p torsion basis form at fundamental |D| in [lo, hi)."""
+    return [(form, p, build_context(d, p).ring) for d, form, p in generator_jobs(lo, hi)]
+
+
+def _on_lanes(jobs: list) -> list:
+    return lane_generators([(form, p) for form, p, _ in jobs])
+
+
+@pytest.mark.parametrize("lo, past", [(10**6, 0), (10**7, 5)])
+def test_kernel_replays_every_generator(lo, past, monkeypatch):
+    jobs = _jobs(lo, lo + 2000)
+    assert len(jobs) > 900 and max(p for _, p, _ in jobs) > 1000
+    got = _on_lanes(jobs)
+    # at 1e7 a few states grow past _fits: those jobs are left to the scalar route
+    assert sum(g is None for g in got) == past
+    stayed = [(job, g) for job, g in zip(jobs, got) if g is not None]
+    assert [g for _, g in stayed] == [torsion_power_generator(*job) for job, _ in stayed]
+    # the jobs that stay on the lanes, run alone: the scalar route's count of products
+    lanes = 0
+    product = idealgen._state_lanes
+
+    def counting(f1, *args):
+        nonlocal lanes
+        lanes += f1[0].size
+        return product(f1, *args)
+
+    monkeypatch.setattr(idealgen, "_state_lanes", counting)
+    assert _on_lanes([job for job, _ in stayed]) == [g for _, g in stayed]
+    assert lanes == sum(p.bit_length() - 1 + p.bit_count() - 1 for (_, p, _), _ in stayed)
+
+
+def _rows_one_by_one(lo: int, hi: int, primes: tuple[int, ...]) -> list:
+    rows = []
+    for m, h in class_numbers_range(lo, hi):
+        d = validate(-m)
+        record = classify_validated(d, known_h=h, short_circuit=False)
+        rows.append(survey.SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
+    return rows
+
+
+# a state bound that a product of states passes within a few rounds, and a
+# ring limit that leaves p = 3, 5, 7, 11, 13 on the lanes
+@pytest.mark.parametrize("bound, value", [("_STATE_BOUND", 2**40), ("_RING_LIMIT", 14**2)])
+def test_jobs_past_a_lane_bound_take_the_scalar_route(bound, value, monkeypatch):
+    lo, hi = 10**6, 10**6 + 2000
+    jobs = _jobs(lo, hi)
+    monkeypatch.setattr(idealgen, bound, value)
+    got = _on_lanes(jobs)
+    assert 0.1 * len(jobs) < sum(g is None for g in got) < 0.9 * len(jobs)
+    stayed = [(job, g) for job, g in zip(jobs, got) if g is not None]
+    assert [g for _, g in stayed] == [torsion_power_generator(*job) for job, _ in stayed]
+    assert survey._scan_block((lo, hi, (3, 5))) == _rows_one_by_one(lo, hi, (3, 5))
+
+
+def _not_torsion(d, p: int):
+    """A prime form of d whose p-th power is not principal."""
+    return next(f for f in _prime_form_pool(d.value) if power(f, p).a != 1)
+
+
+def test_class_not_p_torsion_is_left_to_the_scalar_route():
+    d = validate(-1000003)
+    f = _not_torsion(d, 3)
+    assert lane_generators([(f, 3)]) == [None]
+    with pytest.raises(NotPrincipal, match=r"^\(13,3,19231\) to the power 3 is not principal"):
+        torsion_power_generator(f, 3, build_context(d, 3).ring)
+
+
+def test_scan_block_raises_not_principal_at_its_field(monkeypatch):
+    # field k gets a 3-torsion form that is not 3-torsion, and class_groups
+    # fails at a later field: a loop over the fields raises the NotPrincipal
+    # of field k, and so must the block, whose class groups come first
+    lo, hi = 10**6, 10**6 + 300
+    fields = [(validate(-m), h) for m, h in class_numbers_range(lo, hi)]
+    groups = [class_group(d, known_h=h) for d, h in fields]
+    k = next(i for i, cg in enumerate(groups) if 3 in cg.sylow and len(cg.sylow[3][0]) == 1)
+    d, cg = fields[k][0], groups[k]
+    orders, _ = cg.sylow[3]
+    groups[k] = dataclasses.replace(cg, sylow={**cg.sylow, 3: (orders, (_not_torsion(d, 3),))})
+    with pytest.raises(NotPrincipal) as scalar:
+        classify_validated(d, short_circuit=False, cg=groups[k])
+
+    def failing_at(stop):
+        def class_groups(block_fields):
+            assert [f for f, _ in block_fields] == [f for f, _ in fields]
+            yield from groups[:stop]
+            raise ClassNumberAmbiguous("injected")
+
+        return class_groups
+
+    monkeypatch.setattr(survey, "class_groups", failing_at(k + 5))
+    with pytest.raises(NotPrincipal) as block:
+        survey._scan_block((lo, hi, (3,)))
+    assert str(block.value) == str(scalar.value)
+    monkeypatch.setattr(survey, "class_groups", failing_at(k))
+    with pytest.raises(ClassNumberAmbiguous, match="injected"):
+        survey._scan_block((lo, hi, (3,)))
+
+
+# the one 3-torsion job of -1000003, with the lane functions of the kernel at hand
+KERNEL_SETUP = """
+from iqgalois import idealgen, quadform
+from iqgalois.arith import InvariantViolation
+from iqgalois.discriminant import validate
+d = validate(-1000003)
+[form] = quadform.p_torsion_basis(quadform.class_group(d), 3)
+jobs = [(form, 3)]
+basis, compose, xgcd = idealgen._basis_lanes, idealgen._compose_lanes, quadform._xgcd_lanes
+"""
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        # a reduced basis scaled by 3: every norm is a multiple of 9
+        (
+            "idealgen._basis_lanes = lambda f, s, w: tuple("
+            "(3 * u, 3 * v) for u, v in basis(f, s, w))",
+            "lane 0: no basis vector of 1*[237169, -225657] has norm prime to 3",
+        ),
+        # v2 doubled: mu and w span a sublattice of index 2
+        (
+            "idealgen._basis_lanes = lambda f, s, w: (lambda v1, v2: "
+            "(v1, (2 * v2[0], 2 * v2[1])))(*basis(f, s, w))",
+            "lane 0: (4583, 21) and (46048, 4) do not span 1*[237169, -225657]",
+        ),
+        # a3 times 4: the lattice is no longer closed under the order
+        (
+            "idealgen._compose_lanes = lambda f, g: (lambda d, t: "
+            "(d, (4 * t[0], t[1], t[2])))(*compose(f, g))",
+            "lane 0: 1*[948676, 248681] is not an ideal: it gives (340, -76)",
+        ),
+        # a Bezout coefficient off by one gives a b3 whose c3 is not an integer
+        (
+            "quadform._xgcd_lanes = lambda x, m: (lambda g, s: (g, s + 1))(*xgcd(x, m))",
+            "lane 0: 4*237169 does not divide 174657^2 - (-1000003)",
+        ),
+    ],
+)
+def test_kernel_checks_raise_under_optimize(patch, message, run_optimized):
+    script = KERNEL_SETUP + patch + "\n" + (
+        "try:\n"
+        "    idealgen.lane_generators(jobs)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message + "\n"
+
+
+def test_not_principal_raises_at_its_field_under_optimize(run_optimized):
+    # a class that is not 3-torsion in place of the 3-torsion form: the lanes
+    # leave it, and classify raises the scalar route's NotPrincipal
+    script = KERNEL_SETUP + (
+        "import dataclasses\n"
+        "from iqgalois.classify import classify_validated\n"
+        "f = next(f for f in quadform._prime_form_pool(d.value) if quadform.power(f, 3).a != 1)\n"
+        "cg = quadform.class_group(d)\n"
+        "cg = dataclasses.replace(cg, sylow={**cg.sylow, 3: (cg.sylow[3][0], (f,))})\n"
+        "images = idealgen.lane_generators([(f, 3)])\n"
+        "print(images)\n"
+        "try:\n"
+        "    classify_validated(d, cg=cg, short_circuit=False, generators={3: images})\n"
+        "except idealgen.NotPrincipal as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "[None]\n(13,3,19231) to the power 3 is not principal: its state has norm 179\n"
+    )

@@ -14,9 +14,6 @@ the scalar route.
 """
 
 import gc
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -26,8 +23,6 @@ from iqgalois.classify import classify_validated
 from iqgalois.discriminant import kronecker_at, validate
 from iqgalois.quadform import LANE_LIMIT, ClassNumberAmbiguous, class_group, class_groups, power
 from iqgalois.survey import class_numbers_range
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _requests(lo: int, hi: int) -> list:
@@ -128,13 +123,6 @@ def test_scan_block_restores_the_collector(monkeypatch):
     assert gc.isenabled()
 
 
-def _run_under_optimize(script: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-
-
 # two lanes of forms from the prime-form pools of -1000003 and -1000011
 KERNEL_SETUP = """
 import numpy as np
@@ -163,10 +151,10 @@ lanes = lambda *forms: tuple(np.array(x, dtype=np.int64) for x in zip(*forms))
         ),
     ],
 )
-def test_kernel_checks_raise_under_optimize(call, message):
+def test_kernel_checks_raise_under_optimize(call, message, run_optimized):
     body = "".join(f"    {line}\n" for line in call.splitlines())
     script = KERNEL_SETUP + f"try:\n{body}except InvariantViolation as exc:\n    print(exc)\n"
-    proc = _run_under_optimize(script)
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == message + "\n"
 
