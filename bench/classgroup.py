@@ -25,7 +25,7 @@ Compositions are counted once over each kind of pass: the calls of
 compose_unreduced, the scalar composition formula, through wrappers on its
 module globals in quadform and idealgen, plus the lanes of every call of
 quadform._compose_lanes, through the same wrappers: the lock-step kernel
-of quadform.class_groups and of idealgen.lane_generators.  A job that
+of quadform.class_groups and of idealgen._generator_lanes.  A job that
 leaves the generator lanes for the scalar route counts its products on
 both.
 """

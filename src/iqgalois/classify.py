@@ -4,9 +4,12 @@ The pipeline per odd prime p dividing h: pick a torsion basis of the class
 group, move each basis form to a representative coprime to p, pass to the
 ideal side, compute the image in O/p^2 of a generator of the ideal's p-th
 power from compact (primitive form, unit mod p^2) states, and test that image
-in the local unit quotient; a survey block passes in the images of all its
-fields, built at once by idealgen.lane_generators.  The prime 2 is decided
-by the discriminant-family classification.  A p-rank of 3 or more at any prime
+in the local unit quotient.  A survey block decides every odd p of all its
+fields at once with lane_statuses: the images on the lanes of
+idealgen._generator_lanes, their local test on those of
+localtest._injective_lanes; classify_validated takes the statuses.
+status_at_odd_prime stays the oracle and the route of classify, tables and
+verify.  The prime 2 is decided by the discriminant-family classification.  A p-rank of 3 or more at any prime
 forces a noninjective map immediately, since the target has rank 2.
 
 A NOT_MINIMAL verdict carries assumes_converse = True: nonsplitting of the
@@ -25,9 +28,14 @@ from .discriminant import (
     torsion_descriptor,
     validate,
 )
-from .idealgen import torsion_power_generator
-from .localtest import build_context, injectivity_test, local_unit_image, two_classification
-from .quadform import ClassGroupStructure, RankOverflow, class_group, p_torsion_basis
+from .idealgen import _generator_lanes, torsion_power_generator
+from .localtest import _injective_lanes, build_context, injectivity_test, local_unit_image
+from .localtest import two_classification
+from .quadform import ClassGroupStructure, QuadForm, RankOverflow, class_group, p_torsion_basis
+
+# numpy after the package's modules, which import it anyway: imported ahead
+# of them, it raised the peak RSS of a table3 process by about 0.25 MB
+import numpy as np
 
 MINIMAL = "MINIMAL"
 NOT_MINIMAL = "NOT_MINIMAL"
@@ -99,9 +107,7 @@ def status_at_odd_prime(
     """Injectivity status of the splitting test at one odd prime p | h.
 
     generators, when given, holds per form of p_torsion_basis(cg, p) the
-    image of its generator from idealgen.lane_generators, or None where
-    torsion_power_generator is to compute it here, as it does for every
-    form when generators is not given.
+    image of its generator; torsion_power_generator computes them when not.
     """
     try:
         basis = p_torsion_basis(cg, p)
@@ -113,6 +119,43 @@ def status_at_odd_prime(
         for form, g in zip(basis, generators or [None] * len(basis), strict=True)
     ]
     return INJECTIVE if injectivity_test(ctx, images) else NONINJECTIVE
+
+
+def lane_statuses(
+    tests: list[tuple[FundamentalDiscriminant, ClassGroupStructure, int, list[QuadForm]]],
+) -> list[str | None]:
+    """status_at_odd_prime(d, cg, p) for each (d, cg, p, basis) of tests, or None.
+
+    basis is p_torsion_basis(cg, p), of rank 1 or 2.  The generator images
+    of every basis form come from one idealgen._generator_lanes call, and
+    the local test of every (d, p) from one localtest._injective_lanes call
+    on its output arrays; both raise their checks at once.  A p = 3 that
+    ramifies with a local cube root of unity (D = 6 mod 9, the torsion of
+    build_context) takes status_at_odd_prime on its lane images, so
+    generic_membership decides it.  None marks a test with an image the
+    lanes left, for status_at_odd_prime to run from its start at its field.
+    """
+    rank = np.array([len(basis) for *_, basis in tests], dtype=np.int64)
+    first = np.cumsum(rank) - rank
+    job, x, y, p, par = _generator_lanes((f, p) for _, _, p, basis in tests for f in basis)
+    lane = np.full(int(rank.sum()), -1)  # per job: its lane, or -1
+    lane[job] = np.arange(job.size)
+    one, two = lane[first], lane[first + rank - 1]
+    done = (one >= 0) & (two >= 0)
+    injective = np.zeros(len(tests), bool)
+    injective[done] = _injective_lanes(x, y, p, par, one[done], two[done])
+    out: list[str | None] = []
+    for (d, cg, q, _), ok, i, j, inj in zip(
+        tests, done.tolist(), one.tolist(), two.tolist(), injective.tolist()
+    ):
+        if not ok:
+            out.append(None)
+        elif q == 3 and d.value % 9 == 6:
+            images = [(int(x[k]), int(y[k])) for k in range(i, j + 1)]
+            out.append(status_at_odd_prime(d, cg, q, images))
+        else:
+            out.append(INJECTIVE if inj else NONINJECTIVE)
+    return out
 
 
 def classify(D: int, short_circuit: bool = True) -> ClassificationRecord:
@@ -130,13 +173,11 @@ def status_at_prime(
     p: int,
     cg: ClassGroupStructure | None = None,
     known_h: int | None = None,
-    generators: list | None = None,
 ) -> str:
     """Injectivity status at one prime p | h.
 
     p = 2 follows the discriminant families and needs no class group; at odd
-    p the local test runs on cg, built from known_h when not given, and on
-    the generators of status_at_odd_prime when given.
+    p the local test runs on cg, built from known_h when not given.
     """
     if p == 2:
         two_rank = genus_two_rank(d)
@@ -148,7 +189,7 @@ def status_at_prime(
         return status
     if cg is None:
         cg = class_group(d, known_h=known_h)
-    return status_at_odd_prime(d, cg, p, generators)
+    return status_at_odd_prime(d, cg, p)
 
 
 def classify_validated(
@@ -156,14 +197,14 @@ def classify_validated(
     known_h: int | None = None,
     short_circuit: bool = True,
     cg: ClassGroupStructure | None = None,
-    generators: dict[int, list] | None = None,
+    statuses: dict[int, str] | None = None,
 ) -> ClassificationRecord:
     """The verdict for d, on its class group cg, built from known_h when not given.
 
     The survey passes cg from quadform.class_groups, which builds a block's
-    class groups at once, and by odd p the generators of status_at_odd_prime
-    from idealgen.lane_generators, which builds a block's generator images
-    at once; the 2-rank check below holds either way.
+    class groups at once, and by odd p the statuses that lane_statuses
+    decides for the whole block at once; a p without one takes
+    status_at_prime.  The 2-rank check below holds either way.
     """
     D = d.value
     torsion = torsion_descriptor(d)
@@ -179,7 +220,7 @@ def classify_validated(
     for p in cg.sylow:
         if failed and short_circuit:
             break
-        status = status_at_prime(d, p, cg, generators=(generators or {}).get(p))
+        status = (statuses or {}).get(p) or status_at_prime(d, p, cg)
         per_prime.append((p, status))
         failed = failed or status != INJECTIVE
     verdict = NOT_MINIMAL if failed else MINIMAL

@@ -2,13 +2,14 @@
 
 The per-field route is torsion_power_generator: the image in O/p^2 of the
 generator of a^p, from states of a primitive form tuple and a ring element,
-all on ints (_state_product, reduced_basis).  lane_generators runs the
+all on ints (_state_product, reduced_basis).  _generator_lanes runs the
 same products for the jobs of a whole survey block side by side, one
 lock-step round per bit of p on int64 lanes (_power_states, _state_lanes,
 _basis_lanes, with quadform._compose_lanes), with every check of
-_state_product; the states are not reduced, so a product runs on a lane
-only while its norm a1*a2 keeps int64 exact (_fits), and a job past that
-is left to torsion_power_generator, the oracle.  The rest is oracle code.
+_state_product, and returns the images as arrays (lane_generators as
+tuples); the states are not reduced, so a product runs on a lane only
+while its norm a1*a2 keeps int64 exact (_fits), and a job past that is
+left to torsion_power_generator, the oracle.  The rest is oracle code.
 Ideals are rank-2 lattices m * (Z*a + Z*(b + sqrt(D))/2) with the integer
 content m split off, so non-primitive products such as the square of a
 ramified prime stay representable; ideal_multiply keeps the content
@@ -21,7 +22,7 @@ p = 2 direct check and the golden generator pin.
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -240,6 +241,8 @@ def _state_product(s1, s2, ring):
     c, s = divmod(b * b - D, 4 * a)
     if r or s:  # N(J) divides N(mu), and I' = [a, (b + sqrt D)/2] is closed
         raise InvariantViolation(f"{d}*[{a3}, {b3}] is not an ideal: it gives ({a}, {b})")
+    if n != f1[0] * f2[0]:  # N(J) = N(I1) * N(I2): a wrong content d fails here
+        raise InvariantViolation(f"{d}*[{a3}, {b3}] has norm {n}, not {f1[0]}*{f2[0]}")
     k = pow(a, -1, ring.mod)  # the image of mu / a
     return (a, b, c), ring.mul(ring.mul(g1, g2), ring.embed(k * mu[0], k * mu[1]))
 
@@ -248,33 +251,48 @@ def lane_generators(jobs: Iterable[tuple[QuadForm, int]]) -> list:
     """torsion_power_generator(form, p, ring) for each (form, p) of jobs, on int64 lanes, or None.
 
     ring is implied: O/p^2 at an odd p in the basis {1, sqrt D}, the ring of
-    localtest.build_context.  Each job is a lane whose state (f, g) starts
+    localtest.build_context.  The images are those of _generator_lanes as
+    tuples; None marks a job it leaves to the scalar route.
+    """
+    jobs = list(jobs)
+    out: list = [None] * len(jobs)
+    job, x, y, _, _ = _generator_lanes(jobs)
+    for i, g in zip(job.tolist(), zip(x.tolist(), y.tolist())):
+        out[i] = g
+    return out
+
+
+def _generator_lanes(jobs: Iterable[tuple[QuadForm, int]]) -> np.ndarray:
+    """The jobs that lane_generators answers, as int64 rows: job, x, y, p and D mod p^2.
+
+    job is the index in jobs, ascending, and (x, y) the image in O/p^2 of
+    torsion_power_generator.  Each job is a lane whose state (f, g) starts
     at f = coprime_representative(form, p) and g = 1; every lane runs
     square_and_multiply from the top bit of its p at once, one round per
     bit, each a lock-step product of states (_power_states) with every
     check of _state_product, whose InvariantViolation is raised at once.
-    None marks a job left to the scalar route, to be run from its start:
+    A job is left out, for the scalar route to run from its start, when
     coprime_representative raises, p^2 reaches _RING_LIMIT, a product would
     fail _fits, or the final state has norm a != 1, for which
     torsion_power_generator raises NotPrincipal.
     """
-    out: list = []
-    columns: list[list[int]] = [[], [], [], [], []]  # of the lanes: the job, a, b, c and p
+    job, a, b, c, p = np.fromiter(_lanes(jobs), np.dtype((np.int64, 5))).T
+    if not job.size:
+        return np.zeros((5, 0), np.int64)
+    final, par = _power_states(a, b, c, p), (b * b - 4 * a * c) % (p * p)
+    done = (final[0] == 1) & (final[3] == 1)
+    return np.stack([job, final[1], final[2], p, par])[:, done]
+
+
+def _lanes(jobs: Iterable[tuple[QuadForm, int]]) -> Iterator[tuple[int, int, int, int, int]]:
+    """(job, a, b, c, p) for each job that starts on a lane, (a, b, c) its coprime form."""
     for i, (form, p) in enumerate(jobs):
-        out.append(None)
         try:
             f = coprime_representative(form, p)
         except (ValueError, InvariantViolation):
             continue
         if p * p < _RING_LIMIT:
-            for column, x in zip(columns, (i, *f, p)):
-                column.append(x)
-    if columns[0]:
-        final = _power_states(*(np.array(x, dtype=np.int64) for x in columns[1:]))
-        for i, a, g0, g1, fits in zip(columns[0], *(row.tolist() for row in final)):
-            if fits and a == 1:
-                out[i] = (g0, g1)
-    return out
+            yield i, *f, p
 
 
 def _fits(a1: np.ndarray, a2: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -313,6 +331,7 @@ def _power_states(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: np.ndarray) ->
     w, m = 4 * a * c - b * b, p * p
     # rows: the state a, b, c, g0, g1; the base a, b, c; |D|, p, p^2, D mod p^2
     s = np.stack([a, b, c, np.ones_like(a), np.zeros_like(a), a, b, c, w, p, m, -w % m])
+    del w, m  # s holds them: the lanes' temporaries set the peak RSS
     out = np.zeros((4, a.size), np.int64)
     live, left = np.arange(a.size), np.frexp(p)[1] - 1  # bits of p below those the state holds
     fits = np.ones(a.size, bool)
@@ -343,19 +362,34 @@ def _product_where(s: np.ndarray, sel: np.ndarray, square: bool) -> None:
 
 
 def _state_lanes(f1, g1, f2, g2, w, p, m, par) -> tuple[tuple, tuple]:
-    """_state_product lane by lane, with its three checks; f2 is f1 for a square.
+    """_state_product lane by lane, with its four checks (_ideal_lanes); f2 is f1 for a square.
 
     w = |D|, and m = p^2 and par = D mod m describe each lane's ring.  The
     ring product reduces mod m between factors: p^6 passes 2^63 from
     p = 1,449 on, and p reaches 4,937 below |D| = 1e7.
     """
+    f, (mu0, mu1) = _ideal_lanes(f1, f2, w, p)
+    k = _xgcd_lanes(f[0], m)[1] * ((m + 1) // 2) % m  # the image of mu / a: 1/(2a) times (u, v)
+    e = (mu0 % m * k % m, mu1 % m * k % m)
+    return f, _ring_mul(_ring_mul(g1, g2, m, par), e, m, par)
+
+
+def _ideal_lanes(f1, f2, w, p) -> tuple[tuple, tuple]:
+    """The states' part of _state_lanes: the form (a, b, c) of I' and mu, with every check.
+
+    Apart from _state_lanes, so that its int64 temporaries, tens of kB each
+    on a block's lanes, are freed before the ring part runs.
+    """
     d, (a3, b3, _) = _compose_lanes(f1, f2)
-    b3 = a3 - (a3 - b3) % (2 * a3)  # into (-a3, a3], as in QuadIdeal
-    n = d * d * a3
-    v1, v2 = _basis_lanes((2 * a3 * d, np.zeros_like(d)), (b3 * d, d), w)
+    np.subtract(a3, b3, out=b3)  # into (-a3, a3], as in QuadIdeal: a3 - (a3 - b3) mod 2*a3
+    b3 %= 2 * a3
+    np.subtract(a3, b3, out=b3)
+    n = d * d
+    n *= a3
+    v1, v2 = _basis_lanes((2 * a3 * d, np.zeros_like(d)), (b3 * d, d.copy()), w)
     v3 = (v1[0] + v2[0], v1[1] + v2[1])
-    norms = [np.divmod(u * u + w * v * v, 4 * n) for u, v in (v1, v2, v3)]
-    prime = [a % p != 0 for a, _ in norms]
+    four_n = 4 * n
+    prime = [(u * u + w * v * v) // four_n % p != 0 for u, v in (v1, v2, v3)]
     if (bad := ~(prime[0] | prime[1] | prime[2])).any():
         i = int(np.flatnonzero(bad)[0])
         raise InvariantViolation(
@@ -365,13 +399,16 @@ def _state_lanes(f1, g1, f2, g2, w, p, m, par) -> tuple[tuple, tuple]:
     def pick(*choices):  # of v1, v2, v1 + v2, the first whose norm is prime to p
         return np.select(prime, choices)
 
-    a, r = (pick(*x) for x in zip(*norms))
     mu0, mu1 = pick(v1[0], v2[0], v3[0]), pick(v1[1], v2[1], v3[1])
     w0, w1 = pick(v2[0], v1[0], v1[0]), pick(v2[1], v1[1], v1[1])
-    del v1, v2, v3, norms  # a block's lanes hold thousands of these
+    del v1, v2, v3
     # conj(mu) * w = (U + V*sqrt(D))/2 with V = +-N(J), since {mu, w} is a basis of J
-    U = (mu0 * w0 + w * mu1 * w1) // 2
-    V = (mu0 * w1 - mu1 * w0) // 2
+    U = mu0 * w0
+    U += w * mu1 * w1
+    U //= 2
+    V = mu0 * w1
+    V -= mu1 * w0
+    V //= 2
     if (bad := np.abs(V) != n).any() or (bad := U % V != 0).any():
         i = int(np.flatnonzero(bad)[0])
         raise InvariantViolation(
@@ -379,16 +416,19 @@ def _state_lanes(f1, g1, f2, g2, w, p, m, par) -> tuple[tuple, tuple]:
             f"do not span {d[i]}*[{a3[i]}, {b3[i]}]"
         )
     b = U // V
+    a, r = np.divmod(mu0 * mu0 + w * mu1 * mu1, four_n)
     c, s = np.divmod(b * b + w, 4 * a)
     if (bad := (r != 0) | (s != 0)).any():  # N(J) divides N(mu), and I' is closed
         i = int(np.flatnonzero(bad)[0])
         raise InvariantViolation(
             f"lane {i}: {d[i]}*[{a3[i]}, {b3[i]}] is not an ideal: it gives ({a[i]}, {b[i]})"
         )
-    k = _xgcd_lanes(a, m)[1] % m  # the image of mu / a
-    half = (m + 1) // 2
-    e = (k * (mu0 % m) % m * half % m, k * (mu1 % m) % m * half % m)
-    return (a, b, c), _ring_mul(_ring_mul(g1, g2, m, par), e, m, par)
+    if (bad := n != f1[0] * f2[0]).any():  # N(J) = N(I1) * N(I2): a wrong content d fails here
+        i = int(np.flatnonzero(bad)[0])
+        raise InvariantViolation(
+            f"lane {i}: {d[i]}*[{a3[i]}, {b3[i]}] has norm {n[i]}, not {f1[0][i]}*{f2[0][i]}"
+        )
+    return (a, b, c), (mu0, mu1)
 
 
 def _ring_mul(x, y, m, par) -> tuple:
@@ -397,19 +437,31 @@ def _ring_mul(x, y, m, par) -> tuple:
 
 
 def _basis_lanes(first, second, w) -> tuple[tuple, tuple]:
-    """reduced_basis lane by lane: its Lagrange-Gauss steps on the lanes not yet reduced."""
+    """reduced_basis lane by lane: its Lagrange-Gauss steps on the lanes not yet reduced.
+
+    The basis is built in the four arrays of first and second, which it overwrites.
+    """
     (u, v), (x, y) = first, second
     q1, q2 = u * u + w * v * v, x * x + w * y * y
     swap = q1 > q2
-    u, v, x, y = (np.where(swap, new, old) for new, old in ((x, u), (y, v), (u, x), (v, y)))
-    q1 = np.minimum(q1, q2)
+    for one, two in ((u, x), (v, y)):
+        one[swap], two[swap] = two[swap], one[swap]
+    np.minimum(q1, q2, out=q1)
+    del q2, swap
     live = np.arange(u.size)
     while live.size:
         cu, cv, cx, cy, cq, cw = u[live], v[live], x[live], y[live], q1[live], w[live]
         # nearest-integer reduction of (x, y) against (u, v)
-        t = (2 * (cu * cx + cw * cv * cy) + cq) // (2 * cq)
-        cx, cy = cx - t * cu, cy - t * cv
-        q = cx * cx + cw * cy * cy
+        t = cu * cx
+        t += cw * cv * cy
+        t *= 2
+        t += cq
+        t //= 2 * cq
+        cx -= t * cu
+        cy -= t * cv
+        del t
+        q = cx * cx
+        q += cw * cy * cy
         done = q >= cq
         go = ~done
         x[live], y[live] = np.where(done, cx, cu), np.where(done, cy, cv)

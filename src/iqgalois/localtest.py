@@ -13,16 +13,22 @@ Closed coordinate forms cover the three splitting types at odd p when the
 local torsion T_p is trivial.  A brute-force subgroup engine over the
 finite quotient ring is an independent oracle for p <= 23, and the
 production path for every context with local p-power torsion: p = 2, and
-p = 3 ramified with a local cube root of unity.
+p = 3 ramified with a local cube root of unity.  _injective_lanes runs the
+closed forms and injectivity_test on int64 lanes, every (field, p) of a
+survey block at once (classify.lane_statuses); build_context,
+local_unit_image and injectivity_test stay the oracle and the route of
+everything else.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power, square_and_multiply
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
-from .idealgen import explicit_power_generator
-from .quadform import two_torsion_basis
+from .idealgen import _ring_mul, explicit_power_generator
+from .quadform import _xgcd_lanes, two_torsion_basis
 
 
 class NotLocalUnit(InvariantViolation):
@@ -305,6 +311,65 @@ def injectivity_test(ctx: LocalContext, images: list[PhiImage]) -> bool:
             return False
         cur = ctx.ring.mul(cur, x_inv)
     return True
+
+
+def _injective_lanes(x, y, p, par, first, second) -> np.ndarray:
+    """injectivity_test on local_unit_image's closed forms, lane by lane: one bool per test.
+
+    A lane is the image (x, y) in O/p^2, basis {1, sqrt D}, of a generator
+    at an odd p whose completion has no local p-power torsion, with
+    par = D mod p^2 (the ring of idealgen._ring_mul).  A test is the lanes
+    first and second of one torsion basis, second = first at rank 1: rank
+    1 is injective when the image is nontrivial, rank 2 when both are and
+    their 2x2 determinant is nonzero mod p.  Every lane raises at once,
+    also under python -O: NotLocalUnit when N(g) = 0 mod p, and
+    InvariantViolation when beta = g^e is not 1 mod p (mod pi where p
+    ramifies), as in local_unit_image.  e is p^2 - 1 where p is unramified
+    and p - 1 where it ramifies; beta comes by square-and-multiply from
+    each lane's top bit.
+
+    Unramified p: u = ((X - 1)/p, Y/p) mod p for beta = (X, Y), which are
+    local_unit_image's coordinates at inert p.  At split p, with r^2 = D
+    mod p^2, (x, y) -> (x + y*r, x - y*r) is a ring isomorphism of O/p^2
+    onto (Z/p^2)^2.  It sends beta to (c1^(p^2-1), c2^(p^2-1)), and
+    c^(p^2-1) = (1 + p*q)^(p+1) = 1 + p*q mod p^2 for the Fermat quotient q
+    of c.  So the Fermat quotients are (q1, q2) = (u0 + u1*r, u0 - u1*r)
+    mod p, an invertible linear image of u (determinant -2r, prime to p):
+    u = 0 exactly when they vanish, and for two images their determinant is
+    -2r times that of the u, so both verdicts agree.  Ramified p: local_unit_image's
+    expansion along 1 + pi, 1 + pi^2, with the inverse of
+    delta = (D mod p^2)/p mod p from quadform._xgcd_lanes.
+    """
+    m = p * p
+    if (bad := (x * x - y * y % m * par) % p == 0).any():
+        i = int(np.flatnonzero(bad)[0])
+        raise NotLocalUnit(f"lane {i}: ({x[i]}, {y[i]}) has norm divisible by {p[i]}")
+    ramified = par % p == 0
+    e = np.where(ramified, p - 1, m - 1)
+    beta, left = (x, y), np.frexp(e)[1] - 1  # bits of e below those beta holds
+    for _ in range(int(left.max(initial=0))):
+        on = left > 0
+        left -= on
+        square = _ring_mul(beta, beta, m, par)
+        product = _ring_mul(square, (x, y), m, par)
+        mul = on & (e >> left & 1 == 1)
+        beta = tuple(np.where(mul, t, np.where(on, s, b)) for t, s, b in zip(product, square, beta))
+    X, Y = beta
+    if (bad := ((X - 1) % p != 0) | (~ramified & (Y % p != 0))).any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvariantViolation(
+            f"lane {i}: ({x[i]}, {y[i]})^{e[i]} = ({X[i]}, {Y[i]}) "
+            f"is not 1 mod {'pi' if ramified[i] else p[i]}"
+        )
+    u = np.stack([(X - 1) // p % p, Y // p % p])
+    if (r := np.flatnonzero(ramified)).size:  # discrete log against {1 + pi, 1 + pi^2}
+        q = p[r]
+        c1 = Y[r] % q
+        c2 = (X[r] - 1) // q * (_xgcd_lanes(par[r] // q, q)[1] % q) % q
+        u[:, r] = c1, (c2 - c1 * (c1 - 1) // 2) % q
+    one, two = u[:, first], u[:, second]
+    det = one[0] * two[1] - one[1] * two[0]
+    return one.any(0) & two.any(0) & ((first == second) | (det % p[first] != 0))
 
 
 def two_classification(d: FundamentalDiscriminant, two_rank: int) -> str:

@@ -273,21 +273,38 @@ def _compose_lanes(
             f"lane {i}: ({a1[i]},{b1[i]},{c1[i]}) and ({a2[i]},{b2[i]},{c2[i]}) "
             "have different discriminants"
         )
-    s = (b1 + b2) // 2
+    s = b1 + b2
+    s //= 2
     if g is f:
-        d1, x2 = _xgcd_lanes(s, a1)
+        d1, r = _xgcd_lanes(s, a1)
         v1 = a1 // d1
-        r = -x2 * c2 % v1
+        r *= c2
+        np.negative(r, out=r)
     else:
         d, y1 = _xgcd_lanes(a2, a1)
         d1, x2 = _xgcd_lanes(s, d)
-        y2 = (x2 * s - d1) // d
+        r = x2 * s  # y2 = (x2*s - d1)/d, then y1*y2 mod v1 times (b2 - s), less x2*c2
+        r -= d1
+        r //= d
         v1 = a1 // d1
-        r = (y1 * y2 % v1 * (b2 - s) - x2 * c2) % v1
+        r *= y1
+        r %= v1
+        np.subtract(b2, s, out=s)
+        r *= s
+        x2 *= c2
+        r -= x2
+        del d, y1, x2
+    del s
+    r %= v1
     v2 = a2 // d1
     a3 = v1 * v2
-    b3 = (b2 + 2 * v2 * r) % (2 * a3)
-    c3, rem = np.divmod(b3 * b3 - D, 4 * a3)
+    del v1
+    r *= 2 * v2
+    r += b2
+    b3 = np.remainder(r, 2 * a3, out=r)
+    c3 = b3 * b3
+    c3 -= D
+    c3, rem = np.divmod(c3, 4 * a3)
     if (bad := rem != 0).any():
         i = int(np.flatnonzero(bad)[0])
         raise InvariantViolation(f"lane {i}: 4*{a3[i]} does not divide {b3[i]}^2 - ({D[i]})")

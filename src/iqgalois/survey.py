@@ -12,13 +12,15 @@ the output, and a checkpoint after every block makes interrupted scans
 resumable without recomputation.  A block builds the class groups of all
 its fields with one call of quadform.class_groups, whose powers run in
 lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9), past
-which a field is quadform.class_group.  It then builds the images in O/p^2
-of the generators of every odd-p torsion basis form with one call of
-idealgen.lane_generators, whose products of states run in lock-step while
-they fit int64, past which a job is idealgen.torsion_power_generator.  The
-rows are those of classifying each field alone, with class_group and
-torsion_power_generator as the oracles.  Tables and the verify sweeps
-classify field by field on the scalar route.
+which a field is quadform.class_group.  It then decides the status at
+every odd p of every field with one call of classify.lane_statuses: the
+images in O/p^2 of the generators of the torsion basis forms come from
+products of states in lock-step while they fit int64, and their local test
+from one lock-step ring power; a (field, p) the lanes leave is
+classify.status_at_odd_prime at its field.  The rows are those of
+classifying each field alone, with class_group and status_at_odd_prime as
+the oracles.  Tables and the verify sweeps classify field by field on the
+scalar route.
 """
 
 import contextlib
@@ -34,9 +36,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .arith import is_prime
-from .classify import ClassificationRecord, classify_validated, status_at_prime
+from .classify import ClassificationRecord, classify_validated, lane_statuses, status_at_prime
 from .discriminant import FundamentalDiscriminant, kronecker_at, validate
-from .idealgen import lane_generators
 from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_groups
 from .quadform import p_torsion_basis
 
@@ -217,10 +218,10 @@ def _blocks(lo: int, hi: int, width: int, first: int | None = None) -> Iterator[
 def _classify_row(
     d: FundamentalDiscriminant,
     cg: ClassGroupStructure,
-    generators: dict[int, list],
+    statuses: dict[int, str],
     primes: tuple[int, ...],
 ) -> SurveyRow:
-    record = classify_validated(d, short_circuit=False, cg=cg, generators=generators)
+    record = classify_validated(d, short_circuit=False, cg=cg, statuses=statuses)
     tags = tuple((p, kronecker_at(d, p)) for p in primes)
     return SurveyRow(record, tags)
 
@@ -242,20 +243,23 @@ def _block_rows(
 ) -> list[SurveyRow]:
     """The rows of fields on their class groups, in field order, each group released as used.
 
-    The generator images of every odd-p torsion basis form of the block come
-    from one call of idealgen.lane_generators; classify_validated takes them
-    by p.  A p whose basis overflows its rank has none and returns
-    RANK_OVERFLOW there.  groups[k] is set to None once row k is made, so
-    the rows take the groups' place in memory.
+    The status at every odd p of the block whose torsion basis does not
+    overflow its rank comes from one call of classify.lane_statuses;
+    classify_validated takes them by p, and runs status_at_prime at any p
+    without one (2, a rank overflow, or a None of lane_statuses).  groups[k]
+    is set to None once row k is made, so the rows take the groups' place
+    in memory.
     """
-    images = iter(
-        lane_generators((form, p) for cg in groups for p, basis in _odd_bases(cg) for form in basis)
-    )
+    bases = [list(_odd_bases(cg)) for cg in groups]
+    tests = [(d, cg, p, b) for (d, _), cg, odd in zip(fields, groups, bases) for p, b in odd]
+    statuses = iter(lane_statuses(tests))
+    del tests
     rows = []
     for k, ((d, _), cg) in enumerate(zip(fields, groups)):
-        generators = {p: [next(images) for _ in basis] for p, basis in _odd_bases(cg)}
-        rows.append(_classify_row(d, cg, generators, primes))
-        groups[k] = None
+        # bases[k] first: zip stops at its end without drawing from statuses
+        known = {p: s for (p, _), s in zip(bases[k], statuses) if s is not None}
+        rows.append(_classify_row(d, cg, known, primes))
+        groups[k] = bases[k] = None
     return rows
 
 

@@ -238,11 +238,11 @@ def test_broken_invariant_exits_3_under_optimize():
 # Q(sqrt(-23))) unless BROKEN_D names another discriminant, each caught by a
 # check of that module or the next one down.
 BROKEN = {
-    # idealgen: compositions that return the first factor, so the last state
-    # product I * a is the ideal a itself, not principal
+    # idealgen: compositions that return the first factor, so the first state
+    # product has the norm of one factor, not of both (N(J) = a1 * a2)
     "idealgen": (
         "sys.modules['iqgalois.idealgen'].compose_unreduced = lambda f, g: (1, tuple(f))",
-        "to the power 3 is not principal",
+        "1*[2, 1] has norm 2, not 2*2",
     ),
     # classify: a generator image that is not a unit above p, caught by localtest
     "classify": (

@@ -7,8 +7,9 @@ census windows that the kernel answers must give the same ring element
 both ways, with the same count of state products; a job past a lane bound
 must be left to the scalar route, and a scan block must still give the
 rows of classifying its fields one by one; the kernel's checks must raise
-also under python -O; a class that is not p-torsion must be left to the
-scalar route, whose NotPrincipal a scan block must raise at its field.
+also under python -O, and so must the norm check N(J) = a1*a2 of both
+routes on a wrong content d; a class that is not p-torsion must be left to
+the scalar route, whose NotPrincipal a scan block must raise at its field.
 """
 
 import dataclasses
@@ -178,17 +179,17 @@ def test_kernel_checks_raise_under_optimize(patch, message, run_optimized):
 
 def test_not_principal_raises_at_its_field_under_optimize(run_optimized):
     # a class that is not 3-torsion in place of the 3-torsion form: the lanes
-    # leave it, and classify raises the scalar route's NotPrincipal
+    # leave it with no status, and classify raises the scalar route's NotPrincipal
     script = KERNEL_SETUP + (
         "import dataclasses\n"
-        "from iqgalois.classify import classify_validated\n"
+        "from iqgalois.classify import classify_validated, lane_statuses\n"
         "f = next(f for f in quadform._prime_form_pool(d.value) if quadform.power(f, 3).a != 1)\n"
         "cg = quadform.class_group(d)\n"
         "cg = dataclasses.replace(cg, sylow={**cg.sylow, 3: (cg.sylow[3][0], (f,))})\n"
-        "images = idealgen.lane_generators([(f, 3)])\n"
-        "print(images)\n"
+        "statuses = lane_statuses([(d, cg, 3, [f])])\n"
+        "print(statuses)\n"
         "try:\n"
-        "    classify_validated(d, cg=cg, short_circuit=False, generators={3: images})\n"
+        "    classify_validated(d, cg=cg, short_circuit=False, statuses={})\n"
         "except idealgen.NotPrincipal as exc:\n"
         "    print(exc)\n"
     )
@@ -197,3 +198,29 @@ def test_not_principal_raises_at_its_field_under_optimize(run_optimized):
     assert proc.stdout == (
         "[None]\n(13,3,19231) to the power 3 is not principal: its state has norm 179\n"
     )
+
+
+@pytest.mark.parametrize(
+    "patch, call",
+    [
+        (
+            "orig = idealgen.compose_unreduced\n"
+            "idealgen.compose_unreduced = lambda f, g: (lambda d, t: (2 * d, t))(*orig(f, g))\n",
+            "idealgen.torsion_power_generator(form, 3, build_context(d, 3).ring)",
+        ),
+        (
+            "idealgen._compose_lanes = lambda f, g: (lambda d, t: (2 * d, t))(*compose(f, g))\n",
+            "idealgen.lane_generators(jobs)",
+        ),
+    ],
+    ids=["scalar", "lanes"],
+)
+def test_wrong_content_raises_on_both_routes_under_optimize(patch, call, run_optimized):
+    # a doubled content d passes every other check of a product of states, and
+    # gave the image (4, 6) for (1, 6): N(J) = d^2 * a3 = a1 * a2 catches it
+    script = KERNEL_SETUP + "from iqgalois.localtest import build_context\n" + patch + (
+        f"try:\n    print({call})\nexcept InvariantViolation as exc:\n    print(exc)\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("2*[237169, -225657] has norm 948676, not 487*487\n")
