@@ -1,10 +1,12 @@
 """Range scans over fundamental discriminants with persistence and tables.
 
 Class numbers for a whole block of discriminants come from one bulk count
-of reduced forms (a loop over runs of consecutive first coefficients a,
-each step one numpy scatter of all the run's (b, c) pairs that land in the
-block), which doubles as an independent oracle for the per-discriminant
-quadform.class_number.  The census of tables 2 and 3 sieves in windows
+of reduced forms, which doubles as an independent oracle for the
+per-discriminant quadform.class_number.  It walks the (a, c) cells of each
+first coefficient a, finds the b of each cell from two float64 square
+roots, exact below 2^52, and takes a in runs of about _RUN_ELEMENTS scratch
+elements, each run one numpy scatter of its (b, c) pairs that land in the
+block.  The census of tables 2 and 3 sieves in windows
 that grow from its sample size, so it counts little past its last field.
 Scans proceed in contiguous blocks of 10^4 |D|-values; each block is
 classified independently (pure functions), so worker count cannot change
@@ -42,7 +44,7 @@ from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, cla
 from .quadform import p_torsion_basis
 
 BLOCK_SIZE = 10_000
-# Scratch elements of one run of a in reduced_form_counts: its (a, b) grid plus its expected pairs
+# Scratch elements of one run of a in reduced_form_counts: its (a, c) cells plus its expected pairs
 _RUN_ELEMENTS = 1 << 14
 CSV_HEADER = "D,h,class_group,two_rank,p,local_behavior,status,verdict,assumes_converse"
 
@@ -117,39 +119,58 @@ def fundamental_mask(lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-def _a_runs(amax: int, width: int) -> Iterator[tuple[int, int]]:
-    """The runs [first, end) of a that cover 1..amax in reduced_form_counts.
+def _expand(n: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges of n[i] consecutive integers from first[i], end to end, and where each starts."""
+    starts = np.cumsum(n) - n
+    values = np.repeat(first - starts, n)
+    values += np.arange(values.size)
+    return values, starts
 
-    Each run holds the most a, and at least one, such that its grid (a row
-    of b = 0..end - 1 per a) plus its expected pairs (width / 4 per a) fit
-    in _RUN_ELEMENTS.
+
+def _b_range(x: np.ndarray, top: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per x >= 0, the least b >= 0 and the greatest b <= top with 0 <= x - b^2 < width.
+
+    Its float64 square roots are exact for x below 2^52 (reduced_form_counts).
     """
-    first = 1
-    while first <= amax:
-        s = first + width // 4
-        rows = max(1, (math.isqrt(s * s + 4 * _RUN_ELEMENTS) - s) // 2)
-        end = min(first + rows, amax + 1)
-        yield first, end
-        first = end
+    root = x.astype(np.float64)
+    high = np.minimum(top, np.sqrt(root).astype(np.int64))  # truncation is floor here
+    root -= width - 1
+    np.maximum(root, 0, out=root)
+    low = np.ceil(np.sqrt(root, out=root), out=root).astype(np.int64)
+    return low, high
 
 
 def reduced_form_counts(lo: int, hi: int) -> np.ndarray:
     """Count reduced forms per |D| in [lo, hi), with one numpy scatter per run of a.
 
     A reduced form (a, b, c) has |b| <= a <= c, with b >= 0 when |b| = a or
-    a = c, and |D| = 4ac - b^2.  The loop over a takes consecutive a in runs.
-    For a run, the c-range landing in the block is computed on its whole
-    (a, b) grid, 0 <= b <= a, at once; the nonempty ranges are expanded into
-    their (b, c) pairs and added with one bincount.  A pair stands for
-    (a, +-b, c), weight 2, when 0 < b < a, except the self-mirrored (a, b, a),
-    which counts once.  Runs are cut by _a_runs, so scratch arrays stay near
-    _RUN_ELEMENTS whatever the block, never the size of the whole block's
-    pairs.
+    a = c, and |D| = 4ac - b^2.  The loop over a enumerates (a, c) cells:
+    for each a <= amax = isqrt((hi - 1) / 3), c runs from max(a, ceil(lo / 4a))
+    to floor((hi - 1 + a^2) / 4a), about a / 4 + width / 4a cells where a
+    loop over b would take a + 1 steps.  The b of a cell are the integers in
+    [ceil(sqrt(max(0, 4ac - hi + 1))), min(a, floor(sqrt(4ac - lo)))], each
+    with |D| = 4ac - b^2.  A pair (b, c) stands for (a, +-b, c), weight 2,
+    except when b = 0, b = a or c = a, which count once: (a, b, a) is its own
+    mirror.  A run's cells are expanded into their pairs with np.repeat, and
+    one weighted bincount adds them, at weight 1 for b = 0 and b = a and 2
+    for every other b.  The cells c = a, at most one per a, have their other
+    b taken off once more by one bincount before the runs.
 
-    The floors are float64 quotients of integers below 2^53, which are exact:
-    a quotient x / y short of an integer k is at least 1 / y short of it, and
-    rounding moves it by at most k * 2^-53 < 1 / y.  |D| is refused past
-    quadform.CLASS_NUMBER_LIMIT, far below that.
+    Runs of a are cut where the running sum of cells plus expected pairs
+    (width / 4 per a) crosses a multiple of _RUN_ELEMENTS, so a run's
+    scratch stays under _RUN_ELEMENTS plus the cost of its first a whatever
+    the block, never the size of the whole block's pairs.
+
+    The square roots are float64, and floor(sqrt(x)) is exact for integers
+    0 <= x < 2^52, which float64 holds exactly.  Let k = isqrt(x).  sqrt is
+    correctly rounded, and rounding is monotone, so the result lies in
+    [k, k + 1].  It is k + 1 only if x = (k + 1)^2, or if rounding moves
+    sqrt(x) up by (k + 1) - sqrt((k + 1)^2 - 1) > 1 / (2(k + 1)); but it
+    moves it by at most half an ulp, (k + 1) 2^-53 <= 1 / (2(k + 1)) for
+    k + 1 <= 2^26.  So sqrt(x) is an integer exactly when x is a square, and
+    its ceil is exact too.  Every 4ac - lo here is at most
+    hi - 1 + amax^2 - lo < 4/3 quadform.CLASS_NUMBER_LIMIT < 2^44, as |D|
+    is refused past the limit.
 
     At fundamental discriminants every form is automatically primitive, so
     the count is exactly the class number there; other entries are not
@@ -157,35 +178,44 @@ def reduced_form_counts(lo: int, hi: int) -> np.ndarray:
     """
     if lo < 3:
         raise ValueError("counting starts at |D| = 3")
+    if hi < lo:
+        raise ValueError(f"|D| range [{lo}, {hi}) ends before it starts")
     if hi - 1 > CLASS_NUMBER_LIMIT:
         raise ValueError(f"|D| up to {hi - 1} exceeds the class-number limit {CLASS_NUMBER_LIMIT}")
     width = hi - lo
     counts = np.zeros(width)  # float64 like bincount's weighted sums; exact integers
-    amax = math.isqrt((hi - 1) // 3)
-    squares = np.arange(amax + 1, dtype=np.float64) ** 2
-    for first, a_end in _a_runs(amax, width):
-        grid_a = np.arange(first, a_end, dtype=np.float64)[:, None]
-        bsq = squares[:a_end]
-        below = np.maximum(grid_a - 1, np.floor((lo - 1 + bsq) / (4 * grid_a)))  # c > below
-        top = np.floor((hi - 1 + bsq) / (4 * grid_a))  # c <= top
-        k = np.flatnonzero((top > below) & (bsq <= grid_a * grid_a))
-        if k.size == 0:
-            continue
-        row = k // a_end  # np.divmod is about twice as slow
-        b = k - row * a_end
-        a = row + first
-        cmin = below.ravel()[k]
-        n = (top.ravel()[k] - cmin).astype(np.int64)
-        cmin = cmin.astype(np.int64) + 1
-        fa = 4 * a
-        starts = np.cumsum(n) - n
-        idx = np.arange(starts[-1] + n[-1])  # pair j, in range i, has c = cmin[i] + j - starts[i]
-        idx *= np.repeat(fa, n)
-        idx += np.repeat(fa * (cmin - starts) - b * b - lo, n)
-        paired = (b > 0) & (b < a)
-        weights = np.repeat(np.where(paired, 2.0, 1.0), n)
-        weights[starts[paired & (cmin == a)]] = 1.0
-        counts += np.bincount(idx, weights=weights, minlength=width)
+    if width == 0:
+        return counts.astype(np.int64)
+    a = np.arange(1, math.isqrt((hi - 1) // 3) + 1)
+    cmin = np.maximum(a, -(-lo // (4 * a)))
+    cells = np.maximum((hi - 1 + a * a) // (4 * a) - cmin + 1, 0)
+    # the b with 0 < b < a of the cells c = a, which the runs add at weight 2, count once
+    diagonal = a[cmin == a]
+    x = 4 * diagonal * diagonal - lo
+    low, high = _b_range(x, diagonal - 1, width)
+    low = np.maximum(low, 1)
+    n = np.maximum(high - low + 1, 0)
+    b, _ = _expand(n, low)
+    counts -= np.bincount(np.repeat(x, n) - b * b, minlength=width)
+    cost = np.cumsum(cells + width // 4)
+    cuts = np.searchsorted(cost, np.arange(_RUN_ELEMENTS, cost[-1], _RUN_ELEMENTS), "right")
+    bounds = sorted({0, *cuts.tolist(), a.size})  # not np.unique: its first call adds 1.5 MB of RSS
+    for first, end in zip(bounds, bounds[1:]):
+        n = cells[first:end]
+        x, _ = _expand(n, cmin[first:end])  # the c of each cell
+        cell_a = np.repeat(a[first:end], n)
+        x *= 4 * cell_a
+        x -= lo  # 4ac - lo, the |D| - lo of b = 0
+        low, high = _b_range(x, cell_a, width)
+        n = np.maximum(high - low + 1, 0)
+        b, starts = _expand(n, low)
+        weights = np.full(b.size, 2.0)
+        weights[starts[low == 0]] = 1.0  # b = 0
+        weights[(starts + n - 1)[(high == cell_a) & (n > 0)]] = 1.0  # b = a
+        del cell_a, high, starts  # the pairs' scratch takes their place
+        b *= b
+        np.subtract(np.repeat(x, n), b, out=b)  # the |D| - lo of each pair
+        counts += np.bincount(b, weights=weights, minlength=width)
     return counts.astype(np.int64)
 
 
