@@ -11,14 +11,12 @@ each band in BANDS, walked as verify.generator_jobs walks them
 generator idealgen.explicit_power_generator(form, p), not embedded: the
 oracle route the compact image replaced.  The class groups and the rings
 are built untimed, with h from the survey sieve.  Next to both it times
-the block route, one idealgen.lane_generators call over all the band's
-jobs and the image route for each job it leaves to the scalar route; a
-library without lane_generators takes the image loop there.  The status
-route times the odd-p status of every (d, p) of the band two ways: the
-lanes, classify.lane_statuses as survey._scan_block calls it, with
+the block route, one idealgen._generator_lanes call over all the band's
+jobs and the image route for each job it leaves to the scalar route.  The
+status route times the odd-p status of every (d, p) of the band two ways:
+the lanes, classify.lane_statuses as survey._scan_block calls it, with
 status_at_odd_prime for each (d, p) it leaves; and the scalar local test,
-classify.status_at_odd_prime on the block route's images.  A library
-without lane_statuses takes the scalar test there.  It also times
+classify.status_at_odd_prime on the block route's images.  It also times
 classify(D) for each D in CLASSIFY.  Each is timed with the library of the
 checkout DIR and with this checkout's, all passes taken in turn
 (bench/_entry.py).
@@ -83,11 +81,12 @@ def routes(lib, tests: list) -> tuple:
     def images():
         return [idealgen.torsion_power_generator(*job) for job in triples]
 
-    def block():  # the kernel, and the scalar route for each job it leaves (None)
-        lanes = idealgen.lane_generators([(form, p) for form, p, _ in triples])
+    def block():  # the kernel's rows, and the scalar route for each job they leave
+        index, x, y, _, _ = idealgen._generator_lanes([(form, p) for form, p, _ in triples])
+        lanes = dict(zip(index.tolist(), zip(x.tolist(), y.tolist())))
         return [
-            idealgen.torsion_power_generator(*job) if g is None else g
-            for g, job in zip(lanes, triples)
+            lanes[i] if i in lanes else idealgen.torsion_power_generator(*job)
+            for i, job in enumerate(triples)
         ]
 
     def scalar_statuses():  # the scalar local test of every (d, p) on the block's images
@@ -108,8 +107,8 @@ def routes(lib, tests: list) -> tuple:
         jobs,
         images,
         lambda: [idealgen.explicit_power_generator(form, p) for _, form, p, _ in jobs],
-        block if hasattr(idealgen, "lane_generators") else images,
-        lane_statuses if hasattr(classify, "lane_statuses") else scalar_statuses,
+        block,
+        lane_statuses,
         scalar_statuses,
     )
 
@@ -130,7 +129,7 @@ def count_states(lib, fn) -> dict:
     """Products of states and scalar-route jobs of fn(), via wrappers on lib.idealgen's globals."""
     idealgen = lib.idealgen
     counts = dict.fromkeys(("_state_product", "_state_lanes", "torsion_power_generator"), 0)
-    saved = {name: getattr(idealgen, name) for name in counts if hasattr(idealgen, name)}
+    saved = {name: getattr(idealgen, name) for name in counts}
 
     def wrap(name, orig):
         def counting(*args, **kwargs):

@@ -4,12 +4,13 @@ The per-field route is torsion_power_generator: the image in O/p^2 of the
 generator of a^p, from states of a primitive form tuple and a ring element,
 all on ints (_state_product, reduced_basis).  _generator_lanes runs the
 same products for the jobs of a whole survey block side by side, one
-lock-step round per bit of p on int64 lanes (_power_states, _state_lanes,
-_basis_lanes, with quadform._compose_lanes), with every check of
-_state_product, and returns the images as arrays (lane_generators as
-tuples); the states are not reduced, so a product runs on a lane only
-while its norm a1*a2 keeps int64 exact (_fits), and a job past that is
-left to torsion_power_generator, the oracle.  The rest is oracle code.
+lock-step step per bit of p on int64 lanes (_power_states on
+quadform._square_and_multiply_lanes; _state_lanes, _basis_lanes, with
+quadform._compose_lanes), with every check of _state_product, and returns
+the images as int64 rows; the states are not reduced, so a product runs on
+a lane only while its norm a1*a2 keeps int64 exact (_fits), and a job past
+that is left to torsion_power_generator, the oracle.  The rest is oracle
+code.
 Ideals are rank-2 lattices m * (Z*a + Z*(b + sqrt(D))/2) with the integer
 content m split off, so non-primitive products such as the square of a
 ramified prime stay representable; ideal_multiply keeps the content
@@ -27,8 +28,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .arith import InvariantViolation, square_and_multiply
-from .quadform import QuadForm, _compose_lanes, _xgcd_lanes, compose_unreduced
-from .quadform import coprime_representative, reduce_form
+from .quadform import QuadForm, _compose_lanes, _square_and_multiply_lanes, _xgcd_lanes
+from .quadform import compose_unreduced, coprime_representative, reduce_form
 
 # A product of states on lanes runs only while N*(4N + |D|) <= _STATE_BOUND for
 # the norm N = a1*a2 of its J (_fits); a lane past it takes the scalar route.
@@ -247,23 +248,8 @@ def _state_product(s1, s2, ring):
     return (a, b, c), ring.mul(ring.mul(g1, g2), ring.embed(k * mu[0], k * mu[1]))
 
 
-def lane_generators(jobs: Iterable[tuple[QuadForm, int]]) -> list:
-    """torsion_power_generator(form, p, ring) for each (form, p) of jobs, on int64 lanes, or None.
-
-    ring is implied: O/p^2 at an odd p in the basis {1, sqrt D}, the ring of
-    localtest.build_context.  The images are those of _generator_lanes as
-    tuples; None marks a job it leaves to the scalar route.
-    """
-    jobs = list(jobs)
-    out: list = [None] * len(jobs)
-    job, x, y, _, _ = _generator_lanes(jobs)
-    for i, g in zip(job.tolist(), zip(x.tolist(), y.tolist())):
-        out[i] = g
-    return out
-
-
 def _generator_lanes(jobs: Iterable[tuple[QuadForm, int]]) -> np.ndarray:
-    """The jobs that lane_generators answers, as int64 rows: job, x, y, p and D mod p^2.
+    """The jobs answered on int64 lanes, as rows: job, x, y, p and D mod p^2.
 
     job is the index in jobs, ascending, and (x, y) the image in O/p^2 of
     torsion_power_generator.  Each job is a lane whose state (f, g) starts
@@ -276,23 +262,26 @@ def _generator_lanes(jobs: Iterable[tuple[QuadForm, int]]) -> np.ndarray:
     fail _fits, or the final state has norm a != 1, for which
     torsion_power_generator raises NotPrincipal.
     """
-    job, a, b, c, p = np.fromiter(_lanes(jobs), np.dtype((np.int64, 5))).T
-    if not job.size:
+    lanes = np.fromiter(_lanes(jobs), np.dtype((np.int64, 9))).T
+    if not lanes.shape[1]:
         return np.zeros((5, 0), np.int64)
-    final, par = _power_states(a, b, c, p), (b * b - 4 * a * c) % (p * p)
-    done = (final[0] == 1) & (final[3] == 1)
-    return np.stack([job, final[1], final[2], p, par])[:, done]
+    job, final = lanes[0], _power_states(lanes[1:])
+    p, done = final[7], (final[0] == 1) & (final[5] == 1)
+    return np.stack([job, final[3], final[4], p, -final[6] % (p * p)])[:, done]
 
 
-def _lanes(jobs: Iterable[tuple[QuadForm, int]]) -> Iterator[tuple[int, int, int, int, int]]:
-    """(job, a, b, c, p) for each job that starts on a lane, (a, b, c) its coprime form."""
+def _lanes(jobs: Iterable[tuple[QuadForm, int]]) -> Iterator[tuple[int, ...]]:
+    """The job and the first state rows of _power_states of each job that starts on a lane.
+
+    The state is (f, 1) with f = (a, b, c) = coprime_representative(form, p).
+    """
     for i, (form, p) in enumerate(jobs):
         try:
-            f = coprime_representative(form, p)
+            a, b, c = coprime_representative(form, p)
         except (ValueError, InvariantViolation):
             continue
         if p * p < _RING_LIMIT:
-            yield i, *f, p
+            yield i, a, b, c, 1, 0, 1, 4 * a * c - b * b, p
 
 
 def _fits(a1: np.ndarray, a2: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -318,57 +307,43 @@ def _fits(a1: np.ndarray, a2: np.ndarray, w: np.ndarray) -> np.ndarray:
     return n * (4 * n + w) <= _STATE_BOUND
 
 
-def _power_states(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """square_and_multiply((f, 1), p, _state_product) lane by lane: rows a, g0, g1, fits at the end.
+def _power_states(s: np.ndarray) -> np.ndarray:
+    """square_and_multiply((f, 1), p, _state_product) on every column of s, in place.
 
-    f = (a, b, c) and p are the lanes' starts and exponents.  Each
-    round squares every state and multiplies those whose next bit of p is
-    set by the base (f, 1), bit_length(p) - 1 squarings and popcount(p) - 1
-    products per lane, as torsion_power_generator makes.  Before each
-    product the lanes that fail _fits leave, with fits 0 and their state
-    unfinished; a lane leaves after its last bit with its final state.
+    The rows of s are a lane's state, f = (a, b, c) and g = (g0, g1), its
+    fits, |D| and the exponent p.  quadform._square_and_multiply_lanes
+    makes bit_length(p) - 1 squarings and popcount(p) - 1 products per
+    lane, as torsion_power_generator does.  Before each product, a lane
+    that fails _fits gets fits = 0, and its state stays as it was from then
+    on.
     """
-    w, m = 4 * a * c - b * b, p * p
-    # rows: the state a, b, c, g0, g1; the base a, b, c; |D|, p, p^2, D mod p^2
-    s = np.stack([a, b, c, np.ones_like(a), np.zeros_like(a), a, b, c, w, p, m, -w % m])
-    del w, m  # s holds them: the lanes' temporaries set the peak RSS
-    out = np.zeros((4, a.size), np.int64)
-    live, left = np.arange(a.size), np.frexp(p)[1] - 1  # bits of p below those the state holds
-    fits = np.ones(a.size, bool)
-    while live.size:
-        if (leave := (left == 0) | ~fits).any():
-            out[:3, live[leave]] = s[[0, 3, 4]][:, leave]
-            out[3, live[leave]] = fits[leave]
-            stay = ~leave
-            s, live, left, fits = s[:, stay], live[stay], left[stay], fits[stay]
-            continue
-        left -= 1
-        fits = _fits(s[0], s[0], s[8])
-        _product_where(s, fits, square=True)
-        if (mul := fits & (s[9] >> left & 1 == 1)).any():
-            fits &= ~mul | _fits(s[0], s[5], s[8])
-            _product_where(s, mul & fits, square=False)
-    return out
+
+    def product(t, u):
+        fits = t[5] == 1
+        fits &= _fits(t[0], u[0], t[6])
+        t[5] = fits
+        one = t if fits.all() else t[:, fits]
+        two = one if u is t else u if fits.all() else u[:, fits]
+        f1, g1 = tuple(one[:3]), tuple(one[3:5])
+        f2, g2 = (f1, g1) if two is one else (tuple(two[:3]), tuple(two[3:5]))
+        f, g = _state_lanes(f1, g1, f2, g2, *one[6:])
+        for row, y in zip(t, f + g):
+            row[fits] = y
+        return t
+
+    return _square_and_multiply_lanes(s, s[7], product)
 
 
-def _product_where(s: np.ndarray, sel: np.ndarray, square: bool) -> None:
-    """The state columns sel of s times themselves (square) or their base, in place."""
-    t = s if sel.all() else s[:, sel]
-    f1, g1 = tuple(t[:3]), tuple(t[3:5])
-    f2, g2 = (f1, g1) if square else (tuple(t[5:8]), (np.ones_like(t[0]), np.zeros_like(t[0])))
-    f, g = _state_lanes(f1, g1, f2, g2, *t[8:])
-    for row, y in zip(s, f + g):
-        row[sel] = y
-
-
-def _state_lanes(f1, g1, f2, g2, w, p, m, par) -> tuple[tuple, tuple]:
+def _state_lanes(f1, g1, f2, g2, w, p) -> tuple[tuple, tuple]:
     """_state_product lane by lane, with its four checks (_ideal_lanes); f2 is f1 for a square.
 
-    w = |D|, and m = p^2 and par = D mod m describe each lane's ring.  The
+    w = |D|, and the ring is O/m for m = p^2, with par = D mod m.  The
     ring product reduces mod m between factors: p^6 passes 2^63 from
     p = 1,449 on, and p reaches 4,937 below |D| = 1e7.
     """
     f, (mu0, mu1) = _ideal_lanes(f1, f2, w, p)
+    m = p * p
+    par = -w % m
     k = _xgcd_lanes(f[0], m)[1] * ((m + 1) // 2) % m  # the image of mu / a: 1/(2a) times (u, v)
     e = (mu0 % m * k % m, mu1 % m * k % m)
     return f, _ring_mul(_ring_mul(g1, g2, m, par), e, m, par)

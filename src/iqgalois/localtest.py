@@ -15,9 +15,9 @@ finite quotient ring is an independent oracle for p <= 23, and the
 production path for every context with local p-power torsion: p = 2, and
 p = 3 ramified with a local cube root of unity.  _injective_lanes runs the
 closed forms and injectivity_test on int64 lanes, every (field, p) of a
-survey block at once (classify.lane_statuses); build_context,
-local_unit_image and injectivity_test stay the oracle and the route of
-everything else.
+survey block at once (classify.lane_statuses), its unit power by
+quadform._square_and_multiply_lanes; build_context, local_unit_image and
+injectivity_test stay the oracle and the route of everything else.
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ import numpy as np
 from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power, square_and_multiply
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
 from .idealgen import _ring_mul, explicit_power_generator
-from .quadform import _xgcd_lanes, two_torsion_basis
+from .quadform import _square_and_multiply_lanes, _xgcd_lanes, two_torsion_basis
 
 
 class NotLocalUnit(InvariantViolation):
@@ -325,8 +325,9 @@ def _injective_lanes(x, y, p, par, first, second) -> np.ndarray:
     also under python -O: NotLocalUnit when N(g) = 0 mod p, and
     InvariantViolation when beta = g^e is not 1 mod p (mod pi where p
     ramifies), as in local_unit_image.  e is p^2 - 1 where p is unramified
-    and p - 1 where it ramifies; beta comes by square-and-multiply from
-    each lane's top bit.
+    and p - 1 where it ramifies; beta comes from
+    quadform._square_and_multiply_lanes, whose state rows are the image
+    (x, y) and the ring's p^2 and D mod p^2.
 
     Unramified p: u = ((X - 1)/p, Y/p) mod p for beta = (X, Y), which are
     local_unit_image's coordinates at inert p.  At split p, with r^2 = D
@@ -346,15 +347,12 @@ def _injective_lanes(x, y, p, par, first, second) -> np.ndarray:
         raise NotLocalUnit(f"lane {i}: ({x[i]}, {y[i]}) has norm divisible by {p[i]}")
     ramified = par % p == 0
     e = np.where(ramified, p - 1, m - 1)
-    beta, left = (x, y), np.frexp(e)[1] - 1  # bits of e below those beta holds
-    for _ in range(int(left.max(initial=0))):
-        on = left > 0
-        left -= on
-        square = _ring_mul(beta, beta, m, par)
-        product = _ring_mul(square, (x, y), m, par)
-        mul = on & (e >> left & 1 == 1)
-        beta = tuple(np.where(mul, t, np.where(on, s, b)) for t, s, b in zip(product, square, beta))
-    X, Y = beta
+
+    def product(t, u):
+        t[0], t[1] = _ring_mul(t, u, t[2], t[3])
+        return t
+
+    X, Y = _square_and_multiply_lanes(np.stack([x, y, m, par]), e, product)[:2]
     if (bad := ((X - 1) % p != 0) | (~ramified & (Y % p != 0))).any():
         i = int(np.flatnonzero(bad)[0])
         raise InvariantViolation(

@@ -36,10 +36,13 @@ classify, tables, verify and table3 take.  class_groups, the route of a
 survey block, runs the steps of many fields side by side, at most about
 LANES at a time, answers each round of requests with one lock-step numpy
 kernel on int64 lanes (_power_lanes: Shanks composition from lock-step
-extended gcds, a masked reduction loop, square_and_multiply's order from
-each lane's top bit down), which keeps both checks of compose_unreduced, and
-yields the groups in field order once every round is done.  int64 is
-exact for |D| up to LANE_LIMIT = 4.5e9; a field past it is class_group.
+extended gcds and a masked reduction loop), which keeps both checks of
+compose_unreduced, and yields the groups in field order once every round
+is done.  int64 is exact for |D| up to LANE_LIMIT = 4.5e9; a field past it
+is class_group.  _square_and_multiply_lanes is square_and_multiply on
+every lane at once, from each lane's top bit down, under the product its
+caller passes: the one loop of _power_lanes and of the generator and
+local-unit kernels of idealgen and localtest.
 """
 
 import functools
@@ -227,7 +230,7 @@ def _xgcd_lanes(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     floor of a float64 quotient of integers below 2^53 is the integer
     quotient.  Its callers stay far below: m is a leading coefficient of
     _compose_lanes, below sqrt(LANE_LIMIT/3) < 2^16 for reduced forms and
-    at most 2^29 for the states of idealgen.lane_generators, or a modulus
+    at most 2^29 for the states of idealgen._generator_lanes, or a modulus
     p^2 < 2^31 there.
     """
     one, two = np.zeros((2, m.size)), np.zeros((2, m.size))
@@ -261,7 +264,7 @@ def _compose_lanes(
     remainder, raise InvariantViolation.
     Every product stays in int64, and the gcds exact in float64, for the
     reduced forms of _power_lanes (see LANE_LIMIT) and for the unreduced
-    states of idealgen.lane_generators: there a1*a2 <= 2^29, so b3^2 < 2^60,
+    states of idealgen._generator_lanes: there a1*a2 <= 2^29, so b3^2 < 2^60,
     and the states have b^2 <= 3|D| and a*c <= |D| (idealgen._fits).
     """
     a1, b1, c1 = f
@@ -326,37 +329,50 @@ def _reduce_lanes(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarr
     return a, b, c
 
 
+def _square_and_multiply_lanes(s: np.ndarray, n: np.ndarray, mul) -> np.ndarray:
+    """arith.square_and_multiply on every column of the int64 rows s at once, for 1 <= n < 2^53.
+
+    Column j is the state of lane j, raised to n[j] from the top bit of
+    n[j] (np.frexp, exact below 2^53) down: bit_length(n) - 1 squarings and
+    popcount(n) - 1 products by the lane's first state, its column of s.
+    mul(t, u) returns the rows of the products of the columns of t by those
+    of u, u is t for a square, and may write them into t.  Each step
+    squares every live lane and multiplies those whose bit is set.  A lane
+    leaves after its last bit, its final state written into its column of
+    s, which is returned.  Any other n raises ValueError before mul runs.
+    """
+    if (bad := (n < 1) | (n >= 2**53)).any():
+        raise ValueError(f"exponent {n[bad][0]} is not in [1, 2^53)")
+    acc, live = s.copy(), np.arange(n.size)
+    left = np.frexp(n)[1] - 1  # bits of n below those acc holds
+    while live.size:
+        if (done := left == 0).any():
+            s[:, live[done]] = acc[:, done]
+            go = ~done
+            live, n, left, acc = live[go], n[go], left[go], acc[:, go]
+            continue
+        left -= 1
+        acc = mul(acc, acc)
+        if (bit := n >> left & 1 == 1).any():
+            acc[:, bit] = mul(acc[:, bit], s[:, live[bit]])
+    return s
+
+
 def _power_lanes(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, n: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """power(f, n) lane by lane, for 1 <= n < 2^53 and |D| <= LANE_LIMIT: the lock-step kernel.
 
-    arith.square_and_multiply on all lanes at once, each from its top bit
-    (np.frexp, exact below 2^53) down: bit_length(n) - 1 squarings of acc
-    and popcount(n) - 1 products by the reduced f, as power makes, each a
-    _compose_lanes and a _reduce_lanes.  A lane leaves after its last bit,
-    with its result.  Any other n raises ValueError before any composition.
+    _square_and_multiply_lanes on the reduced f, each product a
+    _compose_lanes and a _reduce_lanes, as power makes them.  Any other n
+    raises ValueError before any composition.
     """
-    if (bad := (n < 1) | (n >= 2**53)).any():
-        raise ValueError(f"exponent {n[bad][0]} is not in [1, 2^53)")
-    x = _reduce_lanes(a, b, c)
-    acc, out = x, tuple(np.empty_like(n) for _ in range(3))
-    live, left = np.arange(n.size), np.frexp(n)[1] - 1  # bits of n below those acc holds
-    while live.size:
-        if (done := left == 0).any():
-            for o, y in zip(out, acc):
-                o[live[done]] = y[done]
-            go = ~done
-            live, n, left = live[go], n[go], left[go]
-            x, acc = tuple(y[go] for y in x), tuple(y[go] for y in acc)
-            continue
-        left -= 1
-        acc = _reduce_lanes(*_compose_lanes(acc, acc)[1])
-        if (mul := n >> left & 1 == 1).any():
-            prod = _reduce_lanes(*_compose_lanes(*(tuple(y[mul] for y in f) for f in (acc, x)))[1])
-            for y, z in zip(acc, prod):
-                y[mul] = z
-    return out
+
+    def product(t, u):
+        f = tuple(t)
+        return np.stack(_reduce_lanes(*_compose_lanes(f, f if u is t else tuple(u))[1]))
+
+    return tuple(_square_and_multiply_lanes(np.stack(_reduce_lanes(a, b, c)), n, product))
 
 
 def enumerate_reduced_forms(D: int) -> list[QuadForm]:

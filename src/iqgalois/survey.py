@@ -18,11 +18,12 @@ which a field is quadform.class_group.  It then decides the status at
 every odd p of every field with one call of classify.lane_statuses: the
 images in O/p^2 of the generators of the torsion basis forms come from
 products of states in lock-step while they fit int64, and their local test
-from one lock-step ring power; a (field, p) the lanes leave is
-classify.status_at_odd_prime at its field.  The rows are those of
-classifying each field alone, with class_group and status_at_odd_prime as
-the oracles.  Tables and the verify sweeps classify field by field on the
-scalar route.
+from one lock-step ring power; both powers, like those of the class
+groups, run on quadform._square_and_multiply_lanes.  A (field, p) the
+lanes leave is classify.status_at_odd_prime at its field.  The rows are
+those of classifying each field alone, with class_group and
+status_at_odd_prime as the oracles.  Tables and the verify sweeps classify
+field by field on the scalar route.
 """
 
 import contextlib
@@ -110,6 +111,8 @@ def fundamental_mask(lo: int, hi: int) -> np.ndarray:
     from one numpy remainder; only the d^2 with a multiple in the window
     take a slice, so a narrow window costs no loop over all d.
     """
+    if hi < lo:
+        raise ValueError(f"|D| range [{lo}, {hi}) ends before it starts")
     mask = np.resize(np.roll(_RESIDUES_16, -lo), hi - lo)  # mask[j] for |D| = lo + j
     squares = np.arange(3, math.isqrt(hi - 1) + 1, 2, dtype=np.int64) ** 2
     offsets = -lo % squares

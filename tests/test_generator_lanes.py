@@ -1,6 +1,6 @@
 """The lock-step generator kernel against the scalar torsion_power_generator.
 
-idealgen.lane_generators runs the products of states of many (form, p)
+idealgen._generator_lanes runs the products of states of many (form, p)
 jobs side by side, one numpy round per bit of p; torsion_power_generator
 runs them one job at a time and is the oracle here.  Every job of two
 census windows that the kernel answers must give the same ring element
@@ -19,7 +19,7 @@ import pytest
 from iqgalois import idealgen, survey
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import kronecker_at, validate
-from iqgalois.idealgen import NotPrincipal, lane_generators, torsion_power_generator
+from iqgalois.idealgen import NotPrincipal, _generator_lanes, torsion_power_generator
 from iqgalois.localtest import build_context
 from iqgalois.quadform import ClassNumberAmbiguous, _prime_form_pool, class_group, power
 from iqgalois.survey import class_numbers_range
@@ -32,7 +32,12 @@ def _jobs(lo: int, hi: int) -> list:
 
 
 def _on_lanes(jobs: list) -> list:
-    return lane_generators([(form, p) for form, p, _ in jobs])
+    """The kernel's image of each job, or None for a job it leaves to the scalar route."""
+    out: list = [None] * len(jobs)
+    job, x, y, _, _ = _generator_lanes([(form, p) for form, p, _ in jobs])
+    for i, g in zip(job.tolist(), zip(x.tolist(), y.tolist())):
+        out[i] = g
+    return out
 
 
 @pytest.mark.parametrize("lo, past", [(10**6, 0), (10**7, 5)])
@@ -89,7 +94,7 @@ def _not_torsion(d, p: int):
 def test_class_not_p_torsion_is_left_to_the_scalar_route():
     d = validate(-1000003)
     f = _not_torsion(d, 3)
-    assert lane_generators([(f, 3)]) == [None]
+    assert _generator_lanes([(f, 3)]).shape == (5, 0)
     with pytest.raises(NotPrincipal, match=r"^\(13,3,19231\) to the power 3 is not principal"):
         torsion_power_generator(f, 3, build_context(d, 3).ring)
 
@@ -168,7 +173,7 @@ basis, compose, xgcd = idealgen._basis_lanes, idealgen._compose_lanes, quadform.
 def test_kernel_checks_raise_under_optimize(patch, message, run_optimized):
     script = KERNEL_SETUP + patch + "\n" + (
         "try:\n"
-        "    idealgen.lane_generators(jobs)\n"
+        "    idealgen._generator_lanes(jobs)\n"
         "except InvariantViolation as exc:\n"
         "    print(exc)\n"
     )
@@ -210,7 +215,7 @@ def test_not_principal_raises_at_its_field_under_optimize(run_optimized):
         ),
         (
             "idealgen._compose_lanes = lambda f, g: (lambda d, t: (2 * d, t))(*compose(f, g))\n",
-            "idealgen.lane_generators(jobs)",
+            "idealgen._generator_lanes(jobs)",
         ),
     ],
     ids=["scalar", "lanes"],

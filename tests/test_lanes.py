@@ -8,7 +8,8 @@ form both ways, with power's count of products, a scan block must give the
 same CSV bytes as classifying its fields one by one, a narrow window of
 steps in flight must give the same groups, the block must leave the garbage
 collector as it found it, the kernel's checks must raise also under
-python -O, an exponent below 1 must be refused, errors must surface at the
+python -O, an exponent below 1 must be refused, also by the loop of all
+three lane kernels before its first product, errors must surface at the
 field that raised them, and a field past the kernel's int64 bound must take
 the scalar route.
 """
@@ -70,6 +71,27 @@ def test_kernel_refuses_exponents_below_one(deadline):
     # past 2^53 np.frexp may round n up to the next power of 2, a wrong top bit
     with pytest.raises(ValueError, match="exponent 9007199254740992 "):
         quadform._lane_powers([f], [2**53])
+    # _square_and_multiply_lanes, the loop of all three lane kernels, refuses
+    # them before its first product
+    calls = []
+
+    def recording(t, u):  # products of integers mod 1009, one row
+        calls.append(("square" if u is t else "product", t.shape[1]))
+        return t * u % 1009
+
+    def powers(exponents):
+        n = np.array(exponents, dtype=np.int64)
+        return quadform._square_and_multiply_lanes(np.full((1, n.size), 7), n, recording)[0]
+
+    for exponents, shown in (([3, 0], "0"), ([-1, 5], "-1"), ([2, 2**53], "9007199254740992")):
+        with pytest.raises(ValueError, match=f"^exponent {shown} is not in"):
+            powers(exponents)
+    assert calls == []
+    # a lane at n = 1 takes no product; the rest square_and_multiply's count
+    exponents = [1, 2, 13, 2**52 + 1]
+    assert powers(exponents).tolist() == [pow(7, n, 1009) for n in exponents]
+    assert sum(k for kind, k in calls if kind == "square") == 0 + 1 + 3 + 52
+    assert sum(k for kind, k in calls if kind == "product") == 0 + 0 + 2 + 1
 
 
 def test_scan_block_matches_fields_one_by_one(csv_bytes):

@@ -6,21 +6,25 @@ localtest._injective_lanes; status_at_odd_prime, on build_context,
 local_unit_image and injectivity_test, is the oracle here.  Every status of
 three census windows must agree; the p = 3 contexts with a local cube root
 of unity must go to the enumerative engine, and the tests with an image the
-lanes left must have no status; the lane checks must raise at once, also
-under python -O; and on random units of small rings, triviality and rank-2
-independence must agree with the scalar closed forms.
+lanes left must have no status; the ring power must make
+square_and_multiply's count of products; a block's lane scratch must stay
+small; the lane checks must raise at once, also under python -O; and on
+random units of small rings, triviality and rank-2 independence must agree
+with the scalar closed forms.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqgalois import survey
+from iqgalois import localtest, survey
 from iqgalois.classify import lane_statuses, status_at_odd_prime
 from iqgalois.discriminant import RAMIFIED, kronecker_at, validate
+from iqgalois.idealgen import _generator_lanes
 from iqgalois.localtest import _injective_lanes, build_context, injectivity_test, local_unit_image
 from iqgalois.quadform import class_groups
 from iqgalois.survey import _odd_bases, class_numbers_range
@@ -63,6 +67,42 @@ def test_lane_statuses_replay_the_scalar_test(lo, hi, left, monkeypatch):
     torsion = [(d.value, p, True) for (d, _, p, _), s in zip(tests, lanes) if _torsion(d, p) and s]
     assert engine == torsion and len(torsion) > 10
     assert {s for s in scalar} == {"injective", "noninjective"}
+
+
+def test_local_power_makes_square_and_multiply_s_products(monkeypatch):
+    # per lane bit_length(e) - 1 squarings and popcount(e) - 1 products by g,
+    # e = p - 1 where p ramifies and p^2 - 1 elsewhere
+    tests = _tests(10**6, 10**6 + 2000)
+    _, x, y, p, par = _generator_lanes((f, p) for _, _, p, basis in tests for f in basis)
+    assert x.size > 900 and p.max() > 1000
+    lanes = 0
+    ring_mul = localtest._ring_mul
+
+    def counting(g, h, m, par):
+        nonlocal lanes
+        lanes += m.size
+        return ring_mul(g, h, m, par)
+
+    monkeypatch.setattr(localtest, "_ring_mul", counting)
+    every = np.arange(x.size)
+    _injective_lanes(x, y, p, par, every, every)
+    e = [q - 1 if r % q == 0 else q * q - 1 for q, r in zip(p.tolist(), par.tolist())]
+    assert any(q - 1 == n for q, n in zip(p.tolist(), e))
+    assert lanes == sum(n.bit_length() - 1 + n.bit_count() - 1 for n in e)
+
+
+def test_lane_statuses_scratch_stays_small():
+    tests = _tests(10**6, 10**6 + survey.BLOCK_SIZE)
+    lane_statuses(tests)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        lane_statuses(tests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kernels with a square-and-multiply loop each peaked at 1,752,139 bytes
+    # here; with one shared loop they keep within 10 % of it
+    assert peak <= 1_927_000
 
 
 def test_torsion_congruence_is_build_context_s():

@@ -113,12 +113,17 @@ def test_sieve_rejects_start_below_3():
         reduced_form_counts(2, 100)
 
 
-def test_sieve_rejects_a_range_that_ends_before_it_starts():
-    with pytest.raises(ValueError, match="ends before it starts"):
-        reduced_form_counts(100, 90)
+@pytest.mark.parametrize("sieve", [reduced_form_counts, fundamental_mask], ids=lambda f: f.__name__)
+def test_sieve_rejects_a_range_that_ends_before_it_starts(sieve):
+    with pytest.raises(ValueError, match=r"^\|D\| range \[100, 90\) ends before it starts$"):
+        sieve(100, 90)
 
 
+@pytest.mark.parametrize(
+    "sieve, dtype", [(reduced_form_counts, np.int64), (fundamental_mask, np.bool_)],
+    ids=["reduced_form_counts", "fundamental_mask"],
+)
 @pytest.mark.parametrize("lo", [3, 100, 10**7])
-def test_sieve_of_an_empty_range_is_empty(lo):
-    counts = reduced_form_counts(lo, lo)
-    assert counts.size == 0 and counts.dtype == np.int64
+def test_sieve_of_an_empty_range_is_empty(lo, sieve, dtype):
+    out = sieve(lo, lo)
+    assert out.size == 0 and out.dtype == dtype
