@@ -45,7 +45,7 @@ from _entry import run, sha256, timed_alternating
 
 # [lo, hi) bands of |D|: all of |D| < 2e4, and one 1e4-block at 1e6 and at 1e7
 BANDS = ((3, 20_000), (10**6, 10**6 + 10**4), (10**7, 10**7 + 10**4))
-REPEATS = 5
+REPEATS = 11
 CLASSIFY = (-100000007, -1000000007, -100000000003)
 CLASSIFY_REPEATS = 3
 

@@ -194,15 +194,15 @@ def status_at_prime(
 
 def classify_validated(
     d: FundamentalDiscriminant,
-    known_h: int | None = None,
     short_circuit: bool = True,
     cg: ClassGroupStructure | None = None,
     statuses: dict[int, str] | None = None,
 ) -> ClassificationRecord:
-    """The verdict for d, on its class group cg, built from known_h when not given.
+    """The verdict for d, on its class group cg, class_group(d) when not given.
 
-    The survey passes cg from quadform.class_groups, which builds a block's
-    class groups at once, and by odd p the statuses that lane_statuses
+    A caller with a trusted class number passes cg = class_group(d,
+    known_h=h): table1 its sieve's count, a survey block the groups of
+    quadform.class_groups, with by odd p the statuses that lane_statuses
     decides for the whole block at once; a p without one takes
     status_at_prime.  The 2-rank check below holds either way.
     """
@@ -211,7 +211,7 @@ def classify_validated(
     if D in (-4, -8):
         return ClassificationRecord(D, 1, (), 0, (), EXCEPTIONAL, False, torsion)
     if cg is None:
-        cg = class_group(d, known_h=known_h)
+        cg = class_group(d)
     two_rank = genus_two_rank(d)
     if two_rank != cg.p_rank(2):
         raise InvariantViolation(f"genus 2-rank {two_rank} differs from the class group's at D={D}")

@@ -407,7 +407,10 @@ def _ideal_lanes(f1, f2, w, p) -> tuple[tuple, tuple]:
 
 
 def _ring_mul(x, y, m, par) -> tuple:
-    """LocalRing.mul of the 'sqrt' kind lane by lane, reduced mod m between factors."""
+    """(x0 + x1 s)(y0 + y1 s) in (Z/m)[s] with s^2 = par: LocalRing.mul of the 'sqrt' kind.
+
+    On Python ints or lane by lane on int64 arrays, reduced mod m between factors.
+    """
     return (x[0] * y[0] + x[1] * y[1] % m * par) % m, (x[0] * y[1] + x[1] * y[0]) % m
 
 

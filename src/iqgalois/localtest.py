@@ -67,10 +67,7 @@ class LocalRing:
     def mul(self, x: Elt, y: Elt) -> Elt:
         m = self.mod
         if self.kind == "sqrt":
-            return (
-                (x[0] * y[0] + x[1] * y[1] * self.par) % m,
-                (x[0] * y[1] + x[1] * y[0]) % m,
-            )
+            return _ring_mul(x, y, m, self.par)
         cross = x[0] * y[1] + x[1] * y[0] + x[1] * y[1]
         return ((x[0] * y[0] - self.par * x[1] * y[1]) % m, cross % m)
 

@@ -39,10 +39,11 @@ kernel on int64 lanes (_power_lanes: Shanks composition from lock-step
 extended gcds and a masked reduction loop), which keeps both checks of
 compose_unreduced, and yields the groups in field order once every round
 is done.  int64 is exact for |D| up to LANE_LIMIT = 4.5e9; a field past it
-is class_group.  _square_and_multiply_lanes is square_and_multiply on
-every lane at once, from each lane's top bit down, under the product its
-caller passes: the one loop of _power_lanes and of the generator and
-local-unit kernels of idealgen and localtest.
+takes every power from the scalar power inside the same rounds.
+_square_and_multiply_lanes is square_and_multiply on every lane at once,
+from each lane's top bit down, under the product its caller passes: the
+one loop of _power_lanes and of the generator and local-unit kernels of
+idealgen and localtest.
 """
 
 import functools
@@ -830,17 +831,17 @@ def class_groups(
     """class_group(d, known_h=h) for each (d, h) in fields, in order, their powers in lock-step.
 
     Every round first admits fields, in order, while fewer than LANES Sylow
-    steps are in flight, which bounds the memory that suspended steps hold;
-    a field past LANE_LIMIT is never admitted.  Each lane, a step of one
-    field, then runs until it asks for a power with n >= 2 (a smaller n gets
-    the scalar power at once) or ends, its value or exception kept with its
-    field by q; the round answers every request with one _power_lanes call.
+    steps are in flight, which bounds the memory that suspended steps hold.
+    Each lane, a step of one field, then runs until it asks for a power with
+    n >= 2 (a smaller n gets the scalar power at once) or ends, its value or
+    exception kept with its field by q; the round answers every request with
+    one _power_lanes call.  A lane of a field past LANE_LIMIT gets every
+    power from the scalar power, so it ends in the round that admits it.
     When all rounds are done, the groups are yielded in field order, each
-    field's entries released as it goes.  A field past LANE_LIMIT is
-    class_group itself, the scalar route, at its turn.  An exception is
-    raised at its field, the one of its smallest q first: what a loop over
-    class_group, which walks q in ascending order, raises first.  An
-    InvariantViolation of the kernel, a broken product, is raised at once.
+    field's entries released as it goes.  An exception is raised at its
+    field, the one of its smallest q first: what a loop over class_group,
+    which walks q in ascending order, raises first.  An InvariantViolation
+    of the kernel, a broken product, is raised at once.
     Sylow walks (_adjoin), Smith-form bases and the 4-rank-2 reduction's
     product stay scalar, inside the steps.  A caller with thousands of
     fields pauses the cyclic collector, as _scan_block does for its block.
@@ -851,24 +852,23 @@ def class_groups(
     while True:
         while len(lanes) < LANES and (i := next(waiting, None)) is not None:
             d, h = fields[i]
-            if d.value < -LANE_LIMIT:
-                continue
             try:
                 steps = _sylow_steps(d, h)
             except Exception as exc:  # raised by class_groups, at this field
                 entries[i] = exc
                 continue
             entries[i] = dict.fromkeys(q for q, _ in steps)
-            lanes.extend((entries[i], q, step) for q, step in steps)
+            scalar = d.value < -LANE_LIMIT
+            lanes.extend((entries[i], q, step, scalar) for q, step in steps)
             results.extend([None] * len(steps))
         if not lanes:
             break
         asked, forms, exponents = [], [], []
         for lane, result in zip(lanes, results):
-            sylow, q, step = lane
+            sylow, q, step, scalar = lane
             try:
                 f, n = step.send(result)
-                while n < 2:
+                while n < 2 or scalar:
                     f, n = step.send(power(f, n))
             except StopIteration as stop:
                 sylow[q] = stop.value
@@ -880,9 +880,6 @@ def class_groups(
                 exponents.append(n)
         lanes, results = asked, _lane_powers(forms, exponents) if asked else []
     for i, (d, h) in enumerate(fields):
-        if d.value < -LANE_LIMIT:
-            yield class_group(d, known_h=h)
-            continue
         sylow, entries[i] = entries[i], None
         for failed in [sylow] if isinstance(sylow, Exception) else sylow.values():
             if isinstance(failed, Exception):

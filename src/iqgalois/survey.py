@@ -13,17 +13,18 @@ classified independently (pure functions), so worker count cannot change
 the output, and a checkpoint after every block makes interrupted scans
 resumable without recomputation.  A block builds the class groups of all
 its fields with one call of quadform.class_groups, whose powers run in
-lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9), past
-which a field is quadform.class_group.  It then decides the status at
-every odd p of every field with one call of classify.lane_statuses: the
-images in O/p^2 of the generators of the torsion basis forms come from
-products of states in lock-step while they fit int64, and their local test
-from one lock-step ring power; both powers, like those of the class
-groups, run on quadform._square_and_multiply_lanes.  A (field, p) the
-lanes leave is classify.status_at_odd_prime at its field.  The rows are
-those of classifying each field alone, with class_group and
-status_at_odd_prime as the oracles.  Tables and the verify sweeps classify
-field by field on the scalar route.
+lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9); past
+it a field takes the scalar power inside the same rounds.  It then decides
+the status at every odd p of every field with one call of
+classify.lane_statuses: the images in O/p^2 of the generators of the
+torsion basis forms come from products of states in lock-step while they
+fit int64, and their local test from one lock-step ring power; both
+powers, like those of the class groups, run on
+quadform._square_and_multiply_lanes.  A (field, p) the lanes leave is
+classify.status_at_odd_prime at its field.  The rows are those of
+classifying each field alone, with class_group and status_at_odd_prime as
+the oracles.  Tables and the verify sweeps classify field by field on the
+scalar route.
 """
 
 import contextlib
@@ -41,8 +42,8 @@ import numpy as np
 from .arith import is_prime
 from .classify import ClassificationRecord, classify_validated, lane_statuses, status_at_prime
 from .discriminant import FundamentalDiscriminant, kronecker_at, validate
-from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_groups
-from .quadform import p_torsion_basis
+from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_group
+from .quadform import class_groups, p_torsion_basis
 
 BLOCK_SIZE = 10_000
 # Scratch elements of one run of a in reduced_form_counts: its (a, c) cells plus its expected pairs
@@ -68,7 +69,7 @@ class SurveyConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        if self.d_min >= self.d_max:
+        if self.d_min > self.d_max:
             raise InvalidConfig(f"empty |D| range [{self.d_min}, {self.d_max}]")
         if not self.primes:
             raise InvalidConfig("no primes to track")
@@ -248,17 +249,6 @@ def _blocks(lo: int, hi: int, width: int, first: int | None = None) -> Iterator[
         step = min(2 * step, width)
 
 
-def _classify_row(
-    d: FundamentalDiscriminant,
-    cg: ClassGroupStructure,
-    statuses: dict[int, str],
-    primes: tuple[int, ...],
-) -> SurveyRow:
-    record = classify_validated(d, short_circuit=False, cg=cg, statuses=statuses)
-    tags = tuple((p, kronecker_at(d, p)) for p in primes)
-    return SurveyRow(record, tags)
-
-
 def _odd_bases(cg: ClassGroupStructure) -> Iterator[tuple[int, list]]:
     """(p, p_torsion_basis(cg, p)) at each odd p | h whose basis does not overflow its rank."""
     for p in cg.sylow:
@@ -291,7 +281,8 @@ def _block_rows(
     for k, ((d, _), cg) in enumerate(zip(fields, groups)):
         # bases[k] first: zip stops at its end without drawing from statuses
         known = {p: s for (p, _), s in zip(bases[k], statuses) if s is not None}
-        rows.append(_classify_row(d, cg, known, primes))
+        record = classify_validated(d, short_circuit=False, cg=cg, statuses=known)
+        rows.append(SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
         groups[k] = bases[k] = None
     return rows
 
@@ -387,13 +378,18 @@ class _Checkpoint:
                 yield SurveyRow.from_dict(json.loads(fh.readline()))
 
     def append_block(self, rows: list[SurveyRow]) -> None:
-        data = "".join(
-            json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":")) + "\n" for row in rows
-        ).encode()
+        """Append a block's rows, one line at a time, then replace the state file.
+
+        Each line goes to the rows file and the digest as it is made, so no
+        copy of the whole block's serialization is ever held.
+        """
         with open(self.rows_path, "ab") as fh:
-            fh.write(data)
-        self.digest.update(data)
-        self.rows_bytes += len(data)
+            for row in rows:
+                line = json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+                data = line.encode()
+                fh.write(data)
+                self.digest.update(data)
+                self.rows_bytes += len(data)
         self.blocks_done += 1
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -500,7 +496,7 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
         for m, h in class_numbers_range(lo, hi):
             if h <= max_p and is_prime(h):
                 d = validate(-m)
-                record = classify_validated(d, known_h=h)
+                record = classify_validated(d, cg=class_group(d, known_h=h))
                 per_p.setdefault(h, []).append((m, record.verdict))
     out = {}
     for p in sorted(per_p):

@@ -60,7 +60,7 @@ def test_rank_overflow_paths():
     r420 = classify(-420)  # 2-rank 3
     assert r420.status_at(2) == "rank_overflow" and r420.verdict == "NOT_MINIMAL"
     d = validate(-3321607)
-    r = classify_validated(d, known_h=567)
+    r = classify_validated(d, cg=class_group(d, known_h=567))
     assert r.status_at(3) == "rank_overflow" and r.verdict == "NOT_MINIMAL"
 
 

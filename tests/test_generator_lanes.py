@@ -67,7 +67,7 @@ def _rows_one_by_one(lo: int, hi: int, primes: tuple[int, ...]) -> list:
     rows = []
     for m, h in class_numbers_range(lo, hi):
         d = validate(-m)
-        record = classify_validated(d, known_h=h, short_circuit=False)
+        record = classify_validated(d, short_circuit=False, cg=class_group(d, known_h=h))
         rows.append(survey.SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
     return rows
 
@@ -84,6 +84,16 @@ def test_jobs_past_a_lane_bound_take_the_scalar_route(bound, value, monkeypatch)
     stayed = [(job, g) for job, g in zip(jobs, got) if g is not None]
     assert [g for _, g in stayed] == [torsion_power_generator(*job) for job, _ in stayed]
     assert survey._scan_block((lo, hi, (3, 5))) == _rows_one_by_one(lo, hi, (3, 5))
+
+
+def test_odd_rank_overflow_in_a_scan_block():
+    # Cl(-3321607) = Z/3 x Z/3 x Z/63: its 3-rank 3 has no lane job, and the
+    # row takes rank_overflow from status_at_prime at its field
+    lo, hi, primes = 3321600, 3321700, (2, 3, 5, 7)
+    rows = survey._scan_block((lo, hi, primes))
+    assert rows == _rows_one_by_one(lo, hi, primes)
+    (row,) = [r for r in rows if r.record.discriminant == -3321607]
+    assert row.record.per_prime == ((3, "rank_overflow"), (7, "injective"))
 
 
 def _not_torsion(d, p: int):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from iqgalois import quadform, survey
+from iqgalois.arith import InvariantViolation
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import kronecker_at, validate
 from iqgalois.quadform import LANE_LIMIT, ClassNumberAmbiguous, class_group, class_groups, power
@@ -99,7 +100,7 @@ def test_scan_block_matches_fields_one_by_one(csv_bytes):
     rows = []
     for m, h in class_numbers_range(lo, hi):
         d = validate(-m)
-        record = classify_validated(d, known_h=h, short_circuit=False)
+        record = classify_validated(d, short_circuit=False, cg=class_group(d, known_h=h))
         rows.append(survey.SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
     assert csv_bytes(survey._scan_block((lo, hi, primes))) == csv_bytes(rows)
 
@@ -215,6 +216,21 @@ def test_wrong_known_h_raises_at_its_field():
     assert len(got) == 299
 
 
+def test_genus_parity_raises_at_its_field():
+    # -23 is a prime discriminant, so its h is odd: h = 2 fails genus parity
+    # in _sylow_steps, before any step, and class_groups keeps it at admission
+    fields = [(validate(-m), h) for m, h in class_numbers_range(3, 200)]
+    k = next(i for i, (d, _) in enumerate(fields) if d.value == -23)
+    fields[k] = (fields[k][0], 2)
+    parity = _outcome(lambda: class_group(validate(-23), known_h=2))
+    message = "genus parity violated: prime discriminant -23 with even h=2"
+    assert parity == (InvariantViolation, message)
+    got = []
+    groups = class_groups(fields)
+    assert _outcome(lambda: got.extend(groups)) == parity
+    assert got == [class_group(d, known_h=h) for d, h in fields[:k]]
+
+
 def _first_fundamental(m: int, step: int):
     """The first fundamental discriminant -m, -(m + step), ..."""
     while True:
@@ -235,6 +251,9 @@ def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
         return kernel(a, b, c, n)
 
     monkeypatch.setattr(quadform, "_power_lanes", recording)
+    # the fields past the bound take the scalar power inside the rounds, never class_group
+    scalar_groups = []
+    monkeypatch.setattr(quadform, "class_group", lambda *a, **k: scalar_groups.append(a))
     past, within = _first_fundamental(LANE_LIMIT + 1, 1), _first_fundamental(LANE_LIMIT, -1)
     assert -past.value == 4_500_000_003 and -within.value == 4_499_999_999
     # one call, small fields around both sides of the bound, in field order
@@ -250,3 +269,4 @@ def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
     groups = class_groups(fields)
     assert _outcome(lambda: got.extend(groups)) == _outcome(lambda: class_group(past, known_h=4886))
     assert got == [class_group(discs[0], known_h=fields[0][1])]
+    assert scalar_groups == []

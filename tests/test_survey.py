@@ -68,7 +68,14 @@ def test_scan_example_ranges():
 
 def test_scan_rejects_empty_range():
     with pytest.raises(InvalidConfig):
-        SurveyConfig(d_min=10, d_max=10)
+        SurveyConfig(d_min=11, d_max=10)
+
+
+def test_scan_of_one_discriminant():
+    # the range is closed: d_min = d_max = 3 is the field of D = -3 alone
+    rows = list(scan(SurveyConfig(d_min=3, d_max=3)))
+    assert [r.record.discriminant for r in rows] == [-3]
+    assert rows == list(scan(SurveyConfig(d_min=3, d_max=4)))[:1]
 
 
 def test_config_rejects_composite_primes_and_sorts():
@@ -243,6 +250,40 @@ def test_checkpoint_rejects_short_rows_and_old_version(tmp_path):
     size = os.path.getsize(ck + ".rows")
     os.truncate(ck + ".rows", size - 1)
     assert survey._Checkpoint(ck, config).load() is None
+
+
+def _change_one_rows_byte(ck: str) -> None:
+    with open(ck + ".rows", "r+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(size // 2)
+        byte = fh.read(1)
+        fh.seek(size // 2)
+        fh.write(b"1" if byte == b"0" else b"0")
+    assert os.path.getsize(ck + ".rows") == size
+
+
+def _spoil_rows_bytes(ck: str) -> None:
+    with open(ck, encoding="utf-8") as fh:
+        state = fh.read()
+    with open(ck, "w", encoding="utf-8") as fh:
+        fh.write(state.replace("rows_bytes=", "rows_bytes=x"))
+
+
+@pytest.mark.parametrize("spoil", [_change_one_rows_byte, _spoil_rows_bytes])
+def test_checkpoint_bad_digest_or_length_restarts(spoil, tmp_path, monkeypatch, csv_bytes):
+    # a rows file of the vouched length whose digest differs, or a rows_bytes
+    # that is no integer: the scan starts again from its first block
+    monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
+    ck = str(tmp_path / "ckpt")
+    config = SurveyConfig(d_min=3, d_max=302, primes=(2, 3), checkpoint_path=ck)
+    list(itertools.islice(scan(config), len(class_numbers_range(3, 203))))
+    spoil(ck)
+    computed = []
+    scan_block = survey._scan_block
+    monkeypatch.setattr(survey, "_scan_block", lambda b: computed.append(b) or scan_block(b))
+    resumed = csv_bytes(scan(config))
+    assert [lo for lo, _, _ in computed] == [3, 103, 203]
+    assert resumed == csv_bytes(scan(SurveyConfig(d_min=3, d_max=302, primes=(2, 3))))
 
 
 def test_checkpoint_config_mismatch_restarts(tmp_path):
