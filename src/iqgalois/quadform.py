@@ -22,9 +22,12 @@ of at least 4.  Their orders must multiply to 2^e, which holds the 2-part
 of h to the group wherever r4 <= 2.  Every other Sylow subgroup (odd q, and
 q = 2 at r4 >= 3) takes one walk over the prime forms of norm up to
 sqrt(|D|/3) and below 2^16, which generate the group (past |D| = 3 * 65521^2
-a pool that falls short makes the walk raise; _prime_form_pool): a
-subgroup whose first projected prime form has exact order q^e is cyclic
-with that form as its basis; any other is grown as an explicit table of
+a pool that falls short makes the walk raise; _prime_form_pool).  At odd
+q the walk skips the ambiguous forms (b = 0, b = a or a = c): their classes
+have order 1 or 2, and h is even wherever one is not principal, so their
+projection is the identity, which the walk would discard.  A subgroup
+whose first projected prime form has exact order q^e is cyclic with that
+form as its basis; any other is grown as an explicit table of
 classes, and its Smith normal form gives the invariant factors and a
 basis.  Of each basis form x of order o it keeps y = x^(o/q), which spans
 Cl[q] with the others and is x's one exact-order test (_q_torsion).
@@ -633,7 +636,12 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
 
     The 2-part takes it at 4-rank 3 or more; every other 2-part is
     _two_sylow_orders.  Walks the candidate pool, projecting each class into
-    the Sylow subgroup.  When the first projection x that is not the
+    the Sylow subgroup.  At odd q a reduced candidate with b = 0, b = a or
+    a = c is skipped before its power is asked for: it is ambiguous, of
+    order 1 or 2, and _sylow_steps has checked that h is even wherever such
+    a class is not principal, so its projection is the identity, which the
+    walk discards anyway.  q = 2 keeps every candidate: its walk needs the
+    classes of order 2.  When the first projection x that is not the
     identity has exact order q^e (_q_torsion), the subgroup is cyclic and
     generated by x, returned as x^(q^(e-1)) without listing its q^e
     elements.  Otherwise an explicit element table is grown with one
@@ -652,6 +660,9 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
     for cand in pool:
         if len(sub) >= target:
             break
+        a, b, c = cand
+        if q != 2 and (b == 0 or b == a or a == c):
+            continue  # ambiguous, of order 1 or 2: its projection is the identity
         x = yield cand, cofactor
         if x in sub:
             continue
@@ -759,12 +770,16 @@ def _sylow_steps(d: FundamentalDiscriminant, h: int) -> list[tuple[int, _Steps]]
     """(q, steps) for each prime q of h, ascending; the steps return the entry sylow[q].
 
     Each walks its own _prime_form_pool, so the Sylow subgroups share no
-    state and their steps may run in any order.  Raises InvariantViolation
-    first when the genus parity fails.
+    state and their steps may run in any order.  The 2-rank of Cl(D) is
+    t - 1 for the t primes of D, so h is even exactly when t >= 2: an even
+    h at t = 1 raises InvariantViolation and an odd h at t >= 2
+    ClassNumberAmbiguous, before any step.
     """
     D = d.value
     if d.num_prime_divisors == 1 and h % 2 == 0:
         raise InvariantViolation(f"genus parity violated: prime discriminant {D} with even h={h}")
+    if d.num_prime_divisors > 1 and h % 2:
+        raise ClassNumberAmbiguous(f"odd h={h} does not fit 2-rank {d.num_prime_divisors - 1}")
     out = []
     for q, e in factorize(h):
         pool = _prime_form_pool(D)
@@ -793,9 +808,11 @@ def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> Cl
     _prime_form_pool cannot fill, a 2-part that contradicts the genus
     and Redei ranks, or projected prime forms whose 2-orders do not
     multiply to the 2-part of h.  Wherever the 4-rank is at most 2, a wrong
-    2-part always raises; an odd q-part that is too small can pass unseen,
-    and so can a 2-part that is too small at 4-rank 3 or more.  Odd Sylow
-    subgroups come from prime forms, the 2-orders from _two_sylow_orders.
+    2-part always raises, and so does an odd h for a D of two or more
+    primes; an odd q-part that is too small can pass unseen, and so can a
+    2-part that is too small at 4-rank 3 or more.  Odd Sylow subgroups come
+    from the prime forms that are not ambiguous (_sylow_structure), the
+    2-orders from _two_sylow_orders.
     With the exact h the same raise marks a pool that falls short, which can
     happen only past |D| = 3 * 65521^2 (_prime_form_pool), never a wrong group.
     Every power it asks for is the scalar power: the oracle of class_groups.

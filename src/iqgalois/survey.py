@@ -11,7 +11,11 @@ that grow from its sample size, so it counts little past its last field.
 Scans proceed in contiguous blocks of 10^4 |D|-values; each block is
 classified independently (pure functions), so worker count cannot change
 the output, and a checkpoint after every block makes interrupted scans
-resumable without recomputation.  A block builds the class groups of all
+resumable without recomputation.  Its lines are each row's compact JSON
+with sorted keys, written by one f-string over the record's fields
+(_checkpoint_line) with no dict in between.  A scan draws its blocks as
+its rows are taken, and a pool holds at most two blocks per worker, so a
+range of any length starts at once.  A block builds the class groups of all
 its fields with one call of quadform.class_groups, whose powers run in
 lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9); past
 it a field takes the scalar power inside the same rounds.  It then decides
@@ -27,6 +31,7 @@ the oracles.  Tables and the verify sweeps classify field by field on the
 scalar route.
 """
 
+import collections
 import contextlib
 import gc
 import hashlib
@@ -318,6 +323,29 @@ def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
             gc.enable()
 
 
+def _checkpoint_line(row: SurveyRow) -> str:
+    """json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":")) + "\n", from one f-string.
+
+    The keys are written in sorted order, and the local-behaviour keys
+    sorted as strings ("11" before "2"), as json.dumps sorts them: the
+    sorted '"p":"tag"' items are in that order, since the closing quote
+    sorts before every digit.  Every string value is a fixed ASCII word (a
+    verdict, a shape, a status or a local tag), which JSON writes between
+    quotes as it is, so no dict is built.
+    """
+    rec, tors = row.record, row.record.torsion
+    per_prime = ",".join([f'[{p},"{status}"]' for p, status in rec.per_prime])
+    behavior = ",".join(sorted([f'"{p}":"{tag}"' for p, tag in row.local_behavior]))
+    return (
+        f'{{"assumes_converse":{"true" if rec.assumes_converse else "false"},'
+        f'"class_group":[{",".join(map(str, rec.class_group))}],"discriminant":{rec.discriminant},'
+        f'"h":{rec.h},"local_behavior":{{{behavior}}},"per_prime":[{per_prime}],'
+        f'"torsion":{{"excluded_summands":[{",".join(map(str, sorted(tors.excluded_summands)))}],'
+        f'"shape":"{tors.shape}","special_case":{"true" if tors.special_case else "false"},'
+        f'"w":{tors.w}}},"two_rank":{rec.two_rank},"verdict":"{rec.verdict}"}}\n'
+    )
+
+
 class _Checkpoint:
     """Block-granular resume state: serialized rows plus their length and digest.
 
@@ -378,15 +406,14 @@ class _Checkpoint:
                 yield SurveyRow.from_dict(json.loads(fh.readline()))
 
     def append_block(self, rows: list[SurveyRow]) -> None:
-        """Append a block's rows, one line at a time, then replace the state file.
+        """Append a block's rows, one _checkpoint_line each, then replace the state file.
 
         Each line goes to the rows file and the digest as it is made, so no
         copy of the whole block's serialization is ever held.
         """
         with open(self.rows_path, "ab") as fh:
             for row in rows:
-                line = json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-                data = line.encode()
+                data = _checkpoint_line(row).encode()
                 fh.write(data)
                 self.digest.update(data)
                 self.rows_bytes += len(data)
@@ -410,9 +437,12 @@ class _Checkpoint:
 def scan(config: SurveyConfig) -> Iterator[SurveyRow]:
     """Classify every fundamental discriminant with d_min <= |D| <= d_max.
 
-    Rows stream in ascending |D|.  Each block's checkpoint is written before
-    its rows are yielded, so a consumer that stops early can resume from the
-    checkpoint where it stopped.
+    Rows stream in ascending |D|.  The blocks are walked as rows are taken,
+    so the first row of any range comes after one block's work; the pool of
+    workers > 1 has at most 2 * workers blocks submitted (_pooled_blocks)
+    and no more processes than blocks or CPUs.  Each block's checkpoint is
+    written before its rows are yielded, so a consumer that stops early can
+    resume from the checkpoint where it stopped.
     """
     ckpt = _Checkpoint(config.checkpoint_path, config) if config.checkpoint_path else None
     if ckpt is not None:
@@ -422,15 +452,36 @@ def scan(config: SurveyConfig) -> Iterator[SurveyRow]:
         else:
             yield from done
     start = config.d_min + (ckpt.blocks_done if ckpt else 0) * BLOCK_SIZE
-    pending = [(lo, hi, config.primes) for lo, hi in _blocks(start, config.d_max + 1, BLOCK_SIZE)]
-    # Executor.map submits every block at once, and the pool then starts all its processes
-    workers = min(config.workers, len(pending), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-    with pool:
-        for rows in (pool.map if workers > 1 else map)(_scan_block, pending):
-            if ckpt is not None:
-                ckpt.append_block(rows)
-            yield from rows
+    end = config.d_max + 1
+    blocks = ((lo, hi, config.primes) for lo, hi in _blocks(start, end, BLOCK_SIZE))
+    # the pool starts all its processes at once: no more than blocks or CPUs
+    workers = min(config.workers, -(-(end - start) // BLOCK_SIZE), os.cpu_count() or 1)
+    for rows in _pooled_blocks(blocks, workers) if workers > 1 else map(_scan_block, blocks):
+        if ckpt is not None:
+            ckpt.append_block(rows)
+        yield from rows
+
+
+def _pooled_blocks(blocks: Iterator[tuple], workers: int) -> Iterator[list[SurveyRow]]:
+    """_scan_block of each block on a pool of workers processes, in block order.
+
+    Blocks are drawn from the iterator as results are taken, at most
+    2 * workers of them submitted at a time, so a range of any length costs
+    the same to start.  Closing the generator cancels the blocks not yet
+    started, and the pool's exit waits for the running ones.
+    """
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures: collections.deque = collections.deque()
+        try:
+            for args in blocks:
+                futures.append(pool.submit(_scan_block, args))
+                if len(futures) == 2 * workers:
+                    yield futures.popleft().result()
+            while futures:
+                yield futures.popleft().result()
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _csv_lines(row: SurveyRow) -> list[str]:

@@ -45,7 +45,7 @@ def _requests(lo: int, hi: int) -> list:
 
 @pytest.mark.parametrize("lo", [10**6, 10**7])
 def test_kernel_replays_every_class_group_power(lo, monkeypatch):
-    requests = _requests(lo, lo + 2000)
+    requests = _requests(lo, lo + 2500)
     assert len(requests) > 4000 and max(n for _, n in requests) > 2**10
     products = 0
     compose = quadform._compose_lanes

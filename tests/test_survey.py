@@ -1,7 +1,12 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
+import signal
+import time
+import tracemalloc
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
@@ -143,8 +148,10 @@ def _record_pool_sizes(monkeypatch, cpus: int) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
     monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
@@ -162,13 +169,80 @@ def test_pool_never_exceeds_pending_blocks(monkeypatch, csv_bytes):
 
 
 def test_pool_never_exceeds_cpu_count(monkeypatch, csv_bytes):
-    # Executor.map submits every block at once, so the pool would start
-    # min(workers, blocks) processes; a huge --workers must stop at the CPUs
+    # the pool starts all its processes at once, min(workers, blocks) of
+    # them; a huge --workers must stop at the CPUs
     seen = _record_pool_sizes(monkeypatch, cpus=2)
     config = SurveyConfig(d_min=3, d_max=250, primes=(2, 3), workers=10**6)
     rows = csv_bytes(scan(config))
     assert seen == [2]
     assert rows == csv_bytes(scan(SurveyConfig(d_min=3, d_max=250, primes=(2, 3))))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_row_of_the_largest_range_comes_at_once(workers, monkeypatch):
+    # [3, 1e13] is 1e9 blocks: the scan must start on the first without
+    # listing the rest, in the parent process of a pool too
+    peaks = []
+
+    def setup_over() -> None:  # when the first block starts or is submitted
+        if not peaks:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    if workers == 1:
+        scan_block = survey._scan_block
+        monkeypatch.setattr(survey, "_scan_block", lambda args: setup_over() or scan_block(args))
+    else:
+
+        class Pool(ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                setup_over()
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(survey, "ProcessPoolExecutor", Pool)
+
+    def expire(signum, frame):
+        raise TimeoutError("no first row within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        start = time.perf_counter()
+        tracemalloc.start()
+        rows = scan(SurveyConfig(d_min=3, d_max=10**13, workers=workers))
+        first = next(rows)
+        elapsed = time.perf_counter() - start
+        rows.close()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        tracemalloc.stop()
+    assert first.record.discriminant == -3 and elapsed < 5
+    assert peaks[0] < 1 << 20, peaks
+    # closing a pooled scan early stops its processes
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_keeps_two_blocks_per_worker_submitted(monkeypatch):
+    # blocks are drawn as rows are taken: at most 2 * workers ahead
+    submitted = []
+
+    class Pool(ProcessPoolExecutor):
+        def submit(self, fn, args):
+            submitted.append(args[0])
+            return super().submit(fn, args)
+
+    monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+    config = SurveyConfig(d_min=3, d_max=10**6, primes=(2, 3), workers=2)
+    rows = scan(config)
+    first = [next(rows) for _ in range(len(class_numbers_range(3, 103)))]
+    assert submitted == [3, 103, 203, 303]
+    rows.close()
+    assert submitted == [3, 103, 203, 303]
+    assert multiprocessing.active_children() == []
+    assert first == list(scan(SurveyConfig(d_min=3, d_max=102, primes=(2, 3))))
 
 
 # The first, middle and last blocks of `survey --min 3 --max 10000000`, with
@@ -185,6 +259,18 @@ CENSUS_BLOCKS = [
 def test_census_block_matches_pinned_digest(lo, hi, digest, csv_bytes):
     rows = csv_bytes(survey._scan_block((lo, hi, (2, 3, 5, 7))))
     assert hashlib.sha256(rows).hexdigest() == digest
+
+
+def test_checkpoint_line_is_the_sorted_json_dump():
+    # local-behaviour keys past 7 sort as strings ("11" before "2"); the last
+    # block holds rank overflows (-3321607 at 3)
+    rows = survey._scan_block((3, 20_003, (2, 3, 5, 7, 11, 13)))
+    rows += survey._scan_block((3321600, 3321700, (2, 3, 5, 7)))
+    assert [r.record.discriminant for r in rows[:4]] == [-3, -4, -7, -8]
+    assert any(tag == "rank_overflow" for r in rows for _, tag in r.record.per_prime)
+    for row in rows:
+        line = json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert survey._checkpoint_line(row) == line
 
 
 def test_checkpoint_resume_byte_identical(tmp_path, csv_bytes):

@@ -209,3 +209,57 @@ def test_wrong_known_h_caught_by_the_walk_still_raises(monkeypatch):
         walked = raising()
     assert len(fields) == 1183 and walked
     assert walked <= raising()
+
+
+def _ambiguous(f) -> bool:
+    """A reduced form equal to its inverse's reduced form: its class has order 1 or 2."""
+    a, b, c = f
+    return b == 0 or b == a or a == c
+
+
+def test_ambiguous_pool_forms_project_to_the_identity():
+    # so the odd-q walk may skip them before asking for their projection
+    checked = 0
+    for m, h in class_numbers_range(3, 20_000):
+        D = -m
+        one = principal_form(D)
+        cofactors = [h // q**e for q, e in factorize(h) if q != 2]
+        for f in filter(_ambiguous, quadform._prime_form_pool(D)):
+            assert compose(f, f) == one, (D, f)
+            for n in cofactors:
+                assert power(f, n) == one, (D, f, n)
+                checked += 1
+    assert checked > 5_000
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 20_000), (10**6, 10**6 + BLOCK_SIZE)])
+def test_odd_sylow_steps_ask_no_power_of_an_ambiguous_form(lo, hi):
+    asked = collections.Counter()
+    for m, h in class_numbers_range(lo, hi):
+        for q, steps in quadform._sylow_steps(validate(-m), h):
+            result = None
+            try:
+                while True:
+                    f, n = steps.send(result)
+                    asked[q != 2, _ambiguous(f)] += 1
+                    result = power(f, n)
+            except StopIteration:
+                pass
+    # the 2-parts still ask for the squares of ambiguous forms in their chains
+    assert asked[True, True] == 0 and asked[True, False] > 5_000 and asked[False, True] > 0
+
+
+def test_odd_known_h_with_even_two_rank_raises():
+    # genus theory: 2^(t - 1) divides h for t prime divisors of D; an odd
+    # claim at t >= 2 is refused before any walk.  h(-104) = 6, and the
+    # claim 3 would pass as the group C3 otherwise: the ramified form
+    # (2, 0, 13) that refuses it is ambiguous, which the odd walk skips
+    fields = [(validate(-m), h) for m, h in class_numbers_range(3, 3_000) if h % 2 == 0]
+    claims = [(d, h // (h & -h)) for d, h in fields]
+    assert len(claims) > 500
+    for d, claim in claims:
+        with pytest.raises(ClassNumberAmbiguous, match=f"^odd h={claim} does not fit 2-rank"):
+            quadform.class_group(d, known_h=claim)
+    groups = quadform.class_groups([(validate(-104), 3)])
+    with pytest.raises(ClassNumberAmbiguous, match="^odd h=3 does not fit 2-rank 1$"):
+        next(groups)
