@@ -27,11 +27,25 @@ module globals in quadform and idealgen, plus the lanes of every call of
 quadform._compose_lanes, through the same wrappers: the lock-step kernel
 of quadform.class_groups and of idealgen._generator_lanes.  A job that
 leaves the generator lanes for the scalar route counts its products on
-both.
+both.  Over one more batch pass, class_group_routes counts the odd Sylow
+steps (one per field and odd prime of h) that end on int64 array lanes,
+those that run as generator steps (the calls of
+quadform._sylow_structure at odd q), and the calls of
+quadform._power_lanes, the class-group kernel, with their lanes.  The
+parent has no array lanes, so all its odd steps are generator steps.  On
+a library with array lanes (quadform._pool_lanes), each odd generator step
+is sorted under restart_exits by the exit that sent it there, replayed
+with the scalar power on the lane's candidates: no_candidates (it never
+was an array lane), ran_out (every candidate projects to 1),
+order_below (y = x^(q^(e-1)) is 1: x has order below q^e, and the
+generator walks a table) or order_above (y^q is not 1: the claimed h is
+wrong).
 """
 
 import collections
 import sys
+
+import numpy as np
 
 from _entry import run, sha256, timed_alternating
 
@@ -99,6 +113,45 @@ def count_products(lib, fn) -> int:
     return calls
 
 
+def restart_exit(quadform, D: int, h: int, q: int, e: int) -> str:
+    """Why the odd step (D, q) runs as a generator step: the exit of its array lane."""
+    heads, count = quadform._pool_lanes(np.array([D], dtype=np.int64), quadform._CANDIDATES)
+    one = quadform.principal_form(D)
+    for f in heads[:, 0, : count[0]].T.tolist():
+        if (x := quadform.power(quadform.QuadForm._make(f), h // q**e)) != one:
+            y = quadform.power(x, q ** (e - 1))
+            return "order_below" if y == one else "order_above"
+    return "ran_out" if count[0] else "no_candidates"
+
+
+def count_routes(lib, batch) -> dict:
+    """The routes of batch()'s odd Sylow steps and its kernel calls, via wrappers on lib."""
+    quadform = lib.quadform
+    sylow, kernel = quadform._sylow_structure, quadform._power_lanes
+    counts = dict.fromkeys(("odd_steps_generators", "kernel_calls", "kernel_lanes"), 0)
+    exits = collections.Counter()
+
+    def counting_sylow(D, h, q, e, pool):
+        if q != 2:
+            counts["odd_steps_generators"] += 1
+            if hasattr(quadform, "_pool_lanes"):
+                exits[restart_exit(quadform, D, h, q, e)] += 1
+        return sylow(D, h, q, e, pool)
+
+    def counting_kernel(a, b, c, n):
+        counts["kernel_calls"] += 1
+        counts["kernel_lanes"] += a.size
+        return kernel(a, b, c, n)
+
+    quadform._sylow_structure, quadform._power_lanes = counting_sylow, counting_kernel
+    try:
+        odd = sum(q != 2 for cg in batch() for q in cg.sylow)
+    finally:
+        quadform._sylow_structure, quadform._power_lanes = sylow, kernel
+    arrays = odd - counts["odd_steps_generators"]
+    return {**counts, "odd_steps_arrays": arrays, "restart_exits": dict(sorted(exits.items()))}
+
+
 def passes(lib, start: int) -> tuple:
     """The class-group pass, the batch pass and the scan pass of one block, with lib."""
     survey = lib.survey
@@ -136,6 +189,7 @@ def measure(libs: dict) -> dict:
                     "fields": fields,
                     "class_group": {**cg_timing, "compositions": count_products(lib, groups)},
                     "class_groups": {**batch_timing, "compositions": count_products(lib, batch)},
+                    "class_group_routes": count_routes(lib, batch),
                     "scan_block": {**scan_timing, "compositions": count_products(lib, scan)},
                     **digests,
                     "rows_sha256": sha256([row.to_dict() for row in rows[-1]]),

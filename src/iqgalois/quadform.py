@@ -37,10 +37,14 @@ power they need as a request (form, n) and are sent its reduced result.
 class_group answers every request with the scalar power: the oracle, which
 classify, tables, verify and table3 take.  class_groups, the route of a
 survey block, runs the steps of many fields side by side, at most about
-LANES at a time, answers each round of requests with one lock-step numpy
-kernel on int64 lanes (_power_lanes: Shanks composition from lock-step
-extended gcds and a masked reduction loop), which keeps both checks of
-compose_unreduced, and yields the groups in field order once every round
+LANES generator steps at a time.  An odd Sylow step starts there as an
+int64 array lane instead, which walks the first prime forms that are not
+ambiguous (_pool_lanes, built in numpy once per block) up to the cyclic
+shortcut, and restarts as a generator step at any other outcome.  Each
+round, the requests of both kinds of lane take one lock-step numpy kernel
+on int64 lanes (_power_lanes: Shanks composition from lock-step extended
+gcds and a masked reduction loop), which keeps both checks of
+compose_unreduced; the groups are yielded in field order once every round
 is done.  int64 is exact for |D| up to LANE_LIMIT = 4.5e9; a field past it
 takes every power from the scalar power inside the same rounds.
 _square_and_multiply_lanes is square_and_multiply on every lane at once,
@@ -216,11 +220,20 @@ def power(f: QuadForm, n: int) -> QuadForm:
 # sqrt(|D|/3), so a3 <= |D|/3 and b3 < 2*a3; then b3^2 - D < 4|D|^2/9 + |D| < 2^63,
 # and every other product of the kernel is smaller.
 LANE_LIMIT = 4_500_000_000
-# Sylow steps in flight in class_groups, the lanes of one kernel call.  A
-# suspended step holds about 1.5 kB; at 2,048 a 1e4-block at |D| = 1e6 adds
-# 3.3 MB to the peak RSS (all of its 7,322 steps at once: 13 MB), and a lane
-# costs about 6 us against 15 us for the scalar power.
+# Generator steps in flight in class_groups.  A suspended step holds about
+# 1.5 kB.  A 1e4-block at |D| = 1e6 has 2,843 of them: its 2,680 2-parts
+# and 163 odd steps that leave the array lanes because their first
+# projection that is not 1 has order below q^e, so a table walk follows.
+# class_groups raises the peak RSS by 6.1 MB at 2,048, 7.7 MB with all at
+# once and 2.6 MB at 40 (2 cores, Python 3.11), and takes the same time at
+# 2,048, 4,096 or all.  A lane of the kernel costs about 6 us against 15 us
+# for the scalar power.
 LANES = 2048
+# Candidates of an array lane in class_groups, before it restarts as a
+# generator step.  Per 1e4-block at 1e6 / 1e7, 0 / 3 steps run out of 4;
+# at 2, 83 / 102 do, and at 8 none, but the candidates take twice as long
+# to build (2.8 -> 5.7 ms at 1e6).
+_CANDIDATES = 4
 
 
 def _xgcd_lanes(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -638,7 +651,7 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
     _two_sylow_orders.  Walks the candidate pool, projecting each class into
     the Sylow subgroup.  At odd q a reduced candidate with b = 0, b = a or
     a = c is skipped before its power is asked for: it is ambiguous, of
-    order 1 or 2, and _sylow_steps has checked that h is even wherever such
+    order 1 or 2, and _sylow_parts has checked that h is even wherever such
     a class is not principal, so its projection is the identity, which the
     walk discards anyway.  q = 2 keeps every candidate: its walk needs the
     classes of order 2.  When the first projection x that is not the
@@ -766,26 +779,33 @@ def class_number(D: int) -> int:
 class_number_bsgs = class_number
 
 
-def _sylow_steps(d: FundamentalDiscriminant, h: int) -> list[tuple[int, _Steps]]:
-    """(q, steps) for each prime q of h, ascending; the steps return the entry sylow[q].
+def _sylow_parts(d: FundamentalDiscriminant, h: int) -> list[tuple[int, int]]:
+    """(q, e) for each prime power q^e || h, ascending, once h passes genus parity.
 
-    Each walks its own _prime_form_pool, so the Sylow subgroups share no
-    state and their steps may run in any order.  The 2-rank of Cl(D) is
-    t - 1 for the t primes of D, so h is even exactly when t >= 2: an even
-    h at t = 1 raises InvariantViolation and an odd h at t >= 2
-    ClassNumberAmbiguous, before any step.
+    The 2-rank of Cl(D) is t - 1 for the t primes of D, so h is even exactly
+    when t >= 2: an even h at t = 1 raises InvariantViolation and an odd h
+    at t >= 2 ClassNumberAmbiguous, before any step.
     """
     D = d.value
     if d.num_prime_divisors == 1 and h % 2 == 0:
         raise InvariantViolation(f"genus parity violated: prime discriminant {D} with even h={h}")
     if d.num_prime_divisors > 1 and h % 2:
         raise ClassNumberAmbiguous(f"odd h={h} does not fit 2-rank {d.num_prime_divisors - 1}")
-    out = []
-    for q, e in factorize(h):
-        pool = _prime_form_pool(D)
-        steps = _two_sylow_orders(d, h, e, pool) if q == 2 else _sylow_structure(D, h, q, e, pool)
-        out.append((q, steps))
-    return out
+    return factorize(h)
+
+
+def _sylow_step(d: FundamentalDiscriminant, h: int, q: int, e: int) -> _Steps:
+    """The steps that return the entry sylow[q], on a _prime_form_pool of their own.
+
+    So the Sylow subgroups share no state and their steps may run in any order.
+    """
+    pool = _prime_form_pool(d.value)
+    return _two_sylow_orders(d, h, e, pool) if q == 2 else _sylow_structure(d.value, h, q, e, pool)
+
+
+def _sylow_steps(d: FundamentalDiscriminant, h: int) -> list[tuple[int, _Steps]]:
+    """(q, steps) for each prime q of h, ascending: the steps class_group runs one by one."""
+    return [(q, _sylow_step(d, h, q, e)) for q, e in _sylow_parts(d, h)]
 
 
 def _assemble(D: int, h: int, sylow: dict[int, _Sylow]) -> ClassGroupStructure:
@@ -842,43 +862,102 @@ def _lane_powers(forms: list[QuadForm], exponents: list[int]) -> list[QuadForm]:
     return list(map(QuadForm._make, zip(a.tolist(), b.tolist(), c.tolist())))
 
 
+def _pool_lanes(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per D of the int64 array, the first forms of _prime_form_pool(D) that are not ambiguous.
+
+    Returns their rows a, b, c, of shape (3, len(D), k), and their count
+    per D: k, or fewer where the pool ends first or the primes below 2^10
+    run out, and none past LANE_LIMIT.  The forms are prime_form's, reduced
+    by _reduce_lanes.  At an odd prime l, b is the root of b^2 = D (mod l)
+    in [0, l] with the parity of D; the roots r and l - r differ in parity,
+    so a table of squares mod l gives the b that prime_form makes from
+    sqrt_mod_prime's root (l at a ramified l of odd D).  At 2, b is 0, 1 or
+    2 by D mod 8.
+    """
+    forms = np.zeros((3, D.size, k), dtype=np.int64)
+    count = np.zeros(D.size, dtype=np.int64)
+    live = np.flatnonzero(D >= -LANE_LIMIT)
+    for l in small_primes():
+        live = live[(count[live] < k) & (3 * l * l <= -D[live])]  # l <= isqrt(|D|/3)
+        if l > 2**10 or not live.size:
+            break
+        if l == 2:
+            roots, m = np.array([0, 1, -1, -1, 2, -1, -1, -1]), 8
+        else:
+            roots, m = np.full(l, -1), l
+            roots[np.arange(l) ** 2 % l] = np.arange(l)
+        d = D[live]
+        b = roots[d % m]
+        split = b >= 0
+        b = np.where((b - d) % 2 == 0, b, l - b)
+        c, r = np.divmod(b * b - d, 4 * l)
+        split &= r == 0
+        a, b, c = _reduce_lanes(np.full(split.sum(), l), b[split], c[split])
+        keep = (b != 0) & (b != a) & (a != c)
+        i = live[split][keep]
+        forms[:, i, count[i]] = a[keep], b[keep], c[keep]
+        count[i] += 1
+    return forms, count
+
+
 def class_groups(
     fields: Iterable[tuple[FundamentalDiscriminant, int]],
 ) -> Iterator[ClassGroupStructure]:
     """class_group(d, known_h=h) for each (d, h) in fields, in order, their powers in lock-step.
 
-    Every round first admits fields, in order, while fewer than LANES Sylow
-    steps are in flight, which bounds the memory that suspended steps hold.
-    Each lane, a step of one field, then runs until it asks for a power with
-    n >= 2 (a smaller n gets the scalar power at once) or ends, its value or
-    exception kept with its field by q; the round answers every request with
-    one _power_lanes call.  A lane of a field past LANE_LIMIT gets every
-    power from the scalar power, so it ends in the round that admits it.
+    Every round first admits fields, in order, while fewer than LANES
+    generator steps are in flight, which bounds the memory that suspended
+    steps hold.  An odd q of a field within LANE_LIMIT starts as an array
+    lane instead: one column of int64 rows that runs _sylow_structure up to
+    its cyclic shortcut on the first _CANDIDATES forms of _pool_lanes, built
+    once for all fields.  Phase 0 asks for the projection x of candidate k
+    by h/q^e, taking the next candidate while x = 1; phase 1 asks for
+    y = x^(q^(e-1)) (skipped at e = 1, where y is x) and phase 2 for y^q.
+    y != 1 and y^q = 1 (a = 1, as the forms are reduced) end the lane with
+    the shortcut's entry ((q^e,), (y,)).  Any other outcome, candidates that
+    run out included, restarts the (field, q) from its start as a generator
+    step, so table walks, Smith bases and every exception stay with the
+    steps.  A generator step runs until it asks for a power with n >= 2 (a
+    smaller n gets the scalar power at once) or ends, its value or exception
+    kept with its field by q.  One _power_lanes call answers the round's
+    requests of both kinds of lane.  A field past LANE_LIMIT gets every
+    power from the scalar power, so its steps end in the round that admits
+    them.
     When all rounds are done, the groups are yielded in field order, each
     field's entries released as it goes.  An exception is raised at its
     field, the one of its smallest q first: what a loop over class_group,
     which walks q in ascending order, raises first.  An InvariantViolation
-    of the kernel, a broken product, is raised at once.
-    Sylow walks (_adjoin), Smith-form bases and the 4-rank-2 reduction's
-    product stay scalar, inside the steps.  A caller with thousands of
-    fields pauses the cyclic collector, as _scan_block does for its block.
+    of the kernel, a broken product, is raised at once.  A caller with
+    thousands of fields pauses the cyclic collector, as _scan_block does.
     """
     fields = list(fields)
     entries: list = [None] * len(fields)  # per field: its Sylow entries by q, or an exception
+    heads, count = _pool_lanes(np.array([d.value for d, _ in fields], dtype=np.int64), _CANDIDATES)
+    # array lanes, one per column: request a, b, c, n, then field, candidate, phase, e, q, y
+    odd = np.zeros((12, 0), dtype=np.int64)
     lanes, results, waiting = [], [], iter(range(len(fields)))
     while True:
+        new = []
         while len(lanes) < LANES and (i := next(waiting, None)) is not None:
             d, h = fields[i]
             try:
-                steps = _sylow_steps(d, h)
+                parts = _sylow_parts(d, h)
             except Exception as exc:  # raised by class_groups, at this field
                 entries[i] = exc
                 continue
-            entries[i] = dict.fromkeys(q for q, _ in steps)
-            scalar = d.value < -LANE_LIMIT
-            lanes.extend((entries[i], q, step, scalar) for q, step in steps)
-            results.extend([None] * len(steps))
-        if not lanes:
+            entries[i] = sylow = dict.fromkeys(q for q, _ in parts)
+            for q, e in parts:
+                if q == 2 or not count[i]:
+                    lanes.append((sylow, q, _sylow_step(d, h, q, e), d.value < -LANE_LIMIT))
+                    results.append(None)
+                else:
+                    new.append((h // q**e, i, e, q))
+        if new:
+            n, i, e, q = np.array(new, dtype=np.int64).T
+            zero = np.zeros_like(i)
+            rows = [*heads[:, i, 0], n, i, zero, zero, e, q, zero, zero, zero]
+            odd = np.concatenate((odd, rows), axis=1)
+        if not lanes and not odd.size:
             break
         asked, forms, exponents = [], [], []
         for lane, result in zip(lanes, results):
@@ -895,7 +974,33 @@ def class_groups(
                 asked.append(lane)
                 forms.append(f)
                 exponents.append(n)
-        lanes, results = asked, _lane_powers(forms, exponents) if asked else []
+        lanes, results = asked, []
+        if asked or odd.size:  # one kernel call: the generator requests, then the array lanes
+            rows = np.array([*zip(*forms), exponents] if asked else [[]] * 4, dtype=np.int64)
+            powers = np.stack(_power_lanes(*np.concatenate((rows, odd[:4]), axis=1)))
+            results = list(map(QuadForm._make, powers[:, : len(asked)].T.tolist()))
+            odd[:3] = powers[:, len(asked) :]
+        a, b, c, n, i, k, phase, e, q = odd[:9]
+        one, first, last = a == 1, phase == 0, phase == 2
+        ahead = ~one & ~last  # x or y is not 1: keep it, ask for its next power
+        odd[9:, ahead] = odd[:3, ahead]
+        phase[ahead] += 1 + (first & (e == 1))[ahead]
+        n[ahead] = np.where(phase == 1, q ** (e - 1), q)[ahead]
+        skip = one & first  # x = 1: the next candidate
+        k[skip] += 1
+        restart = skip & (k == count[i]) | (one != last) & ~first
+        skip &= ~restart
+        odd[:3, skip] = heads[:, i[skip], k[skip]]
+        phase[one & last] = 3  # y != 1 and y^q = 1: the shortcut's entry
+        end = (phase == 3) | restart
+        for i, q, e, p, *y in odd[[4, 8, 7, 6, 9, 10, 11]][:, end].T.tolist():
+            if p == 3:
+                entries[i][q] = (q**e,), (QuadForm._make(y),)
+            else:
+                d, h = fields[i]
+                lanes.append((entries[i], q, _sylow_step(d, h, q, e), False))
+                results.append(None)
+        odd = odd[:, ~end]
     for i, (d, h) in enumerate(fields):
         sylow, entries[i] = entries[i], None
         for failed in [sylow] if isinstance(sylow, Exception) else sylow.values():

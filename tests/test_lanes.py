@@ -11,19 +11,26 @@ collector as it found it, the kernel's checks must raise also under
 python -O, an exponent below 1 must be refused, also by the loop of all
 three lane kernels before its first product, errors must surface at the
 field that raised them, and a field past the kernel's int64 bound must take
-the scalar route.
+the scalar route.  The odd Sylow steps that class_groups starts as array
+lanes must take the first non-ambiguous forms of each pool as candidates,
+give class_group's groups at every exit of the array route, and end a wrong
+class number the way class_group ends it.
 """
 
+import collections
 import gc
+import itertools
+import random
 
 import numpy as np
 import pytest
 
 from iqgalois import quadform, survey
-from iqgalois.arith import InvariantViolation
+from iqgalois.arith import InvariantViolation, small_primes
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import kronecker_at, validate
-from iqgalois.quadform import LANE_LIMIT, ClassNumberAmbiguous, class_group, class_groups, power
+from iqgalois.quadform import LANE_LIMIT, ClassNumberAmbiguous, QuadForm, class_group, class_groups
+from iqgalois.quadform import power, prime_form, principal_form, reduce_form
 from iqgalois.survey import class_numbers_range
 
 
@@ -109,17 +116,25 @@ def test_window_bounds_the_steps_in_flight(monkeypatch):
     # a narrow window takes many rounds and admits fields behind unfinished
     # ones; every group must still come out whole and in field order
     monkeypatch.setattr(quadform, "LANES", 40)
-    widths = []
-    kernel = quadform._lane_powers
+    steps, widths = [], []
+    step, kernel = quadform._sylow_step, quadform._power_lanes
 
-    def recording(forms, exponents):
-        widths.append(len(forms))
-        return kernel(forms, exponents)
+    def starting(*args):
+        steps.append(step(*args))
+        return steps[-1]
 
-    monkeypatch.setattr(quadform, "_lane_powers", recording)
+    def recording(a, b, c, n):
+        # the generator steps in flight, each asking for a power; the array
+        # lanes of odd steps are not held as generators
+        widths.append(sum(s.gi_frame is not None for s in steps))
+        return kernel(a, b, c, n)
+
+    monkeypatch.setattr(quadform, "_sylow_step", starting)
+    monkeypatch.setattr(quadform, "_power_lanes", recording)
     fields = [(validate(-m), h) for m, h in class_numbers_range(10**6, 10**6 + 2000)]
     assert list(class_groups(iter(fields))) == [class_group(d, known_h=h) for d, h in fields]
-    # a field enters while fewer than LANES steps are in flight, one step per prime of h
+    # a field enters while fewer than LANES generator steps are in flight, one
+    # per prime of h at most
     assert len(widths) > 20 and max(widths) < 40 + 5
 
 
@@ -270,3 +285,115 @@ def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
     assert _outcome(lambda: got.extend(groups)) == _outcome(lambda: class_group(past, known_h=4886))
     assert got == [class_group(discs[0], known_h=fields[0][1])]
     assert scalar_groups == []
+
+
+def _ambiguous(f) -> bool:
+    a, b, c = f
+    return b == 0 or b == a or a == c
+
+
+def _pool_heads(D: int, k: int) -> list:
+    """The first k forms of _prime_form_pool(D) that are not ambiguous, at primes below 2^10."""
+    heads = []
+    for q in small_primes():
+        if q > 2**10 or 3 * q * q > -D or len(heads) == k:
+            break
+        if (f := prime_form(D, q)) is not None and not _ambiguous(f := reduce_form(f)):
+            heads.append(f)
+    pool = filter(lambda f: not _ambiguous(f), quadform._prime_form_pool(D))
+    assert heads == list(itertools.islice(pool, len(heads))), D
+    return heads
+
+
+def _array_heads(discs: list, k: int) -> list:
+    forms, count = quadform._pool_lanes(np.array(discs, dtype=np.int64), k)
+    return [list(map(QuadForm._make, forms[:, j, :n].T.tolist())) for j, n in enumerate(count)]
+
+
+def test_array_candidates_are_the_pools_first_forms():
+    mask = survey.fundamental_mask(LANE_LIMIT - 2000, LANE_LIMIT + 1)
+    top = [-m for m in range(LANE_LIMIT - 2000, LANE_LIMIT + 1) if mask[m - LANE_LIMIT + 2000]]
+    past = _first_fundamental(LANE_LIMIT + 1, 1).value
+    sizes = collections.Counter()
+    for lo, hi in ((3, 20_000), (10**6, 10**6 + survey.BLOCK_SIZE)):
+        discs = [-m for m, _ in class_numbers_range(lo, hi)]
+        heads = _array_heads(discs, 4)
+        assert heads == [_pool_heads(D, 4) for D in discs]
+        sizes.update(map(len, heads))
+    assert len(top) > 500
+    assert _array_heads(top + [past], 4) == [_pool_heads(D, 4) for D in top] + [[]]
+    # at small |D| the pool ends before four forms
+    assert sorted(sizes) == [0, 1, 2, 3, 4] and sizes[3] > 10
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """The (D, q) of every odd-q generator step that class_groups starts."""
+    started = []
+    step = quadform._sylow_step
+
+    def recording(d, h, q, e):
+        if q != 2:
+            started.append((d.value, q))
+        return step(d, h, q, e)
+
+    monkeypatch.setattr(quadform, "_sylow_step", recording)
+    return started
+
+
+def test_array_lanes_restart_at_each_exit(restarts):
+    fields = [(validate(-m), h) for m, h in class_numbers_range(3, 5000)]
+    fields += [(validate(-m), h) for m, h in class_numbers_range(792_100, 792_200)]
+    got = list(class_groups(fields))
+    restarted = list(restarts)  # class_group starts a step for every prime of h
+    assert got == [class_group(d, known_h=h) for d, h in fields]
+    groups = {cg.discriminant: cg for cg in got}
+    # rank 2: the first projection x that is not 1 has order below 3^e
+    for D, orders in ((-4027, (3, 3)), (-3299, (3, 9)), (-3896, (3, 3))):
+        assert groups[D].sylow[3][0] == orders and (D, 3) in restarted
+    # h(-792115) = 132: its four candidates all project by 44 to the identity
+    D = -792115
+    heads = _array_heads([D], 4)[0]
+    assert len(heads) == 4 and all(power(f, 44) == principal_form(D) for f in heads)
+    assert groups[D].sylow[3][0] == (3,) and (D, 3) in restarted
+    # every other odd step ends on the arrays, on the cyclic shortcut
+    odd = sum(q != 2 for cg in got for q in cg.sylow)
+    assert len(restarted) == 22 and odd == 1340
+    # h(-23) = 3 claimed as 15: the one candidate (2, 1, 3) projects by 3 to
+    # the identity, so the 5-lane runs out where the pool does
+    restarts.clear()
+    wrong = [(validate(-23), 15)]
+    assert _array_heads([-23], 4) == [[(2, 1, 3)]]
+    outcome = _outcome(lambda: list(class_groups(wrong)))
+    assert restarts == [(-23, 5)]
+    assert outcome == _outcome(lambda: class_group(validate(-23), known_h=15))
+    assert outcome[0] is ClassNumberAmbiguous and "pool exhausted" in outcome[1]
+
+
+def _claims() -> list:
+    """Wrong class numbers 3h, 5h, 7h, 9h, h/3 and h/5 over two windows."""
+    claims = []
+    for m, h in class_numbers_range(3, 6000) + class_numbers_range(10**6, 10**6 + 1000):
+        claims += [(m, k * h) for k in (3, 5, 7, 9)] + [(m, h // k) for k in (3, 5) if h % k == 0]
+    return claims
+
+
+def test_wrong_claims_give_the_same_outcome_on_both_routes():
+    # a seeded sample of the claims; the whole sweep is slow
+    claims = _claims()
+    assert len(claims) == 9674
+    kinds = collections.Counter()
+    for m, claim in random.Random(1).sample(claims, 500):
+        d = validate(-m)
+        try:
+            want = ("group", class_group(d, known_h=claim))
+        except Exception as exc:
+            want = (type(exc), str(exc))
+        try:
+            got = ("group", *class_groups([(d, claim)]))
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        assert got == want, (m, claim)
+        kinds[want[0]] += 1
+    # a wrong claim mostly raises, but an odd part that is too small can pass
+    assert kinds == {ClassNumberAmbiguous: 489, "group": 11}
