@@ -31,15 +31,23 @@ both.  Over one more batch pass, class_group_routes counts the odd Sylow
 steps (one per field and odd prime of h) that end on int64 array lanes,
 those that run as generator steps (the calls of
 quadform._sylow_structure at odd q), and the calls of
-quadform._power_lanes, the class-group kernel, with their lanes.  The
-parent has no array lanes, so all its odd steps are generator steps.  On
+quadform._power_lanes, the class-group kernel, with their lanes.  A
+library without array lanes runs all its odd steps as generator steps.  On
 a library with array lanes (quadform._pool_lanes), each odd generator step
 is sorted under restart_exits by the exit that sent it there, replayed
 with the scalar power on the lane's candidates: no_candidates (it never
 was an array lane), ran_out (every candidate projects to 1),
 order_below (y = x^(q^(e-1)) is 1: x has order below q^e, and the
 generator walks a table) or order_above (y^q is not 1: the claimed h is
-wrong).
+wrong).  The 2-parts (one per even-h field) are counted the same way:
+two_steps_arrays end on array lanes, two_steps_generators run
+quadform._two_sylow_orders, and two_generator_routes sorts the latter:
+r4>=2 (the 4-rank of quadform._redei is 2 or more, no array lane), then,
+on a library with 2-lanes (quadform._lane_candidates), the exit replayed
+with the scalar power on its one candidate: no_candidate (the ranks fail
+the checks, or no prime below 2^10 qualifies), x_is_one, order_below
+(x^(2^(n-1)) is 1) or order_above (its square is not 1), and on a library
+without them r4<=1.
 """
 
 import collections
@@ -113,9 +121,23 @@ def count_products(lib, fn) -> int:
     return calls
 
 
-def restart_exit(quadform, D: int, h: int, q: int, e: int) -> str:
+def lane_candidates(lib, D: int, h: int) -> tuple:
+    """The array candidates of the field D with h: its pool heads, their count, its 2-candidate.
+
+    The 2-candidate is None where there is none, and on a library without 2-lanes.
+    """
+    quadform = lib.quadform
+    if not hasattr(quadform, "_lane_candidates"):
+        heads, count = quadform._pool_lanes(np.array([D], dtype=np.int64), quadform._CANDIDATES)
+        return heads, count, None
+    heads, count, two = quadform._lane_candidates([(lib.discriminant.validate(D), h)])
+    return heads, count, quadform.QuadForm._make(two[:, 0].tolist()) if two[0, 0] else None
+
+
+def restart_exit(lib, D: int, h: int, q: int, e: int) -> str:
     """Why the odd step (D, q) runs as a generator step: the exit of its array lane."""
-    heads, count = quadform._pool_lanes(np.array([D], dtype=np.int64), quadform._CANDIDATES)
+    quadform = lib.quadform
+    heads, count, _ = lane_candidates(lib, D, h)
     one = quadform.principal_form(D)
     for f in heads[:, 0, : count[0]].T.tolist():
         if (x := quadform.power(quadform.QuadForm._make(f), h // q**e)) != one:
@@ -124,19 +146,45 @@ def restart_exit(quadform, D: int, h: int, q: int, e: int) -> str:
     return "ran_out" if count[0] else "no_candidates"
 
 
-def count_routes(lib, batch) -> dict:
-    """The routes of batch()'s odd Sylow steps and its kernel calls, via wrappers on lib."""
+def two_route(lib, d, h: int, e: int) -> str:
+    """Why the 2-part of d runs as a generator step: its 4-rank, or the exit of its array lane."""
     quadform = lib.quadform
-    sylow, kernel = quadform._sylow_structure, quadform._power_lanes
-    counts = dict.fromkeys(("odd_steps_generators", "kernel_calls", "kernel_lanes"), 0)
-    exits = collections.Counter()
+    if quadform._redei(d)[2] >= 2:
+        return "r4>=2"
+    if not hasattr(quadform, "_lane_candidates"):
+        return "r4<=1"
+    f = lane_candidates(lib, d.value, h)[2]
+    if f is None:
+        return "no_candidate"
+    one = quadform.principal_form(d.value)
+    if (x := quadform.power(f, h >> e)) == one:
+        return "x_is_one"
+    y = quadform.power(x, 2 ** (e - d.num_prime_divisors + 1))  # x^(2^(n-1)), n = e - r + 1
+    if y == one:
+        return "order_below"
+    return "order_above" if quadform.power(y, 2) != one else "none"
+
+
+def count_routes(lib, batch) -> dict:
+    """The routes of batch()'s Sylow steps and its kernel calls, via wrappers on lib."""
+    quadform = lib.quadform
+    sylow, two = quadform._sylow_structure, quadform._two_sylow_orders
+    kernel = quadform._power_lanes
+    names = ("odd_steps_generators", "two_steps_generators", "kernel_calls", "kernel_lanes")
+    counts = dict.fromkeys(names, 0)
+    exits, two_routes = collections.Counter(), collections.Counter()
 
     def counting_sylow(D, h, q, e, pool):
         if q != 2:
             counts["odd_steps_generators"] += 1
             if hasattr(quadform, "_pool_lanes"):
-                exits[restart_exit(quadform, D, h, q, e)] += 1
+                exits[restart_exit(lib, D, h, q, e)] += 1
         return sylow(D, h, q, e, pool)
+
+    def counting_two(d, h, e, pool):
+        counts["two_steps_generators"] += 1
+        two_routes[two_route(lib, d, h, e)] += 1
+        return two(d, h, e, pool)
 
     def counting_kernel(a, b, c, n):
         counts["kernel_calls"] += 1
@@ -144,12 +192,21 @@ def count_routes(lib, batch) -> dict:
         return kernel(a, b, c, n)
 
     quadform._sylow_structure, quadform._power_lanes = counting_sylow, counting_kernel
+    quadform._two_sylow_orders = counting_two
     try:
-        odd = sum(q != 2 for cg in batch() for q in cg.sylow)
+        cgs = batch()
     finally:
         quadform._sylow_structure, quadform._power_lanes = sylow, kernel
-    arrays = odd - counts["odd_steps_generators"]
-    return {**counts, "odd_steps_arrays": arrays, "restart_exits": dict(sorted(exits.items()))}
+        quadform._two_sylow_orders = two
+    odd = sum(q != 2 for cg in cgs for q in cg.sylow)
+    even = sum(2 in cg.sylow for cg in cgs)
+    return {
+        **counts,
+        "odd_steps_arrays": odd - counts["odd_steps_generators"],
+        "restart_exits": dict(sorted(exits.items())),
+        "two_steps_arrays": even - counts["two_steps_generators"],
+        "two_generator_routes": dict(sorted(two_routes.items())),
+    }
 
 
 def passes(lib, start: int) -> tuple:

@@ -37,10 +37,14 @@ power they need as a request (form, n) and are sent its reduced result.
 class_group answers every request with the scalar power: the oracle, which
 classify, tables, verify and table3 take.  class_groups, the route of a
 survey block, runs the steps of many fields side by side, at most about
-LANES generator steps at a time.  An odd Sylow step starts there as an
-int64 array lane instead, which walks the first prime forms that are not
-ambiguous (_pool_lanes, built in numpy once per block) up to the cyclic
-shortcut, and restarts as a generator step at any other outcome.  Each
+LANES generator steps at a time.  Most Sylow steps start there as int64
+array lanes instead.  An odd one walks the first prime forms that are not
+ambiguous up to the cyclic shortcut.  A 2-part of 4-rank 0 or 1 projects
+the one prime form that its genus characters choose and checks the one
+chain length that the ranks leave.  Their forms, the Redei rows and the
+4-ranks are built in numpy once per block (_redei_lanes, _pool_lanes), with
+a Jacobi symbol that takes no products.  An array lane restarts as a
+generator step at any other outcome.  Each
 round, the requests of both kinds of lane take one lock-step numpy kernel
 on int64 lanes (_power_lanes: Shanks composition from lock-step extended
 gcds and a masked reduction loop), which keeps both checks of
@@ -221,13 +225,13 @@ def power(f: QuadForm, n: int) -> QuadForm:
 # and every other product of the kernel is smaller.
 LANE_LIMIT = 4_500_000_000
 # Generator steps in flight in class_groups.  A suspended step holds about
-# 1.5 kB.  A 1e4-block at |D| = 1e6 has 2,843 of them: its 2,680 2-parts
-# and 163 odd steps that leave the array lanes because their first
+# 1.5 kB.  A 1e4-block at |D| = 1e6 has 247 of them: its 84 2-parts of
+# 4-rank 2 and 163 odd steps that leave the array lanes because their first
 # projection that is not 1 has order below q^e, so a table walk follows.
-# class_groups raises the peak RSS by 6.1 MB at 2,048, 7.7 MB with all at
-# once and 2.6 MB at 40 (2 cores, Python 3.11), and takes the same time at
-# 2,048, 4,096 or all.  A lane of the kernel costs about 6 us against 15 us
-# for the scalar power.
+# So the window does not bind there: class_groups raises the peak RSS by
+# 6.2 MB at 2,048 or 4,096, 5.2 MB with no bound and 3.5 MB at 40 (2 cores,
+# Python 3.11), and takes the same time at 2,048, 4,096 or all.  A lane of
+# the kernel costs about 6 us against 15 us for the scalar power.
 LANES = 2048
 # Candidates of an array lane in class_groups, before it restarts as a
 # generator step.  Per 1e4-block at 1e6 / 1e7, 0 / 3 steps run out of 4;
@@ -390,6 +394,85 @@ def _power_lanes(
         return np.stack(_reduce_lanes(*_compose_lanes(f, f if u is t else tuple(u))[1]))
 
     return tuple(_square_and_multiply_lanes(np.stack(_reduce_lanes(a, b, c)), n, product))
+
+
+def _jacobi_lanes(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The Jacobi symbol (a/n) lane by lane, for a >= 0 and odd n >= 1 in int64.
+
+    The binary algorithm on all lanes at once: strip the twos of a, each
+    flipping the sign at n = 3, 5 mod 8, swap a and n by reciprocity,
+    flipping it when both are 3 mod 4, and take n mod a, until a is 0; the
+    symbol is the sign where n ended at 1, else 0.  It takes remainders,
+    shifts and sign flips only, no product of two lane values, so it is
+    exact for any int64 lane, where Euler's power would overflow once n
+    passes 2^31.5.
+    """
+    a, n = a % n, n.copy()
+    t = np.ones_like(n)
+    live = np.flatnonzero(a)
+    while live.size:
+        x, m = a[live], n[live]
+        z = np.frexp(x & -x)[1] - 1  # the twos of x, exact below 2^53
+        x >>= z
+        flip = (z & 1 == 1) & ((m & 7 == 3) | (m & 7 == 5))
+        flip ^= (x & 3 == 3) & (m & 3 == 3)
+        t[live[flip]] *= -1
+        a[live], n[live] = m % x, x
+        live = live[a[live] != 0]
+    return np.where(n == 1, t, 0)
+
+
+def _prime_rows(ds: list[FundamentalDiscriminant]) -> np.ndarray:
+    """The primes of each d in its column, ascending, the columns padded by 1."""
+    t = np.array([d.num_prime_divisors for d in ds], dtype=np.int64)
+    flat = np.array([p for d in ds for p, _ in d.prime_factors], dtype=np.int64)
+    rows = np.ones((t.max(initial=1), t.size), dtype=np.int64)
+    row = np.arange(flat.size) - np.repeat(np.cumsum(t) - t, t)
+    rows[row, np.repeat(np.arange(t.size), t)] = flat
+    return rows
+
+
+def _span_reduce(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v reduced by the F_2 basis on every lane, 0 exactly where v is in its span.
+
+    Row k of basis holds the basis vector whose leading bit is k, or 0;
+    from the top row down, v = min(v, v ^ row) clears bit k wherever the
+    row is there, as _span_insert does.
+    """
+    for row in basis[::-1]:
+        v = np.minimum(v, v ^ row)
+    return v
+
+
+def _redei_lanes(D: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_redei on every column: the prime discriminants, a basis of the Redei rows and the 4-rank.
+
+    primes holds the primes of D[j] in column j as _prime_rows gives them;
+    a padding 1 has the prime discriminant 1.  The entries (d_j / p_i),
+    i != j, come from _jacobi_lanes at odd p_i and from d_j mod 8 at 2
+    (d_j = 1 mod 4 there), and each row takes the diagonal bit that makes
+    its sum even.  Lock-step elimination on the rows' bit masks keeps the
+    basis by leading bit, as _span_reduce reads it.
+    """
+    T, N = primes.shape
+    discs = np.where(primes % 4 == 1, primes, -primes)
+    discs[primes == 2] = 1
+    discs = np.where(primes == 2, D // discs.prod(axis=0), discs)
+    i, j, col = np.nonzero((primes[:, None] > 1) & (primes > 1) & ~np.eye(T, dtype=bool)[..., None])
+    p, d = primes[i, col], discs[j, col]
+    neg = np.zeros((T, T, N), dtype=bool)
+    at_two = p == 2
+    neg[i[at_two], j[at_two], col[at_two]] = d[at_two] % 8 == 5
+    odd = ~at_two
+    neg[i[odd], j[odd], col[odd]] = _jacobi_lanes(d[odd] % p[odd], p[odd]) == -1
+    bits = 1 << np.arange(T, dtype=np.int64)
+    rows = (neg * bits[:, None]).sum(axis=1) | (neg.sum(axis=1) & 1) * bits[:, None]
+    basis = np.zeros((T, N), dtype=np.int64)
+    for row in rows:
+        v = _span_reduce(basis, row)
+        k = np.flatnonzero(v)
+        basis[np.frexp(v[k])[1] - 1, k] = v[k]
+    return discs, basis, (primes > 1).sum(axis=0) - 1 - (basis != 0).sum(axis=0)
 
 
 def enumerate_reduced_forms(D: int) -> list[QuadForm]:
@@ -851,53 +934,82 @@ def _run(steps: _Steps):
         return stop.value
 
 
-def _lane_powers(forms: list[QuadForm], exponents: list[int]) -> list[QuadForm]:
-    """[power(f, n) for f, n in zip(forms, exponents)] in one call of _power_lanes.
+def _pool_lanes(
+    D: np.ndarray, k: int, seek: np.ndarray, discs: np.ndarray, span: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Per D of the int64 array, the first non-ambiguous forms of its pool, and a 2-candidate.
 
-    Left to right from the top bit of each n, as power runs; every |D| must
-    be at most LANE_LIMIT, and an n below 1 raises ValueError.
-    """
-    a, b, c = (np.array(x, dtype=np.int64) for x in zip(*forms))
-    a, b, c = _power_lanes(a, b, c, np.array(exponents, dtype=np.int64))
-    return list(map(QuadForm._make, zip(a.tolist(), b.tolist(), c.tolist())))
-
-
-def _pool_lanes(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per D of the int64 array, the first forms of _prime_form_pool(D) that are not ambiguous.
-
-    Returns their rows a, b, c, of shape (3, len(D), k), and their count
-    per D: k, or fewer where the pool ends first or the primes below 2^10
-    run out, and none past LANE_LIMIT.  The forms are prime_form's, reduced
-    by _reduce_lanes.  At an odd prime l, b is the root of b^2 = D (mod l)
-    in [0, l] with the parity of D; the roots r and l - r differ in parity,
-    so a table of squares mod l gives the b that prime_form makes from
-    sqrt_mod_prime's root (l at a ramified l of odd D).  At 2, b is 0, 1 or
-    2 by D mod 8.
+    The forms are those of _prime_form_pool(D).  Returns their rows a, b, c,
+    of shape (3, len(D), k), and their count per D: k, or fewer where the
+    pool ends first or the primes below 2^10 run out, and none past
+    LANE_LIMIT.  The forms are prime_form's, reduced by _reduce_lanes.  At
+    an odd prime l, b is the root of b^2 = D (mod l) in [0, l] with the
+    parity of D; the roots r and l - r differ in parity, so a table of
+    squares mod l gives the b that prime_form makes from sqrt_mod_prime's
+    root (l at a ramified l of odd D).  At 2, b is 0, 1 or 2 by D mod 8.
+    The same primes and tables give, for each D where seek is set, the
+    candidate of _two_sylow_orders at r4 <= 1: prime_form(D, q), unreduced,
+    at the first split q whose genus vector over the prime discriminants
+    discs (_redei_lanes) is outside span, a row basis as _span_reduce reads
+    it (0 at r4 = 0, so any nonzero vector).  The symbol (d_j / q) is -1
+    where d_j mod q is not a square; at q = 2 the table of D mod 8 gives it
+    too, as every d_j of an odd D is 1 mod 4.  The third array holds its
+    rows a, b, c, of shape (3, len(D)), and a = 0 where none is found below
+    2^10 or past LANE_LIMIT.
     """
     forms = np.zeros((3, D.size, k), dtype=np.int64)
     count = np.zeros(D.size, dtype=np.int64)
+    two = np.zeros((3, D.size), dtype=np.int64)
     live = np.flatnonzero(D >= -LANE_LIMIT)
+    hunt = live[seek[live]]
     for l in small_primes():
         live = live[(count[live] < k) & (3 * l * l <= -D[live])]  # l <= isqrt(|D|/3)
-        if l > 2**10 or not live.size:
+        hunt = hunt[two[0, hunt] == 0]
+        if l > 2**10 or not (live.size or hunt.size):
             break
         if l == 2:
             roots, m = np.array([0, 1, -1, -1, 2, -1, -1, -1]), 8
         else:
             roots, m = np.full(l, -1), l
             roots[np.arange(l) ** 2 % l] = np.arange(l)
-        d = D[live]
-        b = roots[d % m]
-        split = b >= 0
-        b = np.where((b - d) % 2 == 0, b, l - b)
-        c, r = np.divmod(b * b - d, 4 * l)
-        split &= r == 0
-        a, b, c = _reduce_lanes(np.full(split.sum(), l), b[split], c[split])
-        keep = (b != 0) & (b != a) & (a != c)
-        i = live[split][keep]
-        forms[:, i, count[i]] = a[keep], b[keep], c[keep]
-        count[i] += 1
-    return forms, count
+        if live.size:
+            d = D[live]
+            b = roots[d % m]
+            split = b >= 0
+            b = np.where((b - d) % 2 == 0, b, l - b)
+            c, r = np.divmod(b * b - d, 4 * l)
+            split &= r == 0
+            a, b, c = _reduce_lanes(np.full(split.sum(), l), b[split], c[split])
+            keep = (b != 0) & (b != a) & (a != c)
+            i = live[split][keep]
+            forms[:, i, count[i]] = a[keep], b[keep], c[keep]
+            count[i] += 1
+        if hunt.size:
+            d = D[hunt]
+            b = roots[d % m]
+            vector = ((roots[discs[:, hunt] % m] < 0) << np.arange(len(discs))[:, None]).sum(axis=0)
+            found = (b >= 0) & (d % l != 0) & (_span_reduce(span[:, hunt], vector) != 0)
+            d, b = d[found], b[found]
+            b = np.where((b - d) % 2 == 0, b, l - b)
+            two[:, hunt[found]] = np.full_like(b, l), b, (b * b - d) // (4 * l)
+    return forms, count, two
+
+
+def _lane_candidates(
+    fields: list[tuple[FundamentalDiscriminant, int]],
+) -> tuple[np.ndarray, ...]:
+    """_pool_lanes of the fields, seeking a 2-candidate where the 2-part fits 4-rank 0 or 1.
+
+    That is where h is even and the 2-rank r, the 4-rank r4 of _redei_lanes
+    and 2^e || h pass the checks of _two_sylow_orders at r4 <= 1: e >= r + r4,
+    and e = r at r4 = 0.
+    """
+    D = np.array([d.value for d, _ in fields], dtype=np.int64)
+    e = np.array([(h & -h).bit_length() - 1 for _, h in fields], dtype=np.int64)
+    discs, rows, r4 = _redei_lanes(D, _prime_rows([d for d, _ in fields]))
+    r = (discs != 1).sum(axis=0) - 1
+    seek = (e >= 1) & (r4 <= 1) & (e >= r + r4) & ((r4 == 1) | (e == r))
+    return _pool_lanes(D, _CANDIDATES, seek, discs, np.where(r4 == 1, rows, 0))
 
 
 def class_groups(
@@ -905,24 +1017,31 @@ def class_groups(
 ) -> Iterator[ClassGroupStructure]:
     """class_group(d, known_h=h) for each (d, h) in fields, in order, their powers in lock-step.
 
-    Every round first admits fields, in order, while fewer than LANES
-    generator steps are in flight, which bounds the memory that suspended
-    steps hold.  An odd q of a field within LANE_LIMIT starts as an array
-    lane instead: one column of int64 rows that runs _sylow_structure up to
-    its cyclic shortcut on the first _CANDIDATES forms of _pool_lanes, built
-    once for all fields.  Phase 0 asks for the projection x of candidate k
-    by h/q^e, taking the next candidate while x = 1; phase 1 asks for
-    y = x^(q^(e-1)) (skipped at e = 1, where y is x) and phase 2 for y^q.
-    y != 1 and y^q = 1 (a = 1, as the forms are reduced) end the lane with
-    the shortcut's entry ((q^e,), (y,)).  Any other outcome, candidates that
-    run out included, restarts the (field, q) from its start as a generator
-    step, so table walks, Smith bases and every exception stay with the
-    steps.  A generator step runs until it asks for a power with n >= 2 (a
-    smaller n gets the scalar power at once) or ends, its value or exception
-    kept with its field by q.  One _power_lanes call answers the round's
-    requests of both kinds of lane.  A field past LANE_LIMIT gets every
-    power from the scalar power, so its steps end in the round that admits
-    them.
+    Every round first admits restarts, then fields, in order, while fewer
+    than LANES generator steps are in flight, which bounds the memory that
+    suspended steps hold.  An odd q of a field within LANE_LIMIT starts as
+    an array lane instead: one column of int64 rows that runs
+    _sylow_structure up to its cyclic shortcut on the first _CANDIDATES
+    forms of _pool_lanes, built once for all fields.  Phase 0 asks for the
+    projection x of candidate k by h/q^e, taking the next candidate while
+    x = 1; phase 1 asks for y = x^(q^(e-1)) (skipped at e = 1, where y is x)
+    and phase 2 for y^q.  y != 1 and y^q = 1 (a = 1, as the forms are
+    reduced) end the lane with the shortcut's entry ((q^e,), (y,)).
+    The 2-part of a field within LANE_LIMIT whose ranks pass the checks of
+    _two_sylow_orders at 4-rank r4 <= 1 (_lane_candidates) runs the same
+    phases with q = 2 on its one candidate: at r4 <= 1 that entry needs x
+    of order exactly 2^n, n = e - r + 1 for 2^e || h and the 2-rank r, so
+    the lane takes n in place of e and ends with ((2,)*(r-1) + (2^n,),
+    None).  This drops the n + 1 rounds of one squaring each of _two_chain.
+    Any other outcome of either kind, x = 1 at a 2-lane and candidates that
+    run out included, queues the (field, q) to restart from its start as a
+    generator step, so table walks, Smith bases and every exception stay
+    with the steps.  A generator step runs until it asks for a power with
+    n >= 2 (a smaller n gets the scalar power at once) or ends, its value
+    or exception kept with its field by q.  One _power_lanes call answers
+    the round's requests of both kinds of lane.  A field past LANE_LIMIT
+    gets every power from the scalar power, so its steps end in the round
+    that admits them.
     When all rounds are done, the groups are yielded in field order, each
     field's entries released as it goes.  An exception is raised at its
     field, the one of its smallest q first: what a loop over class_group,
@@ -932,12 +1051,18 @@ def class_groups(
     """
     fields = list(fields)
     entries: list = [None] * len(fields)  # per field: its Sylow entries by q, or an exception
-    heads, count = _pool_lanes(np.array([d.value for d, _ in fields], dtype=np.int64), _CANDIDATES)
-    # array lanes, one per column: request a, b, c, n, then field, candidate, phase, e, q, y
-    odd = np.zeros((12, 0), dtype=np.int64)
-    lanes, results, waiting = [], [], iter(range(len(fields)))
+    heads, count, two = _lane_candidates(fields)
+    # array lanes, one per column: request a, b, c, n, then field, candidate,
+    # phase, e, q, y; the lane checks that x has order q^e
+    arrays = np.zeros((12, 0), dtype=np.int64)
+    lanes, results, waiting, restarts = [], [], iter(range(len(fields))), []
     while True:
         new = []
+        while len(lanes) < LANES and restarts:
+            i, q, e = restarts.pop()
+            d, h = fields[i]
+            lanes.append((entries[i], q, _sylow_step(d, h, q, e), False))
+            results.append(None)
         while len(lanes) < LANES and (i := next(waiting, None)) is not None:
             d, h = fields[i]
             try:
@@ -947,17 +1072,20 @@ def class_groups(
                 continue
             entries[i] = sylow = dict.fromkeys(q for q, _ in parts)
             for q, e in parts:
-                if q == 2 or not count[i]:
+                if q == 2 and two[0, i]:  # 2^e || h and 2-rank r: a chain of length e - r + 1
+                    new.append((h >> e, i, e - d.num_prime_divisors + 2, 2))
+                elif q != 2 and count[i]:
+                    new.append((h // q**e, i, e, q))
+                else:
                     lanes.append((sylow, q, _sylow_step(d, h, q, e), d.value < -LANE_LIMIT))
                     results.append(None)
-                else:
-                    new.append((h // q**e, i, e, q))
         if new:
             n, i, e, q = np.array(new, dtype=np.int64).T
             zero = np.zeros_like(i)
-            rows = [*heads[:, i, 0], n, i, zero, zero, e, q, zero, zero, zero]
-            odd = np.concatenate((odd, rows), axis=1)
-        if not lanes and not odd.size:
+            x = np.where(q == 2, two[:, i], heads[:, i, 0])
+            rows = [*x, n, i, zero, zero, e, q, zero, zero, zero]
+            arrays = np.concatenate((arrays, rows), axis=1)
+        if not lanes and not arrays.size:
             break
         asked, forms, exponents = [], [], []
         for lane, result in zip(lanes, results):
@@ -975,32 +1103,33 @@ def class_groups(
                 forms.append(f)
                 exponents.append(n)
         lanes, results = asked, []
-        if asked or odd.size:  # one kernel call: the generator requests, then the array lanes
+        if asked or arrays.size:  # one kernel call: the generator requests, then the array lanes
             rows = np.array([*zip(*forms), exponents] if asked else [[]] * 4, dtype=np.int64)
-            powers = np.stack(_power_lanes(*np.concatenate((rows, odd[:4]), axis=1)))
+            powers = np.stack(_power_lanes(*np.concatenate((rows, arrays[:4]), axis=1)))
             results = list(map(QuadForm._make, powers[:, : len(asked)].T.tolist()))
-            odd[:3] = powers[:, len(asked) :]
-        a, b, c, n, i, k, phase, e, q = odd[:9]
+            arrays[:3] = powers[:, len(asked) :]
+        a, b, c, n, i, k, phase, e, q = arrays[:9]
         one, first, last = a == 1, phase == 0, phase == 2
         ahead = ~one & ~last  # x or y is not 1: keep it, ask for its next power
-        odd[9:, ahead] = odd[:3, ahead]
+        arrays[9:, ahead] = arrays[:3, ahead]
         phase[ahead] += 1 + (first & (e == 1))[ahead]
         n[ahead] = np.where(phase == 1, q ** (e - 1), q)[ahead]
-        skip = one & first  # x = 1: the next candidate
+        skip = one & first  # x = 1: the next candidate; a 2-lane has one
         k[skip] += 1
-        restart = skip & (k == count[i]) | (one != last) & ~first
+        restart = skip & ((q == 2) | (k == count[i])) | (one != last) & ~first
         skip &= ~restart
-        odd[:3, skip] = heads[:, i[skip], k[skip]]
-        phase[one & last] = 3  # y != 1 and y^q = 1: the shortcut's entry
+        arrays[:3, skip] = heads[:, i[skip], k[skip]]
+        phase[one & last] = 3  # y != 1 and y^q = 1: x has order q^e
         end = (phase == 3) | restart
-        for i, q, e, p, *y in odd[[4, 8, 7, 6, 9, 10, 11]][:, end].T.tolist():
-            if p == 3:
+        for i, q, e, p, *y in arrays[[4, 8, 7, 6, 9, 10, 11]][:, end].T.tolist():
+            r = fields[i][0].num_prime_divisors - 1
+            if p != 3:  # restarts as a generator step once the window has room
+                restarts.append((i, q, e + r - 1 if q == 2 else e))
+            elif q == 2:  # _two_sylow_orders's entry at r4 <= 1
+                entries[i][q] = (2,) * (r - 1) + (1 << e,), None
+            else:  # the shortcut's entry
                 entries[i][q] = (q**e,), (QuadForm._make(y),)
-            else:
-                d, h = fields[i]
-                lanes.append((entries[i], q, _sylow_step(d, h, q, e), False))
-                results.append(None)
-        odd = odd[:, ~end]
+        arrays = arrays[:, ~end]
     for i, (d, h) in enumerate(fields):
         sylow, entries[i] = entries[i], None
         for failed in [sylow] if isinstance(sylow, Exception) else sylow.values():

@@ -14,7 +14,9 @@ field that raised them, and a field past the kernel's int64 bound must take
 the scalar route.  The odd Sylow steps that class_groups starts as array
 lanes must take the first non-ambiguous forms of each pool as candidates,
 give class_group's groups at every exit of the array route, and end a wrong
-class number the way class_group ends it.
+class number the way class_group ends it.  So must the 2-parts of 4-rank 0
+or 1, whose 4-rank and candidate, computed in numpy, must be those of the
+scalar genus route.
 """
 
 import collections
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 
 from iqgalois import quadform, survey
-from iqgalois.arith import InvariantViolation, small_primes
+from iqgalois.arith import InvariantViolation, is_prime, small_primes
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import kronecker_at, validate
 from iqgalois.quadform import LANE_LIMIT, ClassNumberAmbiguous, QuadForm, class_group, class_groups
@@ -50,6 +52,12 @@ def _requests(lo: int, hi: int) -> list:
     return out
 
 
+def _kernel(forms, exponents) -> tuple:
+    """_power_lanes on the rows of the forms, one lane per form and exponent."""
+    a, b, c = np.array(forms, dtype=np.int64).T
+    return quadform._power_lanes(a, b, c, np.array(exponents, dtype=np.int64))
+
+
 @pytest.mark.parametrize("lo", [10**6, 10**7])
 def test_kernel_replays_every_class_group_power(lo, monkeypatch):
     requests = _requests(lo, lo + 2500)
@@ -64,8 +72,8 @@ def test_kernel_replays_every_class_group_power(lo, monkeypatch):
 
     monkeypatch.setattr(quadform, "_compose_lanes", counting)
     forms, exponents = zip(*requests)
-    got = quadform._lane_powers(list(forms), list(exponents))
-    assert got == [power(f, n) for f, n in requests]
+    got = np.stack(_kernel(forms, exponents)).T.tolist()
+    assert got == [list(power(f, n)) for f, n in requests]
     # square_and_multiply's count per lane: bit_length - 1 squarings, popcount - 1 products
     assert products == sum(n.bit_length() - 1 + n.bit_count() - 1 for n in exponents)
 
@@ -73,12 +81,12 @@ def test_kernel_replays_every_class_group_power(lo, monkeypatch):
 def test_kernel_refuses_exponents_below_one(deadline):
     f, g = list(quadform._prime_form_pool(-1000003))[1:3]
     with pytest.raises(ValueError, match="exponent 0 "):
-        quadform._lane_powers([f, g], [3, 0])
+        _kernel([f, g], [3, 0])
     with pytest.raises(ValueError, match="exponent -1 "):
-        quadform._lane_powers([f], [-1])
+        _kernel([f], [-1])
     # past 2^53 np.frexp may round n up to the next power of 2, a wrong top bit
     with pytest.raises(ValueError, match="exponent 9007199254740992 "):
-        quadform._lane_powers([f], [2**53])
+        _kernel([f], [2**53])
     # _square_and_multiply_lanes, the loop of all three lane kernels, refuses
     # them before its first product
     calls = []
@@ -114,8 +122,11 @@ def test_scan_block_matches_fields_one_by_one(csv_bytes):
 
 def test_window_bounds_the_steps_in_flight(monkeypatch):
     # a narrow window takes many rounds and admits fields behind unfinished
-    # ones; every group must still come out whole and in field order
-    monkeypatch.setattr(quadform, "LANES", 40)
+    # ones; every group must still come out whole and in field order.  Only
+    # the 2-parts at 4-rank 2 (13 here, started as their fields enter) and
+    # the restarted array lanes (33) are generator steps, so the window is
+    # narrower than either
+    monkeypatch.setattr(quadform, "LANES", 5)
     steps, widths = [], []
     step, kernel = quadform._sylow_step, quadform._power_lanes
 
@@ -125,7 +136,7 @@ def test_window_bounds_the_steps_in_flight(monkeypatch):
 
     def recording(a, b, c, n):
         # the generator steps in flight, each asking for a power; the array
-        # lanes of odd steps are not held as generators
+        # lanes are not held as generators
         widths.append(sum(s.gi_frame is not None for s in steps))
         return kernel(a, b, c, n)
 
@@ -133,9 +144,9 @@ def test_window_bounds_the_steps_in_flight(monkeypatch):
     monkeypatch.setattr(quadform, "_power_lanes", recording)
     fields = [(validate(-m), h) for m, h in class_numbers_range(10**6, 10**6 + 2000)]
     assert list(class_groups(iter(fields))) == [class_group(d, known_h=h) for d, h in fields]
-    # a field enters while fewer than LANES generator steps are in flight, one
-    # per prime of h at most
-    assert len(widths) > 20 and max(widths) < 40 + 5
+    # a field, or a restart, enters while fewer than LANES generator steps are
+    # in flight, one per prime of h at most
+    assert len(widths) > 20 and max(widths) < 5 + 5
 
 
 def test_scan_block_restores_the_collector(monkeypatch):
@@ -306,7 +317,9 @@ def _pool_heads(D: int, k: int) -> list:
 
 
 def _array_heads(discs: list, k: int) -> list:
-    forms, count = quadform._pool_lanes(np.array(discs, dtype=np.int64), k)
+    D = np.array(discs, dtype=np.int64)
+    seek, ones = np.zeros(D.size, dtype=bool), np.ones((1, D.size), dtype=np.int64)
+    forms, count, _ = quadform._pool_lanes(D, k, seek, ones, 0 * ones)
     return [list(map(QuadForm._make, forms[:, j, :n].T.tolist())) for j, n in enumerate(count)]
 
 
@@ -397,3 +410,129 @@ def test_wrong_claims_give_the_same_outcome_on_both_routes():
         kinds[want[0]] += 1
     # a wrong claim mostly raises, but an odd part that is too small can pass
     assert kinds == {ClassNumberAmbiguous: 489, "group": 11}
+
+
+def _scalar_genus(d) -> tuple:
+    """_redei's 4-rank of d and, at 4-rank 0 or 1, the form _two_sylow_orders projects first.
+
+    The form is None where its prime is not below 2^10.  At one prime, D is
+    its own prime discriminant, so every split q has the genus vector 0 and
+    there is no form; the loop would walk every prime below 2^16.
+    """
+    r4 = quadform._redei(d)[2]
+    if r4 > 1 or d.num_prime_divisors == 1:
+        return r4, None
+    e = d.num_prime_divisors - 1 + r4  # a 2^e || h that passes the rank checks
+    f, n = next(quadform._two_sylow_orders(d, 2**e, e, iter(())))
+    assert n == 1
+    return r4, tuple(f) if f.a < 2**10 else None
+
+
+def _array_genus(ds: list) -> list:
+    """The 4-rank and the 2-candidate of each d from _redei_lanes and _pool_lanes."""
+    D = np.array([d.value for d in ds], dtype=np.int64)
+    discs, rows, r4 = quadform._redei_lanes(D, quadform._prime_rows(ds))
+    _, _, two = quadform._pool_lanes(D, 4, r4 <= 1, discs, np.where(r4 == 1, rows, 0))
+    return [(k, tuple(f) if f[0] else None) for k, f in zip(r4.tolist(), two.T.tolist())]
+
+
+def test_genus_step_matches_the_scalar_route():
+    # the Jacobi symbol takes no products, so it is exact past 2^31.5, where
+    # Euler's power would overflow int64
+    n = np.array([4_499_999_989, 3_037_000_507, 1_000_003, 7, 1], dtype=np.int64)
+    a = np.array([2_000_000_011, 1_234_567_891, 999_999, 3, 5], dtype=np.int64)
+    assert all(is_prime(int(p)) for p in n[:4])
+    want = [quadform.kronecker(int(x), int(p)) for x, p in zip(a[:4], n[:4])] + [1]
+    assert quadform._jacobi_lanes(a, n).tolist() == want
+    lo = LANE_LIMIT - 2000
+    mask = survey.fundamental_mask(lo, LANE_LIMIT + 1)
+    top = [validate(-m) for m in range(lo, LANE_LIMIT + 1) if mask[m - lo]]
+    ranks = collections.Counter()
+    width = survey.BLOCK_SIZE
+    for lo, hi in ((3, 20_000), (10**6, 10**6 + width), (10**7, 10**7 + width)):
+        ds = [validate(-m) for m, _ in class_numbers_range(lo, hi)]
+        got = _array_genus(ds)
+        assert got == [_scalar_genus(d) for d in ds]
+        ranks.update(r4 for r4, _ in got)
+    # the prime factors of the top |D| pass 2^31, past 3e9 at one prime; the
+    # four fields of 4-rank 3 of test_sylow
+    assert max(p for d in top for p, _ in d.prime_factors) > 3 * 10**9
+    top += [validate(D) for D in (-503659, -550712, -568888, -863455)]
+    got = _array_genus(top)
+    assert got == [_scalar_genus(d) for d in top]
+    ranks.update(r4 for r4, _ in got)
+    assert ranks == {0: 7166, 1: 5334, 2: 274, 3: 4}
+
+
+@pytest.fixture
+def two_restarts(monkeypatch):
+    """The (D, e) of every 2-part generator step that class_groups starts."""
+    started = []
+    step = quadform._sylow_step
+
+    def recording(d, h, q, e):
+        if q == 2:
+            started.append((d.value, e))
+        return step(d, h, q, e)
+
+    monkeypatch.setattr(quadform, "_sylow_step", recording)
+    return started
+
+
+def test_two_lanes_restart_at_each_exit(two_restarts, monkeypatch):
+    # with the exact h, a 2-part at 4-rank 0 or 1 ends on the array lanes,
+    # and every other one is a generator step from its start
+    fields = [(validate(-m), h) for m, h in class_numbers_range(3, 6000)]
+    want = [class_group(d, known_h=h) for d, h in fields]
+    two_restarts.clear()  # class_group starts a step for every prime of h
+    assert list(class_groups(fields)) == want
+    generators = [d.value for d, h in fields if h % 2 == 0 and quadform._redei(d)[2] >= 2]
+    assert [D for D, _ in two_restarts] == generators == [-2379, -4895, -5795]
+    # order below 2^n: h(-56) = 4, Cl = Z/4 at 2-rank 1 and 4-rank 1; claimed
+    # as 8, the lane checks for order 8
+    # y^2 != 1: h(-164) = 8, Cl = Z/8; claimed as 4, the lane checks for order 4
+    one = {D: principal_form(D) for D in (-56, -164)}
+    x = {D: power(f, 1) for D, f in ((-56, prime_form(-56, 3)), (-164, prime_form(-164, 3)))}
+    assert _array_genus([validate(-56), validate(-164)]) == [(1, (3, 2, 5)), (1, (3, 2, 14))]
+    assert power(x[-56], 4) == one[-56] and power(x[-164], 4) != one[-164]
+    for D, claim, e in ((-56, 8, 3), (-164, 4, 2)):
+        want = _outcome(lambda: class_group(validate(D), known_h=claim))
+        two_restarts.clear()
+        assert _outcome(lambda: list(class_groups([(validate(D), claim)]))) == want
+        assert two_restarts == [(D, e)] and want[0] is ClassNumberAmbiguous
+    # x = 1 cannot happen with a genus-chosen candidate, whose 2-part is not
+    # a square; a principal candidate takes that exit, with h(-56) = 4
+    pool = quadform._pool_lanes
+
+    def principal(*args):
+        forms, count, two = pool(*args)
+        two[:, two[0] != 0] = np.array(one[-56])[:, None]
+        return forms, count, two
+
+    monkeypatch.setattr(quadform, "_pool_lanes", principal)
+    want = [class_group(validate(-56), known_h=4)]
+    two_restarts.clear()
+    assert list(class_groups([(validate(-56), 4)])) == want
+    assert two_restarts == [(-56, 2)]
+
+
+def test_wrong_two_parts_give_the_same_outcome_on_both_routes():
+    claims = []
+    for m, h in class_numbers_range(3, 6000) + class_numbers_range(10**6, 10**6 + 1000):
+        claims += [(m, 2 * h), (m, 4 * h)] + [(m, h // 2)] * (h % 4 == 0)
+    assert len(claims) == 5468
+    kinds = collections.Counter()
+    for m, claim in claims:
+        d = validate(-m)
+        try:
+            want = ("group", class_group(d, known_h=claim))
+        except Exception as exc:
+            want = (type(exc), str(exc))
+        try:
+            got = ("group", *class_groups([(d, claim)]))
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        assert got == want, (m, claim)
+        kinds[want[0]] += 1
+    # every claim raises: a wrong 2-part never passes where the 4-rank is at most 2
+    assert kinds == {ClassNumberAmbiguous: 4598, InvariantViolation: 870}
