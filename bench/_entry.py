@@ -60,9 +60,8 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
     pace during the passes moves all of them alike.  Each call runs with
     the cyclic collector paused, and its state is restored after the call,
     also when it raises: a collection that the garbage of earlier passes
-    triggers would land on whichever call is running.  The stats are the
-    median_s, min_s, repeats and each pass's time under passes_s, in the
-    order of the passes.
+    triggers would land on whichever call is running.  The stats are
+    those of stats() over each fn's passes.
     """
     results, times = [[] for _ in fns], [[] for _ in fns]
     order = list(zip(fns, results, times))
@@ -77,16 +76,17 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
             finally:
                 if collecting:
                     gc.enable()
-    stats = [
-        {
-            "median_s": round(statistics.median(spent), DECIMALS),
-            "min_s": round(min(spent), DECIMALS),
-            "passes_s": [round(t, DECIMALS) for t in spent],
-            "repeats": repeats,
-        }
-        for spent in times
-    ]
-    return list(zip(results, stats))
+    return list(zip(results, map(stats, times)))
+
+
+def stats(spent: list[float]) -> dict:
+    """The median_s, min_s, passes_s (in pass order) and repeats of one timing's passes."""
+    return {
+        "median_s": round(statistics.median(spent), DECIMALS),
+        "min_s": round(min(spent), DECIMALS),
+        "passes_s": [round(t, DECIMALS) for t in spent],
+        "repeats": len(spent),
+    }
 
 
 def _iqr(passes: list[float]) -> float:

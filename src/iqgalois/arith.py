@@ -111,6 +111,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    return large_factors(n, out)
+
+
+def large_factors(n: int, out: dict[int, int] | None = None) -> list[tuple[int, int]]:
+    """The factors of n >= 1, which no prime below 2**16 divides, added to out, sorted.
+
+    factorize's tail: Miller-Rabin and Pollard rho split n.
+    """
+    out = {} if out is None else out
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -8,6 +8,8 @@ part of the abelian Galois group deviates from prod_{n>=1} Z/nZ, which
 happens only for D = -4 and D = -8.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .arith import factorize, kronecker
@@ -57,8 +59,15 @@ class TorsionDescriptor:
         return f"prod_n Z/{self.w}nZ"
 
 
-def validate(D: int) -> FundamentalDiscriminant:
-    """Check that D is a fundamental imaginary quadratic discriminant."""
+def validate(D: int, factors: list[tuple[int, int]] | None = None) -> FundamentalDiscriminant:
+    """Check that D is a fundamental imaginary quadratic discriminant.
+
+    factors is the factorization of |D| as arith.factorize gives it, or None
+    for factorize to run: a scan block passes those of survey.block_factors.
+    Given factors that do not multiply out to |D| raise ValueError, and an
+    odd square among them NotFundamental, as factorize's would; that they
+    are distinct primes in ascending order is the caller's word.
+    """
     if not isinstance(D, int):
         raise TypeError(f"discriminant must be an integer, got {type(D)}")
     if D >= 0:
@@ -67,7 +76,10 @@ def validate(D: int) -> FundamentalDiscriminant:
         raise NotFundamental(f"D = {D} is 2 or 3 mod 4")
     if D % 4 == 0 and (D // 4) % 4 not in (2, 3):
         raise NotFundamental(f"D/4 = {D // 4} is 0 or 1 mod 4")
-    factors = factorize(-D)
+    if factors is None:
+        factors = factorize(-D)
+    elif math.prod(itertools.starmap(pow, factors)) != -D:
+        raise ValueError(f"{factors} does not multiply out to |D| = {-D}")
     # with D/4 = 2, 3 mod 4 the power of 2 is fixed; only odd squares remain
     if any(e > 1 for q, e in factors if q != 2):
         if D % 2:

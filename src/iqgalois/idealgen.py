@@ -21,9 +21,11 @@ explicit_power_generator builds alpha in full for verify.generators, the
 p = 2 direct check and the golden generator pin.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -253,16 +255,16 @@ def _generator_lanes(jobs: Iterable[tuple[QuadForm, int]]) -> np.ndarray:
 
     job is the index in jobs, ascending, and (x, y) the image in O/p^2 of
     torsion_power_generator.  Each job is a lane whose state (f, g) starts
-    at f = coprime_representative(form, p) and g = 1; every lane runs
-    square_and_multiply from the top bit of its p at once, one round per
-    bit, each a lock-step product of states (_power_states) with every
-    check of _state_product, whose InvariantViolation is raised at once.
-    A job is left out, for the scalar route to run from its start, when
-    coprime_representative raises, p^2 reaches _RING_LIMIT, a product would
-    fail _fits, or the final state has norm a != 1, for which
-    torsion_power_generator raises NotPrincipal.
+    at f = coprime_representative(form, p) and g = 1, that form chosen for
+    all jobs at once in numpy (_lanes); every lane runs square_and_multiply
+    from the top bit of its p at once, one round per bit, each a lock-step
+    product of states (_power_states) with every check of _state_product,
+    whose InvariantViolation is raised at once.  A job is left out, for the
+    scalar route to run from its start, when coprime_representative raises,
+    p^2 reaches _RING_LIMIT, a product would fail _fits, or the final state
+    has norm a != 1, for which torsion_power_generator raises NotPrincipal.
     """
-    lanes = np.fromiter(_lanes(jobs), np.dtype((np.int64, 9))).T
+    lanes = _lanes(jobs)
     if not lanes.shape[1]:
         return np.zeros((5, 0), np.int64)
     job, final = lanes[0], _power_states(lanes[1:])
@@ -270,18 +272,28 @@ def _generator_lanes(jobs: Iterable[tuple[QuadForm, int]]) -> np.ndarray:
     return np.stack([job, final[3], final[4], p, -final[6] % (p * p)])[:, done]
 
 
-def _lanes(jobs: Iterable[tuple[QuadForm, int]]) -> Iterator[tuple[int, ...]]:
+def _lanes(jobs: Iterable[tuple[QuadForm, int]]) -> np.ndarray:
     """The job and the first state rows of _power_states of each job that starts on a lane.
 
-    The state is (f, 1) with f = (a, b, c) = coprime_representative(form, p).
+    The state is (f, 1) with f = (a, b, c) = coprime_representative(form, p),
+    chosen as it chooses, on every job at once: of a primitive form, the
+    first of f, (c, -b, a) and (a + b + c, -2a - b, a) whose leading
+    coefficient is coprime to p, kept where it has the discriminant of
+    form.  A job that is not primitive, that has no such form (where
+    coprime_representative raises) or whose p^2 reaches _RING_LIMIT is left
+    out.  The jobs' forms are reduced, of |D| at most
+    quadform.CLASS_NUMBER_LIMIT, so every value here is far inside int64.
     """
-    for i, (form, p) in enumerate(jobs):
-        try:
-            a, b, c = coprime_representative(form, p)
-        except (ValueError, InvariantViolation):
-            continue
-        if p * p < _RING_LIMIT:
-            yield i, a, b, c, 1, 0, 1, 4 * a * c - b * b, p
+    rows = itertools.chain.from_iterable((*form, p) for form, p in jobs)
+    a, b, c, p = np.fromiter(rows, np.int64).reshape(-1, 4).T
+    s = a + b + c
+    on_a, on_c = np.gcd(a, p) == 1, np.gcd(c, p) == 1
+    keep = (np.gcd(np.gcd(a, b), c) == 1) & (on_a | on_c | (np.gcd(s, p) == 1))
+    f = np.where(on_a, (a, b, c), np.where(on_c, (c, -b, a), (s, -2 * a - b, a)))
+    w = 4 * a * c - b * b
+    keep &= (4 * f[0] * f[2] - f[1] * f[1] == w) & (np.abs(p) <= math.isqrt(_RING_LIMIT - 1))
+    one, zero = np.ones_like(a), np.zeros_like(a)
+    return np.stack([np.arange(a.size), *f, one, zero, one, w, p])[:, keep]
 
 
 def _fits(a1: np.ndarray, a2: np.ndarray, w: np.ndarray) -> np.ndarray:

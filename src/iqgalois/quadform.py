@@ -571,20 +571,24 @@ class ClassGroupStructure:
         return len(self.sylow[p][0]) if p in self.sylow else 0
 
 
-def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...], _Table]:
+def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...], _Table | None]:
     """Grow the explicit subgroup table sub by the class of x.
 
     sub maps every class of a subgroup H to its exponent vector over the
     generators adjoined so far.  Walks x, x^2, ... up to the first power
     x^k in H, so k is the order of x modulo H.  Returns k, the vector of
     x^k and the table of <H, x>, whose vectors end in the exponent of x.
-    Raises ClassNumberAmbiguous once k would exceed limit.
+    Raises ClassNumberAmbiguous once k would exceed limit.  When |H| * k
+    reaches limit, the walk that called it stops, and reads only the size
+    |H| * k of <H, x> (its cosets of H are distinct): the table is None.
     """
     powers = [x]
     while powers[-1] not in sub:
         if len(powers) >= limit:
             raise ClassNumberAmbiguous(f"relative order of {x} exceeds {limit}")
         powers.append(compose(powers[-1], x))
+    if len(sub) * len(powers) >= limit:
+        return len(powers), sub[powers[-1]], None
     one = principal_form(x.disc)
     grown = {elt: vec + (0,) for elt, vec in sub.items()}
     for i, xi in enumerate(powers[:-1], 1):
@@ -741,20 +745,23 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
     identity has exact order q^e (_q_torsion), the subgroup is cyclic and
     generated by x, returned as x^(q^(e-1)) without listing its q^e
     elements.  Otherwise an explicit element table is grown with one
-    relation per generator, the relation matrix is diagonalized, and each
-    basis form of its Smith normal form that fails _q_torsion raises
-    InvariantViolation.  The shortcut's test is x's only one, and needs
-    both halves: with x^(q^(e-1)) != 1 alone, a wrong h could pass unseen,
-    where the walk raises ClassNumberAmbiguous.
+    relation per generator; the generator that fills q^e adds its relation
+    and the size of the group, not its table (_adjoin), which nothing would
+    read.  The relation matrix is diagonalized, and each basis form of its
+    Smith normal form that fails _q_torsion raises InvariantViolation.  The
+    shortcut's test is x's only one, and needs both halves: with
+    x^(q^(e-1)) != 1 alone, a wrong h could pass unseen, where the walk
+    raises ClassNumberAmbiguous.
     """
     one = principal_form(D)
     target = q**e
     cofactor = h // target
-    sub: _Table = {one: ()}
+    sub: _Table | None = {one: ()}
+    size = 1  # |sub|, also once the last generator leaves no table
     gens: list[QuadForm] = []
     relations: list[list[int]] = []
     for cand in pool:
-        if len(sub) >= target:
+        if size >= target:
             break
         a, b, c = cand
         if q != 2 and (b == 0 or b == a or a == c):
@@ -765,11 +772,12 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
         if not gens and (y := (yield from _q_torsion(x, q, target, one))) is not None:
             return (target,), (y,)
         k, vec, sub = _adjoin(sub, x, target)
+        size *= k
         # x^k = prod g_i^{v_i} becomes the relation row (-v_1, ..., -v_m, k)
         relations = [row + [0] for row in relations]
         relations.append([-v for v in vec] + [k])
         gens.append(x)
-    if len(sub) != target:
+    if size != target:
         raise ClassNumberAmbiguous(
             f"prime-form pool exhausted before generating the {q}-part of Cl({D})"
         )

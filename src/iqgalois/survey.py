@@ -15,10 +15,11 @@ resumable without recomputation.  Its lines are each row's compact JSON
 with sorted keys, written by one f-string over the record's fields
 (_checkpoint_line) with no dict in between.  A scan draws its blocks as
 its rows are taken, and a pool holds at most two blocks per worker, so a
-range of any length starts at once.  A block builds the class groups of all
-its fields with one call of quadform.class_groups, whose powers run in
-lock-step on int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9); past
-it a field takes the scalar power inside the same rounds.  It then decides
+range of any length starts at once.  A block factors all its |D| with one
+slice sieve (block_factors) and builds the class groups of all its fields
+with one call of quadform.class_groups, whose powers run in lock-step on
+int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9); past it a field
+takes the scalar power inside the same rounds.  It then decides
 the status at every odd p of every field with one call of
 classify.lane_statuses: the images in O/p^2 of the generators of the
 torsion basis forms come from products of states in lock-step while they
@@ -31,6 +32,7 @@ the oracles.  Tables and the verify sweeps classify field by field on the
 scalar route.
 """
 
+import bisect
 import collections
 import contextlib
 import gc
@@ -44,7 +46,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import is_prime, large_factors, small_primes
 from .classify import ClassificationRecord, classify_validated, lane_statuses, status_at_prime
 from .discriminant import FundamentalDiscriminant, kronecker_at, validate
 from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_group
@@ -238,6 +240,47 @@ def class_numbers_range(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(int(m + lo), int(counts[m])) for m in np.nonzero(mask)[0]]
 
 
+def block_factors(ms: list[int]) -> list[list[tuple[int, int]]]:
+    """arith.factorize(m) for each m of the ascending list ms, from one slice sieve.
+
+    Every prime q up to min(isqrt(max ms), 65521) strikes the multiples of q
+    in [ms[0], max ms] at once, from the offset of its first multiple, as
+    fundamental_mask strikes its squares: one np.repeat for all primes.  The
+    exponent of q in each m it hits comes from dividing by q while it
+    divides.  What is left of m has no prime factor up to the bound, so it
+    is 1 or a prime when it is below 65521^2, and otherwise goes to
+    arith.large_factors, factorize's own Pollard rho tail.
+    """
+    if not ms:
+        return []
+    lo, hi = ms[0], ms[-1] + 1
+    m = np.array(ms, dtype=np.int64)
+    field = np.full(hi - lo, -1)  # field[j]: the index in ms of |D| = lo + j, or -1
+    field[m - lo] = np.arange(m.size)
+    primes = small_primes()
+    q = np.array(primes[: bisect.bisect_right(primes, math.isqrt(hi - 1))], dtype=np.int64)
+    first = -lo % q
+    n = np.maximum((hi - lo - 1 - first) // q + 1, 0)  # the multiples of q in the window
+    k, _ = _expand(n, np.zeros_like(n))
+    q, k = np.repeat(q, n), field[np.repeat(first, n) + np.repeat(q, n) * k]
+    q, k = q[k >= 0], k[k >= 0]
+    order = np.argsort(k, kind="stable")  # by field, each field's primes ascending
+    q, k = q[order], k[order]
+    e, v = np.ones_like(q), m[k] // q
+    while (more := v % q == 0).any():
+        e += more
+        v[more] //= q[more]
+    rest = m.copy()  # m over its factors up to the bound
+    np.floor_divide.at(rest, k, q**e)
+    out: list[list[tuple[int, int]]] = [[] for _ in ms]
+    for i, p, j in zip(k.tolist(), q.tolist(), e.tolist()):
+        out[i].append((p, j))
+    left = np.nonzero(rest > 1)[0]
+    for i, r in zip(left.tolist(), rest[left].tolist()):
+        out[i] += large_factors(r) if r > primes[-1] ** 2 else [(r, 1)]
+    return out
+
+
 def _blocks(lo: int, hi: int, width: int, first: int | None = None) -> Iterator[tuple[int, int]]:
     """The consecutive [start, end) blocks of at most width |D| that cover [lo, hi).
 
@@ -295,9 +338,11 @@ def _block_rows(
 def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
     """The rows of one block: its class groups built at once, then its rows by _block_rows.
 
-    quadform.class_groups builds the class groups, and _block_rows the
-    generator images and the rows, in field order.  So the first exception
-    raised is the one a loop over the fields raises first: one of
+    The fields are the sieve's fundamental |D| with their h, each validated
+    on its factors from one block_factors sieve in place of a factorize of
+    its own.  quadform.class_groups builds the class groups, and _block_rows
+    the generator images and the rows, in field order.  So the first
+    exception raised is the one a loop over the fields raises first: one of
     class_groups at a field comes after the rows of the fields before it.
     A block makes no reference cycles, but it keeps thousands of objects
     alive at once (the fields, the steps in flight in class_groups, the
@@ -308,7 +353,10 @@ def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        fields = [(validate(-m), h) for m, h in class_numbers_range(lo, hi)]
+        sieved = class_numbers_range(lo, hi)
+        factors = block_factors([m for m, _ in sieved])
+        fields = [(validate(-m, factors=f), h) for (m, h), f in zip(sieved, factors)]
+        del sieved, factors  # their memory goes to the class groups
         groups, failed = [], None
         try:
             groups.extend(class_groups(fields))

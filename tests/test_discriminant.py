@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from iqgalois import survey
+from iqgalois.arith import factorize
 from iqgalois.discriminant import (
     GENERIC,
     SPECIAL2,
@@ -114,3 +117,49 @@ def test_kronecker_at_against_residue_oracle():
                 assert tag == "split"
             else:
                 assert tag == "inert"
+
+
+def _fundamental(lo: int, hi: int) -> list[int]:
+    return (np.nonzero(survey.fundamental_mask(lo, hi))[0] + lo).tolist()
+
+
+@pytest.mark.parametrize(
+    "lo, hi, rho",
+    [
+        (3, 20_000, False),
+        (10**6, 10**6 + 10**4, False),
+        (10**7, 10**7 + 10**4, False),
+        (65521**2 - 2000, 65521**2 + 2000, True),
+        (10**12, 10**12 + 300, True),
+        # one |D| below 9, where no prime or only 2 is at most its square root
+        (3, 4, False),
+        (4, 5, False),
+        (7, 8, False),
+        (8, 9, False),
+    ],
+)
+def test_block_factors_equal_factorize(lo, hi, rho, monkeypatch):
+    # a cofactor past 65521^2 goes to factorize's Pollard rho tail
+    tails = []
+    large = survey.large_factors
+    monkeypatch.setattr(survey, "large_factors", lambda n: tails.append(n) or large(n))
+    ms = _fundamental(lo, hi)
+    got = survey.block_factors(ms)
+    assert got == [factorize(m) for m in ms]
+    assert all(type(q) is int and type(e) is int for factors in got for q, e in factors)
+    assert len(ms) > 1 or hi - lo == 1
+    assert bool(tails) == rho and all(n > 65521**2 for n in tails)
+    assert survey.block_factors([]) == []
+
+
+def test_validate_takes_factors_and_refuses_wrong_ones():
+    assert validate(-20, factors=[(2, 2), (5, 1)]) == validate(-20)
+    for D, factors in [(-20, [(2, 2), (3, 1)]), (-20, [(2, 1), (5, 1)]), (-23, [])]:
+        with pytest.raises(ValueError, match=r"does not multiply out to \|D\|") as refused:
+            validate(D, factors=factors)
+        assert type(refused.value) is ValueError
+    # the odd squares of 99 = 3^2 * 11 and 36 = 2^2 * 3^2, with D = 1 mod 4 and D/4 = 3 mod 4
+    with pytest.raises(NotFundamental, match="^D = -99 is not squarefree$"):
+        validate(-99, factors=[(3, 2), (11, 1)])
+    with pytest.raises(NotFundamental, match="^D/4 = -9 is not squarefree$"):
+        validate(-36, factors=[(2, 2), (3, 2)])

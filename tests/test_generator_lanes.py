@@ -10,18 +10,24 @@ rows of classifying its fields one by one; the kernel's checks must raise
 also under python -O, and so must the norm check N(J) = a1*a2 of both
 routes on a wrong content d; a class that is not p-torsion must be left to
 the scalar route, whose NotPrincipal a scan block must raise at its field.
+The first form of each lane, chosen in numpy for all jobs at once, must be
+the one coprime_representative chooses, and a job it refuses must stay off
+the lanes.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from iqgalois import idealgen, survey
+from iqgalois.arith import InvariantViolation
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import kronecker_at, validate
 from iqgalois.idealgen import NotPrincipal, _generator_lanes, torsion_power_generator
 from iqgalois.localtest import build_context
-from iqgalois.quadform import ClassNumberAmbiguous, _prime_form_pool, class_group, power
+from iqgalois.quadform import ClassNumberAmbiguous, QuadForm, _prime_form_pool, class_group
+from iqgalois.quadform import coprime_representative, power
 from iqgalois.survey import class_numbers_range
 from iqgalois.verify import generator_jobs
 
@@ -239,3 +245,41 @@ def test_wrong_content_raises_on_both_routes_under_optimize(patch, call, run_opt
     proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("2*[237169, -225657] has norm 948676, not 487*487\n")
+
+
+def _chosen_one_by_one(jobs: list) -> np.ndarray:
+    """idealgen._lanes's rows from coprime_representative, job by job: the scalar choice."""
+    rows = []
+    for i, (form, p) in enumerate(jobs):
+        try:
+            a, b, c = coprime_representative(form, p)
+        except (ValueError, InvariantViolation):
+            continue
+        if p * p < idealgen._RING_LIMIT:
+            rows.append((i, a, b, c, 1, 0, 1, 4 * a * c - b * b, p))
+    return np.array(rows, dtype=np.int64).reshape(-1, 9).T
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 20_000), (10**6, 10**6 + 2000)])
+def test_lane_rows_choose_as_coprime_representative(lo, hi):
+    jobs = [(form, p) for _, form, p in generator_jobs(lo, hi)]
+    rows = idealgen._lanes(jobs)
+    assert np.array_equal(rows, _chosen_one_by_one(jobs))
+    # every census job starts on a lane, some on a form other than its own
+    assert rows.shape[1] == len(jobs) > 900 and (rows[1] != [f.a for f, _ in jobs]).any()
+
+
+def test_hand_made_jobs_off_the_lanes():
+    jobs = [
+        (QuadForm(3, 1, 5), 3),  # 3 | a: (5, -1, 3)
+        (QuadForm(3, 1, 3), 3),  # 3 | a, c: (7, -7, 3)
+        (QuadForm(2, 2, 4), 3),  # not primitive
+        (QuadForm(2, 1, 3), 6),  # a composite p sharing a factor with a, c and a + b + c = 6
+        (QuadForm(2, 1, 3), 46349),  # p^2 = 2,148,229,801 reaches _RING_LIMIT = 2^31
+        (QuadForm(2, 1, 3), 46337),  # p^2 = 2,147,117,569 does not
+    ]
+    rows = idealgen._lanes(jobs)
+    assert np.array_equal(rows, _chosen_one_by_one(jobs))
+    assert rows[0].tolist() == [0, 1, 5]
+    assert rows[1:4].T.tolist() == [[5, -1, 3], [7, -7, 3], [2, 1, 3]]
+    assert idealgen._lanes([]).shape == (9, 0)

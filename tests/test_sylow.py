@@ -8,7 +8,9 @@ matrix wherever the 4-rank is at most 2, and from _sylow_structure at
 4-rank 3 or more; they must equal the walk's.  An odd q-entry keeps, for
 each basis form b of order o, the form b^(o/q); a 2-entry keeps no form,
 and the 2-torsion that p_torsion_basis reads from the ramified prime forms
-must span the classes of order dividing 2.
+must span the classes of order dividing 2.  The generator that fills a
+walked subgroup costs only its power walk, and a wrong h whose last
+relative order overshoots still raises.
 """
 
 import collections
@@ -263,3 +265,49 @@ def test_odd_known_h_with_even_two_rank_raises():
     groups = quadform.class_groups([(validate(-104), 3)])
     with pytest.raises(ClassNumberAmbiguous, match="^odd h=3 does not fit 2-rank 1$"):
         next(groups)
+
+
+def test_last_generator_of_a_walk_costs_only_its_power_walk(monkeypatch):
+    # _adjoin makes k - 1 products for the walk x, x^2, ..., x^k and (k - 1)
+    # (|H| - 1) for the table of <H, x>; the generator that fills q^e builds
+    # no table, which nothing reads
+    products, adjoined = 0, []
+    compose, adjoin = quadform.compose, quadform._adjoin
+
+    def counting_compose(f, g):
+        nonlocal products
+        products += 1
+        return compose(f, g)
+
+    def spying_adjoin(sub, x, limit):
+        before = products
+        k, vec, grown = adjoin(sub, x, limit)
+        adjoined.append((len(sub), k, limit, products - before, grown))
+        return k, vec, grown
+
+    monkeypatch.setattr(quadform, "compose", counting_compose)
+    monkeypatch.setattr(quadform, "_adjoin", spying_adjoin)
+    walks = 0
+    for m, h in class_numbers_range(3, 20_000):
+        before = len(adjoined)
+        quadform.class_group(validate(-m), known_h=h)
+        walks += len(adjoined) > before
+    last = [(k, cost, grown) for size, k, limit, cost, grown in adjoined if size * k >= limit]
+    grew = [(size, k, cost, grown) for size, k, limit, cost, grown in adjoined if size * k < limit]
+    # with the exact h each walk ends on the generator that fills q^e
+    assert len(last) == walks > 50 and len(grew) > 50
+    assert all(cost == k - 1 and grown is None for k, cost, grown in last)
+    assert all(cost == (k - 1) * size and len(grown) == size * k for size, k, cost, grown in grew)
+
+
+def test_wrong_h_whose_last_relative_order_overshoots_raises():
+    # h(-15383) = 105 claimed as 35: the 5-walk projects by x^7, its first
+    # form has order 3 and the next order 5 modulo that, so <H, x> has 15
+    # elements where 5 are claimed; its table is not built, and its size
+    # alone refuses the claim
+    d = validate(-15383)
+    message = r"^prime-form pool exhausted before generating the 5-part of Cl\(-15383\)$"
+    with pytest.raises(ClassNumberAmbiguous, match=message):
+        quadform.class_group(d, known_h=35)
+    with pytest.raises(ClassNumberAmbiguous, match=message):
+        next(quadform.class_groups([(d, 35)]))
