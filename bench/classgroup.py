@@ -130,7 +130,7 @@ def lane_candidates(lib, D: int, h: int) -> tuple:
     if not hasattr(quadform, "_lane_candidates"):
         heads, count = quadform._pool_lanes(np.array([D], dtype=np.int64), quadform._CANDIDATES)
         return heads, count, None
-    heads, count, two = quadform._lane_candidates([(lib.discriminant.validate(D), h)])
+    heads, count, two, *_ = quadform._lane_candidates([(lib.discriminant.validate(D), h)])
     return heads, count, quadform.QuadForm._make(two[:, 0].tolist()) if two[0, 0] else None
 
 

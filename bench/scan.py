@@ -28,7 +28,7 @@ import time
 
 from _entry import run, sha256, stats, timed_alternating
 
-STARTS = (10**6, 10**7)
+STARTS = (10**4, 10**6, 10**7)
 WIDTH = 10**4
 PRIMES = (2, 3, 5, 7)
 REPEATS = 8

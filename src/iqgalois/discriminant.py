@@ -59,6 +59,9 @@ class TorsionDescriptor:
         return f"prod_n Z/{self.w}nZ"
 
 
+_GENERIC_TORSION = TorsionDescriptor(w=1)
+
+
 def validate(D: int, factors: list[tuple[int, int]] | None = None) -> FundamentalDiscriminant:
     """Check that D is a fundamental imaginary quadratic discriminant.
 
@@ -98,7 +101,8 @@ def torsion_descriptor(d: FundamentalDiscriminant) -> TorsionDescriptor:
 
     No odd prime is exceptional for an imaginary quadratic field; 2 is
     exceptional exactly for D = -4 (where i lies in the field, w(2) = 4)
-    and D = -8 (where w(2) = 8 and i is missing, the special case).
+    and D = -8 (where w(2) = 8 and i is missing, the special case).  Every
+    other field shares the one frozen _GENERIC_TORSION, TorsionDescriptor(w=1).
     """
     if d.value == -4:
         # all cyclic summands of order 2 disappear
@@ -106,7 +110,7 @@ def torsion_descriptor(d: FundamentalDiscriminant) -> TorsionDescriptor:
     if d.value == -8:
         # order-2 summands survive as explicit Z/2 factors; order 4 disappears
         return TorsionDescriptor(w=8, excluded_summands=frozenset({4}), shape=SPECIAL2)
-    return TorsionDescriptor(w=1)
+    return _GENERIC_TORSION
 
 
 def kronecker_at(d: FundamentalDiscriminant, p: int) -> str:

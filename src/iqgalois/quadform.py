@@ -49,8 +49,12 @@ round, the requests of both kinds of lane take one lock-step numpy kernel
 on int64 lanes (_power_lanes: Shanks composition from lock-step extended
 gcds and a masked reduction loop), which keeps both checks of
 compose_unreduced; the groups are yielded in field order once every round
-is done.  int64 is exact for |D| up to LANE_LIMIT = 4.5e9; a field past it
-takes every power from the scalar power inside the same rounds.
+is done.  A field whose parts all ended on the arrays takes its invariant
+factors straight from h and its 2-rank, after one numpy check over the
+block of what _check_structure checks; any other takes _assemble, the
+assembly of class_group.  int64 is exact for |D| up to LANE_LIMIT = 4.5e9;
+a field past it takes every power from the scalar power inside the same
+rounds.
 _square_and_multiply_lanes is square_and_multiply on every lane at once,
 from each lane's top bit down, under the product its caller passes: the
 one loop of _power_lanes and of the generator and local-unit kernels of
@@ -58,6 +62,7 @@ idealgen and localtest.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, NamedTuple
@@ -870,19 +875,29 @@ def class_number(D: int) -> int:
 class_number_bsgs = class_number
 
 
-def _sylow_parts(d: FundamentalDiscriminant, h: int) -> list[tuple[int, int]]:
+def _sylow_parts(
+    d: FundamentalDiscriminant, h: int, factored: dict | None = None
+) -> list[tuple[int, int]]:
     """(q, e) for each prime power q^e || h, ascending, once h passes genus parity.
 
     The 2-rank of Cl(D) is t - 1 for the t primes of D, so h is even exactly
     when t >= 2: an even h at t = 1 raises InvariantViolation and an odd h
-    at t >= 2 ClassNumberAmbiguous, before any step.
+    at t >= 2 ClassNumberAmbiguous, before any step.  The check is made at
+    every call; factored, a dict by h that class_groups keeps for one call,
+    holds the factors of each h once they are found, so a block factors
+    each distinct h once: 773 h for the 3,043 fields of the 1e4-block at
+    |D| = 1e6.
     """
-    D = d.value
-    if d.num_prime_divisors == 1 and h % 2 == 0:
+    D, t = d.value, d.num_prime_divisors
+    if t == 1 and h % 2 == 0:
         raise InvariantViolation(f"genus parity violated: prime discriminant {D} with even h={h}")
-    if d.num_prime_divisors > 1 and h % 2:
-        raise ClassNumberAmbiguous(f"odd h={h} does not fit 2-rank {d.num_prime_divisors - 1}")
-    return factorize(h)
+    if t > 1 and h % 2:
+        raise ClassNumberAmbiguous(f"odd h={h} does not fit 2-rank {t - 1}")
+    if factored is None:
+        return factorize(h)
+    if (parts := factored.get(h)) is None:
+        parts = factored[h] = factorize(h)
+    return parts
 
 
 def _sylow_step(d: FundamentalDiscriminant, h: int, q: int, e: int) -> _Steps:
@@ -900,7 +915,11 @@ def _sylow_steps(d: FundamentalDiscriminant, h: int) -> list[tuple[int, _Steps]]
 
 
 def _assemble(D: int, h: int, sylow: dict[int, _Sylow]) -> ClassGroupStructure:
-    """The ClassGroupStructure of h and its Sylow entries, checked by _check_structure."""
+    """The ClassGroupStructure of h and its Sylow entries, checked by _check_structure.
+
+    The scalar route: class_group's assembly, and class_groups' for every
+    field that its bulk pass does not take, so also the oracle of that pass.
+    """
     rank = max((len(orders) for orders, _ in sylow.values()), default=0)
     # align largest q-power factors with the largest invariant factor
     padded = [(1,) * (rank - len(orders)) + orders for orders, _ in sylow.values()]
@@ -1010,14 +1029,14 @@ def _lane_candidates(
 
     That is where h is even and the 2-rank r, the 4-rank r4 of _redei_lanes
     and 2^e || h pass the checks of _two_sylow_orders at r4 <= 1: e >= r + r4,
-    and e = r at r4 = 0.
+    and e = r at r4 = 0.  The 2-ranks r follow _pool_lanes's three arrays.
     """
     D = np.array([d.value for d, _ in fields], dtype=np.int64)
     e = np.array([(h & -h).bit_length() - 1 for _, h in fields], dtype=np.int64)
     discs, rows, r4 = _redei_lanes(D, _prime_rows([d for d, _ in fields]))
     r = (discs != 1).sum(axis=0) - 1
     seek = (e >= 1) & (r4 <= 1) & (e >= r + r4) & ((r4 == 1) | (e == r))
-    return _pool_lanes(D, _CANDIDATES, seek, discs, np.where(r4 == 1, rows, 0))
+    return *_pool_lanes(D, _CANDIDATES, seek, discs, np.where(r4 == 1, rows, 0)), r
 
 
 def class_groups(
@@ -1025,87 +1044,98 @@ def class_groups(
 ) -> Iterator[ClassGroupStructure]:
     """class_group(d, known_h=h) for each (d, h) in fields, in order, their powers in lock-step.
 
-    Every round first admits restarts, then fields, in order, while fewer
-    than LANES generator steps are in flight, which bounds the memory that
-    suspended steps hold.  An odd q of a field within LANE_LIMIT starts as
-    an array lane instead: one column of int64 rows that runs
-    _sylow_structure up to its cyclic shortcut on the first _CANDIDATES
-    forms of _pool_lanes, built once for all fields.  Phase 0 asks for the
-    projection x of candidate k by h/q^e, taking the next candidate while
-    x = 1; phase 1 asks for y = x^(q^(e-1)) (skipped at e = 1, where y is x)
-    and phase 2 for y^q.  y != 1 and y^q = 1 (a = 1, as the forms are
-    reduced) end the lane with the shortcut's entry ((q^e,), (y,)).
-    The 2-part of a field within LANE_LIMIT whose ranks pass the checks of
-    _two_sylow_orders at 4-rank r4 <= 1 (_lane_candidates) runs the same
-    phases with q = 2 on its one candidate: at r4 <= 1 that entry needs x
-    of order exactly 2^n, n = e - r + 1 for 2^e || h and the 2-rank r, so
-    the lane takes n in place of e and ends with ((2,)*(r-1) + (2^n,),
+    Every h must fit int64.  Admission is one pass over the block:
+    _sylow_parts checks genus parity at each field and factors each distinct
+    h once, and the (field, q, e) of every part are arrays.  An odd q of a
+    field within LANE_LIMIT starts as an array lane: one column of int64
+    rows that runs _sylow_structure up to its cyclic shortcut on the first
+    _CANDIDATES forms of _pool_lanes, built once for all fields.  Phase 0
+    asks for the projection x of candidate k by h/q^e, taking the next
+    candidate while x = 1; phase 1 asks for y = x^(q^(e-1)) (skipped at
+    e = 1, where y is x) and phase 2 for y^q.  y != 1 and y^q = 1 (a = 1, as
+    the forms are reduced) end the lane with the shortcut's entry ((q^e,),
+    (y,)).  The 2-part of a field within LANE_LIMIT whose ranks pass the
+    checks of _two_sylow_orders at 4-rank r4 <= 1 (_lane_candidates) runs
+    the same phases with q = 2 on its one candidate: at r4 <= 1 that entry
+    needs x of order exactly 2^n, n = e - r + 1 for 2^e || h and the 2-rank
+    r, so the lane takes n in place of e and ends with ((2,)*(r-1) + (2^n,),
     None).  This drops the n + 1 rounds of one squaring each of _two_chain.
     Any other outcome of either kind, x = 1 at a 2-lane and candidates that
-    run out included, queues the (field, q) to restart from its start as a
-    generator step, so table walks, Smith bases and every exception stay
-    with the steps.  A generator step runs until it asks for a power with
-    n >= 2 (a smaller n gets the scalar power at once) or ends, its value
-    or exception kept with its field by q.  One _power_lanes call answers
-    the round's requests of both kinds of lane.  A field past LANE_LIMIT
-    gets every power from the scalar power, so its steps end in the round
-    that admits them.
+    run out included, restarts the (field, q) from its start as a generator
+    step, so table walks, Smith bases and every exception stay with the
+    steps.  Every other part is a generator step from the start.  Each
+    round first admits restarts, then the other generator steps in field
+    order, while fewer than LANES are in flight, which bounds the memory
+    that suspended steps hold.  A generator step runs until it asks for a
+    power with n >= 2 (a smaller n gets the scalar power at once) or ends,
+    its value or exception kept with its field by q.  One _power_lanes call
+    answers the round's requests of both kinds of lane.  A field past
+    LANE_LIMIT gets every power from the scalar power, so its steps end in
+    the round that admits them.
     When all rounds are done, the groups are yielded in field order, each
-    field's entries released as it goes.  An exception is raised at its
-    field, the one of its smallest q first: what a loop over class_group,
-    which walks q in ascending order, raises first.  An InvariantViolation
-    of the kernel, a broken product, is raised at once.  A caller with
-    thousands of fields pauses the cyclic collector, as _scan_block does.
+    field's entries released as it goes.  A field whose every part ended on
+    the arrays takes its invariant factors from (h, r): (2,)*(r-1) +
+    (h >> (r-1),) at an even h, (h,) at an odd one, once one numpy pass over
+    the block (_array_entries) has checked _check_structure's two conditions
+    on them: the orders of its entries multiply to h, and the factors divide
+    each other.
+    Every other field takes _assemble: one that fails either check, has an
+    exception, has h = 1 or has a part on the generator route.  An
+    exception is raised at its field, the one of its smallest q first: what
+    a loop over class_group, which walks q in ascending order, raises first.
+    An InvariantViolation of the kernel, a broken product, is raised at
+    once.  A caller with thousands of fields pauses the cyclic collector,
+    as _scan_block does.
     """
     fields = list(fields)
     entries: list = [None] * len(fields)  # per field: its Sylow entries by q, or an exception
-    heads, count, two = _lane_candidates(fields)
+    heads, count, two, r = _lane_candidates(fields)
+    hs = np.fromiter((h for _, h in fields), np.int64, len(fields))
+    size = np.full(len(fields), -1)  # per field: its number of parts, or -1 where it raised
+    factored, parts = {}, []
+    for i, (d, h) in enumerate(fields):
+        try:
+            parts.append(_sylow_parts(d, h, factored))
+        except Exception as exc:  # raised by class_groups, at this field
+            entries[i] = exc
+            continue
+        entries[i] = dict.fromkeys([q for q, _ in parts[-1]])
+        size[i] = len(parts[-1])
+    i = np.repeat(np.arange(len(fields)), np.maximum(size, 0))
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(parts))
+    q, e = np.fromiter(flat, np.int64).reshape(-1, 2).T
+    del parts
+    on = np.where(q == 2, two[0, i] != 0, count[i] > 0)  # the parts that start as array lanes
+    # the generator steps still to start, the next one last: restarts are pushed
+    waiting = list(zip(*(v[~on].tolist() for v in (i, q, e))))[::-1]
+    i, q, e = i[on], q[on], e[on]
+    at_two, zero = q == 2, np.zeros_like(i)
     # array lanes, one per column: request a, b, c, n, then field, candidate,
-    # phase, e, q, y; the lane checks that x has order q^e
-    arrays = np.zeros((12, 0), dtype=np.int64)
-    lanes, results, waiting, restarts = [], [], iter(range(len(fields))), []
+    # phase, e, q, y; the lane checks that x has order q^e (2^n at q = 2)
+    arrays = np.stack(
+        [*np.where(at_two, two[:, i], heads[:, i, 0]), hs[i] // q**e, i, zero, zero]
+        + [np.where(at_two, e - r[i] + 1, e), q, zero, zero, zero]
+    )
+    ranks, lanes, results, ended = r.tolist(), [], [], [np.zeros((6, 0), np.int64)]
     while True:
-        new = []
-        while len(lanes) < LANES and restarts:
-            i, q, e = restarts.pop()
-            d, h = fields[i]
-            lanes.append((entries[i], q, _sylow_step(d, h, q, e), False))
+        while len(lanes) < LANES and waiting:
+            k, p, x = waiting.pop()
+            d, hk = fields[k]
+            lanes.append((entries[k], p, _sylow_step(d, hk, p, x), d.value < -LANE_LIMIT))
             results.append(None)
-        while len(lanes) < LANES and (i := next(waiting, None)) is not None:
-            d, h = fields[i]
-            try:
-                parts = _sylow_parts(d, h)
-            except Exception as exc:  # raised by class_groups, at this field
-                entries[i] = exc
-                continue
-            entries[i] = sylow = dict.fromkeys(q for q, _ in parts)
-            for q, e in parts:
-                if q == 2 and two[0, i]:  # 2^e || h and 2-rank r: a chain of length e - r + 1
-                    new.append((h >> e, i, e - d.num_prime_divisors + 2, 2))
-                elif q != 2 and count[i]:
-                    new.append((h // q**e, i, e, q))
-                else:
-                    lanes.append((sylow, q, _sylow_step(d, h, q, e), d.value < -LANE_LIMIT))
-                    results.append(None)
-        if new:
-            n, i, e, q = np.array(new, dtype=np.int64).T
-            zero = np.zeros_like(i)
-            x = np.where(q == 2, two[:, i], heads[:, i, 0])
-            rows = [*x, n, i, zero, zero, e, q, zero, zero, zero]
-            arrays = np.concatenate((arrays, rows), axis=1)
         if not lanes and not arrays.size:
             break
         asked, forms, exponents = [], [], []
         for lane, result in zip(lanes, results):
-            sylow, q, step, scalar = lane
+            sylow, p, step, scalar = lane
             try:
                 f, n = step.send(result)
                 while n < 2 or scalar:
                     f, n = step.send(power(f, n))
             except StopIteration as stop:
-                sylow[q] = stop.value
+                sylow[p] = stop.value
             except Exception as exc:  # raised by class_groups, at this field
-                sylow[q] = exc
+                sylow[p] = exc
             else:
                 asked.append(lane)
                 forms.append(f)
@@ -1127,23 +1157,53 @@ def class_groups(
         restart = skip & ((q == 2) | (k == count[i])) | (one != last) & ~first
         skip &= ~restart
         arrays[:3, skip] = heads[:, i[skip], k[skip]]
-        phase[one & last] = 3  # y != 1 and y^q = 1: x has order q^e
-        end = (phase == 3) | restart
-        for i, q, e, p, *y in arrays[[4, 8, 7, 6, 9, 10, 11]][:, end].T.tolist():
-            r = fields[i][0].num_prime_divisors - 1
-            if p != 3:  # restarts as a generator step once the window has room
-                restarts.append((i, q, e + r - 1 if q == 2 else e))
-            elif q == 2:  # _two_sylow_orders's entry at r4 <= 1
-                entries[i][q] = (2,) * (r - 1) + (1 << e,), None
-            else:  # the shortcut's entry
-                entries[i][q] = (q**e,), (QuadForm._make(y),)
-        arrays = arrays[:, ~end]
-    for i, (d, h) in enumerate(fields):
+        for j, p, x in arrays[[4, 8, 7]][:, restart].T.tolist():  # starts once the window has room
+            waiting.append((j, p, x + ranks[j] - 1 if p == 2 else x))
+        done = one & last  # y != 1 and y^q = 1: x has order q^e
+        ended.append(arrays[[4, 8, 7, 9, 10, 11]][:, done])
+        arrays = arrays[:, ~(done | restart)]
+    bulk = _array_entries(entries, np.concatenate(ended, axis=1), r, hs, size)
+    for i, ((d, h), direct) in enumerate(zip(fields, bulk)):
         sylow, entries[i] = entries[i], None
+        if direct:
+            twos = ranks[i] - 1
+            factors = (h,) if h % 2 else (2,) * twos + (h >> twos,)
+            yield ClassGroupStructure(h, factors, sylow, d.value)
+            continue
         for failed in [sylow] if isinstance(sylow, Exception) else sylow.values():
             if isinstance(failed, Exception):
                 raise failed
         yield _assemble(d.value, h, sylow)
+
+
+def _array_entries(
+    entries: list, ended: np.ndarray, r: np.ndarray, hs: np.ndarray, size: np.ndarray
+) -> list[bool]:
+    """Write the entry of each array lane that ended into its field's entries; which fields are whole.
+
+    ended holds per lane its field, q, e (the chain length n at q = 2) and
+    y.  A 2-lane's entry is _two_sylow_orders's at 4-rank r4 <= 1,
+    ((2,)*(r-1) + (2^n,), None), of order 2^(r-1+n) for the 2-rank r; an
+    odd lane's is the shortcut's, ((q^e,), (y,)).  Per field of class_groups,
+    the result is True where its size parts all ended here and h != 1, and
+    _check_structure's two conditions hold, checked in one numpy pass over
+    the block: the orders multiply to h, and (2,)*(r-1) + (h >> (r-1),) is
+    a divisibility chain, the invariant factors it then takes from (h, r).
+    """
+    i, q, e, *y = ended
+    at_two, ranks = q == 2, r.tolist()
+    order = np.where(at_two, 1 << (e + r[i] - 1), q**e)
+    for j, n in zip(i[at_two].tolist(), e[at_two].tolist()):
+        entries[j][2] = (2,) * (ranks[j] - 1) + (1 << n,), None
+    odd = ~at_two
+    forms = map(QuadForm._make, np.stack(y)[:, odd].T.tolist())
+    for j, p, o, f in zip(i[odd].tolist(), q[odd].tolist(), order[odd].tolist(), forms):
+        entries[j][p] = (o,), (f,)
+    product = np.ones_like(hs)
+    np.multiply.at(product, i, order)
+    divides = (r <= 1) | (hs >> np.maximum(r - 1, 0) & 1 == 0)
+    whole = np.bincount(i, minlength=hs.size) == size
+    return (whole & (product == hs) & divides & (hs != 1)).tolist()
 
 
 def two_torsion_basis(D: int, rank: int) -> list[QuadForm]:

@@ -26,10 +26,11 @@ torsion basis forms come from products of states in lock-step while they
 fit int64, and their local test from one lock-step ring power; both
 powers, like those of the class groups, run on
 quadform._square_and_multiply_lanes.  A (field, p) the lanes leave is
-classify.status_at_odd_prime at its field.  The rows are those of
-classifying each field alone, with class_group and status_at_odd_prime as
-the oracles.  Tables and the verify sweeps classify field by field on the
-scalar route.
+classify.status_at_odd_prime at its field.  The local tags of every
+(field, p) come from one array pass per p (_local_tags).  The rows are
+those of classifying each field alone, with class_group,
+status_at_odd_prime and kronecker_at as the oracles.  Tables and the
+verify sweeps classify field by field on the scalar route.
 """
 
 import bisect
@@ -47,10 +48,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .arith import is_prime, large_factors, small_primes
-from .classify import ClassificationRecord, classify_validated, lane_statuses, status_at_prime
-from .discriminant import FundamentalDiscriminant, kronecker_at, validate
-from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_group
-from .quadform import class_groups, p_torsion_basis
+from .classify import SKIPPED, ClassificationRecord, classify_validated, lane_statuses
+from .classify import status_at_prime
+from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at, validate
+from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, _jacobi_lanes
+from .quadform import class_group, class_groups, p_torsion_basis
 
 BLOCK_SIZE = 10_000
 # Scratch elements of one run of a in reduced_form_counts: its (a, c) cells plus its expected pairs
@@ -236,8 +238,8 @@ def class_numbers_range(lo: int, hi: int) -> list[tuple[int, int]]:
     if hi <= lo:
         return []
     counts = reduced_form_counts(lo, hi)
-    mask = fundamental_mask(lo, hi)
-    return [(int(m + lo), int(counts[m])) for m in np.nonzero(mask)[0]]
+    index = np.flatnonzero(fundamental_mask(lo, hi))
+    return list(zip((index + lo).tolist(), counts[index].tolist()))
 
 
 def block_factors(ms: list[int]) -> list[list[tuple[int, int]]]:
@@ -307,6 +309,32 @@ def _odd_bases(cg: ClassGroupStructure) -> Iterator[tuple[int, list]]:
                 pass
 
 
+def _local_tags(
+    ds: list[FundamentalDiscriminant], primes: tuple[int, ...]
+) -> list[tuple[tuple[int, str], ...]]:
+    """tuple((p, kronecker_at(d, p)) for p in primes) for each d of ds, one array pass per p.
+
+    Ramified where p | D; at p = 2 an odd D (1 mod 4) splits at D = 1 mod 8
+    and is inert at 5; an odd p splits where quadform._jacobi_lanes gives
+    (D mod p / p) = 1.  A p past int64 takes kronecker_at at each field.
+    The rows share their (p, tag) pairs.
+    """
+    D = np.fromiter((d.value for d in ds), np.int64, len(ds))
+    columns = []
+    for p in primes:
+        if p >= 2**63:
+            columns.append([(p, kronecker_at(d, p)) for d in ds])
+            continue
+        if p == 2:
+            tag = (D % 8 == 5).astype(np.int64)
+        else:
+            tag = (1 - _jacobi_lanes(D % p, np.full_like(D, p))) // 2  # 1 -> 0, -1 -> 1
+        tag[D % p == 0] = 2
+        items = ((p, SPLIT), (p, INERT), (p, RAMIFIED))
+        columns.append(list(map(items.__getitem__, tag.tolist())))
+    return list(zip(*columns)) if columns else [()] * len(ds)
+
+
 def _block_rows(
     fields: list[tuple[FundamentalDiscriminant, int]],
     groups: list[ClassGroupStructure | None],
@@ -317,20 +345,22 @@ def _block_rows(
     The status at every odd p of the block whose torsion basis does not
     overflow its rank comes from one call of classify.lane_statuses;
     classify_validated takes them by p, and runs status_at_prime at any p
-    without one (2, a rank overflow, or a None of lane_statuses).  groups[k]
-    is set to None once row k is made, so the rows take the groups' place
-    in memory.
+    without one (2, a rank overflow, or a None of lane_statuses).  The local
+    tags of every (field, p) come from one _local_tags pass.  groups[k] is
+    set to None once row k is made, so the rows take the groups' place in
+    memory.
     """
     bases = [list(_odd_bases(cg)) for cg in groups]
     tests = [(d, cg, p, b) for (d, _), cg, odd in zip(fields, groups, bases) for p, b in odd]
     statuses = iter(lane_statuses(tests))
     del tests
+    tags = _local_tags([d for d, _ in fields], primes)
     rows = []
     for k, ((d, _), cg) in enumerate(zip(fields, groups)):
         # bases[k] first: zip stops at its end without drawing from statuses
         known = {p: s for (p, _), s in zip(bases[k], statuses) if s is not None}
         record = classify_validated(d, short_circuit=False, cg=cg, statuses=known)
-        rows.append(SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
+        rows.append(SurveyRow(record, tags[k]))
         groups[k] = bases[k] = None
     return rows
 
@@ -533,20 +563,25 @@ def _pooled_blocks(blocks: Iterator[tuple], workers: int) -> Iterator[list[Surve
 
 
 def _csv_lines(row: SurveyRow) -> list[str]:
-    """The CSV lines of one row: one per tracked prime, fixed column order."""
+    """The CSV lines of one row: one per tracked prime, fixed column order.
+
+    The head D,h,class_group,two_rank, and the tail ,verdict,assumes_converse
+    are made once per row, and each status is read from one dict of
+    per_prime, "skipped" where the prime is absent, as status_at reads it.
+    """
     rec = row.record
-    cg = "x".join(str(d) for d in rec.class_group) if rec.class_group else "1"
-    return [
-        f"{rec.discriminant},{rec.h},{cg},{rec.two_rank},{p},{tag},"
-        f"{rec.status_at(p)},{rec.verdict},{str(rec.assumes_converse).lower()}"
-        for p, tag in row.local_behavior
-    ]
+    cg = "x".join(map(str, rec.class_group)) if rec.class_group else "1"
+    head = f"{rec.discriminant},{rec.h},{cg},{rec.two_rank},"
+    tail = f",{rec.verdict},{str(rec.assumes_converse).lower()}"
+    status = dict(rec.per_prime)
+    return [f"{head}{p},{tag},{status.get(p, SKIPPED)}{tail}" for p, tag in row.local_behavior]
 
 
 def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> int:
     """Write rows as CSV lines or as one JSON list, as they arrive; return their number.
 
-    The file is path + ".tmp" until complete, so a failed scan leaves no file at path.
+    Each row's lines or JSON object take one write.  The file is path +
+    ".tmp" until complete, so a failed scan leaves no file at path.
     """
     if fmt not in ("csv", "json"):
         raise InvalidConfig(f"unknown format {fmt!r}")
@@ -557,7 +592,7 @@ def persist(rows: Iterable[SurveyRow], path: str, fmt: str = "csv") -> int:
                 fh.write(CSV_HEADER + "\n")
                 n = 0
                 for n, row in enumerate(rows, 1):
-                    fh.writelines(line + "\n" for line in _csv_lines(row))
+                    fh.write("".join([line + "\n" for line in _csv_lines(row)]))
             else:
                 # json.dumps(list, indent=1, sort_keys=True), one row at a time
                 fh.write("[")
