@@ -27,33 +27,16 @@ module globals in quadform and idealgen, plus the lanes of every call of
 quadform._compose_lanes, through the same wrappers: the lock-step kernel
 of quadform.class_groups and of idealgen._generator_lanes.  A job that
 leaves the generator lanes for the scalar route counts its products on
-both.  Over one more batch pass, class_group_routes counts the odd Sylow
-steps (one per field and odd prime of h) that end on int64 array lanes,
-those that run as generator steps (the calls of
-quadform._sylow_structure at odd q), and the calls of
-quadform._power_lanes, the class-group kernel, with their lanes.  A
-library without array lanes runs all its odd steps as generator steps.  On
-a library with array lanes (quadform._pool_lanes), each odd generator step
-is sorted under restart_exits by the exit that sent it there, replayed
-with the scalar power on the lane's candidates: no_candidates (it never
-was an array lane), ran_out (every candidate projects to 1),
-order_below (y = x^(q^(e-1)) is 1: x has order below q^e, and the
-generator walks a table) or order_above (y^q is not 1: the claimed h is
-wrong).  The 2-parts (one per even-h field) are counted the same way:
-two_steps_arrays end on array lanes, two_steps_generators run
-quadform._two_sylow_orders, and two_generator_routes sorts the latter:
-r4>=2 (the 4-rank of quadform._redei is 2 or more, no array lane), then,
-on a library with 2-lanes (quadform._lane_candidates), the exit replayed
-with the scalar power on its one candidate: no_candidate (the ranks fail
-the checks, or no prime below 2^10 qualifies), x_is_one, order_below
-(x^(2^(n-1)) is 1) or order_above (its square is not 1), and on a library
-without them r4<=1.
+both.  Over one more batch pass, class_group_routes counts the calls of
+quadform._power_lanes, the class-group kernel, with their lanes; the walks
+of two generators that the odd lanes start (quadform._Walks.start); and the
+fields that class_groups hands to class_group whole, by reason
+(quadform.WHOLE, read from quadform._lane_sylow).  A library without walks
+or whole fields reports 0 and no reasons.
 """
 
 import collections
 import sys
-
-import numpy as np
 
 from _entry import run, sha256, timed_alternating
 
@@ -121,92 +104,41 @@ def count_products(lib, fn) -> int:
     return calls
 
 
-def lane_candidates(lib, D: int, h: int) -> tuple:
-    """The array candidates of the field D with h: its pool heads, their count, its 2-candidate.
-
-    The 2-candidate is None where there is none, and on a library without 2-lanes.
-    """
-    quadform = lib.quadform
-    if not hasattr(quadform, "_lane_candidates"):
-        heads, count = quadform._pool_lanes(np.array([D], dtype=np.int64), quadform._CANDIDATES)
-        return heads, count, None
-    heads, count, two, *_ = quadform._lane_candidates([(lib.discriminant.validate(D), h)])
-    return heads, count, quadform.QuadForm._make(two[:, 0].tolist()) if two[0, 0] else None
-
-
-def restart_exit(lib, D: int, h: int, q: int, e: int) -> str:
-    """Why the odd step (D, q) runs as a generator step: the exit of its array lane."""
-    quadform = lib.quadform
-    heads, count, _ = lane_candidates(lib, D, h)
-    one = quadform.principal_form(D)
-    for f in heads[:, 0, : count[0]].T.tolist():
-        if (x := quadform.power(quadform.QuadForm._make(f), h // q**e)) != one:
-            y = quadform.power(x, q ** (e - 1))
-            return "order_below" if y == one else "order_above"
-    return "ran_out" if count[0] else "no_candidates"
-
-
-def two_route(lib, d, h: int, e: int) -> str:
-    """Why the 2-part of d runs as a generator step: its 4-rank, or the exit of its array lane."""
-    quadform = lib.quadform
-    if quadform._redei(d)[2] >= 2:
-        return "r4>=2"
-    if not hasattr(quadform, "_lane_candidates"):
-        return "r4<=1"
-    f = lane_candidates(lib, d.value, h)[2]
-    if f is None:
-        return "no_candidate"
-    one = quadform.principal_form(d.value)
-    if (x := quadform.power(f, h >> e)) == one:
-        return "x_is_one"
-    y = quadform.power(x, 2 ** (e - d.num_prime_divisors + 1))  # x^(2^(n-1)), n = e - r + 1
-    if y == one:
-        return "order_below"
-    return "order_above" if quadform.power(y, 2) != one else "none"
-
-
 def count_routes(lib, batch) -> dict:
-    """The routes of batch()'s Sylow steps and its kernel calls, via wrappers on lib."""
+    """The kernel calls, walks and whole fields of batch(), via wrappers on lib."""
     quadform = lib.quadform
-    sylow, two = quadform._sylow_structure, quadform._two_sylow_orders
     kernel = quadform._power_lanes
-    names = ("odd_steps_generators", "two_steps_generators", "kernel_calls", "kernel_lanes")
-    counts = dict.fromkeys(names, 0)
-    exits, two_routes = collections.Counter(), collections.Counter()
-
-    def counting_sylow(D, h, q, e, pool):
-        if q != 2:
-            counts["odd_steps_generators"] += 1
-            if hasattr(quadform, "_pool_lanes"):
-                exits[restart_exit(lib, D, h, q, e)] += 1
-        return sylow(D, h, q, e, pool)
-
-    def counting_two(d, h, e, pool):
-        counts["two_steps_generators"] += 1
-        two_routes[two_route(lib, d, h, e)] += 1
-        return two(d, h, e, pool)
+    counts = {"kernel_calls": 0, "kernel_lanes": 0, "two_generator_lanes": 0}
+    whole = collections.Counter()
 
     def counting_kernel(a, b, c, n):
         counts["kernel_calls"] += 1
         counts["kernel_lanes"] += a.size
         return kernel(a, b, c, n)
 
-    quadform._sylow_structure, quadform._power_lanes = counting_sylow, counting_kernel
-    quadform._two_sylow_orders = counting_two
+    saved = [(quadform, "_power_lanes", kernel)]
+    quadform._power_lanes = counting_kernel
+    if hasattr(quadform, "_Walks"):
+        start, lane_sylow = quadform._Walks.start, quadform._lane_sylow
+
+        def counting_start(self, rows):
+            counts["two_generator_lanes"] += rows.shape[1]
+            return start(self, rows)
+
+        def counting_whole(fields):
+            out = lane_sylow(fields)
+            whole.update(quadform.WHOLE[code] for code in out[1] if code)
+            return out
+
+        saved += [(quadform._Walks, "start", start), (quadform, "_lane_sylow", lane_sylow)]
+        quadform._Walks.start, quadform._lane_sylow = counting_start, counting_whole
     try:
-        cgs = batch()
+        batch()
     finally:
-        quadform._sylow_structure, quadform._power_lanes = sylow, kernel
-        quadform._two_sylow_orders = two
-    odd = sum(q != 2 for cg in cgs for q in cg.sylow)
-    even = sum(2 in cg.sylow for cg in cgs)
-    return {
-        **counts,
-        "odd_steps_arrays": odd - counts["odd_steps_generators"],
-        "restart_exits": dict(sorted(exits.items())),
-        "two_steps_arrays": even - counts["two_steps_generators"],
-        "two_generator_routes": dict(sorted(two_routes.items())),
-    }
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+    reasons = dict(sorted(whole.items()))
+    return {**counts, "whole_fields": sum(whole.values()), "whole_reasons": reasons}
 
 
 def passes(lib, start: int) -> tuple:

@@ -36,25 +36,25 @@ The Sylow code is written once, as generators (_Steps) that yield each
 power they need as a request (form, n) and are sent its reduced result.
 class_group answers every request with the scalar power: the oracle, which
 classify, tables, verify and table3 take.  class_groups, the route of a
-survey block, runs the steps of many fields side by side, at most about
-LANES generator steps at a time.  Most Sylow steps start there as int64
+survey block, runs the Sylow parts of many fields side by side as int64
 array lanes instead.  An odd one walks the first prime forms that are not
-ambiguous up to the cyclic shortcut.  A 2-part of 4-rank 0 or 1 projects
-the one prime form that its genus characters choose and checks the one
-chain length that the ranks leave.  Their forms, the Redei rows and the
-4-ranks are built in numpy once per block (_redei_lanes, _pool_lanes), with
-a Jacobi symbol that takes no products.  An array lane restarts as a
-generator step at any other outcome.  Each
-round, the requests of both kinds of lane take one lock-step numpy kernel
-on int64 lanes (_power_lanes: Shanks composition from lock-step extended
-gcds and a masked reduction loop), which keeps both checks of
-compose_unreduced; the groups are yielded in field order once every round
-is done.  A field whose parts all ended on the arrays takes its invariant
-factors straight from h and its 2-rank, after one numpy check over the
-block of what _check_structure checks; any other takes _assemble, the
-assembly of class_group.  int64 is exact for |D| up to LANE_LIMIT = 4.5e9;
-a field past it takes every power from the scalar power inside the same
-rounds.
+ambiguous up to the cyclic shortcut, and where its first projection has an
+order below q^e, on to a second generator, its relations and their Smith
+basis (_Walks).  A 2-part of 4-rank 0 or 1 projects the one prime form
+that its genus characters choose and checks the one chain length that the
+ranks leave.  Their forms, the Redei rows and the 4-ranks are built in
+numpy once per block (_redei_lanes, _pool_lanes), with a Jacobi symbol
+that takes no products.  Each round, the requests of every lane take one
+lock-step numpy kernel on int64 lanes (_power_lanes: Shanks composition
+from lock-step extended gcds and a masked reduction loop), which keeps
+both checks of compose_unreduced; the groups are yielded in field order
+once every round is done.  A field whose parts all ended on the arrays as
+cyclic factors takes its invariant factors straight from h and its
+2-rank, after one numpy check over the block of what _check_structure
+checks; one with an odd part of rank 2 takes _assemble, the assembly of
+class_group.  Any other outcome of a lane, and a field the lanes cannot
+take (past LANE_LIMIT = 4.5e9, where int64 stops being exact, or with h
+past 2^53 or h = 1), hands the field to class_group whole (WHOLE).
 _square_and_multiply_lanes is square_and_multiply on every lane at once,
 from each lane's top bit down, under the product its caller passes: the
 one loop of _power_lanes and of the generator and local-unit kernels of
@@ -62,7 +62,6 @@ idealgen and localtest.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, NamedTuple
@@ -229,20 +228,28 @@ def power(f: QuadForm, n: int) -> QuadForm:
 # sqrt(|D|/3), so a3 <= |D|/3 and b3 < 2*a3; then b3^2 - D < 4|D|^2/9 + |D| < 2^63,
 # and every other product of the kernel is smaller.
 LANE_LIMIT = 4_500_000_000
-# Generator steps in flight in class_groups.  A suspended step holds about
-# 1.5 kB.  A 1e4-block at |D| = 1e6 has 247 of them: its 84 2-parts of
-# 4-rank 2 and 163 odd steps that leave the array lanes because their first
-# projection that is not 1 has order below q^e, so a table walk follows.
-# So the window does not bind there: class_groups raises the peak RSS by
-# 6.2 MB at 2,048 or 4,096, 5.2 MB with no bound and 3.5 MB at 40 (2 cores,
-# Python 3.11), and takes the same time at 2,048, 4,096 or all.  A lane of
-# the kernel costs about 6 us against 15 us for the scalar power.
-LANES = 2048
-# Candidates of an array lane in class_groups, before it restarts as a
-# generator step.  Per 1e4-block at 1e6 / 1e7, 0 / 3 steps run out of 4;
-# at 2, 83 / 102 do, and at 8 none, but the candidates take twice as long
-# to build (2.8 -> 5.7 ms at 1e6).
+# Candidates of an odd array lane in class_groups, before its field takes
+# class_group whole.  Per 1e4-block at 1e6 / 1e7, 0 / 3 steps ran out of 4
+# before their first generator; at 2, 83 / 102 did, and at 8 none, but the
+# candidates take twice as long to build (2.8 -> 5.7 ms at 1e6).
 _CANDIDATES = 4
+# Why class_groups hands a field to class_group whole: code k > 0 is
+# WHOLE[k], and a field whose parts leave the lanes for several takes the
+# largest.  The first four keep the field off the lanes; a 2-part is off
+# them at 4-rank >= 2, at ranks that fail the checks of _two_sylow_orders,
+# or with no candidate below 2^10; the last three are exits of a lane.
+WHOLE = (
+    "",
+    "past LANE_LIMIT",
+    "h past 2^53",
+    "h = 1",
+    "admission",  # _sylow_parts raises: genus parity, or an h below 1
+    "2-part",
+    "ran out",  # an odd part's candidates run out before its generator
+    "third generator",  # x2 has order below q^e / k1 modulo <x1>
+    "failed test",  # an order past its claim, or a basis form that fails _q_torsion
+)
+_PAST_LIMIT, _PAST_53, _H_ONE, _ADMISSION, _TWO_PART, _RAN_OUT, _THIRD, _FAILED = range(1, 9)
 
 
 def _xgcd_lanes(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -427,13 +434,19 @@ def _jacobi_lanes(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(n == 1, t, 0)
 
 
+def _spans(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, offset) of every position of runs of the given lengths, laid end to end."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _prime_rows(ds: list[FundamentalDiscriminant]) -> np.ndarray:
     """The primes of each d in its column, ascending, the columns padded by 1."""
     t = np.array([d.num_prime_divisors for d in ds], dtype=np.int64)
     flat = np.array([p for d in ds for p, _ in d.prime_factors], dtype=np.int64)
     rows = np.ones((t.max(initial=1), t.size), dtype=np.int64)
-    row = np.arange(flat.size) - np.repeat(np.cumsum(t) - t, t)
-    rows[row, np.repeat(np.arange(t.size), t)] = flat
+    col, row = _spans(t)
+    rows[row, col] = flat
     return rows
 
 
@@ -875,29 +888,19 @@ def class_number(D: int) -> int:
 class_number_bsgs = class_number
 
 
-def _sylow_parts(
-    d: FundamentalDiscriminant, h: int, factored: dict | None = None
-) -> list[tuple[int, int]]:
+def _sylow_parts(d: FundamentalDiscriminant, h: int) -> list[tuple[int, int]]:
     """(q, e) for each prime power q^e || h, ascending, once h passes genus parity.
 
     The 2-rank of Cl(D) is t - 1 for the t primes of D, so h is even exactly
     when t >= 2: an even h at t = 1 raises InvariantViolation and an odd h
-    at t >= 2 ClassNumberAmbiguous, before any step.  The check is made at
-    every call; factored, a dict by h that class_groups keeps for one call,
-    holds the factors of each h once they are found, so a block factors
-    each distinct h once: 773 h for the 3,043 fields of the 1e4-block at
-    |D| = 1e6.
+    at t >= 2 ClassNumberAmbiguous, before any step.
     """
     D, t = d.value, d.num_prime_divisors
     if t == 1 and h % 2 == 0:
         raise InvariantViolation(f"genus parity violated: prime discriminant {D} with even h={h}")
     if t > 1 and h % 2:
         raise ClassNumberAmbiguous(f"odd h={h} does not fit 2-rank {t - 1}")
-    if factored is None:
-        return factorize(h)
-    if (parts := factored.get(h)) is None:
-        parts = factored[h] = factorize(h)
-    return parts
+    return factorize(h)
 
 
 def _sylow_step(d: FundamentalDiscriminant, h: int, q: int, e: int) -> _Steps:
@@ -1023,16 +1026,16 @@ def _pool_lanes(
 
 
 def _lane_candidates(
-    fields: list[tuple[FundamentalDiscriminant, int]],
+    fields: list[tuple[FundamentalDiscriminant, int]], D: np.ndarray, hs: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """_pool_lanes of the fields, seeking a 2-candidate where the 2-part fits 4-rank 0 or 1.
 
-    That is where h is even and the 2-rank r, the 4-rank r4 of _redei_lanes
-    and 2^e || h pass the checks of _two_sylow_orders at r4 <= 1: e >= r + r4,
-    and e = r at r4 = 0.  The 2-ranks r follow _pool_lanes's three arrays.
+    D and hs hold the fields' discriminants and class numbers as int64.
+    The 2-candidate is sought where h is even and the 2-rank r, the 4-rank
+    r4 of _redei_lanes and 2^e || h pass the checks of _two_sylow_orders at
+    r4 <= 1: e >= r + r4, and e = r at r4 = 0.  The 2-ranks r follow _pool_lanes's three arrays.
     """
-    D = np.array([d.value for d, _ in fields], dtype=np.int64)
-    e = np.array([(h & -h).bit_length() - 1 for _, h in fields], dtype=np.int64)
+    e = np.frexp(hs & -hs)[1] - 1  # 2^e || h, and -1 at h = 0
     discs, rows, r4 = _redei_lanes(D, _prime_rows([d for d, _ in fields]))
     r = (discs != 1).sum(axis=0) - 1
     seek = (e >= 1) & (r4 <= 1) & (e >= r + r4) & ((r4 == 1) | (e == r))
@@ -1044,71 +1047,94 @@ def class_groups(
 ) -> Iterator[ClassGroupStructure]:
     """class_group(d, known_h=h) for each (d, h) in fields, in order, their powers in lock-step.
 
-    Every h must fit int64.  Admission is one pass over the block:
-    _sylow_parts checks genus parity at each field and factors each distinct
-    h once, and the (field, q, e) of every part are arrays.  An odd q of a
-    field within LANE_LIMIT starts as an array lane: one column of int64
-    rows that runs _sylow_structure up to its cyclic shortcut on the first
-    _CANDIDATES forms of _pool_lanes, built once for all fields.  Phase 0
-    asks for the projection x of candidate k by h/q^e, taking the next
-    candidate while x = 1; phase 1 asks for y = x^(q^(e-1)) (skipped at
-    e = 1, where y is x) and phase 2 for y^q.  y != 1 and y^q = 1 (a = 1, as
-    the forms are reduced) end the lane with the shortcut's entry ((q^e,),
-    (y,)).  The 2-part of a field within LANE_LIMIT whose ranks pass the
-    checks of _two_sylow_orders at 4-rank r4 <= 1 (_lane_candidates) runs
-    the same phases with q = 2 on its one candidate: at r4 <= 1 that entry
-    needs x of order exactly 2^n, n = e - r + 1 for 2^e || h and the 2-rank
-    r, so the lane takes n in place of e and ends with ((2,)*(r-1) + (2^n,),
-    None).  This drops the n + 1 rounds of one squaring each of _two_chain.
-    Any other outcome of either kind, x = 1 at a 2-lane and candidates that
-    run out included, restarts the (field, q) from its start as a generator
-    step, so table walks, Smith bases and every exception stay with the
-    steps.  Every other part is a generator step from the start.  Each
-    round first admits restarts, then the other generator steps in field
-    order, while fewer than LANES are in flight, which bounds the memory
-    that suspended steps hold.  A generator step runs until it asks for a
-    power with n >= 2 (a smaller n gets the scalar power at once) or ends,
-    its value or exception kept with its field by q.  One _power_lanes call
-    answers the round's requests of both kinds of lane.  A field past
-    LANE_LIMIT gets every power from the scalar power, so its steps end in
-    the round that admits them.
-    When all rounds are done, the groups are yielded in field order, each
-    field's entries released as it goes.  A field whose every part ended on
-    the arrays takes its invariant factors from (h, r): (2,)*(r-1) +
-    (h >> (r-1),) at an even h, (h,) at an odd one, once one numpy pass over
-    the block (_array_entries) has checked _check_structure's two conditions
-    on them: the orders of its entries multiply to h, and the factors divide
-    each other.
-    Every other field takes _assemble: one that fails either check, has an
-    exception, has h = 1 or has a part on the generator route.  An
-    exception is raised at its field, the one of its smallest q first: what
-    a loop over class_group, which walks q in ascending order, raises first.
-    An InvariantViolation of the kernel, a broken product, is raised at
-    once.  A caller with thousands of fields pauses the cyclic collector,
-    as _scan_block does.
+    _lane_sylow runs the Sylow parts of all fields on int64 array lanes.
+    Then the groups are yielded in field order, each field's entries
+    released as it goes.  A field whose parts all ended on the lanes, each
+    as one cyclic factor, takes its invariant factors from (h, r):
+    (2,)*(r-1) + (h >> (r-1),) at an even h, (h,) at an odd one, once one
+    numpy pass over the block (_array_entries) has checked
+    _check_structure's two conditions on them: the orders of its entries
+    multiply to h, and the factors divide each other.  A field whose parts
+    all ended on the lanes otherwise (an odd part of rank 2, or a failed
+    check) takes _assemble, the assembly of class_group.  Every other field
+    takes class_group(d, known_h=h) whole at its turn, WHOLE naming why, so
+    every exception is raised at its own field, after the groups before it,
+    with class_group's type and message.  An InvariantViolation of the
+    kernel, a broken product, is raised at once.  A caller with thousands
+    of fields pauses the cyclic collector, as _scan_block does.
     """
     fields = list(fields)
-    entries: list = [None] * len(fields)  # per field: its Sylow entries by q, or an exception
-    heads, count, two, r = _lane_candidates(fields)
-    hs = np.fromiter((h for _, h in fields), np.int64, len(fields))
-    size = np.full(len(fields), -1)  # per field: its number of parts, or -1 where it raised
-    factored, parts = {}, []
+    entries, whole, bulk, ranks = _lane_sylow(fields)
     for i, (d, h) in enumerate(fields):
-        try:
-            parts.append(_sylow_parts(d, h, factored))
-        except Exception as exc:  # raised by class_groups, at this field
-            entries[i] = exc
-            continue
-        entries[i] = dict.fromkeys([q for q, _ in parts[-1]])
-        size[i] = len(parts[-1])
-    i = np.repeat(np.arange(len(fields)), np.maximum(size, 0))
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(parts))
-    q, e = np.fromiter(flat, np.int64).reshape(-1, 2).T
-    del parts
-    on = np.where(q == 2, two[0, i] != 0, count[i] > 0)  # the parts that start as array lanes
-    # the generator steps still to start, the next one last: restarts are pushed
-    waiting = list(zip(*(v[~on].tolist() for v in (i, q, e))))[::-1]
-    i, q, e = i[on], q[on], e[on]
+        sylow, entries[i] = entries[i], None
+        if whole[i]:
+            yield class_group(d, known_h=h)
+        elif bulk[i]:
+            twos = ranks[i] - 1
+            factors = (h,) if h % 2 else (2,) * twos + (h >> twos,)
+            yield ClassGroupStructure(h, factors, sylow, d.value)
+        else:
+            yield _assemble(d.value, h, sylow)
+
+
+def _lane_sylow(fields: list) -> tuple[list, list, list, list]:
+    """The Sylow entries of class_groups from the array lanes: entries, whole, bulk, ranks.
+
+    Per field: entries is its dict of Sylow entries by q, whole the code of
+    WHOLE that sends it to class_group (0 for none), bulk the verdict of
+    _array_entries and ranks its 2-rank r.  A field past LANE_LIMIT, with h
+    past 2^53, so that every exponent of its lanes stays below the kernel's
+    bound and within int64, or with h = 1 starts no lane, nor does one where
+    _sylow_parts would raise (code admission): genus parity fails for the
+    2-rank r of _lane_candidates, or h is below 1.  The others factor each
+    distinct h once, and the (field, q, e) of every part are arrays.  An odd
+    q starts as an array lane: one column of int64 rows that runs
+    _sylow_structure up to its cyclic shortcut on the first _CANDIDATES
+    forms of _pool_lanes, built once for all fields.  Phase 0 asks for the
+    projection x of candidate k by h/q^e, taking the next candidate while x
+    = 1; phase 1 asks for y = x^(q^(e-1)) (skipped at e = 1, where y is x)
+    and phase 2 for y^q.  y != 1 and y^q = 1 (a = 1, as the forms are
+    reduced) end the lane with the shortcut's entry ((q^e,), (y,)); y = 1
+    hands x to _Walks, its first generator.  The 2-part of a field whose
+    ranks pass the checks of _two_sylow_orders at 4-rank r4 <= 1
+    (_lane_candidates) runs the same phases with q = 2 on its one candidate:
+    at r4 <= 1 that entry needs x of order exactly 2^n, n = e - r + 1 for
+    2^e || h and the 2-rank r, so the lane takes n in place of e and ends
+    with ((2,)*(r-1) + (2^n,), None).  A 2-part without such a candidate is
+    code 2-part, odd candidates that run out (or none) code ran out, and
+    every other exit code failed test.  Each round drops the lanes of the
+    fields that took a code, and one _power_lanes call answers the requests
+    of every lane.
+    """
+    nfields = len(fields)
+    D = np.fromiter((d.value for d, _ in fields), np.int64, nfields)
+    hs = np.fromiter((min(h, 2**53) if h > 0 else 0 for _, h in fields), np.int64, nfields)
+    heads, count, two, r = _lane_candidates(fields, D, hs)
+    # _sylow_parts raises (genus parity, or h below 1) where the 2-rank r does not fit h
+    refused = (hs < 1) | ((r == 0) == (hs % 2 == 0))
+    whole = np.select(
+        [D < -LANE_LIMIT, hs == 2**53, hs == 1, refused],
+        [_PAST_LIMIT, _PAST_53, _H_ONE, _ADMISSION],
+    )
+    # the parts of each distinct h, factored once: 773 h for the 3,043 fields at 1e6
+    on = np.flatnonzero(whole == 0)
+    distinct, which = np.unique(hs[on], return_inverse=True)
+    factors = [factorize(h) for h in distinct.tolist()]
+    keys = [[q for q, _ in parts] for parts in factors]
+    entries: list = [None] * nfields  # per field on the lanes: its Sylow entries by q
+    for j, k in zip(on.tolist(), which.tolist()):
+        entries[j] = dict.fromkeys(keys[k])
+    sizes = np.array(list(map(len, factors)), dtype=np.int64)
+    flat = np.array([qe for parts in factors for qe in parts], dtype=np.int64).reshape(-1, 2)
+    size = np.full(nfields, -1)  # per field on the lanes: its number of parts
+    size[on] = sizes[which]
+    owner, offset = _spans(sizes[which])
+    i = on[owner]
+    q, e = flat[(np.cumsum(sizes) - sizes)[which[owner]] + offset].T
+    off = np.where(q == 2, two[0, i] == 0, count[i] == 0)  # the parts that start no lane
+    np.maximum.at(whole, i[off], np.where(q[off] == 2, _TWO_PART, _RAN_OUT))
+    go = whole[i] == 0
+    i, q, e = i[go], q[go], e[go]
     at_two, zero = q == 2, np.zeros_like(i)
     # array lanes, one per column: request a, b, c, n, then field, candidate,
     # phase, e, q, y; the lane checks that x has order q^e (2^n at q = 2)
@@ -1116,36 +1142,14 @@ def class_groups(
         [*np.where(at_two, two[:, i], heads[:, i, 0]), hs[i] // q**e, i, zero, zero]
         + [np.where(at_two, e - r[i] + 1, e), q, zero, zero, zero]
     )
-    ranks, lanes, results, ended = r.tolist(), [], [], [np.zeros((6, 0), np.int64)]
-    while True:
-        while len(lanes) < LANES and waiting:
-            k, p, x = waiting.pop()
-            d, hk = fields[k]
-            lanes.append((entries[k], p, _sylow_step(d, hk, p, x), d.value < -LANE_LIMIT))
-            results.append(None)
-        if not lanes and not arrays.size:
-            break
-        asked, forms, exponents = [], [], []
-        for lane, result in zip(lanes, results):
-            sylow, p, step, scalar = lane
-            try:
-                f, n = step.send(result)
-                while n < 2 or scalar:
-                    f, n = step.send(power(f, n))
-            except StopIteration as stop:
-                sylow[p] = stop.value
-            except Exception as exc:  # raised by class_groups, at this field
-                sylow[p] = exc
-            else:
-                asked.append(lane)
-                forms.append(f)
-                exponents.append(n)
-        lanes, results = asked, []
-        if asked or arrays.size:  # one kernel call: the generator requests, then the array lanes
-            rows = np.array([*zip(*forms), exponents] if asked else [[]] * 4, dtype=np.int64)
-            powers = np.stack(_power_lanes(*np.concatenate((rows, arrays[:4]), axis=1)))
-            results = list(map(QuadForm._make, powers[:, : len(asked)].T.tolist()))
-            arrays[:3] = powers[:, len(asked) :]
+    ended = [np.zeros((6, 0), np.int64)]  # per lane: field, q, e (n at q = 2), y
+    walks = _Walks(D, heads, count, hs, whole, entries, ended)
+    while arrays.size or walks.live():
+        arrays = arrays[:, whole[arrays[4]] == 0]
+        asks = np.concatenate((arrays[:4], walks.asks()), axis=1)
+        powers = np.stack(_power_lanes(*asks)) if asks.size else asks[:3]
+        arrays[:3] = powers[:, : arrays.shape[1]]
+        walks.take(powers[:, arrays.shape[1] :])
         a, b, c, n, i, k, phase, e, q = arrays[:9]
         one, first, last = a == 1, phase == 0, phase == 2
         ahead = ~one & ~last  # x or y is not 1: keep it, ask for its next power
@@ -1154,38 +1158,203 @@ def class_groups(
         n[ahead] = np.where(phase == 1, q ** (e - 1), q)[ahead]
         skip = one & first  # x = 1: the next candidate; a 2-lane has one
         k[skip] += 1
-        restart = skip & ((q == 2) | (k == count[i])) | (one != last) & ~first
-        skip &= ~restart
+        odd, below = q != 2, one & ~first & ~last  # below: y = 1, so x has order below q^e
+        ran_out = skip & odd & (k == count[i])
+        failed = ~odd & (skip | below) | ~one & last
+        np.maximum.at(whole, i[ran_out], _RAN_OUT)
+        np.maximum.at(whole, i[failed], _FAILED)
+        skip &= odd & ~ran_out
         arrays[:3, skip] = heads[:, i[skip], k[skip]]
-        for j, p, x in arrays[[4, 8, 7]][:, restart].T.tolist():  # starts once the window has room
-            waiting.append((j, p, x + ranks[j] - 1 if p == 2 else x))
+        walks.start(arrays[[4, 8, 7, 5, 9, 10, 11]][:, below & odd])
         done = one & last  # y != 1 and y^q = 1: x has order q^e
         ended.append(arrays[[4, 8, 7, 9, 10, 11]][:, done])
-        arrays = arrays[:, ~(done | restart)]
+        arrays = arrays[:, ~(done | below | ran_out | failed)]
     bulk = _array_entries(entries, np.concatenate(ended, axis=1), r, hs, size)
-    for i, ((d, h), direct) in enumerate(zip(fields, bulk)):
-        sylow, entries[i] = entries[i], None
-        if direct:
-            twos = ranks[i] - 1
-            factors = (h,) if h % 2 else (2,) * twos + (h >> twos,)
-            yield ClassGroupStructure(h, factors, sylow, d.value)
-            continue
-        for failed in [sylow] if isinstance(sylow, Exception) else sylow.values():
-            if isinstance(failed, Exception):
-                raise failed
-        yield _assemble(d.value, h, sylow)
+    return entries, whole.tolist(), bulk, r.tolist()
+
+
+def _principal_lanes(D: np.ndarray) -> np.ndarray:
+    """The rows a, b, c of principal_form(D) for each D of the int64 array."""
+    b = D & 1
+    return np.stack([np.ones_like(D), b, (b - D) // 4])
+
+
+class _Walks:
+    """_sylow_structure's walk of two generators, on int64 lanes: the odd parts past the shortcut.
+
+    A walk starts where an odd lane of _lane_sylow has its first projection
+    x1 that is not 1 and x1^(q^(e-1)) = 1: x1 has order k1 = q^j below q^e.
+    Its first round asks for the table of <x1>: x1^t for 2 <= t <= (q^(e-1)
+    - 1)/2, the first t with x1^t = 1 being k1 (q^(e-1) if none is), and
+    for t > k1/2 the inverse (a, -b, c) of x1^(k1-t), reduced, as no class
+    of odd order but 1 is ambiguous.  Every round asks for the projection x2
+    of its next candidate and x2^(q^s), s < e.  While x2 is in the table,
+    the next candidate follows, as _sylow_structure skips it (none left:
+    ran out).  Otherwise x2 must have order k2 = q^e/k1 modulo <x1>, the one
+    size at which _sylow_structure stops at two generators: x2^(k2/q) is not
+    in <x1> (else third generator) and x2^k2 = x1^v (else failed test).
+    Its relations are then [[k1, 0], [-v, k2]], and one smith_normal_form
+    per distinct matrix gives the orders dj > 1 and the basis forms
+    b = x1^w0 x2^w1.  The next round raises b^(dj/q) and b^dj, _q_torsion's
+    two tests, as x1^(w0 m mod k1) from the table times x2^(w1 m mod q^e)
+    from the lanes (a slot, one per m); a test that fails is failed test.
+    An entry of one order ends as a row (field, q, e, y) in ended, as the
+    shortcut's do; one of two orders is written into entries.  Reduced
+    forms are unique per class, so every entry is _sylow_structure's.
+    """
+
+    def __init__(self, D, heads, count, hs, whole, entries, ended):
+        self.D, self.heads, self.count, self.hs, self.whole = D, heads, count, hs, whole
+        self.entries, self.ended = entries, ended
+        self.walks = np.zeros((9, 0), np.int64)  # field, q, e, candidate, k1 (0: no table), id, x1
+        self.slots = np.zeros((13, 0), np.int64)  # field, q, e, id, dj, test, m2, x2, x1^m1
+        self.forms = np.zeros((3, 0), np.int64)  # the tables: x1^0 .. x1^(k1-1) of each walk
+        self.base = np.zeros(0, np.int64)  # per walk id: the column of x1^0 in forms
+        self.keys, self.exps = np.zeros(0, np.int64), np.zeros(0, np.int64)  # sorted, and their t
+        self.smith: dict = {}
+        self.asked: tuple = ()
+
+    def live(self) -> bool:
+        return bool(self.walks.size or self.slots.size)
+
+    def start(self, rows: np.ndarray) -> None:
+        """Walks of the lanes rows (field, q, e, candidate of x1, x1), from the next candidate."""
+        i, k = rows[0], rows[3] + 1
+        out = k == self.count[i]
+        np.maximum.at(self.whole, i[out], _RAN_OUT)
+        ids = self.base.size + np.arange(i.size)
+        self.base = np.concatenate((self.base, np.zeros_like(ids)))
+        new = np.vstack((rows[:3], k, np.zeros_like(k), ids, rows[4:]))[:, ~out]
+        self.walks = np.concatenate((self.walks, new), axis=1)
+
+    def asks(self) -> np.ndarray:
+        """The rows a, b, c, n of this round's requests: tables, then candidates, then slots."""
+        w = self.walks = self.walks[:, self.whole[self.walks[0]] == 0]
+        s = self.slots = self.slots[:, self.whole[self.slots[0]] == 0]
+        i, q, e, k, k1 = w[:5]
+        tw, t = _spans(np.where(k1 == 0, np.maximum((q ** (e - 1) - 1) // 2 - 1, 0), 0))
+        t += 2
+        lw, ls = _spans(e)
+        ladder = self.hs[i[lw]] // q[lw] ** e[lw] * q[lw] ** ls
+        sw = np.flatnonzero(s[6] > 0)  # a slot at m2 = 0 takes x2^0 = 1
+        self.asked = tw, t, lw, ls, sw
+        return np.concatenate(
+            (
+                np.vstack((w[6:, tw], t)),
+                np.vstack((self.heads[:, i[lw], k[lw]], ladder)),
+                np.vstack((s[7:10, sw], s[6, sw])),
+            ),
+            axis=1,
+        )
+
+    def take(self, powers: np.ndarray) -> None:
+        """Answer the requests of asks: end the slots, then step the walks."""
+        tw, t, lw, ls, sw = self.asked
+        table, ladder, raised = np.split(powers, [tw.size, tw.size + lw.size], axis=1)
+        self._torsion(raised, sw)
+        w = self.walks
+        if not w.size:
+            return
+        i, q, e, k, k1, ids = w[:6]
+        fresh = np.flatnonzero(k1 == 0)
+        if fresh.size:
+            k1[fresh] = q[fresh] ** (e[fresh] - 1)
+            hit = table[0] == 1
+            np.minimum.at(k1, tw[hit], t[hit])
+            self._tables(fresh, table, np.searchsorted(tw, fresh))
+        x2 = ladder[:, np.searchsorted(lw, np.arange(ids.size))]
+        inside = self._find(ids, x2)[0]
+        k[inside] += 1
+        out = inside & (k == self.count[i])
+        np.maximum.at(self.whole, i[out], _RAN_OUT)
+        k2 = q**e // k1
+        scale = q[lw] ** ls  # x2^scale in each column of ladder
+        below = self._find(ids, ladder[:, scale == (k2 // q)[lw]])[0] & ~inside
+        closed, v = self._find(ids, ladder[:, scale == k2[lw]])
+        np.maximum.at(self.whole, i[below], _THIRD)
+        failed = ~inside & ~below & ~closed
+        np.maximum.at(self.whole, i[failed], _FAILED)
+        two = ~inside & ~below & closed
+        self._basis(w[:, two], k2[two], v[two], x2[:, two])
+        self.walks = w[:, inside & ~out]
+
+    @staticmethod
+    def _key(ids: np.ndarray, forms: np.ndarray) -> np.ndarray:
+        # a < 2^16 and |b| <= a within LANE_LIMIT, so (id, a, b) fits int64
+        return (ids << 34) + (forms[0] << 17) + forms[1] + 2**16
+
+    def _find(self, ids: np.ndarray, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per column: whether the form is in the table of walk id, and its exponent t there."""
+        key = self._key(ids, forms)
+        at = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
+        return self.keys[at] == key, self.exps[at]
+
+    def _tables(self, fresh: np.ndarray, table: np.ndarray, starts: np.ndarray) -> None:
+        """Add the tables of the walks fresh, whose x1^t (t >= 2) start at starts in table."""
+        w = self.walks[:, fresh]
+        owner, t = _spans(w[4])
+        s = np.minimum(t, w[4, owner] - t)  # x1^t is x1^s, or the inverse of x1^s
+        src = np.concatenate((_principal_lanes(self.D[w[0]]), w[6:], table), axis=1)
+        m = fresh.size
+        forms = src[:, np.where(s < 2, s * m + owner, 2 * m + starts[owner] + s - 2)]
+        forms[1, t > s] *= -1
+        self.base[w[5]] = self.forms.shape[1] + np.cumsum(w[4]) - w[4]
+        self.forms = np.concatenate((self.forms, forms), axis=1)
+        keys = np.concatenate((self.keys, self._key(w[5, owner], forms)))
+        order = np.argsort(keys)
+        self.keys, self.exps = keys[order], np.concatenate((self.exps, t))[order]
+
+    def _basis(self, w: np.ndarray, k2s: np.ndarray, vs: np.ndarray, x2: np.ndarray) -> None:
+        """The slots of the walks w, whose x2 has order k2 modulo <x1> with x2^k2 = x1^v."""
+        cols, rows = [], []
+        walks = zip(*w[[1, 2, 4]].tolist(), k2s.tolist(), vs.tolist())
+        for col, (q, e, k1, k2, v) in enumerate(walks):
+            if (basis := self.smith.get((k1, v, k2))) is None:
+                diag, u = smith_normal_form([[k1, 0], [-v, k2]])
+                basis = [(dj, u[0][j], u[1][j]) for j, dj in enumerate(diag) if dj > 1]
+                self.smith[k1, v, k2] = basis
+            for dj, w0, w1 in basis:
+                for test, m in enumerate((dj // q, dj)):
+                    cols.append(col)
+                    rows.append((dj, test, w1 * m % q**e, w0 * m % k1))
+        cols = np.array(cols, dtype=np.int64)
+        dj, test, m2, m1 = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        x1 = self.forms[:, self.base[w[5, cols]] + m1]
+        self.slots = np.vstack((w[[0, 1, 2, 5]][:, cols], dj, test, m2, x2[:, cols], x1))
+
+    def _torsion(self, raised: np.ndarray, sw: np.ndarray) -> None:
+        """End the slots: y = b^(dj/q) != 1 and y^q = b^dj = 1 for each basis form b of a walk."""
+        s = self.slots
+        if not s.size:
+            return
+        i, q, e, ids, dj, test = s[:6]
+        x2 = _principal_lanes(self.D[i])
+        x2[:, sw] = raised
+        y = np.stack(_reduce_lanes(*_compose_lanes(tuple(s[10:]), tuple(x2))[1]))
+        passed = np.where(test == 0, y[0] != 1, y[0] == 1)
+        failed = np.isin(ids, ids[~passed])
+        np.maximum.at(self.whole, i[failed], _FAILED)
+        keep = np.flatnonzero(~failed & (test == 0))
+        _, first, rank = np.unique(ids[keep], return_index=True, return_counts=True)
+        one = keep[first[rank == 1]]
+        self.ended.append(np.vstack((s[:3, one], y[:, one])))
+        for j in keep[first[rank == 2]].tolist():
+            f, g = (QuadForm._make(y[:, c].tolist()) for c in (j, j + 2))
+            self.entries[int(i[j])][int(q[j])] = (int(dj[j]), int(dj[j + 2])), (f, g)
+        self.slots = np.zeros((13, 0), np.int64)
 
 
 def _array_entries(
     entries: list, ended: np.ndarray, r: np.ndarray, hs: np.ndarray, size: np.ndarray
 ) -> list[bool]:
-    """Write the entry of each array lane that ended into its field's entries; which fields are whole.
+    """Write the entry of each lane that ended into its field's entries; which fields take the bulk.
 
     ended holds per lane its field, q, e (the chain length n at q = 2) and
     y.  A 2-lane's entry is _two_sylow_orders's at 4-rank r4 <= 1,
     ((2,)*(r-1) + (2^n,), None), of order 2^(r-1+n) for the 2-rank r; an
-    odd lane's is the shortcut's, ((q^e,), (y,)).  Per field of class_groups,
-    the result is True where its size parts all ended here and h != 1, and
+    odd lane's is the shortcut's, ((q^e,), (y,)), also at the end of a walk
+    of two generators whose group is cyclic (_Walks).  Per field of
+    _lane_sylow, the result is True where its size parts all ended here and
     _check_structure's two conditions hold, checked in one numpy pass over
     the block: the orders multiply to h, and (2,)*(r-1) + (h >> (r-1),) is
     a divisibility chain, the invariant factors it then takes from (h, r).
@@ -1202,8 +1371,8 @@ def _array_entries(
     product = np.ones_like(hs)
     np.multiply.at(product, i, order)
     divides = (r <= 1) | (hs >> np.maximum(r - 1, 0) & 1 == 0)
-    whole = np.bincount(i, minlength=hs.size) == size
-    return (whole & (product == hs) & divides & (hs != 1)).tolist()
+    complete = np.bincount(i, minlength=hs.size) == size
+    return (complete & (product == hs) & divides).tolist()
 
 
 def two_torsion_basis(D: int, rank: int) -> list[QuadForm]:

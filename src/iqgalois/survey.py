@@ -18,9 +18,9 @@ its rows are taken, and a pool holds at most two blocks per worker, so a
 range of any length starts at once.  A block factors all its |D| with one
 slice sieve (block_factors) and builds the class groups of all its fields
 with one call of quadform.class_groups, whose powers run in lock-step on
-int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9); past it a field
-takes the scalar power inside the same rounds.  It then decides
-the status at every odd p of every field with one call of
+int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9); past it, and
+wherever a lane cannot finish, a field takes class_group whole.  It then
+decides the status at every odd p of every field with one call of
 classify.lane_statuses: the images in O/p^2 of the generators of the
 torsion basis forms come from products of states in lock-step while they
 fit int64, and their local test from one lock-step ring power; both
@@ -375,7 +375,7 @@ def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
     exception raised is the one a loop over the fields raises first: one of
     class_groups at a field comes after the rows of the fields before it.
     A block makes no reference cycles, but it keeps thousands of objects
-    alive at once (the fields, the steps in flight in class_groups, the
+    alive at once (the fields, the lanes and entries of class_groups, the
     rows), which the cyclic collector would walk again and again without
     freeing any: it pauses for the block.
     """

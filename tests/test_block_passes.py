@@ -4,10 +4,14 @@ The local tags of survey._local_tags must be kronecker_at's, with a prime
 past int64 on kronecker_at itself.  The groups that quadform.class_groups
 assembles straight from (h, r) must be class_group's, every field that
 fails a bulk condition must take _assemble, and a broken entry must raise
-_assemble's message at its own field.  _csv_lines must write the lines of
-the per-line f-string it replaced, kept here as its oracle, and
-torsion_descriptor must share one generic descriptor.
+_assemble's message at its own field.  The fields that leave the array
+lanes, and take class_group whole, are pinned per window by reason.
+_csv_lines must write the lines of the per-line f-string it replaced, kept
+here as its oracle, and torsion_descriptor must share one generic
+descriptor.
 """
+
+import collections
 
 import pytest
 
@@ -16,7 +20,7 @@ from iqgalois.arith import InvariantViolation, is_prime
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import GENERIC, SPECIAL2, TorsionDescriptor, kronecker_at
 from iqgalois.discriminant import torsion_descriptor, validate
-from iqgalois.quadform import class_group, class_groups
+from iqgalois.quadform import WHOLE, class_group, class_groups
 from iqgalois.survey import class_numbers_range
 
 WIDTH = survey.BLOCK_SIZE
@@ -73,9 +77,41 @@ def test_bulk_assembly_is_class_group(blocks, monkeypatch):
         monkeypatch.setattr(quadform, "_assemble", recording)
 
 
+def test_fields_off_the_lanes_take_class_group_by_reason(blocks, monkeypatch):
+    # per window, the walks of two generators that the odd lanes start and
+    # the fields that take class_group whole, by reason; every group is
+    # class_group's
+    codes, walks = [], []
+    lane_sylow, start = quadform._lane_sylow, quadform._Walks.start
+
+    def recording(fields):
+        out = lane_sylow(fields)
+        codes.extend(out[1])
+        return out
+
+    def starting(self, rows):
+        walks.append(rows.shape[1])
+        return start(self, rows)
+
+    monkeypatch.setattr(quadform, "_lane_sylow", recording)
+    monkeypatch.setattr(quadform._Walks, "start", starting)
+    counts = []
+    for fields in blocks:
+        codes.clear()
+        walks.clear()
+        assert list(class_groups(fields)) == [class_group(d, known_h=h) for d, h in fields]
+        counts.append((sum(walks), collections.Counter(WHOLE[code] for code in codes if code)))
+    assert counts == [
+        (162, {"2-part": 52, "h = 1": 9}),
+        (160, {"2-part": 84, "third generator": 7}),
+        (186, {"2-part": 113, "ran out": 4, "third generator": 2}),
+    ]
+
+
 def test_fallbacks_take_assemble(monkeypatch):
-    # h = 1 at |D| = 3, 4, 7, 8; -4027 has a 3-part of rank 2, which the
-    # array lanes leave to a generator step; -23 and -1000003 are bulk
+    # h = 1 at |D| = 3, 4, 7, 8, fields that class_group assembles whole;
+    # -4027 has a 3-part of rank 2, which a walk of two generators ends on
+    # the arrays; -23 and -1000003 are bulk
     fields = [(validate(D), 1) for D in (-3, -4, -7, -8)]
     fields += [(validate(-4027), 9), (validate(-23), 3), (validate(-1000003), 105)]
     assert class_group(validate(-1000003)).h == 105
@@ -108,7 +144,7 @@ def test_broken_entry_raises_at_its_field(broken, monkeypatch):
     # factorize is patched for one h: dropping its 3, that field's parts all
     # end on the arrays but their orders no longer multiply to h, so it fails
     # the bulk check and _assemble raises its message there; with an extra
-    # prime 11, that part leaves the arrays and raises on the generator route
+    # prime 11, that part leaves the arrays and its field raises on class_group
     fields = _fields(10**6, 10**6 + 2000)
     hs = [h for _, h in fields]
     k = next(k for k in range(100, len(fields)) if hs.count(hs[k]) == 1 and hs[k] % 66 == 6)

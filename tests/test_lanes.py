@@ -1,22 +1,22 @@
 """The lock-step power kernel and class_groups against the scalar power and class_group.
 
-quadform.class_groups runs the Sylow steps of many fields side by side and
-answers their power requests with one numpy kernel per round; class_group
-answers the same requests one at a time with the scalar power, which is
-the oracle here.  Every request of two census windows must give the same
-form both ways, with power's count of products, a scan block must give the
-same CSV bytes as classifying its fields one by one, a narrow window of
-steps in flight must give the same groups, the block must leave the garbage
-collector as it found it, the kernel's checks must raise also under
-python -O, an exponent below 1 must be refused, also by the loop of all
-three lane kernels before its first product, errors must surface at the
-field that raised them, and a field past the kernel's int64 bound must take
-the scalar route.  The odd Sylow steps that class_groups starts as array
-lanes must take the first non-ambiguous forms of each pool as candidates,
-give class_group's groups at every exit of the array route, and end a wrong
-class number the way class_group ends it.  So must the 2-parts of 4-rank 0
-or 1, whose 4-rank and candidate, computed in numpy, must be those of the
-scalar genus route.
+quadform.class_groups runs the Sylow parts of many fields side by side on
+array lanes and answers their power requests with one numpy kernel per
+round; class_group answers the requests of its Sylow steps one at a time
+with the scalar power, and is the oracle here.  Every request of two census
+windows must give the same form both ways, with power's count of products,
+a scan block must give the same CSV bytes as classifying its fields one by
+one, the block must leave the garbage collector as it found it, the
+kernel's checks must raise also under python -O, an exponent below 1 must
+be refused, also by the loop of all three lane kernels before its first
+product, errors must surface at the field that raised them, and a field
+past the kernel's int64 bound, or with a claimed h past 2^53, must take
+class_group whole.  The odd array lanes must take the first non-ambiguous
+forms of each pool as candidates, give class_group's groups at every exit
+of the array route (a field that leaves the lanes takes class_group whole),
+and end a wrong class number the way class_group ends it.  So must the
+2-parts of 4-rank 0 or 1, whose 4-rank and candidate, computed in numpy,
+must be those of the scalar genus route.
 """
 
 import collections
@@ -31,7 +31,8 @@ from iqgalois import quadform, survey
 from iqgalois.arith import InvariantViolation, is_prime, small_primes
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import kronecker_at, validate
-from iqgalois.quadform import LANE_LIMIT, ClassNumberAmbiguous, QuadForm, class_group, class_groups
+from iqgalois.quadform import LANE_LIMIT, WHOLE, ClassNumberAmbiguous, QuadForm, class_group
+from iqgalois.quadform import class_groups
 from iqgalois.quadform import power, prime_form, principal_form, reduce_form
 from iqgalois.survey import class_numbers_range
 
@@ -118,35 +119,6 @@ def test_scan_block_matches_fields_one_by_one(csv_bytes):
         record = classify_validated(d, short_circuit=False, cg=class_group(d, known_h=h))
         rows.append(survey.SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
     assert csv_bytes(survey._scan_block((lo, hi, primes))) == csv_bytes(rows)
-
-
-def test_window_bounds_the_steps_in_flight(monkeypatch):
-    # a narrow window takes many rounds and admits fields behind unfinished
-    # ones; every group must still come out whole and in field order.  Only
-    # the 2-parts at 4-rank 2 (13 here, started as their fields enter) and
-    # the restarted array lanes (33) are generator steps, so the window is
-    # narrower than either
-    monkeypatch.setattr(quadform, "LANES", 5)
-    steps, widths = [], []
-    step, kernel = quadform._sylow_step, quadform._power_lanes
-
-    def starting(*args):
-        steps.append(step(*args))
-        return steps[-1]
-
-    def recording(a, b, c, n):
-        # the generator steps in flight, each asking for a power; the array
-        # lanes are not held as generators
-        widths.append(sum(s.gi_frame is not None for s in steps))
-        return kernel(a, b, c, n)
-
-    monkeypatch.setattr(quadform, "_sylow_step", starting)
-    monkeypatch.setattr(quadform, "_power_lanes", recording)
-    fields = [(validate(-m), h) for m, h in class_numbers_range(10**6, 10**6 + 2000)]
-    assert list(class_groups(iter(fields))) == [class_group(d, known_h=h) for d, h in fields]
-    # a field, or a restart, enters while fewer than LANES generator steps are
-    # in flight, one per prime of h at most
-    assert len(widths) > 20 and max(widths) < 5 + 5
 
 
 def test_scan_block_restores_the_collector(monkeypatch):
@@ -277,9 +249,14 @@ def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
         return kernel(a, b, c, n)
 
     monkeypatch.setattr(quadform, "_power_lanes", recording)
-    # the fields past the bound take the scalar power inside the rounds, never class_group
+    # the fields past the bound take class_group whole, at their turn
     scalar_groups = []
-    monkeypatch.setattr(quadform, "class_group", lambda *a, **k: scalar_groups.append(a))
+
+    def scalar(d, **kwargs):
+        scalar_groups.append(d.value)
+        return class_group(d, **kwargs)
+
+    monkeypatch.setattr(quadform, "class_group", scalar)
     past, within = _first_fundamental(LANE_LIMIT + 1, 1), _first_fundamental(LANE_LIMIT, -1)
     assert -past.value == 4_500_000_003 and -within.value == 4_499_999_999
     # one call, small fields around both sides of the bound, in field order
@@ -295,7 +272,22 @@ def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
     groups = class_groups(fields)
     assert _outcome(lambda: got.extend(groups)) == _outcome(lambda: class_group(past, known_h=4886))
     assert got == [class_group(discs[0], known_h=fields[0][1])]
-    assert scalar_groups == []
+    assert scalar_groups == [past.value, past.value]
+
+
+def test_claimed_h_past_2_53_raises_at_its_field():
+    # h(-1000003) = 105 claimed as 105 * 3^33 (past 2^53) and 105 * 3^40
+    # (past 2^63): neither fits the kernel, so the field takes class_group
+    # whole, which raises at it, after the group of -23 (h = 3)
+    assert 2**53 < 105 * 3**33 < 2**63 < 105 * 3**40
+    d, small = validate(-1000003), validate(-23)
+    for claim in (105 * 3**33, 105 * 3**40):
+        want = _outcome(lambda: class_group(d, known_h=claim))
+        assert want[0] is ClassNumberAmbiguous
+        got = []
+        groups = class_groups([(small, 3), (d, claim)])
+        assert _outcome(lambda: got.extend(groups)) == want
+        assert got == [class_group(small, known_h=3)]
 
 
 def _ambiguous(f) -> bool:
@@ -340,45 +332,48 @@ def test_array_candidates_are_the_pools_first_forms():
 
 
 @pytest.fixture
-def restarts(monkeypatch):
-    """The (D, q) of every odd-q generator step that class_groups starts."""
-    started = []
-    step = quadform._sylow_step
+def whole(monkeypatch):
+    """The (D, reason) of every field that class_groups hands to class_group whole."""
+    seen = []
+    lane_sylow = quadform._lane_sylow
 
-    def recording(d, h, q, e):
-        if q != 2:
-            started.append((d.value, q))
-        return step(d, h, q, e)
+    def recording(fields):
+        out = lane_sylow(fields)
+        seen.extend((d.value, WHOLE[code]) for (d, _), code in zip(fields, out[1]) if code)
+        return out
 
-    monkeypatch.setattr(quadform, "_sylow_step", recording)
-    return started
+    monkeypatch.setattr(quadform, "_lane_sylow", recording)
+    return seen
 
 
-def test_array_lanes_restart_at_each_exit(restarts):
+def test_array_lanes_restart_at_each_exit(whole):
+    # a field whose odd lane leaves the arrays restarts whole on class_group
     fields = [(validate(-m), h) for m, h in class_numbers_range(3, 5000)]
     fields += [(validate(-m), h) for m, h in class_numbers_range(792_100, 792_200)]
     got = list(class_groups(fields))
-    restarted = list(restarts)  # class_group starts a step for every prime of h
     assert got == [class_group(d, known_h=h) for d, h in fields]
-    groups = {cg.discriminant: cg for cg in got}
-    # rank 2: the first projection x that is not 1 has order below 3^e
+    groups, reasons = {cg.discriminant: cg for cg in got}, dict(whole)
+    # rank 2: the first projection x that is not 1 has order below 3^e, and
+    # the walk of two generators ends on the arrays
     for D, orders in ((-4027, (3, 3)), (-3299, (3, 9)), (-3896, (3, 3))):
-        assert groups[D].sylow[3][0] == orders and (D, 3) in restarted
+        assert groups[D].sylow[3][0] == orders and D not in reasons
     # h(-792115) = 132: its four candidates all project by 44 to the identity
     D = -792115
     heads = _array_heads([D], 4)[0]
     assert len(heads) == 4 and all(power(f, 44) == principal_form(D) for f in heads)
-    assert groups[D].sylow[3][0] == (3,) and (D, 3) in restarted
-    # every other odd step ends on the arrays, on the cyclic shortcut
+    assert groups[D].sylow[3][0] == (3,) and reasons[D] == "ran out"
+    # every other odd part ends on the arrays; the 2-parts of 4-rank 2 and
+    # h = 1 take class_group whole too
     odd = sum(q != 2 for cg in got for q in cg.sylow)
-    assert len(restarted) == 22 and odd == 1340
+    counts = collections.Counter(reasons.values())
+    assert counts == {"2-part": 3, "h = 1": 9, "ran out": 1} and odd == 1340
     # h(-23) = 3 claimed as 15: the one candidate (2, 1, 3) projects by 3 to
     # the identity, so the 5-lane runs out where the pool does
-    restarts.clear()
+    whole.clear()
     wrong = [(validate(-23), 15)]
     assert _array_heads([-23], 4) == [[(2, 1, 3)]]
     outcome = _outcome(lambda: list(class_groups(wrong)))
-    assert restarts == [(-23, 5)]
+    assert whole == [(-23, "ran out")]
     assert outcome == _outcome(lambda: class_group(validate(-23), known_h=15))
     assert outcome[0] is ClassNumberAmbiguous and "pool exhausted" in outcome[1]
 
@@ -410,6 +405,66 @@ def test_wrong_claims_give_the_same_outcome_on_both_routes():
         kinds[want[0]] += 1
     # a wrong claim mostly raises, but an odd part that is too small can pass
     assert kinds == {ClassNumberAmbiguous: 489, "group": 11}
+
+
+def _both_routes(fields: list) -> tuple[list, list]:
+    """The groups of class_groups and of a loop of class_group, each ended by what it raises."""
+    results = []
+    for run in (class_groups, lambda fields: (class_group(d, known_h=h) for d, h in fields)):
+        got = []
+        try:
+            got.extend(run(fields))
+        except Exception as exc:
+            got.append((type(exc), str(exc)))
+        results.append(got)
+    return tuple(results)
+
+
+def test_wrong_claims_at_two_generator_fields_give_the_same_outcome(whole, monkeypatch):
+    # Cl(-4027) = (3, 3), Cl(-3299) = (3, 9) and Cl(-1607) = (27,), whose
+    # first projection has order 9: with the exact h each takes a walk of
+    # two generators.  A wrong claim must end as class_group ends it, at the
+    # same field, after the group of -23 before it
+    walked = []
+    start = quadform._Walks.start
+
+    def starting(self, rows):
+        walked.extend(rows[0].tolist())
+        return start(self, rows)
+
+    monkeypatch.setattr(quadform._Walks, "start", starting)
+    small = validate(-23)
+    first = class_group(small, known_h=3)
+    raised = collections.Counter()
+    for D, orders in ((-4027, (3, 3)), (-3299, (3, 9)), (-1607, (27,))):
+        d, h = validate(D), quadform.class_number(D)
+        assert class_group(d, known_h=h).sylow[3][0] == orders
+        for claim in (h, 3 * h, 9 * h, h // 3, h // 9, 5 * h):
+            walked.clear()
+            lanes, scalar = _both_routes([(small, 3), (d, claim)])
+            assert lanes == scalar and lanes[0] == first, (D, claim)
+            raised[isinstance(lanes[1], tuple)] += 1
+            if claim == h:
+                assert walked == [1] and lanes[1].sylow[3][0] == orders
+    # seven groups: the exact h, h/3 and -4027 at h = 1; a wrong odd part
+    # that is too small can pass
+    assert raised == {False: 7, True: 11}
+    reasons = collections.Counter(reason for _, reason in whole)
+    assert reasons == {"third generator": 6, "ran out": 3, "failed test": 2, "h = 1": 1}
+    # a Smith basis that is off by a factor 3: b^(dj/q) is 1, and the walk
+    # leaves its field to class_group, which raises on the same basis
+    smith = quadform.smith_normal_form
+
+    def scaled(rows):
+        diag, w = smith(rows)
+        return diag, [[3 * x for x in row] for row in w]
+
+    monkeypatch.setattr(quadform, "smith_normal_form", scaled)
+    whole.clear()
+    lanes, scalar = _both_routes([(small, 3), (validate(-4027), 9)])
+    broken = (InvariantViolation, "(1,1,1007) does not have exact order 3")
+    assert lanes == scalar == [first, broken]
+    assert whole == [(-4027, "failed test")]
 
 
 def _scalar_genus(d) -> tuple:
@@ -464,30 +519,14 @@ def test_genus_step_matches_the_scalar_route():
     assert ranks == {0: 7166, 1: 5334, 2: 274, 3: 4}
 
 
-@pytest.fixture
-def two_restarts(monkeypatch):
-    """The (D, e) of every 2-part generator step that class_groups starts."""
-    started = []
-    step = quadform._sylow_step
-
-    def recording(d, h, q, e):
-        if q == 2:
-            started.append((d.value, e))
-        return step(d, h, q, e)
-
-    monkeypatch.setattr(quadform, "_sylow_step", recording)
-    return started
-
-
-def test_two_lanes_restart_at_each_exit(two_restarts, monkeypatch):
+def test_two_lanes_restart_at_each_exit(whole, monkeypatch):
     # with the exact h, a 2-part at 4-rank 0 or 1 ends on the array lanes,
-    # and every other one is a generator step from its start
+    # and the field of every other one takes class_group whole
     fields = [(validate(-m), h) for m, h in class_numbers_range(3, 6000)]
     want = [class_group(d, known_h=h) for d, h in fields]
-    two_restarts.clear()  # class_group starts a step for every prime of h
     assert list(class_groups(fields)) == want
     generators = [d.value for d, h in fields if h % 2 == 0 and quadform._redei(d)[2] >= 2]
-    assert [D for D, _ in two_restarts] == generators == [-2379, -4895, -5795]
+    assert [D for D, reason in whole if reason == "2-part"] == generators == [-2379, -4895, -5795]
     # order below 2^n: h(-56) = 4, Cl = Z/4 at 2-rank 1 and 4-rank 1; claimed
     # as 8, the lane checks for order 8
     # y^2 != 1: h(-164) = 8, Cl = Z/8; claimed as 4, the lane checks for order 4
@@ -495,11 +534,11 @@ def test_two_lanes_restart_at_each_exit(two_restarts, monkeypatch):
     x = {D: power(f, 1) for D, f in ((-56, prime_form(-56, 3)), (-164, prime_form(-164, 3)))}
     assert _array_genus([validate(-56), validate(-164)]) == [(1, (3, 2, 5)), (1, (3, 2, 14))]
     assert power(x[-56], 4) == one[-56] and power(x[-164], 4) != one[-164]
-    for D, claim, e in ((-56, 8, 3), (-164, 4, 2)):
+    for D, claim in ((-56, 8), (-164, 4)):
         want = _outcome(lambda: class_group(validate(D), known_h=claim))
-        two_restarts.clear()
+        whole.clear()
         assert _outcome(lambda: list(class_groups([(validate(D), claim)]))) == want
-        assert two_restarts == [(D, e)] and want[0] is ClassNumberAmbiguous
+        assert whole == [(D, "failed test")] and want[0] is ClassNumberAmbiguous
     # x = 1 cannot happen with a genus-chosen candidate, whose 2-part is not
     # a square; a principal candidate takes that exit, with h(-56) = 4
     pool = quadform._pool_lanes
@@ -511,9 +550,9 @@ def test_two_lanes_restart_at_each_exit(two_restarts, monkeypatch):
 
     monkeypatch.setattr(quadform, "_pool_lanes", principal)
     want = [class_group(validate(-56), known_h=4)]
-    two_restarts.clear()
+    whole.clear()
     assert list(class_groups([(validate(-56), 4)])) == want
-    assert two_restarts == [(-56, 2)]
+    assert whole == [(-56, "failed test")]
 
 
 def test_wrong_two_parts_give_the_same_outcome_on_both_routes():
