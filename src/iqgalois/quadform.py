@@ -233,6 +233,13 @@ LANE_LIMIT = 4_500_000_000
 # before their first generator; at 2, 83 / 102 did, and at 8 none, but the
 # candidates take twice as long to build (2.8 -> 5.7 ms at 1e6).
 _CANDIDATES = 4
+# A walk whose claim bounds the order of its first generator x1 by q^(e-1)
+# <= _TABLE asks for the table of <x1> at once and finds the order in it; a
+# larger bound first finds the order from a ladder of q-th powers, a round
+# more, so that a wrong h asks for no more lanes than the true order of x1.
+# With the ladder at every e > 2, the 1e4-blocks at 1.07e6 and 1e7 take 7
+# kernel calls in place of 6.
+_TABLE = 81
 # Why class_groups hands a field to class_group whole: code k > 0 is
 # WHOLE[k], and a field whose parts leave the lanes for several takes the
 # largest.  The first four keep the field off the lanes; a 2-part is off
@@ -1118,8 +1125,10 @@ def _lane_sylow(fields: list) -> tuple[list, list, list, list]:
     )
     # the parts of each distinct h, factored once: 773 h for the 3,043 fields at 1e6
     on = np.flatnonzero(whole == 0)
-    distinct, which = np.unique(hs[on], return_inverse=True)
-    factors = [factorize(h) for h in distinct.tolist()]
+    distinct = np.sort(hs[on])
+    distinct = distinct[np.diff(distinct, prepend=0) != 0]
+    which = np.searchsorted(distinct, hs[on])
+    factors = list(map(factorize, distinct.tolist()))
     keys = [[q for q, _ in parts] for parts in factors]
     entries: list = [None] * nfields  # per field on the lanes: its Sylow entries by q
     for j, k in zip(on.tolist(), which.tolist()):
@@ -1184,32 +1193,36 @@ class _Walks:
 
     A walk starts where an odd lane of _lane_sylow has its first projection
     x1 that is not 1 and x1^(q^(e-1)) = 1: x1 has order k1 = q^j below q^e.
-    Its first round asks for the table of <x1>: x1^t for 2 <= t <= (q^(e-1)
-    - 1)/2, the first t with x1^t = 1 being k1 (q^(e-1) if none is), and
-    for t > k1/2 the inverse (a, -b, c) of x1^(k1-t), reduced, as no class
-    of odd order but 1 is ambiguous.  Every round asks for the projection x2
-    of its next candidate and x2^(q^s), s < e.  While x2 is in the table,
-    the next candidate follows, as _sylow_structure skips it (none left:
-    ran out).  Otherwise x2 must have order k2 = q^e/k1 modulo <x1>, the one
-    size at which _sylow_structure stops at two generators: x2^(k2/q) is not
-    in <x1> (else third generator) and x2^k2 = x1^v (else failed test).
-    Its relations are then [[k1, 0], [-v, k2]], and one smith_normal_form
-    per distinct matrix gives the orders dj > 1 and the basis forms
-    b = x1^w0 x2^w1.  The next round raises b^(dj/q) and b^dj, _q_torsion's
-    two tests, as x1^(w0 m mod k1) from the table times x2^(w1 m mod q^e)
-    from the lanes (a slot, one per m); a test that fails is failed test.
-    An entry of one order ends as a row (field, q, e, y) in ended, as the
-    shortcut's do; one of two orders is written into entries.  Reduced
-    forms are unique per class, so every entry is _sylow_structure's.
+    Where q^(e-1) <= _TABLE or e = 2, its first round asks for the table of
+    <x1>: x1^t for 2 <= t <= (q^(e-1) - 1)/2, the first t with x1^t = 1
+    being k1 (q^(e-1) if none is).  Past _TABLE it first asks for x1^(q^s),
+    1 <= s <= e - 2, k1 being q^s at the first that is 1 (q^(e-1) if none
+    is), and then for x1^t up to t = (k1 - 1)/2.  The table holds for t >
+    k1/2 the inverse (a, -b, c) of x1^(k1-t), reduced, as no class of odd
+    order but 1 is ambiguous.  Every round from the table's on asks for the
+    projection x2 of its next candidate and x2^(q^s), s < e.  While x2 is
+    in the table, the next candidate follows, as _sylow_structure skips it
+    (none left: ran out).  Otherwise x2 must have order k2 = q^e/k1 modulo
+    <x1>, the one size at which _sylow_structure stops at two generators:
+    x2^(k2/q) is not in <x1> (else third generator) and x2^k2 = x1^v (else
+    failed test).  Its relations are then [[k1, 0], [-v, k2]], and one
+    smith_normal_form per distinct matrix gives the orders dj > 1 and the
+    basis forms b = x1^w0 x2^w1.  The next round raises b^(dj/q) and b^dj,
+    _q_torsion's two tests, as x1^(w0 m mod k1) from the table times
+    x2^(w1 m mod q^e) from the lanes (a slot, one per m); a test that fails
+    is failed test.  An entry of one order ends as a row (field, q, e, y)
+    in ended, as the shortcut's do; one of two orders is written into
+    entries.  Reduced forms are unique per class, so every entry is
+    _sylow_structure's.
     """
 
     def __init__(self, D, heads, count, hs, whole, entries, ended):
         self.D, self.heads, self.count, self.hs, self.whole = D, heads, count, hs, whole
         self.entries, self.ended = entries, ended
-        self.walks = np.zeros((9, 0), np.int64)  # field, q, e, candidate, k1 (0: no table), id, x1
+        self.walks = np.zeros((9, 0), np.int64)  # field, q, e, candidate, k1 (0: unknown), id, x1
         self.slots = np.zeros((13, 0), np.int64)  # field, q, e, id, dj, test, m2, x2, x1^m1
         self.forms = np.zeros((3, 0), np.int64)  # the tables: x1^0 .. x1^(k1-1) of each walk
-        self.base = np.zeros(0, np.int64)  # per walk id: the column of x1^0 in forms
+        self.base = np.zeros(0, np.int64)  # per walk id: the column of x1^0 in forms, -1 before
         self.keys, self.exps = np.zeros(0, np.int64), np.zeros(0, np.int64)  # sorted, and their t
         self.smith: dict = {}
         self.asked: tuple = ()
@@ -1219,27 +1232,33 @@ class _Walks:
 
     def start(self, rows: np.ndarray) -> None:
         """Walks of the lanes rows (field, q, e, candidate of x1, x1), from the next candidate."""
-        i, k = rows[0], rows[3] + 1
+        i, q, e, k = rows[0], rows[1], rows[2], rows[3] + 1
         out = k == self.count[i]
         np.maximum.at(self.whole, i[out], _RAN_OUT)
         ids = self.base.size + np.arange(i.size)
-        self.base = np.concatenate((self.base, np.zeros_like(ids)))
-        new = np.vstack((rows[:3], k, np.zeros_like(k), ids, rows[4:]))[:, ~out]
+        self.base = np.concatenate((self.base, np.full_like(ids, -1)))
+        top = q ** (e - 1)  # x1^top = 1: k1 itself at e = 2, else a bound that the table refines
+        k1 = np.where((e == 2) | (top <= _TABLE), top, 0)
+        new = np.vstack((rows[:3], k, k1, ids, rows[4:]))[:, ~out]
         self.walks = np.concatenate((self.walks, new), axis=1)
 
     def asks(self) -> np.ndarray:
-        """The rows a, b, c, n of this round's requests: tables, then candidates, then slots."""
+        """The rows a, b, c, n of this round's requests: orders, tables, candidates, then slots."""
         w = self.walks = self.walks[:, self.whole[self.walks[0]] == 0]
         s = self.slots = self.slots[:, self.whole[self.slots[0]] == 0]
-        i, q, e, k, k1 = w[:5]
-        tw, t = _spans(np.where(k1 == 0, np.maximum((q ** (e - 1) - 1) // 2 - 1, 0), 0))
+        i, q, e, k, k1, ids = w[:6]
+        ow, os = _spans(np.where(k1 == 0, e - 2, 0))
+        os += 1
+        fresh = (k1 > 0) & (self.base[ids] < 0)  # k1 or its bound known, no table yet
+        tw, t = _spans(np.where(fresh, (k1 - 1) // 2 - 1, 0))
         t += 2
-        lw, ls = _spans(e)
+        lw, ls = _spans(np.where(k1 > 0, e, 0))
         ladder = self.hs[i[lw]] // q[lw] ** e[lw] * q[lw] ** ls
         sw = np.flatnonzero(s[6] > 0)  # a slot at m2 = 0 takes x2^0 = 1
-        self.asked = tw, t, lw, ls, sw
+        self.asked = ow, os, np.flatnonzero(fresh), tw, t, np.flatnonzero(k1 > 0), lw, ls, sw
         return np.concatenate(
             (
+                np.vstack((w[6:, ow], q[ow] ** os)),
                 np.vstack((w[6:, tw], t)),
                 np.vstack((self.heads[:, i[lw], k[lw]], ladder)),
                 np.vstack((s[7:10, sw], s[6, sw])),
@@ -1249,34 +1268,39 @@ class _Walks:
 
     def take(self, powers: np.ndarray) -> None:
         """Answer the requests of asks: end the slots, then step the walks."""
-        tw, t, lw, ls, sw = self.asked
-        table, ladder, raised = np.split(powers, [tw.size, tw.size + lw.size], axis=1)
+        ow, os, fresh, tw, t, go, lw, ls, sw = self.asked
+        cuts = np.cumsum([ow.size, tw.size, lw.size])
+        orders, table, ladder, raised = np.split(powers, cuts, axis=1)
         self._torsion(raised, sw)
         w = self.walks
         if not w.size:
             return
         i, q, e, k, k1, ids = w[:6]
-        fresh = np.flatnonzero(k1 == 0)
+        climbed = k1 == 0
+        k1[climbed] = q[climbed] ** (e[climbed] - 1)
+        hit = orders[0] == 1
+        np.minimum.at(k1, ow[hit], q[ow[hit]] ** os[hit])
+        hit = table[0] == 1
+        np.minimum.at(k1, tw[hit], t[hit])
         if fresh.size:
-            k1[fresh] = q[fresh] ** (e[fresh] - 1)
-            hit = table[0] == 1
-            np.minimum.at(k1, tw[hit], t[hit])
             self._tables(fresh, table, np.searchsorted(tw, fresh))
-        x2 = ladder[:, np.searchsorted(lw, np.arange(ids.size))]
-        inside = self._find(ids, x2)[0]
-        k[inside] += 1
-        out = inside & (k == self.count[i])
-        np.maximum.at(self.whole, i[out], _RAN_OUT)
+        x2 = ladder[:, np.searchsorted(lw, go)]
+        inside = self._find(ids[go], x2)[0]
+        k[go[inside]] += 1
+        out = inside & (k[go] == self.count[i[go]])
+        np.maximum.at(self.whole, i[go[out]], _RAN_OUT)
         k2 = q**e // k1
         scale = q[lw] ** ls  # x2^scale in each column of ladder
-        below = self._find(ids, ladder[:, scale == (k2 // q)[lw]])[0] & ~inside
-        closed, v = self._find(ids, ladder[:, scale == k2[lw]])
-        np.maximum.at(self.whole, i[below], _THIRD)
+        below = self._find(ids[go], ladder[:, scale == (k2 // q)[lw]])[0] & ~inside
+        closed, v = self._find(ids[go], ladder[:, scale == k2[lw]])
+        np.maximum.at(self.whole, i[go[below]], _THIRD)
         failed = ~inside & ~below & ~closed
-        np.maximum.at(self.whole, i[failed], _FAILED)
+        np.maximum.at(self.whole, i[go[failed]], _FAILED)
         two = ~inside & ~below & closed
-        self._basis(w[:, two], k2[two], v[two], x2[:, two])
-        self.walks = w[:, inside & ~out]
+        self._basis(w[:, go[two]], k2[go[two]], v[two], x2[:, two])
+        stay = climbed  # the walks that climbed this round have yet to ask for x2
+        stay[go] = inside & ~out
+        self.walks = w[:, stay]
 
     @staticmethod
     def _key(ids: np.ndarray, forms: np.ndarray) -> np.ndarray:
@@ -1332,13 +1356,13 @@ class _Walks:
         x2[:, sw] = raised
         y = np.stack(_reduce_lanes(*_compose_lanes(tuple(s[10:]), tuple(x2))[1]))
         passed = np.where(test == 0, y[0] != 1, y[0] == 1)
-        failed = np.isin(ids, ids[~passed])
-        np.maximum.at(self.whole, i[failed], _FAILED)
-        keep = np.flatnonzero(~failed & (test == 0))
-        _, first, rank = np.unique(ids[keep], return_index=True, return_counts=True)
-        one = keep[first[rank == 1]]
+        first = np.flatnonzero(np.diff(ids, prepend=-1))  # the slots of a walk are contiguous
+        ok = np.logical_and.reduceat(passed, first)
+        rank = np.diff(first, append=ids.size) // 2  # two slots per basis form
+        np.maximum.at(self.whole, i[first[~ok]], _FAILED)
+        one = first[ok & (rank == 1)]
         self.ended.append(np.vstack((s[:3, one], y[:, one])))
-        for j in keep[first[rank == 2]].tolist():
+        for j in first[ok & (rank == 2)].tolist():
             f, g = (QuadForm._make(y[:, c].tolist()) for c in (j, j + 2))
             self.entries[int(i[j])][int(q[j])] = (int(dj[j]), int(dj[j + 2])), (f, g)
         self.slots = np.zeros((13, 0), np.int64)

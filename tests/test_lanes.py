@@ -467,6 +467,34 @@ def test_wrong_claims_at_two_generator_fields_give_the_same_outcome(whole, monke
     assert whole == [(-4027, "failed test")]
 
 
+def test_large_wrong_claims_ask_only_for_the_true_order_of_x1(whole, monkeypatch):
+    # Cl(-3299) = (3, 9) claimed as 3^18 and h(-1000003) = 105 claimed as
+    # 105 * 3^28: each starts a walk whose x1 has order 3 or 9, far below the
+    # claimed 3^17 and 3^28, so its table and ladders stay a few lanes, and the
+    # field raises class_group's exception after the group of -23
+    walked, spans = [], quadform._spans
+
+    def starting(self, rows):
+        walked.extend(rows[0].tolist())
+        return start(self, rows)
+
+    def bounded(counts):
+        assert counts.sum() < 1000  # lanes of one request kind, in one round
+        return spans(counts)
+
+    start = quadform._Walks.start
+    monkeypatch.setattr(quadform._Walks, "start", starting)
+    monkeypatch.setattr(quadform, "_spans", bounded)
+    small = validate(-23)
+    for D, claim in ((-3299, 3**18), (-1000003, 105 * 3**28)):
+        assert claim < 2**53
+        walked.clear()
+        lanes, scalar = _both_routes([(small, 3), (validate(D), claim)])
+        assert lanes == scalar and lanes[0] == class_group(small, known_h=3)
+        assert lanes[1][0] is ClassNumberAmbiguous and walked == [1], D
+    assert whole == [(-3299, "third generator"), (-1000003, "ran out")]
+
+
 def _scalar_genus(d) -> tuple:
     """_redei's 4-rank of d and, at 4-rank 0 or 1, the form _two_sylow_orders projects first.
 
