@@ -32,39 +32,37 @@ classes, and its Smith normal form gives the invariant factors and a
 basis.  Of each basis form x of order o it keeps y = x^(o/q), which spans
 Cl[q] with the others and is x's one exact-order test (_q_torsion).
 Cl[2] comes from the ramified prime forms.
-The Sylow code is written once, as generators (_Steps) that yield each
-power they need as a request (form, n) and are sent its reduced result.
-class_group answers every request with the scalar power: the oracle, which
-classify, tables, verify and table3 take.  class_groups, the route of a
-survey block, runs the Sylow parts of many fields side by side as int64
-array lanes instead.  An odd one walks the first prime forms that are not
-ambiguous up to the cyclic shortcut, and where its first projection has an
-order below q^e, on to a second generator, its relations and their Smith
-basis (_Walks).  A 2-part of 4-rank 0 or 1 projects the one prime form
-that its genus characters choose and checks the one chain length that the
-ranks leave.  Their forms, the Redei rows and the 4-ranks are built in
-numpy once per block (_redei_lanes, _pool_lanes), with a Jacobi symbol
-that takes no products.  Each round, the requests of every lane take one
-lock-step numpy kernel on int64 lanes (_power_lanes: Shanks composition
-from lock-step extended gcds and a masked reduction loop), which keeps
-both checks of compose_unreduced; the groups are yielded in field order
-once every round is done.  A field whose parts all ended on the arrays as
-cyclic factors takes its invariant factors straight from h and its
-2-rank, after one numpy check over the block of what _check_structure
-checks; one with an odd part of rank 2 takes _assemble, the assembly of
-class_group.  Any other outcome of a lane, and a field the lanes cannot
-take (past LANE_LIMIT = 4.5e9, where int64 stops being exact, or with h
-past 2^53 or h = 1), hands the field to class_group whole (WHOLE).
-_square_and_multiply_lanes is square_and_multiply on every lane at once,
-from each lane's top bit down, under the product its caller passes: the
-one loop of _power_lanes and of the generator and local-unit kernels of
-idealgen and localtest.
+class_group runs these Sylow parts one by one on the scalar power: the
+oracle, which classify, tables, verify and table3 take.  class_groups, the
+route of a survey block, runs the Sylow parts of many fields side by side
+as int64 array lanes instead.  An odd one walks the first prime forms that
+are not ambiguous up to the cyclic shortcut, and where its first
+projection has an order below q^e, on to a second generator, its relations
+and their Smith basis (_Walks).  A 2-part of 4-rank 0 or 1 projects the
+one prime form that its genus characters choose and checks the one chain
+length that the ranks leave.  Their forms, the Redei rows and the 4-ranks
+are built in numpy once per block (_redei_lanes, _pool_lanes), with a
+Jacobi symbol that takes no products.  Each round, the requests of every
+lane take one lock-step numpy kernel on int64 lanes (_power_lanes: Shanks
+composition from lock-step extended gcds and a masked reduction loop),
+which keeps both checks of compose_unreduced; the groups are yielded in
+field order once every round is done.  A field whose parts all ended on
+the arrays as cyclic factors takes its invariant factors straight from h
+and its 2-rank, after one numpy check over the block of what
+_check_structure checks; one with an odd part of rank 2 takes _assemble,
+the assembly of class_group.  Any other outcome of a lane, and a field the
+lanes cannot take (past LANE_LIMIT = 4.5e9, where int64 stops being exact,
+or with h past 2^53 or h = 1), hands the field to class_group whole
+(WHOLE).  _square_and_multiply_lanes is square_and_multiply on every lane
+at once, from each lane's top bit down, under the product its caller
+passes: the one loop of _power_lanes and of the generator and local-unit
+kernels of idealgen and localtest.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -570,9 +568,6 @@ def _prime_form_pool(D: int) -> Iterator[QuadForm]:
 
 _Table = dict[QuadForm, tuple[int, ...]]
 _Sylow = tuple[tuple[int, ...], tuple[QuadForm, ...] | None]
-# The class-group steps are generators: each yields a request (form, n) for
-# power(form, n), is sent the reduced result, and returns its value.
-_Steps = Generator[tuple[tuple[int, int, int], int], QuadForm, object]
 
 
 @dataclass(frozen=True)
@@ -622,20 +617,19 @@ def _adjoin(sub: _Table, x: QuadForm, limit: int) -> tuple[int, tuple[int, ...],
     return len(powers), sub[powers[-1]], grown
 
 
-def _two_chain(x: tuple[int, int, int], one: QuadForm, e: int) -> _Steps:
+def _two_chain(x: tuple[int, int, int], one: QuadForm, e: int) -> list:
     """x, x^2, x^4, ... up to the last power that is not the identity.
 
     x has order 2^len(chain), and chain[-1] is its top, of order 2.  Each
-    square is a request (y, 2).  Raises ClassNumberAmbiguous when x^(2^e) is
-    not the identity.
+    square is power(y, 2).  Raises ClassNumberAmbiguous when x^(2^e) is not
+    the identity.
     """
-    chain = []
-    y = x
+    chain, y = [], x
     while y != one:
         if len(chain) == e:
             raise ClassNumberAmbiguous(f"order of {x} does not divide 2^{e}")
         chain.append(y)
-        y = yield y, 2
+        y = power(y, 2)
     return chain
 
 
@@ -684,7 +678,7 @@ def _redei(d: FundamentalDiscriminant) -> tuple[list[int], list[int], int]:
     return discs, rows, len(primes) - 1 - len(rows)
 
 
-def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Steps:
+def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Sylow:
     """The 2-Sylow subgroup, 2^e || h, from genus theory and the Redei matrix.
 
     With r = t - 1 and the 4-rank r4, an e below r + r4, or r4 = 0 with
@@ -717,14 +711,13 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Step
             f"2^{e} || h does not fit 2-rank {r} and 4-rank {r4} of Cl({D})"
         )
     if r4 > 2:
-        return (yield from _sylow_structure(D, h, 2, e, pool))[0], None
+        return _sylow_structure(D, h, 2, e, pool)[0], None
     one, span, chains = principal_form(D), list(rows) if r4 else [], []
     for q in small_primes():
         # for q not dividing D, (D/q) is the product of the (d_j/q)
         if kronecker(D, q) != 1 or not _span_insert(span, _genus_vector(discs, q)):
             continue  # q is not split, or the vector of its forms is in the span
-        x = yield prime_form(D, q), h >> e
-        chains.append((yield from _two_chain(x, one, e)))
+        chains.append(_two_chain(power(prime_form(D, q), h >> e), one, e))
         if len(chains) == max(r4, 1):
             break
     else:
@@ -738,7 +731,7 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Step
         # top; the product has a lower order, until the tops differ
         while low and low[-1] == top[-1]:
             a, b, c = top[len(top) - len(low)]
-            low = yield from _two_chain(_reduced_product(low[0], (a, -b, c)), one, len(low) - 1)
+            low = _two_chain(_reduced_product(low[0], (a, -b, c)), one, len(low) - 1)
         if len(low) < 2:
             raise ClassNumberAmbiguous(f"2-orders of Cl({D}) do not fit 4-rank 2")
         chains[0] = low
@@ -747,16 +740,16 @@ def _two_sylow_orders(d: FundamentalDiscriminant, h: int, e: int, pool) -> _Step
     return (2,) * (r - len(chains)) + tuple(1 << len(c) for c in chains), None
 
 
-def _q_torsion(x: QuadForm, q: int, o: int, one: QuadForm) -> _Steps:
+def _q_torsion(x: QuadForm, q: int, o: int, one: QuadForm) -> QuadForm | None:
     """y = x^(o/q) if y != 1 and y^q = 1, so x has exact order o (a power of q); else None.
 
     x is reduced, so at o = q, y is x itself.
     """
-    y = x if o == q else (yield x, o // q)
-    return y if y != one and (yield y, q) == one else None
+    y = x if o == q else power(x, o // q)
+    return y if y != one and power(y, q) == one else None
 
 
-def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
+def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Sylow:
     """Orders and q-torsion forms of the q-Sylow subgroup, q^e || h, for any prime q.
 
     The 2-part takes it at 4-rank 3 or more; every other 2-part is
@@ -791,10 +784,9 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
         a, b, c = cand
         if q != 2 and (b == 0 or b == a or a == c):
             continue  # ambiguous, of order 1 or 2: its projection is the identity
-        x = yield cand, cofactor
-        if x in sub:
+        if (x := power(cand, cofactor)) in sub:
             continue
-        if not gens and (y := (yield from _q_torsion(x, q, target, one))) is not None:
+        if not gens and (y := _q_torsion(x, q, target, one)) is not None:
             return (target,), (y,)
         k, vec, sub = _adjoin(sub, x, target)
         size *= k
@@ -814,7 +806,7 @@ def _sylow_structure(D: int, h: int, q: int, e: int, pool) -> _Steps:
             orders.append(dj)
             terms = [power(gi, w[i][j]) for i, gi in enumerate(gens) if w[i][j]]
             b = functools.reduce(compose, terms)
-            if (y := (yield from _q_torsion(b, q, dj, one))) is None:
+            if (y := _q_torsion(b, q, dj, one)) is None:
                 raise InvariantViolation(f"{b} does not have exact order {dj}")
             torsion.append(y)
     return tuple(orders), tuple(torsion)
@@ -900,7 +892,7 @@ def _sylow_parts(d: FundamentalDiscriminant, h: int) -> list[tuple[int, int]]:
 
     The 2-rank of Cl(D) is t - 1 for the t primes of D, so h is even exactly
     when t >= 2: an even h at t = 1 raises InvariantViolation and an odd h
-    at t >= 2 ClassNumberAmbiguous, before any step.
+    at t >= 2 ClassNumberAmbiguous, before any power.
     """
     D, t = d.value, d.num_prime_divisors
     if t == 1 and h % 2 == 0:
@@ -910,18 +902,10 @@ def _sylow_parts(d: FundamentalDiscriminant, h: int) -> list[tuple[int, int]]:
     return factorize(h)
 
 
-def _sylow_step(d: FundamentalDiscriminant, h: int, q: int, e: int) -> _Steps:
-    """The steps that return the entry sylow[q], on a _prime_form_pool of their own.
-
-    So the Sylow subgroups share no state and their steps may run in any order.
-    """
+def _sylow_step(d: FundamentalDiscriminant, h: int, q: int, e: int) -> _Sylow:
+    """The entry sylow[q], q^e || h, on a _prime_form_pool of its own: the parts share no state."""
     pool = _prime_form_pool(d.value)
     return _two_sylow_orders(d, h, e, pool) if q == 2 else _sylow_structure(d.value, h, q, e, pool)
-
-
-def _sylow_steps(d: FundamentalDiscriminant, h: int) -> list[tuple[int, _Steps]]:
-    """(q, steps) for each prime q of h, ascending: the steps class_group runs one by one."""
-    return [(q, _sylow_step(d, h, q, e)) for q, e in _sylow_parts(d, h)]
 
 
 def _assemble(D: int, h: int, sylow: dict[int, _Sylow]) -> ClassGroupStructure:
@@ -955,20 +939,11 @@ def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> Cl
     2-orders from _two_sylow_orders.
     With the exact h the same raise marks a pool that falls short, which can
     happen only past |D| = 3 * 65521^2 (_prime_form_pool), never a wrong group.
-    Every power it asks for is the scalar power: the oracle of class_groups.
+    Its parts run in ascending q, each on the scalar power: the oracle of
+    class_groups.
     """
     h = class_number(d.value) if known_h is None else known_h
-    return _assemble(d.value, h, {q: _run(steps) for q, steps in _sylow_steps(d, h)})
-
-
-def _run(steps: _Steps):
-    """The value of the steps, each request answered by the scalar power."""
-    result = None
-    try:
-        while True:
-            result = power(*steps.send(result))
-    except StopIteration as stop:
-        return stop.value
+    return _assemble(d.value, h, {q: _sylow_step(d, h, q, e) for q, e in _sylow_parts(d, h)})
 
 
 def _pool_lanes(

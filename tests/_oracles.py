@@ -11,7 +11,8 @@ class group are read off how many of its classes each q^j kills.  Ideal
 products and principal ideals are Hermite-reduced lattices spanned by
 their generators, the reference for the composition formula that idealgen
 shares with quadform.  Quotient membership at p is a search over units
-and torsion words, shared with nothing in localtest's engine.
+and torsion words, shared with nothing in localtest's engine.  Only the
+rows of a scan block, field by field, take the library's own scalar route.
 """
 
 import functools
@@ -22,9 +23,11 @@ from collections import deque
 import numpy as np
 
 from iqgalois.arith import InvariantViolation, factorize, smith_normal_form
-from iqgalois.discriminant import NotFundamental, validate
+from iqgalois.classify import classify_validated
+from iqgalois.discriminant import NotFundamental, kronecker_at, validate
 from iqgalois.idealgen import QuadIdeal, QuadraticInteger
-from iqgalois.quadform import ClassNumberAmbiguous, compose, power, principal_form
+from iqgalois.quadform import ClassNumberAmbiguous, class_group, compose, power, principal_form
+from iqgalois.survey import SurveyRow, class_numbers_range
 
 
 def sl2_orbit(form: tuple[int, int, int], max_size: int = 20000) -> set:
@@ -323,3 +326,17 @@ def sylow_structure_walk(D: int, h: int, q: int, e: int, pool):
             terms = [power(gi, w[i][j]) for i, gi in enumerate(gens) if w[i][j]]
             basis.append(functools.reduce(compose, terms))
     return tuple(orders), tuple(basis)
+
+
+def rows_one_by_one(lo: int, hi: int, primes: tuple[int, ...]) -> list:
+    """The scan rows of the fundamental |D| in [lo, hi), by the library's scalar route.
+
+    class_group, classify_validated and kronecker_at, one field at a time:
+    the oracle of a scan block's array routes.
+    """
+    rows = []
+    for m, h in class_numbers_range(lo, hi):
+        d = validate(-m)
+        record = classify_validated(d, short_circuit=False, cg=class_group(d, known_h=h))
+        rows.append(SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
+    return rows

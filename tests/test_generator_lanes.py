@@ -23,13 +23,15 @@ import pytest
 from iqgalois import idealgen, survey
 from iqgalois.arith import InvariantViolation
 from iqgalois.classify import classify_validated
-from iqgalois.discriminant import kronecker_at, validate
+from iqgalois.discriminant import validate
 from iqgalois.idealgen import NotPrincipal, _generator_lanes, torsion_power_generator
 from iqgalois.localtest import build_context
 from iqgalois.quadform import ClassNumberAmbiguous, QuadForm, _prime_form_pool, class_group
 from iqgalois.quadform import coprime_representative, power
 from iqgalois.survey import class_numbers_range
 from iqgalois.verify import generator_jobs
+
+from _oracles import rows_one_by_one
 
 
 def _jobs(lo: int, hi: int) -> list:
@@ -69,15 +71,6 @@ def test_kernel_replays_every_generator(lo, past, monkeypatch):
     assert lanes == sum(p.bit_length() - 1 + p.bit_count() - 1 for (_, p, _), _ in stayed)
 
 
-def _rows_one_by_one(lo: int, hi: int, primes: tuple[int, ...]) -> list:
-    rows = []
-    for m, h in class_numbers_range(lo, hi):
-        d = validate(-m)
-        record = classify_validated(d, short_circuit=False, cg=class_group(d, known_h=h))
-        rows.append(survey.SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
-    return rows
-
-
 # a state bound that a product of states passes within a few rounds, and a
 # ring limit that leaves p = 3, 5, 7, 11, 13 on the lanes
 @pytest.mark.parametrize("bound, value", [("_STATE_BOUND", 2**40), ("_RING_LIMIT", 14**2)])
@@ -89,7 +82,7 @@ def test_jobs_past_a_lane_bound_take_the_scalar_route(bound, value, monkeypatch)
     assert 0.1 * len(jobs) < sum(g is None for g in got) < 0.9 * len(jobs)
     stayed = [(job, g) for job, g in zip(jobs, got) if g is not None]
     assert [g for _, g in stayed] == [torsion_power_generator(*job) for job, _ in stayed]
-    assert survey._scan_block((lo, hi, (3, 5))) == _rows_one_by_one(lo, hi, (3, 5))
+    assert survey._scan_block((lo, hi, (3, 5))) == rows_one_by_one(lo, hi, (3, 5))
 
 
 def test_odd_rank_overflow_in_a_scan_block():
@@ -97,7 +90,7 @@ def test_odd_rank_overflow_in_a_scan_block():
     # row takes rank_overflow from status_at_prime at its field
     lo, hi, primes = 3321600, 3321700, (2, 3, 5, 7)
     rows = survey._scan_block((lo, hi, primes))
-    assert rows == _rows_one_by_one(lo, hi, primes)
+    assert rows == rows_one_by_one(lo, hi, primes)
     (row,) = [r for r in rows if r.record.discriminant == -3321607]
     assert row.record.per_prime == ((3, "rank_overflow"), (7, "injective"))
 

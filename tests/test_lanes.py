@@ -2,21 +2,21 @@
 
 quadform.class_groups runs the Sylow parts of many fields side by side on
 array lanes and answers their power requests with one numpy kernel per
-round; class_group answers the requests of its Sylow steps one at a time
-with the scalar power, and is the oracle here.  Every request of two census
-windows must give the same form both ways, with power's count of products,
-a scan block must give the same CSV bytes as classifying its fields one by
-one, the block must leave the garbage collector as it found it, the
-kernel's checks must raise also under python -O, an exponent below 1 must
-be refused, also by the loop of all three lane kernels before its first
-product, errors must surface at the field that raised them, and a field
-past the kernel's int64 bound, or with a claimed h past 2^53, must take
-class_group whole.  The odd array lanes must take the first non-ambiguous
-forms of each pool as candidates, give class_group's groups at every exit
-of the array route (a field that leaves the lanes takes class_group whole),
-and end a wrong class number the way class_group ends it.  So must the
-2-parts of 4-rank 0 or 1, whose 4-rank and candidate, computed in numpy,
-must be those of the scalar genus route.
+round; class_group runs the Sylow parts of one field after another on the
+scalar power, and is the oracle here.  Every power that class_group takes
+over two census windows must give the same form both ways, with power's
+count of products, a scan block must give the same CSV bytes as
+classifying its fields one by one, the block must leave the garbage
+collector as it found it, the kernel's checks must raise also under python
+-O, an exponent below 1 must be refused, also by the loop of all three
+lane kernels before its first product, errors must surface at the field
+that raised them, and a field past the kernel's int64 bound, or with a
+claimed h past 2^53, must take class_group whole.  The odd array lanes
+must take the first non-ambiguous forms of each pool as candidates, give
+class_group's groups at every exit of the array route (a field that leaves
+the lanes takes class_group whole), and end a wrong class number the way
+class_group ends it.  So must the 2-parts of 4-rank 0 or 1, whose 4-rank
+and candidate, computed in numpy, must be those of the scalar genus route.
 """
 
 import collections
@@ -29,27 +29,28 @@ import pytest
 
 from iqgalois import quadform, survey
 from iqgalois.arith import InvariantViolation, is_prime, small_primes
-from iqgalois.classify import classify_validated
-from iqgalois.discriminant import kronecker_at, validate
+from iqgalois.discriminant import validate
 from iqgalois.quadform import LANE_LIMIT, WHOLE, ClassNumberAmbiguous, QuadForm, class_group
 from iqgalois.quadform import class_groups
 from iqgalois.quadform import power, prime_form, principal_form, reduce_form
 from iqgalois.survey import class_numbers_range
 
+from _oracles import rows_one_by_one
+
 
 def _requests(lo: int, hi: int) -> list:
-    """Every (form, n) that class_group asks of power over the fundamental |D| in [lo, hi)."""
+    """Every (form, n >= 1) that class_group asks of power at the fundamental |D| in [lo, hi)."""
     out = []
-    for m, h in class_numbers_range(lo, hi):
-        for _, steps in quadform._sylow_steps(validate(-m), h):
-            result = None
-            try:
-                while True:
-                    f, n = steps.send(result)
-                    out.append((f, n))
-                    result = power(f, n)
-            except StopIteration:
-                pass
+
+    def recording(f, n):
+        if n >= 1:
+            out.append((f, n))
+        return power(f, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadform, "power", recording)
+        for m, h in class_numbers_range(lo, hi):
+            class_group(validate(-m), known_h=h)
     return out
 
 
@@ -113,11 +114,7 @@ def test_kernel_refuses_exponents_below_one(deadline):
 
 def test_scan_block_matches_fields_one_by_one(csv_bytes):
     lo, hi, primes = 10**6, 10**6 + survey.BLOCK_SIZE, (2, 3, 5, 7)
-    rows = []
-    for m, h in class_numbers_range(lo, hi):
-        d = validate(-m)
-        record = classify_validated(d, short_circuit=False, cg=class_group(d, known_h=h))
-        rows.append(survey.SurveyRow(record, tuple((p, kronecker_at(d, p)) for p in primes)))
+    rows = rows_one_by_one(lo, hi, primes)
     assert csv_bytes(survey._scan_block((lo, hi, primes))) == csv_bytes(rows)
 
 
@@ -216,7 +213,7 @@ def test_wrong_known_h_raises_at_its_field():
 
 def test_genus_parity_raises_at_its_field():
     # -23 is a prime discriminant, so its h is odd: h = 2 fails genus parity
-    # in _sylow_steps, before any step, and class_groups keeps it at admission
+    # in _sylow_parts, before any power, and class_groups keeps it at admission
     fields = [(validate(-m), h) for m, h in class_numbers_range(3, 200)]
     k = next(i for i, (d, _) in enumerate(fields) if d.value == -23)
     fields[k] = (fields[k][0], 2)
@@ -495,6 +492,10 @@ def test_large_wrong_claims_ask_only_for_the_true_order_of_x1(whole, monkeypatch
     assert whole == [(-3299, "third generator"), (-1000003, "ran out")]
 
 
+class _Asked(Exception):
+    """The first power a route asks for, raised in place of its answer."""
+
+
 def _scalar_genus(d) -> tuple:
     """_redei's 4-rank of d and, at 4-rank 0 or 1, the form _two_sylow_orders projects first.
 
@@ -506,7 +507,14 @@ def _scalar_genus(d) -> tuple:
     if r4 > 1 or d.num_prime_divisors == 1:
         return r4, None
     e = d.num_prime_divisors - 1 + r4  # a 2^e || h that passes the rank checks
-    f, n = next(quadform._two_sylow_orders(d, 2**e, e, iter(())))
+
+    def first(f, n):
+        raise _Asked(f, n)
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(_Asked) as asked:
+        patch.setattr(quadform, "power", first)
+        quadform._two_sylow_orders(d, 2**e, e, iter(()))
+    f, n = asked.value.args
     assert n == 1
     return r4, tuple(f) if f.a < 2**10 else None
 

@@ -28,7 +28,8 @@ from iqgalois.idealgen import _generator_lanes
 from iqgalois.localtest import _injective_lanes, build_context, injectivity_test, local_unit_image
 from iqgalois.quadform import class_groups
 from iqgalois.survey import _odd_bases, class_numbers_range
-from test_generator_lanes import _rows_one_by_one
+
+from _oracles import rows_one_by_one
 
 
 def _tests(lo: int, hi: int) -> list:
@@ -120,7 +121,7 @@ def test_torsion_and_left_tests_give_the_rows_of_one_by_one():
     lanes = lane_statuses(tests)
     assert any(s is None for s in lanes)
     assert any(_torsion(d, p) for d, _, p, _ in tests)
-    assert survey._scan_block((lo, hi, (2, 3, 5))) == _rows_one_by_one(lo, hi, (2, 3, 5))
+    assert survey._scan_block((lo, hi, (2, 3, 5))) == rows_one_by_one(lo, hi, (2, 3, 5))
 
 
 # (p, D) without local p-power torsion: split, inert and ramified at p = 3, 5, 7, 11

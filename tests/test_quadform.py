@@ -312,8 +312,7 @@ def test_walk_basis_of_wrong_order_raises(monkeypatch):
 
 def test_sylow_orders_must_multiply_to_h(monkeypatch):
     # Cl(-56) = Z/4; a 2-part of order 2 leaves h = 4 unfilled
-    def two_part(d, h, e, pool):  # steps that ask for no power
-        yield from ()
+    def two_part(d, h, e, pool):
         return (2,), None
 
     monkeypatch.setattr(quadform, "_two_sylow_orders", two_part)

@@ -49,7 +49,7 @@ def routes(monkeypatch):
 
     def counting_sylow(D, h, q, e, pool):
         walked.append(False)
-        out = yield from sylow(D, h, q, e, pool)
+        out = sylow(D, h, q, e, pool)
         cyclic = "cyclic" if len(out[0]) == 1 else "noncyclic"
         route = "walk " + cyclic if walked.pop() else "shortcut"
         if q != 2:
@@ -202,8 +202,7 @@ def test_wrong_known_h_caught_by_the_walk_still_raises(monkeypatch):
                 out.add((d.value, claim))
         return out
 
-    def walk(d, h, e, pool):  # steps that ask for no power
-        yield from ()
+    def walk(d, h, e, pool):
         return sylow_structure_walk(d.value, h, 2, e, pool)
 
     with monkeypatch.context() as m:
@@ -235,18 +234,20 @@ def test_ambiguous_pool_forms_project_to_the_identity():
 
 
 @pytest.mark.parametrize("lo, hi", [(3, 20_000), (10**6, 10**6 + BLOCK_SIZE)])
-def test_odd_sylow_steps_ask_no_power_of_an_ambiguous_form(lo, hi):
+def test_odd_sylow_steps_ask_no_power_of_an_ambiguous_form(lo, hi, monkeypatch):
     asked = collections.Counter()
+    odd = False
+
+    def recording(f, n):
+        asked[odd, _ambiguous(f)] += 1
+        return power(f, n)
+
+    monkeypatch.setattr(quadform, "power", recording)
     for m, h in class_numbers_range(lo, hi):
-        for q, steps in quadform._sylow_steps(validate(-m), h):
-            result = None
-            try:
-                while True:
-                    f, n = steps.send(result)
-                    asked[q != 2, _ambiguous(f)] += 1
-                    result = power(f, n)
-            except StopIteration:
-                pass
+        d = validate(-m)
+        for q, e in quadform._sylow_parts(d, h):
+            odd = q != 2
+            quadform._sylow_step(d, h, q, e)
     # the 2-parts still ask for the squares of ambiguous forms in their chains
     assert asked[True, True] == 0 and asked[True, False] > 5_000 and asked[False, True] > 0
 
