@@ -31,8 +31,7 @@ both.  Over one more batch pass, class_group_routes counts the calls of
 quadform._power_lanes, the class-group kernel, with their lanes; the walks
 of two generators that the odd lanes start (quadform._Walks.start); and the
 fields that class_groups hands to class_group whole, by reason
-(quadform.WHOLE, read from quadform._lane_sylow).  A library without walks
-or whole fields reports 0 and no reasons.
+(quadform.WHOLE, read from quadform._lane_sylow).
 """
 
 import collections
@@ -116,22 +115,24 @@ def count_routes(lib, batch) -> dict:
         counts["kernel_lanes"] += a.size
         return kernel(a, b, c, n)
 
-    saved = [(quadform, "_power_lanes", kernel)]
+    start, lane_sylow = quadform._Walks.start, quadform._lane_sylow
+
+    def counting_start(self, rows):
+        counts["two_generator_lanes"] += rows.shape[1]
+        return start(self, rows)
+
+    def counting_whole(fields):
+        out = lane_sylow(fields)
+        whole.update(quadform.WHOLE[code] for code in out[1] if code)
+        return out
+
+    saved = [
+        (quadform, "_power_lanes", kernel),
+        (quadform._Walks, "start", start),
+        (quadform, "_lane_sylow", lane_sylow),
+    ]
     quadform._power_lanes = counting_kernel
-    if hasattr(quadform, "_Walks"):
-        start, lane_sylow = quadform._Walks.start, quadform._lane_sylow
-
-        def counting_start(self, rows):
-            counts["two_generator_lanes"] += rows.shape[1]
-            return start(self, rows)
-
-        def counting_whole(fields):
-            out = lane_sylow(fields)
-            whole.update(quadform.WHOLE[code] for code in out[1] if code)
-            return out
-
-        saved += [(quadform._Walks, "start", start), (quadform, "_lane_sylow", lane_sylow)]
-        quadform._Walks.start, quadform._lane_sylow = counting_start, counting_whole
+    quadform._Walks.start, quadform._lane_sylow = counting_start, counting_whole
     try:
         batch()
     finally:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage or configuration error (or |D| too large),
 2 invalid discriminant, 3 internal error: a failed consistency check (a
 generator that does not generate its ideal or is not a unit above p among
 them), prime forms short of the class group, or a number Pollard rho did
-not split.
+not split; 130 interrupted (SIGINT), where a survey with --checkpoint
+names the checkpoint that the same command resumes from.
 Discriminants are accepted negative (-d -20) or as |D| with --abs.
 """
 
@@ -41,6 +42,11 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolation, ClassNumberAmbiguous, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        checkpoint = getattr(args, "checkpoint", None)
+        resume = f"; the same command resumes from checkpoint {checkpoint}" if checkpoint else ""
+        print(f"interrupted{resume}", file=sys.stderr)
+        return 130
 
 
 def _build_parser() -> argparse.ArgumentParser:

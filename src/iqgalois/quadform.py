@@ -35,11 +35,13 @@ Cl[2] comes from the ramified prime forms.
 class_group runs these Sylow parts one by one on the scalar power: the
 oracle, which classify, tables, verify and table3 take.  class_groups, the
 route of a survey block, runs the Sylow parts of many fields side by side
-as int64 array lanes instead.  An odd one walks the first prime forms that
-are not ambiguous up to the cyclic shortcut, and where its first
-projection has an order below q^e, on to a second generator, its relations
-and their Smith basis (_Walks).  A 2-part of 4-rank 0 or 1 projects the
-one prime form that its genus characters choose and checks the one chain
+as int64 array lanes instead.  An odd one asks at once for the rungs
+f^(h/q^e * q^s), s < e, of its candidate f (the first prime forms that are
+not ambiguous), whose first 1 gives the projection x its exact order.
+Order q^e takes the cyclic shortcut once x^(q^e) = 1, and a lower one
+walks on to a second generator, with the table of <x>, their relations and
+their Smith basis (_Walks).  A 2-part of 4-rank 0 or 1 projects the one
+prime form that its genus characters choose and checks the one chain
 length that the ranks leave.  Their forms, the Redei rows and the 4-ranks
 are built in numpy once per block (_redei_lanes, _pool_lanes), with a
 Jacobi symbol that takes no products.  Each round, the requests of every
@@ -231,13 +233,6 @@ LANE_LIMIT = 4_500_000_000
 # before their first generator; at 2, 83 / 102 did, and at 8 none, but the
 # candidates take twice as long to build (2.8 -> 5.7 ms at 1e6).
 _CANDIDATES = 4
-# A walk whose claim bounds the order of its first generator x1 by q^(e-1)
-# <= _TABLE asks for the table of <x1> at once and finds the order in it; a
-# larger bound first finds the order from a ladder of q-th powers, a round
-# more, so that a wrong h asks for no more lanes than the true order of x1.
-# With the ladder at every e > 2, the 1e4-blocks at 1.07e6 and 1e7 take 7
-# kernel calls in place of 6.
-_TABLE = 81
 # Why class_groups hands a field to class_group whole: code k > 0 is
 # WHOLE[k], and a field whose parts leave the lanes for several takes the
 # largest.  The first four keep the field off the lanes; a 2-part is off
@@ -1059,6 +1054,12 @@ def class_groups(
             yield _assemble(d.value, h, sylow)
 
 
+def _rungs(forms: np.ndarray, n: np.ndarray, count: np.ndarray, q: np.ndarray) -> tuple:
+    """Rows a, b, c, exponent of f^(n * q^s), 0 <= s < count, per column f of forms; column, s."""
+    owner, s = _spans(count)
+    return np.vstack((forms[:, owner], n[owner] * q[owner] ** s)), owner, s
+
+
 def _lane_sylow(fields: list) -> tuple[list, list, list, list]:
     """The Sylow entries of class_groups from the array lanes: entries, whole, bulk, ranks.
 
@@ -1073,15 +1074,16 @@ def _lane_sylow(fields: list) -> tuple[list, list, list, list]:
     q starts as an array lane: one column of int64 rows that runs
     _sylow_structure up to its cyclic shortcut on the first _CANDIDATES
     forms of _pool_lanes, built once for all fields.  Phase 0 asks for the
-    projection x of candidate k by h/q^e, taking the next candidate while x
-    = 1; phase 1 asks for y = x^(q^(e-1)) (skipped at e = 1, where y is x)
-    and phase 2 for y^q.  y != 1 and y^q = 1 (a = 1, as the forms are
-    reduced) end the lane with the shortcut's entry ((q^e,), (y,)); y = 1
-    hands x to _Walks, its first generator.  The 2-part of a field whose
-    ranks pass the checks of _two_sylow_orders at 4-rank r4 <= 1
-    (_lane_candidates) runs the same phases with q = 2 on its one candidate:
-    at r4 <= 1 that entry needs x of order exactly 2^n, n = e - r + 1 for
-    2^e || h and the 2-rank r, so the lane takes n in place of e and ends
+    rungs f^(h/q^e * q^s), s < e, of candidate f (_rungs), from x at s = 0
+    to y = x^(q^(e-1)); every rung above a 1 (a = 1, the forms being
+    reduced) is 1, so x has order q^j for the j rungs that are not.  j = 0
+    takes the next candidate, 0 < j < e hands x to _Walks with k1 = q^j, and
+    at j = e phase 1 asks for y^q: y^q = 1 ends the lane with the shortcut's
+    entry ((q^e,), (y,)).  The 2-part of a field whose ranks pass the checks
+    of _two_sylow_orders at 4-rank r4 <= 1 (_lane_candidates) runs the same
+    phases with q = 2 on its one candidate: at r4 <= 1 that entry needs x of
+    order exactly 2^n, n = e - r + 1 for 2^e || h and the 2-rank r, so the
+    lane takes n in place of e, its one rung is y = f^(h >> r), and it ends
     with ((2,)*(r-1) + (2^n,), None).  A 2-part without such a candidate is
     code 2-part, odd candidates that run out (or none) code ran out, and
     every other exit code failed test.  Each round drops the lanes of the
@@ -1120,38 +1122,45 @@ def _lane_sylow(fields: list) -> tuple[list, list, list, list]:
     go = whole[i] == 0
     i, q, e = i[go], q[go], e[go]
     at_two, zero = q == 2, np.zeros_like(i)
-    # array lanes, one per column: request a, b, c, n, then field, candidate,
-    # phase, e, q, y; the lane checks that x has order q^e (2^n at q = 2)
+    # array lanes, one per column: a, b, c (the candidate, then y), field,
+    # candidate, phase, e (n at q = 2), q
     arrays = np.stack(
-        [*np.where(at_two, two[:, i], heads[:, i, 0]), hs[i] // q**e, i, zero, zero]
-        + [np.where(at_two, e - r[i] + 1, e), q, zero, zero, zero]
+        [*np.where(at_two, two[:, i], heads[:, i, 0]), i, zero, zero]
+        + [np.where(at_two, e - r[i] + 1, e), q]
     )
     ended = [np.zeros((6, 0), np.int64)]  # per lane: field, q, e (n at q = 2), y
     walks = _Walks(D, heads, count, hs, whole, entries, ended)
     while arrays.size or walks.live():
-        arrays = arrays[:, whole[arrays[4]] == 0]
-        asks = np.concatenate((arrays[:4], walks.asks()), axis=1)
+        arrays = arrays[:, whole[arrays[3]] == 0]
+        i, k, phase, e, q = arrays[3:]
+        first, odd = phase == 0, q != 2
+        # phase 0: the rungs of the candidate, or the one rung y of a 2-lane;
+        # phase 1: y^q, the one rung of y with exponent q
+        rungs = np.where(first & odd, e, 1)
+        n = np.where(first, np.where(odd, hs[i] // q**e, hs[i] >> r[i]), q)
+        asks, owner, _ = _rungs(arrays[:3], n, rungs, q)
+        asks = np.concatenate((asks, walks.asks()), axis=1)
         powers = np.stack(_power_lanes(*asks)) if asks.size else asks[:3]
-        arrays[:3] = powers[:, : arrays.shape[1]]
-        walks.take(powers[:, arrays.shape[1] :])
-        a, b, c, n, i, k, phase, e, q = arrays[:9]
-        one, first, last = a == 1, phase == 0, phase == 2
-        ahead = ~one & ~last  # x or y is not 1: keep it, ask for its next power
-        arrays[9:, ahead] = arrays[:3, ahead]
-        phase[ahead] += 1 + (first & (e == 1))[ahead]
-        n[ahead] = np.where(phase == 1, q ** (e - 1), q)[ahead]
-        skip = one & first  # x = 1: the next candidate; a 2-lane has one
+        walks.take(powers[:, owner.size :])
+        # per lane, its rungs that are not 1: x has order q^j
+        j = np.bincount(owner[powers[0, : owner.size] != 1], minlength=i.size)
+        last = np.cumsum(rungs) - 1  # the column of each lane's top rung
+        skip = first & (j == 0)  # x = 1 (y = 1 at q = 2): the next candidate; a 2-lane has one
         k[skip] += 1
-        odd, below = q != 2, one & ~first & ~last  # below: y = 1, so x has order below q^e
         ran_out = skip & odd & (k == count[i])
-        failed = ~odd & (skip | below) | ~one & last
+        failed = skip & ~odd | ~first & (j > 0)  # a 2-lane's y = 1, or y^q != 1
         np.maximum.at(whole, i[ran_out], _RAN_OUT)
         np.maximum.at(whole, i[failed], _FAILED)
         skip &= odd & ~ran_out
         arrays[:3, skip] = heads[:, i[skip], k[skip]]
-        walks.start(arrays[[4, 8, 7, 5, 9, 10, 11]][:, below & odd])
-        done = one & last  # y != 1 and y^q = 1: x has order q^e
-        ended.append(arrays[[4, 8, 7, 9, 10, 11]][:, done])
+        below = first & (j > 0) & (j < rungs)  # x has order q^j below q^e: x1 of a walk
+        x1 = powers[:3, (last - rungs + 1)[below]]
+        walks.start(np.vstack((arrays[[3, 7, 6, 4]][:, below], q[below] ** j[below], x1)))
+        climb = first & (j == rungs)  # no rung is 1: y is the top one
+        arrays[:3, climb] = powers[:3, last[climb]]
+        phase[climb] = 1
+        done = ~first & (j == 0)  # y != 1 and y^q = 1: x has order q^e
+        ended.append(arrays[[3, 7, 6, 0, 1, 2]][:, done])
         arrays = arrays[:, ~(done | below | ran_out | failed)]
     bulk = _array_entries(entries, np.concatenate(ended, axis=1), r, hs, size)
     return entries, whole.tolist(), bulk, r.tolist()
@@ -1167,34 +1176,32 @@ class _Walks:
     """_sylow_structure's walk of two generators, on int64 lanes: the odd parts past the shortcut.
 
     A walk starts where an odd lane of _lane_sylow has its first projection
-    x1 that is not 1 and x1^(q^(e-1)) = 1: x1 has order k1 = q^j below q^e.
-    Where q^(e-1) <= _TABLE or e = 2, its first round asks for the table of
-    <x1>: x1^t for 2 <= t <= (q^(e-1) - 1)/2, the first t with x1^t = 1
-    being k1 (q^(e-1) if none is).  Past _TABLE it first asks for x1^(q^s),
-    1 <= s <= e - 2, k1 being q^s at the first that is 1 (q^(e-1) if none
-    is), and then for x1^t up to t = (k1 - 1)/2.  The table holds for t >
-    k1/2 the inverse (a, -b, c) of x1^(k1-t), reduced, as no class of odd
-    order but 1 is ambiguous.  Every round from the table's on asks for the
-    projection x2 of its next candidate and x2^(q^s), s < e.  While x2 is
-    in the table, the next candidate follows, as _sylow_structure skips it
-    (none left: ran out).  Otherwise x2 must have order k2 = q^e/k1 modulo
-    <x1>, the one size at which _sylow_structure stops at two generators:
-    x2^(k2/q) is not in <x1> (else third generator) and x2^k2 = x1^v (else
-    failed test).  Its relations are then [[k1, 0], [-v, k2]], and one
-    smith_normal_form per distinct matrix gives the orders dj > 1 and the
-    basis forms b = x1^w0 x2^w1.  The next round raises b^(dj/q) and b^dj,
-    _q_torsion's two tests, as x1^(w0 m mod k1) from the table times
-    x2^(w1 m mod q^e) from the lanes (a slot, one per m); a test that fails
-    is failed test.  An entry of one order ends as a row (field, q, e, y)
-    in ended, as the shortcut's do; one of two orders is written into
-    entries.  Reduced forms are unique per class, so every entry is
-    _sylow_structure's.
+    x1 that is not 1, with the exact order k1 = q^j below q^e that the
+    lane's rungs gave it.  Its first round asks for the table of <x1>, x1^t
+    for 2 <= t <= (k1 - 1)/2, so a wrong h asks for no more lanes than the
+    true order of x1.  The table holds for t > k1/2 the inverse (a, -b, c)
+    of x1^(k1-t), reduced, as no class of odd order but 1 is ambiguous.
+    Every round, the first one too, asks for the rungs of its next
+    candidate, as the lane asked for those of x1 (_rungs): the projection x2
+    and x2^(q^s), s < e.  While x2 is in the table, the next candidate
+    follows, as _sylow_structure skips it (none left: ran out).  Otherwise
+    x2 must have order k2 = q^e/k1 modulo <x1>, the one size at which
+    _sylow_structure stops at two generators: x2^(k2/q) is not in <x1> (else
+    third generator) and x2^k2 = x1^v (else failed test).  Its relations are
+    then [[k1, 0], [-v, k2]], and one smith_normal_form per distinct matrix
+    gives the orders dj > 1 and the basis forms b = x1^w0 x2^w1.  The next
+    round raises b^(dj/q) and b^dj, _q_torsion's two tests, as x1^(w0 m mod
+    k1) from the table times x2^(w1 m mod q^e) from the lanes (a slot, one
+    per m); a test that fails is failed test.  An entry of one order ends as
+    a row (field, q, e, y) in ended, as the shortcut's do; one of two orders
+    is written into entries.  Reduced forms are unique per class, so every
+    entry is _sylow_structure's.
     """
 
     def __init__(self, D, heads, count, hs, whole, entries, ended):
         self.D, self.heads, self.count, self.hs, self.whole = D, heads, count, hs, whole
         self.entries, self.ended = entries, ended
-        self.walks = np.zeros((9, 0), np.int64)  # field, q, e, candidate, k1 (0: unknown), id, x1
+        self.walks = np.zeros((9, 0), np.int64)  # field, q, e, candidate, k1, id, x1
         self.slots = np.zeros((13, 0), np.int64)  # field, q, e, id, dj, test, m2, x2, x1^m1
         self.forms = np.zeros((3, 0), np.int64)  # the tables: x1^0 .. x1^(k1-1) of each walk
         self.base = np.zeros(0, np.int64)  # per walk id: the column of x1^0 in forms, -1 before
@@ -1206,76 +1213,56 @@ class _Walks:
         return bool(self.walks.size or self.slots.size)
 
     def start(self, rows: np.ndarray) -> None:
-        """Walks of the lanes rows (field, q, e, candidate of x1, x1), from the next candidate."""
-        i, q, e, k = rows[0], rows[1], rows[2], rows[3] + 1
+        """Walks of the lanes rows (field, q, e, candidate of x1, k1, x1), from the next candidate."""
+        i, k = rows[0], rows[3] + 1
         out = k == self.count[i]
         np.maximum.at(self.whole, i[out], _RAN_OUT)
         ids = self.base.size + np.arange(i.size)
         self.base = np.concatenate((self.base, np.full_like(ids, -1)))
-        top = q ** (e - 1)  # x1^top = 1: k1 itself at e = 2, else a bound that the table refines
-        k1 = np.where((e == 2) | (top <= _TABLE), top, 0)
-        new = np.vstack((rows[:3], k, k1, ids, rows[4:]))[:, ~out]
+        new = np.vstack((rows[:3], k, rows[4], ids, rows[5:]))[:, ~out]
         self.walks = np.concatenate((self.walks, new), axis=1)
 
     def asks(self) -> np.ndarray:
-        """The rows a, b, c, n of this round's requests: orders, tables, candidates, then slots."""
+        """The rows a, b, c, n of this round's requests: tables, the rungs of x2, then slots."""
         w = self.walks = self.walks[:, self.whole[self.walks[0]] == 0]
         s = self.slots = self.slots[:, self.whole[self.slots[0]] == 0]
         i, q, e, k, k1, ids = w[:6]
-        ow, os = _spans(np.where(k1 == 0, e - 2, 0))
-        os += 1
-        fresh = (k1 > 0) & (self.base[ids] < 0)  # k1 or its bound known, no table yet
+        fresh = self.base[ids] < 0  # started last round: no table yet
         tw, t = _spans(np.where(fresh, (k1 - 1) // 2 - 1, 0))
         t += 2
-        lw, ls = _spans(np.where(k1 > 0, e, 0))
-        ladder = self.hs[i[lw]] // q[lw] ** e[lw] * q[lw] ** ls
+        rungs, lw, ls = _rungs(self.heads[:, i, k], self.hs[i] // q**e, e, q)
         sw = np.flatnonzero(s[6] > 0)  # a slot at m2 = 0 takes x2^0 = 1
-        self.asked = ow, os, np.flatnonzero(fresh), tw, t, np.flatnonzero(k1 > 0), lw, ls, sw
+        self.asked = np.flatnonzero(fresh), tw, lw, ls, sw
         return np.concatenate(
-            (
-                np.vstack((w[6:, ow], q[ow] ** os)),
-                np.vstack((w[6:, tw], t)),
-                np.vstack((self.heads[:, i[lw], k[lw]], ladder)),
-                np.vstack((s[7:10, sw], s[6, sw])),
-            ),
-            axis=1,
+            (np.vstack((w[6:, tw], t)), rungs, np.vstack((s[7:10, sw], s[6, sw]))), axis=1
         )
 
     def take(self, powers: np.ndarray) -> None:
         """Answer the requests of asks: end the slots, then step the walks."""
-        ow, os, fresh, tw, t, go, lw, ls, sw = self.asked
-        cuts = np.cumsum([ow.size, tw.size, lw.size])
-        orders, table, ladder, raised = np.split(powers, cuts, axis=1)
+        fresh, tw, lw, ls, sw = self.asked
+        table, rungs, raised = np.split(powers, np.cumsum([tw.size, lw.size]), axis=1)
         self._torsion(raised, sw)
         w = self.walks
         if not w.size:
             return
         i, q, e, k, k1, ids = w[:6]
-        climbed = k1 == 0
-        k1[climbed] = q[climbed] ** (e[climbed] - 1)
-        hit = orders[0] == 1
-        np.minimum.at(k1, ow[hit], q[ow[hit]] ** os[hit])
-        hit = table[0] == 1
-        np.minimum.at(k1, tw[hit], t[hit])
         if fresh.size:
             self._tables(fresh, table, np.searchsorted(tw, fresh))
-        x2 = ladder[:, np.searchsorted(lw, go)]
-        inside = self._find(ids[go], x2)[0]
-        k[go[inside]] += 1
-        out = inside & (k[go] == self.count[i[go]])
-        np.maximum.at(self.whole, i[go[out]], _RAN_OUT)
+        x2 = rungs[:, ls == 0]
+        inside = self._find(ids, x2)[0]
+        k[inside] += 1
+        out = inside & (k == self.count[i])
+        np.maximum.at(self.whole, i[out], _RAN_OUT)
         k2 = q**e // k1
-        scale = q[lw] ** ls  # x2^scale in each column of ladder
-        below = self._find(ids[go], ladder[:, scale == (k2 // q)[lw]])[0] & ~inside
-        closed, v = self._find(ids[go], ladder[:, scale == k2[lw]])
-        np.maximum.at(self.whole, i[go[below]], _THIRD)
+        scale = q[lw] ** ls  # x2^scale in each column of rungs
+        below = self._find(ids, rungs[:, scale == (k2 // q)[lw]])[0] & ~inside
+        closed, v = self._find(ids, rungs[:, scale == k2[lw]])
+        np.maximum.at(self.whole, i[below], _THIRD)
         failed = ~inside & ~below & ~closed
-        np.maximum.at(self.whole, i[go[failed]], _FAILED)
+        np.maximum.at(self.whole, i[failed], _FAILED)
         two = ~inside & ~below & closed
-        self._basis(w[:, go[two]], k2[go[two]], v[two], x2[:, two])
-        stay = climbed  # the walks that climbed this round have yet to ask for x2
-        stay[go] = inside & ~out
-        self.walks = w[:, stay]
+        self._basis(w[:, two], k2[two], v[two], x2[:, two])
+        self.walks = w[:, inside & ~out]
 
     @staticmethod
     def _key(ids: np.ndarray, forms: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -546,9 +547,11 @@ def _pooled_blocks(blocks: Iterator[tuple], workers: int) -> Iterator[list[Surve
     Blocks are drawn from the iterator as results are taken, at most
     2 * workers of them submitted at a time, so a range of any length costs
     the same to start.  Closing the generator cancels the blocks not yet
-    started, and the pool's exit waits for the running ones.
+    started, and the pool's exit waits for the running ones.  The workers
+    ignore SIGINT, so a Ctrl-C reaches the caller alone, as KeyboardInterrupt.
     """
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    sigint = (signal.SIGINT, signal.SIG_IGN)
+    with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=sigint) as pool:
         futures: collections.deque = collections.deque()
         try:
             for args in blocks:

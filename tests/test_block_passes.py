@@ -5,7 +5,8 @@ past int64 on kronecker_at itself.  The groups that quadform.class_groups
 assembles straight from (h, r) must be class_group's, every field that
 fails a bulk condition must take _assemble, and a broken entry must raise
 _assemble's message at its own field.  The fields that leave the array
-lanes, and take class_group whole, are pinned per window by reason.
+lanes, and take class_group whole, are pinned per window by reason, and
+class_groups must take no more kernel calls per window than it does now.
 _csv_lines must write the lines of the per-line f-string it replaced, kept
 here as its oracle, and torsion_descriptor must share one generic
 descriptor.
@@ -106,6 +107,26 @@ def test_fields_off_the_lanes_take_class_group_by_reason(blocks, monkeypatch):
         (160, {"2-part": 84, "third generator": 7}),
         (186, {"2-part": 113, "ran out": 4, "third generator": 2}),
     ]
+
+
+def test_class_groups_takes_few_kernel_calls(blocks, monkeypatch):
+    # one _power_lanes call per round: the rungs of the first candidates,
+    # then y^q beside the tables and rungs of the walks, then the tests of
+    # their basis forms, with the candidates that follow a projection x = 1
+    calls = []
+    kernel = quadform._power_lanes
+
+    def counting(a, b, c, n):
+        calls.append(a.size)
+        return kernel(a, b, c, n)
+
+    monkeypatch.setattr(quadform, "_power_lanes", counting)
+    counts = []
+    for fields in [_fields(3, 10_003), _fields(10_003, 20_003), *blocks[1:]]:
+        calls.clear()
+        list(class_groups(fields))
+        counts.append(len(calls))
+    assert all(n <= most for n, most in zip(counts, (4, 4, 5, 5))), counts
 
 
 def test_fallbacks_take_assemble(monkeypatch):

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -305,3 +307,37 @@ def test_unpinned_class_number_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "classify", unpinned)
     assert main(["classify", "-d", "-20"]) == 3
     assert capsys.readouterr().err.startswith("internal error: cannot pin")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_survey_interrupted_exits_130_and_leaves_its_checkpoint(workers, tmp_path):
+    # SIGINT to the process group of a survey, once its first block is
+    # checkpointed: one line on stderr, exit 130, no output file, and a
+    # checkpoint that holds the rows of the blocks it vouches for
+    out, ckpt = tmp_path / "rows.csv", tmp_path / "scan.ckpt"
+    argv = ["survey", "--max", "2000000", "--out", str(out), "--workers", str(workers)]
+    command = [sys.executable, "-m", "iqgalois.cli", *argv, "--checkpoint", str(ckpt)]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        command, env=env, stderr=subprocess.PIPE, text=True, start_new_session=True
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not ckpt.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert err == f"interrupted; the same command resumes from checkpoint {ckpt}\n"
+    assert not out.exists() and not (tmp_path / "rows.csv.tmp").exists()
+    config = survey.SurveyConfig(d_max=2_000_000, checkpoint_path=str(ckpt))
+    stored = survey._Checkpoint(str(ckpt), config)
+    rows = list(stored.load())
+    assert stored.blocks_done >= 1
+    last = 2 + stored.blocks_done * survey.BLOCK_SIZE
+    assert rows == list(survey.scan(survey.SurveyConfig(d_max=last)))

@@ -4,14 +4,18 @@ Any change to `scan` CSV, survey JSON or `classify --json` output shows up
 here.  The primes list is deliberately unsorted: rows are keyed by sorted,
 deduplicated primes.  The generator digest pins the ring elements behind
 the verdicts, not only the verdicts: a change to the ideal products that
-kept every class but moved a generator would show up there.
+kept every class but moved a generator would show up there.  The classify
+records of the 240 fields of perfbench/classify_pool.json (D = -q, q near
+1.1e8) must keep the h and the digest of compact sorted JSON stored there.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from iqgalois.classify import classify
 from iqgalois.cli import main
 from iqgalois.idealgen import explicit_power_generator
 from iqgalois.verify import generator_jobs
@@ -66,3 +70,13 @@ def test_golden_torsion_power_generators():
     assert hashlib.sha256(blob).hexdigest() == (
         "33198363c1f98f8a5b1d6b4bef6fe3f6aa04d09769174897d5c69ed1b066984c"
     )
+
+
+def test_golden_classify_pool():
+    pool = Path(__file__).resolve().parent.parent / "perfbench" / "classify_pool.json"
+    fields = json.loads(pool.read_text())["fields"]
+    assert len(fields) == 240
+    for entry in fields:
+        record = classify(-entry["q"])
+        blob = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+        assert (record.h, hashlib.sha256(blob).hexdigest()) == (entry["h"], entry["sha256"])

@@ -17,6 +17,8 @@ class_group's groups at every exit of the array route (a field that leaves
 the lanes takes class_group whole), and end a wrong class number the way
 class_group ends it.  So must the 2-parts of 4-rank 0 or 1, whose 4-rank
 and candidate, computed in numpy, must be those of the scalar genus route.
+A walk of two generators must start with the exact order of its first
+generator.
 """
 
 import collections
@@ -467,7 +469,7 @@ def test_wrong_claims_at_two_generator_fields_give_the_same_outcome(whole, monke
 def test_large_wrong_claims_ask_only_for_the_true_order_of_x1(whole, monkeypatch):
     # Cl(-3299) = (3, 9) claimed as 3^18 and h(-1000003) = 105 claimed as
     # 105 * 3^28: each starts a walk whose x1 has order 3 or 9, far below the
-    # claimed 3^17 and 3^28, so its table and ladders stay a few lanes, and the
+    # claimed 3^17 and 3^28, so its rungs and table stay a few lanes, and the
     # field raises class_group's exception after the group of -23
     walked, spans = [], quadform._spans
 
@@ -490,6 +492,49 @@ def test_large_wrong_claims_ask_only_for_the_true_order_of_x1(whole, monkeypatch
         assert lanes == scalar and lanes[0] == class_group(small, known_h=3)
         assert lanes[1][0] is ClassNumberAmbiguous and walked == [1], D
     assert whole == [(-3299, "third generator"), (-1000003, "ran out")]
+
+
+# (D, h) of fields whose claim allows the first generator x1 of a walk an
+# order q^(e-1) of 125, 243 or 729
+WIDE_WALKS = (
+    (-1019119, 729),
+    (-1025119, 729),
+    (-1042991, 1458),
+    (-1047511, 729),
+    (-1069207, 625),
+    (-10004759, 3750),
+    (-100002523, 1458),
+    (-100003399, 7290),
+    (-100008011, 4374),
+    (-1000002687, 18954),
+    (-1000003147, 5000),
+    (-1000003811, 11250),
+    (-1000006932, 5832),
+    (-1000007887, 10935),
+)
+
+
+def test_walks_start_with_the_exact_order_of_x1(whole, monkeypatch):
+    # one call over the fields of WIDE_WALKS: each starts a walk at such a
+    # q-part (-1000003811 walks at 3 too), whose x1 has the order k1 it
+    # starts with, and every group is class_group's
+    walked = []
+    start = quadform._Walks.start
+
+    def starting(self, rows):
+        walked.extend(rows.T.tolist())
+        return start(self, rows)
+
+    monkeypatch.setattr(quadform._Walks, "start", starting)
+    fields = [(validate(D), h) for D, h in WIDE_WALKS]
+    assert list(class_groups(fields)) == [class_group(d, known_h=h) for d, h in fields]
+    assert sorted(row[0] for row in walked) == sorted([*range(len(fields)), 11])
+    assert {i for i, q, e, *_ in walked if q ** (e - 1) > 81} == set(range(len(fields)))
+    for i, q, e, _, k1, *x1 in walked:
+        one, x1 = principal_form(fields[i][0].value), QuadForm(*x1)
+        assert k1 < q**e and power(x1, k1) == one and power(x1, k1 // q) != one
+    reasons = [(-1042991, "third generator"), (-1069207, "third generator")]
+    assert whole == reasons + [(-1000002687, "third generator")]
 
 
 class _Asked(Exception):

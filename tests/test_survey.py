@@ -139,7 +139,7 @@ def _record_pool_sizes(monkeypatch, cpus: int) -> list[int]:
     seen = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             seen.append(max_workers)
 
         def __enter__(self):
