@@ -6,7 +6,7 @@ assembles straight from (h, r) must be class_group's, every field that
 fails a bulk condition must take _assemble, and a broken entry must raise
 _assemble's message at its own field.  The fields that leave the array
 lanes, and take class_group whole, are pinned per window by reason, and
-class_groups must take no more kernel calls per window than it does now.
+so is the most kernel calls that class_groups may take per window.
 _csv_lines must write the lines of the per-line f-string it replaced, kept
 here as its oracle, and torsion_descriptor must share one generic
 descriptor.
