@@ -7,18 +7,19 @@ them), prime forms short of the class group, or a number Pollard rho did
 not split; 130 interrupted (SIGINT), where a survey with --checkpoint
 names the checkpoint that the same command resumes from.
 Discriminants are accepted negative (-d -20) or as |D| with --abs.
+Each command imports only what it runs: survey and tables load the survey
+harness, verify its oracles, and a process pool is imported only for
+survey --workers > 1.
 """
 
 import argparse
 import json
 import sys
 
-from . import verify
 from .arith import InvariantViolation
 from .classify import classify, verdict_description
 from .discriminant import NotFundamental, NotImaginary
 from .quadform import ClassNumberAmbiguous
-from .survey import SurveyConfig, persist, scan, table1, table3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,6 +113,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    from .survey import SurveyConfig, persist, scan
     primes = tuple(int(p) for p in args.primes.split(",") if p)
     config = SurveyConfig(
         d_min=args.min,
@@ -141,6 +143,7 @@ _CENSUS_DEFAULTS = {"p": 3, "N": 300, "B": 100_000}  # tables 2 and 3
 
 
 def _cmd_tables(args) -> int:
+    from .survey import table1, table3
     defaults = _TABLE1_DEFAULTS if args.table == 1 else _CENSUS_DEFAULTS
     _apply_defaults(args, defaults, _TABLE_OPTIONS, f"table {args.table}")
     if args.table == 1:
@@ -172,12 +175,13 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     sweeps = args.suite in ("two", "generators", "all")
     _apply_defaults(args, {"bound": 100_000} if sweeps else {}, ("bound",), f"suite {args.suite}")
     suites = tuple(_VERIFIERS) if args.suite == "all" else (args.suite,)
     ok = True
     for suite in suites:
-        failures = _VERIFIERS[suite](args)
+        failures = _VERIFIERS[suite](verify, args)
         status = "ok" if not failures else "FAILED"
         print(f"suite {suite}: {status}")
         for item in failures[:5]:
@@ -187,10 +191,10 @@ def _cmd_verify(args) -> int:
 
 
 _VERIFIERS = {
-    "forms": lambda args: verify.forms(),
-    "local": lambda args: verify.quotient_index() + verify.local_engines(),
-    "two": lambda args: verify.two_families(verify.two_family_fields(args.bound)),
-    "generators": lambda args: verify.generators(3, args.bound + 1),
+    "forms": lambda verify, args: verify.forms(),
+    "local": lambda verify, args: verify.quotient_index() + verify.local_engines(),
+    "two": lambda verify, args: verify.two_families(verify.two_family_fields(args.bound)),
+    "generators": lambda verify, args: verify.generators(3, args.bound + 1),
 }
 
 

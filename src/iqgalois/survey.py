@@ -42,7 +42,6 @@ import json
 import math
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -79,6 +78,8 @@ class SurveyConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
+        if self.d_min < 0:
+            raise InvalidConfig(f"d_min {self.d_min} is negative")
         if self.d_min > self.d_max:
             raise InvalidConfig(f"empty |D| range [{self.d_min}, {self.d_max}]")
         if not self.primes:
@@ -549,7 +550,10 @@ def _pooled_blocks(blocks: Iterator[tuple], workers: int) -> Iterator[list[Surve
     the same to start.  Closing the generator cancels the blocks not yet
     started, and the pool's exit waits for the running ones.  The workers
     ignore SIGINT, so a Ctrl-C reaches the caller alone, as KeyboardInterrupt.
+    The pool's module is imported here, so a scan on one worker never loads it.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     sigint = (signal.SIGINT, signal.SIG_IGN)
     with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=sigint) as pool:
         futures: collections.deque = collections.deque()
@@ -626,6 +630,9 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
     'split' fields are those where the class-group extension splits over a
     subgroup, i.e. the NOT_MINIMAL verdicts; the table lists their -D.
     """
+    for name, value in (("max_p", max_p), ("bound", bound)):
+        if value < 0:
+            raise InvalidConfig(f"{name} {value} is negative")
     per_p: dict[int, list[tuple[int, str]]] = {}
     # Blocks bound the memory of the sieve and of the (|D|, h) lists; they are
     # wider than a scan block because each block repeats the sieve's loop over a.

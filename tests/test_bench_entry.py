@@ -125,13 +125,14 @@ def test_sub_millisecond_passes_keep_their_spread(entry, capsys):
     assert "IQR 1.5e-05 -> 1.5e-05 s" in capsys.readouterr().err
 
 
-# the size constants of each bench script, shrunk so that all six run in seconds
+# the size constants of each bench script, shrunk so that all seven run in seconds
 TINY = {
     "sieve": {"BLOCKS": ((10**6, 300), (10**7 + 1, 7)), "REPEATS": 1},
     "classgroup": {"STARTS": (10**6,), "WIDTH": 300, "REPEATS": 1},
     "scan": {"STARTS": (10**6,), "WIDTH": 300, "REPEATS": 1},
     "classnumber": {"FIELDS": (-100000007,), "REPEATS": 1},
     "tables": {"BOUNDS": (20000,), "REPEATS": 1},
+    "startup": {"FIELDS": (-23,), "REPEATS": 1},
     "generator": {
         "BANDS": ((10**6, 10**6 + 300),),
         "REPEATS": 1,

@@ -201,6 +201,9 @@ HUGE = "100000000000000"  # 1e14, past quadform.CLASS_NUMBER_LIMIT
         (["verify", "--suite", "generators", "--bound", HUGE], "class-number limit"),
         (["survey", "--max", "100", "--primes", ""], "no primes"),
         (["survey", "--max", "100", "--primes", ","], "no primes"),
+        (["survey", "--min", "-5", "--max", "100"], "d_min -5 is negative"),
+        (["tables", "--table", "1", "--bound", "-5"], "bound -5 is negative"),
+        (["tables", "--table", "1", "--bound", "100", "--max-p", "-3"], "max_p -3 is negative"),
     ],
 )
 def test_out_of_range_input_exits_1_quickly(argv, message, tmp_path, capsys):

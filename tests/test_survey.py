@@ -6,6 +6,7 @@ import os
 import signal
 import time
 import tracemalloc
+from concurrent import futures
 from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
@@ -154,7 +155,8 @@ def _record_pool_sizes(monkeypatch, cpus: int) -> list[int]:
             return future
 
     monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
+    # _pooled_blocks imports the pool class from concurrent.futures as it starts one
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
     return seen
 
@@ -199,7 +201,7 @@ def test_first_row_of_the_largest_range_comes_at_once(workers, monkeypatch):
                 setup_over()
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(survey, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
 
     def expire(signum, frame):
         raise TimeoutError("no first row within 5 s")
@@ -233,7 +235,7 @@ def test_pool_keeps_two_blocks_per_worker_submitted(monkeypatch):
             return super().submit(fn, args)
 
     monkeypatch.setattr(survey, "BLOCK_SIZE", 100)
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
     config = SurveyConfig(d_min=3, d_max=10**6, primes=(2, 3), workers=2)
     rows = scan(config)
