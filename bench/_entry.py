@@ -46,6 +46,18 @@ def load_parent(checkout: Path, name: str = "iqgalois_parent"):
     return module
 
 
+def lane_module(lib, old: str):
+    """lib's module lanes, of the int64 lane kernels, or its module old for a library without one.
+
+    A library from before the lane kernels had a module of their own keeps
+    them in quadform, idealgen, localtest and classify.
+    """
+    try:
+        return importlib.import_module(f"{lib.__name__}.lanes")
+    except ModuleNotFoundError:
+        return importlib.import_module(f"{lib.__name__}.{old}")
+
+
 def sha256(data) -> str:
     """Hex digest of bytes, or of the compact JSON of anything else."""
     if not isinstance(data, bytes):

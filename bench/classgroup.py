@@ -5,7 +5,7 @@
 For each start in STARTS it times, with the library of the checkout DIR and
 with this checkout's, quadform.class_group(validate(-m), known_h=h) over
 every fundamental |D| of the block [start, start + WIDTH), with h from the
-survey sieve; list(quadform.class_groups(...)) over the same (d, h), the
+survey sieve; list(lanes.class_groups(...)) over the same (d, h), the
 batch that survey._scan_block calls; and the whole survey._scan_block of
 the same block (sieve, class groups, generator images, local images, rows)
 with the primes PRIMES.  The six passes are taken in turn, REPEATS times,
@@ -24,20 +24,21 @@ least 4: genus theory at r4 = 0, 1 or 2, the table walk at r4 >= 3.
 Compositions are counted once over each kind of pass: the calls of
 compose_unreduced, the scalar composition formula, through wrappers on its
 module globals in quadform and idealgen, plus the lanes of every call of
-quadform._compose_lanes, through the same wrappers: the lock-step kernel
-of quadform.class_groups and of idealgen._generator_lanes.  A job that
+lanes._compose_lanes, through the same wrappers: the lock-step kernel
+of lanes.class_groups and of lanes._generator_lanes.  A job that
 leaves the generator lanes for the scalar route counts its products on
 both.  Over one more batch pass, class_group_routes counts the calls of
-quadform._power_lanes, the class-group kernel, with their lanes; the walks
-of two generators that the odd lanes start (quadform._Walks.start); and the
+lanes._power_lanes, the class-group kernel, with their lanes; the walks
+of two generators that the odd lanes start (lanes._Walks.start); and the
 fields that class_groups hands to class_group whole, by reason
-(quadform.WHOLE, read from quadform._lane_sylow).
+(lanes.WHOLE, read from lanes._lane_sylow).  A library without the module
+lanes has these names in quadform and idealgen (_entry.lane_module).
 """
 
 import collections
 import sys
 
-from _entry import run, sha256, timed_alternating
+from _entry import lane_module, run, sha256, timed_alternating
 
 STARTS = (10**6, 10**7)
 WIDTH = 10**4
@@ -79,8 +80,9 @@ def two_part_route(cg) -> str:
 def count_products(lib, fn) -> int:
     """compose_unreduced calls and _compose_lanes lanes made by fn(), via wrappers on lib's globals."""
     quadform, idealgen = lib.quadform, lib.idealgen
+    holders = {lane_module(lib, "quadform"), lane_module(lib, "idealgen")}  # of _compose_lanes
     orig = quadform.compose_unreduced
-    lanes = quadform._compose_lanes
+    lanes = next(iter(holders))._compose_lanes
     calls = 0
 
     def counting(f, g):
@@ -94,19 +96,21 @@ def count_products(lib, fn) -> int:
         return lanes(f, g)
 
     quadform.compose_unreduced = idealgen.compose_unreduced = counting
-    quadform._compose_lanes = idealgen._compose_lanes = counting_lanes
+    for holder in holders:
+        holder._compose_lanes = counting_lanes
     try:
         fn()
     finally:
         quadform.compose_unreduced = idealgen.compose_unreduced = orig
-        quadform._compose_lanes = idealgen._compose_lanes = lanes
+        for holder in holders:
+            holder._compose_lanes = lanes
     return calls
 
 
 def count_routes(lib, batch) -> dict:
     """The kernel calls, walks and whole fields of batch(), via wrappers on lib."""
-    quadform = lib.quadform
-    kernel = quadform._power_lanes
+    lanes = lane_module(lib, "quadform")
+    kernel = lanes._power_lanes
     counts = {"kernel_calls": 0, "kernel_lanes": 0, "two_generator_lanes": 0}
     whole = collections.Counter()
 
@@ -115,7 +119,7 @@ def count_routes(lib, batch) -> dict:
         counts["kernel_lanes"] += a.size
         return kernel(a, b, c, n)
 
-    start, lane_sylow = quadform._Walks.start, quadform._lane_sylow
+    start, lane_sylow = lanes._Walks.start, lanes._lane_sylow
 
     def counting_start(self, rows):
         counts["two_generator_lanes"] += rows.shape[1]
@@ -123,16 +127,16 @@ def count_routes(lib, batch) -> dict:
 
     def counting_whole(fields):
         out = lane_sylow(fields)
-        whole.update(quadform.WHOLE[code] for code in out[1] if code)
+        whole.update(lanes.WHOLE[code] for code in out[1] if code)
         return out
 
     saved = [
-        (quadform, "_power_lanes", kernel),
-        (quadform._Walks, "start", start),
-        (quadform, "_lane_sylow", lane_sylow),
+        (lanes, "_power_lanes", kernel),
+        (lanes._Walks, "start", start),
+        (lanes, "_lane_sylow", lane_sylow),
     ]
-    quadform._power_lanes = counting_kernel
-    quadform._Walks.start, quadform._lane_sylow = counting_start, counting_whole
+    lanes._power_lanes = counting_kernel
+    lanes._Walks.start, lanes._lane_sylow = counting_start, counting_whole
     try:
         batch()
     finally:
@@ -151,8 +155,10 @@ def passes(lib, start: int) -> tuple:
     def groups():
         return [lib.quadform.class_group(d, known_h=h) for d, h in fields]
 
+    class_groups = lane_module(lib, "quadform").class_groups
+
     def batch():
-        return list(lib.quadform.class_groups(fields))
+        return list(class_groups(fields))
 
     def scan():
         return survey._scan_block((start, start + WIDTH, PRIMES))
@@ -193,7 +199,7 @@ def measure(libs: dict) -> dict:
 
 if __name__ == "__main__":
     layer = (
-        "quadform.class_group(known_h), quadform.class_groups and survey._scan_block, "
+        "quadform.class_group(known_h), lanes.class_groups and survey._scan_block, "
         "every fundamental |D| of a 1e4-block"
     )
     run(__doc__, layer, measure)

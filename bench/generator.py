@@ -11,10 +11,10 @@ each band in BANDS, walked as verify.generator_jobs walks them
 generator idealgen.explicit_power_generator(form, p), not embedded: the
 oracle route the compact image replaced.  The class groups and the rings
 are built untimed, with h from the survey sieve.  Next to both it times
-the block route, one idealgen._generator_lanes call over all the band's
+the block route, one lanes._generator_lanes call over all the band's
 jobs and the image route for each job it leaves to the scalar route.  The
 status route times the odd-p status of every (d, p) of the band two ways:
-the lanes, classify.lane_statuses as survey._scan_block calls it, with
+the lanes, lanes.lane_statuses as survey._scan_block calls it, with
 status_at_odd_prime for each (d, p) it leaves; and the scalar local test,
 classify.status_at_odd_prime on the block route's images.  It also times
 classify(D) for each D in CLASSIFY.  Each is timed with the library of the
@@ -31,17 +31,18 @@ route's.  The status digest is the sha256 of (D, p, status) per (d, p),
 and the lanes' must equal the scalar test's.  Otherwise the script exits
 1, and both digests must agree between the two libraries.  The image and
 block routes count their products of states in one untimed pass: the
-calls of idealgen._state_product and the lanes of idealgen._state_lanes;
+calls of idealgen._state_product and the lanes of lanes._state_lanes;
 the block route also counts its jobs that took the scalar route
 (torsion_power_generator calls), whose products on the lanes before they
 left count too.  Each classify records the median and minimum of
 CLASSIFY_REPEATS calls and the per-prime statuses, whose sha256 must agree
-too.
+too.  A library without the module lanes has _generator_lanes and
+_state_lanes in idealgen and lane_statuses in classify (_entry.lane_module).
 """
 
 import sys
 
-from _entry import run, sha256, timed_alternating
+from _entry import lane_module, run, sha256, timed_alternating
 
 # [lo, hi) bands of |D|: all of |D| < 2e4, and one 1e4-block at 1e6 and at 1e7
 BANDS = ((3, 20_000), (10**6, 10**6 + 10**4), (10**7, 10**7 + 10**4))
@@ -76,13 +77,15 @@ def routes(lib, tests: list) -> tuple:
         for form in basis
     ]
     idealgen, classify = lib.idealgen, sys.modules[f"{lib.__name__}.classify"]
+    generator_lanes = lane_module(lib, "idealgen")._generator_lanes
+    lane_statuses = lane_module(lib, "classify").lane_statuses
     triples = [(form, p, ring) for _, form, p, ring in jobs]
 
     def images():
         return [idealgen.torsion_power_generator(*job) for job in triples]
 
     def block():  # the kernel's rows, and the scalar route for each job they leave
-        index, x, y, _, _ = idealgen._generator_lanes([(form, p) for form, p, _ in triples])
+        index, x, y, _, _ = generator_lanes([(form, p) for form, p, _ in triples])
         lanes = dict(zip(index.tolist(), zip(x.tolist(), y.tolist())))
         return [
             lanes[i] if i in lanes else idealgen.torsion_power_generator(*job)
@@ -96,8 +99,8 @@ def routes(lib, tests: list) -> tuple:
             for d, cg, p, basis in tests
         ]
 
-    def lane_statuses():  # the lanes, and status_at_odd_prime for each test they leave (None)
-        statuses = classify.lane_statuses(tests)
+    def statuses_on_lanes():  # the lanes, and status_at_odd_prime for each test they leave (None)
+        statuses = lane_statuses(tests)
         return [
             classify.status_at_odd_prime(d, cg, p) if s is None else s
             for s, (d, cg, p, _) in zip(statuses, tests)
@@ -108,7 +111,7 @@ def routes(lib, tests: list) -> tuple:
         images,
         lambda: [idealgen.explicit_power_generator(form, p) for _, form, p, _ in jobs],
         block,
-        lane_statuses,
+        statuses_on_lanes,
         scalar_statuses,
     )
 
@@ -126,10 +129,15 @@ def generator_digest(jobs: list, results: list) -> str:
 
 
 def count_states(lib, fn) -> dict:
-    """Products of states and scalar-route jobs of fn(), via wrappers on lib.idealgen's globals."""
+    """Products of states and scalar-route jobs of fn(), via wrappers on the globals of lib."""
     idealgen = lib.idealgen
-    counts = dict.fromkeys(("_state_product", "_state_lanes", "torsion_power_generator"), 0)
-    saved = {name: getattr(idealgen, name) for name in counts}
+    owners = {
+        "_state_product": idealgen,
+        "_state_lanes": lane_module(lib, "idealgen"),
+        "torsion_power_generator": idealgen,
+    }
+    counts = dict.fromkeys(owners, 0)
+    saved = {name: getattr(owner, name) for name, owner in owners.items()}
 
     def wrap(name, orig):
         def counting(*args, **kwargs):
@@ -139,12 +147,12 @@ def count_states(lib, fn) -> dict:
         return counting
 
     for name, orig in saved.items():
-        setattr(idealgen, name, wrap(name, orig))
+        setattr(owners[name], name, wrap(name, orig))
     try:
         fn()
     finally:
         for name, orig in saved.items():
-            setattr(idealgen, name, orig)
+            setattr(owners[name], name, orig)
     return {
         "state_products": counts["_state_product"] + counts["_state_lanes"],
         "scalar_jobs": counts["torsion_power_generator"],

@@ -5,6 +5,7 @@ square-and-multiply.
 Everything here is exact integer arithmetic; no external math libraries.
 """
 
+import itertools
 import math
 
 _SIEVE_LIMIT = 1 << 16
@@ -48,7 +49,7 @@ def small_primes() -> list[int]:
         for i in range(2, math.isqrt(_SIEVE_LIMIT) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _sieve_primes = [i for i in range(_SIEVE_LIMIT) if sieve[i]]
+        _sieve_primes = list(itertools.compress(range(_SIEVE_LIMIT), sieve))
     return _sieve_primes
 
 

@@ -5,12 +5,11 @@ group, move each basis form to a representative coprime to p, pass to the
 ideal side, compute the image in O/p^2 of a generator of the ideal's p-th
 power from compact (primitive form, unit mod p^2) states, and test that image
 in the local unit quotient.  A survey block decides every odd p of all its
-fields at once with lane_statuses: the images on the lanes of
-idealgen._generator_lanes, their local test on those of
-localtest._injective_lanes; classify_validated takes the statuses.
-status_at_odd_prime stays the oracle and the route of classify, tables and
-verify.  The prime 2 is decided by the discriminant-family classification.  A p-rank of 3 or more at any prime
-forces a noninjective map immediately, since the target has rank 2.
+fields at once with lanes.lane_statuses; classify_validated takes the
+statuses.  status_at_odd_prime stays the oracle and the route of classify,
+tables and verify.  The prime 2 is decided by the discriminant-family
+classification.  A p-rank of 3 or more at any prime forces a noninjective
+map immediately, since the target has rank 2.
 
 A NOT_MINIMAL verdict carries assumes_converse = True: nonsplitting of the
 class-group extension provably forces the minimal Galois group, while the
@@ -18,7 +17,7 @@ reverse implication is only known as a stated converse, so the negative
 verdict is conditional in a way the positive one is not.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import InvariantViolation
 from .discriminant import (
@@ -28,14 +27,9 @@ from .discriminant import (
     torsion_descriptor,
     validate,
 )
-from .idealgen import _generator_lanes, torsion_power_generator
-from .localtest import _injective_lanes, build_context, injectivity_test, local_unit_image
-from .localtest import two_classification
-from .quadform import ClassGroupStructure, QuadForm, RankOverflow, class_group, p_torsion_basis
-
-# numpy after the package's modules, which import it anyway: imported ahead
-# of them, it raised the peak RSS of a table3 process by about 0.25 MB
-import numpy as np
+from .idealgen import torsion_power_generator
+from .localtest import build_context, injectivity_test, local_unit_image, two_classification
+from .quadform import ClassGroupStructure, RankOverflow, class_group, p_torsion_basis
 
 MINIMAL = "MINIMAL"
 NOT_MINIMAL = "NOT_MINIMAL"
@@ -47,8 +41,7 @@ RANK_OVERFLOW = "rank_overflow"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     discriminant: int
     h: int
     class_group: tuple[int, ...]
@@ -121,43 +114,6 @@ def status_at_odd_prime(
     return INJECTIVE if injectivity_test(ctx, images) else NONINJECTIVE
 
 
-def lane_statuses(
-    tests: list[tuple[FundamentalDiscriminant, ClassGroupStructure, int, list[QuadForm]]],
-) -> list[str | None]:
-    """status_at_odd_prime(d, cg, p) for each (d, cg, p, basis) of tests, or None.
-
-    basis is p_torsion_basis(cg, p), of rank 1 or 2.  The generator images
-    of every basis form come from one idealgen._generator_lanes call, and
-    the local test of every (d, p) from one localtest._injective_lanes call
-    on its output arrays; both raise their checks at once.  A p = 3 that
-    ramifies with a local cube root of unity (D = 6 mod 9, the torsion of
-    build_context) takes status_at_odd_prime on its lane images, so
-    generic_membership decides it.  None marks a test with an image the
-    lanes left, for status_at_odd_prime to run from its start at its field.
-    """
-    rank = np.array([len(basis) for *_, basis in tests], dtype=np.int64)
-    first = np.cumsum(rank) - rank
-    job, x, y, p, par = _generator_lanes((f, p) for _, _, p, basis in tests for f in basis)
-    lane = np.full(int(rank.sum()), -1)  # per job: its lane, or -1
-    lane[job] = np.arange(job.size)
-    one, two = lane[first], lane[first + rank - 1]
-    done = (one >= 0) & (two >= 0)
-    injective = np.zeros(len(tests), bool)
-    injective[done] = _injective_lanes(x, y, p, par, one[done], two[done])
-    out: list[str | None] = []
-    for (d, cg, q, _), ok, i, j, inj in zip(
-        tests, done.tolist(), one.tolist(), two.tolist(), injective.tolist()
-    ):
-        if not ok:
-            out.append(None)
-        elif q == 3 and d.value % 9 == 6:
-            images = [(int(x[k]), int(y[k])) for k in range(i, j + 1)]
-            out.append(status_at_odd_prime(d, cg, q, images))
-        else:
-            out.append(INJECTIVE if inj else NONINJECTIVE)
-    return out
-
-
 def classify(D: int, short_circuit: bool = True) -> ClassificationRecord:
     """Full verdict for the discriminant D (validation included).
 
@@ -202,7 +158,7 @@ def classify_validated(
 
     A caller with a trusted class number passes cg = class_group(d,
     known_h=h): table1 its sieve's count, a survey block the groups of
-    quadform.class_groups, with by odd p the statuses that lane_statuses
+    lanes.class_groups, with by odd p the statuses that lanes.lane_statuses
     decides for the whole block at once; a p without one takes
     status_at_prime.  The 2-rank check below holds either way.
     """

@@ -10,7 +10,7 @@ happens only for D = -4 and D = -8.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import factorize, kronecker
 
@@ -31,8 +31,7 @@ GENERIC = "GENERIC"
 SPECIAL2 = "SPECIAL2"
 
 
-@dataclass(frozen=True)
-class FundamentalDiscriminant:
+class FundamentalDiscriminant(NamedTuple):
     value: int
     prime_factors: tuple[tuple[int, int], ...]
 
@@ -41,10 +40,9 @@ class FundamentalDiscriminant:
         return len(self.prime_factors)
 
 
-@dataclass(frozen=True)
-class TorsionDescriptor:
+class TorsionDescriptor(NamedTuple):
     w: int
-    excluded_summands: frozenset[int] = field(default_factory=frozenset)
+    excluded_summands: frozenset[int] = frozenset()
     shape: str = GENERIC
 
     @property

@@ -13,22 +13,19 @@ Closed coordinate forms cover the three splitting types at odd p when the
 local torsion T_p is trivial.  A brute-force subgroup engine over the
 finite quotient ring is an independent oracle for p <= 23, and the
 production path for every context with local p-power torsion: p = 2, and
-p = 3 ramified with a local cube root of unity.  _injective_lanes runs the
-closed forms and injectivity_test on int64 lanes, every (field, p) of a
-survey block at once (classify.lane_statuses), its unit power by
-quadform._square_and_multiply_lanes; build_context, local_unit_image and
-injectivity_test stay the oracle and the route of everything else.
+p = 3 ramified with a local cube root of unity.  lanes._injective_lanes
+runs the closed forms and injectivity_test for a survey block;
+build_context, local_unit_image and injectivity_test stay the oracle and
+the route of everything else.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import NamedTuple
 
 from .arith import InvariantViolation, sqrt_mod_2k, sqrt_mod_prime_power, square_and_multiply
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at
 from .idealgen import _ring_mul, explicit_power_generator
-from .quadform import _square_and_multiply_lanes, _xgcd_lanes, two_torsion_basis
+from .quadform import two_torsion_basis
 
 
 class NotLocalUnit(InvariantViolation):
@@ -42,8 +39,7 @@ class GroupTooLarge(ValueError):
 Elt = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class LocalRing:
+class LocalRing(NamedTuple):
     """(Z/mod)[s] with s^2 = par ('sqrt' kind) or s^2 = s - par ('omega' kind).
 
     For odd p this is the ring of integers modulo p^2 in the basis {1, sqrt D};
@@ -106,8 +102,7 @@ class LocalRing:
         return ((u // 2) % m, v % m)
 
 
-@dataclass(frozen=True)
-class LocalContext:
+class LocalContext(NamedTuple):
     """The quotient ring at p and what the local test needs of the completion.
 
     root is a square root of D in the ring when p splits.  torsion holds
@@ -124,8 +119,7 @@ class LocalContext:
     torsion: tuple[Elt, ...] = ()
 
 
-@dataclass(frozen=True)
-class PhiImage:
+class PhiImage(NamedTuple):
     """Class of a local unit in the rank-two quotient.
 
     coords are F_p coordinates when a closed form produced them; the
@@ -308,63 +302,6 @@ def injectivity_test(ctx: LocalContext, images: list[PhiImage]) -> bool:
             return False
         cur = ctx.ring.mul(cur, x_inv)
     return True
-
-
-def _injective_lanes(x, y, p, par, first, second) -> np.ndarray:
-    """injectivity_test on local_unit_image's closed forms, lane by lane: one bool per test.
-
-    A lane is the image (x, y) in O/p^2, basis {1, sqrt D}, of a generator
-    at an odd p whose completion has no local p-power torsion, with
-    par = D mod p^2 (the ring of idealgen._ring_mul).  A test is the lanes
-    first and second of one torsion basis, second = first at rank 1: rank
-    1 is injective when the image is nontrivial, rank 2 when both are and
-    their 2x2 determinant is nonzero mod p.  Every lane raises at once,
-    also under python -O: NotLocalUnit when N(g) = 0 mod p, and
-    InvariantViolation when beta = g^e is not 1 mod p (mod pi where p
-    ramifies), as in local_unit_image.  e is p^2 - 1 where p is unramified
-    and p - 1 where it ramifies; beta comes from
-    quadform._square_and_multiply_lanes, whose state rows are the image
-    (x, y) and the ring's p^2 and D mod p^2.
-
-    Unramified p: u = ((X - 1)/p, Y/p) mod p for beta = (X, Y), which are
-    local_unit_image's coordinates at inert p.  At split p, with r^2 = D
-    mod p^2, (x, y) -> (x + y*r, x - y*r) is a ring isomorphism of O/p^2
-    onto (Z/p^2)^2.  It sends beta to (c1^(p^2-1), c2^(p^2-1)), and
-    c^(p^2-1) = (1 + p*q)^(p+1) = 1 + p*q mod p^2 for the Fermat quotient q
-    of c.  So the Fermat quotients are (q1, q2) = (u0 + u1*r, u0 - u1*r)
-    mod p, an invertible linear image of u (determinant -2r, prime to p):
-    u = 0 exactly when they vanish, and for two images their determinant is
-    -2r times that of the u, so both verdicts agree.  Ramified p: local_unit_image's
-    expansion along 1 + pi, 1 + pi^2, with the inverse of
-    delta = (D mod p^2)/p mod p from quadform._xgcd_lanes.
-    """
-    m = p * p
-    if (bad := (x * x - y * y % m * par) % p == 0).any():
-        i = int(np.flatnonzero(bad)[0])
-        raise NotLocalUnit(f"lane {i}: ({x[i]}, {y[i]}) has norm divisible by {p[i]}")
-    ramified = par % p == 0
-    e = np.where(ramified, p - 1, m - 1)
-
-    def product(t, u):
-        t[0], t[1] = _ring_mul(t, u, t[2], t[3])
-        return t
-
-    X, Y = _square_and_multiply_lanes(np.stack([x, y, m, par]), e, product)[:2]
-    if (bad := ((X - 1) % p != 0) | (~ramified & (Y % p != 0))).any():
-        i = int(np.flatnonzero(bad)[0])
-        raise InvariantViolation(
-            f"lane {i}: ({x[i]}, {y[i]})^{e[i]} = ({X[i]}, {Y[i]}) "
-            f"is not 1 mod {'pi' if ramified[i] else p[i]}"
-        )
-    u = np.stack([(X - 1) // p % p, Y // p % p])
-    if (r := np.flatnonzero(ramified)).size:  # discrete log against {1 + pi, 1 + pi^2}
-        q = p[r]
-        c1 = Y[r] % q
-        c2 = (X[r] - 1) // q * (_xgcd_lanes(par[r] // q, q)[1] % q) % q
-        u[:, r] = c1, (c2 - c1 * (c1 - 1) // 2) % q
-    one, two = u[:, first], u[:, second]
-    det = one[0] * two[1] - one[1] * two[0]
-    return one.any(0) & two.any(0) & ((first == second) | (det % p[first] != 0))
 
 
 def two_classification(d: FundamentalDiscriminant, two_rank: int) -> str:

@@ -17,15 +17,15 @@ with sorted keys, written by one f-string over the record's fields
 its rows are taken, and a pool holds at most two blocks per worker, so a
 range of any length starts at once.  A block factors all its |D| with one
 slice sieve (block_factors) and builds the class groups of all its fields
-with one call of quadform.class_groups, whose powers run in lock-step on
-int64 lanes up to |D| = quadform.LANE_LIMIT (4.5e9); past it, and
+with one call of lanes.class_groups, whose powers run in lock-step on
+int64 lanes up to |D| = lanes.LANE_LIMIT (4.5e9); past it, and
 wherever a lane cannot finish, a field takes class_group whole.  It then
 decides the status at every odd p of every field with one call of
-classify.lane_statuses: the images in O/p^2 of the generators of the
+lanes.lane_statuses: the images in O/p^2 of the generators of the
 torsion basis forms come from products of states in lock-step while they
 fit int64, and their local test from one lock-step ring power; both
 powers, like those of the class groups, run on
-quadform._square_and_multiply_lanes.  A (field, p) the lanes leave is
+lanes._square_and_multiply_lanes.  A (field, p) the lanes leave is
 classify.status_at_odd_prime at its field.  The local tags of every
 (field, p) come from one array pass per p (_local_tags).  The rows are
 those of classifying each field alone, with class_group,
@@ -48,11 +48,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .arith import is_prime, large_factors, small_primes
-from .classify import SKIPPED, ClassificationRecord, classify_validated, lane_statuses
-from .classify import status_at_prime
+from .classify import SKIPPED, ClassificationRecord, classify_validated, status_at_prime
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at, validate
-from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, _jacobi_lanes
-from .quadform import class_group, class_groups, p_torsion_basis
+from .lanes import _jacobi_lanes, class_groups, lane_statuses
+from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_group
+from .quadform import p_torsion_basis
 
 BLOCK_SIZE = 10_000
 # Scratch elements of one run of a in reduced_form_counts: its (a, c) cells plus its expected pairs
@@ -317,7 +317,7 @@ def _local_tags(
     """tuple((p, kronecker_at(d, p)) for p in primes) for each d of ds, one array pass per p.
 
     Ramified where p | D; at p = 2 an odd D (1 mod 4) splits at D = 1 mod 8
-    and is inert at 5; an odd p splits where quadform._jacobi_lanes gives
+    and is inert at 5; an odd p splits where lanes._jacobi_lanes gives
     (D mod p / p) = 1.  A p past int64 takes kronecker_at at each field.
     The rows share their (p, tag) pairs.
     """
@@ -345,7 +345,7 @@ def _block_rows(
     """The rows of fields on their class groups, in field order, each group released as used.
 
     The status at every odd p of the block whose torsion basis does not
-    overflow its rank comes from one call of classify.lane_statuses;
+    overflow its rank comes from one call of lanes.lane_statuses;
     classify_validated takes them by p, and runs status_at_prime at any p
     without one (2, a rank overflow, or a None of lane_statuses).  The local
     tags of every (field, p) come from one _local_tags pass.  groups[k] is
@@ -372,7 +372,7 @@ def _scan_block(args: tuple[int, int, tuple[int, ...]]) -> list[SurveyRow]:
 
     The fields are the sieve's fundamental |D| with their h, each validated
     on its factors from one block_factors sieve in place of a factorize of
-    its own.  quadform.class_groups builds the class groups, and _block_rows
+    its own.  lanes.class_groups builds the class groups, and _block_rows
     the generator images and the rows, in field order.  So the first
     exception raised is the one a loop over the fields raises first: one of
     class_groups at a field comes after the rows of the fields before it.

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -90,3 +91,13 @@ def test_factorize_matches_primality_tested_cofactors():
     for n in specials:
         assert math.prod(p**k for p, k in factorize(n)) == n
         assert all(is_prime(p) for p, _ in factorize(n)), n
+
+
+def test_small_primes_are_the_primes_below_2_16():
+    # trial division by every earlier prime up to the square root
+    want = []
+    for n in range(2, 1 << 16):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, want)):
+            want.append(n)
+    assert small_primes() == want
+    assert len(want) == 6542 and want[-1] == 65521

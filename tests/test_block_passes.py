@@ -1,7 +1,7 @@
 """The block passes of a scan block against the per-field routes they replace.
 
 The local tags of survey._local_tags must be kronecker_at's, with a prime
-past int64 on kronecker_at itself.  The groups that quadform.class_groups
+past int64 on kronecker_at itself.  The groups that lanes.class_groups
 assembles straight from (h, r) must be class_group's, every field that
 fails a bulk condition must take _assemble, and a broken entry must raise
 _assemble's message at its own field.  The fields that leave the array
@@ -16,12 +16,13 @@ import collections
 
 import pytest
 
-from iqgalois import quadform, survey
+from iqgalois import lanes, quadform, survey
 from iqgalois.arith import InvariantViolation, is_prime
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import GENERIC, SPECIAL2, TorsionDescriptor, kronecker_at
 from iqgalois.discriminant import torsion_descriptor, validate
-from iqgalois.quadform import WHOLE, class_group, class_groups
+from iqgalois.lanes import WHOLE, class_groups
+from iqgalois.quadform import class_group
 from iqgalois.survey import class_numbers_range
 
 WIDTH = survey.BLOCK_SIZE
@@ -59,23 +60,33 @@ def test_local_tags_are_kronecker_at(blocks, monkeypatch):
     assert survey._local_tags(ds, ()) == [()] * len(ds)
 
 
-def test_bulk_assembly_is_class_group(blocks, monkeypatch):
-    assembled = []
+def _recording_assembly(monkeypatch) -> tuple[list, list]:
+    """Record the D of every _assemble call: class_group's, and that of class_groups apart too."""
+    assembled, on_lanes = [], []
     assemble = quadform._assemble
 
     def recording(D, h, sylow):
         assembled.append(D)
         return assemble(D, h, sylow)
 
+    def lane_recording(D, h, sylow):
+        on_lanes.append(D)
+        return recording(D, h, sylow)
+
     monkeypatch.setattr(quadform, "_assemble", recording)
+    monkeypatch.setattr(lanes, "_assemble", lane_recording)
+    return assembled, on_lanes
+
+
+def test_bulk_assembly_is_class_group(blocks, monkeypatch):
+    assembled, on_lanes = _recording_assembly(monkeypatch)
     for fields in blocks:
         assembled.clear()
         got = list(class_groups(fields))
         direct = len(fields) - len(assembled)
         assert direct > 0.9 * len(fields)
-        monkeypatch.setattr(quadform, "_assemble", assemble)
         assert got == [class_group(d, known_h=h) for d, h in fields]
-        monkeypatch.setattr(quadform, "_assemble", recording)
+    assert on_lanes
 
 
 def test_fields_off_the_lanes_take_class_group_by_reason(blocks, monkeypatch):
@@ -83,7 +94,7 @@ def test_fields_off_the_lanes_take_class_group_by_reason(blocks, monkeypatch):
     # the fields that take class_group whole, by reason; every group is
     # class_group's
     codes, walks = [], []
-    lane_sylow, start = quadform._lane_sylow, quadform._Walks.start
+    lane_sylow, start = lanes._lane_sylow, lanes._Walks.start
 
     def recording(fields):
         out = lane_sylow(fields)
@@ -94,8 +105,8 @@ def test_fields_off_the_lanes_take_class_group_by_reason(blocks, monkeypatch):
         walks.append(rows.shape[1])
         return start(self, rows)
 
-    monkeypatch.setattr(quadform, "_lane_sylow", recording)
-    monkeypatch.setattr(quadform._Walks, "start", starting)
+    monkeypatch.setattr(lanes, "_lane_sylow", recording)
+    monkeypatch.setattr(lanes._Walks, "start", starting)
     counts = []
     for fields in blocks:
         codes.clear()
@@ -114,19 +125,19 @@ def test_class_groups_takes_few_kernel_calls(blocks, monkeypatch):
     # then y^q beside the tables and rungs of the walks, then the tests of
     # their basis forms, with the candidates that follow a projection x = 1
     calls = []
-    kernel = quadform._power_lanes
+    kernel = lanes._power_lanes
 
     def counting(a, b, c, n):
         calls.append(a.size)
         return kernel(a, b, c, n)
 
-    monkeypatch.setattr(quadform, "_power_lanes", counting)
+    monkeypatch.setattr(lanes, "_power_lanes", counting)
     counts = []
     for fields in [_fields(3, 10_003), _fields(10_003, 20_003), *blocks[1:]]:
         calls.clear()
         list(class_groups(fields))
         counts.append(len(calls))
-    assert all(n <= most for n, most in zip(counts, (4, 4, 5, 5))), counts
+    assert all(0 < n <= most for n, most in zip(counts, (4, 4, 5, 5))), counts
 
 
 def test_fallbacks_take_assemble(monkeypatch):
@@ -136,23 +147,14 @@ def test_fallbacks_take_assemble(monkeypatch):
     fields = [(validate(D), 1) for D in (-3, -4, -7, -8)]
     fields += [(validate(-4027), 9), (validate(-23), 3), (validate(-1000003), 105)]
     assert class_group(validate(-1000003)).h == 105
-    assembled = []
-    assemble = quadform._assemble
-
-    def recording(D, h, sylow):
-        assembled.append(D)
-        return assemble(D, h, sylow)
-
-    monkeypatch.setattr(quadform, "_assemble", recording)
+    assembled, on_lanes = _recording_assembly(monkeypatch)
     got = list(class_groups(fields))
-    assert assembled == [-3, -4, -7, -8, -4027]
+    assert assembled == [-3, -4, -7, -8, -4027] and on_lanes == [-4027]
     assert [cg.invariant_factors for cg in got] == [(), (), (), (), (3, 3), (3,), (105,)]
-    monkeypatch.setattr(quadform, "_assemble", assemble)
     assert got == [class_group(d, known_h=h) for d, h in fields]
     # a field with a genus-parity exception raises it at its field, after
     # the groups before it, and never reaches either assembly
     assembled.clear()
-    monkeypatch.setattr(quadform, "_assemble", recording)
     out = []
     broken = fields[5:] + [(validate(-23), 2)] + fields[:5]
     with pytest.raises(InvariantViolation, match="genus parity violated: prime discriminant -23"):
@@ -179,6 +181,7 @@ def test_broken_entry_raises_at_its_field(broken, monkeypatch):
         return [(q, e) for q, e in parts if q != 3] if broken == "dropped" else parts + [(11, 1)]
 
     monkeypatch.setattr(quadform, "factorize", patched)
+    monkeypatch.setattr(lanes, "factorize", patched)
     with pytest.raises(Exception) as want:
         class_group(d, known_h=h)
     if broken == "dropped":
@@ -189,6 +192,7 @@ def test_broken_entry_raises_at_its_field(broken, monkeypatch):
         got.extend(class_groups(fields))
     assert str(raised.value) == str(want.value)
     monkeypatch.setattr(quadform, "factorize", factorize)
+    monkeypatch.setattr(lanes, "factorize", factorize)
     assert got == [class_group(d, known_h=h) for d, h in fields[:k]]
 
 

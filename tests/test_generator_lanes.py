@@ -1,6 +1,6 @@
 """The lock-step generator kernel against the scalar torsion_power_generator.
 
-idealgen._generator_lanes runs the products of states of many (form, p)
+lanes._generator_lanes runs the products of states of many (form, p)
 jobs side by side, one numpy round per bit of p; torsion_power_generator
 runs them one job at a time and is the oracle here.  Every job of two
 census windows that the kernel answers must give the same ring element
@@ -15,16 +15,15 @@ the one coprime_representative chooses, and a job it refuses must stay off
 the lanes.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from iqgalois import idealgen, survey
+from iqgalois import lanes, survey
 from iqgalois.arith import InvariantViolation
 from iqgalois.classify import classify_validated
 from iqgalois.discriminant import validate
-from iqgalois.idealgen import NotPrincipal, _generator_lanes, torsion_power_generator
+from iqgalois.idealgen import NotPrincipal, torsion_power_generator
+from iqgalois.lanes import _generator_lanes
 from iqgalois.localtest import build_context
 from iqgalois.quadform import ClassNumberAmbiguous, QuadForm, _prime_form_pool, class_group
 from iqgalois.quadform import coprime_representative, power
@@ -58,17 +57,17 @@ def test_kernel_replays_every_generator(lo, past, monkeypatch):
     stayed = [(job, g) for job, g in zip(jobs, got) if g is not None]
     assert [g for _, g in stayed] == [torsion_power_generator(*job) for job, _ in stayed]
     # the jobs that stay on the lanes, run alone: the scalar route's count of products
-    lanes = 0
-    product = idealgen._state_lanes
+    products = 0
+    product = lanes._state_lanes
 
     def counting(f1, *args):
-        nonlocal lanes
-        lanes += f1[0].size
+        nonlocal products
+        products += f1[0].size
         return product(f1, *args)
 
-    monkeypatch.setattr(idealgen, "_state_lanes", counting)
+    monkeypatch.setattr(lanes, "_state_lanes", counting)
     assert _on_lanes([job for job, _ in stayed]) == [g for _, g in stayed]
-    assert lanes == sum(p.bit_length() - 1 + p.bit_count() - 1 for (_, p, _), _ in stayed)
+    assert products == sum(p.bit_length() - 1 + p.bit_count() - 1 for (_, p, _), _ in stayed)
 
 
 # a state bound that a product of states passes within a few rounds, and a
@@ -77,7 +76,7 @@ def test_kernel_replays_every_generator(lo, past, monkeypatch):
 def test_jobs_past_a_lane_bound_take_the_scalar_route(bound, value, monkeypatch):
     lo, hi = 10**6, 10**6 + 2000
     jobs = _jobs(lo, hi)
-    monkeypatch.setattr(idealgen, bound, value)
+    monkeypatch.setattr(lanes, bound, value)
     got = _on_lanes(jobs)
     assert 0.1 * len(jobs) < sum(g is None for g in got) < 0.9 * len(jobs)
     stayed = [(job, g) for job, g in zip(jobs, got) if g is not None]
@@ -118,7 +117,7 @@ def test_scan_block_raises_not_principal_at_its_field(monkeypatch):
     k = next(i for i, cg in enumerate(groups) if 3 in cg.sylow and len(cg.sylow[3][0]) == 1)
     d, cg = fields[k][0], groups[k]
     orders, _ = cg.sylow[3]
-    groups[k] = dataclasses.replace(cg, sylow={**cg.sylow, 3: (orders, (_not_torsion(d, 3),))})
+    groups[k] = cg._replace(sylow={**cg.sylow, 3: (orders, (_not_torsion(d, 3),))})
     with pytest.raises(NotPrincipal) as scalar:
         classify_validated(d, short_circuit=False, cg=groups[k])
 
@@ -141,13 +140,13 @@ def test_scan_block_raises_not_principal_at_its_field(monkeypatch):
 
 # the one 3-torsion job of -1000003, with the lane functions of the kernel at hand
 KERNEL_SETUP = """
-from iqgalois import idealgen, quadform
+from iqgalois import idealgen, lanes, quadform
 from iqgalois.arith import InvariantViolation
 from iqgalois.discriminant import validate
 d = validate(-1000003)
 [form] = quadform.p_torsion_basis(quadform.class_group(d), 3)
 jobs = [(form, 3)]
-basis, compose, xgcd = idealgen._basis_lanes, idealgen._compose_lanes, quadform._xgcd_lanes
+basis, compose, xgcd = lanes._basis_lanes, lanes._compose_lanes, lanes._xgcd_lanes
 """
 
 
@@ -156,25 +155,25 @@ basis, compose, xgcd = idealgen._basis_lanes, idealgen._compose_lanes, quadform.
     [
         # a reduced basis scaled by 3: every norm is a multiple of 9
         (
-            "idealgen._basis_lanes = lambda f, s, w: tuple("
+            "lanes._basis_lanes = lambda f, s, w: tuple("
             "(3 * u, 3 * v) for u, v in basis(f, s, w))",
             "lane 0: no basis vector of 1*[237169, -225657] has norm prime to 3",
         ),
         # v2 doubled: mu and w span a sublattice of index 2
         (
-            "idealgen._basis_lanes = lambda f, s, w: (lambda v1, v2: "
+            "lanes._basis_lanes = lambda f, s, w: (lambda v1, v2: "
             "(v1, (2 * v2[0], 2 * v2[1])))(*basis(f, s, w))",
             "lane 0: (4583, 21) and (46048, 4) do not span 1*[237169, -225657]",
         ),
         # a3 times 4: the lattice is no longer closed under the order
         (
-            "idealgen._compose_lanes = lambda f, g: (lambda d, t: "
+            "lanes._compose_lanes = lambda f, g: (lambda d, t: "
             "(d, (4 * t[0], t[1], t[2])))(*compose(f, g))",
             "lane 0: 1*[948676, 248681] is not an ideal: it gives (340, -76)",
         ),
         # a Bezout coefficient off by one gives a b3 whose c3 is not an integer
         (
-            "quadform._xgcd_lanes = lambda x, m: (lambda g, s: (g, s + 1))(*xgcd(x, m))",
+            "lanes._xgcd_lanes = lambda x, m: (lambda g, s: (g, s + 1))(*xgcd(x, m))",
             "lane 0: 4*237169 does not divide 174657^2 - (-1000003)",
         ),
     ],
@@ -182,7 +181,7 @@ basis, compose, xgcd = idealgen._basis_lanes, idealgen._compose_lanes, quadform.
 def test_kernel_checks_raise_under_optimize(patch, message, run_optimized):
     script = KERNEL_SETUP + patch + "\n" + (
         "try:\n"
-        "    idealgen._generator_lanes(jobs)\n"
+        "    lanes._generator_lanes(jobs)\n"
         "except InvariantViolation as exc:\n"
         "    print(exc)\n"
     )
@@ -195,11 +194,11 @@ def test_not_principal_raises_at_its_field_under_optimize(run_optimized):
     # a class that is not 3-torsion in place of the 3-torsion form: the lanes
     # leave it with no status, and classify raises the scalar route's NotPrincipal
     script = KERNEL_SETUP + (
-        "import dataclasses\n"
-        "from iqgalois.classify import classify_validated, lane_statuses\n"
+        "from iqgalois.classify import classify_validated\n"
+        "from iqgalois.lanes import lane_statuses\n"
         "f = next(f for f in quadform._prime_form_pool(d.value) if quadform.power(f, 3).a != 1)\n"
         "cg = quadform.class_group(d)\n"
-        "cg = dataclasses.replace(cg, sylow={**cg.sylow, 3: (cg.sylow[3][0], (f,))})\n"
+        "cg = cg._replace(sylow={**cg.sylow, 3: (cg.sylow[3][0], (f,))})\n"
         "statuses = lane_statuses([(d, cg, 3, [f])])\n"
         "print(statuses)\n"
         "try:\n"
@@ -223,8 +222,8 @@ def test_not_principal_raises_at_its_field_under_optimize(run_optimized):
             "idealgen.torsion_power_generator(form, 3, build_context(d, 3).ring)",
         ),
         (
-            "idealgen._compose_lanes = lambda f, g: (lambda d, t: (2 * d, t))(*compose(f, g))\n",
-            "idealgen._generator_lanes(jobs)",
+            "lanes._compose_lanes = lambda f, g: (lambda d, t: (2 * d, t))(*compose(f, g))\n",
+            "lanes._generator_lanes(jobs)",
         ),
     ],
     ids=["scalar", "lanes"],
@@ -241,14 +240,14 @@ def test_wrong_content_raises_on_both_routes_under_optimize(patch, call, run_opt
 
 
 def _chosen_one_by_one(jobs: list) -> np.ndarray:
-    """idealgen._lanes's rows from coprime_representative, job by job: the scalar choice."""
+    """lanes._lanes's rows from coprime_representative, job by job: the scalar choice."""
     rows = []
     for i, (form, p) in enumerate(jobs):
         try:
             a, b, c = coprime_representative(form, p)
         except (ValueError, InvariantViolation):
             continue
-        if p * p < idealgen._RING_LIMIT:
+        if p * p < lanes._RING_LIMIT:
             rows.append((i, a, b, c, 1, 0, 1, 4 * a * c - b * b, p))
     return np.array(rows, dtype=np.int64).reshape(-1, 9).T
 
@@ -256,7 +255,7 @@ def _chosen_one_by_one(jobs: list) -> np.ndarray:
 @pytest.mark.parametrize("lo, hi", [(3, 20_000), (10**6, 10**6 + 2000)])
 def test_lane_rows_choose_as_coprime_representative(lo, hi):
     jobs = [(form, p) for _, form, p in generator_jobs(lo, hi)]
-    rows = idealgen._lanes(jobs)
+    rows = lanes._lanes(jobs)
     assert np.array_equal(rows, _chosen_one_by_one(jobs))
     # every census job starts on a lane, some on a form other than its own
     assert rows.shape[1] == len(jobs) > 900 and (rows[1] != [f.a for f, _ in jobs]).any()
@@ -271,8 +270,8 @@ def test_hand_made_jobs_off_the_lanes():
         (QuadForm(2, 1, 3), 46349),  # p^2 = 2,148,229,801 reaches _RING_LIMIT = 2^31
         (QuadForm(2, 1, 3), 46337),  # p^2 = 2,147,117,569 does not
     ]
-    rows = idealgen._lanes(jobs)
+    rows = lanes._lanes(jobs)
     assert np.array_equal(rows, _chosen_one_by_one(jobs))
     assert rows[0].tolist() == [0, 1, 5]
     assert rows[1:4].T.tolist() == [[5, -1, 3], [7, -7, 3], [2, 1, 3]]
-    assert idealgen._lanes([]).shape == (9, 0)
+    assert lanes._lanes([]).shape == (9, 0)

@@ -1,6 +1,6 @@
 """The lock-step power kernel and class_groups against the scalar power and class_group.
 
-quadform.class_groups runs the Sylow parts of many fields side by side on
+lanes.class_groups runs the Sylow parts of many fields side by side on
 array lanes and answers their power requests with one numpy kernel per
 round; class_group runs the Sylow parts of one field after another on the
 scalar power, and is the oracle here.  Every power that class_group takes
@@ -29,11 +29,11 @@ import random
 import numpy as np
 import pytest
 
-from iqgalois import quadform, survey
+from iqgalois import lanes, quadform, survey
 from iqgalois.arith import InvariantViolation, is_prime, small_primes
 from iqgalois.discriminant import validate
-from iqgalois.quadform import LANE_LIMIT, WHOLE, ClassNumberAmbiguous, QuadForm, class_group
-from iqgalois.quadform import class_groups
+from iqgalois.lanes import LANE_LIMIT, WHOLE, class_groups
+from iqgalois.quadform import ClassGroupStructure, ClassNumberAmbiguous, QuadForm, class_group
 from iqgalois.quadform import power, prime_form, principal_form, reduce_form
 from iqgalois.survey import class_numbers_range
 
@@ -59,7 +59,7 @@ def _requests(lo: int, hi: int) -> list:
 def _kernel(forms, exponents) -> tuple:
     """_power_lanes on the rows of the forms, one lane per form and exponent."""
     a, b, c = np.array(forms, dtype=np.int64).T
-    return quadform._power_lanes(a, b, c, np.array(exponents, dtype=np.int64))
+    return lanes._power_lanes(a, b, c, np.array(exponents, dtype=np.int64))
 
 
 @pytest.mark.parametrize("lo", [10**6, 10**7])
@@ -67,14 +67,14 @@ def test_kernel_replays_every_class_group_power(lo, monkeypatch):
     requests = _requests(lo, lo + 2500)
     assert len(requests) > 4000 and max(n for _, n in requests) > 2**10
     products = 0
-    compose = quadform._compose_lanes
+    compose = lanes._compose_lanes
 
     def counting(f, g):
         nonlocal products
         products += f[0].size
         return compose(f, g)
 
-    monkeypatch.setattr(quadform, "_compose_lanes", counting)
+    monkeypatch.setattr(lanes, "_compose_lanes", counting)
     forms, exponents = zip(*requests)
     got = np.stack(_kernel(forms, exponents)).T.tolist()
     assert got == [list(power(f, n)) for f, n in requests]
@@ -101,7 +101,7 @@ def test_kernel_refuses_exponents_below_one(deadline):
 
     def powers(exponents):
         n = np.array(exponents, dtype=np.int64)
-        return quadform._square_and_multiply_lanes(np.full((1, n.size), 7), n, recording)[0]
+        return lanes._square_and_multiply_lanes(np.full((1, n.size), 7), n, recording)[0]
 
     for exponents, shown in (([3, 0], "0"), ([-1, 5], "-1"), ([2, 2**53], "9007199254740992")):
         with pytest.raises(ValueError, match=f"^exponent {shown} is not in"):
@@ -146,11 +146,11 @@ def test_scan_block_restores_the_collector(monkeypatch):
 # two lanes of forms from the prime-form pools of -1000003 and -1000011
 KERNEL_SETUP = """
 import numpy as np
-from iqgalois import quadform
+from iqgalois import lanes, quadform
 pool = list(quadform._prime_form_pool(-1000003))
 f, g, other = pool[1], pool[2], next(quadform._prime_form_pool(-1000011))
 from iqgalois.arith import InvariantViolation
-lanes = lambda *forms: tuple(np.array(x, dtype=np.int64) for x in zip(*forms))
+rows = lambda *forms: tuple(np.array(x, dtype=np.int64) for x in zip(*forms))
 """
 
 
@@ -159,14 +159,14 @@ lanes = lambda *forms: tuple(np.array(x, dtype=np.int64) for x in zip(*forms))
     [
         # lane 1 composes forms of discriminants -1000003 and -1000011
         (
-            "quadform._compose_lanes(lanes(f, f), lanes(g, other))",
+            "lanes._compose_lanes(rows(f, f), rows(g, other))",
             "lane 1: (19,9,13159) and (3,3,83335) have different discriminants",
         ),
         # a Bezout coefficient off by one gives a b3 whose c3 is not an integer
         (
-            "xgcd = quadform._xgcd_lanes\n"
-            "quadform._xgcd_lanes = lambda x, m: (lambda g, s: (g, s + 1))(*xgcd(x, m))\n"
-            "quadform._power_lanes(*lanes(f, g), np.array([5, 6]))",
+            "xgcd = lanes._xgcd_lanes\n"
+            "lanes._xgcd_lanes = lambda x, m: (lambda g, s: (g, s + 1))(*xgcd(x, m))\n"
+            "lanes._power_lanes(*rows(f, g), np.array([5, 6]))",
             "lane 0: 4*361 does not divide 427^2 - (-1000003)",
         ),
     ],
@@ -240,14 +240,14 @@ def _first_fundamental(m: int, step: int):
 def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
     # b3 < 2*a3 <= 2|D|/3, so b3^2 - D stays below 2^63 up to the bound
     assert 4 * LANE_LIMIT**2 // 9 + LANE_LIMIT < 2**63
-    lanes = []
-    kernel = quadform._power_lanes
+    asked = []
+    kernel = lanes._power_lanes
 
     def recording(a, b, c, n):
-        lanes.append(4 * a * c - b * b)
+        asked.append(4 * a * c - b * b)
         return kernel(a, b, c, n)
 
-    monkeypatch.setattr(quadform, "_power_lanes", recording)
+    monkeypatch.setattr(lanes, "_power_lanes", recording)
     # the fields past the bound take class_group whole, at their turn
     scalar_groups = []
 
@@ -255,14 +255,14 @@ def test_lane_bound_routes_past_it_to_scalar_power(monkeypatch):
         scalar_groups.append(d.value)
         return class_group(d, **kwargs)
 
-    monkeypatch.setattr(quadform, "class_group", scalar)
+    monkeypatch.setattr(lanes, "class_group", scalar)
     past, within = _first_fundamental(LANE_LIMIT + 1, 1), _first_fundamental(LANE_LIMIT, -1)
     assert -past.value == 4_500_000_003 and -within.value == 4_499_999_999
     # one call, small fields around both sides of the bound, in field order
     discs = (validate(-3299), past, within, validate(-23))
     fields = [(d, quadform.class_number(d.value)) for d in discs]
     assert list(class_groups(fields)) == [class_group(d, known_h=h) for d, h in fields]
-    assert np.unique(np.concatenate(lanes)).tolist() == [23, 3299, -within.value]
+    assert np.unique(np.concatenate(asked)).tolist() == [23, 3299, -within.value]
     # h(-4500000003) = 9,772 claimed as 4,886: 2^1 does not fit its 4-rank 1;
     # the scalar route raises it at that field, after the group before it
     assert fields[1][1] == 9772
@@ -310,7 +310,7 @@ def _pool_heads(D: int, k: int) -> list:
 def _array_heads(discs: list, k: int) -> list:
     D = np.array(discs, dtype=np.int64)
     seek, ones = np.zeros(D.size, dtype=bool), np.ones((1, D.size), dtype=np.int64)
-    forms, count, _ = quadform._pool_lanes(D, k, seek, ones, 0 * ones)
+    forms, count, _ = lanes._pool_lanes(D, k, seek, ones, 0 * ones)
     return [list(map(QuadForm._make, forms[:, j, :n].T.tolist())) for j, n in enumerate(count)]
 
 
@@ -333,16 +333,18 @@ def test_array_candidates_are_the_pools_first_forms():
 @pytest.fixture
 def whole(monkeypatch):
     """The (D, reason) of every field that class_groups hands to class_group whole."""
-    seen = []
-    lane_sylow = quadform._lane_sylow
+    seen, calls = [], []
+    lane_sylow = lanes._lane_sylow
 
     def recording(fields):
+        calls.append(len(fields))
         out = lane_sylow(fields)
         seen.extend((d.value, WHOLE[code]) for (d, _), code in zip(fields, out[1]) if code)
         return out
 
-    monkeypatch.setattr(quadform, "_lane_sylow", recording)
-    return seen
+    monkeypatch.setattr(lanes, "_lane_sylow", recording)
+    yield seen
+    assert calls, "class_groups never reached the patched _lane_sylow"
 
 
 def test_array_lanes_restart_at_each_exit(whole):
@@ -425,13 +427,13 @@ def test_wrong_claims_at_two_generator_fields_give_the_same_outcome(whole, monke
     # two generators.  A wrong claim must end as class_group ends it, at the
     # same field, after the group of -23 before it
     walked = []
-    start = quadform._Walks.start
+    start = lanes._Walks.start
 
     def starting(self, rows):
         walked.extend(rows[0].tolist())
         return start(self, rows)
 
-    monkeypatch.setattr(quadform._Walks, "start", starting)
+    monkeypatch.setattr(lanes._Walks, "start", starting)
     small = validate(-23)
     first = class_group(small, known_h=3)
     raised = collections.Counter()
@@ -440,11 +442,11 @@ def test_wrong_claims_at_two_generator_fields_give_the_same_outcome(whole, monke
         assert class_group(d, known_h=h).sylow[3][0] == orders
         for claim in (h, 3 * h, 9 * h, h // 3, h // 9, 5 * h):
             walked.clear()
-            lanes, scalar = _both_routes([(small, 3), (d, claim)])
-            assert lanes == scalar and lanes[0] == first, (D, claim)
-            raised[isinstance(lanes[1], tuple)] += 1
+            arrays, scalar = _both_routes([(small, 3), (d, claim)])
+            assert arrays == scalar and arrays[0] == first, (D, claim)
+            raised[not isinstance(arrays[1], ClassGroupStructure)] += 1
             if claim == h:
-                assert walked == [1] and lanes[1].sylow[3][0] == orders
+                assert walked == [1] and arrays[1].sylow[3][0] == orders
     # seven groups: the exact h, h/3 and -4027 at h = 1; a wrong odd part
     # that is too small can pass
     assert raised == {False: 7, True: 11}
@@ -459,10 +461,11 @@ def test_wrong_claims_at_two_generator_fields_give_the_same_outcome(whole, monke
         return diag, [[3 * x for x in row] for row in w]
 
     monkeypatch.setattr(quadform, "smith_normal_form", scaled)
+    monkeypatch.setattr(lanes, "smith_normal_form", scaled)
     whole.clear()
-    lanes, scalar = _both_routes([(small, 3), (validate(-4027), 9)])
+    arrays, scalar = _both_routes([(small, 3), (validate(-4027), 9)])
     broken = (InvariantViolation, "(1,1,1007) does not have exact order 3")
-    assert lanes == scalar == [first, broken]
+    assert arrays == scalar == [first, broken]
     assert whole == [(-4027, "failed test")]
 
 
@@ -471,7 +474,7 @@ def test_large_wrong_claims_ask_only_for_the_true_order_of_x1(whole, monkeypatch
     # 105 * 3^28: each starts a walk whose x1 has order 3 or 9, far below the
     # claimed 3^17 and 3^28, so its rungs and table stay a few lanes, and the
     # field raises class_group's exception after the group of -23
-    walked, spans = [], quadform._spans
+    walked, bounds, spans = [], [], lanes._spans
 
     def starting(self, rows):
         walked.extend(rows[0].tolist())
@@ -479,19 +482,21 @@ def test_large_wrong_claims_ask_only_for_the_true_order_of_x1(whole, monkeypatch
 
     def bounded(counts):
         assert counts.sum() < 1000  # lanes of one request kind, in one round
+        bounds.append(counts.size)
         return spans(counts)
 
-    start = quadform._Walks.start
-    monkeypatch.setattr(quadform._Walks, "start", starting)
-    monkeypatch.setattr(quadform, "_spans", bounded)
+    start = lanes._Walks.start
+    monkeypatch.setattr(lanes._Walks, "start", starting)
+    monkeypatch.setattr(lanes, "_spans", bounded)
     small = validate(-23)
     for D, claim in ((-3299, 3**18), (-1000003, 105 * 3**28)):
         assert claim < 2**53
         walked.clear()
-        lanes, scalar = _both_routes([(small, 3), (validate(D), claim)])
-        assert lanes == scalar and lanes[0] == class_group(small, known_h=3)
-        assert lanes[1][0] is ClassNumberAmbiguous and walked == [1], D
+        arrays, scalar = _both_routes([(small, 3), (validate(D), claim)])
+        assert arrays == scalar and arrays[0] == class_group(small, known_h=3)
+        assert arrays[1][0] is ClassNumberAmbiguous and walked == [1], D
     assert whole == [(-3299, "third generator"), (-1000003, "ran out")]
+    assert bounds
 
 
 # (D, h) of fields whose claim allows the first generator x1 of a walk an
@@ -519,13 +524,13 @@ def test_walks_start_with_the_exact_order_of_x1(whole, monkeypatch):
     # q-part (-1000003811 walks at 3 too), whose x1 has the order k1 it
     # starts with, and every group is class_group's
     walked = []
-    start = quadform._Walks.start
+    start = lanes._Walks.start
 
     def starting(self, rows):
         walked.extend(rows.T.tolist())
         return start(self, rows)
 
-    monkeypatch.setattr(quadform._Walks, "start", starting)
+    monkeypatch.setattr(lanes._Walks, "start", starting)
     fields = [(validate(D), h) for D, h in WIDE_WALKS]
     assert list(class_groups(fields)) == [class_group(d, known_h=h) for d, h in fields]
     assert sorted(row[0] for row in walked) == sorted([*range(len(fields)), 11])
@@ -567,8 +572,8 @@ def _scalar_genus(d) -> tuple:
 def _array_genus(ds: list) -> list:
     """The 4-rank and the 2-candidate of each d from _redei_lanes and _pool_lanes."""
     D = np.array([d.value for d in ds], dtype=np.int64)
-    discs, rows, r4 = quadform._redei_lanes(D, quadform._prime_rows(ds))
-    _, _, two = quadform._pool_lanes(D, 4, r4 <= 1, discs, np.where(r4 == 1, rows, 0))
+    discs, rows, r4 = lanes._redei_lanes(D, lanes._prime_rows(ds))
+    _, _, two = lanes._pool_lanes(D, 4, r4 <= 1, discs, np.where(r4 == 1, rows, 0))
     return [(k, tuple(f) if f[0] else None) for k, f in zip(r4.tolist(), two.T.tolist())]
 
 
@@ -579,7 +584,7 @@ def test_genus_step_matches_the_scalar_route():
     a = np.array([2_000_000_011, 1_234_567_891, 999_999, 3, 5], dtype=np.int64)
     assert all(is_prime(int(p)) for p in n[:4])
     want = [quadform.kronecker(int(x), int(p)) for x, p in zip(a[:4], n[:4])] + [1]
-    assert quadform._jacobi_lanes(a, n).tolist() == want
+    assert lanes._jacobi_lanes(a, n).tolist() == want
     lo = LANE_LIMIT - 2000
     mask = survey.fundamental_mask(lo, LANE_LIMIT + 1)
     top = [validate(-m) for m in range(lo, LANE_LIMIT + 1) if mask[m - lo]]
@@ -622,14 +627,14 @@ def test_two_lanes_restart_at_each_exit(whole, monkeypatch):
         assert whole == [(D, "failed test")] and want[0] is ClassNumberAmbiguous
     # x = 1 cannot happen with a genus-chosen candidate, whose 2-part is not
     # a square; a principal candidate takes that exit, with h(-56) = 4
-    pool = quadform._pool_lanes
+    pool = lanes._pool_lanes
 
     def principal(*args):
         forms, count, two = pool(*args)
         two[:, two[0] != 0] = np.array(one[-56])[:, None]
         return forms, count, two
 
-    monkeypatch.setattr(quadform, "_pool_lanes", principal)
+    monkeypatch.setattr(lanes, "_pool_lanes", principal)
     want = [class_group(validate(-56), known_h=4)]
     whole.clear()
     assert list(class_groups([(validate(-56), 4)])) == want

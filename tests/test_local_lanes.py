@@ -1,8 +1,8 @@
 """The lock-step local test of a scan block against the scalar status_at_odd_prime.
 
-classify.lane_statuses decides every odd-p status of a block from the
-generator lanes of idealgen._generator_lanes and the closed forms of
-localtest._injective_lanes; status_at_odd_prime, on build_context,
+lanes.lane_statuses decides every odd-p status of a block from the
+generator lanes of lanes._generator_lanes and the closed forms of
+lanes._injective_lanes; status_at_odd_prime, on build_context,
 local_unit_image and injectivity_test, is the oracle here.  Every status of
 three census windows must agree; the p = 3 contexts with a local cube root
 of unity must go to the enumerative engine, and the tests with an image the
@@ -13,7 +13,6 @@ random units of small rings, triviality and rank-2 independence must agree
 with the scalar closed forms.
 """
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -21,12 +20,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqgalois import localtest, survey
-from iqgalois.classify import lane_statuses, status_at_odd_prime
+from iqgalois import lanes, survey
+from iqgalois.classify import status_at_odd_prime
 from iqgalois.discriminant import RAMIFIED, kronecker_at, validate
-from iqgalois.idealgen import _generator_lanes
-from iqgalois.localtest import _injective_lanes, build_context, injectivity_test, local_unit_image
-from iqgalois.quadform import class_groups
+from iqgalois.lanes import _generator_lanes, _injective_lanes, class_groups, lane_statuses
+from iqgalois.localtest import build_context, injectivity_test, local_unit_image
 from iqgalois.survey import _odd_bases, class_numbers_range
 
 from _oracles import rows_one_by_one
@@ -53,19 +51,20 @@ def test_lane_statuses_replay_the_scalar_test(lo, hi, left, monkeypatch):
     tests = _tests(lo, hi)
     scalar = [status_at_odd_prime(d, cg, p) for d, cg, p, _ in tests]
     engine = []
-    classify = sys.modules["iqgalois.classify"]  # the package's classify is the function
 
     def spy(d, cg, p, generators=None):
         engine.append((d.value, p, generators is not None))
         return status_at_odd_prime(d, cg, p, generators)
 
-    monkeypatch.setattr(classify, "status_at_odd_prime", spy)
-    lanes = lane_statuses(tests)
+    monkeypatch.setattr(lanes, "status_at_odd_prime", spy)
+    statuses = lane_statuses(tests)
     # at 1e7 a few states grow past _fits: their tests are left to the scalar route
-    assert sum(s is None for s in lanes) == left
-    assert [s for s in lanes if s] == [s for s, x in zip(scalar, lanes) if x]
+    assert sum(s is None for s in statuses) == left
+    assert [s for s in statuses if s] == [s for s, x in zip(scalar, statuses) if x]
     # exactly the tests with a local cube root of unity take the engine, on their lane images
-    torsion = [(d.value, p, True) for (d, _, p, _), s in zip(tests, lanes) if _torsion(d, p) and s]
+    torsion = [
+        (d.value, p, True) for (d, _, p, _), s in zip(tests, statuses) if _torsion(d, p) and s
+    ]
     assert engine == torsion and len(torsion) > 10
     assert {s for s in scalar} == {"injective", "noninjective"}
 
@@ -76,20 +75,20 @@ def test_local_power_makes_square_and_multiply_s_products(monkeypatch):
     tests = _tests(10**6, 10**6 + 2000)
     _, x, y, p, par = _generator_lanes((f, p) for _, _, p, basis in tests for f in basis)
     assert x.size > 900 and p.max() > 1000
-    lanes = 0
-    ring_mul = localtest._ring_mul
+    products = 0
+    ring_mul = lanes._ring_mul
 
     def counting(g, h, m, par):
-        nonlocal lanes
-        lanes += m.size
+        nonlocal products
+        products += m.size
         return ring_mul(g, h, m, par)
 
-    monkeypatch.setattr(localtest, "_ring_mul", counting)
+    monkeypatch.setattr(lanes, "_ring_mul", counting)
     every = np.arange(x.size)
     _injective_lanes(x, y, p, par, every, every)
     e = [q - 1 if r % q == 0 else q * q - 1 for q, r in zip(p.tolist(), par.tolist())]
     assert any(q - 1 == n for q, n in zip(p.tolist(), e))
-    assert lanes == sum(n.bit_length() - 1 + n.bit_count() - 1 for n in e)
+    assert products == sum(n.bit_length() - 1 + n.bit_count() - 1 for n in e)
 
 
 def test_lane_statuses_scratch_stays_small():
@@ -118,8 +117,8 @@ def test_torsion_and_left_tests_give_the_rows_of_one_by_one():
     # [1e7, +3000) holds tests left by the lanes and tests with local torsion
     lo, hi = 10**7, 10**7 + 3000
     tests = _tests(lo, hi)
-    lanes = lane_statuses(tests)
-    assert any(s is None for s in lanes)
+    statuses = lane_statuses(tests)
+    assert any(s is None for s in statuses)
     assert any(_torsion(d, p) for d, _, p, _ in tests)
     assert survey._scan_block((lo, hi, (2, 3, 5))) == rows_one_by_one(lo, hi, (2, 3, 5))
 
@@ -150,10 +149,10 @@ def unit_pairs(draw):
 def test_lane_closed_forms_agree_with_local_unit_image(case):
     ctx, g1, g2 = case
     p, par = ctx.p, ctx.ring.par
-    lanes = [np.array(v, dtype=np.int64) for v in zip(g1, g2)]
+    rows = [np.array(v, dtype=np.int64) for v in zip(g1, g2)]
     # tests: g1 alone, g2 alone, and the pair
     first, second = np.array([0, 1, 0]), np.array([0, 1, 1])
-    got = _injective_lanes(*lanes, np.full(2, p), np.full(2, par), first, second).tolist()
+    got = _injective_lanes(*rows, np.full(2, p), np.full(2, par), first, second).tolist()
     images = [local_unit_image(ctx, g) for g in (g1, g2)]
     want = [not images[0].trivial, not images[1].trivial, injectivity_test(ctx, images)]
     assert got == want
@@ -161,10 +160,10 @@ def test_lane_closed_forms_agree_with_local_unit_image(case):
 
 LANE_SETUP = """
 import numpy as np
-from iqgalois import localtest
+from iqgalois import lanes
 from iqgalois.arith import InvariantViolation
 # x, y, p and D mod p^2 of two lanes: 1 + sqrt(-20) and 4 + 2 sqrt(-20) at p = 5, which ramifies
-lanes = [np.array(v, dtype=np.int64) for v in ((1, 4), (1, 2), (5, 5), (5, 5))]
+rows = [np.array(v, dtype=np.int64) for v in ((1, 4), (1, 2), (5, 5), (5, 5))]
 one = np.array([0, 1])
 """
 
@@ -173,10 +172,10 @@ one = np.array([0, 1])
     "setup, message",
     [
         # 5 + 2 sqrt(-20) has norm 25 + 80 = 0 mod 5: no unit
-        ("lanes[0][1] = 5\n", "lane 1: (5, 2) has norm divisible by 5"),
+        ("rows[0][1] = 5\n", "lane 1: (5, 2) has norm divisible by 5"),
         # a ring product that returns 2: beta = g^(p - 1) is not 1 mod pi
         (
-            "localtest._ring_mul = lambda x, y, m, par: (2 + 0 * x[0], 0 * x[1])\n",
+            "lanes._ring_mul = lambda x, y, m, par: (2 + 0 * x[0], 0 * x[1])\n",
             "lane 0: (1, 1)^4 = (2, 0) is not 1 mod pi",
         ),
     ],
@@ -185,7 +184,7 @@ one = np.array([0, 1])
 def test_lane_checks_raise_under_optimize(setup, message, run_optimized):
     script = LANE_SETUP + setup + (
         "try:\n"
-        "    print(localtest._injective_lanes(*lanes, one, one))\n"
+        "    print(lanes._injective_lanes(*rows, one, one))\n"
         "except InvariantViolation as exc:\n"
         "    print(exc)\n"
     )

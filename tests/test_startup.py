@@ -1,9 +1,9 @@
 """Start-up loads only what the command runs.
 
 Importing the package and classifying one field load neither the survey
-harness nor verify's oracles, and no command but a pooled scan imports
-the process pool.  The survey names still resolve from the package, on
-first use.  The survey module sits in sys.modules from the start as a lazy
+harness, nor the lane kernels of its blocks, nor verify's oracles, and no
+command but a pooled scan imports the process pool.  The survey names
+still resolve from the package, on first use.  The survey module sits in sys.modules from the start as a lazy
 module, a subclass of ModuleType, until its first attribute access runs
 its code; a module counts as loaded here when sys.modules holds a plain
 module under its name.
@@ -20,6 +20,8 @@ import iqgalois
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 POOL = ["multiprocessing", "concurrent.futures.process"]
+# the survey harness and its int64 lane kernels
+BLOCK_ROUTE = ["iqgalois.survey", "iqgalois.lanes"]
 
 
 def _loaded_in_child(code: str, names: list[str]) -> list[str]:
@@ -39,10 +41,10 @@ def _loaded_in_child(code: str, names: list[str]) -> list[str]:
 @pytest.mark.parametrize(
     "code, names",
     [
-        ("import iqgalois; iqgalois.classify(-23)", ["iqgalois.survey", "iqgalois.verify", *POOL]),
+        ("import iqgalois; iqgalois.classify(-23)", [*BLOCK_ROUTE, "iqgalois.verify", *POOL]),
         (
             "from iqgalois.cli import main; main(['classify', '-d', '-23'])",
-            ["iqgalois.survey", "iqgalois.verify", *POOL],
+            [*BLOCK_ROUTE, "iqgalois.verify", *POOL],
         ),
         ("from iqgalois.cli import main; main(['tables', '--table', '1', '--bound', '100'])", POOL),
         ("import iqgalois; list(iqgalois.scan(iqgalois.SurveyConfig(d_max=100)))", POOL),

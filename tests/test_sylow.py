@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from iqgalois import quadform
+from iqgalois import lanes, quadform
 from iqgalois.arith import factorize
 from iqgalois.discriminant import validate
 from iqgalois.quadform import ClassNumberAmbiguous, compose, power, principal_form
@@ -263,7 +263,7 @@ def test_odd_known_h_with_even_two_rank_raises():
     for d, claim in claims:
         with pytest.raises(ClassNumberAmbiguous, match=f"^odd h={claim} does not fit 2-rank"):
             quadform.class_group(d, known_h=claim)
-    groups = quadform.class_groups([(validate(-104), 3)])
+    groups = lanes.class_groups([(validate(-104), 3)])
     with pytest.raises(ClassNumberAmbiguous, match="^odd h=3 does not fit 2-rank 1$"):
         next(groups)
 
@@ -311,4 +311,4 @@ def test_wrong_h_whose_last_relative_order_overshoots_raises():
     with pytest.raises(ClassNumberAmbiguous, match=message):
         quadform.class_group(d, known_h=35)
     with pytest.raises(ClassNumberAmbiguous, match=message):
-        next(quadform.class_groups([(d, 35)]))
+        next(lanes.class_groups([(d, 35)]))
