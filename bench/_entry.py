@@ -6,17 +6,19 @@ run() loads DIR/src/iqgalois as iqgalois_parent and this checkout's
 src/iqgalois as iqgalois, side by side, so a drift in the host's pace lands
 on both alike.  It hands both to the script's measure(), which returns one
 list of blocks per library.  Every block field ending in _sha256 must be
-equal between the two; otherwise run() exits 1 and prints no JSON.  It
-reports on stderr, for each timing, both medians, each side's interquartile
-range of its passes_s, how many passes the change won, and whether the
-medians differ by no more than the parent's interquartile range ("inside
-the parent's spread") or by more ("outside").  It prints the BENCH document
-on stdout: the layer and, under "entries", the "parent" and the "change"
-entry, each with the host it ran on and its blocks.
-`--parent .` measures this checkout against itself.
+equal between the two; otherwise run() exits 1 and prints no JSON.  Every
+timing (a dict with passes_s) that both sides have is judged by paired():
+pass i of the change against pass i of the parent, which timed_alternating
+takes in the same pass.  The change's timing gets the fields
+paired_ratio_median, paired_wins and verdict, and stderr one line with both
+medians, both interquartile ranges, the ratio, the wins and the verdict.
+It prints the BENCH document on stdout: the layer and, under "entries", the
+"parent" and the "change" entry, each with the host it ran on and its
+blocks.  `--parent .` measures this checkout against itself.
 """
 
 import argparse
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -44,18 +46,6 @@ def load_parent(checkout: Path, name: str = "iqgalois_parent"):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
-
-
-def lane_module(lib, old: str):
-    """lib's module lanes, of the int64 lane kernels, or its module old for a library without one.
-
-    A library from before the lane kernels had a module of their own keeps
-    them in quadform, idealgen, localtest and classify.
-    """
-    try:
-        return importlib.import_module(f"{lib.__name__}.lanes")
-    except ModuleNotFoundError:
-        return importlib.import_module(f"{lib.__name__}.{old}")
 
 
 def sha256(data) -> str:
@@ -107,6 +97,40 @@ def _iqr(passes: list[float]) -> float:
     return round(float(q3 - q1), DECIMALS)
 
 
+def paired(parent: list[float], change: list[float]) -> tuple[dict, str]:
+    """The change's passes against the parent's, pass i with pass i: paired fields and report.
+
+    paired_ratio_median is the median of change/parent over the pairs, and
+    paired_wins "k/n": the change won k of the n pairs.  A tie counts for
+    neither side, and so does a pair whose parent pass is 0 (below the 1 us
+    the times are kept to), which also stays out of the ratio.  The verdict
+    is the rule a gain is accepted by: "faster" when n >= 10, the change won
+    at least 0.9 n of the pairs and its median lies below the parent's by
+    more than the parent's interquartile range; "slower" in the mirror case;
+    "unresolved" otherwise.
+    """
+    pairs = [(p, c) for p, c in zip(parent, change, strict=True) if p > 0]
+    n = len(parent)
+    wins, losses = sum(c < p for p, c in pairs), sum(c > p for p, c in pairs)
+    p_median = round(statistics.median(parent), DECIMALS)
+    c_median = round(statistics.median(change), DECIMALS)
+    p_iqr, c_iqr = _iqr(parent), _iqr(change)
+    gap = round(c_median - p_median, DECIMALS)
+    verdict = "unresolved"
+    if n >= 10 and wins >= 0.9 * n and -gap > p_iqr:
+        verdict = "faster"
+    elif n >= 10 and losses >= 0.9 * n and gap > p_iqr:
+        verdict = "slower"
+    ratio = round(statistics.median(c / p for p, c in pairs), 4) if pairs else None
+    fields = {"paired_ratio_median": ratio, "paired_wins": f"{wins}/{n}", "verdict": verdict}
+    side = "inside" if abs(gap) <= p_iqr else "outside"
+    report = (
+        f"median {p_median} -> {c_median} s, IQR {p_iqr} -> {c_iqr} s, "
+        f"gap {side} the parent's IQR, paired ratio {ratio}, change won {wins}/{n} pairs: {verdict}"
+    )
+    return fields, report
+
+
 def _leaves(record: dict, path: tuple = ()):
     """(path, value) for every non-dict value of a nested block."""
     for key, value in record.items():
@@ -117,7 +141,7 @@ def _leaves(record: dict, path: tuple = ()):
 
 
 def run(doc: str, layer: str, measure) -> None:
-    """Parse --parent, measure both libraries, gate their digests, print the BENCH document."""
+    """Parse --parent, measure both libraries, gate digests, pair timings, print the document."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument(
         "--parent", type=Path, required=True, help="checkout to compare with (. for this one)"
@@ -135,18 +159,11 @@ def run(doc: str, layer: str, measure) -> None:
             where = " ".join((ident, *prefix))
             if key.endswith("_sha256") and p_leaves.get(path) != c_leaves.get(path):
                 sys.exit(f"{where}: {key} differs between parent and change")
-            if key == "passes_s":
-                median = (*prefix, "median_s")
-                p_median, c_median = p_leaves[median], c_leaves[median]
-                p_iqr, c_iqr = _iqr(p_leaves[path]), _iqr(c_leaves[path])
-                wins = sum(c < p for p, c in zip(p_leaves[path], c_leaves[path]))
-                side = "inside" if round(abs(c_median - p_median), DECIMALS) <= p_iqr else "outside"
-                report.append(
-                    f"{where}: median {p_median} -> {c_median} s, "
-                    f"IQR {p_iqr} -> {c_iqr} s, "
-                    f"change faster in {wins}/{len(c_leaves[path])} passes, "
-                    f"{side} the parent's spread"
-                )
+            if key == "passes_s" and path in p_leaves and path in c_leaves:
+                fields, line = paired(p_leaves[path], c_leaves[path])
+                # into the change's dict that holds these passes
+                functools.reduce(dict.__getitem__, prefix, c_block).update(fields)
+                report.append(f"{where}: {line}")
     print("\n".join(report), file=sys.stderr)
     host = {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
     document = {

@@ -31,19 +31,20 @@ both.  Over one more batch pass, class_group_routes counts the calls of
 lanes._power_lanes, the class-group kernel, with their lanes; the walks
 of two generators that the odd lanes start (lanes._Walks.start); and the
 fields that class_groups hands to class_group whole, by reason
-(lanes.WHOLE, read from lanes._lane_sylow).  A library without the module
-lanes has these names in quadform and idealgen (_entry.lane_module).
+(lanes.WHOLE, read from lanes._lane_sylow).
 """
 
 import collections
+import contextlib
 import sys
+from unittest import mock
 
-from _entry import lane_module, run, sha256, timed_alternating
+from _entry import run, sha256, timed_alternating
 
 STARTS = (10**6, 10**7)
 WIDTH = 10**4
 PRIMES = (2, 3, 5, 7)
-REPEATS = 8
+REPEATS = 10
 
 
 def odd_sylow_data(lib, cg) -> list:
@@ -79,10 +80,7 @@ def two_part_route(cg) -> str:
 
 def count_products(lib, fn) -> int:
     """compose_unreduced calls and _compose_lanes lanes made by fn(), via wrappers on lib's globals."""
-    quadform, idealgen = lib.quadform, lib.idealgen
-    holders = {lane_module(lib, "quadform"), lane_module(lib, "idealgen")}  # of _compose_lanes
-    orig = quadform.compose_unreduced
-    lanes = next(iter(holders))._compose_lanes
+    orig, lanes = lib.quadform.compose_unreduced, lib.lanes._compose_lanes
     calls = 0
 
     def counting(f, g):
@@ -95,21 +93,17 @@ def count_products(lib, fn) -> int:
         calls += f[0].size
         return lanes(f, g)
 
-    quadform.compose_unreduced = idealgen.compose_unreduced = counting
-    for holder in holders:
-        holder._compose_lanes = counting_lanes
-    try:
+    with contextlib.ExitStack() as stack:
+        for module in (lib.quadform, lib.idealgen):
+            stack.enter_context(mock.patch.object(module, "compose_unreduced", counting))
+        stack.enter_context(mock.patch.object(lib.lanes, "_compose_lanes", counting_lanes))
         fn()
-    finally:
-        quadform.compose_unreduced = idealgen.compose_unreduced = orig
-        for holder in holders:
-            holder._compose_lanes = lanes
     return calls
 
 
 def count_routes(lib, batch) -> dict:
     """The kernel calls, walks and whole fields of batch(), via wrappers on lib."""
-    lanes = lane_module(lib, "quadform")
+    lanes = lib.lanes
     kernel = lanes._power_lanes
     counts = {"kernel_calls": 0, "kernel_lanes": 0, "two_generator_lanes": 0}
     whole = collections.Counter()
@@ -130,18 +124,15 @@ def count_routes(lib, batch) -> dict:
         whole.update(lanes.WHOLE[code] for code in out[1] if code)
         return out
 
-    saved = [
-        (lanes, "_power_lanes", kernel),
-        (lanes._Walks, "start", start),
-        (lanes, "_lane_sylow", lane_sylow),
+    wrappers = [
+        (lanes, "_power_lanes", counting_kernel),
+        (lanes._Walks, "start", counting_start),
+        (lanes, "_lane_sylow", counting_whole),
     ]
-    lanes._power_lanes = counting_kernel
-    lanes._Walks.start, lanes._lane_sylow = counting_start, counting_whole
-    try:
+    with contextlib.ExitStack() as stack:
+        for owner, name, wrapper in wrappers:
+            stack.enter_context(mock.patch.object(owner, name, wrapper))
         batch()
-    finally:
-        for owner, name, fn in saved:
-            setattr(owner, name, fn)
     reasons = dict(sorted(whole.items()))
     return {**counts, "whole_fields": sum(whole.values()), "whole_reasons": reasons}
 
@@ -155,7 +146,7 @@ def passes(lib, start: int) -> tuple:
     def groups():
         return [lib.quadform.class_group(d, known_h=h) for d, h in fields]
 
-    class_groups = lane_module(lib, "quadform").class_groups
+    class_groups = lib.lanes.class_groups
 
     def batch():
         return list(class_groups(fields))

@@ -12,7 +12,7 @@ and minimum wall time of REPEATS calls.
 from _entry import run, sha256, timed_alternating
 
 FIELDS = (-100000007, -1000000007, -10000000019, -100000000003, -1000000000039)
-REPEATS = 3
+REPEATS = 10
 
 
 def measure(libs: dict) -> dict:

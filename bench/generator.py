@@ -36,19 +36,20 @@ the block route also counts its jobs that took the scalar route
 (torsion_power_generator calls), whose products on the lanes before they
 left count too.  Each classify records the median and minimum of
 CLASSIFY_REPEATS calls and the per-prime statuses, whose sha256 must agree
-too.  A library without the module lanes has _generator_lanes and
-_state_lanes in idealgen and lane_statuses in classify (_entry.lane_module).
+too.
 """
 
+import contextlib
 import sys
+from unittest import mock
 
-from _entry import lane_module, run, sha256, timed_alternating
+from _entry import run, sha256, timed_alternating
 
 # [lo, hi) bands of |D|: all of |D| < 2e4, and one 1e4-block at 1e6 and at 1e7
 BANDS = ((3, 20_000), (10**6, 10**6 + 10**4), (10**7, 10**7 + 10**4))
 REPEATS = 11
 CLASSIFY = (-100000007, -1000000007, -100000000003)
-CLASSIFY_REPEATS = 3
+CLASSIFY_REPEATS = 10
 
 
 def band_tests(lib, lo: int, hi: int) -> list:
@@ -77,8 +78,7 @@ def routes(lib, tests: list) -> tuple:
         for form in basis
     ]
     idealgen, classify = lib.idealgen, sys.modules[f"{lib.__name__}.classify"]
-    generator_lanes = lane_module(lib, "idealgen")._generator_lanes
-    lane_statuses = lane_module(lib, "classify").lane_statuses
+    generator_lanes, lane_statuses = lib.lanes._generator_lanes, lib.lanes.lane_statuses
     triples = [(form, p, ring) for _, form, p, ring in jobs]
 
     def images():
@@ -133,11 +133,10 @@ def count_states(lib, fn) -> dict:
     idealgen = lib.idealgen
     owners = {
         "_state_product": idealgen,
-        "_state_lanes": lane_module(lib, "idealgen"),
+        "_state_lanes": lib.lanes,
         "torsion_power_generator": idealgen,
     }
     counts = dict.fromkeys(owners, 0)
-    saved = {name: getattr(owner, name) for name, owner in owners.items()}
 
     def wrap(name, orig):
         def counting(*args, **kwargs):
@@ -146,13 +145,10 @@ def count_states(lib, fn) -> dict:
 
         return counting
 
-    for name, orig in saved.items():
-        setattr(owners[name], name, wrap(name, orig))
-    try:
+    with contextlib.ExitStack() as stack:
+        for name, owner in owners.items():
+            stack.enter_context(mock.patch.object(owner, name, wrap(name, getattr(owner, name))))
         fn()
-    finally:
-        for name, orig in saved.items():
-            setattr(owners[name], name, orig)
     return {
         "state_products": counts["_state_product"] + counts["_state_lanes"],
         "scalar_jobs": counts["torsion_power_generator"],

@@ -10,10 +10,9 @@ and CSV lines, as a scan with a checkpoint and persist do.  Wrappers on the
 module globals of survey, installed around each block, time its stages:
 
 - sieve: class_numbers_range;
-- factors_validate: block_factors (a library without it has none) and
-  every validate call;
-- class_groups: quadform.class_groups, run to its end;
-- lane_statuses: classify.lane_statuses;
+- factors_validate: block_factors and every validate call;
+- class_groups: lanes.class_groups, run to its end;
+- lane_statuses: lanes.lane_statuses;
 - rows: the rest of the block (torsion bases, classify_validated, the row
   objects);
 - lines: _checkpoint_line and _csv_lines of every row, after the block.
@@ -24,14 +23,16 @@ two sha256 digests, which must agree between the two libraries: of the
 rows (as bench/classgroup.py digests them) and of the lines.
 """
 
+import contextlib
 import time
+from unittest import mock
 
 from _entry import run, sha256, stats, timed_alternating
 
 STARTS = (10**4, 10**6, 10**7)
 WIDTH = 10**4
 PRIMES = (2, 3, 5, 7)
-REPEATS = 8
+REPEATS = 10
 # the stages that are one survey global each: stage -> the globals it wraps
 WRAPPED = {
     "sieve": ("class_numbers_range",),
@@ -57,18 +58,15 @@ def staged_scan(lib, start: int):
         return wrapper
 
     def scan():
-        spent, saved = dict.fromkeys(WRAPPED, 0.0), {}
-        for stage, names in WRAPPED.items():
-            for name in filter(lambda name: hasattr(survey, name), names):
-                saved[name] = getattr(survey, name)
-                setattr(survey, name, timing(stage, saved[name], spent))
-        try:
+        spent = dict.fromkeys(WRAPPED, 0.0)
+        with contextlib.ExitStack() as stack:
+            for stage, names in WRAPPED.items():
+                for name in names:
+                    wrapper = timing(stage, getattr(survey, name), spent)
+                    stack.enter_context(mock.patch.object(survey, name, wrapper))
             t0 = time.perf_counter()
             rows = survey._scan_block((start, start + WIDTH, PRIMES))
             spent["scan_block"] = time.perf_counter() - t0
-        finally:
-            for name, fn in saved.items():
-                setattr(survey, name, fn)
         t0 = time.perf_counter()
         lines = [
             survey._checkpoint_line(row) + "".join(line + "\n" for line in survey._csv_lines(row))

@@ -23,7 +23,7 @@ BLOCKS = (
     (10**7 + 1, 1600),
     (10**8, 10),
 )
-REPEATS = 5
+REPEATS = 10
 
 
 def measure(libs: dict) -> dict:

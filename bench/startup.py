@@ -15,13 +15,11 @@ two libraries are taken in turn (bench/_entry.py).  The blocks:
   agree between the two libraries.
 
 Each block records the median and minimum of REPEATS runs and every run's
-time; the change's blocks add the median of the paired ratios change/parent
-of the runs taken back to back, and how many pairs the change won.
+time.
 """
 
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -47,14 +45,6 @@ def _child(path: Path, *argv: str) -> str:
         [sys.executable, *argv], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     return proc.stdout
-
-
-def _with_pairs(entries: dict) -> None:
-    """Add to each change block its paired ratios against the parent's block."""
-    for p_block, c_block in zip(entries["parent"], entries["change"]):
-        ratios = [c / p for p, c in zip(p_block["passes_s"], c_block["passes_s"])]
-        c_block["paired_ratio_median"] = round(statistics.median(ratios), 4)
-        c_block["paired_wins"] = f"{sum(r < 1 for r in ratios)}/{len(ratios)}"
 
 
 def measure(libs: dict) -> dict:
@@ -83,7 +73,6 @@ def measure(libs: dict) -> dict:
                 entries[name].append(
                     {"run": f"cli {D}", "stdout_sha256": sha256(stdout.encode()), **timing}
                 )
-    _with_pairs(entries)
     return entries
 
 

@@ -17,7 +17,7 @@ from _entry import run, sha256, timed_alternating
 
 P, N = 3, 100
 BOUNDS = tuple(10**7 + j * 10**4 for j in (0, 5, 15))
-REPEATS = 5
+REPEATS = 10
 
 
 def measure(libs: dict) -> dict:

@@ -125,15 +125,12 @@ def classify(D: int, short_circuit: bool = True) -> ClassificationRecord:
 
 
 def status_at_prime(
-    d: FundamentalDiscriminant,
-    p: int,
-    cg: ClassGroupStructure | None = None,
-    known_h: int | None = None,
+    d: FundamentalDiscriminant, p: int, cg: ClassGroupStructure | None = None
 ) -> str:
     """Injectivity status at one prime p | h.
 
     p = 2 follows the discriminant families and needs no class group; at odd
-    p the local test runs on cg, built from known_h when not given.
+    p the local test runs on cg.
     """
     if p == 2:
         two_rank = genus_two_rank(d)
@@ -143,8 +140,6 @@ def status_at_prime(
         if status == SKIPPED:
             raise InvariantViolation(f"2 divides h but the 2-rank of D={d.value} is 0")
         return status
-    if cg is None:
-        cg = class_group(d, known_h=known_h)
     return status_at_odd_prime(d, cg, p)
 
 

@@ -677,7 +677,7 @@ def single_factor_fields(p: int, lower_bound: int, n_fields: int) -> list[tuple[
 
 def splitting_status(d: FundamentalDiscriminant, h: int, p: int) -> str:
     """Injectivity status at one prime p | h, independent of other primes."""
-    return status_at_prime(d, p, known_h=h)
+    return status_at_prime(d, p, None if p == 2 else class_group(d, known_h=h))
 
 
 @dataclass(frozen=True)

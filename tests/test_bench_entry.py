@@ -1,11 +1,14 @@
-"""The bench harness loads a second checkout beside this one and gates the digests.
+"""The bench harness loads a second checkout, gates the digests and pairs the timings.
 
 Every bench script measures through bench/_entry.run, which is loaded by
 path like the scripts load it.  A measure whose libraries disagree on a
 *_sha256 field must end the run with no BENCH document on stdout.  Every
-timed call runs with the cyclic collector paused, restored after it.  Each
-bench script, shrunk to a tiny band, must still run end to end against this
-checkout: they reach private library names that a rename could break.
+timing is judged by one rule, on its passes taken as pairs: "faster" or
+"slower" only from at least 10 pairs, 9 in 10 of them won (or lost), and
+a median gap past the parent's interquartile range.  Every timed call runs
+with the cyclic collector paused, restored after it.  Each bench script,
+shrunk to a tiny band, must still run end to end against this checkout:
+they reach private library names that a rename could break.
 """
 
 import gc
@@ -69,11 +72,11 @@ def test_equal_digests_print_both_entries(entry, capsys):
     document = json.loads(captured.out)
     assert document["layer"] == "layer"
     assert set(document["entries"]) == {"parent", "change"}
-    for record in document["entries"].values():
-        assert record["blocks"] == [
-            {"D": -23, "h": 3, "x_sha256": "a", "median_s": 0.1, "passes_s": [0.1]}
-        ]
-    assert "change faster in 0/1 passes" in captured.err
+    block = {"D": -23, "h": 3, "x_sha256": "a", "median_s": 0.1, "passes_s": [0.1]}
+    assert document["entries"]["parent"]["blocks"] == [block]
+    paired = {"paired_ratio_median": 1.0, "paired_wins": "0/1", "verdict": "unresolved"}
+    assert document["entries"]["change"]["blocks"] == [{**block, **paired}]
+    assert "change won 0/1 pairs: unresolved" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -91,7 +94,70 @@ def test_report_gives_each_spread_and_compares_with_the_parents(
     entry.run("doc", "layer", fake_measure("a", (1.0, 1.1, 1.2, 1.3), change_passes))
     err = capsys.readouterr().err
     assert "IQR 0.15 -> 0.15 s" in err
-    assert f"{spread} the parent's spread" in err
+    assert f"gap {spread} the parent's IQR" in err
+
+
+# ten parent passes: median 1.045 s, interquartile range 0.045 s
+PARENT = [1.0 + 0.01 * i for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "parent, change, wins, verdict",
+    [
+        # every pair won, the medians 0.1 apart: past the parent's IQR
+        (PARENT, [p - 0.1 for p in PARENT], "10/10", "faster"),
+        (PARENT, [p + 0.1 for p in PARENT], "0/10", "slower"),
+        # 9 of 10 won, but the medians only 0.01 apart: inside the parent's IQR
+        (PARENT, [p - 0.01 for p in PARENT[:9]] + [PARENT[9] + 0.01], "9/10", "unresolved"),
+        # won and lost in turn
+        (
+            PARENT,
+            [p + (0.1 if i % 2 else -0.1) for i, p in enumerate(PARENT)],
+            "5/10",
+            "unresolved",
+        ),
+        # every pair won, but fewer than 10 pairs
+        (PARENT[:9], [p - 0.1 for p in PARENT[:9]], "9/9", "unresolved"),
+    ],
+)
+def test_pairs_are_judged_by_the_acceptance_rule(entry, parent, change, wins, verdict):
+    fields, line = entry.paired(parent, change)
+    assert fields["paired_wins"] == wins and fields["verdict"] == verdict
+    assert line.endswith(f"change won {wins} pairs: {verdict}")
+
+
+def test_a_parent_pass_of_0_is_a_tie_and_stays_out_of_the_ratio(entry):
+    parent = [0.0] + PARENT[1:]
+    change = [0.000001] + [p - 0.1 for p in PARENT[1:]]
+    fields, _ = entry.paired(parent, change)
+    # 9 won and one tie: no loss, so 9 in 10 and a gap past the IQR read faster
+    assert fields["paired_wins"] == "9/10" and fields["verdict"] == "faster"
+    ratios = [(p - 0.1) / p for p in PARENT[1:]]
+    assert fields["paired_ratio_median"] == round(statistics.median(ratios), 4)
+
+
+def test_nested_and_flat_timings_get_their_own_paired_fields(entry, capsys):
+    def measure(libs):
+        def blocks(shift):
+            passes = [p + shift for p in PARENT]
+            timing = {"median_s": statistics.median(passes), "passes_s": passes}
+            # a flat block (as startup's) and a block with a nested timing (as classgroup's)
+            return [{"run": "setup", **timing}, {"start": 1, "class_group": dict(timing)}]
+
+        return {"parent": blocks(0.0), "change": blocks(-0.1)}
+
+    entry.run("doc", "layer", measure)
+    captured = capsys.readouterr()
+    entries = json.loads(captured.out)["entries"]
+    flat, nested = entries["change"]["blocks"]
+    for timing in (flat, nested["class_group"]):
+        assert timing["paired_wins"] == "10/10" and timing["verdict"] == "faster"
+        assert timing["paired_ratio_median"] < 1
+    assert "verdict" not in nested
+    assert all("verdict" not in block for block in entries["parent"]["blocks"])
+    lines = captured.err.splitlines()  # one per timing
+    assert [line.split(":")[0] for line in lines] == ["run=setup", "start=1 class_group"]
+    assert all(line.endswith("change won 10/10 pairs: faster") for line in lines)
 
 
 def test_timed_calls_pause_the_collector_and_restore_it(entry):
