@@ -14,10 +14,12 @@ paired_ratio_median, paired_wins and verdict, and stderr one line with both
 medians, both interquartile ranges, the ratio, the wins and the verdict.
 It prints the BENCH document on stdout: the layer and, under "entries", the
 "parent" and the "change" entry, each with the host it ran on and its
-blocks.  `--parent .` measures this checkout against itself.
+blocks.  `--parent .` measures this checkout against itself.  counted()
+is the one way the scripts count calls, through wrappers on library globals.
 """
 
 import argparse
+import contextlib
 import functools
 import gc
 import hashlib
@@ -29,6 +31,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -79,6 +82,32 @@ def timed_alternating(fns: list, repeats: int) -> list[tuple[list, dict]]:
                 if collecting:
                     gc.enable()
     return list(zip(results, map(stats, times)))
+
+
+def counted(fn, targets) -> dict:
+    """Run fn() with each (label, owner, name, weight) of targets wrapped: the counts by label.
+
+    Each call of owner.name during fn() adds weight(args), args the call's
+    positional arguments, to counts[label].  Two targets on one attribute
+    both count: the second wraps the first.  Every original is restored
+    when fn() returns or raises.
+    """
+    counts = {}
+
+    def counting(label, orig, weight):
+        def wrapper(*args, **kwargs):
+            counts[label] += weight(args)
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for label, owner, name, weight in targets:
+            counts.setdefault(label, 0)
+            wrapper = counting(label, getattr(owner, name), weight)
+            stack.enter_context(mock.patch.object(owner, name, wrapper))
+        fn()
+    return counts
 
 
 def stats(spent: list[float]) -> dict:

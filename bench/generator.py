@@ -7,31 +7,31 @@ localtest.build_context(d, p), idealgen.torsion_power_generator(form, p,
 ring), for every job of the band: every form of p_torsion_basis(cg, p) at
 every odd p | h (rank-overflow primes skipped) over the fundamental |D| of
 each band in BANDS, walked as verify.generator_jobs walks them
-(band_tests).  Next to it, on the same forms, it times the explicit
-generator idealgen.explicit_power_generator(form, p), not embedded: the
-oracle route the compact image replaced.  The class groups and the rings
-are built untimed, with h from the survey sieve.  Next to both it times
-the block route, one lanes._generator_lanes call over all the band's
-jobs and the image route for each job it leaves to the scalar route.  The
-status route times the odd-p status of every (d, p) of the band two ways:
-the lanes, lanes.lane_statuses as survey._scan_block calls it, with
+(band_tests).  The class groups and the rings are built untimed, with h
+from the survey sieve.  Next to the image route it times the block route,
+one lanes._generator_lanes call over all the band's jobs and the image
+route for each job it leaves to the scalar route.  The status route times
+the odd-p status of every (d, p) of the band two ways, and both passes
+include building their generator images: the lanes, lanes.lane_statuses as
+survey._scan_block calls it, which builds the images on the lanes, with
 status_at_odd_prime for each (d, p) it leaves; and the scalar local test,
-classify.status_at_odd_prime on the block route's images.  It also times
-classify(D) for each D in CLASSIFY.  Each is timed with the library of the
-checkout DIR and with this checkout's, all passes taken in turn
+classify.status_at_odd_prime on the block route's images, which
+scalar_statuses builds by calling block() inside its timed pass.  It also
+times classify(D) for each D in CLASSIFY.  Each is timed with the library
+of the checkout DIR and with this checkout's, all passes taken in turn
 (bench/_entry.py).
 
 Each band records the median and minimum wall time of REPEATS passes over
-its generators for each route (image, explicit, block, and status lanes
-and scalar), their numbers, and two digests.  The generator digest is the
-sha256 of (D, p, x, y) per generator, where (x, y) is the smaller of the
-image e and -e: routes may differ by the sign of the generator, which
-moves no verdict at odd p.  The block route's digest must equal the image
-route's.  The status digest is the sha256 of (D, p, status) per (d, p),
-and the lanes' must equal the scalar test's.  Otherwise the script exits
-1, and both digests must agree between the two libraries.  The image and
-block routes count their products of states in one untimed pass: the
-calls of idealgen._state_product and the lanes of lanes._state_lanes;
+its generators for each route (image, block, and status lanes and scalar),
+their numbers, and two digests.  The generator digest is the sha256 of (D,
+p, x, y) per generator, where (x, y) is the smaller of the image e and -e:
+routes may differ by the sign of the generator, which moves no verdict at
+odd p.  The block route's digest must equal the image route's.  The status
+digest is the sha256 of (D, p, status) per (d, p), and the lanes' must
+equal the scalar test's.  Otherwise the script exits 1, and both digests
+must agree between the two libraries.  The image and block routes count
+their products of states in one untimed pass, through counted() wrappers:
+the calls of idealgen._state_product and the lanes of lanes._state_lanes;
 the block route also counts its jobs that took the scalar route
 (torsion_power_generator calls), whose products on the lanes before they
 left count too.  Each classify records the median and minimum of
@@ -39,11 +39,9 @@ CLASSIFY_REPEATS calls and the per-prime statuses, whose sha256 must agree
 too.
 """
 
-import contextlib
 import sys
-from unittest import mock
 
-from _entry import run, sha256, timed_alternating
+from _entry import counted, run, sha256, timed_alternating
 
 # [lo, hi) bands of |D|: all of |D| < 2e4, and one 1e4-block at 1e6 and at 1e7
 BANDS = ((3, 20_000), (10**6, 10**6 + 10**4), (10**7, 10**7 + 10**4))
@@ -71,7 +69,7 @@ def band_tests(lib, lo: int, hi: int) -> list:
 
 
 def routes(lib, tests: list) -> tuple:
-    """The jobs of tests with lib, and its image, explicit, block and two status passes."""
+    """The jobs of tests with lib, and its image, block and two status passes."""
     jobs = [
         (d.value, form, p, lib.localtest.build_context(d, p).ring)
         for d, _, p, basis in tests
@@ -106,14 +104,7 @@ def routes(lib, tests: list) -> tuple:
             for s, (d, cg, p, _) in zip(statuses, tests)
         ]
 
-    return (
-        jobs,
-        images,
-        lambda: [idealgen.explicit_power_generator(form, p) for _, form, p, _ in jobs],
-        block,
-        statuses_on_lanes,
-        scalar_statuses,
-    )
+    return jobs, images, block, statuses_on_lanes, scalar_statuses
 
 
 def status_digest(tests: list, statuses: list) -> str:
@@ -129,30 +120,16 @@ def generator_digest(jobs: list, results: list) -> str:
 
 
 def count_states(lib, fn) -> dict:
-    """Products of states and scalar-route jobs of fn(), via wrappers on the globals of lib."""
+    """Products of states and scalar-route jobs of fn()."""
     idealgen = lib.idealgen
-    owners = {
-        "_state_product": idealgen,
-        "_state_lanes": lib.lanes,
-        "torsion_power_generator": idealgen,
-    }
-    counts = dict.fromkeys(owners, 0)
-
-    def wrap(name, orig):
-        def counting(*args, **kwargs):
-            counts[name] += args[0][0].size if name == "_state_lanes" else 1
-            return orig(*args, **kwargs)
-
-        return counting
-
-    with contextlib.ExitStack() as stack:
-        for name, owner in owners.items():
-            stack.enter_context(mock.patch.object(owner, name, wrap(name, getattr(owner, name))))
-        fn()
-    return {
-        "state_products": counts["_state_product"] + counts["_state_lanes"],
-        "scalar_jobs": counts["torsion_power_generator"],
-    }
+    return counted(
+        fn,
+        [
+            ("state_products", idealgen, "_state_product", lambda args: 1),
+            ("state_products", lib.lanes, "_state_lanes", lambda args: args[0][0].size),
+            ("scalar_jobs", idealgen, "torsion_power_generator", lambda args: 1),
+        ],
+    )
 
 
 def measure(libs: dict) -> dict:
@@ -161,11 +138,9 @@ def measure(libs: dict) -> dict:
         tests = {name: band_tests(lib, lo, hi) for name, lib in libs.items()}
         runs = {name: routes(lib, tests[name]) for name, lib in libs.items()}
         timed = timed_alternating([fn for _, *fns in runs.values() for fn in fns], REPEATS)
-        for (name, lib), *passes in zip(libs.items(), *(timed[k::5] for k in range(5))):
-            (results, image), (_, explicit), (blocked, block), (lanes, status), (scalar, local) = (
-                passes
-            )
-            jobs, images, _, blocks, *_ = runs[name]
+        for (name, lib), *passes in zip(libs.items(), *(timed[k::4] for k in range(4))):
+            (results, image), (blocked, block), (lanes, status), (scalar, local) = passes
+            jobs, images, blocks, *_ = runs[name]
             generator_sha256 = generator_digest(jobs, results[-1])
             if generator_digest(jobs, blocked[-1]) != generator_sha256:
                 sys.exit(f"start={lo} {name}: the block route differs from the image route")
@@ -179,7 +154,6 @@ def measure(libs: dict) -> dict:
                     "width": hi - lo,
                     "generators": len(jobs),
                     "image": {**image, "state_products": image_counts["state_products"]},
-                    "explicit": explicit,
                     "block": {**block, **count_states(lib, blocks)},
                     "generator_sha256": generator_sha256,
                     "statuses": len(tests[name]),
@@ -202,7 +176,7 @@ def measure(libs: dict) -> dict:
 
 if __name__ == "__main__":
     layer = (
-        "generator image in O/p^2, explicit generator and odd-p status, every odd-p torsion "
-        "basis form of a band of |D|; classify(D) at large |D|"
+        "generator image in O/p^2 and odd-p status, every odd-p torsion basis form of a band "
+        "of |D|; classify(D) at large |D|"
     )
     run(__doc__, layer, measure)

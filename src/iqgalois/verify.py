@@ -78,24 +78,28 @@ def quotient_index() -> list[str]:
     ]
 
 
+def random_local_unit(rng, D: int, p: int) -> QuadraticInteger:
+    """A random element of the order that is a unit above p."""
+    span = 6 * p * p
+    while True:
+        u = rng.randrange(-span, span + 1)
+        v = rng.randrange(-span, span + 1)
+        if (u - v * D) % 2:
+            u += 1
+        alpha = QuadraticInteger(u, v, D)
+        if alpha.norm != 0 and alpha.norm % p != 0:
+            return alpha
+
+
 def local_engines() -> list[str]:
     """Closed forms against the enumerative engine on random local units."""
     rng = random.Random(757)
     failures = []
     for p, D in LOCAL_CASES:
         ctx = build_context(validate(D), p)
-        span = 6 * p * p
-        done = 0
-        while done < UNITS_PER_CASE:
-            u = rng.randrange(-span, span)
-            v = rng.randrange(-span, span)
-            if (u - v * D) % 2:
-                u += 1
-            alpha = QuadraticInteger(u, v, D)
-            if alpha.norm == 0 or alpha.norm % p == 0:
-                continue
-            done += 1
-            elt = ctx.ring.embed(u, v)
+        for _ in range(UNITS_PER_CASE):
+            alpha = random_local_unit(rng, D, p)
+            elt = ctx.ring.embed(alpha.u, alpha.v)
             if local_unit_image(ctx, elt).trivial != generic_membership(ctx, elt).trivial:
                 failures.append(f"engines disagree at (p={p}, D={D}) on {alpha}")
                 break

@@ -172,22 +172,6 @@ def is_perfect_power(alpha: QuadraticInteger, p: int) -> bool:
     return any(power_in_order(beta, p) == alpha for beta in norm_elements(alpha.disc, base))
 
 
-def random_local_unit(rng, D: int, p: int, span: int | None = None) -> QuadraticInteger:
-    """A random element of the order that is a unit above p."""
-    span = span or 6 * p * p
-    while True:
-        u = rng.randrange(-span, span + 1)
-        v = rng.randrange(-span, span + 1)
-        if (u - v * D) % 2:
-            u += 1
-        try:
-            alpha = QuadraticInteger(u, v, D)
-        except ValueError:
-            continue
-        if alpha.norm != 0 and alpha.norm % p != 0:
-            return alpha
-
-
 def quotient_trivial_brute(ring, p: int, torsion, elt) -> bool:
     """Is elt = u^p * t for some u of the quotient ring and some word t in torsion?
 

@@ -24,8 +24,9 @@ from iqgalois.survey import (
     table1,
     table3,
 )
+from iqgalois.verify import random_local_unit
 
-from _oracles import is_perfect_power, principal_ideal, random_local_unit
+from _oracles import is_perfect_power, principal_ideal
 
 
 def _report(n: int, text: str) -> None:

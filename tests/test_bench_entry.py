@@ -6,7 +6,8 @@ path like the scripts load it.  A measure whose libraries disagree on a
 timing is judged by one rule, on its passes taken as pairs: "faster" or
 "slower" only from at least 10 pairs, 9 in 10 of them won (or lost), and
 a median gap past the parent's interquartile range.  Every timed call runs
-with the cyclic collector paused, restored after it.  Each bench script,
+with the cyclic collector paused, restored after it.  counted() wraps library
+globals only while its function runs.  Each bench script,
 shrunk to a tiny band, must still run end to end against this checkout:
 they reach private library names that a rename could break.
 """
@@ -16,6 +17,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -182,6 +184,54 @@ def test_timed_calls_pause_the_collector_and_restore_it(entry):
     with pytest.raises(RuntimeError, match="injected"):
         entry.timed_alternating([probe, failing], 1)
     assert gc.isenabled()
+
+
+def counting_targets(entry):
+    """An owner with two functions and a class with a method, and counted() targets on them."""
+
+    class Walks:
+        def start(self, rows):
+            return len(rows)
+
+    owner = types.SimpleNamespace(kernel=lambda a, n: a * n, other=lambda: None)
+    targets = [
+        ("calls", owner, "kernel", lambda args: 1),
+        # a second label on one attribute, as _power_lanes counts calls and lanes
+        ("lanes", owner, "kernel", lambda args: args[0]),
+        # a second attribute on one label, as state_products counts two functions
+        ("lanes", Walks, "start", lambda args: len(args[1])),
+        ("unused", owner, "other", lambda args: 1),
+    ]
+    return owner, Walks, targets
+
+
+def test_counted_adds_each_weight_to_its_label(entry):
+    owner, Walks, targets = counting_targets(entry)
+
+    def fn():
+        assert owner.kernel(3, 2) == 6 and owner.kernel(4, 1) == 4
+        assert Walks().start([1, 2]) == 2
+
+    assert entry.counted(fn, targets) == {"calls": 2, "lanes": 3 + 4 + 2, "unused": 0}
+
+
+def test_counted_restores_every_original_also_when_fn_raises(entry):
+    owner, Walks, targets = counting_targets(entry)
+
+    def attributes():
+        return owner.kernel, owner.other, Walks.start
+
+    originals = attributes()
+
+    def failing():
+        owner.kernel(1, 1)
+        raise RuntimeError("injected")
+
+    assert entry.counted(lambda: None, targets) == {"calls": 0, "lanes": 0, "unused": 0}
+    assert all(now is before for now, before in zip(attributes(), originals))
+    with pytest.raises(RuntimeError, match="injected"):
+        entry.counted(failing, targets)
+    assert all(now is before for now, before in zip(attributes(), originals))
 
 
 def test_sub_millisecond_passes_keep_their_spread(entry, capsys):

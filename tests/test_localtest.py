@@ -20,8 +20,9 @@ from iqgalois.localtest import (
     two_direct_check,
 )
 from iqgalois.quadform import QuadForm, compose, principal_form, two_torsion_basis
+from iqgalois.verify import random_local_unit
 
-from _oracles import is_fundamental, quotient_trivial_brute, random_local_unit
+from _oracles import is_fundamental, quotient_trivial_brute
 
 # one discriminant per (prime, splitting type); all verified fundamental
 GRID = {
