@@ -8,7 +8,9 @@ DIR and with this checkout's, their calls taken in turn (bench/_entry.py).
 The bounds are three of the sixteen that perfbench's tables_1e7 draws from.
 Each block is one bound: the median and minimum wall time of REPEATS
 calls, and the sha256 of the result's fields, which must agree between the
-two libraries.
+two libraries.  The blocks of GATED follow untimed, one call each: the
+sha256 alone of table3 at the primes 5 and 7, whose p-parts the timed
+p = 3 blocks never build.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ from _entry import run, sha256, timed_alternating
 P, N = 3, 100
 BOUNDS = tuple(10**7 + j * 10**4 for j in (0, 5, 15))
 REPEATS = 10
+GATED = tuple((p, bound) for p in (5, 7) for bound in (10**5, 10**7))
 
 
 def measure(libs: dict) -> dict:
@@ -32,6 +35,10 @@ def measure(libs: dict) -> dict:
             entries[name].append(
                 {"B": bound, "p": P, "N": N, "result_sha256": sha256(result), **timing}
             )
+    for p, bound in GATED:
+        for name, lib in libs.items():
+            result = dataclasses.asdict(lib.survey.table3(p, N, bound))
+            entries[name].append({"B": bound, "p": p, "N": N, "result_sha256": sha256(result)})
     return entries
 
 

@@ -99,6 +99,8 @@ def status_at_odd_prime(
 ) -> str:
     """Injectivity status of the splitting test at one odd prime p | h.
 
+    cg is the class group or its p-Sylow subgroup alone (table3's
+    quadform.sylow_subgroup): p_torsion_basis reads no other part.
     generators, when given, holds per form of p_torsion_basis(cg, p) the
     image of its generator; torsion_power_generator computes them when not.
     """

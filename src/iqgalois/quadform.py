@@ -33,9 +33,10 @@ basis.  Of each basis form x of order o it keeps y = x^(o/q), which spans
 Cl[q] with the others and is x's one exact-order test (_q_torsion).
 Cl[2] comes from the ramified prime forms.
 class_group runs these Sylow parts one by one on the scalar power: the
-oracle, which classify, tables, verify and table3 take.  lanes.class_groups,
-the route of a survey block, runs the Sylow parts of many fields side by
-side as int64 array lanes instead.
+oracle, which classify, table1 and verify take; sylow_subgroup runs only
+the p-part, which table3 reads.  lanes.class_groups, the route of a survey
+block, runs the Sylow parts of many fields side by side as int64 array
+lanes instead.
 """
 
 import functools
@@ -275,6 +276,8 @@ _Sylow = tuple[tuple[int, ...], tuple[QuadForm, ...] | None]
 class ClassGroupStructure(NamedTuple):
     """Invariant factors and, for each prime q | h, the q-Sylow subgroup.
 
+    h is the group's order: the class number for class_group, and p^e for
+    sylow_subgroup, whose one entry is the p-Sylow subgroup.
     sylow[q] = (orders, torsion): the ascending orders of its cyclic factors
     and, at odd q, one form of order q per factor (_sylow_structure), which
     together span Cl[q].  At q = 2 torsion is None: the verdict at p = 2
@@ -647,6 +650,24 @@ def class_group(d: FundamentalDiscriminant, *, known_h: int | None = None) -> Cl
     return _assemble(d.value, h, {q: _sylow_step(d, h, q, e) for q, e in _sylow_parts(d, h)})
 
 
+def sylow_subgroup(d: FundamentalDiscriminant, h: int, p: int) -> ClassGroupStructure:
+    """The p-Sylow subgroup of Cl(D), for a prime p | h, as a group of order p^e || h.
+
+    h is the exact class number, which the caller vouches for, as known_h
+    of class_group.  Its genus parity is checked before any power
+    (_sylow_parts), and the p-part raises as class_group's does: a p-part
+    larger than the true one raises ClassNumberAmbiguous.  The other parts
+    are never walked, so a wrong h that only they would show passes here;
+    table3 passes the sieve's exact count.  The entry sylow[p] is
+    class_group(d, known_h=h).sylow[p], since each part runs on its own pool
+    (_sylow_step); h of the result is p^e, what p_torsion_basis reads.
+    """
+    e = dict(_sylow_parts(d, h)).get(p)
+    if e is None:
+        raise ValueError(f"{p} does not divide h = {h}")
+    return _assemble(d.value, p**e, {p: _sylow_step(d, h, p, e)})
+
+
 def two_torsion_basis(D: int, rank: int) -> list[QuadForm]:
     """Forms of order 2 spanning Cl(D)[2], of 2-rank rank: ramified prime forms.
 
@@ -671,7 +692,11 @@ def two_torsion_basis(D: int, rank: int) -> list[QuadForm]:
 
 
 def p_torsion_basis(cg: ClassGroupStructure, p: int) -> list[QuadForm]:
-    """Forms of order p spanning Cl[p]: class_group's at odd p, two_torsion_basis at 2."""
+    """Forms of order p spanning Cl[p]: class_group's at odd p, two_torsion_basis at 2.
+
+    It reads only h, sylow[p] and the discriminant of cg, so at odd p cg may
+    be the p-part alone (sylow_subgroup).
+    """
     if cg.h % p != 0:
         raise ValueError(f"{p} does not divide h = {cg.h}")
     orders, torsion = cg.sylow[p]

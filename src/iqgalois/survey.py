@@ -29,8 +29,9 @@ lanes._square_and_multiply_lanes.  A (field, p) the lanes leave is
 classify.status_at_odd_prime at its field.  The local tags of every
 (field, p) come from one array pass per p (_local_tags).  The rows are
 those of classifying each field alone, with class_group,
-status_at_odd_prime and kronecker_at as the oracles.  Tables and the
-verify sweeps classify field by field on the scalar route.
+status_at_odd_prime and kronecker_at as the oracles.  Table 1 and the
+verify sweeps classify field by field on the scalar route; table 3 builds
+only the p-Sylow subgroup of each field (splitting_status).
 """
 
 import bisect
@@ -52,7 +53,7 @@ from .classify import SKIPPED, ClassificationRecord, classify_validated, status_
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at, validate
 from .lanes import _jacobi_lanes, class_groups, lane_statuses
 from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_group
-from .quadform import p_torsion_basis
+from .quadform import p_torsion_basis, sylow_subgroup
 
 BLOCK_SIZE = 10_000
 # Scratch elements of one run of a in reduced_form_counts: its (a, c) cells plus its expected pairs
@@ -676,8 +677,12 @@ def single_factor_fields(p: int, lower_bound: int, n_fields: int) -> list[tuple[
 
 
 def splitting_status(d: FundamentalDiscriminant, h: int, p: int) -> str:
-    """Injectivity status at one prime p | h, independent of other primes."""
-    return status_at_prime(d, p, None if p == 2 else class_group(d, known_h=h))
+    """Injectivity status at one prime p | h, h the exact class number, on the p-part alone.
+
+    At odd p the local test reads only the p-torsion of Cl(D), so only the
+    p-Sylow subgroup is built (sylow_subgroup); p = 2 needs no class group.
+    """
+    return status_at_prime(d, p, None if p == 2 else sylow_subgroup(d, h, p))
 
 
 @dataclass(frozen=True)

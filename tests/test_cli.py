@@ -316,13 +316,20 @@ def test_unpinned_class_number_exits_3(monkeypatch, capsys):
 def test_survey_interrupted_exits_130_and_leaves_its_checkpoint(workers, tmp_path):
     # SIGINT to the process group of a survey, once its first block is
     # checkpointed: one line on stderr, exit 130, no output file, and a
-    # checkpoint that holds the rows of the blocks it vouches for
+    # checkpoint that holds the rows of the blocks it vouches for.  The
+    # child restores SIGINT's default, which a shell that started this suite
+    # in the background may have set to ignore, so Python installs its handler
     out, ckpt = tmp_path / "rows.csv", tmp_path / "scan.ckpt"
     argv = ["survey", "--max", "2000000", "--out", str(out), "--workers", str(workers)]
     command = [sys.executable, "-m", "iqgalois.cli", *argv, "--checkpoint", str(ckpt)]
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen(
-        command, env=env, stderr=subprocess.PIPE, text=True, start_new_session=True
+        command,
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         deadline = time.monotonic() + 60

@@ -12,6 +12,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 import pytest
 
 from iqgalois import survey
+from iqgalois.classify import classify_validated
 from iqgalois.discriminant import NotFundamental, NotImaginary, validate
 from iqgalois.quadform import enumerate_reduced_forms
 from iqgalois.survey import (
@@ -482,6 +483,17 @@ def test_table3_sieves_only_the_window_it_reads(monkeypatch):
     assert calls[0][0] == 10**7 + 1
     assert all(prev[1] == nxt[0] for prev, nxt in zip(calls, calls[1:]))
     assert sum(hi - lo for lo, hi in calls) < survey.BLOCK_SIZE
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_table3_status_on_the_p_part_matches_the_whole_group(p):
+    # splitting_status builds only the p-Sylow subgroup; classify_validated,
+    # on the whole class_group, is its oracle
+    fields = single_factor_fields(p, 20000, 40)
+    for m, h in fields:
+        d = validate(-m)
+        whole = classify_validated(d, short_circuit=False).status_at(p)
+        assert survey.splitting_status(d, h, p) == whole, (m, p)
 
 
 def test_table2_smoke():

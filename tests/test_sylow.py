@@ -10,16 +10,18 @@ each basis form b of order o, the form b^(o/q); a 2-entry keeps no form,
 and the 2-torsion that p_torsion_basis reads from the ramified prime forms
 must span the classes of order dividing 2.  The generator that fills a
 walked subgroup costs only its power walk, and a wrong h whose last
-relative order overshoots still raises.
+relative order overshoots still raises.  sylow_subgroup, the p-part alone,
+equals class_group's entry and refuses a wrong h as class_group does.
 """
 
 import collections
+import math
 import random
 
 import pytest
 
 from iqgalois import lanes, quadform
-from iqgalois.arith import factorize
+from iqgalois.arith import InvariantViolation, factorize
 from iqgalois.discriminant import validate
 from iqgalois.quadform import ClassNumberAmbiguous, compose, power, principal_form
 from iqgalois.survey import BLOCK_SIZE, class_numbers_range
@@ -312,3 +314,42 @@ def test_wrong_h_whose_last_relative_order_overshoots_raises():
         quadform.class_group(d, known_h=35)
     with pytest.raises(ClassNumberAmbiguous, match=message):
         next(lanes.class_groups([(d, 35)]))
+
+
+def _odd_parts():
+    """(d, h, p, e) for every fundamental |D| < 2e4 and every odd p^e || h."""
+    for m, h in class_numbers_range(3, 20_000):
+        d = validate(-m)
+        yield from ((d, h, p, e) for p, e in factorize(h) if p != 2)
+
+
+def test_sylow_subgroup_is_the_p_part_of_the_whole_group():
+    checked = 0
+    for d, h, p, e in _odd_parts():
+        part = quadform.sylow_subgroup(d, h, p)
+        orders, _ = entry = quadform.class_group(d).sylow[p]
+        assert part.sylow == {p: entry}, (d.value, p)
+        assert part.h == p**e == math.prod(orders) and part.invariant_factors == orders
+        assert part.discriminant == d.value
+        checked += 1
+    assert checked == 6_160
+    with pytest.raises(ValueError, match="^5 does not divide h = 3$"):
+        quadform.sylow_subgroup(validate(-23), 3, 5)
+
+
+def test_sylow_subgroup_refuses_a_wrong_h_as_class_group_does():
+    parts = list(_odd_parts())
+    prime_discs = [(d, h, p) for d, h, p, _ in parts if d.num_prime_divisors == 1]
+    assert len(parts) == 6_160 and len(prime_discs) == 1_607
+    for d, h, p in prime_discs:
+        # genus parity: an even h at a prime discriminant
+        with pytest.raises(InvariantViolation, match="^genus parity violated"):
+            quadform.sylow_subgroup(d, 2 * h, p)
+    for d, h, p, _ in parts:
+        if d.num_prime_divisors > 1:
+            # an odd h at two or more primes
+            with pytest.raises(ClassNumberAmbiguous, match="does not fit 2-rank"):
+                quadform.sylow_subgroup(d, h // (h & -h), p)
+        # a p-part larger than the true one, which the prime forms cannot fill
+        with pytest.raises(ClassNumberAmbiguous):
+            quadform.sylow_subgroup(d, p * h, p)
