@@ -15,7 +15,8 @@ medians, both interquartile ranges, the ratio, the wins and the verdict.
 It prints the BENCH document on stdout: the layer and, under "entries", the
 "parent" and the "change" entry, each with the host it ran on and its
 blocks.  `--parent .` measures this checkout against itself.  counted()
-is the one way the scripts count calls, through wrappers on library globals.
+is the one way the scripts count calls, through wrappers on library globals;
+compositions() counts with it the products of forms a call makes.
 """
 
 import argparse
@@ -108,6 +109,23 @@ def counted(fn, targets) -> dict:
             stack.enter_context(mock.patch.object(owner, name, wrapper))
         fn()
     return counts
+
+
+def compositions(lib, fn) -> int:
+    """The compositions of forms made by fn(), with lib: calls and lanes, counted().
+
+    The calls of compose_unreduced, the scalar composition formula, through
+    its module globals in quadform and idealgen, plus the lanes of every
+    call of lanes._compose_lanes, the lock-step kernel of lanes.class_groups
+    and of lanes._generator_lanes.  A job that leaves the generator lanes for
+    the scalar route counts its products on both.
+    """
+    targets = [
+        ("compositions", module, "compose_unreduced", lambda args: 1)
+        for module in (lib.quadform, lib.idealgen)
+    ]
+    targets.append(("compositions", lib.lanes, "_compose_lanes", lambda args: args[0][0].size))
+    return counted(fn, targets)["compositions"]
 
 
 def stats(spent: list[float]) -> dict:

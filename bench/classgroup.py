@@ -20,16 +20,11 @@ two digests must equal the scalar pass's, or the script exits 1.  The
 also counts the even-h fields by the route their 2-orders took, read from
 the 4-rank r4, the number of 2-orders of at least 4: genus theory at r4 =
 0, 1 or 2, the table walk at r4 >= 3.  Compositions are counted, untimed,
-over one more call of each kind of pass and of survey._scan_block with the
-primes PRIMES (sieve, class groups, generator images, local images, rows):
-the calls of compose_unreduced, the scalar composition formula, through
-counted() wrappers on its module globals in quadform and idealgen, plus the
-lanes of every call of lanes._compose_lanes, the lock-step kernel of
-lanes.class_groups and of lanes._generator_lanes.  A job that leaves the
-generator lanes for the scalar route counts its products on both.  Over one
-more batch pass, class_group_routes counts the calls of lanes._power_lanes,
-the class-group kernel, with their lanes, and the walks of two generators
-that the odd lanes start (lanes._Walks.start).  It counts the fields that
+over one more call of each kind of pass (compositions() of bench/_entry.py;
+bench/scan.py counts those of the whole block).  Over one more batch pass,
+class_group_routes counts the calls of lanes._power_lanes, the class-group
+kernel, with their lanes, and the walks of two generators that the odd
+lanes start (lanes._Walks.start).  It counts the fields that
 class_groups hands to class_group whole by reason (lanes.WHOLE), read from
 one more call of lanes._lane_sylow on the block's fields.
 """
@@ -37,11 +32,10 @@ one more call of lanes._lane_sylow on the block's fields.
 import collections
 import sys
 
-from _entry import counted, run, sha256, timed_alternating
+from _entry import compositions, counted, run, sha256, timed_alternating
 
 STARTS = (10**6, 10**7)
 WIDTH = 10**4
-PRIMES = (2, 3, 5, 7)
 REPEATS = 10
 
 
@@ -74,16 +68,6 @@ def sylow_digests(lib, cgs: list) -> dict:
 def two_part_route(cg) -> str:
     r4 = sum(o >= 4 for o in cg.sylow[2][0])
     return "walk" if r4 >= 3 else f"r4={r4}"
-
-
-def compositions(lib, fn) -> int:
-    """compose_unreduced calls and _compose_lanes lanes made by fn()."""
-    targets = [
-        ("compositions", module, "compose_unreduced", lambda args: 1)
-        for module in (lib.quadform, lib.idealgen)
-    ]
-    targets.append(("compositions", lib.lanes, "_compose_lanes", lambda args: args[0][0].size))
-    return counted(fn, targets)["compositions"]
 
 
 def count_routes(lib, fields: list, batch) -> dict:
@@ -138,11 +122,6 @@ def measure(libs: dict) -> dict:
                     "class_group": {**cg_timing, "compositions": compositions(lib, groups)},
                     "class_groups": {**batch_timing, "compositions": compositions(lib, batch)},
                     "class_group_routes": count_routes(lib, fields, batch),
-                    "scan_block": {
-                        "compositions": compositions(
-                            lib, lambda: lib.survey._scan_block((start, start + WIDTH, PRIMES))
-                        )
-                    },
                     **digests,
                     "two_part_routes": dict(
                         collections.Counter(two_part_route(cg) for cg in cgs[-1] if 2 in cg.sylow)

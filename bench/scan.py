@@ -20,14 +20,16 @@ module globals of survey, installed around each block, time its stages:
 scan_block is the whole _scan_block call, wrappers included.  Each block
 records per stage the median and minimum time and every pass's time, and
 two sha256 digests, which must agree between the two libraries: of the
-rows (as bench/classgroup.py digests them) and of the lines.
+rows (as bench/classgroup.py digests them) and of the lines.  scan_block
+also records its compositions, counted over one more pass with no
+wrapper but compositions()'s (bench/_entry.py), after the timed ones.
 """
 
 import contextlib
 import time
 from unittest import mock
 
-from _entry import run, sha256, stats, timed_alternating
+from _entry import compositions, run, sha256, stats, timed_alternating
 
 STARTS = (10**4, 10**6, 10**7)
 WIDTH = 10**4
@@ -86,12 +88,18 @@ def measure(libs: dict) -> dict:
         for name, (results, _) in zip(libs, timed):
             rows, lines, _ = results[-1]
             times = [spent for *_, spent in results]
+            timings = {stage: stats([t[stage] for t in times]) for stage in times[0]}
+            block = (start, start + WIDTH, PRIMES)
+            lib = libs[name]
+            timings["scan_block"]["compositions"] = compositions(
+                lib, lambda: lib.survey._scan_block(block)
+            )
             entries[name].append(
                 {
                     "start": start,
                     "width": WIDTH,
                     "fields": len(rows),
-                    **{stage: stats([t[stage] for t in times]) for stage in times[0]},
+                    **timings,
                     "rows_sha256": sha256([row.to_dict() for row in rows]),
                     "lines_sha256": sha256("".join(lines).encode()),
                 }

@@ -99,7 +99,7 @@ def status_at_odd_prime(
 ) -> str:
     """Injectivity status of the splitting test at one odd prime p | h.
 
-    cg is the class group or its p-Sylow subgroup alone (table3's
+    cg is the class group or its p-Sylow subgroup alone (the tables'
     quadform.sylow_subgroup): p_torsion_basis reads no other part.
     generators, when given, holds per form of p_torsion_basis(cg, p) the
     image of its generator; torsion_power_generator computes them when not.
@@ -116,23 +116,17 @@ def status_at_odd_prime(
     return INJECTIVE if injectivity_test(ctx, images) else NONINJECTIVE
 
 
-def classify(D: int, short_circuit: bool = True) -> ClassificationRecord:
-    """Full verdict for the discriminant D (validation included).
-
-    short_circuit=False evaluates every prime dividing h even after a
-    failure; the verdict is unchanged, but survey rows become complete.
-    """
-    d = validate(D)
-    return classify_validated(d, short_circuit=short_circuit)
+def classify(D: int) -> ClassificationRecord:
+    """Full verdict for the discriminant D (validation included), stopping at the first failure."""
+    return classify_validated(validate(D))
 
 
-def status_at_prime(
-    d: FundamentalDiscriminant, p: int, cg: ClassGroupStructure | None = None
-) -> str:
-    """Injectivity status at one prime p | h.
+def status_at_prime(d: FundamentalDiscriminant, p: int, cg: ClassGroupStructure) -> str:
+    """Injectivity status at one prime p | h, on the class group cg or its p-part alone.
 
-    p = 2 follows the discriminant families and needs no class group; at odd
-    p the local test runs on cg.
+    At odd p the local test runs on cg.  p = 2 follows the discriminant
+    families and reads no form of cg; building cg, the whole group or
+    quadform.sylow_subgroup at 2, is what checks a trusted h's 2-part.
     """
     if p == 2:
         two_rank = genus_two_rank(d)
@@ -153,11 +147,11 @@ def classify_validated(
 ) -> ClassificationRecord:
     """The verdict for d, on its class group cg, class_group(d) when not given.
 
-    A caller with a trusted class number passes cg = class_group(d,
-    known_h=h): table1 its sieve's count, a survey block the groups of
-    lanes.class_groups, with by odd p the statuses that lanes.lane_statuses
-    decides for the whole block at once; a p without one takes
-    status_at_prime.  The 2-rank check below holds either way.
+    short_circuit=False evaluates every prime of h even after a failure, as
+    a survey block does on the groups of lanes.class_groups (its sieve's
+    trusted h), with by odd p the statuses that lanes.lane_statuses decides
+    for the whole block at once; a p without one takes status_at_prime.
+    The verdict is the same either way, and so is the 2-rank check below.
     """
     D = d.value
     torsion = torsion_descriptor(d)

@@ -33,10 +33,10 @@ basis.  Of each basis form x of order o it keeps y = x^(o/q), which spans
 Cl[q] with the others and is x's one exact-order test (_q_torsion).
 Cl[2] comes from the ramified prime forms.
 class_group runs these Sylow parts one by one on the scalar power: the
-oracle, which classify, table1 and verify take; sylow_subgroup runs only
-the p-part, which table3 reads.  lanes.class_groups, the route of a survey
-block, runs the Sylow parts of many fields side by side as int64 array
-lanes instead.
+oracle, which classify, verify and the fields a survey block's lanes hand
+on whole take; sylow_subgroup runs only the p-part, the route of all three
+tables.  lanes.class_groups, the route of a survey block, runs the Sylow
+parts of many fields side by side as int64 array lanes instead.
 """
 
 import functools
@@ -658,7 +658,7 @@ def sylow_subgroup(d: FundamentalDiscriminant, h: int, p: int) -> ClassGroupStru
     (_sylow_parts), and the p-part raises as class_group's does: a p-part
     larger than the true one raises ClassNumberAmbiguous.  The other parts
     are never walked, so a wrong h that only they would show passes here;
-    table3 passes the sieve's exact count.  The entry sylow[p] is
+    the tables pass the sieve's exact count.  The entry sylow[p] is
     class_group(d, known_h=h).sylow[p], since each part runs on its own pool
     (_sylow_step); h of the result is p^e, what p_torsion_basis reads.
     """
@@ -694,8 +694,8 @@ def two_torsion_basis(D: int, rank: int) -> list[QuadForm]:
 def p_torsion_basis(cg: ClassGroupStructure, p: int) -> list[QuadForm]:
     """Forms of order p spanning Cl[p]: class_group's at odd p, two_torsion_basis at 2.
 
-    It reads only h, sylow[p] and the discriminant of cg, so at odd p cg may
-    be the p-part alone (sylow_subgroup).
+    It reads only h, sylow[p] and the discriminant of cg, so cg may be the
+    p-part alone (sylow_subgroup).
     """
     if cg.h % p != 0:
         raise ValueError(f"{p} does not divide h = {cg.h}")

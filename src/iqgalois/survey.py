@@ -29,9 +29,10 @@ lanes._square_and_multiply_lanes.  A (field, p) the lanes leave is
 classify.status_at_odd_prime at its field.  The local tags of every
 (field, p) come from one array pass per p (_local_tags).  The rows are
 those of classifying each field alone, with class_group,
-status_at_odd_prime and kronecker_at as the oracles.  Table 1 and the
-verify sweeps classify field by field on the scalar route; table 3 builds
-only the p-Sylow subgroup of each field (splitting_status).
+status_at_odd_prime and kronecker_at as the oracles.  The verify sweeps
+classify field by field on the scalar route.  All three tables decide a
+field at one prime p on its p-Sylow subgroup alone (splitting_status),
+which at table 1's h = p is the whole group.
 """
 
 import bisect
@@ -49,11 +50,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .arith import is_prime, large_factors, small_primes
-from .classify import SKIPPED, ClassificationRecord, classify_validated, status_at_prime
+from .classify import INJECTIVE, NONINJECTIVE, SKIPPED, ClassificationRecord, classify_validated
+from .classify import status_at_prime
 from .discriminant import INERT, RAMIFIED, SPLIT, FundamentalDiscriminant, kronecker_at, validate
 from .lanes import _jacobi_lanes, class_groups, lane_statuses
-from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, class_group
-from .quadform import p_torsion_basis, sylow_subgroup
+from .quadform import CLASS_NUMBER_LIMIT, ClassGroupStructure, RankOverflow, p_torsion_basis
+from .quadform import sylow_subgroup
 
 BLOCK_SIZE = 10_000
 # Scratch elements of one run of a in reduced_form_counts: its (a, c) cells plus its expected pairs
@@ -629,7 +631,8 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
     """Per-prime census of fields with h = p and |D| <= bound.
 
     'split' fields are those where the class-group extension splits over a
-    subgroup, i.e. the NOT_MINIMAL verdicts; the table lists their -D.
+    subgroup: the NOT_MINIMAL verdicts, whose splitting_status at p = h is
+    not injective (the p-part is the whole group).  The table lists their -D.
     """
     for name, value in (("max_p", max_p), ("bound", bound)):
         if value < 0:
@@ -640,13 +643,11 @@ def table1(max_p: int, bound: int) -> dict[int, Table1Row]:
     for lo, hi in _blocks(3, bound + 1, 10 * BLOCK_SIZE):
         for m, h in class_numbers_range(lo, hi):
             if h <= max_p and is_prime(h):
-                d = validate(-m)
-                record = classify_validated(d, cg=class_group(d, known_h=h))
-                per_p.setdefault(h, []).append((m, record.verdict))
+                per_p.setdefault(h, []).append((m, splitting_status(validate(-m), h, h)))
     out = {}
     for p in sorted(per_p):
         entries = per_p[p]
-        split = tuple(m for m, v in entries if v == "NOT_MINIMAL")
+        split = tuple(m for m, status in entries if status != INJECTIVE)
         out[p] = Table1Row(p, len(entries), len(entries) - len(split), split)
     return out
 
@@ -679,10 +680,12 @@ def single_factor_fields(p: int, lower_bound: int, n_fields: int) -> list[tuple[
 def splitting_status(d: FundamentalDiscriminant, h: int, p: int) -> str:
     """Injectivity status at one prime p | h, h the exact class number, on the p-part alone.
 
-    At odd p the local test reads only the p-torsion of Cl(D), so only the
-    p-Sylow subgroup is built (sylow_subgroup); p = 2 needs no class group.
+    The test at p reads only the p-torsion of Cl(D), so only the p-Sylow
+    subgroup is built (sylow_subgroup), at p = 2 too, where the status reads
+    no form but _two_sylow_orders checks the 2-part of h: a wrong one raises
+    ClassNumberAmbiguous wherever the 4-rank is at most 2.
     """
-    return status_at_prime(d, p, None if p == 2 else sylow_subgroup(d, h, p))
+    return status_at_prime(d, p, sylow_subgroup(d, h, p))
 
 
 @dataclass(frozen=True)
@@ -707,17 +710,15 @@ def table3(p: int, n_fields: int, lower_bound: int) -> Table3Result:
     fields = single_factor_fields(p, lower_bound, n_fields)
     totals: dict[str, int] = {"split": 0, "inert": 0, "ramified": 0}
     splits: dict[str, int] = {"split": 0, "inert": 0, "ramified": 0}
-    split_total = 0
     for m, h in fields:
         d = validate(-m)
         tag = kronecker_at(d, p)
         totals[tag] += 1
-        if splitting_status(d, h, p) == "noninjective":
+        if splitting_status(d, h, p) == NONINJECTIVE:
             splits[tag] += 1
-            split_total += 1
     by_behavior = {
         tag: (p * splits[tag] / totals[tag] if totals[tag] else None) for tag in totals
     }
     return Table3Result(
-        p, n_fields, lower_bound, p * split_total / n_fields, by_behavior, dict(totals)
+        p, n_fields, lower_bound, p * sum(splits.values()) / n_fields, by_behavior, dict(totals)
     )

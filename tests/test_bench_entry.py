@@ -247,7 +247,7 @@ TINY = {
     "classgroup": {"STARTS": (10**6,), "WIDTH": 300, "REPEATS": 1},
     "scan": {"STARTS": (10**6,), "WIDTH": 300, "REPEATS": 1},
     "classnumber": {"FIELDS": (-100000007,), "REPEATS": 1},
-    "tables": {"BOUNDS": (20000,), "REPEATS": 1},
+    "tables": {"BOUNDS": (20000,), "REPEATS": 1, "TABLE1": ((7, 3000),)},
     "startup": {"FIELDS": (-23,), "REPEATS": 1},
     "generator": {
         "BANDS": ((10**6, 10**6 + 300),),

@@ -42,9 +42,9 @@ def test_record_invariants():
 
 
 def test_per_prime_covers_h_without_short_circuit():
-    r = classify(-84, short_circuit=False)  # h = 4, only p = 2
+    r = classify_validated(validate(-84), short_circuit=False)  # h = 4, only p = 2
     assert [p for p, _ in r.per_prime] == [2]
-    r455 = classify(-455, short_circuit=False)  # h = 20 = 2^2 * 5
+    r455 = classify_validated(validate(-455), short_circuit=False)  # h = 20 = 2^2 * 5
     assert [p for p, _ in r455.per_prime] == [2, 5]
     assert r455.status_at(3) == "skipped"
 

@@ -12,9 +12,10 @@ from concurrent.futures import Future, ProcessPoolExecutor
 import pytest
 
 from iqgalois import survey
-from iqgalois.classify import classify_validated
+from iqgalois.arith import is_prime
+from iqgalois.classify import INJECTIVE, NOT_MINIMAL, classify_validated
 from iqgalois.discriminant import NotFundamental, NotImaginary, validate
-from iqgalois.quadform import enumerate_reduced_forms
+from iqgalois.quadform import ClassNumberAmbiguous, enumerate_reduced_forms
 from iqgalois.survey import (
     CSV_HEADER,
     InvalidConfig,
@@ -424,6 +425,28 @@ def test_table1_rows():
     assert rows[2].count == 18 and rows[2].nonsplit == 8
 
 
+def test_table1_status_at_h_is_the_whole_verdict():
+    # table1 decides a field with h = p prime by splitting_status(d, p, p) on
+    # the p-part, which is the whole group; classify_validated is its oracle
+    checked = 0
+    for m, h in class_numbers_range(3, 20_000):
+        if h <= 97 and is_prime(h):
+            d = validate(-m)
+            record = classify_validated(d)
+            status = survey.splitting_status(d, h, h)
+            assert status == record.status_at(h), m
+            assert (record.verdict == NOT_MINIMAL) == (status != INJECTIVE), m
+            checked += 1
+    assert checked == 498
+
+
+@pytest.mark.parametrize("D, h", [(-231, 2), (-84, 2), (-15, 4)])
+def test_splitting_status_refuses_a_wrong_h_at_2(D, h):
+    # h(-231) = 12, h(-84) = 4, h(-15) = 2: the 2-part contradicts the genus ranks
+    with pytest.raises(ClassNumberAmbiguous, match="does not fit 2-rank"):
+        survey.splitting_status(validate(D), h, 2)
+
+
 def test_single_factor_selection():
     fields = single_factor_fields(3, 2000, 25)
     assert len(fields) == 25
@@ -485,7 +508,7 @@ def test_table3_sieves_only_the_window_it_reads(monkeypatch):
     assert sum(hi - lo for lo, hi in calls) < survey.BLOCK_SIZE
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_table3_status_on_the_p_part_matches_the_whole_group(p):
     # splitting_status builds only the p-Sylow subgroup; classify_validated,
     # on the whole class_group, is its oracle

@@ -11,7 +11,8 @@ and the 2-torsion that p_torsion_basis reads from the ramified prime forms
 must span the classes of order dividing 2.  The generator that fills a
 walked subgroup costs only its power walk, and a wrong h whose last
 relative order overshoots still raises.  sylow_subgroup, the p-part alone,
-equals class_group's entry and refuses a wrong h as class_group does.
+equals class_group's entry, at p = 2 too, and refuses a wrong h as
+class_group does.
 """
 
 import collections
@@ -323,6 +324,13 @@ def _odd_parts():
         yield from ((d, h, p, e) for p, e in factorize(h) if p != 2)
 
 
+def _two_parts():
+    """(d, h) for every fundamental |D| < 2e4 with even h."""
+    for m, h in class_numbers_range(3, 20_000):
+        if h % 2 == 0:
+            yield validate(-m), h
+
+
 def test_sylow_subgroup_is_the_p_part_of_the_whole_group():
     checked = 0
     for d, h, p, e in _odd_parts():
@@ -335,6 +343,19 @@ def test_sylow_subgroup_is_the_p_part_of_the_whole_group():
     assert checked == 6_160
     with pytest.raises(ValueError, match="^5 does not divide h = 3$"):
         quadform.sylow_subgroup(validate(-23), 3, 5)
+
+
+def test_sylow_subgroup_at_2_is_the_2_part_of_the_whole_group():
+    # the route of every table at p = 2: the genus and Redei 2-orders alone
+    checked = 0
+    for d, h in _two_parts():
+        part = quadform.sylow_subgroup(d, h, 2)
+        orders, _ = entry = quadform.class_group(d, known_h=h).sylow[2]
+        assert part.sylow == {2: entry}, d.value
+        assert part.h == h & -h == math.prod(orders) and part.invariant_factors == orders
+        assert part.discriminant == d.value
+        checked += 1
+    assert checked == 4_941
 
 
 def test_sylow_subgroup_refuses_a_wrong_h_as_class_group_does():
